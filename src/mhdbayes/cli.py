@@ -185,8 +185,7 @@ def _run_fit(config):
     if config["estimator"] in ("bmh", "both"):
         post = bmh_fit(dataset.values, prior=prior, family=family,
                        n_samples=config["n_samples"], rng=rng,
-                       levels=tuple(config["levels"]), padding=config["padding"],
-                       workers=config["workers"])
+                       levels=tuple(config["levels"]), padding=config["padding"])
         results["bmh"] = post.to_report()
     return results, None
 
@@ -215,7 +214,7 @@ def _run_bvm(config):
     report = bvm_diagnostic(dataset.values, prior=_prior_from(config),
                             family=_family_from(config),
                             n_samples=config["n_samples"], rng=config["seed"],
-                            padding=config["padding"], workers=config["workers"])
+                            padding=config["padding"])
     return report.to_json(), report
 
 
@@ -224,7 +223,7 @@ def _run_posterior_dump(config):
     fit = bmh_fit(dataset.values, prior=_prior_from(config),
                   family=_family_from(config), n_samples=config["n_samples"],
                   rng=np.random.default_rng(config["seed"]),
-                  padding=config["padding"], workers=config["workers"])
+                  padding=config["padding"])
     rows = [{"index": i, "mu": float(t[0]), "sigma": float(t[1])}
             for i, t in enumerate(fit.theta_samples)]
     results = {"estimator": "bmh", "theta_samples": rows,

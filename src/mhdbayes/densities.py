@@ -188,9 +188,13 @@ class ParametricFamily:
     Subclasses supply ``pdf``, ``sqrt_grad`` (d/dtheta of sqrt(pdf), shape
     (n, p)) and ``sqrt_hess`` (second derivative, shape (n, p, p)), plus the
     sampling/initialization hooks used by the estimators and studies.
-    ``bounds`` is the compact parameter box searched by the optimizer; when
-    None, a fit must be given explicit bounds (the estimators derive
-    unit-scale ones via :meth:`unit_fit_family`).
+    The components of ``theta`` may also be (D, 1) columns, one row per
+    parameter value (``mhd_rows`` relies on this); ``pdf``/``sqrt_pdf``,
+    ``sqrt_grad`` and ``sqrt_hess`` then gain a leading row axis and return
+    shapes (D, n), (D, n, p) and (D, n, p, p).  ``bounds`` is the compact
+    parameter box searched by the optimizer; when None, a fit must be given
+    explicit bounds (the estimators derive unit-scale ones via
+    :meth:`unit_fit_family`).
     """
 
     dim = None

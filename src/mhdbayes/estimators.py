@@ -14,16 +14,14 @@ hooks.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import DEFAULT_PADDING, GaussianFamily, SupportTransform
-from .functional import MhdResult, mhd
+from .functional import MhdResult, mhd, mhd_rows
 from .numerics import OptimizerConfig, as_generator
 from .posterior import HistogramPrior, fit_posterior
-from . import numerics
 from . import posterior as posterior_mod
 
 
@@ -163,53 +161,31 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     return np.std(np.asarray(estimates), axis=0, ddof=1)
 
 
-def _bmh_chain(args):
-    """One warm-start chain over a block of posterior draws.
-
-    Returns (accepted unit-scale minimizers, failure count).  Every
-    ``cold_start_every``-th draw (indexed globally) is also refit cold from
-    the moment start and the better minimum kept, guarding against
-    minimum-tracking drift.
-    """
-    (post, fam_u, anchor_theta, x0_unit, config, warm_config, rng,
-     n_draws, cold_start_every, index_offset) = args
-    warm = anchor_theta
-    kept = []
-    failures = 0
-    for i in range(n_draws):
-        g = post.sample(rng)
-        res = mhd(g, fam_u, warm, config=warm_config, support=(0.0, 1.0))
-        if cold_start_every and (index_offset + i) % cold_start_every == 0:
-            cold = mhd(g, fam_u, x0_unit, config=config, support=(0.0, 1.0))
-            if cold.h_min < res.h_min:
-                res = cold
-        if res.converged:
-            warm = res.theta_hat
-            kept.append(res.theta_hat)
-        else:
-            failures += 1
-    return kept, failures
-
-
 def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
             config=None, levels=(0.5, 0.9, 0.95), padding=DEFAULT_PADDING,
-            cold_start_every=20, max_failure_rate=0.05, workers=1):
+            max_failure_rate=0.05, workers=None):
     """BMH posterior: map posterior density draws through the minimizer.
 
-    Per-draw minimizations are warm-started at the previous draw's
-    minimizer (consecutive draws are near-identical densities), with
-    periodic cold-start audits.  With ``workers`` > 1 the draws are split
-    into contiguous blocks, each with its own derived RNG stream and
-    warm-start chain, evaluated in parallel processes and merged in block
-    order; results are reproducible bit for bit given {seed, workers}.
+    All ``n_samples`` histograms are drawn first, in one stream from
+    ``rng``.  Draws with the same bin count share their quadrature nodes
+    and are minimized together by ``mhd_rows``: damped Newton started at
+    the anchor T(EAP).  A draw it leaves unconverged is refit by ``mhd``,
+    cold from the moment start with ``config``; draws that fail that refit
+    too count as failed, and more than ``max_failure_rate`` of them is an
+    error.  Each draw's minimizer depends on that draw alone, so the
+    samples are reproducible given the seed, and the first m rows of an
+    n-draw fit equal an m-draw fit.  ``workers`` is accepted for
+    compatibility and ignored: the result never depends on it.
     """
     if n_samples < 100:
         raise ValueError("posterior sampling needs n_samples >= 100")
+    for level in levels:
+        if not (0.0 < level < 1.0):
+            raise ValueError(f"credible level {level!r} must be in (0, 1)")
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
     config = config or OptimizerConfig()
     rng = as_generator(rng)
-    workers = numerics.resolve_workers(workers)
 
     data, transform, unit_data = _prepare(data, family, padding)
     post = fit_posterior(unit_data, prior, transform=transform)
@@ -218,34 +194,35 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     anchor = mhd(posterior_mod.eap_density(post), fam_u, x0_unit,
                  config=config, support=(0.0, 1.0))
 
-    warm_config = replace(config, restarts=0)
     n_samples = int(n_samples)
-    if workers <= 1:
-        kept, failures = _bmh_chain((post, fam_u, anchor.theta_hat, x0_unit,
-                                     config, warm_config, rng, n_samples,
-                                     cold_start_every, 0))
-    else:
-        block = -(-n_samples // workers)
-        sizes = [min(block, n_samples - w * block) for w in range(workers)]
-        sizes = [s for s in sizes if s > 0]
-        tasks = [(post, fam_u, anchor.theta_hat, x0_unit, config, warm_config,
-                  child, size, cold_start_every, w * block)
-                 for w, (child, size) in enumerate(zip(rng.spawn(len(sizes)), sizes))]
-        with ProcessPoolExecutor(max_workers=len(sizes)) as pool:
-            chunks = list(pool.map(_bmh_chain, tasks))
-        kept = [theta for chunk, _ in chunks for theta in chunk]
-        failures = sum(f for _, f in chunks)
-    if failures > max_failure_rate * n_samples:
-        raise RuntimeError(
-            f"{failures} of {n_samples} per-sample minimizations failed to converge")
+    draws = [post.sample(rng) for _ in range(n_samples)]
+    by_k = {}
+    for i, g in enumerate(draws):
+        by_k.setdefault(g.k, []).append(i)
+    theta = np.empty((n_samples, len(anchor.theta_hat)))
+    ok = np.empty(n_samples, dtype=bool)
+    for rows in by_k.values():
+        theta[rows], ok[rows] = mhd_rows([draws[i] for i in rows], fam_u,
+                                         anchor.theta_hat, support=(0.0, 1.0))
+    failures = 0
+    budget = max_failure_rate * n_samples
+    for i in np.flatnonzero(~ok):
+        res = mhd(draws[i], fam_u, x0_unit, config=config, support=(0.0, 1.0))
+        if res.converged:
+            theta[i], ok[i] = res.theta_hat, True
+            continue
+        failures += 1
+        if failures > budget:
+            # the error is certain now; the remaining refits are skipped
+            raise RuntimeError(
+                f"more than {int(budget)} of {n_samples} per-sample "
+                "minimizations failed to converge")
 
-    samples = np.asarray([family.theta_from_unit(t, transform) for t in kept])
+    samples = np.asarray([family.theta_from_unit(t, transform) for t in theta[ok]])
     eap = samples.mean(axis=0)
     post_sd = samples.std(axis=0, ddof=1)
     intervals = {}
     for level in levels:
-        if not (0.0 < level < 1.0):
-            raise ValueError(f"credible level {level!r} must be in (0, 1)")
         tail = (1.0 - level) / 2.0
         lo = np.quantile(samples, tail, axis=0)
         hi = np.quantile(samples, 1.0 - tail, axis=0)

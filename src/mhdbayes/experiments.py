@@ -296,7 +296,7 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
 
 def bvm_diagnostic(data, prior=None, family=None, n_samples=2000, rng=None,
                    config=None, padding=DEFAULT_PADDING,
-                   sd_ratio_band=(0.9, 1.1), ks_threshold=0.05, workers=1):
+                   sd_ratio_band=(0.9, 1.1), ks_threshold=0.05):
     """Bernstein-von-Mises check of a BMH posterior.
 
     Standardizes the parameter draws as sqrt(n) (theta - EAP) and compares
@@ -308,8 +308,7 @@ def bvm_diagnostic(data, prior=None, family=None, n_samples=2000, rng=None,
     seed = _seed_of(rng)
     t0 = time.perf_counter()
     fit = bmh_fit(data, prior=prior, family=family, n_samples=n_samples,
-                  rng=np.random.default_rng(seed), config=config, padding=padding,
-                  workers=workers)
+                  rng=np.random.default_rng(seed), config=config, padding=padding)
     n = len(np.asarray(data))
     g0 = family.density(fit.eap)
     inf = influence_function(g0, family, fit.eap)

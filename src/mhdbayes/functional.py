@@ -33,16 +33,28 @@ class MhdResult:
     first_order_norm: float
 
 
+# Cap on rows x quadrature nodes in one block of ``mhd_rows``; it bounds the
+# (rows, nodes, p, p) Hessian array, and with it peak memory, to a few MB.
+ROW_BLOCK_ELEMENTS = 1 << 15
+
+
+def _checked_sqrt(gv, x):
+    """sqrt of density values ``gv`` at ``x``; ``gv`` may stack one row of
+    values per density."""
+    gv = np.asarray(gv, dtype=float)
+    xs = np.broadcast_to(x, gv.shape)
+    bad = ~np.isfinite(gv)
+    if np.any(bad):
+        raise ValueError(f"density 'g' is non-finite at x = {xs[bad][0]!r}")
+    if np.any(gv < -1e-12):
+        raise ValueError(f"density 'g' is negative at x = {xs.flat[np.argmin(gv)]!r}")
+    return np.sqrt(np.clip(gv, 0.0, None))
+
+
 def _prepared_nodes(g, support, rule, min_panels):
     edges = integration_edges(support, (g,), min_panels=min_panels)
     x, w = composite_nodes(edges, rule or DEFAULT_RULE)
-    gv = np.asarray(g.pdf(x) if hasattr(g, "pdf") else g(x), dtype=float)
-    bad = ~np.isfinite(gv)
-    if np.any(bad):
-        raise ValueError(f"density 'g' is non-finite at x = {x[bad][0]!r}")
-    if np.any(gv < -1e-12):
-        raise ValueError(f"density 'g' is negative at x = {x[np.argmin(gv)]!r}")
-    return x, w, np.sqrt(np.clip(gv, 0.0, None))
+    return x, w, _checked_sqrt(g.pdf(x) if hasattr(g, "pdf") else g(x), x)
 
 
 def _resolve_support(g, support):
@@ -127,6 +139,101 @@ def _newton_polish(objective, foc, jac, theta, h_min, bounds, max_iter=25):
         if moved < 1e-14:
             break
     return theta, h_min, n_extra
+
+
+def mhd_rows(gs, family, theta0, support, min_panels=32, foc_tol=1e-3):
+    """Minimum-Hellinger fits of many densities at once, all started at ``theta0``.
+
+    ``gs`` are densities with a ``pdf`` that share one set of breakpoints
+    (e.g. histograms with one bin count), so the quadrature nodes ``mhd``
+    would build for any of them serve all.  Rows are solved in blocks of at
+    most ``ROW_BLOCK_ELEMENTS`` rows x nodes by damped Newton on the
+    first-order condition (see ``_newton_rows``).  Returns the minimizers,
+    shape (len(gs), p), and a boolean ``converged`` per row by the same
+    ``first_order_norm < foc_tol`` test ``mhd`` applies (``min_panels`` and
+    ``foc_tol`` default to ``mhd``'s).  No global search is made: a row
+    that Newton cannot take to a stationary point from ``theta0`` is
+    reported unconverged, for the caller to refit with ``mhd``.
+    """
+    if family.bounds is None:
+        raise ValueError("family declares no parameter bounds")
+    lo, hi = np.asarray(family.bounds, dtype=float).T
+    edges = integration_edges(support, gs[:1], min_panels=min_panels)
+    x, w = composite_nodes(edges, DEFAULT_RULE)
+    start = np.clip(np.asarray(theta0, dtype=float), lo, hi)
+    theta = np.empty((len(gs), len(start)))
+    converged = np.empty(len(gs), dtype=bool)
+    size = max(1, ROW_BLOCK_ELEMENTS // len(x))
+    for b in range(0, len(gs), size):
+        wg = w * _checked_sqrt(np.stack([g.pdf(x) for g in gs[b:b + size]]), x)
+        t = _newton_rows(family, x, wg, np.tile(start, (len(wg), 1)), lo, hi)
+        foc = np.einsum("rn,rnp->rp", wg, family.sqrt_grad(_columns(t), x))
+        theta[b:b + size] = t
+        converged[b:b + size] = np.linalg.norm(foc, axis=1) < foc_tol
+    return theta, converged
+
+
+def _columns(theta):
+    """Rows of parameters as a sequence of (rows, 1) component columns."""
+    return theta.T[:, :, None]
+
+
+def _hellinger_rows(family, x, wg, theta):
+    """Per-row Hellinger objective of ``mhd`` (+inf where the quadrature no
+    longer resolves f_theta)."""
+    bc = np.einsum("rn,rn->r", wg, family.sqrt_pdf(_columns(theta), x))
+    h = np.sqrt(np.clip(2.0 - 2.0 * bc, 0.0, None))
+    return np.where(bc > 1.0 + 1e-9, np.inf, h)
+
+
+def _solve_rows(jac, grad):
+    """Row-wise solutions of jac @ step = grad; NaN rows where jac is singular
+    (e.g. f_theta underflowing on the whole support), so one such row does
+    not stop the others."""
+    singular = ~(np.abs(np.linalg.det(jac)) > 0.0)
+    jac[singular] = np.eye(jac.shape[-1])
+    step = np.linalg.solve(jac, grad[..., None])[..., 0]
+    step[singular] = np.nan
+    return step
+
+
+def _newton_rows(family, x, wg, theta, lo, hi, max_iter=50, max_halvings=40):
+    """Damped Newton on the stationarity condition for every row of ``wg``.
+
+    Each row takes the Newton step of ``_newton_polish`` and halves it until
+    its own Hellinger value does not increase (within the same 1e-10
+    roundoff slack); a row stops when its gradient vanishes, its accepted
+    move falls below 1e-14, no halving helps or its Jacobian is singular.
+    """
+    h = _hellinger_rows(family, x, wg, theta)
+    active = np.flatnonzero(np.isfinite(h))
+    for _ in range(max_iter):
+        if not len(active):
+            break
+        t, rows_wg = theta[active], wg[active]
+        grad = np.einsum("rn,rnp->rp", rows_wg, family.sqrt_grad(_columns(t), x))
+        jac = np.einsum("rn,rnpq->rpq", rows_wg, family.sqrt_hess(_columns(t), x))
+        step = _solve_rows(jac, grad)
+        keep = (np.linalg.norm(grad, axis=1) >= 1e-13) & np.all(np.isfinite(step), axis=1)
+        active, t, step = active[keep], t[keep], step[keep]
+        moved = np.zeros(len(active))
+        pending = np.arange(len(active))
+        for _ in range(max_halvings):
+            if not len(pending):
+                break
+            rows = active[pending]
+            cand = np.clip(t[pending] - step[pending], lo, hi)
+            h_new = _hellinger_rows(family, x, wg[rows], cand)
+            ok = np.isfinite(h_new) & (h_new <= h[rows] + 1e-10)
+            done = pending[ok]
+            theta[rows[ok]] = cand[ok]
+            h[rows[ok]] = np.minimum(h[rows[ok]], h_new[ok])
+            moved[done] = np.linalg.norm(cand[ok] - t[done], axis=1)
+            pending = pending[~ok]
+            step[pending] *= 0.5
+        # rows still pending found no non-increasing step; they stop as well
+        active = active[moved >= 1e-14]
+    return theta
 
 
 @dataclass

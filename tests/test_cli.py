@@ -96,6 +96,15 @@ class TestRunFit:
         first.pop("timestamp"), second.pop("timestamp")
         assert first == second
 
+    def test_bmh_results_do_not_depend_on_workers(self, tmp_path):
+        results = []
+        for workers in ("1", "2"):
+            argv, out = fit_args(tmp_path, "--workers", workers)
+            argv[argv.index("mhb")] = "bmh"
+            assert main(argv + ["--n-samples", "100"]) == 0
+            results.append(json.loads(out.read_text())["results"])
+        assert results[0] == results[1]
+
     def test_infeasible_sigma_bounds_exit_2(self, tmp_path, capsys):
         argv, _ = fit_args(tmp_path, "--sigma-bounds", "0.001,0.01")
         assert main(argv) == 2

@@ -265,6 +265,17 @@ class TestGaussianFamily:
                   - self.fam.sqrt_grad(theta - step, xs)) / (2 * h)
             assert np.allclose(hess[:, :, j], fd, atol=1e-6)
 
+    def test_column_thetas_broadcast_row_by_row(self):
+        rng = np.random.default_rng(5)
+        thetas = np.column_stack([rng.uniform(-1, 1, 6), rng.uniform(0.2, 2.0, 6)])
+        xs = np.linspace(-3.0, 3.0, 11)
+        cols = thetas.T[:, :, None]
+        for method in ("sqrt_pdf", "sqrt_grad", "sqrt_hess"):
+            batched = getattr(self.fam, method)(cols, xs)
+            rows = np.stack([getattr(self.fam, method)(t, xs) for t in thetas])
+            assert batched.shape == rows.shape
+            assert np.array_equal(batched, rows)
+
     def test_unit_fit_family_maps_bounds(self):
         fam = GaussianFamily(bounds=((-10.0, 10.0), (0.5, 8.0)))
         t = SupportTransform(-20.0, 20.0)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from mhdbayes.densities import GaussianFamily
+import mhdbayes.estimators as estimators
+from mhdbayes.densities import GaussianFamily, SupportTransform
 from mhdbayes.estimators import bmh_fit, mhb_bootstrap_se, mhb_fit
-from mhdbayes.posterior import HistogramPrior
+from mhdbayes.functional import mhd, mhd_rows
+from mhdbayes.numerics import OptimizerConfig
+from mhdbayes.posterior import HistogramPrior, fit_posterior
 
 PRIOR_SMALL = HistogramPrior.fixed(40, alpha=0.07)
 
@@ -150,13 +153,64 @@ class TestBmhAffineEquivariance:
         assert b.eap[1] == pytest.approx(a.eap[1], abs=1e-3)
 
 
-class TestBmhWorkers:
-    def test_parallel_is_reproducible_and_consistent(self):
+class TestBmhRows:
+    """The batched solver against the per-draw oracle, and row independence."""
+
+    @staticmethod
+    def oracle(data, prior, n_samples, seed):
+        """Per-draw Nelder-Mead + Newton fits from the anchor, same stream."""
+        family = GaussianFamily()
+        transform = SupportTransform.from_data(data)
+        post = fit_posterior(transform.to_unit(data), prior, transform=transform)
+        fam_u = family.unit_fit_family(transform)
+        x0 = family.theta_to_unit(family.initial_theta(data), transform)
+        anchor = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0)).theta_hat
+        rng = np.random.default_rng(seed)
+        draws = [post.sample(rng) for _ in range(n_samples)]
+        single = OptimizerConfig(restarts=0)
+        fits = [mhd(g, fam_u, anchor, config=single, support=(0.0, 1.0)) for g in draws]
+        assert all(f.converged for f in fits)
+        return draws, np.asarray([family.theta_from_unit(f.theta_hat, transform)
+                                  for f in fits])
+
+    @pytest.mark.parametrize("prior", [PRIOR_SMALL, HistogramPrior.poisson(lam=5.0)],
+                             ids=["fixed-k", "random-k"])
+    def test_matches_per_draw_mhd(self, prior):
+        data = gaussian_data(150, 27)
+        fit = bmh_fit(data, prior=prior, n_samples=100, rng=13)
+        draws, expected = self.oracle(data, prior, 100, 13)
+        if prior.mode == "poisson":
+            assert len({g.k for g in draws}) > 1
+        assert fit.n_failed == 0
+        assert np.max(np.abs(fit.theta_samples - expected)) < 1e-9
+
+    def test_rows_do_not_depend_on_later_draws(self):
         data = gaussian_data(200, 12)
-        a = bmh_fit(data, prior=PRIOR_SMALL, n_samples=120, rng=3, workers=2)
-        b = bmh_fit(data, prior=PRIOR_SMALL, n_samples=120, rng=3, workers=2)
-        assert np.array_equal(a.theta_samples, b.theta_samples)
-        serial = bmh_fit(data, prior=PRIOR_SMALL, n_samples=120, rng=3)
-        # different streams per block, but the same posterior
-        assert np.allclose(a.eap, serial.eap, atol=4.0 * serial.post_sd.max()
-                           / np.sqrt(120))
+        short = bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=3)
+        long = bmh_fit(data, prior=PRIOR_SMALL, n_samples=300, rng=3)
+        assert np.array_equal(long.theta_samples[:100], short.theta_samples)
+
+    def test_bad_level_fails_before_any_minimization(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("minimization started before levels were checked")
+
+        monkeypatch.setattr(estimators, "fit_posterior", forbidden)
+        monkeypatch.setattr(estimators, "mhd", forbidden)
+        monkeypatch.setattr(estimators, "mhd_rows", forbidden)
+        with pytest.raises(ValueError, match="credible level"):
+            bmh_fit(gaussian_data(150, 6), prior=PRIOR_SMALL, n_samples=100,
+                    rng=1, levels=(0.5, 1.5))
+
+    def test_unconverged_rows_are_refit_cold(self, monkeypatch):
+        data = gaussian_data(150, 21)
+        expected = bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=31)
+
+        def some_unconverged(gs, *args, **kwargs):
+            theta, converged = mhd_rows(gs, *args, **kwargs)
+            converged[::10] = False
+            return theta, converged
+
+        monkeypatch.setattr(estimators, "mhd_rows", some_unconverged)
+        refit = bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=31)
+        assert refit.n_failed == 0
+        assert np.allclose(refit.theta_samples, expected.theta_samples, atol=1e-8)

@@ -5,6 +5,7 @@ import pytest
 
 from mhdbayes.densities import (
     GaussianFamily,
+    HistogramDensity,
     ParametricFamily,
     SupportTransform,
     project_to_histogram,
@@ -15,6 +16,7 @@ from mhdbayes.functional import (
     influence_function,
     l_norm_sq,
     mhd,
+    mhd_rows,
 )
 from mhdbayes.numerics import composite_nodes
 
@@ -190,6 +192,21 @@ class TestMhd:
             resid = np.linalg.norm(theta_t - theta0 - t * deriv)
             ratios.append(resid / t)
         assert ratios[1] < 0.5 * ratios[0]
+
+
+class TestMhdRows:
+    def test_singular_row_does_not_stop_the_others(self):
+        # f_theta at the start underflows to zero on [0.9, 1], the only bin
+        # with mass under the first histogram, so that row's Jacobian is 0
+        fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
+        far = HistogramDensity(np.eye(10)[9])
+        near = HistogramDensity(np.full(10, 0.1))
+        start = (0.05, 0.005)
+        theta, converged = mhd_rows([far, near], fam, start, support=(0.0, 1.0))
+        expected = mhd(near, fam, start, support=(0.0, 1.0))
+        assert expected.converged and converged[1]
+        assert np.allclose(theta[1], expected.theta_hat, atol=1e-9)
+        assert np.array_equal(theta[0], start)
 
 
 class TestInfluenceFunction:
