@@ -33,6 +33,11 @@ class MhdResult:
     first_order_norm: float
 
 
+# Quadrature panels and first-order tolerance shared by ``mhd`` and
+# ``mhd_rows``, so the batched fits reproduce the per-density ones.
+_MIN_PANELS = 32
+_FOC_TOL = 1e-3
+
 # Cap on rows x quadrature nodes in one block of ``mhd_rows``; it bounds the
 # (rows, nodes, p, p) Hessian array, and with it peak memory, to a few MB.
 ROW_BLOCK_ELEMENTS = 1 << 15
@@ -67,7 +72,7 @@ def _resolve_support(g, support):
 
 
 def mhd(g, family, x0, config=None, support=None, rule=None, rng=None,
-        refine=True, min_panels=32, bounds=None, foc_tol=1e-3):
+        refine=True, min_panels=_MIN_PANELS, bounds=None, foc_tol=_FOC_TOL):
     """Minimize the Hellinger distance between f_theta and ``g`` over theta.
 
     Nelder-Mead (with the configured jittered restarts) does the global
@@ -141,7 +146,7 @@ def _newton_polish(objective, foc, jac, theta, h_min, bounds, max_iter=25):
     return theta, h_min, n_extra
 
 
-def mhd_rows(gs, family, theta0, support, min_panels=32, foc_tol=1e-3):
+def mhd_rows(gs, family, theta0, support):
     """Minimum-Hellinger fits of many densities at once, all started at ``theta0``.
 
     ``gs`` are densities with a ``pdf`` that share one set of breakpoints
@@ -149,16 +154,18 @@ def mhd_rows(gs, family, theta0, support, min_panels=32, foc_tol=1e-3):
     would build for any of them serve all.  Rows are solved in blocks of at
     most ``ROW_BLOCK_ELEMENTS`` rows x nodes by damped Newton on the
     first-order condition (see ``_newton_rows``).  Returns the minimizers,
-    shape (len(gs), p), and a boolean ``converged`` per row by the same
-    ``first_order_norm < foc_tol`` test ``mhd`` applies (``min_panels`` and
-    ``foc_tol`` default to ``mhd``'s).  No global search is made: a row
-    that Newton cannot take to a stationary point from ``theta0`` is
-    reported unconverged, for the caller to refit with ``mhd``.
+    shape (len(gs), p), and a boolean ``converged`` per row by the
+    ``first_order_norm < foc_tol`` test ``mhd`` applies with its default
+    tolerance.  No global search is made: a row that Newton cannot take to
+    a stationary point from ``theta0`` is reported unconverged, for the
+    caller to refit with ``mhd``; so is a row whose Newton step could not
+    be formed (singular Jacobian or infinite objective), because its
+    vanishing gradient may only mean f_theta underflows on its support.
     """
     if family.bounds is None:
         raise ValueError("family declares no parameter bounds")
     lo, hi = np.asarray(family.bounds, dtype=float).T
-    edges = integration_edges(support, gs[:1], min_panels=min_panels)
+    edges = integration_edges(support, gs[:1], min_panels=_MIN_PANELS)
     x, w = composite_nodes(edges, DEFAULT_RULE)
     start = np.clip(np.asarray(theta0, dtype=float), lo, hi)
     theta = np.empty((len(gs), len(start)))
@@ -166,10 +173,10 @@ def mhd_rows(gs, family, theta0, support, min_panels=32, foc_tol=1e-3):
     size = max(1, ROW_BLOCK_ELEMENTS // len(x))
     for b in range(0, len(gs), size):
         wg = w * _checked_sqrt(np.stack([g.pdf(x) for g in gs[b:b + size]]), x)
-        t = _newton_rows(family, x, wg, np.tile(start, (len(wg), 1)), lo, hi)
+        t, stuck = _newton_rows(family, x, wg, np.tile(start, (len(wg), 1)), lo, hi)
         foc = np.einsum("rn,rnp->rp", wg, family.sqrt_grad(_columns(t), x))
         theta[b:b + size] = t
-        converged[b:b + size] = np.linalg.norm(foc, axis=1) < foc_tol
+        converged[b:b + size] = (np.linalg.norm(foc, axis=1) < _FOC_TOL) & ~stuck
     return theta, converged
 
 
@@ -204,9 +211,12 @@ def _newton_rows(family, x, wg, theta, lo, hi, max_iter=50, max_halvings=40):
     its own Hellinger value does not increase (within the same 1e-10
     roundoff slack); a row stops when its gradient vanishes, its accepted
     move falls below 1e-14, no halving helps or its Jacobian is singular.
+    Returns the rows' parameters and a mask of the rows stuck where no
+    Newton step could be formed (infinite start value or singular Jacobian).
     """
     h = _hellinger_rows(family, x, wg, theta)
-    active = np.flatnonzero(np.isfinite(h))
+    stuck = ~np.isfinite(h)
+    active = np.flatnonzero(~stuck)
     for _ in range(max_iter):
         if not len(active):
             break
@@ -214,7 +224,9 @@ def _newton_rows(family, x, wg, theta, lo, hi, max_iter=50, max_halvings=40):
         grad = np.einsum("rn,rnp->rp", rows_wg, family.sqrt_grad(_columns(t), x))
         jac = np.einsum("rn,rnpq->rpq", rows_wg, family.sqrt_hess(_columns(t), x))
         step = _solve_rows(jac, grad)
-        keep = (np.linalg.norm(grad, axis=1) >= 1e-13) & np.all(np.isfinite(step), axis=1)
+        formed = np.all(np.isfinite(step), axis=1)
+        stuck[active[~formed]] = True
+        keep = (np.linalg.norm(grad, axis=1) >= 1e-13) & formed
         active, t, step = active[keep], t[keep], step[keep]
         moved = np.zeros(len(active))
         pending = np.arange(len(active))
@@ -233,7 +245,7 @@ def _newton_rows(family, x, wg, theta, lo, hi, max_iter=50, max_halvings=40):
             step[pending] *= 0.5
         # rows still pending found no non-increasing step; they stop as well
         active = active[moved >= 1e-14]
-    return theta
+    return theta, stuck
 
 
 @dataclass

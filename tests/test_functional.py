@@ -207,6 +207,8 @@ class TestMhdRows:
         assert expected.converged and converged[1]
         assert np.allclose(theta[1], expected.theta_hat, atol=1e-9)
         assert np.array_equal(theta[0], start)
+        # its gradient is exactly zero too, yet the row is a plateau, not a fit
+        assert not converged[0]
 
 
 class TestInfluenceFunction:
