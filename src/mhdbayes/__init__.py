@@ -6,9 +6,6 @@ from .numerics import (
     QuadratureRule,
     as_generator,
     composite_nodes,
-    finite_diff_grad,
-    integrate,
-    integrate_over_cells,
     minimize,
     resolve_workers,
     worker_rng,
@@ -30,12 +27,8 @@ from .posterior import (
     HistogramPrior,
     RandomHistogramPosterior,
     bin_counts,
-    concentration_radius,
-    eap_density,
     fit_posterior,
     max_bin_count,
-    root_n_bin_count,
-    sample_density,
 )
 from .functional import (
     AsymptoticVariance,
@@ -74,12 +67,10 @@ __all__ = [
     "MixtureDensity", "OptimizerConfig", "ParametricFamily", "QuadratureRule",
     "RandomHistogramPosterior", "StudyReport", "SupportTransform",
     "UniformDensity", "as_generator", "asymptotic_variance", "bin_counts",
-    "bmh_fit", "bvm_diagnostic", "composite_nodes", "concentration_radius",
-    "contaminated_density", "eap_density", "efficiency_study",
-    "finite_diff_grad", "fisher_information", "fit_posterior", "hellinger",
-    "influence_function", "integrate", "integrate_over_cells", "l_norm_sq",
-    "load_dataset", "max_bin_count", "mhb_bootstrap_se", "mhb_fit", "mhd",
-    "minimize", "project_to_histogram", "resolve_workers", "robustness_sweep",
-    "root_n_bin_count", "sample_contaminated", "sample_density",
+    "bmh_fit", "bvm_diagnostic", "composite_nodes", "contaminated_density",
+    "efficiency_study", "fisher_information", "fit_posterior", "hellinger",
+    "influence_function", "l_norm_sq", "load_dataset", "max_bin_count",
+    "mhb_bootstrap_se", "mhb_fit", "mhd", "minimize", "project_to_histogram",
+    "resolve_workers", "robustness_sweep", "sample_contaminated",
     "transform_density", "worker_rng",
 ]

@@ -10,6 +10,7 @@ piecewise-smooth integrands such as sqrt(f * g) with histogram g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,17 +54,54 @@ class SupportTransform:
         return self.a + self.width * np.asarray(y, dtype=float)
 
 
-class HistogramDensity:
-    """A k-bin histogram density on [0, 1].
+@lru_cache(maxsize=256)
+def grid_edges(k):
+    """The regular k-bin grid ``arange(k + 1) / k``, read-only so that all
+    histograms with k bins share one array."""
+    edges = np.arange(k + 1) / k
+    edges.flags.writeable = False
+    return edges
 
-    Bin j covers [(j-1)/k, j/k) (right-continuous, with 1.0 closed into the
-    last bin) and has density k * weights[j].  Weights must be non-negative
-    and sum to 1 within 1e-8; they are renormalized exactly on construction.
+
+def bin_index(edges, x):
+    """Index of the cell of ``edges`` holding each x: cell j covers
+    [edges[j], edges[j+1]), with edges[-1] closed into the last cell and
+    points outside the edges clipped to the end cells.
+
+    This is the one binning rule of the package: histogram densities,
+    bin counts and histogram projections all use it, so a datum is
+    always counted in the bin where the density places it.
+    """
+    idx = np.searchsorted(edges, np.asarray(x, dtype=float), side="right") - 1
+    return np.clip(idx, 0, len(edges) - 2)
+
+
+def _checked_edges(edges, k):
+    edges = np.asarray(edges, dtype=float)
+    if edges.shape != (k + 1,):
+        raise ValueError(f"need {k + 1} edges for {k} weights, got shape {edges.shape}")
+    if edges[0] != 0.0 or edges[-1] != 1.0:
+        raise ValueError(f"edges must run from 0 to 1, got [{edges[0]}, {edges[-1]}]")
+    if np.any(np.diff(edges) <= 0):
+        raise ValueError("edges must be strictly increasing")
+    return edges
+
+
+class HistogramDensity:
+    """A histogram density on [0, 1] with explicit bin edges.
+
+    ``edges`` are strictly increasing from 0 to 1 with ``len(weights) + 1``
+    entries; by default they are the regular grid :func:`grid_edges`.
+    Bin j covers [edges[j], edges[j+1]) (see :func:`bin_index`) and has
+    density weights[j] / (edges[j+1] - edges[j]), exactly k * weights[j]
+    on the default grid.  Weights must be non-negative and sum to 1 within
+    1e-8; they are renormalized exactly on construction.  ``k`` is the bin
+    count.
     """
 
     support = (0.0, 1.0)
 
-    def __init__(self, weights):
+    def __init__(self, weights, edges=None):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or len(weights) == 0:
             raise ValueError("weights must be a non-empty 1-d vector")
@@ -72,20 +110,27 @@ class HistogramDensity:
         total = weights.sum()
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-        self.weights = np.clip(weights, 0.0, None) / np.clip(weights, 0.0, None).sum()
         self.k = len(weights)
+        self.weights = np.clip(weights, 0.0, None) / np.clip(weights, 0.0, None).sum()
+        if edges is None:
+            self.edges = grid_edges(self.k)
+            # the float differences of this grid miss the exact 1/k widths
+            # by a few ulp, so the density is taken from k directly
+            self._heights = self.k * self.weights
+        else:
+            self.edges = _checked_edges(edges, self.k)
+            self._heights = self.weights / np.diff(self.edges)
 
     def bin_index(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.clip((x * self.k).astype(int), 0, self.k - 1)
+        return bin_index(self.edges, x)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        vals = self.k * self.weights[self.bin_index(x)]
+        vals = self._heights[self.bin_index(x)]
         return np.where((x >= 0.0) & (x <= 1.0), vals, 0.0)
 
     def breakpoints(self):
-        return np.arange(self.k + 1) / self.k
+        return self.edges
 
 
 class UniformDensity:
@@ -406,13 +451,13 @@ def project_to_histogram(f, k, rule=None):
     if k < 1:
         raise ValueError("bin count k must be a positive integer")
     k = int(k)
-    grid = np.arange(k + 1) / k
+    grid = grid_edges(k)
     edges = integration_edges((0.0, 1.0), (f,), min_panels=1)
     edges = np.unique(np.concatenate([grid, edges]))
     x, w = composite_nodes(edges, rule or DEFAULT_RULE)
     vals = _checked_pdf_values("f", f, x)
     masses = np.zeros(k)
-    np.add.at(masses, np.clip((x * k).astype(int), 0, k - 1), w * vals)
+    np.add.at(masses, bin_index(grid, x), w * vals)
     return HistogramDensity(masses)
 
 

@@ -22,7 +22,6 @@ from .densities import DEFAULT_PADDING, GaussianFamily, SupportTransform
 from .functional import MhdResult, mhd, mhd_rows
 from .numerics import OptimizerConfig, as_generator
 from .posterior import HistogramPrior, fit_posterior
-from . import posterior as posterior_mod
 
 
 @dataclass
@@ -98,7 +97,7 @@ def _fit_point(data, prior, family, config, padding, x0_data=None):
     """One end-to-end MHB fit; returns (theta_data, transform, meta)."""
     data, transform, unit_data = _prepare(data, family, padding)
     post = fit_posterior(unit_data, prior, transform=transform)
-    g = posterior_mod.eap_density(post)
+    g = post.eap()
     fam_u = family.unit_fit_family(transform)
     x0 = family.initial_theta(data) if x0_data is None else np.asarray(x0_data)
     res = mhd(g, fam_u, family.theta_to_unit(x0, transform),
@@ -146,6 +145,8 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     n = len(data)
     estimates = []
     failures = 0
+    # rng.spawn, not numerics.worker_rng: a different stream, and switching
+    # to it would move the bootstrap standard errors
     for child in rng.spawn(int(n_boot)):
         resample = data[child.integers(0, n, n)]
         try:
@@ -191,8 +192,7 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     post = fit_posterior(unit_data, prior, transform=transform)
     fam_u = family.unit_fit_family(transform)
     x0_unit = family.theta_to_unit(family.initial_theta(data), transform)
-    anchor = mhd(posterior_mod.eap_density(post), fam_u, x0_unit,
-                 config=config, support=(0.0, 1.0))
+    anchor = mhd(post.eap(), fam_u, x0_unit, config=config, support=(0.0, 1.0))
 
     n_samples = int(n_samples)
     draws = [post.sample(rng) for _ in range(n_samples)]

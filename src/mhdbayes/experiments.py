@@ -22,7 +22,7 @@ import scipy.stats
 from .densities import GaussianFamily, MixtureDensity, UniformDensity
 from .estimators import bmh_fit, mhb_fit
 from .functional import fisher_information, influence_function, l_norm_sq
-from .numerics import OptimizerConfig, as_generator, resolve_workers
+from .numerics import OptimizerConfig, as_generator, resolve_workers, worker_rng
 from .posterior import HistogramPrior
 from .densities import DEFAULT_PADDING
 
@@ -123,10 +123,6 @@ def _seed_of(rng):
     return int(as_generator(rng).integers(2 ** 31))
 
 
-def _replicate_rngs(seed, reps):
-    return [np.random.default_rng(np.random.SeedSequence((seed, r))) for r in range(reps)]
-
-
 def _efficiency_rep(args):
     (rep, rng, family, theta0, n, prior, config, padding) = args
     data = family.sample(theta0, n, rng)
@@ -157,8 +153,8 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     seed = _seed_of(rng)
     theta0 = np.asarray(theta0, dtype=float)
     t0 = time.perf_counter()
-    tasks = [(r, g, family, theta0, int(n), prior, config, padding)
-             for r, g in enumerate(_replicate_rngs(seed, int(reps)))]
+    tasks = [(r, worker_rng(seed, r), family, theta0, int(n), prior, config, padding)
+             for r in range(int(reps))]
     rows = _map_tasks(_efficiency_rep, tasks, resolve_workers(workers))
 
     target = np.diag(np.linalg.inv(fisher_information(family, theta0)))
@@ -206,8 +202,7 @@ def _robustness_rep(args):
                 elif est == "bmh":
                     fit = bmh_fit(data, prior=prior, family=family,
                                   n_samples=n_samples_bmh,
-                                  rng=np.random.default_rng(
-                                      np.random.SeedSequence((int(bmh_seed), zi))),
+                                  rng=worker_rng(bmh_seed, zi),
                                   config=config, padding=padding)
                     theta_hat = fit.eap
                 elif est == "mle":
@@ -247,9 +242,10 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     ContaminationSpec(theta=tuple(theta), alpha=alpha, z=z_grid[-1], epsilon=epsilon)
     seed = _seed_of(rng)
     t0 = time.perf_counter()
-    tasks = [(r, g, family, theta, float(alpha), z_grid, int(n), float(epsilon),
-              prior, config, padding, tuple(estimators), int(n_samples_bmh))
-             for r, g in enumerate(_replicate_rngs(seed, int(reps)))]
+    tasks = [(r, worker_rng(seed, r), family, theta, float(alpha), z_grid, int(n),
+              float(epsilon), prior, config, padding, tuple(estimators),
+              int(n_samples_bmh))
+             for r in range(int(reps))]
     rows = [row for chunk in _map_tasks(_robustness_rep, tasks, resolve_workers(workers))
             for row in chunk]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .densities import integration_edges
+from .densities import _pdf_of, integration_edges
 from .numerics import DEFAULT_RULE, OptimizerConfig, composite_nodes
 
 
@@ -37,6 +37,11 @@ class MhdResult:
 # ``mhd_rows``, so the batched fits reproduce the per-density ones.
 _MIN_PANELS = 32
 _FOC_TOL = 1e-3
+
+# A fit at h = sqrt(2) has no overlap with g: its first-order condition can
+# vanish only because f_theta underflows on g's support, so ``mhd`` never
+# flags a fit above this level converged.
+_H_NO_OVERLAP = np.sqrt(2.0) - 1e-6
 
 # Cap on rows x quadrature nodes in one block of ``mhd_rows``; it bounds the
 # (rows, nodes, p, p) Hessian array, and with it peak memory, to a few MB.
@@ -59,7 +64,7 @@ def _checked_sqrt(gv, x):
 def _prepared_nodes(g, support, rule, min_panels):
     edges = integration_edges(support, (g,), min_panels=min_panels)
     x, w = composite_nodes(edges, rule or DEFAULT_RULE)
-    return x, w, _checked_sqrt(g.pdf(x) if hasattr(g, "pdf") else g(x), x)
+    return x, w, _checked_sqrt(_pdf_of(g)(x), x)
 
 
 def _resolve_support(g, support):
@@ -80,6 +85,8 @@ def mhd(g, family, x0, config=None, support=None, rule=None, rng=None,
     condition integral(sdot_theta * sqrt(g)) = 0 polish the minimizer and
     ``converged`` requires that condition to hold within ``foc_tol`` (a
     bound-pinned minimizer is therefore flagged, never silently returned).
+    A fit with no overlap with ``g`` (h_min within 1e-6 of sqrt(2)) is
+    never flagged converged.
     """
     config = config or OptimizerConfig()
     support = _resolve_support(g, support)
@@ -115,6 +122,7 @@ def mhd(g, family, x0, config=None, support=None, rule=None, rng=None,
 
     first_order = float(np.linalg.norm(foc(theta)))
     converged = first_order < foc_tol if refine else nm_converged
+    converged = converged and h_min < _H_NO_OVERLAP
     return MhdResult(theta_hat=np.asarray(theta), h_min=float(h_min),
                      converged=bool(converged), n_evals=int(n_evals[0]),
                      first_order_norm=first_order)
@@ -150,7 +158,7 @@ def mhd_rows(gs, family, theta0, support):
     """Minimum-Hellinger fits of many densities at once, all started at ``theta0``.
 
     ``gs`` are densities with a ``pdf`` that share one set of breakpoints
-    (e.g. histograms with one bin count), so the quadrature nodes ``mhd``
+    (e.g. histograms on the same edges), so the quadrature nodes ``mhd``
     would build for any of them serve all.  Rows are solved in blocks of at
     most ``ROW_BLOCK_ELEMENTS`` rows x nodes by damped Newton on the
     first-order condition (see ``_newton_rows``).  Returns the minimizers,

@@ -1,4 +1,4 @@
-"""Quadrature, derivative-free minimization, finite differences, RNG plumbing.
+"""Quadrature, derivative-free minimization and RNG plumbing.
 
 Everything here is deterministic given its inputs; randomness (optimizer
 restart jitter, study replication) is always driven by a caller-supplied
@@ -96,37 +96,6 @@ def composite_nodes(edges, rule=None):
     return x, w
 
 
-def _eval_checked(f, x):
-    vals = np.asarray(f(x), dtype=float)
-    if vals.shape != x.shape:
-        raise ValueError(f"integrand returned shape {vals.shape}, expected {x.shape}")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        where = x[bad][0]
-        raise ValueError(f"integrand is non-finite at x = {where!r}")
-    return vals
-
-
-def integrate(f, a, b, rule=None, panels=1):
-    """Composite Gauss-Legendre integral of ``f`` over [a, b].
-
-    ``f`` must accept a numpy array of abscissae.  Error decays like
-    O(panel_width**(2*order)) for smooth integrands.
-    """
-    if not (a < b):
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    if panels < 1:
-        raise ValueError("panels must be a positive integer")
-    x, w = composite_nodes(np.linspace(a, b, int(panels) + 1), rule)
-    return float(np.dot(w, _eval_checked(f, x)))
-
-
-def integrate_over_cells(f, edges, rule=None):
-    """Integral of ``f`` with one quadrature panel per cell of ``edges``."""
-    x, w = composite_nodes(edges, rule)
-    return float(np.dot(w, _eval_checked(f, x)))
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 2000
@@ -200,17 +169,3 @@ def minimize(objective, x0, bounds, config=None, rng=None):
     if best is None:
         raise ValueError("no finite starting point for Nelder-Mead")
     return np.clip(best.x, lo, hi), float(best.fun), bool(best.success)
-
-
-def finite_diff_grad(f, x, h=1e-6):
-    """Central-difference gradient of a scalar function, error O(h**2)."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(len(x)):
-        step = np.zeros_like(x)
-        step[i] = h
-        fp, fm = f(x + step), f(x - step)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite evaluation near x = {x!r} (coordinate {i})")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad

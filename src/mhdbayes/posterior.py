@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .densities import HistogramDensity, MixtureDensity, SupportTransform
+from .densities import HistogramDensity, SupportTransform, bin_index, grid_edges
 from .numerics import as_generator
 
 # Constant per-bin Dirichlet concentration used when none is given.  With
@@ -31,13 +31,6 @@ def max_bin_count(n):
     if n < 2:
         return 1
     return max(1, int(n / math.log(n) ** 2))
-
-
-def root_n_bin_count(n):
-    """The ceil(sqrt(n) / (log n)^2) deterministic-k schedule."""
-    if n < 2:
-        return 1
-    return max(1, math.ceil(math.sqrt(n) / math.log(n) ** 2))
 
 
 @dataclass(frozen=True)
@@ -73,11 +66,6 @@ class HistogramPrior:
     @classmethod
     def fixed(cls, k=DEFAULT_FIXED_K, alpha=DEFAULT_ALPHA):
         return cls(mode="fixed", k=int(k), alpha=alpha)
-
-    @classmethod
-    def fixed_root_n(cls, n, alpha=DEFAULT_ALPHA):
-        """Dirac mass at the ceil(sqrt(n)/(log n)^2) schedule."""
-        return cls.fixed(root_n_bin_count(n), alpha=alpha)
 
     @classmethod
     def poisson(cls, lam=DEFAULT_POISSON_RATE, alpha=DEFAULT_ALPHA, k_max=None):
@@ -119,10 +107,9 @@ class HistogramPrior:
 
 
 def bin_counts(data, k):
-    """Counts of ``data`` (values in [0, 1]) over the regular k-bin grid.
-
-    The value 1.0 is closed into the last bin.
-    """
+    """Counts of ``data`` (values in [0, 1]) over the regular k-bin grid,
+    binned by :func:`~mhdbayes.densities.bin_index` (1.0 is closed into
+    the last bin)."""
     if k < 1:
         raise ValueError("bin count k must be a positive integer")
     data = np.asarray(data, dtype=float)
@@ -130,8 +117,7 @@ def bin_counts(data, k):
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
         raise ValueError(f"datum {data[idx]!r} at index {idx} is outside [0, 1]")
-    idx = np.minimum((data * int(k)).astype(int), int(k) - 1)
-    return np.bincount(idx, minlength=int(k))
+    return np.bincount(bin_index(grid_edges(int(k)), data), minlength=int(k))
 
 
 def _log_beta(v):
@@ -170,30 +156,29 @@ class RandomHistogramPosterior:
                 return HistogramDensity(g / total)
         raise RuntimeError("Dirichlet sampling produced all-zero Gamma draws")
 
-    def eap(self, max_common_bins=10_000):
-        """Expected a-posteriori density.
+    def eap(self):
+        """Expected a-posteriori density, exact for every prior.
 
         For a single k this is the histogram with weights proportional to
         alpha + counts.  For random k it is the posterior-weighted mixture
-        of the per-k EAP histograms, flattened onto the least common grid
-        when that grid has no more than ``max_common_bins`` bins.
+        of the per-k EAP histograms, which is itself a histogram: its edges
+        are the union of the regular grids of the k with posterior mass
+        above 1e-12, and on each union cell its density is
+        sum_k w_k * k * weight_k[bin].
         """
-        parts = [HistogramDensity(p / p.sum()) for p in self.dirichlet_params]
         masses = self.post_k()
-        if len(parts) == 1:
-            return parts[0]
-        active = masses > 1e-12
-        ks = [int(k) for k in self.k_support[active]]
-        comps = [p for p, keep in zip(parts, active) if keep]
+        active = np.flatnonzero(masses > 1e-12)
+        if len(active) == 1:
+            p = self.dirichlet_params[active[0]]
+            return HistogramDensity(p / p.sum())
         w = masses[active] / masses[active].sum()
-        common = math.lcm(*ks)
-        if common <= max_common_bins:
-            weights = np.zeros(common)
-            for wk, comp in zip(w, comps):
-                reps = common // comp.k
-                weights += wk * np.repeat(comp.weights / reps, reps)
-            return HistogramDensity(weights)
-        return MixtureDensity(list(zip(w, comps)))
+        grids = [grid_edges(int(k)) for k in self.k_support[active]]
+        edges = np.unique(np.concatenate(grids))
+        heights = np.zeros(len(edges) - 1)
+        for wk, i, grid in zip(w, active, grids):
+            p = self.dirichlet_params[i]
+            heights += wk * len(p) * (p / p.sum())[bin_index(grid, edges[:-1])]
+        return HistogramDensity(heights * np.diff(edges), edges=edges)
 
     def to_json(self):
         return {
@@ -249,22 +234,3 @@ def fit_posterior(data, prior=None, transform=None):
     return RandomHistogramPosterior(
         k_support=ks, log_post_k=log_post, dirichlet_params=params,
         n=n, transform=transform, log_marginals=log_marg)
-
-
-def sample_density(post, rng=None):
-    """Draw one histogram density from a fitted posterior."""
-    return post.sample(rng)
-
-
-def eap_density(post, max_common_bins=10_000):
-    """Expected a-posteriori density of a fitted posterior."""
-    return post.eap(max_common_bins=max_common_bins)
-
-
-def concentration_radius(k, n):
-    """Posterior-concentration scale sqrt(k * log(n) / n)."""
-    if n < 2:
-        raise ValueError("concentration radius requires n >= 2")
-    if k < 1:
-        raise ValueError("bin count k must be positive")
-    return math.sqrt(k * math.log(n) / n)

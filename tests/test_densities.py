@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from _helpers import integrate_over_cells
 from mhdbayes.densities import (
     GaussianFamily,
     HistogramDensity,
@@ -14,7 +17,7 @@ from mhdbayes.densities import (
     project_to_histogram,
     transform_density,
 )
-from mhdbayes.numerics import composite_nodes, integrate_over_cells
+from mhdbayes.numerics import composite_nodes
 
 
 def random_histogram(rng, k):
@@ -69,6 +72,54 @@ class TestHistogramDensity:
             HistogramDensity([1.5, -0.5])
         with pytest.raises(ValueError):
             HistogramDensity([])
+
+    def test_default_edges_are_the_regular_grid(self):
+        h = HistogramDensity(np.full(5, 0.2))
+        assert np.array_equal(h.breakpoints(), np.arange(6) / 5)
+        assert h.k == 5
+
+    def test_density_is_weight_over_width_on_explicit_edges(self):
+        h = HistogramDensity([0.5, 0.25, 0.25], edges=[0.0, 0.1, 0.6, 1.0])
+        assert np.allclose(h.pdf(np.array([0.05, 0.1, 0.3, 0.6, 1.0])),
+                           [5.0, 0.5, 0.5, 0.625, 0.625], rtol=1e-15)
+        assert np.array_equal(h.breakpoints(), [0.0, 0.1, 0.6, 1.0])
+        assert h.k == 3
+
+    def test_unsorted_edges(self):
+        with pytest.raises(ValueError, match="increasing"):
+            HistogramDensity([0.5, 0.25, 0.25], edges=[0.0, 0.6, 0.1, 1.0])
+        with pytest.raises(ValueError, match="increasing"):
+            HistogramDensity([0.5, 0.25, 0.25], edges=[0.0, 0.5, 0.5, 1.0])
+
+    def test_edges_must_span_unit_interval(self):
+        with pytest.raises(ValueError, match="from 0 to 1"):
+            HistogramDensity([0.5, 0.5], edges=[0.1, 0.5, 1.0])
+        with pytest.raises(ValueError, match="from 0 to 1"):
+            HistogramDensity([0.5, 0.5], edges=[0.0, 0.5, 1.2])
+
+    def test_edge_count_must_match_weights(self):
+        with pytest.raises(ValueError, match="need 3 edges"):
+            HistogramDensity([0.5, 0.5], edges=[0.0, 0.25, 0.5, 1.0])
+        with pytest.raises(ValueError, match="need 3 edges"):
+            HistogramDensity([0.5, 0.5], edges=[[0.0, 0.5, 1.0]])
+
+    @settings(max_examples=50, deadline=None)
+    @given(cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         max_size=30, unique=True),
+           seed=st.integers(0, 2 ** 32 - 1),
+           k=st.integers(1, 60))
+    def test_edges_bin_where_they_start_and_project_with_unit_mass(self, cuts, seed, k):
+        edges = np.concatenate([[0.0], np.sort(cuts), [1.0]])
+        # cells narrower than the quadrature's float resolution are out of scope
+        assume(np.diff(edges).min() > 1e-9)
+        w = np.random.default_rng(seed).gamma(1.0, size=len(edges) - 1)
+        h = HistogramDensity(w / w.sum(), edges=edges)
+        # every edge opens the bin that starts there; 1.0 closes the last one
+        assert np.array_equal(h.bin_index(edges), np.append(np.arange(h.k), h.k - 1))
+        assert np.array_equal(h.pdf(edges[:-1]), h.weights / np.diff(edges))
+        p = project_to_histogram(h, k)
+        assert p.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(p.weights >= 0.0)
 
 
 class TestHellinger:

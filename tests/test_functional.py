@@ -194,6 +194,18 @@ class TestMhd:
         assert ratios[1] < 0.5 * ratios[0]
 
 
+class TestNoOverlapPlateau:
+    def test_fit_without_overlap_is_not_converged(self):
+        # f_theta underflows on [0.9, 1], g's only bin with mass: Nelder-Mead
+        # stops on the flat plateau and the first-order condition is exactly 0
+        res = mhd(HistogramDensity(np.eye(10)[9]),
+                  GaussianFamily(bounds=((-1, 2), (1e-3, 2))), (0.05, 0.005),
+                  support=(0, 1))
+        assert res.h_min == pytest.approx(math.sqrt(2.0))
+        assert res.first_order_norm == 0.0
+        assert not res.converged
+
+
 class TestMhdRows:
     def test_singular_row_does_not_stop_the_others(self):
         # f_theta at the start underflows to zero on [0.9, 1], the only bin

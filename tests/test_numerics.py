@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import finite_diff_grad, integrate, integrate_over_cells
 from mhdbayes.numerics import (
     OptimizerConfig,
     QuadratureRule,
     composite_nodes,
-    finite_diff_grad,
-    integrate,
-    integrate_over_cells,
     minimize,
 )
 

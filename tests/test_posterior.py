@@ -4,17 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import concentration_radius, fixed_root_n, root_n_bin_count
 from mhdbayes.densities import HistogramDensity, MixtureDensity, SupportTransform
 from mhdbayes.posterior import (
     HistogramPrior,
     RandomHistogramPosterior,
     bin_counts,
-    concentration_radius,
-    eap_density,
     fit_posterior,
     max_bin_count,
-    root_n_bin_count,
-    sample_density,
 )
 
 NEWCOMB = None
@@ -40,15 +37,26 @@ class TestBinCounts:
         with pytest.raises(ValueError, match="index 2"):
             bin_counts([0.5, 0.2, 1.5], 3)
 
+    def test_datum_on_an_edge_is_counted_where_the_density_places_it(self):
+        # floor(x * k) misplaces 748 of these floats, e.g. int((15/22)*22) == 14
+        for k in range(1, 200):
+            h = HistogramDensity(np.arange(1, k + 1) / (k * (k + 1) / 2))
+            edges = h.breakpoints()
+            mids = (edges[:-1] + edges[1:]) / 2
+            assert np.array_equal(bin_counts(edges[:-1], k), np.ones(k))
+            assert np.array_equal(h.bin_index(edges[:-1]), np.arange(k))
+            assert np.array_equal(h.pdf(edges[:-1]), h.pdf(mids))
+
     def test_newcomb_counts_match_direct_scan(self):
         y = newcomb_unit()
         counts = bin_counts(y, 100)
         assert counts.sum() == 66
-        # independent recount, one datum at a time
+        # independent recount, one datum at a time: the last edge j/100 at
+        # or below it
         manual = [0] * 100
         for v in y:
-            j = int(v * 100)
-            manual[min(j, 99)] += 1
+            j = max(i for i in range(100) if i / 100 <= v)
+            manual[j] += 1
         assert np.array_equal(counts, manual)
 
 
@@ -70,7 +78,7 @@ class TestHistogramPrior:
     def test_root_n_preset(self):
         n = 10_000
         assert root_n_bin_count(n) == math.ceil(math.sqrt(n) / math.log(n) ** 2)
-        assert HistogramPrior.fixed_root_n(n).k == root_n_bin_count(n)
+        assert fixed_root_n(n).k == root_n_bin_count(n)
 
     def test_total_mass_warning(self):
         # alpha=1 with k=100 exceeds sqrt(66): the consistency condition
@@ -97,7 +105,7 @@ class TestFitPosterior:
     def test_symmetric_data(self):
         post = fit_posterior([0.25, 0.75], HistogramPrior.fixed(2, alpha=1.0))
         assert np.allclose(post.dirichlet_params[0], [2.0, 2.0])
-        assert np.allclose(eap_density(post).weights, [0.5, 0.5])
+        assert np.allclose(post.eap().weights, [0.5, 0.5])
 
     def test_three_point_odds_vs_hand_computed_beta_ratio(self):
         # data {0.1, 0.2, 0.3} all fall in the first of two bins; the
@@ -139,8 +147,8 @@ class TestFitPosterior:
 class TestSampling:
     def test_same_seed_same_sample(self):
         post = fit_posterior(newcomb_unit(), HistogramPrior.fixed(10, alpha=0.5))
-        a = sample_density(post, rng=123)
-        b = sample_density(post, rng=123)
+        a = post.sample(rng=123)
+        b = post.sample(rng=123)
         assert np.array_equal(a.weights, b.weights)
 
     def test_dirichlet_moments(self):
@@ -168,35 +176,40 @@ class TestEapDensity:
         post = RandomHistogramPosterior(
             k_support=np.array([2]), log_post_k=np.array([0.0]),
             dirichlet_params=[np.array([1.0, 1.0])], n=0)
-        assert np.allclose(eap_density(post).weights, [0.5, 0.5])
+        assert np.allclose(post.eap().weights, [0.5, 0.5])
 
     def test_posterior_mean_with_counts(self):
         post = RandomHistogramPosterior(
             k_support=np.array([2]), log_post_k=np.array([0.0]),
             dirichlet_params=[np.array([9.0, 1.0])], n=8)
-        assert np.allclose(eap_density(post).weights, [0.9, 0.1])
+        assert np.allclose(post.eap().weights, [0.9, 0.1])
 
     def test_eap_integrates_to_one(self):
         post = fit_posterior(newcomb_unit(), HistogramPrior.poisson(lam=3.0))
-        g = eap_density(post)
-        if isinstance(g, HistogramDensity):
-            assert g.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        else:
-            total = sum(wk * comp.weights.sum()
-                        for wk, comp in zip(g.weights, g.components))
-            assert total == pytest.approx(1.0, abs=1e-12)
+        assert post.eap().weights.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_random_k_common_grid(self):
-        post = fit_posterior([0.1, 0.6, 0.7], HistogramPrior.poisson(lam=2.0, k_max=2))
-        g = eap_density(post)
+    @pytest.mark.parametrize("k_max", [9, 34])
+    def test_random_k_eap_is_histogram_on_union_grid(self, k_max):
+        # oracle: the posterior-weighted mixture of the per-k EAP histograms
+        rng = np.random.default_rng(k_max)
+        data = np.concatenate([rng.beta(2.0, 5.0, 150), rng.uniform(size=50)])
+        post = fit_posterior(data, HistogramPrior.poisson(k_max=k_max))
+        masses = post.post_k()
+        assert np.count_nonzero(masses > 1e-12) > 1
+        g = post.eap()
         assert isinstance(g, HistogramDensity)
-        assert g.k == 2  # lcm of {1, 2}
-
-    def test_random_k_mixture_when_grid_too_fine(self):
-        post = fit_posterior(np.linspace(0.05, 0.95, 60),
-                             HistogramPrior.poisson(lam=6.0, k_max=9))
-        g = eap_density(post, max_common_bins=4)  # lcm(1..9) = 2520 > 4
-        assert isinstance(g, MixtureDensity)
+        active = masses > 1e-12
+        union = np.unique(np.concatenate(
+            [np.arange(k + 1) / k for k in post.k_support[active]]))
+        assert np.array_equal(g.breakpoints(), union)
+        mix = MixtureDensity([(w, HistogramDensity(p / p.sum()))
+                              for w, p, keep in zip(masses / masses[active].sum(),
+                                                    post.dirichlet_params, active)
+                              if keep])
+        x = rng.uniform(size=10_000)
+        assert np.allclose(g.pdf(x), mix.pdf(x), rtol=0.0, atol=1e-13)
+        mass = np.dot(np.diff(g.edges), g.pdf(g.edges[:-1]))
+        assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_eap_matches_monte_carlo_average(self):
         post = fit_posterior(newcomb_unit(), HistogramPrior.fixed(20, alpha=0.5))
@@ -205,7 +218,7 @@ class TestEapDensity:
         n_draws = 20_000
         for _ in range(n_draws):
             acc += post.sample(rng).weights
-        l1 = np.abs(acc / n_draws - eap_density(post).weights).sum()
+        l1 = np.abs(acc / n_draws - post.eap().weights).sum()
         assert l1 < 0.01
 
 
