@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import ndtr
 
 from .numerics import DEFAULT_RULE, composite_nodes
 
@@ -21,6 +22,13 @@ from .numerics import DEFAULT_RULE, composite_nodes
 DEFAULT_PADDING = 0.09
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+_SQRT2 = np.sqrt(2.0)
+
+# Uniform panels every quadrature grid starts from, and the width (relative
+# to the integration window) below which ``integration_edges`` drops a panel
+# as float noise.
+_MIN_PANELS = 32
+_MIN_PANEL_WIDTH = 1e-14
 
 
 @dataclass(frozen=True)
@@ -82,8 +90,14 @@ def _checked_edges(edges, k):
         raise ValueError(f"need {k + 1} edges for {k} weights, got shape {edges.shape}")
     if edges[0] != 0.0 or edges[-1] != 1.0:
         raise ValueError(f"edges must run from 0 to 1, got [{edges[0]}, {edges[-1]}]")
-    if np.any(np.diff(edges) <= 0):
+    widths = np.diff(edges)
+    if np.any(widths <= 0):
         raise ValueError("edges must be strictly increasing")
+    if np.any(widths <= _MIN_PANEL_WIDTH):
+        j = int(np.argmin(widths))
+        # quadrature drops such a panel, and with it the cell's mass
+        raise ValueError(f"cell {j} has width {float(widths[j])!r}, not above the "
+                         f"{_MIN_PANEL_WIDTH} quadrature resolution")
     return edges
 
 
@@ -91,7 +105,8 @@ class HistogramDensity:
     """A histogram density on [0, 1] with explicit bin edges.
 
     ``edges`` are strictly increasing from 0 to 1 with ``len(weights) + 1``
-    entries; by default they are the regular grid :func:`grid_edges`.
+    entries, every cell wider than 1e-14; by default they are the regular
+    grid :func:`grid_edges`.
     Bin j covers [edges[j], edges[j+1]) (see :func:`bin_index`) and has
     density weights[j] / (edges[j+1] - edges[j]), exactly k * weights[j]
     on the default grid.  Weights must be non-negative and sum to 1 within
@@ -240,6 +255,14 @@ class ParametricFamily:
     parameter box searched by the optimizer; when None, a fit must be given
     explicit bounds (the estimators derive unit-scale ones via
     :meth:`unit_fit_family`).
+
+    :meth:`cell_sqrt_masses` gives the integrals of sqrt(f_theta) over the
+    cells of a histogram's edges, with which the Bhattacharyya coefficient
+    of f_theta and a histogram is the exact dot product
+    sum_j sqrt(height_j) * m_j(theta).  Its default integrates ``sqrt_pdf``,
+    ``sqrt_grad`` and ``sqrt_hess`` by Gauss-Legendre quadrature on the
+    uniform ``integration_edges`` panels merged with the edges; a family
+    with a closed form overrides it.
     """
 
     dim = None
@@ -256,6 +279,30 @@ class ParametricFamily:
 
     def sqrt_hess(self, theta, x):
         raise NotImplementedError
+
+    def cell_sqrt_masses(self, theta, edges, derivatives=False):
+        """Integrals m_j of sqrt(f_theta) over the cells [edges[j], edges[j+1]].
+
+        Returns the masses, shape (k,) for k cells, or with ``derivatives``
+        the tuple (masses, d/dtheta, d2/dtheta2) of shapes (k,), (k, p) and
+        (k, p, p); (D, 1)-column thetas add a leading row axis.  This
+        default applies the 8-point Gauss-Legendre rule on the uniform
+        32-panel grid of ``integration_edges`` merged with ``edges`` and
+        sums the nodes of each cell, the quadrature ``mhd`` uses.
+        """
+        edges = np.asarray(edges, dtype=float)
+        panels = np.union1d(integration_edges((edges[0], edges[-1])), edges)
+        x, w = composite_nodes(panels, DEFAULT_RULE)
+        # nodes-by-cells matrix of weights: the node sums of every cell
+        cell = bin_index(edges, np.repeat(panels[:-1], DEFAULT_RULE.order))
+        by_cell = np.zeros((len(x), len(edges) - 1))
+        by_cell[np.arange(len(x)), cell] = w
+        masses = self.sqrt_pdf(theta, x) @ by_cell
+        if not derivatives:
+            return masses
+        return (masses,
+                np.einsum("...np,nk->...kp", self.sqrt_grad(theta, x), by_cell),
+                np.einsum("...npq,nk->...kpq", self.sqrt_hess(theta, x), by_cell))
 
     def density(self, theta):
         return ParametricDensity(self, theta)
@@ -346,6 +393,38 @@ class GaussianFamily(ParametricFamily):
         out[..., 1, 1] = h_ss
         return out
 
+    def cell_sqrt_masses(self, theta, edges, derivatives=False):
+        """Closed-form cell integrals of sqrt(f_theta), exact at any sigma.
+
+        m_j = sqrt(2) (2 pi)^(1/4) sigma^(1/2) [Phi(z_{j+1}) - Phi(z_j)] with
+        z = (edges - mu) / (sqrt(2) sigma); the derivatives are sums of
+        Phi, phi and powers of z at the edges.  Cells above mu take the
+        difference as Phi(-z_j) - Phi(-z_{j+1}), so far upper-tail cells do
+        not cancel.  Shapes as in :meth:`ParametricFamily.cell_sqrt_masses`.
+        """
+        mu, sg = theta
+        z = (np.asarray(edges, dtype=float) - mu) / (_SQRT2 * sg)
+        tail = ndtr(-np.abs(z))  # the smaller of Phi(z) and Phi(-z)
+        cdf = np.where(z < 0.0, tail, 1.0 - tail)
+        d_cdf = np.where(z[..., :-1] > 0.0, tail[..., :-1] - tail[..., 1:],
+                         np.diff(cdf, axis=-1))
+        amp = _SQRT2 * np.sqrt(_SQRT2PI * sg)
+        masses = amp * d_cdf
+        if not derivatives:
+            return masses
+        phi = np.exp(-0.5 * z * z) / _SQRT2PI
+        zphi = z * phi
+        a1, a2 = amp / sg, amp / (sg * sg)
+        grad = np.stack([-a1 / _SQRT2 * np.diff(phi, axis=-1),
+                         a1 * (0.5 * d_cdf - np.diff(zphi, axis=-1))], axis=-1)
+        h_ms = -a2 / _SQRT2 * np.diff(phi * (z * z - 0.5), axis=-1)
+        hess = np.empty(masses.shape + (2, 2))
+        hess[..., 0, 0] = -0.5 * a2 * np.diff(zphi, axis=-1)
+        hess[..., 0, 1] = h_ms
+        hess[..., 1, 0] = h_ms
+        hess[..., 1, 1] = a2 * (np.diff(zphi * (1.0 - z * z), axis=-1) - 0.25 * d_cdf)
+        return masses, grad, hess
+
     def plausible_support(self, theta, half_width=10.0):
         mu, sg = theta
         return (mu - half_width * sg, mu + half_width * sg)
@@ -380,7 +459,7 @@ class GaussianFamily(ParametricFamily):
                                       (max(sg_lo / w, 1e-12), sg_hi / w)))
 
 
-def integration_edges(support, densities=(), min_panels=32):
+def integration_edges(support, densities=(), min_panels=_MIN_PANELS):
     """Panel edges over ``support``: a uniform grid refined with every
     breakpoint of the given densities."""
     a, b = float(support[0]), float(support[1])
@@ -394,7 +473,7 @@ def integration_edges(support, densities=(), min_panels=32):
             edges.append(inside)
     merged = np.unique(np.concatenate(edges))
     # drop panels narrower than float resolution
-    keep = np.concatenate([[True], np.diff(merged) > 1e-14 * (b - a)])
+    keep = np.concatenate([[True], np.diff(merged) > _MIN_PANEL_WIDTH * (b - a)])
     return merged[keep]
 
 

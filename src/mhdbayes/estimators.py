@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DEFAULT_PADDING, GaussianFamily, SupportTransform
+from .densities import (
+    DEFAULT_PADDING,
+    GaussianFamily,
+    HistogramDensity,
+    SupportTransform,
+    grid_edges,
+)
 from .functional import MhdResult, mhd, mhd_rows
 from .numerics import OptimizerConfig, as_generator
 from .posterior import HistogramPrior, fit_posterior
@@ -168,10 +174,11 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     """BMH posterior: map posterior density draws through the minimizer.
 
     All ``n_samples`` histograms are drawn first, in one stream from
-    ``rng``.  Draws with the same bin count share their quadrature nodes
-    and are minimized together by ``mhd_rows``: damped Newton started at
-    the anchor T(EAP).  A draw it leaves unconverged is refit by ``mhd``,
-    cold from the moment start with ``config``; draws that fail that refit
+    ``rng``.  Draws with the same bin count share their edges and are
+    minimized together by ``mhd_rows``: damped Newton on the family's cell
+    masses, started at the anchor T(EAP).  A draw it leaves unconverged is
+    refit by ``mhd``, cold from the moment start with ``config``, on a
+    ``HistogramDensity`` of its weights; draws that fail that refit
     too count as failed, and more than ``max_failure_rate`` of them is an
     error.  Each draw's minimizer depends on that draw alone, so the
     samples are reproducible given the seed, and the first m rows of an
@@ -195,19 +202,21 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     anchor = mhd(post.eap(), fam_u, x0_unit, config=config, support=(0.0, 1.0))
 
     n_samples = int(n_samples)
-    draws = [post.sample(rng) for _ in range(n_samples)]
+    draws = [post.draw(rng) for _ in range(n_samples)]
     by_k = {}
-    for i, g in enumerate(draws):
-        by_k.setdefault(g.k, []).append(i)
+    for row, (i, _) in enumerate(draws):
+        by_k.setdefault(i, []).append(row)
     theta = np.empty((n_samples, len(anchor.theta_hat)))
     ok = np.empty(n_samples, dtype=bool)
-    for rows in by_k.values():
-        theta[rows], ok[rows] = mhd_rows([draws[i] for i in rows], fam_u,
-                                         anchor.theta_hat, support=(0.0, 1.0))
+    for i, rows in by_k.items():
+        weights = np.stack([draws[r][1] for r in rows])
+        theta[rows], ok[rows] = mhd_rows(weights, grid_edges(int(post.k_support[i])),
+                                         fam_u, anchor.theta_hat)
     failures = 0
     budget = max_failure_rate * n_samples
     for i in np.flatnonzero(~ok):
-        res = mhd(draws[i], fam_u, x0_unit, config=config, support=(0.0, 1.0))
+        res = mhd(HistogramDensity(draws[i][1]), fam_u, x0_unit, config=config,
+                  support=(0.0, 1.0))
         if res.converged:
             theta[i], ok[i] = res.theta_hat, True
             continue

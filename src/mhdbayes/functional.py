@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .densities import _pdf_of, integration_edges
+from .densities import _MIN_PANELS, _pdf_of, integration_edges
 from .numerics import DEFAULT_RULE, OptimizerConfig, composite_nodes
 
 
@@ -33,9 +33,8 @@ class MhdResult:
     first_order_norm: float
 
 
-# Quadrature panels and first-order tolerance shared by ``mhd`` and
-# ``mhd_rows``, so the batched fits reproduce the per-density ones.
-_MIN_PANELS = 32
+# First-order tolerance shared by ``mhd`` and ``mhd_rows``, so the batched
+# fits are judged as the per-density ones are.
 _FOC_TOL = 1e-3
 
 # A fit at h = sqrt(2) has no overlap with g: its first-order condition can
@@ -43,9 +42,10 @@ _FOC_TOL = 1e-3
 # flags a fit above this level converged.
 _H_NO_OVERLAP = np.sqrt(2.0) - 1e-6
 
-# Cap on rows x quadrature nodes in one block of ``mhd_rows``; it bounds the
-# (rows, nodes, p, p) Hessian array, and with it peak memory, to a few MB.
-ROW_BLOCK_ELEMENTS = 1 << 15
+# Cap on rows x cells in one block of ``mhd_rows``; it bounds the
+# (rows, cells) temporaries of the cell masses and their derivatives, and
+# with them peak memory, to a few MB.
+ROW_BLOCK_ELEMENTS = 1 << 14
 
 
 def _checked_sqrt(gv, x):
@@ -154,15 +154,17 @@ def _newton_polish(objective, foc, jac, theta, h_min, bounds, max_iter=25):
     return theta, h_min, n_extra
 
 
-def mhd_rows(gs, family, theta0, support):
-    """Minimum-Hellinger fits of many densities at once, all started at ``theta0``.
+def mhd_rows(weights, edges, family, theta0):
+    """Minimum-Hellinger fits of many histograms at once, all started at ``theta0``.
 
-    ``gs`` are densities with a ``pdf`` that share one set of breakpoints
-    (e.g. histograms on the same edges), so the quadrature nodes ``mhd``
-    would build for any of them serve all.  Rows are solved in blocks of at
-    most ``ROW_BLOCK_ELEMENTS`` rows x nodes by damped Newton on the
+    ``weights`` holds one row of cell weights per histogram, all on the
+    cells of ``edges``.  A histogram's Bhattacharyya coefficient with
+    f_theta is the dot product of its sqrt cell heights with the cell
+    masses ``family.cell_sqrt_masses`` returns, so each fit runs on k + 1
+    edge values, with no quadrature of its own.  Rows are solved in blocks
+    of at most ``ROW_BLOCK_ELEMENTS`` rows x cells by damped Newton on the
     first-order condition (see ``_newton_rows``).  Returns the minimizers,
-    shape (len(gs), p), and a boolean ``converged`` per row by the
+    shape (rows, p), and a boolean ``converged`` per row by the
     ``first_order_norm < foc_tol`` test ``mhd`` applies with its default
     tolerance.  No global search is made: a row that Newton cannot take to
     a stationary point from ``theta0`` is reported unconverged, for the
@@ -173,16 +175,18 @@ def mhd_rows(gs, family, theta0, support):
     if family.bounds is None:
         raise ValueError("family declares no parameter bounds")
     lo, hi = np.asarray(family.bounds, dtype=float).T
-    edges = integration_edges(support, gs[:1], min_panels=_MIN_PANELS)
-    x, w = composite_nodes(edges, DEFAULT_RULE)
+    edges = np.asarray(edges, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    widths = np.diff(edges)
     start = np.clip(np.asarray(theta0, dtype=float), lo, hi)
-    theta = np.empty((len(gs), len(start)))
-    converged = np.empty(len(gs), dtype=bool)
-    size = max(1, ROW_BLOCK_ELEMENTS // len(x))
-    for b in range(0, len(gs), size):
-        wg = w * _checked_sqrt(np.stack([g.pdf(x) for g in gs[b:b + size]]), x)
-        t, stuck = _newton_rows(family, x, wg, np.tile(start, (len(wg), 1)), lo, hi)
-        foc = np.einsum("rn,rnp->rp", wg, family.sqrt_grad(_columns(t), x))
+    theta = np.empty((len(weights), len(start)))
+    converged = np.empty(len(weights), dtype=bool)
+    size = max(1, ROW_BLOCK_ELEMENTS // len(widths))
+    for b in range(0, len(weights), size):
+        sh = _checked_sqrt(weights[b:b + size] / widths, edges[:-1])
+        t, stuck = _newton_rows(family, edges, sh, np.tile(start, (len(sh), 1)), lo, hi)
+        _, dm, _ = family.cell_sqrt_masses(_columns(t), edges, derivatives=True)
+        foc = np.einsum("rk,rkp->rp", sh, dm)
         theta[b:b + size] = t
         converged[b:b + size] = (np.linalg.norm(foc, axis=1) < _FOC_TOL) & ~stuck
     return theta, converged
@@ -193,10 +197,10 @@ def _columns(theta):
     return theta.T[:, :, None]
 
 
-def _hellinger_rows(family, x, wg, theta):
-    """Per-row Hellinger objective of ``mhd`` (+inf where the quadrature no
-    longer resolves f_theta)."""
-    bc = np.einsum("rn,rn->r", wg, family.sqrt_pdf(_columns(theta), x))
+def _hellinger_rows(family, edges, sqrt_h, theta):
+    """Per-row Hellinger objective of ``mhd`` (+inf where the cell masses
+    no longer resolve f_theta)."""
+    bc = np.einsum("rk,rk->r", sqrt_h, family.cell_sqrt_masses(_columns(theta), edges))
     h = np.sqrt(np.clip(2.0 - 2.0 * bc, 0.0, None))
     return np.where(bc > 1.0 + 1e-9, np.inf, h)
 
@@ -212,25 +216,27 @@ def _solve_rows(jac, grad):
     return step
 
 
-def _newton_rows(family, x, wg, theta, lo, hi, max_iter=50, max_halvings=40):
-    """Damped Newton on the stationarity condition for every row of ``wg``.
+def _newton_rows(family, edges, sqrt_h, theta, lo, hi, max_iter=50, max_halvings=40):
+    """Damped Newton on the stationarity condition for every row of ``sqrt_h``.
 
     Each row takes the Newton step of ``_newton_polish`` and halves it until
     its own Hellinger value does not increase (within the same 1e-10
     roundoff slack); a row stops when its gradient vanishes, its accepted
     move falls below 1e-14, no halving helps or its Jacobian is singular.
-    Returns the rows' parameters and a mask of the rows stuck where no
-    Newton step could be formed (infinite start value or singular Jacobian).
+    The step halving evaluates cell masses only.  Returns the rows'
+    parameters and a mask of the rows stuck where no Newton step could be
+    formed (infinite start value or singular Jacobian).
     """
-    h = _hellinger_rows(family, x, wg, theta)
+    h = _hellinger_rows(family, edges, sqrt_h, theta)
     stuck = ~np.isfinite(h)
     active = np.flatnonzero(~stuck)
     for _ in range(max_iter):
         if not len(active):
             break
-        t, rows_wg = theta[active], wg[active]
-        grad = np.einsum("rn,rnp->rp", rows_wg, family.sqrt_grad(_columns(t), x))
-        jac = np.einsum("rn,rnpq->rpq", rows_wg, family.sqrt_hess(_columns(t), x))
+        t, rows_sh = theta[active], sqrt_h[active]
+        _, dm, d2m = family.cell_sqrt_masses(_columns(t), edges, derivatives=True)
+        grad = np.einsum("rk,rkp->rp", rows_sh, dm)
+        jac = np.einsum("rk,rkpq->rpq", rows_sh, d2m)
         step = _solve_rows(jac, grad)
         formed = np.all(np.isfinite(step), axis=1)
         stuck[active[~formed]] = True
@@ -243,7 +249,7 @@ def _newton_rows(family, x, wg, theta, lo, hi, max_iter=50, max_halvings=40):
                 break
             rows = active[pending]
             cand = np.clip(t[pending] - step[pending], lo, hi)
-            h_new = _hellinger_rows(family, x, wg[rows], cand)
+            h_new = _hellinger_rows(family, edges, sqrt_h[rows], cand)
             ok = np.isfinite(h_new) & (h_new <= h[rows] + 1e-10)
             done = pending[ok]
             theta[rows[ok]] = cand[ok]

@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -143,18 +144,31 @@ class RandomHistogramPosterior:
     def post_k(self):
         return np.exp(self.log_post_k)
 
-    def sample(self, rng=None):
-        """One histogram draw: k from the posterior k-masses, then weights
-        from Dirichlet(alpha + counts) via normalized Gamma variates."""
-        rng = as_generator(rng)
-        i = int(rng.choice(len(self.k_support), p=self.post_k()))
+    @cached_property
+    def _k_cdf(self):
+        cdf = self.post_k().cumsum()
+        return cdf / cdf[-1]
+
+    def draw(self, rng):
+        """One posterior draw as (index into ``k_support``, bin weights).
+
+        The index comes from the posterior k-masses by inverting their CDF
+        at one uniform variate, the draw ``rng.choice(p=post_k())`` makes
+        from the same stream; the weights are a Dirichlet(alpha + counts)
+        draw, normalized Gamma variates."""
+        i = int(self._k_cdf.searchsorted(rng.random(), side="right"))
         params = self.dirichlet_params[i]
         for _ in range(100):
             g = rng.gamma(params)
             total = g.sum()
             if total > 0:
-                return HistogramDensity(g / total)
+                return i, g / total
         raise RuntimeError("Dirichlet sampling produced all-zero Gamma draws")
+
+    def sample(self, rng=None):
+        """One histogram draw (see :meth:`draw`) as a density."""
+        _, weights = self.draw(as_generator(rng))
+        return HistogramDensity(weights)
 
     def eap(self):
         """Expected a-posteriori density, exact for every prior.

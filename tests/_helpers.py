@@ -1,11 +1,12 @@
 """Numerical helpers that only the tests use: plain quadrature, central
-differences, the posterior-concentration radius and the root-n bin-count
-schedule."""
+differences, the posterior-concentration radius, the root-n bin-count
+schedule and a Gaussian family on the quadrature cell masses."""
 
 import math
 
 import numpy as np
 
+from mhdbayes.densities import GaussianFamily, ParametricFamily
 from mhdbayes.numerics import composite_nodes
 from mhdbayes.posterior import DEFAULT_ALPHA, HistogramPrior
 
@@ -74,3 +75,9 @@ def root_n_bin_count(n):
 def fixed_root_n(n, alpha=DEFAULT_ALPHA):
     """Dirac prior at the ceil(sqrt(n)/(log n)^2) schedule."""
     return HistogramPrior.fixed(root_n_bin_count(n), alpha=alpha)
+
+
+class QuadratureGaussianFamily(GaussianFamily):
+    """Gaussian family left on the quadrature default of the cell-mass hook."""
+
+    cell_sqrt_masses = ParametricFamily.cell_sqrt_masses

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _helpers import integrate_over_cells
+from _helpers import QuadratureGaussianFamily, finite_diff_grad, integrate_over_cells
 from mhdbayes.densities import (
     GaussianFamily,
     HistogramDensity,
@@ -96,6 +97,11 @@ class TestHistogramDensity:
             HistogramDensity([0.5, 0.5], edges=[0.1, 0.5, 1.0])
         with pytest.raises(ValueError, match="from 0 to 1"):
             HistogramDensity([0.5, 0.5], edges=[0.0, 0.5, 1.2])
+
+    def test_cells_below_quadrature_resolution_are_rejected(self):
+        # quadrature drops a panel this narrow, and with it the cell's mass
+        with pytest.raises(ValueError, match="width 1e-15"):
+            HistogramDensity([0.4, 0.6], edges=[0.0, 1e-15, 1.0])
 
     def test_edge_count_must_match_weights(self):
         with pytest.raises(ValueError, match="need 3 edges"):
@@ -344,3 +350,86 @@ class TestGaussianFamily:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             GaussianFamily(bounds=((-1.0, 1.0), (-0.5, 2.0)))
+
+
+class TestCellSqrtMasses:
+    """The Gaussian closed form against the quadrature default, finite
+    differences and adaptive quadrature in the far tails."""
+
+    fam = GaussianFamily()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         max_size=30, unique=True),
+           mu=st.floats(-0.5, 1.5),
+           sg=st.floats(4.0 / 32.0, 2.0))
+    def test_closed_form_matches_quadrature_default(self, cuts, mu, sg):
+        # sigma spans at least 4 of the 32 uniform panels on [0, 1]
+        edges = np.concatenate([[0.0], np.sort(cuts), [1.0]])
+        closed = self.fam.cell_sqrt_masses((mu, sg), edges, derivatives=True)
+        quad = QuadratureGaussianFamily().cell_sqrt_masses((mu, sg), edges, derivatives=True)
+        for c, q in zip(closed, quad):
+            assert c.shape == q.shape
+            assert np.max(np.abs(c - q)) <= 1e-12
+
+    def test_masses_sum_to_the_integral_of_sqrt_f(self):
+        # over +-40 sigma the cells hold all of integral sqrt(f) = sqrt(2 sigma) (2 pi)^(1/4)
+        mu, sg = 0.3, 0.4
+        edges = np.linspace(mu - 40 * sg, mu + 40 * sg, 81)
+        masses, _, _ = self.fam.cell_sqrt_masses((mu, sg), edges, derivatives=True)
+        assert np.array_equal(self.fam.cell_sqrt_masses((mu, sg), edges), masses)
+        assert masses.sum() == pytest.approx(math.sqrt(2 * sg) * (2 * math.pi) ** 0.25,
+                                             rel=1e-14)
+
+    def test_derivatives_match_finite_differences(self):
+        edges = np.array([-2.0, -0.7, 0.1, 0.4, 1.3, 3.0])
+        theta = np.array([0.2, 0.8])
+        _, grad, hess = self.fam.cell_sqrt_masses(theta, edges, derivatives=True)
+        for j in range(len(edges) - 1):
+            fd = finite_diff_grad(lambda t: self.fam.cell_sqrt_masses(t, edges)[j], theta)
+            assert np.allclose(grad[j], fd, atol=1e-9)
+            for p in range(2):
+                fd = finite_diff_grad(
+                    lambda t: self.fam.cell_sqrt_masses(t, edges, derivatives=True)[1][j, p],
+                    theta, h=1e-5)
+                assert np.allclose(hess[j, p], fd, atol=1e-8)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
+    def test_far_tail_cells_keep_relative_accuracy(self, side):
+        # every edge at least 10 sigma from mu: 1 - Phi differences would
+        # cancel to nothing here
+        mu, sg = 0.3, 0.02
+        edges = mu + side * sg * np.array([10.0, 10.5, 11.5, 13.0, 16.0, 25.0])
+        edges = np.sort(edges)
+        masses, grad, hess = self.fam.cell_sqrt_masses((mu, sg), edges, derivatives=True)
+        theta = np.array([mu, sg])
+
+        def quad(f):
+            return np.array([scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13,
+                                                  limit=200)[0]
+                             for a, b in zip(edges[:-1], edges[1:])])
+
+        def one(fn, *index):
+            return lambda x: fn(theta, np.array([x]))[(0,) + index]
+
+        checks = [(masses, quad(one(self.fam.sqrt_pdf)))]
+        checks += [(grad[:, p], quad(one(self.fam.sqrt_grad, p))) for p in range(2)]
+        checks += [(hess[:, p, q], quad(one(self.fam.sqrt_hess, p, q)))
+                   for p in range(2) for q in range(2)]
+        for got, want in checks:
+            assert np.all(want != 0.0)
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("family", [GaussianFamily, QuadratureGaussianFamily],
+                             ids=["closed-form", "quadrature"])
+    def test_column_thetas_broadcast_row_by_row(self, family):
+        rng = np.random.default_rng(6)
+        thetas = np.column_stack([rng.uniform(0.0, 1.0, 5), rng.uniform(0.2, 2.0, 5)])
+        edges = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
+        hook = family().cell_sqrt_masses
+        batched = hook(thetas.T[:, :, None], edges, derivatives=True)
+        rows = [hook(t, edges, derivatives=True) for t in thetas]
+        for i, shape in enumerate([(5, 5), (5, 5, 2), (5, 5, 2, 2)]):
+            assert batched[i].shape == shape
+            assert np.allclose(batched[i], np.stack([r[i] for r in rows]),
+                               rtol=1e-14, atol=1e-15)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from _helpers import QuadratureGaussianFamily
+from mhdbayes import functional
 from mhdbayes.densities import (
     GaussianFamily,
     HistogramDensity,
@@ -214,13 +216,32 @@ class TestMhdRows:
         far = HistogramDensity(np.eye(10)[9])
         near = HistogramDensity(np.full(10, 0.1))
         start = (0.05, 0.005)
-        theta, converged = mhd_rows([far, near], fam, start, support=(0.0, 1.0))
+        theta, converged = mhd_rows(np.stack([far.weights, near.weights]), near.edges,
+                                    fam, start)
         expected = mhd(near, fam, start, support=(0.0, 1.0))
         assert expected.converged and converged[1]
         assert np.allclose(theta[1], expected.theta_hat, atol=1e-9)
         assert np.array_equal(theta[0], start)
         # its gradient is exactly zero too, yet the row is a plateau, not a fit
         assert not converged[0]
+
+    @pytest.mark.parametrize("family", [GaussianFamily, QuadratureGaussianFamily],
+                             ids=["closed-form", "quadrature"])
+    def test_blocks_give_the_rows_solved_alone(self, family, monkeypatch):
+        fam = family(bounds=((-1.0, 2.0), (1e-3, 2.0)))
+        base = project_to_histogram(TruncatedUnitGaussian(0.45, 0.12), 20)
+        rng = np.random.default_rng(4)
+        weights = base.weights * rng.uniform(0.5, 1.5, (7, 20))
+        weights /= weights.sum(axis=1, keepdims=True)
+        start = (0.5, 0.1)
+        alone = [mhd_rows(w[None], base.edges, fam, start) for w in weights]
+        # 3 rows x 20 cells per block: the 7 rows span three blocks
+        monkeypatch.setattr(functional, "ROW_BLOCK_ELEMENTS", 60)
+        theta, converged = mhd_rows(weights, base.edges, fam, start)
+        assert np.all(converged)
+        assert np.array_equal(theta, np.concatenate([t for t, _ in alone]))
+        oracle = mhd(HistogramDensity(weights[3]), fam, start, support=(0.0, 1.0))
+        assert np.allclose(theta[3], oracle.theta_hat, atol=1e-9)
 
 
 class TestInfluenceFunction:

@@ -151,6 +151,21 @@ class TestSampling:
         b = post.sample(rng=123)
         assert np.array_equal(a.weights, b.weights)
 
+    def test_draws_follow_the_choice_and_gamma_stream(self):
+        data = np.random.default_rng(5).normal(3.0, 2.0, 400)
+        post = fit_posterior(SupportTransform.from_data(data).to_unit(data),
+                             HistogramPrior.poisson(lam=5.0))
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        ks = set()
+        for _ in range(10_000):
+            i, weights = post.draw(rng)
+            j = int(ref.choice(len(post.k_support), p=post.post_k()))
+            g = ref.gamma(post.dirichlet_params[j])
+            assert i == j
+            assert np.array_equal(weights, g / g.sum())
+            ks.add(i)
+        assert len(ks) > 1
+
     def test_dirichlet_moments(self):
         # Dir(2, 2): mean 1/2, variance 1/20
         post = RandomHistogramPosterior(
