@@ -2,7 +2,6 @@
 functional with exact random-histogram density posteriors."""
 
 from .numerics import (
-    OptimizerConfig,
     QuadratureRule,
     as_generator,
     composite_nodes,
@@ -64,7 +63,7 @@ __all__ = [
     "AsymptoticVariance", "BmhPosterior", "ContaminationSpec", "Dataset",
     "DEFAULT_ALPHA", "DEFAULT_PADDING", "GaussianFamily", "HistogramDensity",
     "HistogramPrior", "InfluenceFunction", "MhbEstimate", "MhdResult",
-    "MixtureDensity", "OptimizerConfig", "ParametricFamily", "QuadratureRule",
+    "MixtureDensity", "ParametricFamily", "QuadratureRule",
     "RandomHistogramPosterior", "StudyReport", "SupportTransform",
     "UniformDensity", "as_generator", "asymptotic_variance", "bin_counts",
     "bmh_fit", "bvm_diagnostic", "composite_nodes", "contaminated_density",

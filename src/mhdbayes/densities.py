@@ -39,8 +39,8 @@ class SupportTransform:
     b: float
 
     def __post_init__(self):
-        if not (self.a < self.b):
-            raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
+        if not (self.a < self.b and np.isfinite(self.b - self.a)):
+            raise ValueError(f"need finite a < b, got a={self.a}, b={self.b}")
 
     @classmethod
     def from_data(cls, data, padding=DEFAULT_PADDING):
@@ -49,7 +49,11 @@ class SupportTransform:
         if hi <= lo:
             raise ValueError("data range is degenerate (all values equal)")
         pad = padding * (hi - lo)
-        return cls(lo - pad, hi + pad)
+        a, b = lo - pad, hi + pad
+        if not np.all(np.isfinite([a, b, b - a])):
+            raise ValueError(f"data range [{lo!r}, {hi!r}] padded by {padding!r} of its "
+                             "width on each side overflows float64")
+        return cls(a, b)
 
     @property
     def width(self):
@@ -124,7 +128,7 @@ class HistogramDensity:
             raise ValueError("weights must be non-negative")
         total = weights.sum()
         if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
+            raise ValueError(f"weights must sum to 1, got {float(total)!r}")
         self.k = len(weights)
         self.weights = np.clip(weights, 0.0, None) / np.clip(weights, 0.0, None).sum()
         if edges is None:
@@ -176,7 +180,7 @@ class MixtureDensity:
         if np.any(weights < 0):
             raise ValueError("mixture weights must be non-negative")
         if abs(weights.sum() - 1.0) > 1e-8:
-            raise ValueError(f"mixture weights must sum to 1, got {weights.sum()!r}")
+            raise ValueError(f"mixture weights must sum to 1, got {float(weights.sum())!r}")
         self.weights = weights / weights.sum()
         self.components = [c for _, c in components]
         los = [c.support[0] for c in self.components]
@@ -249,11 +253,12 @@ class ParametricFamily:
     (n, p)) and ``sqrt_hess`` (second derivative, shape (n, p, p)), plus the
     sampling/initialization hooks used by the estimators and studies.
     The components of ``theta`` may also be (D, 1) columns, one row per
-    parameter value (``mhd_rows`` relies on this); ``pdf``/``sqrt_pdf``,
-    ``sqrt_grad`` and ``sqrt_hess`` then gain a leading row axis and return
-    shapes (D, n), (D, n, p) and (D, n, p, p).  ``bounds`` is the compact
-    parameter box searched by the optimizer; when None, a fit must be given
-    explicit bounds (the estimators derive unit-scale ones via
+    parameter value (the Newton solver of ``mhd`` and ``mhd_rows`` relies
+    on this); ``pdf``/``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess`` then
+    gain a leading row axis and return shapes (D, n), (D, n, p) and
+    (D, n, p, p).  ``bounds`` is the compact
+    parameter box searched by the optimizer; a family without one cannot
+    be fit directly (the estimators derive unit-scale bounds via
     :meth:`unit_fit_family`).
 
     :meth:`cell_sqrt_masses` gives the integrals of sqrt(f_theta) over the
@@ -481,14 +486,14 @@ def _checked_pdf_values(name, density, x):
     vals = np.asarray(_pdf_of(density)(x), dtype=float)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        raise ValueError(f"density {name!r} is non-finite at x = {x[bad][0]!r}")
+        raise ValueError(f"density {name!r} is non-finite at x = {float(x[bad][0])!r}")
     neg = vals < -1e-12
     if np.any(neg):
-        raise ValueError(f"density {name!r} is negative at x = {x[neg][0]!r}")
+        raise ValueError(f"density {name!r} is negative at x = {float(x[neg][0])!r}")
     return np.clip(vals, 0.0, None)
 
 
-def hellinger(f, g, support=None, rule=None, min_panels=32):
+def hellinger(f, g, support=None):
     """Hellinger distance between two densities over ``support``.
 
     The value is sqrt(max(0, 2 - 2 * integral(sqrt(f * g)))) with both
@@ -507,8 +512,7 @@ def hellinger(f, g, support=None, rule=None, min_panels=32):
         lo = min(s[0] for s in (fs, gs) if s is not None)
         hi = max(s[1] for s in (fs, gs) if s is not None)
         support = (lo, hi)
-    edges = integration_edges(support, (f, g), min_panels=min_panels)
-    x, w = composite_nodes(edges, rule or DEFAULT_RULE)
+    x, w = composite_nodes(integration_edges(support, (f, g)))
     fv = _checked_pdf_values("f", f, x)
     gv = _checked_pdf_values("g", g, x)
     sf, sg = np.sqrt(fv), np.sqrt(gv)
@@ -521,7 +525,7 @@ def hellinger(f, g, support=None, rule=None, min_panels=32):
     return float(np.sqrt(min(max(h2, 0.0), 2.0)))
 
 
-def project_to_histogram(f, k, rule=None):
+def project_to_histogram(f, k):
     """L2 projection of a density on [0, 1] onto the k-bin histogram grid.
 
     Bin mass is the integral of ``f`` over the bin, evaluated with
@@ -533,7 +537,7 @@ def project_to_histogram(f, k, rule=None):
     grid = grid_edges(k)
     edges = integration_edges((0.0, 1.0), (f,), min_panels=1)
     edges = np.unique(np.concatenate([grid, edges]))
-    x, w = composite_nodes(edges, rule or DEFAULT_RULE)
+    x, w = composite_nodes(edges)
     vals = _checked_pdf_values("f", f, x)
     masses = np.zeros(k)
     np.add.at(masses, bin_index(grid, x), w * vals)

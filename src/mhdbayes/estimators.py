@@ -26,7 +26,7 @@ from .densities import (
     grid_edges,
 )
 from .functional import MhdResult, mhd, mhd_rows
-from .numerics import OptimizerConfig, as_generator
+from .numerics import as_generator
 from .posterior import HistogramPrior, fit_posterior
 
 
@@ -99,25 +99,23 @@ def _prepare(data, family, padding):
     return data, transform, transform.to_unit(data)
 
 
-def _fit_point(data, prior, family, config, padding, x0_data=None):
+def _fit_point(data, prior, family, padding, x0_data=None):
     """One end-to-end MHB fit; returns (theta_data, transform, meta)."""
     data, transform, unit_data = _prepare(data, family, padding)
     post = fit_posterior(unit_data, prior, transform=transform)
     g = post.eap()
     fam_u = family.unit_fit_family(transform)
     x0 = family.initial_theta(data) if x0_data is None else np.asarray(x0_data)
-    res = mhd(g, fam_u, family.theta_to_unit(x0, transform),
-              config=config, support=(0.0, 1.0))
+    res = mhd(g, fam_u, family.theta_to_unit(x0, transform), support=(0.0, 1.0))
     return family.theta_from_unit(res.theta_hat, transform), transform, res
 
 
-def mhb_fit(data, prior=None, family=None, config=None, n_boot=0, rng=None,
+def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
             padding=DEFAULT_PADDING):
     """MHB estimate; set ``n_boot`` > 0 to attach bootstrap standard errors."""
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
-    config = config or OptimizerConfig()
-    theta, transform, meta = _fit_point(data, prior, family, config, padding)
+    theta, transform, meta = _fit_point(data, prior, family, padding)
     if not meta.converged:
         raise RuntimeError(
             "minimum-distance fit did not converge: first-order norm "
@@ -126,15 +124,14 @@ def mhb_fit(data, prior=None, family=None, config=None, n_boot=0, rng=None,
     se = None
     if n_boot:
         se = mhb_bootstrap_se(data, prior=prior, family=family, n_boot=n_boot,
-                              rng=rng, config=config, padding=padding,
+                              rng=rng, padding=padding,
                               warm_theta=theta)
     return MhbEstimate(theta_hat=theta, se=se, n_boot=int(n_boot),
                        mhd_meta=meta, transform=transform)
 
 
 def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
-                     config=None, padding=DEFAULT_PADDING, warm_theta=None,
-                     max_failure_rate=0.10):
+                     padding=DEFAULT_PADDING, warm_theta=None, max_failure_rate=0.10):
     """Nonparametric bootstrap standard errors for MHB.
 
     Each resample is refit end to end (transform, posterior, minimization);
@@ -145,7 +142,6 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
         raise ValueError("bootstrap needs n_boot >= 50")
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
-    config = config or OptimizerConfig()
     data = np.asarray(data, dtype=float)
     rng = as_generator(rng)
     n = len(data)
@@ -156,7 +152,7 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     for child in rng.spawn(int(n_boot)):
         resample = data[child.integers(0, n, n)]
         try:
-            theta, _, meta = _fit_point(resample, prior, family, config, padding,
+            theta, _, meta = _fit_point(resample, prior, family, padding,
                                         x0_data=warm_theta)
             if not meta.converged:
                 raise RuntimeError("refit did not converge")
@@ -169,7 +165,7 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
 
 
 def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
-            config=None, levels=(0.5, 0.9, 0.95), padding=DEFAULT_PADDING,
+            levels=(0.5, 0.9, 0.95), padding=DEFAULT_PADDING,
             max_failure_rate=0.05, workers=None):
     """BMH posterior: map posterior density draws through the minimizer.
 
@@ -177,7 +173,7 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     ``rng``.  Draws with the same bin count share their edges and are
     minimized together by ``mhd_rows``: damped Newton on the family's cell
     masses, started at the anchor T(EAP).  A draw it leaves unconverged is
-    refit by ``mhd``, cold from the moment start with ``config``, on a
+    refit by ``mhd``, cold from the moment start, on a
     ``HistogramDensity`` of its weights; draws that fail that refit
     too count as failed, and more than ``max_failure_rate`` of them is an
     error.  Each draw's minimizer depends on that draw alone, so the
@@ -192,14 +188,13 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
             raise ValueError(f"credible level {level!r} must be in (0, 1)")
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
-    config = config or OptimizerConfig()
     rng = as_generator(rng)
 
     data, transform, unit_data = _prepare(data, family, padding)
     post = fit_posterior(unit_data, prior, transform=transform)
     fam_u = family.unit_fit_family(transform)
     x0_unit = family.theta_to_unit(family.initial_theta(data), transform)
-    anchor = mhd(post.eap(), fam_u, x0_unit, config=config, support=(0.0, 1.0))
+    anchor = mhd(post.eap(), fam_u, x0_unit, support=(0.0, 1.0))
 
     n_samples = int(n_samples)
     draws = [post.draw(rng) for _ in range(n_samples)]
@@ -215,8 +210,7 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     failures = 0
     budget = max_failure_rate * n_samples
     for i in np.flatnonzero(~ok):
-        res = mhd(HistogramDensity(draws[i][1]), fam_u, x0_unit, config=config,
-                  support=(0.0, 1.0))
+        res = mhd(HistogramDensity(draws[i][1]), fam_u, x0_unit, support=(0.0, 1.0))
         if res.converged:
             theta[i], ok[i] = res.theta_hat, True
             continue

@@ -22,7 +22,7 @@ import scipy.stats
 from .densities import GaussianFamily, MixtureDensity, UniformDensity
 from .estimators import bmh_fit, mhb_fit
 from .functional import fisher_information, influence_function, l_norm_sq
-from .numerics import OptimizerConfig, as_generator, resolve_workers, worker_rng
+from .numerics import as_generator, resolve_workers, worker_rng
 from .posterior import HistogramPrior
 from .densities import DEFAULT_PADDING
 
@@ -124,11 +124,11 @@ def _seed_of(rng):
 
 
 def _efficiency_rep(args):
-    (rep, rng, family, theta0, n, prior, config, padding) = args
+    (rep, rng, family, theta0, n, prior, padding) = args
     data = family.sample(theta0, n, rng)
     row = {"rep": rep, "n": n}
     try:
-        est = mhb_fit(data, prior=prior, family=family, config=config, padding=padding)
+        est = mhb_fit(data, prior=prior, family=family, padding=padding)
         row["mhb"] = [float(v) for v in est.theta_hat]
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         row["error"] = str(exc)
@@ -137,8 +137,8 @@ def _efficiency_rep(args):
 
 
 def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
-                     prior=None, config=None, padding=DEFAULT_PADDING,
-                     workers=None, ratio_band=(0.84, 1.16)):
+                     prior=None, padding=DEFAULT_PADDING, workers=None,
+                     ratio_band=(0.84, 1.16)):
     """Sampling-variance check of MHB against the inverse Fisher information.
 
     Simulates ``reps`` clean datasets from f_theta0, fits MHB and the MLE
@@ -149,11 +149,10 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
         raise ValueError("efficiency study needs reps >= 100")
     family = family or GaussianFamily()
     prior = prior or HistogramPrior.fixed()
-    config = config or OptimizerConfig()
     seed = _seed_of(rng)
     theta0 = np.asarray(theta0, dtype=float)
     t0 = time.perf_counter()
-    tasks = [(r, worker_rng(seed, r), family, theta0, int(n), prior, config, padding)
+    tasks = [(r, worker_rng(seed, r), family, theta0, int(n), prior, padding)
              for r in range(int(reps))]
     rows = _map_tasks(_efficiency_rep, tasks, resolve_workers(workers))
 
@@ -183,8 +182,8 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
 
 
 def _robustness_rep(args):
-    (rep, rng, family, theta, alpha, z_grid, n, epsilon, prior, config,
-     padding, estimators, n_samples_bmh) = args
+    (rep, rng, family, theta, alpha, z_grid, n, epsilon, prior, padding,
+     estimators, n_samples_bmh) = args
     m = math.ceil(alpha * n)
     clean = family.sample(theta, n - m, rng)
     blip_unit = rng.uniform(-1.0, 1.0, m)
@@ -196,14 +195,12 @@ def _robustness_rep(args):
             row = {"rep": rep, "z": float(z), "estimator": est}
             try:
                 if est == "mhb":
-                    fit = mhb_fit(data, prior=prior, family=family,
-                                  config=config, padding=padding)
+                    fit = mhb_fit(data, prior=prior, family=family, padding=padding)
                     theta_hat = fit.theta_hat
                 elif est == "bmh":
                     fit = bmh_fit(data, prior=prior, family=family,
                                   n_samples=n_samples_bmh,
-                                  rng=worker_rng(bmh_seed, zi),
-                                  config=config, padding=padding)
+                                  rng=worker_rng(bmh_seed, zi), padding=padding)
                     theta_hat = fit.eap
                 elif est == "mle":
                     theta_hat = family.mle(data)
@@ -219,9 +216,8 @@ def _robustness_rep(args):
 
 def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
                      z_grid=(5.0, 20.0, 50.0), n=500, reps=50, rng=None,
-                     prior=None, config=None, padding=DEFAULT_PADDING,
-                     epsilon=None, estimators=("mhb", "bmh", "mle"),
-                     n_samples_bmh=200, workers=None,
+                     prior=None, padding=DEFAULT_PADDING, epsilon=None,
+                     estimators=("mhb", "bmh", "mle"), n_samples_bmh=200, workers=None,
                      far_z_location_tol=0.05, mle_far_z_min=None):
     """Gross-error sweep over increasing outlier locations.
 
@@ -235,7 +231,6 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
         raise ValueError("z_grid must be strictly ascending")
     family = family or GaussianFamily()
     prior = prior or HistogramPrior.fixed()
-    config = config or OptimizerConfig()
     theta = np.asarray(theta, dtype=float)
     if epsilon is None:
         epsilon = 0.01 * float(theta[1])
@@ -243,7 +238,7 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     seed = _seed_of(rng)
     t0 = time.perf_counter()
     tasks = [(r, worker_rng(seed, r), family, theta, float(alpha), z_grid, int(n),
-              float(epsilon), prior, config, padding, tuple(estimators),
+              float(epsilon), prior, padding, tuple(estimators),
               int(n_samples_bmh))
              for r in range(int(reps))]
     rows = [row for chunk in _map_tasks(_robustness_rep, tasks, resolve_workers(workers))
@@ -291,7 +286,7 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
 
 
 def bvm_diagnostic(data, prior=None, family=None, n_samples=2000, rng=None,
-                   config=None, padding=DEFAULT_PADDING,
+                   padding=DEFAULT_PADDING,
                    sd_ratio_band=(0.9, 1.1), ks_threshold=0.05):
     """Bernstein-von-Mises check of a BMH posterior.
 
@@ -304,7 +299,7 @@ def bvm_diagnostic(data, prior=None, family=None, n_samples=2000, rng=None,
     seed = _seed_of(rng)
     t0 = time.perf_counter()
     fit = bmh_fit(data, prior=prior, family=family, n_samples=n_samples,
-                  rng=np.random.default_rng(seed), config=config, padding=padding)
+                  rng=np.random.default_rng(seed), padding=padding)
     n = len(np.asarray(data))
     g0 = family.density(fit.eap)
     inf = influence_function(g0, family, fit.eap)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics
 from .densities import _MIN_PANELS, _pdf_of, integration_edges
-from .numerics import DEFAULT_RULE, OptimizerConfig, composite_nodes
+from .numerics import composite_nodes
 
 
 @dataclass
@@ -33,14 +33,16 @@ class MhdResult:
     first_order_norm: float
 
 
-# First-order tolerance shared by ``mhd`` and ``mhd_rows``, so the batched
-# fits are judged as the per-density ones are.
+# First-order tolerance of the convergence rule of ``_newton_rows``.
 _FOC_TOL = 1e-3
 
 # A fit at h = sqrt(2) has no overlap with g: its first-order condition can
-# vanish only because f_theta underflows on g's support, so ``mhd`` never
-# flags a fit above this level converged.
+# vanish only because f_theta underflows on g's support, so no fit above
+# this level is flagged converged.
 _H_NO_OVERLAP = np.sqrt(2.0) - 1e-6
+
+# Uniform panels of the influence-function, L-norm and Fisher quadratures.
+_EFFICIENCY_PANELS = 64
 
 # Cap on rows x cells in one block of ``mhd_rows``; it bounds the
 # (rows, cells) temporaries of the cell masses and their derivatives, and
@@ -55,15 +57,15 @@ def _checked_sqrt(gv, x):
     xs = np.broadcast_to(x, gv.shape)
     bad = ~np.isfinite(gv)
     if np.any(bad):
-        raise ValueError(f"density 'g' is non-finite at x = {xs[bad][0]!r}")
+        raise ValueError(f"density 'g' is non-finite at x = {float(xs[bad][0])!r}")
     if np.any(gv < -1e-12):
-        raise ValueError(f"density 'g' is negative at x = {xs.flat[np.argmin(gv)]!r}")
+        raise ValueError(f"density 'g' is negative at x = {float(xs.flat[np.argmin(gv)])!r}")
     return np.sqrt(np.clip(gv, 0.0, None))
 
 
-def _prepared_nodes(g, support, rule, min_panels):
+def _prepared_nodes(g, support, min_panels):
     edges = integration_edges(support, (g,), min_panels=min_panels)
-    x, w = composite_nodes(edges, rule or DEFAULT_RULE)
+    x, w = composite_nodes(edges)
     return x, w, _checked_sqrt(_pdf_of(g)(x), x)
 
 
@@ -76,24 +78,27 @@ def _resolve_support(g, support):
     return s
 
 
-def mhd(g, family, x0, config=None, support=None, rule=None, rng=None,
-        refine=True, min_panels=_MIN_PANELS, bounds=None, foc_tol=_FOC_TOL):
+def _box(family):
+    if family.bounds is None:
+        raise ValueError("family declares no parameter bounds")
+    return np.asarray(family.bounds, dtype=float).T
+
+
+def mhd(g, family, x0, support=None, min_panels=_MIN_PANELS):
     """Minimize the Hellinger distance between f_theta and ``g`` over theta.
 
-    Nelder-Mead (with the configured jittered restarts) does the global
-    search; when ``refine`` is set, Newton iterations on the first-order
-    condition integral(sdot_theta * sqrt(g)) = 0 polish the minimizer and
-    ``converged`` requires that condition to hold within ``foc_tol`` (a
-    bound-pinned minimizer is therefore flagged, never silently returned).
-    A fit with no overlap with ``g`` (h_min within 1e-6 of sqrt(2)) is
-    never flagged converged.
+    The Bhattacharyya coefficient is integrated on Gauss-Legendre nodes
+    over ``support`` (by default ``g.support``): ``min_panels`` uniform
+    panels refined at g's breakpoints.  Nelder-Mead from ``x0`` and three
+    jittered restarts (``numerics.minimize``) searches the family's
+    ``bounds`` box; the damped Newton that also solves ``mhd_rows``
+    then polishes the minimizer on the same nodes and decides
+    ``converged`` (see ``_newton_rows``), so a bound-pinned minimizer or
+    a fit with no overlap with ``g`` is flagged, never silently returned.
     """
-    config = config or OptimizerConfig()
     support = _resolve_support(g, support)
-    bounds = bounds if bounds is not None else family.bounds
-    if bounds is None:
-        raise ValueError("family declares no parameter bounds; pass bounds=")
-    x, w, sqrt_g = _prepared_nodes(g, support, rule, min_panels)
+    lo, hi = _box(family)
+    x, w, sqrt_g = _prepared_nodes(g, support, min_panels)
     wg = w * sqrt_g
     n_evals = [0]
 
@@ -107,51 +112,19 @@ def mhd(g, family, x0, config=None, support=None, rule=None, rng=None,
             return np.inf
         return np.sqrt(max(0.0, 2.0 - 2.0 * bc))
 
-    theta, h_min, nm_converged = numerics.minimize(
-        objective, np.asarray(x0, dtype=float), bounds, config, rng=rng)
+    theta, h_min = numerics.minimize(objective, np.asarray(x0, dtype=float), family.bounds)
 
-    def foc(theta):
-        return np.einsum("n,np->p", wg, family.sqrt_grad(theta, x))
+    def basis(theta, derivatives):
+        if not derivatives:
+            return family.sqrt_pdf(theta, x)
+        grad = family.sqrt_grad(theta, x)
+        return grad if derivatives == 1 else (grad, family.sqrt_hess(theta, x))
 
-    if refine:
-        theta, h_min, n_newton = _newton_polish(
-            objective, foc,
-            lambda t: np.einsum("n,npq->pq", wg, family.sqrt_hess(t, x)),
-            theta, h_min, bounds)
-        n_evals[0] += n_newton
-
-    first_order = float(np.linalg.norm(foc(theta)))
-    converged = first_order < foc_tol if refine else nm_converged
-    converged = converged and h_min < _H_NO_OVERLAP
-    return MhdResult(theta_hat=np.asarray(theta), h_min=float(h_min),
-                     converged=bool(converged), n_evals=int(n_evals[0]),
-                     first_order_norm=first_order)
-
-
-def _newton_polish(objective, foc, jac, theta, h_min, bounds, max_iter=25):
-    """Newton iterations on the stationarity condition, accepted only while
-    the Hellinger objective does not increase."""
-    lo = np.asarray([b[0] for b in bounds])
-    hi = np.asarray([b[1] for b in bounds])
-    n_extra = 0
-    for _ in range(max_iter):
-        grad = foc(theta)
-        if np.linalg.norm(grad) < 1e-13:
-            break
-        try:
-            step = np.linalg.solve(jac(theta), grad)
-        except np.linalg.LinAlgError:
-            break
-        candidate = np.clip(theta - step, lo, hi)
-        h_new = objective(candidate)
-        n_extra += 1
-        if not np.isfinite(h_new) or h_new > h_min + 1e-10:
-            break
-        moved = np.linalg.norm(candidate - theta)
-        theta, h_min = candidate, min(h_min, h_new)
-        if moved < 1e-14:
-            break
-    return theta, h_min, n_extra
+    theta, h, foc, converged, n_newton = _newton_rows(
+        basis, wg[None], theta[None], lo, hi, np.array([h_min]))
+    return MhdResult(theta_hat=theta[0], h_min=float(h[0]),
+                     converged=bool(converged[0]), n_evals=n_evals[0] + n_newton,
+                     first_order_norm=float(foc[0]))
 
 
 def mhd_rows(weights, edges, family, theta0):
@@ -162,33 +135,33 @@ def mhd_rows(weights, edges, family, theta0):
     f_theta is the dot product of its sqrt cell heights with the cell
     masses ``family.cell_sqrt_masses`` returns, so each fit runs on k + 1
     edge values, with no quadrature of its own.  Rows are solved in blocks
-    of at most ``ROW_BLOCK_ELEMENTS`` rows x cells by damped Newton on the
-    first-order condition (see ``_newton_rows``).  Returns the minimizers,
-    shape (rows, p), and a boolean ``converged`` per row by the
-    ``first_order_norm < foc_tol`` test ``mhd`` applies with its default
-    tolerance.  No global search is made: a row that Newton cannot take to
-    a stationary point from ``theta0`` is reported unconverged, for the
-    caller to refit with ``mhd``; so is a row whose Newton step could not
-    be formed (singular Jacobian or infinite objective), because its
-    vanishing gradient may only mean f_theta underflows on its support.
+    of at most ``ROW_BLOCK_ELEMENTS`` rows x cells by the damped Newton of
+    ``mhd`` (see ``_newton_rows``), which also decides each row's
+    ``converged`` flag.  Returns the minimizers, shape (rows, p), and those
+    flags.  No global search is made: a row that Newton cannot take to a
+    stationary point from ``theta0`` is reported unconverged, for the
+    caller to refit with ``mhd``.
     """
-    if family.bounds is None:
-        raise ValueError("family declares no parameter bounds")
-    lo, hi = np.asarray(family.bounds, dtype=float).T
+    lo, hi = _box(family)
     edges = np.asarray(edges, dtype=float)
     weights = np.asarray(weights, dtype=float)
     widths = np.diff(edges)
     start = np.clip(np.asarray(theta0, dtype=float), lo, hi)
+
+    def basis(theta, derivatives):
+        if not derivatives:
+            return family.cell_sqrt_masses(theta, edges)
+        _, grad, hess = family.cell_sqrt_masses(theta, edges, derivatives=True)
+        return grad if derivatives == 1 else (grad, hess)
+
     theta = np.empty((len(weights), len(start)))
     converged = np.empty(len(weights), dtype=bool)
     size = max(1, ROW_BLOCK_ELEMENTS // len(widths))
     for b in range(0, len(weights), size):
         sh = _checked_sqrt(weights[b:b + size] / widths, edges[:-1])
-        t, stuck = _newton_rows(family, edges, sh, np.tile(start, (len(sh), 1)), lo, hi)
-        _, dm, _ = family.cell_sqrt_masses(_columns(t), edges, derivatives=True)
-        foc = np.einsum("rk,rkp->rp", sh, dm)
-        theta[b:b + size] = t
-        converged[b:b + size] = (np.linalg.norm(foc, axis=1) < _FOC_TOL) & ~stuck
+        t = np.tile(start, (len(sh), 1))
+        theta[b:b + size], _, _, converged[b:b + size], _ = _newton_rows(
+            basis, sh, t, lo, hi, _hellinger_rows(basis, sh, t))
     return theta, converged
 
 
@@ -197,10 +170,10 @@ def _columns(theta):
     return theta.T[:, :, None]
 
 
-def _hellinger_rows(family, edges, sqrt_h, theta):
-    """Per-row Hellinger objective of ``mhd`` (+inf where the cell masses
-    no longer resolve f_theta)."""
-    bc = np.einsum("rk,rk->r", sqrt_h, family.cell_sqrt_masses(_columns(theta), edges))
+def _hellinger_rows(basis, coef, theta):
+    """Per-row Hellinger objective of ``mhd`` (+inf where the basis no
+    longer resolves f_theta)."""
+    bc = np.einsum("rk,rk->r", coef, basis(_columns(theta), 0))
     h = np.sqrt(np.clip(2.0 - 2.0 * bc, 0.0, None))
     return np.where(bc > 1.0 + 1e-9, np.inf, h)
 
@@ -216,31 +189,43 @@ def _solve_rows(jac, grad):
     return step
 
 
-def _newton_rows(family, edges, sqrt_h, theta, lo, hi, max_iter=50, max_halvings=40):
-    """Damped Newton on the stationarity condition for every row of ``sqrt_h``.
+def _newton_rows(basis, coef, theta, lo, hi, h, max_iter=50, max_halvings=40):
+    """Damped Newton on the first-order condition of every row, and the
+    one convergence rule of ``mhd`` and ``mhd_rows``.
 
-    Each row takes the Newton step of ``_newton_polish`` and halves it until
-    its own Hellinger value does not increase (within the same 1e-10
-    roundoff slack); a row stops when its gradient vanishes, its accepted
-    move falls below 1e-14, no halving helps or its Jacobian is singular.
-    The step halving evaluates cell masses only.  Returns the rows'
-    parameters and a mask of the rows stuck where no Newton step could be
-    formed (infinite start value or singular Jacobian).
+    Row r's Bhattacharyya coefficient is ``coef[r] @ basis(theta_r, 0)``:
+    ``basis(columns, d)`` returns the basis values (d = 0), their
+    first derivatives (d = 1) or the first and second derivatives (d = 2)
+    at (rows, 1) parameter columns, with a leading row axis.  ``h`` holds
+    the rows' Hellinger values at ``theta``.  Each row takes the Newton
+    step and halves it until its own Hellinger value does not increase
+    (within 1e-10 roundoff slack); a row stops when its gradient vanishes,
+    its accepted move falls below 1e-14, no halving helps or its Jacobian
+    is singular.  Returns the rows' parameters, Hellinger values,
+    first-order norms, ``converged`` flags and the number of Hellinger
+    evaluations made.  A row is converged when its first-order norm is
+    below ``_FOC_TOL``, a Newton step could be formed for it (finite start
+    value, non-singular Jacobian; a vanishing gradient may otherwise only
+    mean f_theta underflows on its support) and its Hellinger value is
+    below ``_H_NO_OVERLAP``.
     """
-    h = _hellinger_rows(family, edges, sqrt_h, theta)
     stuck = ~np.isfinite(h)
     active = np.flatnonzero(~stuck)
+    # first-order norm at each row's current theta; NaN until computed there
+    foc = np.full(len(theta), np.nan)
+    n_evals = 0
     for _ in range(max_iter):
         if not len(active):
             break
-        t, rows_sh = theta[active], sqrt_h[active]
-        _, dm, d2m = family.cell_sqrt_masses(_columns(t), edges, derivatives=True)
-        grad = np.einsum("rk,rkp->rp", rows_sh, dm)
-        jac = np.einsum("rk,rkpq->rpq", rows_sh, d2m)
+        t, rows_c = theta[active], coef[active]
+        dm, d2m = basis(_columns(t), 2)
+        grad = np.einsum("rk,rkp->rp", rows_c, dm)
+        jac = np.einsum("rk,rkpq->rpq", rows_c, d2m)
+        foc[active] = np.linalg.norm(grad, axis=1)
         step = _solve_rows(jac, grad)
         formed = np.all(np.isfinite(step), axis=1)
         stuck[active[~formed]] = True
-        keep = (np.linalg.norm(grad, axis=1) >= 1e-13) & formed
+        keep = (foc[active] >= 1e-13) & formed
         active, t, step = active[keep], t[keep], step[keep]
         moved = np.zeros(len(active))
         pending = np.arange(len(active))
@@ -249,17 +234,24 @@ def _newton_rows(family, edges, sqrt_h, theta, lo, hi, max_iter=50, max_halvings
                 break
             rows = active[pending]
             cand = np.clip(t[pending] - step[pending], lo, hi)
-            h_new = _hellinger_rows(family, edges, sqrt_h[rows], cand)
+            h_new = _hellinger_rows(basis, coef[rows], cand)
+            n_evals += len(rows)
             ok = np.isfinite(h_new) & (h_new <= h[rows] + 1e-10)
             done = pending[ok]
             theta[rows[ok]] = cand[ok]
+            foc[rows[ok]] = np.nan
             h[rows[ok]] = np.minimum(h[rows[ok]], h_new[ok])
             moved[done] = np.linalg.norm(cand[ok] - t[done], axis=1)
             pending = pending[~ok]
             step[pending] *= 0.5
         # rows still pending found no non-increasing step; they stop as well
         active = active[moved >= 1e-14]
-    return theta, stuck
+    stale = np.isnan(foc)
+    if np.any(stale):
+        grad = np.einsum("rk,rkp->rp", coef[stale], basis(_columns(theta[stale]), 1))
+        foc[stale] = np.linalg.norm(grad, axis=1)
+    converged = (foc < _FOC_TOL) & ~stuck & (h < _H_NO_OVERLAP)
+    return theta, h, foc, converged, n_evals
 
 
 @dataclass
@@ -292,7 +284,7 @@ class InfluenceFunction:
         return self.value(x)
 
 
-def influence_function(g0, family, theta0, support=None, rule=None, min_panels=64):
+def influence_function(g0, family, theta0, support=None):
     """Efficient influence function of T at ``g0`` with theta0 = T(g0).
 
     The (vanishing) remainder term of the defining expansion is dropped;
@@ -302,7 +294,7 @@ def influence_function(g0, family, theta0, support=None, rule=None, min_panels=6
     """
     theta0 = np.asarray(theta0, dtype=float)
     support = _resolve_support(g0, support)
-    x, w, sqrt_g0 = _prepared_nodes(g0, support, rule, min_panels)
+    x, w, sqrt_g0 = _prepared_nodes(g0, support, _EFFICIENCY_PANELS)
     wg = w * sqrt_g0
     curvature = np.einsum("n,npq->pq", wg, family.sqrt_hess(theta0, x))
     svals = np.linalg.svd(curvature, compute_uv=False)
@@ -317,14 +309,14 @@ def influence_function(g0, family, theta0, support=None, rule=None, min_panels=6
                              normalizer=normalizer, center=center)
 
 
-def l_norm_sq(q, g0, support=None, rule=None, min_panels=64):
+def l_norm_sq(q, g0, support=None):
     """Centered second moment of ``q`` under ``g0``.
 
     Returns a scalar for scalar-valued ``q`` and the full outer-product
     matrix for vector-valued ``q``.
     """
     support = _resolve_support(g0, support)
-    x, w, sqrt_g0 = _prepared_nodes(g0, support, rule, min_panels)
+    x, w, sqrt_g0 = _prepared_nodes(g0, support, _EFFICIENCY_PANELS)
     g0v = sqrt_g0 ** 2
     vals = np.asarray(q(x), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -339,13 +331,12 @@ def l_norm_sq(q, g0, support=None, rule=None, min_panels=64):
     return float(mat[0, 0]) if scalar else mat
 
 
-def fisher_information(family, theta, support=None, rule=None, min_panels=64):
+def fisher_information(family, theta, support=None):
     """Fisher information in sqrt-density form, 4 * integral(sdot sdot^T)."""
     theta = np.asarray(theta, dtype=float)
     if support is None:
         support = family.plausible_support(theta)
-    edges = integration_edges(support, (), min_panels=min_panels)
-    x, w = composite_nodes(edges, rule or DEFAULT_RULE)
+    x, w = composite_nodes(integration_edges(support, (), min_panels=_EFFICIENCY_PANELS))
     grads = family.sqrt_grad(theta, x)
     if not np.all(np.isfinite(grads)):
         raise ValueError("sqrt-density gradient is non-finite on the support")
@@ -361,8 +352,7 @@ class AsymptoticVariance:
     fisher_inverse: np.ndarray | None = None
 
 
-def asymptotic_variance(family, theta, g0=None, support=None, rule=None,
-                        min_panels=64):
+def asymptotic_variance(family, theta, g0=None, support=None):
     """Asymptotic variance of T at ``g0`` via the influence-function norm.
 
     With ``g0`` omitted the base density is the model f_theta and the
@@ -371,12 +361,9 @@ def asymptotic_variance(family, theta, g0=None, support=None, rule=None,
     at_model = g0 is None
     if at_model:
         g0 = family.density(theta)
-    inf = influence_function(g0, family, theta, support=support, rule=rule,
-                             min_panels=min_panels)
-    V = l_norm_sq(inf.value, g0, support=support, rule=rule, min_panels=min_panels)
+    inf = influence_function(g0, family, theta, support=support)
+    V = l_norm_sq(inf.value, g0, support=support)
     fisher_inv = None
     if at_model:
-        fisher_inv = np.linalg.inv(
-            fisher_information(family, theta, support=support, rule=rule,
-                               min_panels=min_panels))
+        fisher_inv = np.linalg.inv(fisher_information(family, theta, support=support))
     return AsymptoticVariance(V=np.asarray(V), fisher_inverse=fisher_inv)

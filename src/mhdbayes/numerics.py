@@ -1,8 +1,8 @@
 """Quadrature, derivative-free minimization and RNG plumbing.
 
-Everything here is deterministic given its inputs; randomness (optimizer
-restart jitter, study replication) is always driven by a caller-supplied
-seed or ``numpy.random.Generator``.
+Everything here is deterministic given its inputs.  Study replication is
+driven by a caller-supplied seed or ``numpy.random.Generator``; the
+optimizer's restart jitter comes from a fixed-seed stream of its own.
 """
 
 from __future__ import annotations
@@ -96,20 +96,13 @@ def composite_nodes(edges, rule=None):
     return x, w
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iters: int = 2000
-    tol_x: float = 1e-7
-    tol_f: float = 1e-11
-    restarts: int = 3
-
-    def __post_init__(self):
-        if self.tol_x <= 0 or self.tol_f <= 0:
-            raise ValueError("tol_x and tol_f must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.restarts < 0:
-            raise ValueError("restarts must be non-negative")
+# Nelder-Mead settings of ``minimize``: iteration cap (function evaluations
+# are capped at ten times it), simplex-diameter and function-spread
+# tolerances, and the number of jittered restarts after the first run.
+MAX_ITERS = 2000
+TOL_X = 1e-7
+TOL_F = 1e-11
+RESTARTS = 3
 
 
 def _initial_simplex_finite(objective, x0):
@@ -122,18 +115,16 @@ def _initial_simplex_finite(objective, x0):
     return any(np.isfinite(objective(v)) for v in vertices)
 
 
-def minimize(objective, x0, bounds, config=None, rng=None):
+def minimize(objective, x0, bounds):
     """Bounded Nelder-Mead with jittered restarts.
 
     Coordinates are clamped to ``bounds`` (the objective sees +inf outside
     them as a second line of defense).  Runs once from ``x0`` plus
-    ``config.restarts`` times from jittered copies of it; returns
-    ``(argmin, fmin, converged)`` for the best run.  ``converged`` is True
-    iff that run terminated with simplex diameter < tol_x and function
-    spread < tol_f.  Deterministic for a fixed ``rng`` seed.
+    ``RESTARTS`` times from jittered copies of it, the jitter drawn from a
+    fixed-seed stream, so the result depends on the inputs alone; returns
+    ``(argmin, fmin)`` of the best run.
     """
-    config = config or OptimizerConfig()
-    rng = as_generator(0 if rng is None else rng)
+    rng = np.random.default_rng(0)
     x0 = np.asarray(x0, dtype=float)
     lo = np.asarray([lb for lb, _ in bounds], dtype=float)
     hi = np.asarray([ub for _, ub in bounds], dtype=float)
@@ -151,7 +142,7 @@ def minimize(objective, x0, bounds, config=None, rng=None):
 
     starts = [start]
     scale = 0.05 * (hi - lo)
-    for _ in range(config.restarts):
+    for _ in range(RESTARTS):
         starts.append(np.clip(start + scale * rng.standard_normal(len(start)), lo, hi))
 
     best = None
@@ -161,11 +152,11 @@ def minimize(objective, x0, bounds, config=None, rng=None):
         res = scipy.optimize.minimize(
             penalized, s, method="Nelder-Mead",
             bounds=scipy.optimize.Bounds(lo, hi),
-            options=dict(xatol=config.tol_x, fatol=config.tol_f,
-                         maxiter=config.max_iters, maxfev=10 * config.max_iters),
+            options=dict(xatol=TOL_X, fatol=TOL_F, maxiter=MAX_ITERS,
+                         maxfev=10 * MAX_ITERS),
         )
         if best is None or res.fun < best.fun:
             best = res
     if best is None:
         raise ValueError("no finite starting point for Nelder-Mead")
-    return np.clip(best.x, lo, hi), float(best.fun), bool(best.success)
+    return np.clip(best.x, lo, hi), float(best.fun)

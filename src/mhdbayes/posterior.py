@@ -117,7 +117,7 @@ def bin_counts(data, k):
     bad = (data < 0.0) | (data > 1.0) | ~np.isfinite(data)
     if np.any(bad):
         idx = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"datum {data[idx]!r} at index {idx} is outside [0, 1]")
+        raise ValueError(f"datum {float(data[idx])!r} at index {idx} is outside [0, 1]")
     return np.bincount(bin_index(grid_edges(int(k)), data), minlength=int(k))
 
 

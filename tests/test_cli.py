@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,77 @@ class TestRunFit:
 
     def test_usage_error_maps_to_exit_1(self, capsys):
         assert main(["fit", "--data", "bundled:newcomb", "--estimator", "nope"]) == 1
+
+    def test_range_overflowing_float64_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        p.write_text("-1e308\n0\n1e308\n")
+        assert main(["fit", "--data", str(p), "--n-boot", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "data range [-1e+308, 1e+308]" in err
+        assert "overflows float64" in err
+
+
+NORMAL_200 = np.random.default_rng(5).standard_normal(200)
+
+EDGE_INPUTS = {
+    "n=3": np.array([0.3, -1.2, 2.5]),
+    "40-ties-plus-one": np.array([7.0] * 40 + [8.0]),
+    "three-level-ties": np.repeat([1.0, 2.0, 3.0], 30),
+    "scale-1e-12": NORMAL_200 * 1e-12,
+    "offset-1e12": NORMAL_200 + 1e12,
+}
+
+
+def run_edge_fit(tmp_path, values, estimator):
+    """CLI fit of ``values``; returns the exit code and the estimate, None
+    unless the run exits 0."""
+    data, out = tmp_path / "edge.csv", tmp_path / "edge.json"
+    data.write_text("\n".join(repr(float(v)) for v in values) + "\n")
+    code = main(["fit", "--data", str(data), "--estimator", estimator, "--n-boot", "0",
+                 "--n-samples", "200", "--seed", "3", "--out", str(out)])
+    if code != 0:
+        return code, None
+    result = json.loads(out.read_text())["results"][estimator]
+    return code, result
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("estimator", ["mhb", "bmh"])
+    @pytest.mark.parametrize("case", sorted(EDGE_INPUTS))
+    def test_exits_cleanly(self, tmp_path, case, estimator):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            code, result = run_edge_fit(tmp_path, EDGE_INPUTS[case], estimator)
+        assert code in (0, 1, 2)
+        if code == 0 and estimator == "mhb":
+            assert result["diagnostics"]["converged"] is True
+        if code == 0:
+            estimate = result["theta_hat" if estimator == "mhb" else "eap"]
+            assert np.all(np.isfinite(estimate)) and estimate[1] > 0
+
+    @staticmethod
+    def estimates(tmp_path, values):
+        out = {}
+        for estimator, key in (("mhb", "theta_hat"), ("bmh", "eap")):
+            code, result = run_edge_fit(tmp_path, values, estimator)
+            assert code == 0
+            out[estimator] = np.asarray(result[key])
+        return out
+
+    def test_tiny_scale_matches_unscaled_fit(self, tmp_path):
+        base = self.estimates(tmp_path, NORMAL_200)
+        tiny = self.estimates(tmp_path, EDGE_INPUTS["scale-1e-12"])
+        for estimator in base:
+            np.testing.assert_allclose(tiny[estimator] * 1e12, base[estimator], rtol=1e-9)
+
+    def test_large_offset_matches_unshifted_fit(self, tmp_path):
+        # at 1e12 the input itself is rounded to about 1.2e-4
+        base = self.estimates(tmp_path, NORMAL_200)
+        shifted = self.estimates(tmp_path, EDGE_INPUTS["offset-1e12"])
+        for estimator in base:
+            sigma = base[estimator][1]
+            assert abs(shifted[estimator][0] - 1e12 - base[estimator][0]) < 0.01 * sigma
+            assert abs(shifted[estimator][1] - sigma) < 0.01 * sigma
 
 
 class TestRunStudiesAndDump:

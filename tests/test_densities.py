@@ -44,6 +44,12 @@ class TestSupportTransform:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             SupportTransform(1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            SupportTransform(-1e308, 1e308)
+
+    def test_padded_range_overflowing_float64(self):
+        with pytest.raises(ValueError, match=r"data range \[-1e\+308, 1e\+308\]"):
+            SupportTransform.from_data([-1e308, 0.0, 1e308])
 
 
 class TestHistogramDensity:
@@ -132,6 +138,11 @@ class TestHellinger:
     def test_identity(self):
         g = random_histogram(np.random.default_rng(0), 16)
         assert hellinger(g, g) < 1e-10
+
+    def test_nonfinite_density_names_a_plain_abscissa(self):
+        bad = lambda x: np.where(x > 0.5, np.inf, 1.0)
+        with pytest.raises(ValueError, match=r"'f' is non-finite at x = 0\.5\d*$"):
+            hellinger(bad, UniformDensity(0.0, 1.0), support=(0.0, 1.0))
 
     def test_disjoint_supports(self):
         f = UniformDensity(0.0, 1.0)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mhdbayes.estimators as estimators
+import mhdbayes.numerics as numerics
 from mhdbayes.densities import GaussianFamily, SupportTransform
 from mhdbayes.estimators import bmh_fit, mhb_bootstrap_se, mhb_fit
 from mhdbayes.functional import mhd, mhd_rows
-from mhdbayes.numerics import OptimizerConfig
 from mhdbayes.posterior import HistogramPrior, fit_posterior
 
 PRIOR_SMALL = HistogramPrior.fixed(40, alpha=0.07)
@@ -152,13 +154,56 @@ class TestBmhAffineEquivariance:
         assert b.eap[0] - a.eap[0] == pytest.approx(50.0, abs=1e-3)
         assert b.eap[1] == pytest.approx(a.eap[1], abs=1e-3)
 
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(60, 200),
+           log_a=st.floats(-3.0, 3.0), b=st.floats(-100.0, 100.0))
+    def test_rows_map_affinely(self, seed, n, log_a, b):
+        # every posterior row follows x -> a x + b as (a mu + b, a sigma);
+        # the data are standard normal, so a is also the scale of the fit
+        a = 10.0 ** log_a
+        data = gaussian_data(n, seed)
+        base = bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=seed)
+        moved = bmh_fit(a * data + b, prior=PRIOR_SMALL, n_samples=100, rng=seed)
+        expected = base.theta_samples * a + [b, 0.0]
+        assert moved.theta_samples.shape == expected.shape
+        np.testing.assert_allclose(moved.theta_samples, expected, rtol=1e-9, atol=1e-9 * a)
+
+
+class TestInvariances:
+    """The invariances of the MHB and BMH estimates the paper relies on."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(60, 200),
+           log_a=st.floats(-3.0, 3.0), reflect=st.booleans(), b=st.floats(-100.0, 100.0))
+    def test_mhb_affine_including_reflection(self, seed, n, log_a, reflect, b):
+        # x -> a x + b maps (mu, sigma) to (a mu + b, |a| sigma) for a of either sign
+        a = -(10.0 ** log_a) if reflect else 10.0 ** log_a
+        data = gaussian_data(n, seed)
+        mu, sg = mhb_fit(data, prior=PRIOR_SMALL).theta_hat
+        moved = mhb_fit(a * data + b, prior=PRIOR_SMALL).theta_hat
+        np.testing.assert_allclose(moved, [a * mu + b, abs(a) * sg],
+                                   rtol=1e-9, atol=1e-9 * abs(a))
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(60, 200))
+    def test_shuffled_data_give_the_same_fits(self, seed, n):
+        data = gaussian_data(n, seed)
+        shuffled = np.random.default_rng(seed).permutation(data)
+        np.testing.assert_allclose(mhb_fit(shuffled, prior=PRIOR_SMALL).theta_hat,
+                                   mhb_fit(data, prior=PRIOR_SMALL).theta_hat, rtol=1e-12)
+        np.testing.assert_allclose(
+            bmh_fit(shuffled, prior=PRIOR_SMALL, n_samples=100, rng=seed).theta_samples,
+            bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=seed).theta_samples,
+            rtol=1e-12)
+
 
 class TestBmhRows:
     """The batched solver against the per-draw oracle, and row independence."""
 
     @staticmethod
-    def oracle(data, prior, n_samples, seed):
-        """Per-draw Nelder-Mead + Newton fits from the anchor, same stream."""
+    def oracle(data, prior, n_samples, seed, monkeypatch):
+        """Per-draw Nelder-Mead + Newton fits from the anchor, same stream;
+        the per-draw Nelder-Mead makes no restarts, to keep the test fast."""
         family = GaussianFamily()
         transform = SupportTransform.from_data(data)
         post = fit_posterior(transform.to_unit(data), prior, transform=transform)
@@ -167,18 +212,18 @@ class TestBmhRows:
         anchor = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0)).theta_hat
         rng = np.random.default_rng(seed)
         draws = [post.sample(rng) for _ in range(n_samples)]
-        single = OptimizerConfig(restarts=0)
-        fits = [mhd(g, fam_u, anchor, config=single, support=(0.0, 1.0)) for g in draws]
+        monkeypatch.setattr(numerics, "RESTARTS", 0)
+        fits = [mhd(g, fam_u, anchor, support=(0.0, 1.0)) for g in draws]
         assert all(f.converged for f in fits)
         return draws, np.asarray([family.theta_from_unit(f.theta_hat, transform)
                                   for f in fits])
 
     @pytest.mark.parametrize("prior", [PRIOR_SMALL, HistogramPrior.poisson(lam=5.0)],
                              ids=["fixed-k", "random-k"])
-    def test_matches_per_draw_mhd(self, prior):
+    def test_matches_per_draw_mhd(self, prior, monkeypatch):
         data = gaussian_data(150, 27)
         fit = bmh_fit(data, prior=prior, n_samples=100, rng=13)
-        draws, expected = self.oracle(data, prior, 100, 13)
+        draws, expected = self.oracle(data, prior, 100, 13, monkeypatch)
         if prior.mode == "poisson":
             assert len({g.k for g in draws}) > 1
         assert fit.n_failed == 0

@@ -45,13 +45,13 @@ class GaussianLocationFamily(ParametricFamily):
     def sqrt_grad(self, theta, x):
         s = self.sqrt_pdf(theta, x)
         u = (np.asarray(x, dtype=float) - theta[0]) / self.sigma
-        return (s * u / (2 * self.sigma))[:, None]
+        return (s * u / (2 * self.sigma))[..., None]
 
     def sqrt_hess(self, theta, x):
         s = self.sqrt_pdf(theta, x)
         u = (np.asarray(x, dtype=float) - theta[0]) / self.sigma
         vals = s * (u * u / 4.0 - 0.5) / self.sigma ** 2
-        return vals[:, None, None]
+        return vals[..., None, None]
 
     def plausible_support(self, theta, half_width=10.0):
         return (theta[0] - half_width * self.sigma, theta[0] + half_width * self.sigma)
@@ -151,6 +151,18 @@ class TestMhd:
         res = mhd(fam.density((0.0, 1.0)), fam, x0=(0.0, 3.0), support=(-10.0, 10.0))
         assert not res.converged
         assert res.theta_hat[1] == pytest.approx(2.0, abs=1e-6)
+
+    def test_recovers_one_parameter_model(self):
+        fam = GaussianLocationFamily()
+        res = mhd(fam.density((0.3,)), fam, x0=(-1.0,))
+        assert res.converged
+        assert res.theta_hat == pytest.approx([0.3], abs=1e-6)
+
+    def test_negative_density_names_a_plain_abscissa(self):
+        fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
+        bad = lambda x: np.where(x > 0.5, -1.0, 1.0)
+        with pytest.raises(ValueError, match=r"'g' is negative at x = 0\.5\d*$"):
+            mhd(bad, fam, (0.5, 0.1), support=(0.0, 1.0))
 
     def test_requires_bounds(self):
         fam = GaussianFamily()

@@ -1,0 +1,71 @@
+"""Pinned numbers of the solver: a change to the minimizer that keeps these
+within 1e-10 relative keeps every estimate the package reports.
+
+The values live in ``pinned.json`` next to this file.  After a deliberate
+change of the numbers, rewrite them with
+
+    PYTHONPATH=src python tests/test_pinned.py --record
+
+and say in the change log why they moved.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mhdbayes import bmh_fit, load_dataset, mhb_bootstrap_se, mhb_fit, robustness_sweep
+
+PINNED = Path(__file__).with_name("pinned.json")
+RTOL = 1e-10
+
+
+def compute():
+    newcomb = load_dataset("bundled:newcomb").values
+    mhb = mhb_fit(newcomb)
+    se = mhb_bootstrap_se(newcomb, n_boot=50, rng=31, warm_theta=mhb.theta_hat)
+    bmh = bmh_fit(newcomb, n_samples=300, rng=7)
+    sweep = robustness_sweep(estimators=("mhb",), z_grid=(5, 50, 1000), reps=5,
+                             n=500, rng=101)
+    return {
+        "mhb_theta": mhb.theta_hat.tolist(),
+        "mhb_h_min": mhb.mhd_meta.h_min,
+        "bootstrap_se": se.tolist(),
+        "bmh_theta_samples": bmh.theta_samples.tolist(),
+        "sweep_theta": [row.get("theta_hat") for row in sweep.rows],
+    }
+
+
+@pytest.fixture(scope="module")
+def current():
+    return compute()
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(PINNED.read_text())
+
+
+@pytest.mark.parametrize("key", ["mhb_theta", "mhb_h_min", "bootstrap_se",
+                                 "bmh_theta_samples"])
+def test_matches_pinned(current, pinned, key):
+    np.testing.assert_allclose(current[key], pinned[key], rtol=RTOL, atol=0.0)
+
+
+def test_sweep_matches_pinned(current, pinned):
+    # a failed row has no estimate; it must stay failed
+    assert [t is None for t in current["sweep_theta"]] == \
+        [t is None for t in pinned["sweep_theta"]]
+    fitted = [t for t in current["sweep_theta"] if t is not None]
+    expected = [t for t in pinned["sweep_theta"] if t is not None]
+    np.testing.assert_allclose(fitted, expected, rtol=RTOL, atol=0.0)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_pinned.py --record")
+    values = compute()
+    PINNED.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                          for k, v in values.items()) + "\n}\n")

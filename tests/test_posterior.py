@@ -34,7 +34,7 @@ class TestBinCounts:
         assert np.array_equal(bin_counts([1.0], 4), [0, 0, 0, 1])
 
     def test_out_of_range_reports_index(self):
-        with pytest.raises(ValueError, match="index 2"):
+        with pytest.raises(ValueError, match=r"^datum 1\.5 at index 2 is outside"):
             bin_counts([0.5, 0.2, 1.5], 3)
 
     def test_datum_on_an_edge_is_counted_where_the_density_places_it(self):
