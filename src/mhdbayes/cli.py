@@ -39,7 +39,10 @@ def validate_config(config):
     try:
         jsonschema.validate(config, config_schema())
     except jsonschema.ValidationError as exc:
-        raise ValueError(f"invalid configuration: {exc.message}") from exc
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                        for p in exc.absolute_path).lstrip(".")
+        detail = f"{where}: {exc.message}" if where else exc.message
+        raise ValueError(f"invalid configuration: {detail}") from exc
     return config
 
 
@@ -242,15 +245,14 @@ _RUNNERS = {
 
 def _emit(config, results, study):
     if config["format"] == "csv":
+        # the schema allows CSV only for the studies and posterior-dump
         if study is not None:
             payload = study.to_csv()
-        elif config["command"] == "posterior-dump":
+        else:
             lines = ["index,mu,sigma"]
             lines += [f"{r['index']},{r['mu']!r},{r['sigma']!r}"
                       for r in results["theta_samples"]]
             payload = "\r\n".join(lines) + "\r\n"
-        else:
-            raise ValueError(f"command {config['command']!r} has no CSV form")
     else:
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -271,13 +273,13 @@ def run(config):
     try:
         validate_config(config)
         results, study = _RUNNERS[config["command"]](config)
+        _emit(config, results, study)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    _emit(config, results, study)
     return 0
 
 

@@ -89,12 +89,12 @@ def mhd(g, family, x0, support=None, min_panels=_MIN_PANELS):
 
     The Bhattacharyya coefficient is integrated on Gauss-Legendre nodes
     over ``support`` (by default ``g.support``): ``min_panels`` uniform
-    panels refined at g's breakpoints.  Nelder-Mead from ``x0`` and three
-    jittered restarts (``numerics.minimize``) searches the family's
-    ``bounds`` box; the damped Newton that also solves ``mhd_rows``
-    then polishes the minimizer on the same nodes and decides
-    ``converged`` (see ``_newton_rows``), so a bound-pinned minimizer or
-    a fit with no overlap with ``g`` is flagged, never silently returned.
+    panels refined at g's breakpoints.  One Nelder-Mead run from ``x0``
+    (``numerics.minimize``) searches the family's ``bounds`` box; the
+    damped Newton that also solves ``mhd_rows`` then polishes the
+    minimizer on the same nodes and decides ``converged`` (see
+    ``_newton_rows``), so a bound-pinned minimizer or a fit with no
+    overlap with ``g`` is flagged, never silently returned.
     """
     support = _resolve_support(g, support)
     lo, hi = _box(family)

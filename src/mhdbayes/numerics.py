@@ -2,7 +2,7 @@
 
 Everything here is deterministic given its inputs.  Study replication is
 driven by a caller-supplied seed or ``numpy.random.Generator``; the
-optimizer's restart jitter comes from a fixed-seed stream of its own.
+minimizer draws no random numbers.
 """
 
 from __future__ import annotations
@@ -97,12 +97,11 @@ def composite_nodes(edges, rule=None):
 
 
 # Nelder-Mead settings of ``minimize``: iteration cap (function evaluations
-# are capped at ten times it), simplex-diameter and function-spread
-# tolerances, and the number of jittered restarts after the first run.
+# are capped at ten times it) and the simplex-diameter and function-spread
+# tolerances.
 MAX_ITERS = 2000
 TOL_X = 1e-7
 TOL_F = 1e-11
-RESTARTS = 3
 
 
 def _initial_simplex_finite(objective, x0):
@@ -116,15 +115,11 @@ def _initial_simplex_finite(objective, x0):
 
 
 def minimize(objective, x0, bounds):
-    """Bounded Nelder-Mead with jittered restarts.
+    """Bounded Nelder-Mead from ``x0`` clipped to ``bounds``.
 
-    Coordinates are clamped to ``bounds`` (the objective sees +inf outside
-    them as a second line of defense).  Runs once from ``x0`` plus
-    ``RESTARTS`` times from jittered copies of it, the jitter drawn from a
-    fixed-seed stream, so the result depends on the inputs alone; returns
-    ``(argmin, fmin)`` of the best run.
+    The objective sees +inf outside the bounds, and the result is clamped
+    to them.  One run, no randomness; returns ``(argmin, fmin)``.
     """
-    rng = np.random.default_rng(0)
     x0 = np.asarray(x0, dtype=float)
     lo = np.asarray([lb for lb, _ in bounds], dtype=float)
     hi = np.asarray([ub for _, ub in bounds], dtype=float)
@@ -139,24 +134,10 @@ def minimize(objective, x0, bounds):
     start = np.clip(x0, lo, hi)
     if not _initial_simplex_finite(penalized, start):
         raise ValueError("objective is non-finite at every initial simplex vertex")
-
-    starts = [start]
-    scale = 0.05 * (hi - lo)
-    for _ in range(RESTARTS):
-        starts.append(np.clip(start + scale * rng.standard_normal(len(start)), lo, hi))
-
-    best = None
-    for s in starts:
-        if not np.isfinite(penalized(s)):
-            continue
-        res = scipy.optimize.minimize(
-            penalized, s, method="Nelder-Mead",
-            bounds=scipy.optimize.Bounds(lo, hi),
-            options=dict(xatol=TOL_X, fatol=TOL_F, maxiter=MAX_ITERS,
-                         maxfev=10 * MAX_ITERS),
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None:
-        raise ValueError("no finite starting point for Nelder-Mead")
-    return np.clip(best.x, lo, hi), float(best.fun)
+    res = scipy.optimize.minimize(
+        penalized, start, method="Nelder-Mead",
+        bounds=scipy.optimize.Bounds(lo, hi),
+        options=dict(xatol=TOL_X, fatol=TOL_F, maxiter=MAX_ITERS,
+                     maxfev=10 * MAX_ITERS),
+    )
+    return np.clip(res.x, lo, hi), float(res.fun)

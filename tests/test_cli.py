@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import mhdbayes.cli as cli
 from mhdbayes.cli import build_parser, main, resolve_config, validate_config
 from mhdbayes.datasets import load_dataset
 
@@ -46,6 +47,10 @@ def fit_args(tmp_path, *extra):
     out = tmp_path / "report.json"
     return ["fit", "--data", "bundled:newcomb", "--estimator", "mhb",
             "--n-boot", "0", "--seed", "7", "--out", str(out), *extra], out
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("computation started before the config was checked")
 
 
 class TestConfig:
@@ -127,6 +132,19 @@ class TestRunFit:
     def test_usage_error_maps_to_exit_1(self, capsys):
         assert main(["fit", "--data", "bundled:newcomb", "--estimator", "nope"]) == 1
 
+    def test_fit_csv_rejected_before_fitting(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", forbidden)
+        argv, out = fit_args(tmp_path, "--format", "csv")
+        assert main(argv) == 1
+        assert "error: invalid configuration: format: 'csv'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exit_1(self, tmp_path, capsys):
+        argv, _ = fit_args(tmp_path)
+        argv[argv.index("--out") + 1] = str(tmp_path / "missing" / "r.json")
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_range_overflowing_float64_exit_1(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"
         p.write_text("-1e308\n0\n1e308\n")
@@ -200,6 +218,14 @@ class TestEdgeInputs:
 
 
 class TestRunStudiesAndDump:
+    @pytest.mark.parametrize("command, runner", [("robustness", "robustness_sweep"),
+                                                 ("efficiency", "efficiency_study")])
+    def test_nonpositive_theta0_scale_exit_1(self, command, runner, capsys, monkeypatch):
+        monkeypatch.setattr(cli, runner, forbidden)
+        for scale in ("-1", "0"):
+            assert main([command, "--theta0", f"0,{scale}"]) == 1
+            assert "error: invalid configuration: theta0[1]" in capsys.readouterr().err
+
     def test_posterior_dump_csv(self, tmp_path):
         out = tmp_path / "samples.csv"
         argv = ["posterior-dump", "--data", "bundled:newcomb",

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mhdbayes.estimators as estimators
-import mhdbayes.numerics as numerics
 from mhdbayes.densities import GaussianFamily, SupportTransform
 from mhdbayes.estimators import bmh_fit, mhb_bootstrap_se, mhb_fit
 from mhdbayes.functional import mhd, mhd_rows
@@ -201,9 +200,8 @@ class TestBmhRows:
     """The batched solver against the per-draw oracle, and row independence."""
 
     @staticmethod
-    def oracle(data, prior, n_samples, seed, monkeypatch):
-        """Per-draw Nelder-Mead + Newton fits from the anchor, same stream;
-        the per-draw Nelder-Mead makes no restarts, to keep the test fast."""
+    def oracle(data, prior, n_samples, seed):
+        """Per-draw Nelder-Mead + Newton fits from the anchor, same stream."""
         family = GaussianFamily()
         transform = SupportTransform.from_data(data)
         post = fit_posterior(transform.to_unit(data), prior, transform=transform)
@@ -212,7 +210,6 @@ class TestBmhRows:
         anchor = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0)).theta_hat
         rng = np.random.default_rng(seed)
         draws = [post.sample(rng) for _ in range(n_samples)]
-        monkeypatch.setattr(numerics, "RESTARTS", 0)
         fits = [mhd(g, fam_u, anchor, support=(0.0, 1.0)) for g in draws]
         assert all(f.converged for f in fits)
         return draws, np.asarray([family.theta_from_unit(f.theta_hat, transform)
@@ -220,10 +217,10 @@ class TestBmhRows:
 
     @pytest.mark.parametrize("prior", [PRIOR_SMALL, HistogramPrior.poisson(lam=5.0)],
                              ids=["fixed-k", "random-k"])
-    def test_matches_per_draw_mhd(self, prior, monkeypatch):
+    def test_matches_per_draw_mhd(self, prior):
         data = gaussian_data(150, 27)
         fit = bmh_fit(data, prior=prior, n_samples=100, rng=13)
-        draws, expected = self.oracle(data, prior, 100, 13, monkeypatch)
+        draws, expected = self.oracle(data, prior, 100, 13)
         if prior.mode == "poisson":
             assert len({g.k for g in draws}) > 1
         assert fit.n_failed == 0

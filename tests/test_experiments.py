@@ -91,6 +91,16 @@ class TestRobustnessSweep:
         assert "mhb@z=30" in r1.summary["cells"]
         assert set(r1.checks) >= {"mhb_location_at_far_z", "mle_biased_at_far_z"}
 
+    def test_far_outlier_rep_fits_like_its_neighbours(self):
+        # the clean data fill about one bin here; no fit may settle on a spike
+        # at the sigma bound, which the quadrature no longer resolves
+        rows = robustness_sweep(estimators=("mhb",), z_grid=(1000,), reps=7,
+                                n=500, rng=101, workers=1).rows
+        assert "error" not in rows[6]
+        others = np.asarray([row["theta_hat"] for row in rows[:6]])
+        assert np.all(others.min(axis=0) <= rows[6]["theta_hat"])
+        assert np.all(rows[6]["theta_hat"] <= others.max(axis=0))
+
     def test_bad_z_grid(self):
         with pytest.raises(ValueError, match="ascending"):
             robustness_sweep(z_grid=(10.0, 5.0), reps=1, rng=0)

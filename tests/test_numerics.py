@@ -94,6 +94,14 @@ class TestMinimize:
         assert np.array_equal(r1[0], r2[0])
         assert r1[1] == r2[1]
 
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("minimize drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        x, f = minimize(lambda t: float(t @ t), [3.0, -4.0], self.bounds2)
+        assert np.all(np.abs(x) < 1e-6)
+
     def test_clamps_to_bounds(self):
         x, f = minimize(lambda t: (t[0] - 5.0) ** 2, [0.0], [(-1.0, 1.0)])
         assert x[0] <= 1.0 + 1e-12
