@@ -2,7 +2,6 @@
 functional with exact random-histogram density posteriors."""
 
 from .numerics import (
-    QuadratureRule,
     as_generator,
     composite_nodes,
     minimize,
@@ -63,13 +62,13 @@ __all__ = [
     "AsymptoticVariance", "BmhPosterior", "ContaminationSpec", "Dataset",
     "DEFAULT_ALPHA", "DEFAULT_PADDING", "GaussianFamily", "HistogramDensity",
     "HistogramPrior", "InfluenceFunction", "MhbEstimate", "MhdResult",
-    "MixtureDensity", "ParametricFamily", "QuadratureRule",
-    "RandomHistogramPosterior", "StudyReport", "SupportTransform",
-    "UniformDensity", "as_generator", "asymptotic_variance", "bin_counts",
-    "bmh_fit", "bvm_diagnostic", "composite_nodes", "contaminated_density",
-    "efficiency_study", "fisher_information", "fit_posterior", "hellinger",
-    "influence_function", "l_norm_sq", "load_dataset", "max_bin_count",
-    "mhb_bootstrap_se", "mhb_fit", "mhd", "minimize", "project_to_histogram",
-    "resolve_workers", "robustness_sweep", "sample_contaminated",
-    "transform_density", "worker_rng",
+    "MixtureDensity", "ParametricFamily", "RandomHistogramPosterior",
+    "StudyReport", "SupportTransform", "UniformDensity", "as_generator",
+    "asymptotic_variance", "bin_counts", "bmh_fit", "bvm_diagnostic",
+    "composite_nodes", "contaminated_density", "efficiency_study",
+    "fisher_information", "fit_posterior", "hellinger", "influence_function",
+    "l_norm_sq", "load_dataset", "max_bin_count", "mhb_bootstrap_se",
+    "mhb_fit", "mhd", "minimize", "project_to_histogram", "resolve_workers",
+    "robustness_sweep", "sample_contaminated", "transform_density",
+    "worker_rng",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 from importlib import resources
 
@@ -25,7 +26,7 @@ from .densities import DEFAULT_PADDING, GaussianFamily
 from .datasets import load_dataset
 from .numerics import resolve_workers
 from .estimators import bmh_fit, mhb_fit
-from .experiments import bvm_diagnostic, efficiency_study, robustness_sweep
+from .experiments import bvm_diagnostic, csv_text, efficiency_study, robustness_sweep
 from .posterior import DEFAULT_ALPHA, DEFAULT_FIXED_K, DEFAULT_POISSON_RATE, HistogramPrior
 
 SCHEMA_VERSION = 1
@@ -43,6 +44,9 @@ def validate_config(config):
                         for p in exc.absolute_path).lstrip(".")
         detail = f"{where}: {exc.message}" if where else exc.message
         raise ValueError(f"invalid configuration: {detail}") from exc
+    out_dir = os.path.dirname(config.get("out") or "") or "."
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"invalid configuration: out: directory {out_dir!r} does not exist")
     return config
 
 
@@ -249,10 +253,7 @@ def _emit(config, results, study):
         if study is not None:
             payload = study.to_csv()
         else:
-            lines = ["index,mu,sigma"]
-            lines += [f"{r['index']},{r['mu']!r},{r['sigma']!r}"
-                      for r in results["theta_samples"]]
-            payload = "\r\n".join(lines) + "\r\n"
+            payload = csv_text(results["theta_samples"], ["index", "mu", "sigma"])
     else:
         report = {
             "schema_version": SCHEMA_VERSION,

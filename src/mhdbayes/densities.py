@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .numerics import DEFAULT_RULE, composite_nodes
+from .numerics import GL_ORDER, composite_nodes
 
 # Fraction of the data range added on each side when mapping data to [0, 1].
 # Calibrated on the bundled light-speed data; see the package README.
@@ -297,9 +297,9 @@ class ParametricFamily:
         """
         edges = np.asarray(edges, dtype=float)
         panels = np.union1d(integration_edges((edges[0], edges[-1])), edges)
-        x, w = composite_nodes(panels, DEFAULT_RULE)
+        x, w = composite_nodes(panels)
         # nodes-by-cells matrix of weights: the node sums of every cell
-        cell = bin_index(edges, np.repeat(panels[:-1], DEFAULT_RULE.order))
+        cell = bin_index(edges, np.repeat(panels[:-1], GL_ORDER))
         by_cell = np.zeros((len(x), len(edges) - 1))
         by_cell[np.arange(len(x)), cell] = w
         masses = self.sqrt_pdf(theta, x) @ by_cell
@@ -430,9 +430,9 @@ class GaussianFamily(ParametricFamily):
         hess[..., 1, 1] = a2 * (np.diff(zphi * (1.0 - z * z), axis=-1) - 0.25 * d_cdf)
         return masses, grad, hess
 
-    def plausible_support(self, theta, half_width=10.0):
+    def plausible_support(self, theta):
         mu, sg = theta
-        return (mu - half_width * sg, mu + half_width * sg)
+        return (mu - 10.0 * sg, mu + 10.0 * sg)
 
     def sample(self, theta, n, rng):
         mu, sg = theta
@@ -482,14 +482,18 @@ def integration_edges(support, densities=(), min_panels=_MIN_PANELS):
     return merged[keep]
 
 
-def _checked_pdf_values(name, density, x):
-    vals = np.asarray(_pdf_of(density)(x), dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        raise ValueError(f"density {name!r} is non-finite at x = {float(x[bad][0])!r}")
-    neg = vals < -1e-12
-    if np.any(neg):
-        raise ValueError(f"density {name!r} is negative at x = {float(x[neg][0])!r}")
+def _checked_values(name, vals, x):
+    """Density values ``vals`` at abscissae ``x``, clipped at 0.
+
+    A non-finite or negative (below -1e-12) value is an error naming the
+    first such abscissa.  ``vals`` may stack one row of values per density,
+    all at the same ``x``.
+    """
+    vals = np.asarray(vals, dtype=float)
+    xs = np.broadcast_to(x, vals.shape)
+    for bad, what in ((~np.isfinite(vals), "non-finite"), (vals < -1e-12, "negative")):
+        if np.any(bad):
+            raise ValueError(f"density {name!r} is {what} at x = {float(xs[bad][0])!r}")
     return np.clip(vals, 0.0, None)
 
 
@@ -513,8 +517,8 @@ def hellinger(f, g, support=None):
         hi = max(s[1] for s in (fs, gs) if s is not None)
         support = (lo, hi)
     x, w = composite_nodes(integration_edges(support, (f, g)))
-    fv = _checked_pdf_values("f", f, x)
-    gv = _checked_pdf_values("g", g, x)
+    fv = _checked_values("f", _pdf_of(f)(x), x)
+    gv = _checked_values("g", _pdf_of(g)(x), x)
     sf, sg = np.sqrt(fv), np.sqrt(gv)
     h2 = float(np.dot(w, (sf - sg) ** 2))
     # mass outside the window, dropped when it is pure roundoff
@@ -538,7 +542,7 @@ def project_to_histogram(f, k):
     edges = integration_edges((0.0, 1.0), (f,), min_panels=1)
     edges = np.unique(np.concatenate([grid, edges]))
     x, w = composite_nodes(edges)
-    vals = _checked_pdf_values("f", f, x)
+    vals = _checked_values("f", _pdf_of(f)(x), x)
     masses = np.zeros(k)
     np.add.at(masses, bin_index(grid, x), w * vals)
     return HistogramDensity(masses)

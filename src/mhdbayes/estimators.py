@@ -29,6 +29,11 @@ from .functional import MhdResult, mhd, mhd_rows
 from .numerics import as_generator
 from .posterior import HistogramPrior, fit_posterior
 
+# Largest fractions of failed bootstrap refits and of failed BMH per-draw
+# fits that still give a result.
+_BOOT_FAILURE_RATE = 0.10
+_BMH_FAILURE_RATE = 0.05
+
 
 @dataclass
 class MhbEstimate:
@@ -102,7 +107,7 @@ def _prepare(data, family, padding):
 def _fit_point(data, prior, family, padding, x0_data=None):
     """One end-to-end MHB fit; returns (theta_data, transform, meta)."""
     data, transform, unit_data = _prepare(data, family, padding)
-    post = fit_posterior(unit_data, prior, transform=transform)
+    post = fit_posterior(unit_data, prior)
     g = post.eap()
     fam_u = family.unit_fit_family(transform)
     x0 = family.initial_theta(data) if x0_data is None else np.asarray(x0_data)
@@ -131,12 +136,12 @@ def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
 
 
 def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
-                     padding=DEFAULT_PADDING, warm_theta=None, max_failure_rate=0.10):
+                     padding=DEFAULT_PADDING, warm_theta=None):
     """Nonparametric bootstrap standard errors for MHB.
 
     Each resample is refit end to end (transform, posterior, minimization);
-    refits that fail or do not converge are dropped, and more than
-    ``max_failure_rate`` of them failing is an error.
+    refits that fail or do not converge are dropped, and more than 10% of
+    them failing is an error.
     """
     if n_boot < 50:
         raise ValueError("bootstrap needs n_boot >= 50")
@@ -159,14 +164,13 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
             estimates.append(theta)
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
             failures += 1
-    if failures > max_failure_rate * n_boot:
+    if failures > _BOOT_FAILURE_RATE * n_boot:
         raise RuntimeError(f"{failures} of {n_boot} bootstrap refits failed")
     return np.std(np.asarray(estimates), axis=0, ddof=1)
 
 
 def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
-            levels=(0.5, 0.9, 0.95), padding=DEFAULT_PADDING,
-            max_failure_rate=0.05, workers=None):
+            levels=(0.5, 0.9, 0.95), padding=DEFAULT_PADDING, workers=None):
     """BMH posterior: map posterior density draws through the minimizer.
 
     All ``n_samples`` histograms are drawn first, in one stream from
@@ -175,10 +179,10 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     masses, started at the anchor T(EAP).  A draw it leaves unconverged is
     refit by ``mhd``, cold from the moment start, on a
     ``HistogramDensity`` of its weights; draws that fail that refit
-    too count as failed, and more than ``max_failure_rate`` of them is an
-    error.  Each draw's minimizer depends on that draw alone, so the
-    samples are reproducible given the seed, and the first m rows of an
-    n-draw fit equal an m-draw fit.  ``workers`` is accepted for
+    too count as failed, and more than 5% of them is an error.  Each
+    draw's minimizer depends on that draw alone, so the samples are
+    reproducible given the seed, and the first m rows of an n-draw fit
+    equal an m-draw fit.  ``workers`` is accepted for
     compatibility and ignored: the result never depends on it.
     """
     if n_samples < 100:
@@ -191,7 +195,7 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     rng = as_generator(rng)
 
     data, transform, unit_data = _prepare(data, family, padding)
-    post = fit_posterior(unit_data, prior, transform=transform)
+    post = fit_posterior(unit_data, prior)
     fam_u = family.unit_fit_family(transform)
     x0_unit = family.theta_to_unit(family.initial_theta(data), transform)
     anchor = mhd(post.eap(), fam_u, x0_unit, support=(0.0, 1.0))
@@ -208,7 +212,7 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
         theta[rows], ok[rows] = mhd_rows(weights, grid_edges(int(post.k_support[i])),
                                          fam_u, anchor.theta_hat)
     failures = 0
-    budget = max_failure_rate * n_samples
+    budget = _BMH_FAILURE_RATE * n_samples
     for i in np.flatnonzero(~ok):
         res = mhd(HistogramDensity(draws[i][1]), fam_u, x0_unit, support=(0.0, 1.0))
         if res.converged:

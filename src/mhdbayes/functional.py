@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .densities import _MIN_PANELS, _pdf_of, integration_edges
+from .densities import _MIN_PANELS, _checked_values, _pdf_of, integration_edges
 from .numerics import composite_nodes
 
 
@@ -33,8 +33,11 @@ class MhdResult:
     first_order_norm: float
 
 
-# First-order tolerance of the convergence rule of ``_newton_rows``.
+# First-order tolerance of the convergence rule of ``_newton_rows``, and its
+# caps on Newton iterations and on step halvings per iteration.
 _FOC_TOL = 1e-3
+_NEWTON_ITERS = 50
+_NEWTON_HALVINGS = 40
 
 # A fit at h = sqrt(2) has no overlap with g: its first-order condition can
 # vanish only because f_theta underflows on g's support, so no fit above
@@ -50,23 +53,9 @@ _EFFICIENCY_PANELS = 64
 ROW_BLOCK_ELEMENTS = 1 << 14
 
 
-def _checked_sqrt(gv, x):
-    """sqrt of density values ``gv`` at ``x``; ``gv`` may stack one row of
-    values per density."""
-    gv = np.asarray(gv, dtype=float)
-    xs = np.broadcast_to(x, gv.shape)
-    bad = ~np.isfinite(gv)
-    if np.any(bad):
-        raise ValueError(f"density 'g' is non-finite at x = {float(xs[bad][0])!r}")
-    if np.any(gv < -1e-12):
-        raise ValueError(f"density 'g' is negative at x = {float(xs.flat[np.argmin(gv)])!r}")
-    return np.sqrt(np.clip(gv, 0.0, None))
-
-
-def _prepared_nodes(g, support, min_panels):
-    edges = integration_edges(support, (g,), min_panels=min_panels)
-    x, w = composite_nodes(edges)
-    return x, w, _checked_sqrt(_pdf_of(g)(x), x)
+def _prepared_nodes(g, support, panels):
+    x, w = composite_nodes(integration_edges(support, (g,), min_panels=panels))
+    return x, w, np.sqrt(_checked_values("g", _pdf_of(g)(x), x))
 
 
 def _resolve_support(g, support):
@@ -84,12 +73,12 @@ def _box(family):
     return np.asarray(family.bounds, dtype=float).T
 
 
-def mhd(g, family, x0, support=None, min_panels=_MIN_PANELS):
+def mhd(g, family, x0, support=None):
     """Minimize the Hellinger distance between f_theta and ``g`` over theta.
 
     The Bhattacharyya coefficient is integrated on Gauss-Legendre nodes
-    over ``support`` (by default ``g.support``): ``min_panels`` uniform
-    panels refined at g's breakpoints.  One Nelder-Mead run from ``x0``
+    over ``support`` (by default ``g.support``): 32 uniform panels refined
+    at g's breakpoints.  One Nelder-Mead run from ``x0``
     (``numerics.minimize``) searches the family's ``bounds`` box; the
     damped Newton that also solves ``mhd_rows`` then polishes the
     minimizer on the same nodes and decides ``converged`` (see
@@ -98,7 +87,7 @@ def mhd(g, family, x0, support=None, min_panels=_MIN_PANELS):
     """
     support = _resolve_support(g, support)
     lo, hi = _box(family)
-    x, w, sqrt_g = _prepared_nodes(g, support, min_panels)
+    x, w, sqrt_g = _prepared_nodes(g, support, _MIN_PANELS)
     wg = w * sqrt_g
     n_evals = [0]
 
@@ -158,7 +147,7 @@ def mhd_rows(weights, edges, family, theta0):
     converged = np.empty(len(weights), dtype=bool)
     size = max(1, ROW_BLOCK_ELEMENTS // len(widths))
     for b in range(0, len(weights), size):
-        sh = _checked_sqrt(weights[b:b + size] / widths, edges[:-1])
+        sh = np.sqrt(_checked_values("g", weights[b:b + size] / widths, edges[:-1]))
         t = np.tile(start, (len(sh), 1))
         theta[b:b + size], _, _, converged[b:b + size], _ = _newton_rows(
             basis, sh, t, lo, hi, _hellinger_rows(basis, sh, t))
@@ -189,7 +178,7 @@ def _solve_rows(jac, grad):
     return step
 
 
-def _newton_rows(basis, coef, theta, lo, hi, h, max_iter=50, max_halvings=40):
+def _newton_rows(basis, coef, theta, lo, hi, h):
     """Damped Newton on the first-order condition of every row, and the
     one convergence rule of ``mhd`` and ``mhd_rows``.
 
@@ -214,7 +203,7 @@ def _newton_rows(basis, coef, theta, lo, hi, h, max_iter=50, max_halvings=40):
     # first-order norm at each row's current theta; NaN until computed there
     foc = np.full(len(theta), np.nan)
     n_evals = 0
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERS):
         if not len(active):
             break
         t, rows_c = theta[active], coef[active]
@@ -229,7 +218,7 @@ def _newton_rows(basis, coef, theta, lo, hi, h, max_iter=50, max_halvings=40):
         active, t, step = active[keep], t[keep], step[keep]
         moved = np.zeros(len(active))
         pending = np.arange(len(active))
-        for _ in range(max_halvings):
+        for _ in range(_NEWTON_HALVINGS):
             if not len(pending):
                 break
             rows = active[pending]

@@ -7,16 +7,15 @@ likelihood of k is a closed-form Beta-function ratio: no MCMC anywhere.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .densities import HistogramDensity, SupportTransform, bin_index, grid_edges
+from .densities import HistogramDensity, bin_index, grid_edges
 from .numerics import as_generator
 
 # Constant per-bin Dirichlet concentration used when none is given.  With
@@ -41,8 +40,7 @@ class HistogramPrior:
 
     ``mode`` is "fixed" (Dirac mass at ``k``) or "poisson" (rate ``lam``
     truncated to {1, ..., k_max}, with k_max defaulting to
-    floor(n / (log n)^2) at fit time).  ``c1``, ``a``, ``c2`` bound the
-    admissible per-bin concentrations c1 * k**-a <= alpha <= c2.
+    floor(n / (log n)^2) at fit time).
     """
 
     mode: str = "fixed"
@@ -50,9 +48,6 @@ class HistogramPrior:
     lam: float = DEFAULT_POISSON_RATE
     k_max: int | None = None
     alpha: float = DEFAULT_ALPHA
-    c1: float | None = None
-    a: float = 0.0
-    c2: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("fixed", "poisson"):
@@ -88,18 +83,9 @@ class HistogramPrior:
         return logp - logsumexp(logp)
 
     def validate(self, n):
-        """Check the concentration bounds; warn when the total prior mass
-        exceeds sqrt(n) (the consistency condition is asymptotic, so this
-        is advisory rather than fatal)."""
-        ks = self.k_values(n)
-        c1 = self.alpha if self.c1 is None else self.c1
-        c2 = self.alpha if self.c2 is None else self.c2
-        for k in (int(ks[0]), int(ks[-1])):
-            lo = c1 * k ** (-self.a)
-            if not (lo - 1e-12 <= self.alpha <= c2 + 1e-12):
-                raise ValueError(
-                    f"alpha={self.alpha} violates c1*k^-a <= alpha <= c2 at k={k}")
-        worst = self.alpha * int(ks[-1])
+        """Warn when the total prior mass exceeds sqrt(n) (the consistency
+        condition is asymptotic, so this is advisory rather than fatal)."""
+        worst = self.alpha * int(self.k_values(n)[-1])
         if worst > math.sqrt(n):
             warnings.warn(
                 f"total prior mass {worst:.3g} exceeds sqrt(n)={math.sqrt(n):.3g}; "
@@ -137,9 +123,6 @@ class RandomHistogramPosterior:
     k_support: np.ndarray
     log_post_k: np.ndarray
     dirichlet_params: list
-    n: int
-    transform: SupportTransform | None = None
-    log_marginals: np.ndarray | None = field(default=None, repr=False)
 
     def post_k(self):
         return np.exp(self.log_post_k)
@@ -194,32 +177,8 @@ class RandomHistogramPosterior:
             heights += wk * len(p) * (p / p.sum())[bin_index(grid, edges[:-1])]
         return HistogramDensity(heights * np.diff(edges), edges=edges)
 
-    def to_json(self):
-        return {
-            "k_support": [int(k) for k in self.k_support],
-            "log_post_k": [float(v) for v in self.log_post_k],
-            "dirichlet_params": [[float(v) for v in p] for p in self.dirichlet_params],
-            "transform": None if self.transform is None
-            else {"a": self.transform.a, "b": self.transform.b},
-            "n": int(self.n),
-        }
 
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, d):
-        tf = d.get("transform")
-        return cls(
-            k_support=np.asarray(d["k_support"], dtype=int),
-            log_post_k=np.asarray(d["log_post_k"], dtype=float),
-            dirichlet_params=[np.asarray(p, dtype=float) for p in d["dirichlet_params"]],
-            n=int(d["n"]),
-            transform=None if tf is None else SupportTransform(tf["a"], tf["b"]),
-        )
-
-
-def fit_posterior(data, prior=None, transform=None):
+def fit_posterior(data, prior=None):
     """Exact posterior update from data on [0, 1].
 
     For each candidate k the log marginal likelihood is
@@ -245,6 +204,5 @@ def fit_posterior(data, prior=None, transform=None):
         params.append(post_param)
     log_post = log_prior + log_marg
     log_post -= logsumexp(log_post)
-    return RandomHistogramPosterior(
-        k_support=ks, log_post_k=log_post, dirichlet_params=params,
-        n=n, transform=transform, log_marginals=log_marg)
+    return RandomHistogramPosterior(k_support=ks, log_post_k=log_post,
+                                    dirichlet_params=params)

@@ -139,7 +139,8 @@ class TestRunFit:
         assert "error: invalid configuration: format: 'csv'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unwritable_out_exit_1(self, tmp_path, capsys):
+    def test_unwritable_out_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", forbidden)
         argv, _ = fit_args(tmp_path)
         argv[argv.index("--out") + 1] = str(tmp_path / "missing" / "r.json")
         assert main(argv) == 1

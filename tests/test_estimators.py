@@ -204,7 +204,7 @@ class TestBmhRows:
         """Per-draw Nelder-Mead + Newton fits from the anchor, same stream."""
         family = GaussianFamily()
         transform = SupportTransform.from_data(data)
-        post = fit_posterior(transform.to_unit(data), prior, transform=transform)
+        post = fit_posterior(transform.to_unit(data), prior)
         fam_u = family.unit_fit_family(transform)
         x0 = family.theta_to_unit(family.initial_theta(data), transform)
         anchor = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0)).theta_hat

@@ -53,8 +53,8 @@ class GaussianLocationFamily(ParametricFamily):
         vals = s * (u * u / 4.0 - 0.5) / self.sigma ** 2
         return vals[..., None, None]
 
-    def plausible_support(self, theta, half_width=10.0):
-        return (theta[0] - half_width * self.sigma, theta[0] + half_width * self.sigma)
+    def plausible_support(self, theta):
+        return (theta[0] - 10.0 * self.sigma, theta[0] + 10.0 * self.sigma)
 
 
 class TruncatedUnitGaussian:

@@ -4,34 +4,30 @@ import numpy as np
 import pytest
 
 from _helpers import finite_diff_grad, integrate, integrate_over_cells
-from mhdbayes.numerics import QuadratureRule, composite_nodes, minimize
+from mhdbayes.numerics import composite_nodes, minimize
 
 
 class TestQuadratureRule:
-    def test_weights_sum_to_one(self):
-        for order in (2, 4, 8, 16):
-            rule = QuadratureRule.gauss_legendre(order)
-            assert abs(rule.weights.sum() - 1.0) < 1e-12
-            assert np.all(np.diff(rule.nodes) > 0)
-            assert rule.nodes[0] >= 0 and rule.nodes[-1] <= 1
+    """The one rule, 8-point Gauss-Legendre, as ``composite_nodes`` lays it
+    on a single unit panel."""
 
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=[0.25, 0.75], weights=[0.9, 0.2], order=2)
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=[0.75, 0.25], weights=[0.5, 0.5], order=2)
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=[0.25, 0.75], weights=[1.2, -0.2], order=2)
+    def test_weights_sum_to_one(self):
+        x, w = composite_nodes(np.array([0.0, 1.0]))
+        assert len(x) == 8
+        assert abs(w.sum() - 1.0) < 1e-12
+        assert np.all(w > 0)
+        assert np.all(np.diff(x) > 0)
+        assert x[0] >= 0 and x[-1] <= 1
 
     def test_polynomial_exactness_to_degree_2n_minus_1(self):
-        # single panel, random polynomials, exact antiderivative as oracle
+        # single panel, random degree-15 polynomials, exact antiderivative
+        # as oracle
         rng = np.random.default_rng(3)
-        for order in (2, 4, 8):
-            deg = 2 * order - 1
-            coeffs = rng.normal(size=deg + 1)
+        for _ in range(3):
+            coeffs = rng.normal(size=16)
             exact = sum(c / (p + 1) for p, c in enumerate(coeffs))
             val = integrate(lambda x: sum(c * x**p for p, c in enumerate(coeffs)),
-                            0.0, 1.0, rule=QuadratureRule.gauss_legendre(order))
+                            0.0, 1.0)
             assert abs(val - exact) < 1e-12
 
 
@@ -46,7 +42,7 @@ class TestIntegrate:
         # oracle: erf-based mass of N(0,1) on [-8, 8]
         pdf = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
         expected = math.erf(8.0 / math.sqrt(2.0))
-        val = integrate(pdf, -8.0, 8.0, rule=QuadratureRule.gauss_legendre(8), panels=64)
+        val = integrate(pdf, -8.0, 8.0, panels=64)
         assert abs(val - expected) < 1e-12
         assert abs(val - 1.0) < 1e-10
 
