@@ -9,6 +9,7 @@ piecewise-smooth integrands such as sqrt(f * g) with histogram g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -443,9 +444,11 @@ class GaussianFamily(ParametricFamily):
         return np.array([data.mean(), data.std()])
 
     def initial_theta(self, data):
+        # exactly rounded sums, so the start does not depend on data order
         data = np.asarray(data, dtype=float)
-        sd = data.std()
-        return np.array([data.mean(), sd if sd > 0 else 1.0])
+        mean = math.fsum(data) / len(data)
+        sd = math.sqrt(math.fsum((data - mean) ** 2) / len(data))
+        return np.array([mean, sd if sd > 0 else 1.0])
 
     def theta_to_unit(self, theta, transform):
         mu, sg = theta

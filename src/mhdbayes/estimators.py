@@ -92,7 +92,8 @@ class BmhPosterior:
         }
 
 
-def _prepare(data, family, padding):
+def _setup(data, prior, family, padding):
+    """``data``'s support transform, posterior, unit family and unit start."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 1:
         raise ValueError("data must be a 1-d array")
@@ -101,18 +102,47 @@ def _prepare(data, family, padding):
     if len(data) < family.dim + 1:
         raise ValueError(f"need at least {family.dim + 1} observations")
     transform = SupportTransform.from_data(data, padding=padding)
-    return data, transform, transform.to_unit(data)
+    post = fit_posterior(transform.to_unit(data), prior)
+    x0 = family.theta_to_unit(family.initial_theta(data), transform)
+    return transform, post, family.unit_fit_family(transform), x0
 
 
-def _fit_point(data, prior, family, padding, x0_data=None):
-    """One end-to-end MHB fit; returns (theta_data, transform, meta)."""
-    data, transform, unit_data = _prepare(data, family, padding)
-    post = fit_posterior(unit_data, prior)
-    g = post.eap()
-    fam_u = family.unit_fit_family(transform)
-    x0 = family.initial_theta(data) if x0_data is None else np.asarray(x0_data)
-    res = mhd(g, fam_u, family.theta_to_unit(x0, transform), support=(0.0, 1.0))
-    return family.theta_from_unit(res.theta_hat, transform), transform, res
+def _fit_many(rows, family, attempted, failure_rate, failed):
+    """Minimum-Hellinger fits of many histograms, each from its own start.
+
+    ``rows`` holds one (weights, edges, unit family, unit start, transform)
+    per histogram.  Rows sharing edges and parameter box are solved by one
+    ``mhd_rows`` call; a row Newton leaves unconverged is refit by ``mhd``
+    from its start.  Returns the converged rows' data-scale minimizers and
+    how many of the ``attempted`` fits failed, raising (message ending in
+    ``failed``) as soon as more than ``failure_rate`` of them have.
+    """
+    groups = {}
+    for r, (_, edges, fam_u, _, _) in enumerate(rows):
+        groups.setdefault((edges.tobytes(), fam_u.bounds), (edges, fam_u, []))[2].append(r)
+    theta = np.empty((len(rows), family.dim))
+    ok = np.empty(len(rows), dtype=bool)
+    for edges, fam_u, members in groups.values():
+        weights, _, _, starts, _ = zip(*[rows[r] for r in members])
+        theta[members], ok[members] = mhd_rows(np.stack(weights), edges, fam_u,
+                                               np.stack(starts))
+    budget = failure_rate * attempted
+    failures = attempted - len(rows)
+    for r in np.flatnonzero(~ok):
+        if failures > budget:
+            break  # the error is certain; the remaining refits are skipped
+        weights, edges, fam_u, start, _ = rows[r]
+        try:
+            res = mhd(HistogramDensity(weights, edges=edges), fam_u, start,
+                      support=(0.0, 1.0))
+            theta[r], ok[r] = res.theta_hat, res.converged
+        except (ValueError, RuntimeError, np.linalg.LinAlgError):
+            pass
+        failures += not ok[r]
+    if failures > budget:
+        raise RuntimeError(f"more than {int(budget)} of {attempted} {failed}")
+    return np.asarray([family.theta_from_unit(t, transform)
+                       for t, (*_, transform), good in zip(theta, rows, ok) if good]), failures
 
 
 def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
@@ -120,17 +150,16 @@ def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
     """MHB estimate; set ``n_boot`` > 0 to attach bootstrap standard errors."""
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
-    theta, transform, meta = _fit_point(data, prior, family, padding)
+    transform, post, fam_u, x0 = _setup(data, prior, family, padding)
+    meta = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0))
+    theta = family.theta_from_unit(meta.theta_hat, transform)
     if not meta.converged:
         raise RuntimeError(
             "minimum-distance fit did not converge: first-order norm "
             f"{meta.first_order_norm:.2e} at theta={np.round(theta, 4).tolist()} "
             "(parameter bounds may exclude the minimizer)")
-    se = None
-    if n_boot:
-        se = mhb_bootstrap_se(data, prior=prior, family=family, n_boot=n_boot,
-                              rng=rng, padding=padding,
-                              warm_theta=theta)
+    se = mhb_bootstrap_se(data, prior=prior, family=family, n_boot=n_boot, rng=rng,
+                          padding=padding, warm_theta=theta) if n_boot else None
     return MhbEstimate(theta_hat=theta, se=se, n_boot=int(n_boot),
                        mhd_meta=meta, transform=transform)
 
@@ -139,34 +168,34 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
                      padding=DEFAULT_PADDING, warm_theta=None):
     """Nonparametric bootstrap standard errors for MHB.
 
-    Each resample is refit end to end (transform, posterior, minimization);
-    refits that fail or do not converge are dropped, and more than 10% of
-    them failing is an error.
+    Each resample gets its own transform, posterior and EAP.  Its fit
+    starts at ``warm_theta``, the full-data MHB estimate (fit first when
+    None), and all fits share BMH's batched Newton path (``_fit_many``).
+    Failed resamples are dropped; more than 10% of them is an error.
     """
     if n_boot < 50:
         raise ValueError("bootstrap needs n_boot >= 50")
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
     data = np.asarray(data, dtype=float)
-    rng = as_generator(rng)
+    if warm_theta is None:
+        warm_theta = mhb_fit(data, prior=prior, family=family, padding=padding).theta_hat
     n = len(data)
-    estimates = []
-    failures = 0
+    rows = []
     # rng.spawn, not numerics.worker_rng: a different stream, and switching
     # to it would move the bootstrap standard errors
-    for child in rng.spawn(int(n_boot)):
-        resample = data[child.integers(0, n, n)]
+    for child in as_generator(rng).spawn(int(n_boot)):
         try:
-            theta, _, meta = _fit_point(resample, prior, family, padding,
-                                        x0_data=warm_theta)
-            if not meta.converged:
-                raise RuntimeError("refit did not converge")
-            estimates.append(theta)
-        except (ValueError, RuntimeError, np.linalg.LinAlgError):
-            failures += 1
-    if failures > _BOOT_FAILURE_RATE * n_boot:
-        raise RuntimeError(f"{failures} of {n_boot} bootstrap refits failed")
-    return np.std(np.asarray(estimates), axis=0, ddof=1)
+            transform, post, fam_u, _ = _setup(data[child.integers(0, n, n)], prior,
+                                               family, padding)
+        except ValueError:
+            continue
+        g = post.eap()
+        rows.append((g.weights, g.edges, fam_u,
+                     family.theta_to_unit(warm_theta, transform), transform))
+    estimates, _ = _fit_many(rows, family, int(n_boot), _BOOT_FAILURE_RATE,
+                             "bootstrap refits failed")
+    return np.std(estimates, axis=0, ddof=1)
 
 
 def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
@@ -174,16 +203,12 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     """BMH posterior: map posterior density draws through the minimizer.
 
     All ``n_samples`` histograms are drawn first, in one stream from
-    ``rng``.  Draws with the same bin count share their edges and are
-    minimized together by ``mhd_rows``: damped Newton on the family's cell
-    masses, started at the anchor T(EAP).  A draw it leaves unconverged is
-    refit by ``mhd``, cold from the moment start, on a
-    ``HistogramDensity`` of its weights; draws that fail that refit
-    too count as failed, and more than 5% of them is an error.  Each
-    draw's minimizer depends on that draw alone, so the samples are
-    reproducible given the seed, and the first m rows of an n-draw fit
-    equal an m-draw fit.  ``workers`` is accepted for
-    compatibility and ignored: the result never depends on it.
+    ``rng``, then fit on the bootstrap's batched Newton path
+    (``_fit_many``), each started at the anchor T(EAP).  Failed draws are
+    dropped; more than 5% of them is an error.  Each draw's minimizer
+    depends on that draw alone, so the samples are reproducible given the
+    seed, and the first m rows of an n-draw fit equal an m-draw fit.
+    ``workers`` is accepted for compatibility and ignored.
     """
     if n_samples < 100:
         raise ValueError("posterior sampling needs n_samples >= 100")
@@ -194,46 +219,17 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     family = family or GaussianFamily()
     rng = as_generator(rng)
 
-    data, transform, unit_data = _prepare(data, family, padding)
-    post = fit_posterior(unit_data, prior)
-    fam_u = family.unit_fit_family(transform)
-    x0_unit = family.theta_to_unit(family.initial_theta(data), transform)
-    anchor = mhd(post.eap(), fam_u, x0_unit, support=(0.0, 1.0))
-
-    n_samples = int(n_samples)
-    draws = [post.draw(rng) for _ in range(n_samples)]
-    by_k = {}
-    for row, (i, _) in enumerate(draws):
-        by_k.setdefault(i, []).append(row)
-    theta = np.empty((n_samples, len(anchor.theta_hat)))
-    ok = np.empty(n_samples, dtype=bool)
-    for i, rows in by_k.items():
-        weights = np.stack([draws[r][1] for r in rows])
-        theta[rows], ok[rows] = mhd_rows(weights, grid_edges(int(post.k_support[i])),
-                                         fam_u, anchor.theta_hat)
-    failures = 0
-    budget = _BMH_FAILURE_RATE * n_samples
-    for i in np.flatnonzero(~ok):
-        res = mhd(HistogramDensity(draws[i][1]), fam_u, x0_unit, support=(0.0, 1.0))
-        if res.converged:
-            theta[i], ok[i] = res.theta_hat, True
-            continue
-        failures += 1
-        if failures > budget:
-            # the error is certain now; the remaining refits are skipped
-            raise RuntimeError(
-                f"more than {int(budget)} of {n_samples} per-sample "
-                "minimizations failed to converge")
-
-    samples = np.asarray([family.theta_from_unit(t, transform) for t in theta[ok]])
-    eap = samples.mean(axis=0)
-    post_sd = samples.std(axis=0, ddof=1)
+    transform, post, fam_u, x0 = _setup(data, prior, family, padding)
+    anchor = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0))
+    draws = [post.draw(rng) for _ in range(int(n_samples))]
+    rows = [(weights, grid_edges(int(post.k_support[i])), fam_u, anchor.theta_hat, transform)
+            for i, weights in draws]
+    samples, failures = _fit_many(rows, family, int(n_samples), _BMH_FAILURE_RATE,
+                                  "per-sample minimizations failed to converge")
     intervals = {}
     for level in levels:
         tail = (1.0 - level) / 2.0
-        lo = np.quantile(samples, tail, axis=0)
-        hi = np.quantile(samples, 1.0 - tail, axis=0)
-        intervals[level] = np.column_stack([lo, hi])
-    return BmhPosterior(theta_samples=samples, eap=eap, post_sd=post_sd,
-                        intervals=intervals, n_failed=failures,
-                        mhd_meta=anchor, transform=transform)
+        intervals[level] = np.quantile(samples, [tail, 1.0 - tail], axis=0).T
+    return BmhPosterior(theta_samples=samples, eap=samples.mean(axis=0),
+                        post_sd=samples.std(axis=0, ddof=1), intervals=intervals,
+                        n_failed=failures, mhd_meta=anchor, transform=transform)

@@ -117,25 +117,26 @@ def mhd(g, family, x0, support=None):
 
 
 def mhd_rows(weights, edges, family, theta0):
-    """Minimum-Hellinger fits of many histograms at once, all started at ``theta0``.
+    """Minimum-Hellinger fits of many histograms at once, started at ``theta0``.
 
     ``weights`` holds one row of cell weights per histogram, all on the
-    cells of ``edges``.  A histogram's Bhattacharyya coefficient with
-    f_theta is the dot product of its sqrt cell heights with the cell
-    masses ``family.cell_sqrt_masses`` returns, so each fit runs on k + 1
-    edge values, with no quadrature of its own.  Rows are solved in blocks
-    of at most ``ROW_BLOCK_ELEMENTS`` rows x cells by the damped Newton of
-    ``mhd`` (see ``_newton_rows``), which also decides each row's
-    ``converged`` flag.  Returns the minimizers, shape (rows, p), and those
-    flags.  No global search is made: a row that Newton cannot take to a
-    stationary point from ``theta0`` is reported unconverged, for the
-    caller to refit with ``mhd``.
+    cells of ``edges``; ``theta0`` is one start for every row, shape (p,),
+    or one per row, shape (rows, p).  A histogram's Bhattacharyya
+    coefficient with f_theta is the dot product of its sqrt cell heights
+    with the cell masses ``family.cell_sqrt_masses`` returns, so each fit
+    runs on k + 1 edge values, with no quadrature of its own.  Rows are
+    solved in blocks of at most ``ROW_BLOCK_ELEMENTS`` rows x cells by the
+    damped Newton of ``mhd`` (see ``_newton_rows``), which also decides
+    each row's ``converged`` flag.  Returns the minimizers, shape (rows, p),
+    and those flags.  No global search is made: a row that Newton cannot
+    take to a stationary point from its start is reported unconverged, for
+    the caller to refit with ``mhd``.
     """
     lo, hi = _box(family)
     edges = np.asarray(edges, dtype=float)
     weights = np.asarray(weights, dtype=float)
     widths = np.diff(edges)
-    start = np.clip(np.asarray(theta0, dtype=float), lo, hi)
+    theta = np.clip(np.broadcast_to(theta0, (len(weights), len(lo))), lo, hi)
 
     def basis(theta, derivatives):
         if not derivatives:
@@ -143,12 +144,11 @@ def mhd_rows(weights, edges, family, theta0):
         _, grad, hess = family.cell_sqrt_masses(theta, edges, derivatives=True)
         return grad if derivatives == 1 else (grad, hess)
 
-    theta = np.empty((len(weights), len(start)))
     converged = np.empty(len(weights), dtype=bool)
     size = max(1, ROW_BLOCK_ELEMENTS // len(widths))
     for b in range(0, len(weights), size):
         sh = np.sqrt(_checked_values("g", weights[b:b + size] / widths, edges[:-1]))
-        t = np.tile(start, (len(sh), 1))
+        t = theta[b:b + size]
         theta[b:b + size], _, _, converged[b:b + size], _ = _newton_rows(
             basis, sh, t, lo, hi, _hellinger_rows(basis, sh, t))
     return theta, converged

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mhdbayes.estimators as estimators
@@ -185,15 +187,18 @@ class TestInvariances:
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), n=st.integers(60, 200))
+    @example(seed=648, n=74)
+    @example(seed=9044, n=157)
     def test_shuffled_data_give_the_same_fits(self, seed, n):
+        # the pinned examples moved by an ulp while the moment start summed
+        # the data in their given order
         data = gaussian_data(n, seed)
         shuffled = np.random.default_rng(seed).permutation(data)
-        np.testing.assert_allclose(mhb_fit(shuffled, prior=PRIOR_SMALL).theta_hat,
-                                   mhb_fit(data, prior=PRIOR_SMALL).theta_hat, rtol=1e-12)
-        np.testing.assert_allclose(
+        assert np.array_equal(mhb_fit(shuffled, prior=PRIOR_SMALL).theta_hat,
+                              mhb_fit(data, prior=PRIOR_SMALL).theta_hat)
+        assert np.array_equal(
             bmh_fit(shuffled, prior=PRIOR_SMALL, n_samples=100, rng=seed).theta_samples,
-            bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=seed).theta_samples,
-            rtol=1e-12)
+            bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=seed).theta_samples)
 
 
 class TestBmhRows:
@@ -243,16 +248,134 @@ class TestBmhRows:
             bmh_fit(gaussian_data(150, 6), prior=PRIOR_SMALL, n_samples=100,
                     rng=1, levels=(0.5, 1.5))
 
-    def test_unconverged_rows_are_refit_cold(self, monkeypatch):
+    def test_unconverged_rows_are_refit_from_the_anchor(self, monkeypatch):
         data = gaussian_data(150, 21)
         expected = bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=31)
+        starts = []
 
-        def some_unconverged(gs, *args, **kwargs):
-            theta, converged = mhd_rows(gs, *args, **kwargs)
-            converged[::10] = False
-            return theta, converged
+        def recording_mhd(g, family, x0, **kwargs):
+            starts.append(np.array(x0))
+            return mhd(g, family, x0, **kwargs)
 
         monkeypatch.setattr(estimators, "mhd_rows", some_unconverged)
+        monkeypatch.setattr(estimators, "mhd", recording_mhd)
         refit = bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=31)
         assert refit.n_failed == 0
         assert np.allclose(refit.theta_samples, expected.theta_samples, atol=1e-8)
+        # the anchor fit, then the ten refits, each from the anchor
+        assert len(starts) == 11
+        assert all(np.array_equal(x0, refit.mhd_meta.theta_hat) for x0 in starts[1:])
+
+
+def some_unconverged(weights, *args, **kwargs):
+    """``mhd_rows`` with every 10th row of each call reported unconverged."""
+    theta, converged = mhd_rows(weights, *args, **kwargs)
+    converged[::10] = False
+    return theta, converged
+
+
+class TestBootstrapRows:
+    """The bootstrap's batched fits against a per-resample ``mhd`` oracle."""
+
+    WARM = np.array([0.1, 1.1])
+
+    @staticmethod
+    def data():
+        # three gross errors make the random-k EAP edges vary by resample
+        data = gaussian_data(150, 27, mu=0.1, sg=1.1)
+        data[:3] += 8.0
+        return data
+
+    @staticmethod
+    def oracle(data, prior, family, n_boot, seed, warm_theta):
+        """Per-resample Nelder-Mead + Newton fits from the warm start on the
+        same ``rng.spawn`` stream, and the number of distinct (EAP edges,
+        unit-scale box) pairs."""
+        fits, groups = [], set()
+        for child in np.random.default_rng(seed).spawn(n_boot):
+            resample = data[child.integers(0, len(data), len(data))]
+            transform = SupportTransform.from_data(resample)
+            g = fit_posterior(transform.to_unit(resample), prior).eap()
+            fam_u = family.unit_fit_family(transform)
+            fit = mhd(g, fam_u, family.theta_to_unit(warm_theta, transform),
+                      support=(0.0, 1.0))
+            assert fit.converged
+            fits.append(family.theta_from_unit(fit.theta_hat, transform))
+            groups.add((g.edges.tobytes(), fam_u.bounds))
+        return np.asarray(fits), len(groups)
+
+    @staticmethod
+    def batched(monkeypatch, data, prior, family, n_boot, seed, warm_theta):
+        """The bootstrap's per-resample estimates, its SE and its ``mhd_rows`` calls."""
+        fit_many, rows_calls, out = estimators._fit_many, [], {}
+
+        def recording_fit_many(*args):
+            out["estimates"], failures = fit_many(*args)
+            return out["estimates"], failures
+
+        def counting_rows(*args):
+            rows_calls.append(len(args[0]))
+            return mhd_rows(*args)
+
+        monkeypatch.setattr(estimators, "_fit_many", recording_fit_many)
+        monkeypatch.setattr(estimators, "mhd_rows", counting_rows)
+        se = mhb_bootstrap_se(data, prior=prior, family=family, n_boot=n_boot, rng=seed,
+                              warm_theta=warm_theta)
+        return out["estimates"], se, rows_calls
+
+    @pytest.mark.parametrize("prior", [PRIOR_SMALL, HistogramPrior.poisson(lam=5.0)],
+                             ids=["fixed-k", "random-k"])
+    def test_matches_per_resample_mhd(self, prior, monkeypatch):
+        data = self.data()
+        warm = mhb_fit(data, prior=prior).theta_hat
+        expected, n_groups = self.oracle(data, prior, GaussianFamily(), 50, 13, warm)
+        estimates, se, rows_calls = self.batched(monkeypatch, data, prior, GaussianFamily(),
+                                                 50, 13, warm)
+        assert len(rows_calls) == n_groups
+        if prior.mode == "poisson":
+            assert n_groups > 1
+        assert np.max(np.abs(estimates - expected)) < 1e-9
+        np.testing.assert_allclose(se, np.std(expected, axis=0, ddof=1), rtol=1e-9)
+
+    def test_bounded_family_gives_one_box_per_transform(self, monkeypatch):
+        # a data-scale box maps to a unit-scale box per resample transform;
+        # resamples holding both extremes of the data share one
+        data = self.data()
+        family = GaussianFamily(bounds=((-5.0, 5.0), (0.2, 5.0)))
+        warm = mhb_fit(data, prior=PRIOR_SMALL, family=family).theta_hat
+        expected, n_groups = self.oracle(data, PRIOR_SMALL, family, 50, 13, warm)
+        estimates, _, rows_calls = self.batched(monkeypatch, data, PRIOR_SMALL, family,
+                                                50, 13, warm)
+        assert len(rows_calls) == n_groups > 1
+        assert sum(rows_calls) == 50
+        assert np.max(np.abs(estimates - expected)) < 1e-9
+
+    def test_unconverged_rows_are_refit(self, monkeypatch):
+        data = gaussian_data(150, 21)
+        expected = mhb_bootstrap_se(data, prior=PRIOR_SMALL, n_boot=60, rng=31)
+        monkeypatch.setattr(estimators, "mhd_rows", some_unconverged)
+        refit = mhb_bootstrap_se(data, prior=PRIOR_SMALL, n_boot=60, rng=31)
+        np.testing.assert_allclose(refit, expected, rtol=1e-8)
+
+    @pytest.mark.parametrize("n_bad", [5, 6])
+    def test_failure_budget(self, n_bad, monkeypatch):
+        # 5 failed resamples of 50 are within the 10% budget, 6 are not
+        def first_rows_unconverged(weights, *args):
+            theta, converged = mhd_rows(weights, *args)
+            converged[:n_bad] = False
+            return theta, converged
+
+        def unconverged_mhd(*args, **kwargs):
+            return dataclasses.replace(mhd(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(estimators, "mhd_rows", first_rows_unconverged)
+        monkeypatch.setattr(estimators, "mhd", unconverged_mhd)
+        data = gaussian_data(150, 21)
+        if n_bad == 5:
+            se = mhb_bootstrap_se(data, prior=PRIOR_SMALL, n_boot=50, rng=31,
+                                  warm_theta=self.WARM)
+            assert np.all(se > 0)
+        else:
+            with pytest.raises(RuntimeError, match="more than 5 of 50 bootstrap refits failed"):
+                mhb_bootstrap_se(data, prior=PRIOR_SMALL, n_boot=50, rng=31,
+                                 warm_theta=self.WARM)

@@ -255,6 +255,24 @@ class TestMhdRows:
         oracle = mhd(HistogramDensity(weights[3]), fam, start, support=(0.0, 1.0))
         assert np.allclose(theta[3], oracle.theta_hat, atol=1e-9)
 
+    def test_per_row_starts_give_the_rows_solved_alone(self, monkeypatch):
+        fam = GaussianFamily(bounds=((0.4, 2.0), (1e-3, 2.0)))
+        base = project_to_histogram(TruncatedUnitGaussian(0.45, 0.12), 20)
+        rng = np.random.default_rng(5)
+        weights = base.weights * rng.uniform(0.5, 1.5, (7, 20))
+        weights /= weights.sum(axis=1, keepdims=True)
+        # one start per row; the last lies outside the box and is clipped
+        starts = np.column_stack([rng.uniform(0.4, 0.55, 7), rng.uniform(0.08, 0.2, 7)])
+        starts[-1] = (0.3, 0.12)
+        alone = [mhd_rows(w[None], base.edges, fam, t) for w, t in zip(weights, starts)]
+        monkeypatch.setattr(functional, "ROW_BLOCK_ELEMENTS", 60)
+        theta, converged = mhd_rows(weights, base.edges, fam, starts)
+        assert np.all(converged)
+        assert np.array_equal(theta, np.concatenate([t for t, _ in alone]))
+        clipped, _ = mhd_rows(weights[-1:], base.edges, fam, (0.4, 0.12))
+        assert np.array_equal(theta[-1], clipped[0])
+        assert starts[-1, 0] == 0.3  # the caller's starts are not written to
+
 
 class TestInfluenceFunction:
     def test_location_family_influence_is_identity_score(self):
