@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -36,14 +37,23 @@ def config_schema():
     return json.loads((resources.files("mhdbayes") / "config_schema.json").read_text())
 
 
+@functools.cache
+def _config_validator():
+    """Validator of the published schema, checked and built once per process."""
+    schema = config_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_config(config):
-    try:
-        jsonschema.validate(config, config_schema())
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
+    if error is not None:
         where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
-                        for p in exc.absolute_path).lstrip(".")
-        detail = f"{where}: {exc.message}" if where else exc.message
-        raise ValueError(f"invalid configuration: {detail}") from exc
+                        for p in error.absolute_path).lstrip(".")
+        detail = f"{where}: {error.message}" if where else error.message
+        raise ValueError(f"invalid configuration: {detail}") from error
     out_dir = os.path.dirname(config.get("out") or "") or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"invalid configuration: out: directory {out_dir!r} does not exist")

@@ -14,11 +14,21 @@ equals the inverse Fisher information when g0 is in the model family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import numerics
-from .densities import _MIN_PANELS, _checked_values, _pdf_of, integration_edges
+from .densities import (
+    _MIN_PANELS,
+    _UNIT_BOUNDS,
+    GaussianFamily,
+    HistogramDensity,
+    _checked_values,
+    _pdf_of,
+    grid_edges,
+    integration_edges,
+)
 from .numerics import composite_nodes
 
 
@@ -46,6 +56,13 @@ _H_NO_OVERLAP = np.sqrt(2.0) - 1e-6
 
 # Uniform panels of the influence-function, L-norm and Fisher quadratures.
 _EFFICIENCY_PANELS = 64
+
+# Seed grid of ``mhd``: 41 mu values over the unit window, 31 sigma values
+# geometric from the unit sigma floor (at least 1e-4) to its ceiling, scored
+# on a regular reference grid of 100 cells.
+_SEED_MU = np.linspace(0.0, 1.0, 41)
+_SEED_SIGMA = np.geomspace(max(_UNIT_BOUNDS[1][0], 1e-4), _UNIT_BOUNDS[1][1], 31)
+_SEED_CELLS = 100
 
 # Cap on rows x cells in one block of ``mhd_rows``; it bounds the
 # (rows, cells) temporaries of the cell masses and their derivatives, and
@@ -78,21 +95,26 @@ def mhd(g, family, x0, support=None):
 
     The Bhattacharyya coefficient is integrated on Gauss-Legendre nodes
     over ``support`` (by default ``g.support``): 32 uniform panels refined
-    at g's breakpoints.  One Nelder-Mead run from ``x0``
-    (``numerics.minimize``) searches the family's ``bounds`` box; the
-    damped Newton that also solves ``mhd_rows`` then polishes the
-    minimizer on the same nodes and decides ``converged`` (see
-    ``_newton_rows``), so a bound-pinned minimizer or a fit with no
-    overlap with ``g`` is flagged, never silently returned.
+    at g's breakpoints.  The damped Newton that also solves ``mhd_rows``
+    minimizes it on those nodes and decides ``converged`` (see
+    ``_newton_rows``), so a bound-pinned minimizer or a fit with no overlap
+    with ``g`` is flagged, never silently returned.  For a histogram ``g``
+    and a Gaussian family, Newton starts at the best of ``x0`` and the seed
+    grid (see ``_grid_seed``).  Otherwise, or when that Newton does not
+    converge, it starts where one Nelder-Mead run from ``x0``
+    (``numerics.minimize``) over the family's ``bounds`` box stops.
+    ``n_evals`` counts the Hellinger values computed on the nodes: the
+    seed's, Nelder-Mead's and Newton's trial steps.
     """
     support = _resolve_support(g, support)
     lo, hi = _box(family)
     x, w, sqrt_g = _prepared_nodes(g, support, _MIN_PANELS)
     wg = w * sqrt_g
-    n_evals = [0]
+    n_evals = 0
 
     def objective(theta):
-        n_evals[0] += 1
+        nonlocal n_evals
+        n_evals += 1
         bc = float(np.dot(wg, family.sqrt_pdf(theta, x)))
         if bc > 1.0 + 1e-9:
             # Cauchy-Schwarz caps the true coefficient at 1; beyond that the
@@ -101,19 +123,62 @@ def mhd(g, family, x0, support=None):
             return np.inf
         return np.sqrt(max(0.0, 2.0 - 2.0 * bc))
 
-    theta, h_min = numerics.minimize(objective, np.asarray(x0, dtype=float), family.bounds)
-
     def basis(theta, derivatives):
         if not derivatives:
             return family.sqrt_pdf(theta, x)
         grad = family.sqrt_grad(theta, x)
         return grad if derivatives == 1 else (grad, family.sqrt_hess(theta, x))
 
-    theta, h, foc, converged, n_newton = _newton_rows(
-        basis, wg[None], theta[None], lo, hi, np.array([h_min]))
-    return MhdResult(theta_hat=theta[0], h_min=float(h[0]),
-                     converged=bool(converged[0]), n_evals=n_evals[0] + n_newton,
-                     first_order_norm=float(foc[0]))
+    def newton(theta, h):
+        nonlocal n_evals
+        *fit, n_newton = _newton_rows(basis, wg[None], theta[None], lo, hi, np.array([h]))
+        n_evals += n_newton
+        return [v[0] for v in fit]
+
+    seed = _grid_seed(g, family, np.asarray(x0, dtype=float), lo, hi)
+    fit = None if seed is None else newton(seed, objective(seed))
+    if fit is None or not fit[3]:
+        fit = newton(*numerics.minimize(objective, x0, family.bounds))
+    theta, h, foc, converged = fit
+    return MhdResult(theta_hat=theta, h_min=float(h), converged=bool(converged),
+                     n_evals=n_evals, first_order_norm=float(foc))
+
+
+@cache
+def _seed_table(family_type):
+    """Cell masses of sqrt(f_theta) on the reference grid at every seed,
+    shape (seeds, ``_SEED_CELLS``), and the seeds, shape (seeds, 2); built
+    on first use for each family class and read-only."""
+    seeds = np.stack(np.meshgrid(_SEED_MU, _SEED_SIGMA, indexing="ij"), axis=-1).reshape(-1, 2)
+    table = family_type().cell_sqrt_masses(_columns(seeds), grid_edges(_SEED_CELLS))
+    table.flags.writeable = seeds.flags.writeable = False
+    return table, seeds
+
+
+def _grid_seed(g, family, x0, lo, hi):
+    """Newton start of ``mhd``: the candidate with the largest Bhattacharyya
+    coefficient among ``x0`` (clipped to the box) and the seeds of
+    ``_seed_table`` inside the box, or None unless ``g`` is a histogram and
+    ``family`` a Gaussian family.
+
+    ``g`` is re-binned onto the reference grid through its CDF, which is
+    exact for a histogram and the identity on the 100-cell grid, and scored
+    against every seed by one matrix-vector product on the closed-form cell
+    masses.
+    """
+    if not (isinstance(g, HistogramDensity) and isinstance(family, GaussianFamily)):
+        return None
+    table, seeds = _seed_table(type(family))
+    ref = grid_edges(_SEED_CELLS)
+    cdf = np.interp(ref, g.edges, np.concatenate([[0.0], np.cumsum(g.weights)]))
+    sqrt_heights = np.sqrt(np.clip(np.diff(cdf), 0.0, None) * _SEED_CELLS)
+    x0 = np.clip(x0, lo, hi)
+    scores = table @ sqrt_heights
+    scores[~np.all((seeds >= lo) & (seeds <= hi), axis=1)] = -np.inf
+    best = int(np.argmax(scores))
+    if family.cell_sqrt_masses(x0, ref) @ sqrt_heights >= scores[best]:
+        return x0
+    return seeds[best].copy()
 
 
 def mhd_rows(weights, edges, family, theta0):

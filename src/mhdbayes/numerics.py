@@ -1,10 +1,11 @@
 """Quadrature, derivative-free minimization and RNG plumbing.
 
 There is one quadrature rule, the 8-point Gauss-Legendre rule that
-``composite_nodes`` lays on every panel, and one minimizer, ``minimize``:
-a single bounded scipy Nelder-Mead run.  Everything here is deterministic
-given its inputs.  Study replication is driven by a caller-supplied seed or
-``numpy.random.Generator``; the minimizer draws no random numbers.
+``composite_nodes`` lays on every panel, and the fallback search of
+``functional.mhd``, ``minimize``: a single bounded scipy Nelder-Mead run.
+Everything here is deterministic given its inputs.  Study replication is
+driven by a caller-supplied seed or ``numpy.random.Generator``; the search
+draws no random numbers.
 """
 
 from __future__ import annotations

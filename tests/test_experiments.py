@@ -5,6 +5,7 @@ import pytest
 
 from mhdbayes.densities import GaussianFamily
 from mhdbayes.experiments import (
+    RATIO_BAND,
     ContaminationSpec,
     contaminated_density,
     bvm_diagnostic,
@@ -103,6 +104,14 @@ class TestRobustnessSweep:
         assert np.all(others.min(axis=0) <= rows[6]["theta_hat"])
         assert np.all(rows[6]["theta_hat"] <= others.max(axis=0))
 
+    def test_far_outlier_rep_converges_from_the_seed_grid(self):
+        # Nelder-Mead from the moment start walked this rep to an unresolved
+        # spike at the sigma bound ("did not converge"); the seeded Newton
+        # converges
+        rows = robustness_sweep(estimators=("mhb",), z_grid=(1000,), reps=8,
+                                n=500, rng=208, workers=1).rows
+        assert "error" not in rows[7]
+
     def test_bad_z_grid(self):
         with pytest.raises(ValueError, match="ascending"):
             robustness_sweep(z_grid=(10.0, 5.0), reps=1, rng=0)
@@ -139,6 +148,12 @@ class TestEfficiencyStudy:
         assert 0.5 < ratios[1] < 1.6
         assert report.summary["mhb_failures"] == 0
         assert report.summary["crlb_diag"] == pytest.approx([1.0, 0.5], abs=1e-6)
+
+    def test_random_k_ratios_in_band(self):
+        # the paper's random-histogram prior: MHB fits on union-grid EAPs
+        report = efficiency_study(n=2000, reps=200, rng=1, prior=HistogramPrior.poisson())
+        for ratio in report.summary["mhb_var_ratio"]:
+            assert RATIO_BAND[0] <= ratio <= RATIO_BAND[1]
 
 
 class TestWorkers:

@@ -1,15 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import QuadratureGaussianFamily
-from mhdbayes import functional
+from mhdbayes import functional, numerics
 from mhdbayes.densities import (
     GaussianFamily,
     HistogramDensity,
     ParametricFamily,
     SupportTransform,
+    grid_edges,
     project_to_histogram,
 )
 from mhdbayes.functional import (
@@ -210,14 +214,73 @@ class TestMhd:
 
 class TestNoOverlapPlateau:
     def test_fit_without_overlap_is_not_converged(self):
-        # f_theta underflows on [0.9, 1], g's only bin with mass: Nelder-Mead
-        # stops on the flat plateau and the first-order condition is exactly 0
-        res = mhd(HistogramDensity(np.eye(10)[9]),
-                  GaussianFamily(bounds=((-1, 2), (1e-3, 2))), (0.05, 0.005),
-                  support=(0, 1))
-        assert res.h_min == pytest.approx(math.sqrt(2.0))
-        assert res.first_order_norm == 0.0
-        assert not res.converged
+        # f_theta underflows on [0.9, 1], g's only bin with mass: the
+        # first-order condition is exactly 0 on that plateau.  mhd_rows
+        # makes no search, so the start reaches Newton's convergence rule
+        g = HistogramDensity(np.eye(10)[9])
+        fam = GaussianFamily(bounds=((-1, 2), (1e-3, 2)))
+        start = (0.05, 0.005)
+        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start)
+        assert np.array_equal(theta[0], start)
+        assert not converged[0]
+        # mhd seeds Newton off the plateau and reaches the overlapping fit
+        res = mhd(g, fam, start, support=(0, 1))
+        assert res.converged
+        assert res.h_min < math.sqrt(2.0)
+
+
+@st.composite
+def histograms(draw):
+    """A Dirichlet-weighted histogram on the regular k-grid, or on the union
+    of two or three regular grids as the random-k EAP has."""
+    ks = draw(st.lists(st.integers(2, 150), min_size=1, max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = np.unique(np.concatenate([grid_edges(k) for k in ks]))
+    weights = rng.dirichlet(np.full(len(edges) - 1, draw(st.floats(0.2, 5.0))))
+    return HistogramDensity(weights, edges=edges if len(ks) > 1 else None)
+
+
+class TestGridSeed:
+    fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-5, 2.0)))
+
+    @staticmethod
+    def moment_start(g):
+        mid = (g.edges[:-1] + g.edges[1:]) / 2.0
+        mean = g.weights @ mid
+        return np.array([mean, max(math.sqrt(g.weights @ (mid - mean) ** 2), 1e-3)])
+
+    def test_unconverged_seed_falls_back_to_nelder_mead(self, monkeypatch):
+        g = HistogramDensity(np.eye(10)[9])
+        fam = GaussianFamily(bounds=((-1, 2), (1e-3, 2)))
+        x0 = (0.95, 0.05)
+        monkeypatch.setattr(functional, "_grid_seed", lambda *args: None)
+        oracle = mhd(g, fam, x0, support=(0, 1))
+        searches = []
+        minimize = numerics.minimize
+        monkeypatch.setattr(numerics, "minimize",
+                            lambda *args: searches.append(args) or minimize(*args))
+        # a seed on the no-overlap plateau, where Newton cannot move
+        monkeypatch.setattr(functional, "_grid_seed",
+                            lambda *args: np.array([0.05, 0.005]))
+        res = mhd(g, fam, x0, support=(0, 1))
+        assert len(searches) == 1
+        assert res.converged
+        assert np.array_equal(res.theta_hat, oracle.theta_hat)
+        assert res.h_min == oracle.h_min
+        assert res.n_evals > oracle.n_evals
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=histograms())
+    def test_no_worse_than_nelder_mead(self, g):
+        x0 = self.moment_start(g)
+        res = mhd(g, self.fam, x0, support=(0.0, 1.0))
+        with mock.patch.object(functional, "_grid_seed", return_value=None):
+            oracle = mhd(g, self.fam, x0, support=(0.0, 1.0))
+        # an unconverged oracle may sit on a spike between the quadrature
+        # nodes, where its h_min is an artifact, not a fit
+        if oracle.converged:
+            assert res.converged
+            assert res.h_min <= oracle.h_min + 1e-10
 
 
 class TestMhdRows:
