@@ -136,10 +136,10 @@ def mhd(g, family, x0, support=None):
         return [v[0] for v in fit]
 
     seed = _grid_seed(g, family, np.asarray(x0, dtype=float), lo, hi)
-    fit = None if seed is None else newton(seed, objective(seed))
-    if fit is None or not fit[3]:
-        fit = newton(*numerics.minimize(objective, x0, family.bounds))
-    theta, h, foc, converged = fit
+    if seed is not None:
+        theta, h, foc, converged = newton(seed, objective(seed))
+    if seed is None or not converged:
+        theta, h, foc, converged = newton(*numerics.minimize(objective, x0, family.bounds))
     return MhdResult(theta_hat=theta, h_min=float(h), converged=bool(converged),
                      n_evals=n_evals, first_order_norm=float(foc))
 
@@ -148,9 +148,13 @@ def mhd(g, family, x0, support=None):
 def _seed_table(family_type):
     """Cell masses of sqrt(f_theta) on the reference grid at every seed,
     shape (seeds, ``_SEED_CELLS``), and the seeds, shape (seeds, 2); built
-    on first use for each family class and read-only."""
+    on first use for each family class and read-only.  One block per mu
+    value keeps the temporaries of the cell masses, and with them peak
+    memory, small."""
     seeds = np.stack(np.meshgrid(_SEED_MU, _SEED_SIGMA, indexing="ij"), axis=-1).reshape(-1, 2)
-    table = family_type().cell_sqrt_masses(_columns(seeds), grid_edges(_SEED_CELLS))
+    family = family_type()
+    table = np.concatenate([family.cell_sqrt_masses(_columns(block), grid_edges(_SEED_CELLS))
+                            for block in np.split(seeds, len(_SEED_MU))])
     table.flags.writeable = seeds.flags.writeable = False
     return table, seeds
 
@@ -172,10 +176,10 @@ def _grid_seed(g, family, x0, lo, hi):
     ref = grid_edges(_SEED_CELLS)
     cdf = np.interp(ref, g.edges, np.concatenate([[0.0], np.cumsum(g.weights)]))
     sqrt_heights = np.sqrt(np.clip(np.diff(cdf), 0.0, None) * _SEED_CELLS)
-    x0 = np.clip(x0, lo, hi)
     scores = table @ sqrt_heights
     scores[~np.all((seeds >= lo) & (seeds <= hi), axis=1)] = -np.inf
     best = int(np.argmax(scores))
+    x0 = np.clip(x0, lo, hi)
     if family.cell_sqrt_masses(x0, ref) @ sqrt_heights >= scores[best]:
         return x0
     return seeds[best].copy()
