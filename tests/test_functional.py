@@ -243,12 +243,6 @@ def histograms(draw):
 class TestGridSeed:
     fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-5, 2.0)))
 
-    @staticmethod
-    def moment_start(g):
-        mid = (g.edges[:-1] + g.edges[1:]) / 2.0
-        mean = g.weights @ mid
-        return np.array([mean, max(math.sqrt(g.weights @ (mid - mean) ** 2), 1e-3)])
-
     def test_unconverged_seed_falls_back_to_nelder_mead(self, monkeypatch):
         g = HistogramDensity(np.eye(10)[9])
         fam = GaussianFamily(bounds=((-1, 2), (1e-3, 2)))
@@ -272,7 +266,9 @@ class TestGridSeed:
     @settings(max_examples=60, deadline=None)
     @given(g=histograms())
     def test_no_worse_than_nelder_mead(self, g):
-        x0 = self.moment_start(g)
+        mid = (g.edges[:-1] + g.edges[1:]) / 2.0
+        mean = g.weights @ mid
+        x0 = np.array([mean, max(math.sqrt(g.weights @ (mid - mean) ** 2), 1e-3)])
         res = mhd(g, self.fam, x0, support=(0.0, 1.0))
         with mock.patch.object(functional, "_grid_seed", return_value=None):
             oracle = mhd(g, self.fam, x0, support=(0.0, 1.0))
