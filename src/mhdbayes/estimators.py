@@ -21,7 +21,6 @@ import numpy as np
 from .densities import (
     DEFAULT_PADDING,
     GaussianFamily,
-    HistogramDensity,
     SupportTransform,
     grid_edges,
 )
@@ -112,10 +111,10 @@ def _fit_many(rows, family, attempted, failure_rate, failed):
 
     ``rows`` holds one (weights, edges, unit family, unit start, transform)
     per histogram.  Rows sharing edges and parameter box are solved by one
-    ``mhd_rows`` call; a row Newton leaves unconverged is refit by ``mhd``
-    from its start.  Returns the converged rows' data-scale minimizers and
-    how many of the ``attempted`` fits failed, raising (message ending in
-    ``failed``) as soon as more than ``failure_rate`` of them have.
+    ``mhd_rows`` call, which also re-seeds the rows Newton leaves
+    unconverged.  Returns the converged rows' data-scale minimizers and how
+    many of the ``attempted`` fits failed, raising (message ending in
+    ``failed``) when more than ``failure_rate`` of them have.
     """
     groups = {}
     for r, (_, edges, fam_u, _, _) in enumerate(rows):
@@ -127,18 +126,7 @@ def _fit_many(rows, family, attempted, failure_rate, failed):
         theta[members], ok[members] = mhd_rows(np.stack(weights), edges, fam_u,
                                                np.stack(starts))
     budget = failure_rate * attempted
-    failures = attempted - len(rows)
-    for r in np.flatnonzero(~ok):
-        if failures > budget:
-            break  # the error is certain; the remaining refits are skipped
-        weights, edges, fam_u, start, _ = rows[r]
-        try:
-            res = mhd(HistogramDensity(weights, edges=edges), fam_u, start,
-                      support=(0.0, 1.0))
-            theta[r], ok[r] = res.theta_hat, res.converged
-        except (ValueError, RuntimeError, np.linalg.LinAlgError):
-            pass
-        failures += not ok[r]
+    failures = attempted - int(np.count_nonzero(ok))
     if failures > budget:
         raise RuntimeError(f"more than {int(budget)} of {attempted} {failed}")
     return np.asarray([family.theta_from_unit(t, transform)

@@ -100,11 +100,12 @@ def mhd(g, family, x0, support=None):
     ``_newton_rows``), so a bound-pinned minimizer or a fit with no overlap
     with ``g`` is flagged, never silently returned.  For a histogram ``g``
     and a Gaussian family, Newton starts at the best of ``x0`` and the seed
-    grid (see ``_grid_seed``).  Otherwise, or when that Newton does not
-    converge, it starts where one Nelder-Mead run from ``x0``
-    (``numerics.minimize``) over the family's ``bounds`` box stops.
-    ``n_evals`` counts the Hellinger values computed on the nodes: the
-    seed's, Nelder-Mead's and Newton's trial steps.
+    grid, the rule ``mhd_rows`` re-seeds its rows with (see
+    ``_grid_seeds``).  Otherwise, or when that Newton does not converge, it
+    starts where one Nelder-Mead run from ``x0`` (``numerics.minimize``)
+    over the family's ``bounds`` box stops.  ``n_evals`` counts the
+    Hellinger values (``_hellinger_rows`` on the nodes): the seed's,
+    Nelder-Mead's and Newton's trial steps.
     """
     support = _resolve_support(g, support)
     lo, hi = _box(family)
@@ -112,22 +113,16 @@ def mhd(g, family, x0, support=None):
     wg = w * sqrt_g
     n_evals = 0
 
-    def objective(theta):
-        nonlocal n_evals
-        n_evals += 1
-        bc = float(np.dot(wg, family.sqrt_pdf(theta, x)))
-        if bc > 1.0 + 1e-9:
-            # Cauchy-Schwarz caps the true coefficient at 1; beyond that the
-            # quadrature no longer resolves f_theta (e.g. a spike between
-            # nodes), so the point is treated as infeasible
-            return np.inf
-        return np.sqrt(max(0.0, 2.0 - 2.0 * bc))
-
     def basis(theta, derivatives):
         if not derivatives:
             return family.sqrt_pdf(theta, x)
         grad = family.sqrt_grad(theta, x)
         return grad if derivatives == 1 else (grad, family.sqrt_hess(theta, x))
+
+    def objective(theta):
+        nonlocal n_evals
+        n_evals += 1
+        return float(_hellinger_rows(basis, wg[None], np.asarray(theta, dtype=float)[None])[0])
 
     def newton(theta, h):
         nonlocal n_evals
@@ -135,10 +130,12 @@ def mhd(g, family, x0, support=None):
         n_evals += n_newton
         return [v[0] for v in fit]
 
-    seed = _grid_seed(g, family, np.asarray(x0, dtype=float), lo, hi)
-    if seed is not None:
+    seeded = isinstance(g, HistogramDensity) and isinstance(family, GaussianFamily)
+    if seeded:
+        seed = _grid_seeds(g.weights[None], g.edges, family,
+                           np.asarray(x0, dtype=float)[None], lo, hi)[0]
         theta, h, foc, converged = newton(seed, objective(seed))
-    if seed is None or not converged:
+    if not seeded or not converged:
         theta, h, foc, converged = newton(*numerics.minimize(objective, x0, family.bounds))
     return MhdResult(theta_hat=theta, h_min=float(h), converged=bool(converged),
                      n_evals=n_evals, first_order_norm=float(foc))
@@ -159,30 +156,29 @@ def _seed_table(family_type):
     return table, seeds
 
 
-def _grid_seed(g, family, x0, lo, hi):
-    """Newton start of ``mhd``: the candidate with the largest Bhattacharyya
-    coefficient among ``x0`` (clipped to the box) and the seeds of
-    ``_seed_table`` inside the box, or None unless ``g`` is a histogram and
-    ``family`` a Gaussian family.
+def _grid_seeds(weights, edges, family, starts, lo, hi):
+    """Newton starts of grid-seeded fits of a Gaussian ``family``: for each
+    row of cell ``weights`` on ``edges``, the candidate with the largest
+    Bhattacharyya coefficient among that row's start in ``starts`` (clipped
+    to the box) and the seeds of ``_seed_table`` inside the box.
 
-    ``g`` is re-binned onto the reference grid through its CDF, which is
-    exact for a histogram and the identity on the 100-cell grid, and scored
-    against every seed by one matrix-vector product on the closed-form cell
-    masses.
+    Each row is re-binned onto the reference grid through its CDF, which is
+    exact for a histogram and the identity on the 100-cell grid, and all
+    rows are scored against every seed by one matrix product on the
+    closed-form cell masses.
     """
-    if not (isinstance(g, HistogramDensity) and isinstance(family, GaussianFamily)):
-        return None
     table, seeds = _seed_table(type(family))
     ref = grid_edges(_SEED_CELLS)
-    cdf = np.interp(ref, g.edges, np.concatenate([[0.0], np.cumsum(g.weights)]))
-    sqrt_heights = np.sqrt(np.clip(np.diff(cdf), 0.0, None) * _SEED_CELLS)
-    scores = table @ sqrt_heights
-    scores[~np.all((seeds >= lo) & (seeds <= hi), axis=1)] = -np.inf
-    best = int(np.argmax(scores))
-    x0 = np.clip(x0, lo, hi)
-    if family.cell_sqrt_masses(x0, ref) @ sqrt_heights >= scores[best]:
-        return x0
-    return seeds[best].copy()
+    cdf = np.column_stack([np.zeros(len(weights)), np.cumsum(weights, axis=1)])
+    rebinned = np.diff([np.interp(ref, edges, c) for c in cdf], axis=1)
+    sqrt_heights = np.sqrt(np.clip(rebinned, 0.0, None) * _SEED_CELLS)
+    scores = sqrt_heights @ table.T
+    scores[:, ~np.all((seeds >= lo) & (seeds <= hi), axis=1)] = -np.inf
+    best = np.argmax(scores, axis=1)
+    starts = np.clip(starts, lo, hi)
+    own = np.einsum("rk,rk->r", family.cell_sqrt_masses(_columns(starts), ref), sqrt_heights)
+    keep = own >= scores[np.arange(len(best)), best]
+    return np.where(keep[:, None], starts, seeds[best])
 
 
 def mhd_rows(weights, edges, family, theta0):
@@ -190,22 +186,22 @@ def mhd_rows(weights, edges, family, theta0):
 
     ``weights`` holds one row of cell weights per histogram, all on the
     cells of ``edges``; ``theta0`` is one start for every row, shape (p,),
-    or one per row, shape (rows, p).  A histogram's Bhattacharyya
-    coefficient with f_theta is the dot product of its sqrt cell heights
-    with the cell masses ``family.cell_sqrt_masses`` returns, so each fit
-    runs on k + 1 edge values, with no quadrature of its own.  Rows are
-    solved in blocks of at most ``ROW_BLOCK_ELEMENTS`` rows x cells by the
-    damped Newton of ``mhd`` (see ``_newton_rows``), which also decides
-    each row's ``converged`` flag.  Returns the minimizers, shape (rows, p),
-    and those flags.  No global search is made: a row that Newton cannot
-    take to a stationary point from its start is reported unconverged, for
-    the caller to refit with ``mhd``.
+    or one per row, shape (rows, p).  A
+    histogram's Bhattacharyya coefficient with f_theta is the dot product
+    of its sqrt cell heights with the cell masses ``family.cell_sqrt_masses``
+    returns, so each fit runs on k + 1 edge values, with no quadrature of
+    its own.  Rows are solved in blocks of at most ``ROW_BLOCK_ELEMENTS``
+    rows x cells by the damped Newton of ``mhd`` (see ``_newton_rows``),
+    which also decides each row's ``converged`` flag.  For a Gaussian
+    family, rows left unconverged are solved once more from the grid seed
+    of ``mhd`` (see ``_grid_seeds``).  Returns the minimizers, shape
+    (rows, p), and the flags; a row still unconverged is reported as such.
     """
     lo, hi = _box(family)
     edges = np.asarray(edges, dtype=float)
     weights = np.asarray(weights, dtype=float)
     widths = np.diff(edges)
-    theta = np.clip(np.broadcast_to(theta0, (len(weights), len(lo))), lo, hi)
+    size = max(1, ROW_BLOCK_ELEMENTS // len(widths))
 
     def basis(theta, derivatives):
         if not derivatives:
@@ -213,13 +209,21 @@ def mhd_rows(weights, edges, family, theta0):
         _, grad, hess = family.cell_sqrt_masses(theta, edges, derivatives=True)
         return grad if derivatives == 1 else (grad, hess)
 
-    converged = np.empty(len(weights), dtype=bool)
-    size = max(1, ROW_BLOCK_ELEMENTS // len(widths))
-    for b in range(0, len(weights), size):
-        sh = np.sqrt(_checked_values("g", weights[b:b + size] / widths, edges[:-1]))
-        t = theta[b:b + size]
-        theta[b:b + size], _, _, converged[b:b + size], _ = _newton_rows(
-            basis, sh, t, lo, hi, _hellinger_rows(basis, sh, t))
+    def solve(weights, theta):
+        converged = np.empty(len(weights), dtype=bool)
+        for b in range(0, len(weights), size):
+            sh = np.sqrt(_checked_values("g", weights[b:b + size] / widths, edges[:-1]))
+            t = theta[b:b + size]
+            theta[b:b + size], _, _, converged[b:b + size], _ = _newton_rows(
+                basis, sh, t, lo, hi, _hellinger_rows(basis, sh, t))
+        return theta, converged
+
+    start = np.clip(np.broadcast_to(theta0, (len(weights), len(lo))), lo, hi)
+    theta, converged = solve(weights, start.copy())
+    retry = np.flatnonzero(~converged)
+    if len(retry) and isinstance(family, GaussianFamily):
+        theta[retry], converged[retry] = solve(
+            weights[retry], _grid_seeds(weights[retry], edges, family, start[retry], lo, hi))
     return theta, converged
 
 
@@ -229,8 +233,9 @@ def _columns(theta):
 
 
 def _hellinger_rows(basis, coef, theta):
-    """Per-row Hellinger objective of ``mhd`` (+inf where the basis no
-    longer resolves f_theta)."""
+    """Per-row Hellinger objective of ``mhd`` and ``mhd_rows``.  Cauchy-Schwarz
+    caps the Bhattacharyya coefficient at 1; a row beyond that no longer
+    resolves f_theta (e.g. a spike between quadrature nodes) and gets +inf."""
     bc = np.einsum("rk,rk->r", coef, basis(_columns(theta), 0))
     h = np.sqrt(np.clip(2.0 - 2.0 * bc, 0.0, None))
     return np.where(bc > 1.0 + 1e-9, np.inf, h)

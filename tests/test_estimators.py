@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -248,30 +246,23 @@ class TestBmhRows:
             bmh_fit(gaussian_data(150, 6), prior=PRIOR_SMALL, n_samples=100,
                     rng=1, levels=(0.5, 1.5))
 
-    def test_unconverged_rows_are_refit_from_the_anchor(self, monkeypatch):
+    def test_rows_started_on_a_plateau_converge_inside_mhd_rows(self):
+        # f_theta at the start underflows on all of [0, 1], so Newton cannot
+        # move any row from it; mhd_rows re-seeds them all from the grid
         data = gaussian_data(150, 21)
-        expected = bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=31)
-        starts = []
-
-        def recording_mhd(g, family, x0, **kwargs):
-            starts.append(np.array(x0))
-            return mhd(g, family, x0, **kwargs)
-
-        monkeypatch.setattr(estimators, "mhd_rows", some_unconverged)
-        monkeypatch.setattr(estimators, "mhd", recording_mhd)
-        refit = bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=31)
-        assert refit.n_failed == 0
-        assert np.allclose(refit.theta_samples, expected.theta_samples, atol=1e-8)
-        # the anchor fit, then the ten refits, each from the anchor
-        assert len(starts) == 11
-        assert all(np.array_equal(x0, refit.mhd_meta.theta_hat) for x0 in starts[1:])
-
-
-def some_unconverged(weights, *args, **kwargs):
-    """``mhd_rows`` with every 10th row of each call reported unconverged."""
-    theta, converged = mhd_rows(weights, *args, **kwargs)
-    converged[::10] = False
-    return theta, converged
+        transform = SupportTransform.from_data(data)
+        post = fit_posterior(transform.to_unit(data), PRIOR_SMALL)
+        fam_u = GaussianFamily().unit_fit_family(transform)
+        rng = np.random.default_rng(31)
+        draws = [post.sample(rng) for _ in range(20)]
+        plateau = (-0.9, 1e-3)
+        theta, converged = mhd_rows(np.stack([g.weights for g in draws]), draws[0].edges,
+                                    fam_u, plateau)
+        assert np.all(converged)
+        for t, g in zip(theta, draws):
+            expected = mhd(g, fam_u, plateau, support=(0.0, 1.0))
+            assert expected.converged
+            assert np.allclose(t, expected.theta_hat, atol=1e-9)
 
 
 class TestBootstrapRows:
@@ -350,13 +341,6 @@ class TestBootstrapRows:
         assert sum(rows_calls) == 50
         assert np.max(np.abs(estimates - expected)) < 1e-9
 
-    def test_unconverged_rows_are_refit(self, monkeypatch):
-        data = gaussian_data(150, 21)
-        expected = mhb_bootstrap_se(data, prior=PRIOR_SMALL, n_boot=60, rng=31)
-        monkeypatch.setattr(estimators, "mhd_rows", some_unconverged)
-        refit = mhb_bootstrap_se(data, prior=PRIOR_SMALL, n_boot=60, rng=31)
-        np.testing.assert_allclose(refit, expected, rtol=1e-8)
-
     @pytest.mark.parametrize("n_bad", [5, 6])
     def test_failure_budget(self, n_bad, monkeypatch):
         # 5 failed resamples of 50 are within the 10% budget, 6 are not
@@ -365,11 +349,7 @@ class TestBootstrapRows:
             converged[:n_bad] = False
             return theta, converged
 
-        def unconverged_mhd(*args, **kwargs):
-            return dataclasses.replace(mhd(*args, **kwargs), converged=False)
-
         monkeypatch.setattr(estimators, "mhd_rows", first_rows_unconverged)
-        monkeypatch.setattr(estimators, "mhd", unconverged_mhd)
         data = gaussian_data(150, 21)
         if n_bad == 5:
             se = mhb_bootstrap_se(data, prior=PRIOR_SMALL, n_boot=50, rng=31,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _helpers import QuadratureGaussianFamily
 from mhdbayes import functional, numerics
 from mhdbayes.densities import (
+    _MIN_PANELS,
     GaussianFamily,
     HistogramDensity,
     ParametricFamily,
@@ -99,6 +100,26 @@ def hellinger_objective(g, family, support, min_panels=64):
         return math.sqrt(max(0.0, 2.0 - 2.0 * bc))
 
     return objective
+
+
+def newton_rows(weights, edges, family, theta0):
+    """One ``_newton_rows`` run on histogram rows, the first solve of
+    ``mhd_rows`` before its re-seeding: the rows' stopping points and
+    ``converged`` flags."""
+    lo, hi = functional._box(family)
+    sqrt_heights = np.sqrt(weights / np.diff(edges))
+
+    def basis(theta, derivatives):
+        if not derivatives:
+            return family.cell_sqrt_masses(theta, edges)
+        _, grad, hess = family.cell_sqrt_masses(theta, edges, derivatives=True)
+        return grad if derivatives == 1 else (grad, hess)
+
+    theta = np.clip(np.broadcast_to(theta0, (len(weights), len(lo))), lo, hi)
+    theta, _, _, converged, _ = functional._newton_rows(
+        basis, sqrt_heights, theta, lo, hi,
+        functional._hellinger_rows(basis, sqrt_heights, theta))
+    return theta, converged
 
 
 class TestMhd:
@@ -215,18 +236,22 @@ class TestMhd:
 class TestNoOverlapPlateau:
     def test_fit_without_overlap_is_not_converged(self):
         # f_theta underflows on [0.9, 1], g's only bin with mass: the
-        # first-order condition is exactly 0 on that plateau.  mhd_rows
-        # makes no search, so the start reaches Newton's convergence rule
+        # first-order condition is exactly 0 on that plateau, and Newton's
+        # convergence rule must not take it for a fit
         g = HistogramDensity(np.eye(10)[9])
         fam = GaussianFamily(bounds=((-1, 2), (1e-3, 2)))
         start = (0.05, 0.005)
-        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start)
+        theta, converged = newton_rows(g.weights[None], g.edges, fam, start)
         assert np.array_equal(theta[0], start)
         assert not converged[0]
-        # mhd seeds Newton off the plateau and reaches the overlapping fit
+        # mhd and mhd_rows seed Newton off the plateau and reach the same
+        # overlapping fit
         res = mhd(g, fam, start, support=(0, 1))
         assert res.converged
         assert res.h_min < math.sqrt(2.0)
+        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start)
+        assert converged[0]
+        assert np.allclose(theta[0], res.theta_hat, atol=1e-9)
 
 
 @st.composite
@@ -240,6 +265,24 @@ def histograms(draw):
     return HistogramDensity(weights, edges=edges if len(ks) > 1 else None)
 
 
+class Unseeded:
+    """``g`` seen through its pdf and breakpoints only: ``mhd`` fits it on
+    the same nodes, by Nelder-Mead and Newton with no grid seed."""
+
+    def __init__(self, g):
+        self.g, self.support = g, g.support
+
+    def pdf(self, x):
+        return self.g.pdf(x)
+
+    def breakpoints(self):
+        return self.g.breakpoints()
+
+
+# f_theta underflows on all of [0, 1] here, so Newton cannot move from it
+PLATEAU = np.array([-0.9, 1e-3])
+
+
 class TestGridSeed:
     fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-5, 2.0)))
 
@@ -247,15 +290,12 @@ class TestGridSeed:
         g = HistogramDensity(np.eye(10)[9])
         fam = GaussianFamily(bounds=((-1, 2), (1e-3, 2)))
         x0 = (0.95, 0.05)
-        monkeypatch.setattr(functional, "_grid_seed", lambda *args: None)
-        oracle = mhd(g, fam, x0, support=(0, 1))
+        oracle = mhd(Unseeded(g), fam, x0, support=(0, 1))
         searches = []
         minimize = numerics.minimize
         monkeypatch.setattr(numerics, "minimize",
                             lambda *args: searches.append(args) or minimize(*args))
-        # a seed on the no-overlap plateau, where Newton cannot move
-        monkeypatch.setattr(functional, "_grid_seed",
-                            lambda *args: np.array([0.05, 0.005]))
+        monkeypatch.setattr(functional, "_grid_seeds", lambda *args: PLATEAU[None])
         res = mhd(g, fam, x0, support=(0, 1))
         assert len(searches) == 1
         assert res.converged
@@ -270,13 +310,18 @@ class TestGridSeed:
         mean = g.weights @ mid
         x0 = np.array([mean, max(math.sqrt(g.weights @ (mid - mean) ** 2), 1e-3)])
         res = mhd(g, self.fam, x0, support=(0.0, 1.0))
-        with mock.patch.object(functional, "_grid_seed", return_value=None):
+        with mock.patch.object(functional, "_grid_seeds", return_value=PLATEAU[None]):
             oracle = mhd(g, self.fam, x0, support=(0.0, 1.0))
+        # mhd_rows from the plateau, scored on mhd's nodes
+        theta, converged = mhd_rows(g.weights[None], g.edges, self.fam, PLATEAU)
+        h_rows = hellinger_objective(g, self.fam, (0.0, 1.0), min_panels=_MIN_PANELS)(theta[0])
         # an unconverged oracle may sit on a spike between the quadrature
         # nodes, where its h_min is an artifact, not a fit
         if oracle.converged:
             assert res.converged
             assert res.h_min <= oracle.h_min + 1e-10
+            assert converged[0]
+            assert h_rows <= oracle.h_min + 1e-10
 
 
 class TestMhdRows:
@@ -287,14 +332,38 @@ class TestMhdRows:
         far = HistogramDensity(np.eye(10)[9])
         near = HistogramDensity(np.full(10, 0.1))
         start = (0.05, 0.005)
-        theta, converged = mhd_rows(np.stack([far.weights, near.weights]), near.edges,
-                                    fam, start)
+        theta, converged = newton_rows(np.stack([far.weights, near.weights]), near.edges,
+                                       fam, start)
         expected = mhd(near, fam, start, support=(0.0, 1.0))
         assert expected.converged and converged[1]
         assert np.allclose(theta[1], expected.theta_hat, atol=1e-9)
         assert np.array_equal(theta[0], start)
         # its gradient is exactly zero too, yet the row is a plateau, not a fit
         assert not converged[0]
+
+    @pytest.mark.parametrize("sigma_hi", [0.3, 2.0])
+    def test_row_newton_cannot_move_is_reseeded(self, sigma_hi):
+        # at 2.5x the minimizer's sigma the Jacobian is indefinite and no
+        # halving of the Newton step lowers h: the row stays at its start
+        fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, sigma_hi)))
+        g = project_to_histogram(TruncatedUnitGaussian(0.45, 0.12), 20)
+        start = (0.45, 0.3)
+        stuck, converged = newton_rows(g.weights[None], g.edges, fam, start)
+        assert np.allclose(stuck[0], start, atol=1e-6) and not converged[0]
+        # the grid seed takes the row to mhd's fit
+        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start)
+        expected = mhd(g, fam, start, support=(0.0, 1.0))
+        assert expected.converged and converged[0]
+        assert np.allclose(theta[0], expected.theta_hat, atol=1e-9)
+        assert np.allclose(theta[0], [0.4500862, 0.1211231], atol=1e-7)
+
+    def test_other_families_are_not_reseeded(self):
+        # the seed table is a (mu, sigma) grid; a one-parameter row that
+        # Newton leaves on the plateau is reported as it is
+        g = HistogramDensity(np.eye(10)[9])
+        theta, converged = mhd_rows(g.weights[None], g.edges,
+                                    GaussianLocationFamily(sigma=0.01), (-4.0,))
+        assert np.array_equal(theta, [[-4.0]]) and not converged[0]
 
     @pytest.mark.parametrize("family", [GaussianFamily, QuadratureGaussianFamily],
                              ids=["closed-form", "quadrature"])
