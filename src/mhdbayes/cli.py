@@ -162,7 +162,7 @@ def resolve_config(args):
     elif args.command == "robustness":
         config.update(theta0=args.theta0, contamination=args.contamination,
                       z_grid=args.z_grid, epsilon=args.epsilon, n=args.n,
-                      reps=args.reps, n_samples=max(args.n_samples, 100),
+                      reps=args.reps, n_samples=args.n_samples,
                       estimators=[e.strip() for e in args.estimators.split(",")])
     elif args.command == "efficiency":
         config.update(theta0=args.theta0, n=args.n, reps=args.reps)

@@ -18,12 +18,13 @@ import scipy.optimize
 
 def resolve_workers(workers=None):
     """Worker-process count: explicit argument, else MHDBAYES_WORKERS
-    (0 means all cores), else 1."""
+    (0 means all cores), else 1; a negative count is an error."""
     if workers is None:
-        workers = int(os.environ.get("MHDBAYES_WORKERS", "1"))
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, int(workers))
+        workers = os.environ.get("MHDBAYES_WORKERS", "1")
+    workers = int(workers)
+    if workers < 0:
+        raise ValueError(f"worker count must be >= 0, got {workers}")
+    return workers or os.cpu_count() or 1
 
 
 def as_generator(rng=None):

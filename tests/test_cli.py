@@ -81,6 +81,34 @@ class TestConfig:
         assert resolve_config(args)["workers"] == 2
 
 
+    def test_robustness_n_samples_below_minimum_exit_1(self, capsys, monkeypatch):
+        # rejected as fit --estimator bmh rejects it, not raised to 100
+        monkeypatch.setattr(cli, "robustness_sweep", forbidden)
+        assert main(["robustness", "--n-samples", "50"]) == 1
+        assert "n_samples: 50 is less than the minimum of 100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_boot", ["10", "49", "-1"])
+    def test_n_boot_not_zero_or_at_least_50_exit_1(self, n_boot, tmp_path, capsys,
+                                                   monkeypatch):
+        # rejected before the point fit, not by the bootstrap after it
+        monkeypatch.setattr(cli, "load_dataset", forbidden)
+        argv, _ = fit_args(tmp_path)
+        argv[argv.index("--n-boot") + 1] = n_boot
+        assert main(argv) == 1
+        assert (f"invalid configuration: n_boot: {n_boot} is less than the minimum of"
+                in capsys.readouterr().err)
+
+    def test_negative_workers_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", forbidden)
+        argv, _ = fit_args(tmp_path, "--workers", "-3")
+        assert main(argv) == 1
+        assert "worker count must be >= 0, got -3" in capsys.readouterr().err
+        monkeypatch.setenv("MHDBAYES_WORKERS", "-2")
+        argv, _ = fit_args(tmp_path)
+        assert main(argv) == 1
+        assert "got -2" in capsys.readouterr().err
+
+
 class TestRunFit:
     def test_mhb_fit_writes_report(self, tmp_path, capsys):
         argv, out = fit_args(tmp_path)
