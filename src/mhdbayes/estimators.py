@@ -92,8 +92,7 @@ class BmhPosterior:
 
 
 def _setup(data, prior, family, padding):
-    """``data``'s support transform, posterior, unit family and unit start."""
-    data = np.asarray(data, dtype=float)
+    """Support transform, posterior and unit family of the float array ``data``."""
     if data.ndim != 1:
         raise ValueError("data must be a 1-d array")
     if not np.all(np.isfinite(data)):
@@ -102,35 +101,37 @@ def _setup(data, prior, family, padding):
         raise ValueError(f"need at least {family.dim + 1} observations")
     transform = SupportTransform.from_data(data, padding=padding)
     post = fit_posterior(transform.to_unit(data), prior)
-    x0 = family.theta_to_unit(family.initial_theta(data), transform)
-    return transform, post, family.unit_fit_family(transform), x0
+    return transform, post, family.unit_fit_family(transform)
 
 
-def _fit_many(rows, family, attempted, failure_rate, failed):
+def _fit_many(blocks, transforms, family, attempted, failure_rate, failed):
     """Minimum-Hellinger fits of many histograms, each from its own start.
 
-    ``rows`` holds one (weights, edges, unit family, unit start, transform)
-    per histogram.  Rows sharing edges and parameter box are solved by one
-    ``mhd_rows`` call, which also re-seeds the rows Newton leaves
-    unconverged.  Returns the converged rows' data-scale minimizers and how
-    many of the ``attempted`` fits failed, raising (message ending in
-    ``failed``) when more than ``failure_rate`` of them have.
+    Histogram r is mapped back to the data scale by ``transforms[r]``.
+    ``blocks`` holds (rows, weights, edges, unit family, unit starts): the
+    positions r of some histograms, their cell weights on the shared
+    ``edges`` and their starts, one row each.  Blocks sharing edges and
+    parameter box are solved by one ``mhd_rows`` call, which also re-seeds
+    the rows Newton leaves unconverged.  Returns the converged rows'
+    data-scale minimizers, in row order, and how many of the ``attempted``
+    fits failed, raising (message ending in ``failed``) when more than
+    ``failure_rate`` of them have.
     """
     groups = {}
-    for r, (_, edges, fam_u, _, _) in enumerate(rows):
-        groups.setdefault((edges.tobytes(), fam_u.bounds), (edges, fam_u, []))[2].append(r)
-    theta = np.empty((len(rows), family.dim))
-    ok = np.empty(len(rows), dtype=bool)
+    for rows, weights, edges, fam_u, starts in blocks:
+        groups.setdefault((edges.tobytes(), fam_u.bounds),
+                          (edges, fam_u, []))[2].append((rows, weights, starts))
+    theta = np.empty((len(transforms), family.dim))
+    ok = np.empty(len(transforms), dtype=bool)
     for edges, fam_u, members in groups.values():
-        weights, _, _, starts, _ = zip(*[rows[r] for r in members])
-        theta[members], ok[members] = mhd_rows(np.stack(weights), edges, fam_u,
-                                               np.stack(starts))
+        rows, weights, starts = (np.concatenate(parts) for parts in zip(*members))
+        theta[rows], ok[rows] = mhd_rows(weights, edges, fam_u, starts)
     budget = failure_rate * attempted
     failures = attempted - int(np.count_nonzero(ok))
     if failures > budget:
         raise RuntimeError(f"more than {int(budget)} of {attempted} {failed}")
     return np.asarray([family.theta_from_unit(t, transform)
-                       for t, (*_, transform), good in zip(theta, rows, ok) if good]), failures
+                       for t, transform, good in zip(theta, transforms, ok) if good]), failures
 
 
 def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
@@ -138,7 +139,9 @@ def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
     """MHB estimate; set ``n_boot`` > 0 to attach bootstrap standard errors."""
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
-    transform, post, fam_u, x0 = _setup(data, prior, family, padding)
+    data = np.asarray(data, dtype=float)
+    transform, post, fam_u = _setup(data, prior, family, padding)
+    x0 = family.theta_to_unit(family.initial_theta(data), transform)
     meta = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0))
     theta = family.theta_from_unit(meta.theta_hat, transform)
     if not meta.converged:
@@ -169,19 +172,20 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     if warm_theta is None:
         warm_theta = mhb_fit(data, prior=prior, family=family, padding=padding).theta_hat
     n = len(data)
-    rows = []
+    blocks, transforms = [], []
     # rng.spawn, not numerics.worker_rng: a different stream, and switching
     # to it would move the bootstrap standard errors
     for child in as_generator(rng).spawn(int(n_boot)):
         try:
-            transform, post, fam_u, _ = _setup(data[child.integers(0, n, n)], prior,
-                                               family, padding)
+            transform, post, fam_u = _setup(data[child.integers(0, n, n)], prior,
+                                            family, padding)
         except ValueError:
             continue
         g = post.eap()
-        rows.append((g.weights, g.edges, fam_u,
-                     family.theta_to_unit(warm_theta, transform), transform))
-    estimates, _ = _fit_many(rows, family, int(n_boot), _BOOT_FAILURE_RATE,
+        blocks.append(([len(transforms)], g.weights[None], g.edges, fam_u,
+                       family.theta_to_unit(warm_theta, transform)[None]))
+        transforms.append(transform)
+    estimates, _ = _fit_many(blocks, transforms, family, int(n_boot), _BOOT_FAILURE_RATE,
                              "bootstrap refits failed")
     return np.std(estimates, axis=0, ddof=1)
 
@@ -190,9 +194,10 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
             levels=(0.5, 0.9, 0.95), padding=DEFAULT_PADDING, workers=None):
     """BMH posterior: map posterior density draws through the minimizer.
 
-    All ``n_samples`` histograms are drawn first, in one stream from
-    ``rng``, then fit on the bootstrap's batched Newton path
-    (``_fit_many``), each started at the anchor T(EAP).  Failed draws are
+    All ``n_samples`` histograms are drawn first from ``rng``, one Gamma
+    matrix per bin count (``RandomHistogramPosterior.draws``), then each
+    bin count's draws are fit on the bootstrap's batched Newton path
+    (``_fit_many``), started at the anchor T(EAP).  Failed draws are
     dropped; more than 5% of them is an error.  Each draw's minimizer
     depends on that draw alone, so the samples are reproducible given the
     seed, and the first m rows of an n-draw fit equal an m-draw fit.
@@ -207,12 +212,15 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     family = family or GaussianFamily()
     rng = as_generator(rng)
 
-    transform, post, fam_u, x0 = _setup(data, prior, family, padding)
+    data = np.asarray(data, dtype=float)
+    transform, post, fam_u = _setup(data, prior, family, padding)
+    x0 = family.theta_to_unit(family.initial_theta(data), transform)
     anchor = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0))
-    draws = [post.draw(rng) for _ in range(int(n_samples))]
-    rows = [(weights, grid_edges(int(post.k_support[i])), fam_u, anchor.theta_hat, transform)
-            for i, weights in draws]
-    samples, failures = _fit_many(rows, family, int(n_samples), _BMH_FAILURE_RATE,
+    blocks = [(rows, weights, grid_edges(int(post.k_support[i])), fam_u,
+               np.broadcast_to(anchor.theta_hat, (len(rows), family.dim)))
+              for i, rows, weights in post.draws(rng, int(n_samples))]
+    samples, failures = _fit_many(blocks, [transform] * int(n_samples), family,
+                                  int(n_samples), _BMH_FAILURE_RATE,
                                   "per-sample minimizations failed to converge")
     intervals = {}
     for level in levels:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .densities import HistogramDensity, bin_index, grid_edges
-from .numerics import as_generator
+from .numerics import as_generator, worker_rng
 
 # Constant per-bin Dirichlet concentration used when none is given.  With
 # the default fixed k=100 this keeps the total prior mass alpha*k at or
@@ -79,8 +79,7 @@ class HistogramPrior:
         ks = np.asarray(ks, dtype=int)
         if self.mode == "fixed":
             return np.zeros(len(ks))
-        logp = ks * math.log(self.lam) - gammaln(ks + 1.0)
-        return logp - logsumexp(logp)
+        return _normalized(ks * math.log(self.lam) - gammaln(ks + 1.0))
 
     def validate(self, n):
         """Warn when the total prior mass exceeds sqrt(n) (the consistency
@@ -111,13 +110,24 @@ def _log_beta(v):
     return float(np.sum(gammaln(v)) - gammaln(np.sum(v)))
 
 
+def _normalized(logp):
+    """``logp`` minus its log-sum-exp.  As in ``scipy.special.logsumexp``,
+    the largest term is split out of the sum (log1p of the rest), so a
+    single term normalizes to exactly 0.0."""
+    top = int(np.argmax(logp))
+    rest = np.exp(logp - logp[top])
+    rest[top] = 0.0
+    return logp - (np.log1p(rest.sum()) + logp[top])
+
+
 @dataclass
 class RandomHistogramPosterior:
     """Posterior over (k, weights) given binned data.
 
     ``log_post_k[i]`` is the log posterior mass of ``k_support[i]`` and
     ``dirichlet_params[i]`` the matching posterior Dirichlet parameters
-    (prior alpha plus bin counts).
+    (prior alpha plus bin counts).  :meth:`draws` samples many histograms
+    at once, grouped by bin count; :meth:`sample` is its one-draw case.
     """
 
     k_support: np.ndarray
@@ -132,26 +142,39 @@ class RandomHistogramPosterior:
         cdf = self.post_k().cumsum()
         return cdf / cdf[-1]
 
-    def draw(self, rng):
-        """One posterior draw as (index into ``k_support``, bin weights).
+    def draws(self, rng, n):
+        """``n`` posterior draws as ``(i, rows, weights)`` groups, one per
+        bin count drawn: index ``i`` into ``k_support``, the increasing draw
+        positions ``rows`` with that bin count, and their Dirichlet(alpha +
+        counts) weights, normalized Gammas from one ``gamma`` call per group.
 
-        The index comes from the posterior k-masses by inverting their CDF
-        at one uniform variate, the draw ``rng.choice(p=post_k())`` makes
-        from the same stream; the weights are a Dirichlet(alpha + counts)
-        draw, normalized Gamma variates."""
-        i = int(self._k_cdf.searchsorted(rng.random(), side="right"))
-        params = self.dirichlet_params[i]
-        for _ in range(100):
-            g = rng.gamma(params)
-            total = g.sum()
-            if total > 0:
-                return i, g / total
-        raise RuntimeError("Dirichlet sampling produced all-zero Gamma draws")
+        A single bin count takes its Gammas from ``rng``.  Otherwise ``rng``
+        gives a seed, then one uniform per draw that picks its bin count as
+        ``rng.choice(p=post_k())`` would, and group ``i`` draws from
+        ``worker_rng(seed, i)``.  The first m of ``n`` draws equal ``m``
+        draws from the same stream.
+        """
+        if len(self.k_support) == 1:
+            groups = [(0, np.arange(n), rng)]
+        else:
+            seed = int(rng.integers(2 ** 63))
+            pick = self._k_cdf.searchsorted(rng.random(n), side="right")
+            groups = [(int(i), np.flatnonzero(pick == i), worker_rng(seed, i))
+                      for i in np.unique(pick)]
+        out = []
+        for i, rows, stream in groups:
+            params = self.dirichlet_params[i]
+            g = stream.gamma(params, size=(len(rows), len(params)))
+            total = g.sum(axis=1, keepdims=True)
+            if not np.all(total > 0):
+                raise RuntimeError("Dirichlet sampling produced all-zero Gamma draws")
+            out.append((i, rows, g / total))
+        return out
 
     def sample(self, rng=None):
-        """One histogram draw (see :meth:`draw`) as a density."""
-        _, weights = self.draw(as_generator(rng))
-        return HistogramDensity(weights)
+        """One histogram draw, the first of :meth:`draws`, as a density."""
+        ((_, _, weights),) = self.draws(as_generator(rng), 1)
+        return HistogramDensity(weights[0])
 
     def eap(self):
         """Expected a-posteriori density, exact for every prior.
@@ -202,7 +225,6 @@ def fit_posterior(data, prior=None):
         post_param = alpha + counts
         log_marg[i] = n * math.log(k) + _log_beta(post_param) - _log_beta(alpha)
         params.append(post_param)
-    log_post = log_prior + log_marg
-    log_post -= logsumexp(log_post)
-    return RandomHistogramPosterior(k_support=ks, log_post_k=log_post,
+    return RandomHistogramPosterior(k_support=ks,
+                                    log_post_k=_normalized(log_prior + log_marg),
                                     dirichlet_params=params)

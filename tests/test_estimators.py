@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mhdbayes.estimators as estimators
-from mhdbayes.densities import GaussianFamily, SupportTransform
+from mhdbayes.densities import GaussianFamily, HistogramDensity, SupportTransform
 from mhdbayes.estimators import bmh_fit, mhb_bootstrap_se, mhb_fit
 from mhdbayes.functional import mhd, mhd_rows
 from mhdbayes.posterior import HistogramPrior, fit_posterior
@@ -204,15 +204,18 @@ class TestBmhRows:
 
     @staticmethod
     def oracle(data, prior, n_samples, seed):
-        """Per-draw Nelder-Mead + Newton fits from the anchor, same stream."""
+        """Per-draw Nelder-Mead + Newton fits from the anchor of the
+        histograms ``draws`` gives from the same seed, in draw order."""
         family = GaussianFamily()
         transform = SupportTransform.from_data(data)
         post = fit_posterior(transform.to_unit(data), prior)
         fam_u = family.unit_fit_family(transform)
         x0 = family.theta_to_unit(family.initial_theta(data), transform)
         anchor = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0)).theta_hat
-        rng = np.random.default_rng(seed)
-        draws = [post.sample(rng) for _ in range(n_samples)]
+        draws = [None] * n_samples
+        for _, rows, weights in post.draws(np.random.default_rng(seed), n_samples):
+            for r, w in zip(rows, weights):
+                draws[r] = HistogramDensity(w)
         fits = [mhd(g, fam_u, anchor, support=(0.0, 1.0)) for g in draws]
         assert all(f.converged for f in fits)
         return draws, np.asarray([family.theta_from_unit(f.theta_hat, transform)
@@ -233,6 +236,15 @@ class TestBmhRows:
         data = gaussian_data(200, 12)
         short = bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=3)
         long = bmh_fit(data, prior=PRIOR_SMALL, n_samples=300, rng=3)
+        assert np.array_equal(long.theta_samples[:100], short.theta_samples)
+
+    def test_random_k_rows_do_not_depend_on_later_draws(self):
+        # the Gammas of each bin count come from that bin count's own stream,
+        # so later draws of other bin counts do not shift them
+        data = gaussian_data(200, 12)
+        prior = HistogramPrior.poisson(lam=5.0)
+        short = bmh_fit(data, prior=prior, n_samples=100, rng=3)
+        long = bmh_fit(data, prior=prior, n_samples=300, rng=3)
         assert np.array_equal(long.theta_samples[:100], short.theta_samples)
 
     def test_bad_level_fails_before_any_minimization(self, monkeypatch):

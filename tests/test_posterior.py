@@ -5,6 +5,7 @@ import pytest
 
 from _helpers import concentration_radius, fixed_root_n, root_n_bin_count
 from mhdbayes.densities import HistogramDensity, MixtureDensity, SupportTransform
+from mhdbayes.numerics import worker_rng
 from mhdbayes.posterior import (
     HistogramPrior,
     RandomHistogramPosterior,
@@ -133,6 +134,26 @@ class TestFitPosterior:
         assert post.post_k().sum() == pytest.approx(1.0, abs=1e-12)
         assert all(np.all(p > 0) for p in post.dirichlet_params)
 
+    def test_masses_match_a_logsumexp_oracle(self):
+        from scipy.special import gammaln, logsumexp
+
+        def log_beta(v):
+            return float(np.sum(gammaln(v)) - gammaln(np.sum(v)))
+
+        y = newcomb_unit()
+        for prior in (HistogramPrior.poisson(lam=3.0), HistogramPrior.poisson(k_max=40)):
+            post = fit_posterior(y, prior)
+            ks = post.k_support
+            log_prior = ks * math.log(prior.lam) - gammaln(ks + 1.0)
+            log_post = log_prior - logsumexp(log_prior) + [
+                len(y) * math.log(k) + log_beta(prior.alpha + bin_counts(y, k))
+                - log_beta(np.full(k, prior.alpha)) for k in ks]
+            expected = log_post - logsumexp(log_post)
+            assert np.max(np.abs(post.log_post_k - expected)) <= 1e-14
+            assert np.max(np.abs(post.post_k() - np.exp(expected))) <= 1e-14
+        fixed = fit_posterior(y, HistogramPrior.fixed(100))
+        assert fixed.log_post_k.tolist() == [0.0]
+
     def test_empty_data(self):
         with pytest.raises(ValueError):
             fit_posterior([], HistogramPrior.fixed(2))
@@ -146,19 +167,49 @@ class TestSampling:
         assert np.array_equal(a.weights, b.weights)
 
     def test_draws_follow_the_choice_and_gamma_stream(self):
+        # replayed one draw at a time: a single bin count takes its Gammas
+        # straight from the stream; several take a seed, one choice variate
+        # per draw, then each bin count's Gammas from its own worker stream
         data = np.random.default_rng(5).normal(3.0, 2.0, 400)
-        post = fit_posterior(SupportTransform.from_data(data).to_unit(data),
-                             HistogramPrior.poisson(lam=5.0))
-        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
-        ks = set()
-        for _ in range(10_000):
-            i, weights = post.draw(rng)
-            j = int(ref.choice(len(post.k_support), p=post.post_k()))
-            g = ref.gamma(post.dirichlet_params[j])
-            assert i == j
-            assert np.array_equal(weights, g / g.sum())
-            ks.add(i)
-        assert len(ks) > 1
+        unit = SupportTransform.from_data(data).to_unit(data)
+        n = 5000
+        fixed = fit_posterior(unit, HistogramPrior.fixed(30))
+        ((i, rows, weights),) = fixed.draws(np.random.default_rng(17), n)
+        ref = np.random.default_rng(17)
+        assert i == 0 and np.array_equal(rows, np.arange(n))
+        for w in weights:
+            g = ref.gamma(fixed.dirichlet_params[0])
+            assert np.array_equal(w, g / g.sum())
+
+        post = fit_posterior(unit, HistogramPrior.poisson(lam=5.0))
+        groups = post.draws(np.random.default_rng(17), n)
+        ref = np.random.default_rng(17)
+        seed = int(ref.integers(2 ** 63))
+        picks = ref.choice(len(post.k_support), size=n, p=post.post_k())
+        assert [i for i, _, _ in groups] == sorted(set(picks.tolist()))
+        assert len(groups) > 1
+        for i, rows, weights in groups:
+            assert np.array_equal(rows, np.flatnonzero(picks == i))
+            stream = worker_rng(seed, i)
+            for w in weights:
+                g = stream.gamma(post.dirichlet_params[i])
+                assert np.array_equal(w, g / g.sum())
+
+    def test_sample_is_the_first_of_draws(self):
+        for prior in (HistogramPrior.fixed(10, alpha=0.5), HistogramPrior.poisson(lam=3.0)):
+            post = fit_posterior(newcomb_unit(), prior)
+            for seed in range(5):
+                ((_, _, weights),) = post.draws(np.random.default_rng(seed), 1)
+                expected = HistogramDensity(weights[0])
+                assert np.array_equal(post.sample(rng=seed).weights, expected.weights)
+                assert np.allclose(expected.weights, weights[0], rtol=1e-15, atol=0.0)
+
+    def test_all_zero_gamma_row_is_an_error(self):
+        post = RandomHistogramPosterior(
+            k_support=np.array([2]), log_post_k=np.array([0.0]),
+            dirichlet_params=[np.array([1e-300, 1e-300])])
+        with pytest.raises(RuntimeError, match="all-zero Gamma"):
+            post.draws(np.random.default_rng(0), 10)
 
     def test_dirichlet_moments(self):
         # Dir(2, 2): mean 1/2, variance 1/20
@@ -166,7 +217,8 @@ class TestSampling:
             k_support=np.array([2]), log_post_k=np.array([0.0]),
             dirichlet_params=[np.array([2.0, 2.0])])
         rng = np.random.default_rng(99)
-        first = np.array([post.sample(rng).weights[0] for _ in range(100_000)])
+        first = np.concatenate([post.draws(rng, 10_000)[0][2][:, 0] for _ in range(10)])
+        assert len(first) == 100_000
         assert first.mean() == pytest.approx(0.5, abs=0.005)
         assert first.var() == pytest.approx(0.05, abs=0.002)
 
