@@ -131,7 +131,8 @@ class HistogramDensity:
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"weights must sum to 1, got {float(total)!r}")
         self.k = len(weights)
-        self.weights = np.clip(weights, 0.0, None) / np.clip(weights, 0.0, None).sum()
+        weights = np.clip(weights, 0.0, None)
+        self.weights = weights / weights.sum()
         if edges is None:
             self.edges = grid_edges(self.k)
             # the float differences of this grid miss the exact 1/k widths

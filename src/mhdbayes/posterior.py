@@ -99,8 +99,8 @@ def bin_counts(data, k):
     if k < 1:
         raise ValueError("bin count k must be a positive integer")
     data = np.asarray(data, dtype=float)
-    bad = (data < 0.0) | (data > 1.0) | ~np.isfinite(data)
-    if np.any(bad):
+    bad = ~((data >= 0.0) & (data <= 1.0))   # NaN fails both comparisons
+    if bad.any():
         idx = int(np.flatnonzero(bad)[0])
         raise ValueError(f"datum {float(data[idx])!r} at index {idx} is outside [0, 1]")
     return np.bincount(bin_index(grid_edges(int(k)), data), minlength=int(k))
@@ -206,8 +206,8 @@ def fit_posterior(data, prior=None):
 
     For each candidate k the log marginal likelihood is
     n*log(k) + log B(alpha + counts) - log B(alpha); the posterior over k
-    combines it with the prior k-masses, and the per-k weight posterior is
-    Dirichlet(alpha + counts).
+    combines it with the prior k-masses (a single candidate takes all the
+    mass), and the per-k weight posterior is Dirichlet(alpha + counts).
     """
     prior = prior or HistogramPrior.fixed()
     data = np.asarray(data, dtype=float)
@@ -216,15 +216,12 @@ def fit_posterior(data, prior=None):
         raise ValueError("need at least one observation")
     prior.validate(n)
     ks = prior.k_values(n)
-    log_prior = prior.log_prior_k(ks)
-    params = []
-    log_marg = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        counts = bin_counts(data, int(k))
-        alpha = np.full(int(k), prior.alpha)
-        post_param = alpha + counts
-        log_marg[i] = n * math.log(k) + _log_beta(post_param) - _log_beta(alpha)
-        params.append(post_param)
+    params = [prior.alpha + bin_counts(data, int(k)) for k in ks]
+    if len(ks) == 1:
+        return RandomHistogramPosterior(k_support=ks, log_post_k=np.zeros(1),
+                                        dirichlet_params=params)
+    log_marg = [n * math.log(k) + _log_beta(p) - _log_beta(np.full(len(p), prior.alpha))
+                for k, p in zip(ks, params)]
     return RandomHistogramPosterior(k_support=ks,
-                                    log_post_k=_normalized(log_prior + log_marg),
+                                    log_post_k=_normalized(prior.log_prior_k(ks) + log_marg),
                                     dirichlet_params=params)

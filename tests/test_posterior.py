@@ -36,6 +36,9 @@ class TestBinCounts:
     def test_out_of_range_reports_index(self):
         with pytest.raises(ValueError, match=r"^datum 1\.5 at index 2 is outside"):
             bin_counts([0.5, 0.2, 1.5], 3)
+        for bad in (float("nan"), float("inf"), -float("inf"), -0.1):
+            with pytest.raises(ValueError, match=rf"^datum {bad!r} at index 1 is outside"):
+                bin_counts([0.5, bad, 0.2], 3)
 
     def test_datum_on_an_edge_is_counted_where_the_density_places_it(self):
         # floor(x * k) misplaces 748 of these floats, e.g. int((15/22)*22) == 14
