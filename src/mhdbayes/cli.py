@@ -96,8 +96,9 @@ def build_parser():
         p.add_argument("--out", default=None, help="report path (default stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv"])
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: MHDBAYES_WORKERS "
-                            "or 1; 0 = all cores)")
+                       help="worker processes for the robustness sweep (default: "
+                            "MHDBAYES_WORKERS or 1; 0 = all cores); no effect on "
+                            "other subcommands")
 
     p = sub.add_parser("fit", help="MHB/BMH estimates on a dataset")
     add_common(p, with_data=True)
@@ -222,7 +223,7 @@ def _run_efficiency(config):
     report = efficiency_study(
         family=_family_from(config), theta0=config["theta0"], n=config["n"],
         reps=config["reps"], rng=config["seed"], prior=_prior_from(config),
-        padding=config["padding"], workers=config["workers"])
+        padding=config["padding"])
     return report.to_json(), report
 
 

@@ -83,7 +83,9 @@ def bin_index(edges, x):
 
     This is the one binning rule of the package: histogram densities,
     bin counts and histogram projections all use it, so a datum is
-    always counted in the bin where the density places it.
+    always counted in the bin where the density places it.  Bin counts
+    apply it to sorted data: the points in [edges[j], edges[j+1]) are
+    those below edges[j+1] less those below edges[j].
     """
     idx = np.searchsorted(edges, np.asarray(x, dtype=float), side="right") - 1
     return np.clip(idx, 0, len(edges) - 2)
@@ -330,7 +332,8 @@ class ParametricFamily:
 
     # Families fit on the unit scale need a parameter map to and from the
     # data scale; location-scale families get it for free, others must
-    # override these hooks.
+    # override these hooks.  ``theta_from_unit`` also maps parameter
+    # columns, shape (p, rows), in one call.
     def theta_to_unit(self, theta, transform):
         raise NotImplementedError(
             f"{type(self).__name__} does not declare a unit-scale parameter map")

@@ -104,34 +104,55 @@ def _setup(data, prior, family, padding):
     return transform, post, family.unit_fit_family(transform)
 
 
-def _fit_many(blocks, transforms, family, attempted, failure_rate, failed):
+def _fit_many(blocks, transforms, family):
     """Minimum-Hellinger fits of many histograms, each from its own start.
 
-    Histogram r is mapped back to the data scale by ``transforms[r]``.
     ``blocks`` holds (rows, weights, edges, unit family, unit starts): the
     positions r of some histograms, their cell weights on the shared
     ``edges`` and their starts, one row each.  Blocks sharing edges and
     parameter box are solved by one ``mhd_rows`` call, which also re-seeds
-    the rows Newton leaves unconverged.  Returns the converged rows'
-    data-scale minimizers, in row order, and how many of the ``attempted``
-    fits failed, raising (message ending in ``failed``) when more than
-    ``failure_rate`` of them have.
+    the rows Newton leaves unconverged.  Row r is mapped back to the data
+    scale by ``transforms[r]``, or, all at once, by the one transform
+    ``transforms``.  Returns every row's minimizer and ``converged`` flag.
     """
     groups = {}
     for rows, weights, edges, fam_u, starts in blocks:
         groups.setdefault((edges.tobytes(), fam_u.bounds),
                           (edges, fam_u, []))[2].append((rows, weights, starts))
-    theta = np.empty((len(transforms), family.dim))
-    ok = np.empty(len(transforms), dtype=bool)
+    n_rows = sum(len(rows) for rows, *_ in blocks)
+    theta, ok = np.empty((n_rows, family.dim)), np.empty(n_rows, dtype=bool)
     for edges, fam_u, members in groups.values():
         rows, weights, starts = (np.concatenate(parts) for parts in zip(*members))
         theta[rows], ok[rows] = mhd_rows(weights, edges, fam_u, starts)
-    budget = failure_rate * attempted
-    failures = attempted - int(np.count_nonzero(ok))
-    if failures > budget:
-        raise RuntimeError(f"more than {int(budget)} of {attempted} {failed}")
-    return np.asarray([family.theta_from_unit(t, transform)
-                       for t, transform, good in zip(theta, transforms, ok) if good]), failures
+    if isinstance(transforms, SupportTransform):
+        return family.theta_from_unit(theta.T, transforms).T, ok
+    return np.reshape([family.theta_from_unit(t, transform)
+                       for t, transform in zip(theta, transforms)], theta.shape), ok
+
+
+def _mhb_many(datasets, prior, family, padding, start=None):
+    """MHB of many datasets, each from its own data-scale start: ``start``,
+    or the dataset's moment start when None.  Every dataset gets its own
+    transform, posterior and EAP; all are then fit by one ``_fit_many``
+    call.  Returns per dataset its estimate or why its fit failed (a str).
+    """
+    blocks, transforms, fits = [], [], []
+    for data in datasets:
+        try:
+            transform, post, fam_u = _setup(data, prior, family, padding)
+        except ValueError as exc:
+            fits.append(str(exc))
+            continue
+        g = post.eap()
+        theta0 = family.initial_theta(data) if start is None else start
+        blocks.append(([len(transforms)], g.weights[None], g.edges, fam_u,
+                       family.theta_to_unit(theta0, transform)[None]))
+        fits.append(len(transforms))
+        transforms.append(transform)
+    theta, ok = _fit_many(blocks, transforms, family)
+    return [fit if isinstance(fit, str) else theta[fit] if ok[fit] else
+            f"minimum-distance fit did not converge at theta={np.round(theta[fit], 4).tolist()}"
+            " (parameter bounds may exclude the minimizer)" for fit in fits]
 
 
 def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
@@ -161,8 +182,9 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
 
     Each resample gets its own transform, posterior and EAP.  Its fit
     starts at ``warm_theta``, the full-data MHB estimate (fit first when
-    None), and all fits share BMH's batched Newton path (``_fit_many``).
-    Failed resamples are dropped; more than 10% of them is an error.
+    None), and all resamples are fit as rows of one batched Newton call
+    (``_mhb_many``), as the efficiency study fits its replicates.  Failed
+    resamples are dropped; more than 10% of them is an error.
     """
     if n_boot < 50:
         raise ValueError("bootstrap needs n_boot >= 50")
@@ -172,21 +194,15 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     if warm_theta is None:
         warm_theta = mhb_fit(data, prior=prior, family=family, padding=padding).theta_hat
     n = len(data)
-    blocks, transforms = [], []
     # rng.spawn, not numerics.worker_rng: a different stream, and switching
     # to it would move the bootstrap standard errors
-    for child in as_generator(rng).spawn(int(n_boot)):
-        try:
-            transform, post, fam_u = _setup(data[child.integers(0, n, n)], prior,
-                                            family, padding)
-        except ValueError:
-            continue
-        g = post.eap()
-        blocks.append(([len(transforms)], g.weights[None], g.edges, fam_u,
-                       family.theta_to_unit(warm_theta, transform)[None]))
-        transforms.append(transform)
-    estimates, _ = _fit_many(blocks, transforms, family, int(n_boot), _BOOT_FAILURE_RATE,
-                             "bootstrap refits failed")
+    resamples = (data[child.integers(0, n, n)]
+                 for child in as_generator(rng).spawn(int(n_boot)))
+    estimates = [fit for fit in _mhb_many(resamples, prior, family, padding, start=warm_theta)
+                 if not isinstance(fit, str)]
+    budget = _BOOT_FAILURE_RATE * n_boot
+    if n_boot - len(estimates) > budget:
+        raise RuntimeError(f"more than {int(budget)} of {int(n_boot)} bootstrap refits failed")
     return np.std(estimates, axis=0, ddof=1)
 
 
@@ -219,9 +235,12 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     blocks = [(rows, weights, grid_edges(int(post.k_support[i])), fam_u,
                np.broadcast_to(anchor.theta_hat, (len(rows), family.dim)))
               for i, rows, weights in post.draws(rng, int(n_samples))]
-    samples, failures = _fit_many(blocks, [transform] * int(n_samples), family,
-                                  int(n_samples), _BMH_FAILURE_RATE,
-                                  "per-sample minimizations failed to converge")
+    samples, ok = _fit_many(blocks, transform, family)
+    failures, budget = int(n_samples - ok.sum()), _BMH_FAILURE_RATE * n_samples
+    if failures > budget:
+        raise RuntimeError(f"more than {int(budget)} of {int(n_samples)} "
+                           "per-sample minimizations failed to converge")
+    samples = samples[ok]
     intervals = {}
     for level in levels:
         tail = (1.0 - level) / 2.0

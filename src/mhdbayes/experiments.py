@@ -3,8 +3,9 @@ robustness, asymptotic efficiency, and the Bernstein-von-Mises check.
 
 Replicates get independent RNG streams derived from the study seed and are
 merged in replicate order, so reports are reproducible bit for bit given
-{seed, config}.  Set the MHDBAYES_WORKERS environment variable (0 = all
-cores) or pass ``workers`` to fan replicates out over processes.
+{seed, config}.  The efficiency study fits all its replicates as rows of
+one batched Newton call; MHDBAYES_WORKERS (0 = all cores) or ``workers``
+fans only the robustness sweep's replicates out over processes.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.stats
 
-from .densities import GaussianFamily, MixtureDensity, UniformDensity
-from .estimators import bmh_fit, mhb_fit
+from .densities import DEFAULT_PADDING, GaussianFamily
+from .estimators import _mhb_many, bmh_fit, mhb_fit
 from .functional import fisher_information, influence_function, l_norm_sq
 from .numerics import as_generator, resolve_workers, worker_rng
 from .posterior import HistogramPrior
-from .densities import DEFAULT_PADDING
 
 # Pass bands of the study checks: the efficiency study's MHB variance over
 # the Cramer-Rao bound, the robustness sweep's MHB median location error at
@@ -34,44 +34,6 @@ RATIO_BAND = (0.84, 1.16)
 FAR_Z_LOCATION_TOL = 0.05
 SD_RATIO_BAND = (0.9, 1.1)
 KS_THRESHOLD = 0.05
-
-
-@dataclass(frozen=True)
-class ContaminationSpec:
-    """Gross-error mixture: (1 - alpha) f_theta + alpha * Uniform(z +- epsilon)."""
-
-    theta: tuple
-    alpha: float
-    z: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha < 1.0):
-            raise ValueError("contamination fraction alpha must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("blip half-width epsilon must be positive")
-
-
-def contaminated_density(spec, family=None):
-    """Mixture density of the gross-error model; integrates to 1."""
-    family = family or GaussianFamily()
-    blip = UniformDensity(spec.z - spec.epsilon, spec.z + spec.epsilon)
-    return MixtureDensity([(1.0 - spec.alpha, family.density(spec.theta)),
-                           (spec.alpha, blip)])
-
-
-def sample_contaminated(spec, family, n, rng):
-    """Draw n points with exactly ceil(alpha * n) gross errors.
-
-    The clean part is drawn first, so alpha = 0 consumes the identical RNG
-    stream as a clean run with the same seed.
-    """
-    m = math.ceil(spec.alpha * n)
-    clean = family.sample(spec.theta, n - m, rng)
-    if m == 0:
-        return clean
-    gross = rng.uniform(spec.z - spec.epsilon, spec.z + spec.epsilon, m)
-    return np.concatenate([clean, gross])
 
 
 @dataclass
@@ -136,26 +98,15 @@ def _seed_of(rng):
     return int(as_generator(rng).integers(2 ** 31))
 
 
-def _efficiency_rep(args):
-    (rep, rng, family, theta0, n, prior, padding) = args
-    data = family.sample(theta0, n, rng)
-    row = {"rep": rep, "n": n}
-    try:
-        est = mhb_fit(data, prior=prior, family=family, padding=padding)
-        row["mhb"] = [float(v) for v in est.theta_hat]
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
-        row["error"] = str(exc)
-    row["mle"] = [float(v) for v in family.mle(data)]
-    return row
-
-
 def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
-                     prior=None, padding=DEFAULT_PADDING, workers=None):
+                     prior=None, padding=DEFAULT_PADDING):
     """Sampling-variance check of MHB against the inverse Fisher information.
 
-    Simulates ``reps`` clean datasets from f_theta0, fits MHB and the MLE
-    on each, and compares the empirical variance of sqrt(n) (theta_hat -
-    theta0) with the Cramer-Rao diagonal.
+    Simulates ``reps`` clean datasets from f_theta0, fits the MLE on each
+    and MHB on all at once, as the bootstrap fits its resamples: each gets
+    its own EAP, fit from its moment start as a row of one batched Newton
+    call; a failed fit is an ``error`` row.  Compares the empirical
+    variance of sqrt(n) (theta_hat - theta0) with the Cramer-Rao diagonal.
     """
     if reps < 100:
         raise ValueError("efficiency study needs reps >= 100")
@@ -164,9 +115,17 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     seed = _seed_of(rng)
     theta0 = np.asarray(theta0, dtype=float)
     t0 = time.perf_counter()
-    tasks = [(r, worker_rng(seed, r), family, theta0, int(n), prior, padding)
-             for r in range(int(reps))]
-    rows = _map_tasks(_efficiency_rep, tasks, resolve_workers(workers))
+    datasets = [family.sample(theta0, int(n), worker_rng(seed, r)) for r in range(int(reps))]
+    rows = []
+    for rep, (data, fit) in enumerate(zip(datasets, _mhb_many(datasets, prior, family,
+                                                               padding))):
+        row = {"rep": rep, "n": int(n)}
+        if isinstance(fit, str):
+            row["error"] = fit
+        else:
+            row["mhb"] = [float(v) for v in fit]
+        row["mle"] = [float(v) for v in family.mle(data)]
+        rows.append(row)
 
     target = np.diag(np.linalg.inv(fisher_information(family, theta0)))
     summary = {"n": int(n), "reps": int(reps),
@@ -245,7 +204,10 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     theta = np.asarray(theta, dtype=float)
     if epsilon is None:
         epsilon = 0.01 * float(theta[1])
-    ContaminationSpec(theta=tuple(theta), alpha=alpha, z=z_grid[-1], epsilon=epsilon)
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError("contamination fraction alpha must lie in [0, 1)")
+    if epsilon <= 0:
+        raise ValueError("blip half-width epsilon must be positive")
     seed = _seed_of(rng)
     t0 = time.perf_counter()
     tasks = [(r, worker_rng(seed, r), family, theta, float(alpha), z_grid, int(n),

@@ -93,17 +93,28 @@ class HistogramPrior:
 
 
 def bin_counts(data, k):
-    """Counts of ``data`` (values in [0, 1]) over the regular k-bin grid,
-    binned by :func:`~mhdbayes.densities.bin_index` (1.0 is closed into
-    the last bin)."""
+    """Counts of ``data`` (values in [0, 1]) over the regular k-bin grid by
+    :func:`~mhdbayes.densities.bin_index`'s rule (1.0 is closed into the
+    last bin), taken from the sorted data as the points below each edge."""
     if k < 1:
         raise ValueError("bin count k must be a positive integer")
+    return _sorted_counts(np.sort(_unit_data(data)), int(k))
+
+
+def _unit_data(data):
     data = np.asarray(data, dtype=float)
     bad = ~((data >= 0.0) & (data <= 1.0))   # NaN fails both comparisons
     if bad.any():
         idx = int(np.flatnonzero(bad)[0])
         raise ValueError(f"datum {float(data[idx])!r} at index {idx} is outside [0, 1]")
-    return np.bincount(bin_index(grid_edges(int(k)), data), minlength=int(k))
+    return data
+
+
+def _sorted_counts(ordered, k):
+    """k-bin counts of the sorted unit-interval data ``ordered``."""
+    below = ordered.searchsorted(grid_edges(k), side="left")
+    below[-1] = len(ordered)
+    return np.diff(below)
 
 
 def _log_beta(v):
@@ -204,7 +215,8 @@ class RandomHistogramPosterior:
 def fit_posterior(data, prior=None):
     """Exact posterior update from data on [0, 1].
 
-    For each candidate k the log marginal likelihood is
+    The data are sorted once, and every candidate k is counted from that
+    sort (see :func:`bin_counts`).  For each k the log marginal likelihood is
     n*log(k) + log B(alpha + counts) - log B(alpha); the posterior over k
     combines it with the prior k-masses (a single candidate takes all the
     mass), and the per-k weight posterior is Dirichlet(alpha + counts).
@@ -216,7 +228,8 @@ def fit_posterior(data, prior=None):
         raise ValueError("need at least one observation")
     prior.validate(n)
     ks = prior.k_values(n)
-    params = [prior.alpha + bin_counts(data, int(k)) for k in ks]
+    ordered = np.sort(_unit_data(data))
+    params = [prior.alpha + _sorted_counts(ordered, int(k)) for k in ks]
     if len(ks) == 1:
         return RandomHistogramPosterior(k_support=ks, log_post_k=np.zeros(1),
                                         dirichlet_params=params)

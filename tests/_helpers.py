@@ -1,12 +1,14 @@
 """Numerical helpers that only the tests use: plain quadrature, central
 differences, the posterior-concentration radius, the root-n bin-count
-schedule and a Gaussian family on the quadrature cell masses."""
+schedule, a Gaussian family on the quadrature cell masses and the
+gross-error contamination model."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from mhdbayes.densities import GaussianFamily, ParametricFamily
+from mhdbayes.densities import GaussianFamily, MixtureDensity, ParametricFamily, UniformDensity
 from mhdbayes.numerics import composite_nodes
 from mhdbayes.posterior import DEFAULT_ALPHA, HistogramPrior
 
@@ -81,3 +83,41 @@ class QuadratureGaussianFamily(GaussianFamily):
     """Gaussian family left on the quadrature default of the cell-mass hook."""
 
     cell_sqrt_masses = ParametricFamily.cell_sqrt_masses
+
+
+@dataclass(frozen=True)
+class ContaminationSpec:
+    """Gross-error mixture: (1 - alpha) f_theta + alpha * Uniform(z +- epsilon)."""
+
+    theta: tuple
+    alpha: float
+    z: float
+    epsilon: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.alpha < 1.0):
+            raise ValueError("contamination fraction alpha must lie in [0, 1)")
+        if self.epsilon <= 0:
+            raise ValueError("blip half-width epsilon must be positive")
+
+
+def contaminated_density(spec, family=None):
+    """Mixture density of the gross-error model; integrates to 1."""
+    family = family or GaussianFamily()
+    blip = UniformDensity(spec.z - spec.epsilon, spec.z + spec.epsilon)
+    return MixtureDensity([(1.0 - spec.alpha, family.density(spec.theta)),
+                           (spec.alpha, blip)])
+
+
+def sample_contaminated(spec, family, n, rng):
+    """Draw n points with exactly ceil(alpha * n) gross errors.
+
+    The clean part is drawn first, so alpha = 0 consumes the identical RNG
+    stream as a clean run with the same seed.
+    """
+    m = math.ceil(spec.alpha * n)
+    clean = family.sample(spec.theta, n - m, rng)
+    if m == 0:
+        return clean
+    gross = rng.uniform(spec.z - spec.epsilon, spec.z + spec.epsilon, m)
+    return np.concatenate([clean, gross])

@@ -358,6 +358,13 @@ class TestGaussianFamily:
         back = self.fam.theta_from_unit(self.fam.theta_to_unit(theta, t), t)
         assert np.allclose(back, theta, atol=1e-12)
 
+    def test_theta_from_unit_maps_columns_like_rows(self):
+        # BMH maps all its rows back with one call on the parameter columns
+        t = SupportTransform(-3.0, 9.0)
+        rows = np.random.default_rng(5).uniform(0.01, 1.0, (50, 2))
+        one_call = self.fam.theta_from_unit(rows.T, t).T
+        assert np.array_equal(one_call, [self.fam.theta_from_unit(r, t) for r in rows])
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             GaussianFamily(bounds=((-1.0, 1.0), (-0.5, 2.0)))

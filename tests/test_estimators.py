@@ -313,8 +313,9 @@ class TestBootstrapRows:
         fit_many, rows_calls, out = estimators._fit_many, [], {}
 
         def recording_fit_many(*args):
-            out["estimates"], failures = fit_many(*args)
-            return out["estimates"], failures
+            theta, converged = fit_many(*args)
+            out["estimates"] = theta[converged]
+            return theta, converged
 
         def counting_rows(*args):
             rows_calls.append(len(args[0]))

@@ -3,18 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from _helpers import ContaminationSpec, contaminated_density, sample_contaminated
 from mhdbayes.densities import GaussianFamily
+from mhdbayes.estimators import mhb_fit
+from mhdbayes.functional import mhd_rows
 from mhdbayes.experiments import (
     RATIO_BAND,
-    ContaminationSpec,
-    contaminated_density,
     bvm_diagnostic,
     efficiency_study,
     resolve_workers,
     robustness_sweep,
-    sample_contaminated,
 )
-from mhdbayes.numerics import composite_nodes
+from mhdbayes.numerics import composite_nodes, worker_rng
 from mhdbayes.posterior import HistogramPrior
 
 PRIOR_SMALL = HistogramPrior.fixed(40, alpha=0.07)
@@ -116,6 +116,23 @@ class TestRobustnessSweep:
         with pytest.raises(ValueError, match="ascending"):
             robustness_sweep(z_grid=(10.0, 5.0), reps=1, rng=0)
 
+    @pytest.mark.parametrize("alpha, epsilon, message", [
+        (1.0, 0.01, r"alpha must lie in \[0, 1\)"),
+        (-0.1, 0.01, r"alpha must lie in \[0, 1\)"),
+        (float("nan"), 0.01, r"alpha must lie in \[0, 1\)"),
+        (0.1, 0.0, "epsilon must be positive"),
+    ])
+    def test_bad_contamination_fails_before_any_fit(self, alpha, epsilon, message,
+                                                    monkeypatch):
+        from mhdbayes import experiments
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replicate ran before the contamination was checked")
+
+        monkeypatch.setattr(experiments, "_map_tasks", forbidden)
+        with pytest.raises(ValueError, match=message):
+            robustness_sweep(alpha=alpha, epsilon=epsilon, reps=1, rng=0)
+
     def test_includes_bmh_when_requested(self):
         report = robustness_sweep(theta=(0.0, 1.0), alpha=0.1, z_grid=(20.0,),
                                   n=120, reps=1, rng=3, prior=PRIOR_SMALL,
@@ -149,6 +166,41 @@ class TestEfficiencyStudy:
         assert report.summary["mhb_failures"] == 0
         assert report.summary["crlb_diag"] == pytest.approx([1.0, 0.5], abs=1e-6)
 
+    @pytest.mark.parametrize("prior", [PRIOR_SMALL, HistogramPrior.poisson()],
+                             ids=["fixed-k", "random-k"])
+    def test_rows_match_per_replicate_mhb_fit(self, prior):
+        # the oracle: one quadrature mhb_fit per replicate, on the same streams
+        report = efficiency_study(n=400, reps=100, rng=3, prior=prior)
+        family = GaussianFamily()
+        for r, row in enumerate(report.rows):
+            data = family.sample(np.array([0.0, 1.0]), 400, worker_rng(3, r))
+            expected = mhb_fit(data, prior=prior).theta_hat
+            assert row["rep"] == r and "error" not in row
+            assert np.all(np.abs(row["mhb"] - expected) <= 1e-12 * np.linalg.norm(expected))
+            assert row["mle"] == [float(v) for v in family.mle(data)]
+
+    def test_unconverged_row_is_its_own_error_row(self, monkeypatch):
+        from mhdbayes import estimators
+
+        kwargs = dict(n=400, reps=100, rng=1, prior=PRIOR_SMALL)
+        clean = efficiency_study(**kwargs)
+
+        def row_7_unconverged(weights, *args):
+            theta, converged = mhd_rows(weights, *args)
+            if len(weights) == 100:
+                converged[7] = False
+            return theta, converged
+
+        monkeypatch.setattr(estimators, "mhd_rows", row_7_unconverged)
+        report = efficiency_study(**kwargs)
+        assert report.summary["mhb_failures"] == 1
+        assert report.summary["mle_failures"] == 0
+        assert set(report.rows[7]) == {"rep", "n", "error", "mle"}
+        assert report.rows[7]["error"].startswith(
+            "minimum-distance fit did not converge at theta=[")
+        assert report.rows[7]["mle"] == clean.rows[7]["mle"]
+        assert report.rows[:7] + report.rows[8:] == clean.rows[:7] + clean.rows[8:]
+
     def test_random_k_ratios_in_band(self):
         # the paper's random-histogram prior: MHB fits on union-grid EAPs
         report = efficiency_study(n=2000, reps=200, rng=1, prior=HistogramPrior.poisson())
@@ -167,8 +219,7 @@ class TestWorkers:
     @pytest.mark.parametrize("study, kwargs", [
         (robustness_sweep, dict(theta=(0.0, 1.0), alpha=0.1, z_grid=(25.0,), n=120,
                                 reps=4, rng=11, prior=PRIOR_SMALL, estimators=("mhb",))),
-        (efficiency_study, dict(n=400, reps=100, rng=1, prior=PRIOR_SMALL)),
-    ], ids=["robustness", "efficiency"])
+    ], ids=["robustness"])
     def test_parallel_matches_serial(self, study, kwargs):
         # the whole report is byte-identical across worker counts; only the
         # wall time may differ
@@ -232,7 +283,6 @@ class TestCrossover:
 
 
 def mhb_fit_theta(data, prior):
-    from mhdbayes.estimators import mhb_fit
     return mhb_fit(data, prior=prior).theta_hat
 
 

@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import concentration_radius, fixed_root_n, root_n_bin_count
-from mhdbayes.densities import HistogramDensity, MixtureDensity, SupportTransform
+from mhdbayes.densities import (
+    HistogramDensity,
+    MixtureDensity,
+    SupportTransform,
+    bin_index,
+    grid_edges,
+)
 from mhdbayes.numerics import worker_rng
 from mhdbayes.posterior import (
     HistogramPrior,
@@ -61,6 +69,35 @@ class TestBinCounts:
             j = max(i for i in range(100) if i / 100 <= v)
             manual[j] += 1
         assert np.array_equal(counts, manual)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 60),
+           inner=st.lists(st.floats(0.0, 1.0), max_size=40),
+           on_edges=st.lists(st.integers(0, 60), max_size=20))
+    def test_sorted_count_matches_bin_index(self, k, inner, on_edges):
+        # the one-sort count against the binning rule, with points exactly
+        # on grid edges and at 1.0
+        edges = grid_edges(k)
+        data = np.array(inner + [float(edges[min(j, k)]) for j in on_edges] + [1.0])
+        np.random.default_rng(k).shuffle(data)
+        expected = np.bincount(bin_index(edges, data), minlength=k)
+        assert np.array_equal(bin_counts(data, k), expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.lists(st.floats(0.0, 1.0), min_size=20, max_size=200),
+           on_edges=st.lists(st.tuples(st.integers(0, 25), st.integers(1, 25)), max_size=20),
+           lam=st.floats(1.0, 30.0))
+    def test_posterior_parameters_are_alpha_plus_counts(self, data, on_edges, lam):
+        # every candidate k of a random-k posterior, counted from one sort
+        data = np.array(data + [float(grid_edges(k)[min(j, k)]) for j, k in on_edges]
+                        + [1.0])
+        prior = HistogramPrior.poisson(lam=lam, k_max=25, alpha=0.1)
+        post = fit_posterior(data, prior)
+        assert list(post.k_support) == list(range(1, 26))
+        for k, params in zip(post.k_support, post.dirichlet_params):
+            assert np.array_equal(params, 0.1 + bin_counts(data, int(k)))
+            oracle = np.bincount(bin_index(grid_edges(int(k)), data), minlength=int(k))
+            assert np.array_equal(params, 0.1 + oracle)
 
 
 class TestHistogramPrior:
