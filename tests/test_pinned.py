@@ -6,7 +6,8 @@ change of the numbers, rewrite the pins that moved, and only those, with
 
     PYTHONPATH=src python tests/test_pinned.py --record KEY [KEY ...]
 
-and say in the change log why they moved.  The other pins keep their bytes,
+and say in the change log why they moved; a new pin is added the same
+way, by naming the key ``compute`` gives it.  The other pins keep their bytes,
 so digits below the tolerance that differ between hosts are not rewritten.
 """
 
@@ -17,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mhdbayes import bmh_fit, load_dataset, mhb_bootstrap_se, mhb_fit, robustness_sweep
+from mhdbayes import (bmh_fit, bvm_diagnostic, load_dataset, mhb_bootstrap_se, mhb_fit,
+                      robustness_sweep)
 
 PINNED = Path(__file__).with_name("pinned.json")
 RTOL = 1e-10
@@ -30,12 +32,14 @@ def compute():
     bmh = bmh_fit(newcomb, n_samples=300, rng=7)
     sweep = robustness_sweep(estimators=("mhb",), z_grid=(5, 50, 1000), reps=5,
                              n=500, rng=101)
+    bvm = bvm_diagnostic(newcomb, n_samples=150, rng=1)
     return {
         "mhb_theta": mhb.theta_hat.tolist(),
         "mhb_h_min": mhb.mhd_meta.h_min,
         "bootstrap_se": se.tolist(),
         "bmh_theta_samples": bmh.theta_samples.tolist(),
         "sweep_theta": [row.get("theta_hat") for row in sweep.rows],
+        "bvm_ks_stat": [row["ks_stat"] for row in bvm.rows],
     }
 
 
@@ -50,7 +54,7 @@ def pinned():
 
 
 @pytest.mark.parametrize("key", ["mhb_theta", "mhb_h_min", "bootstrap_se",
-                                 "bmh_theta_samples"])
+                                 "bmh_theta_samples", "bvm_ks_stat"])
 def test_matches_pinned(current, pinned, key):
     np.testing.assert_allclose(current[key], pinned[key], rtol=RTOL, atol=0.0)
 
@@ -79,9 +83,9 @@ def test_file_is_in_record_format():
 if __name__ == "__main__":
     values = json.loads(PINNED.read_text())
     keys = sys.argv[2:]
-    if sys.argv[1:2] != ["--record"] or not keys or not set(keys) <= set(values):
+    current = compute() if sys.argv[1:2] == ["--record"] and keys else {}
+    if not current or not set(keys) <= set(current):
         sys.exit("usage: python tests/test_pinned.py --record KEY [KEY ...]\n"
-                 f"keys: {' '.join(values)}")
-    current = compute()
+                 f"keys: {' '.join(current or values)}")
     values.update((key, current[key]) for key in keys)
     PINNED.write_text(dumps(values))
