@@ -3,9 +3,11 @@
 There is one quadrature rule, the 8-point Gauss-Legendre rule that
 ``composite_nodes`` lays on every panel, and the fallback search of
 ``functional.mhd``, ``minimize``: a single bounded scipy Nelder-Mead run.
-Everything here is deterministic given its inputs.  Study replication is
-driven by a caller-supplied seed or ``numpy.random.Generator``; the search
-draws no random numbers.
+``minimize`` imports ``scipy.optimize`` on its first call, so a process
+that never falls back pays nothing for it and the first fallback pays a
+one-time import of about 0.5 s.  Everything here is deterministic given
+its inputs.  Study replication is driven by a caller-supplied seed or
+``numpy.random.Generator``; the search draws no random numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import scipy.optimize
 
 
 def resolve_workers(workers=None):
@@ -102,6 +103,7 @@ def minimize(objective, x0, bounds):
     start = np.clip(x0, lo, hi)
     if not _initial_simplex_finite(objective, start, lo, hi):
         raise ValueError("objective is non-finite at every initial simplex vertex")
+    import scipy.optimize   # ~0.5 s, paid on the first call only
     res = scipy.optimize.minimize(
         objective, start, method="Nelder-Mead",
         bounds=scipy.optimize.Bounds(lo, hi),

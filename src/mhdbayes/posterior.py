@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -117,8 +117,23 @@ def _sorted_counts(ordered, k):
     return np.diff(below)
 
 
-def _log_beta(v):
-    return float(np.sum(gammaln(v)) - gammaln(np.sum(v)))
+def _log_betas(vectors):
+    """log B(v) = sum(gammaln(v)) - gammaln(sum(v)) of every 1-d array in
+    ``vectors``, from one ``gammaln`` pass over all of them; each sum is
+    taken over its own slice, so every value is the one-vector result."""
+    g = gammaln(np.concatenate(vectors))
+    bounds = np.cumsum([0] + [len(v) for v in vectors]).tolist()
+    return (np.array([g[i:j].sum() for i, j in zip(bounds, bounds[1:])])
+            - gammaln(np.array([v.sum() for v in vectors])))
+
+
+@lru_cache(maxsize=16)
+def _prior_log_betas(alpha, ks):
+    """log B(alpha, ..., alpha) of k entries, for every k in the tuple ``ks``;
+    read-only, as it is shared between calls."""
+    out = _log_betas([np.full(k, alpha) for k in ks])
+    out.flags.writeable = False
+    return out
 
 
 def _normalized(logp):
@@ -217,9 +232,11 @@ def fit_posterior(data, prior=None):
 
     The data are sorted once, and every candidate k is counted from that
     sort (see :func:`bin_counts`).  For each k the log marginal likelihood is
-    n*log(k) + log B(alpha + counts) - log B(alpha); the posterior over k
-    combines it with the prior k-masses (a single candidate takes all the
-    mass), and the per-k weight posterior is Dirichlet(alpha + counts).
+    n*log(k) + log B(alpha + counts) - log B(alpha), the posterior terms of
+    all k from one ``gammaln`` pass and the prior terms cached per support;
+    the posterior over k combines it with the prior k-masses (a single
+    candidate takes all the mass), and the per-k weight posterior is
+    Dirichlet(alpha + counts).
     """
     prior = prior or HistogramPrior.fixed()
     data = np.asarray(data, dtype=float)
@@ -233,8 +250,8 @@ def fit_posterior(data, prior=None):
     if len(ks) == 1:
         return RandomHistogramPosterior(k_support=ks, log_post_k=np.zeros(1),
                                         dirichlet_params=params)
-    log_marg = [n * math.log(k) + _log_beta(p) - _log_beta(np.full(len(p), prior.alpha))
-                for k, p in zip(ks, params)]
+    log_marg = (np.array([n * math.log(k) for k in ks]) + _log_betas(params)
+                - _prior_log_betas(prior.alpha, tuple(ks.tolist())))
     return RandomHistogramPosterior(k_support=ks,
                                     log_post_k=_normalized(prior.log_prior_k(ks) + log_marg),
                                     dirichlet_params=params)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from _helpers import ContaminationSpec, contaminated_density, sample_contaminated
 from mhdbayes.densities import GaussianFamily
@@ -9,6 +10,7 @@ from mhdbayes.estimators import mhb_fit
 from mhdbayes.functional import mhd_rows
 from mhdbayes.experiments import (
     RATIO_BAND,
+    _ks_normal,
     bvm_diagnostic,
     efficiency_study,
     resolve_workers,
@@ -284,6 +286,21 @@ class TestCrossover:
 
 def mhb_fit_theta(data, prior):
     return mhb_fit(data, prior=prior).theta_hat
+
+
+class TestKsNormal:
+    @pytest.mark.parametrize("x, sd", [
+        ([0.3], 1.0),                                            # n = 1
+        ([-0.5, 0.2, 0.2, 0.2, 1.1, 1.1], 0.8),                  # ties
+        (np.zeros(7), 2.0),                                      # all tied at the centre
+        (np.random.default_rng(1).normal(0.0, 1.0, 150), 1.0),
+        (np.random.default_rng(2).normal(0.3, 2.0, 400), 1.7),   # off-centre, wider
+        (np.round(np.random.default_rng(3).normal(0.0, 1.0, 300), 1), 1.0),
+        (np.random.default_rng(4).standard_t(3, 2000), 0.9),
+    ])
+    def test_matches_scipy_kstest(self, x, sd):
+        expected = scipy.stats.kstest(x, "norm", args=(0.0, sd)).statistic
+        assert abs(_ks_normal(x, sd) - expected) <= 1e-15
 
 
 class TestBvmDiagnostic:

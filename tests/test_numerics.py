@@ -1,8 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mhdbayes
 from _helpers import finite_diff_grad, integrate, integrate_over_cells
 from mhdbayes.numerics import composite_nodes, minimize
 
@@ -109,6 +116,34 @@ class TestMinimize:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             minimize(lambda t: t[0] ** 2, [0.0], [(1.0, -1.0)])
+
+
+class TestImports:
+    def test_fit_path_loads_neither_optimize_nor_stats(self):
+        # a fresh process that imports the package and its CLI must not
+        # load scipy.optimize or scipy.stats (about 1 s of start-up
+        # between them); the Nelder-Mead fallback imports scipy.optimize
+        # on its first call and must then still find the argmin
+        code = textwrap.dedent("""
+            import json, sys
+            import mhdbayes, mhdbayes.cli
+            heavy = ("scipy.optimize", "scipy.stats")
+            before = [m for m in heavy if m in sys.modules]
+            x, f = mhdbayes.minimize(lambda t: (t[0] - 2.0) ** 2 + (t[1] + 1.0) ** 2,
+                                     [0.0, 0.0], [(-10.0, 10.0), (-10.0, 10.0)])
+            print(json.dumps({"before": before, "x": x.tolist(), "f": f,
+                              "optimize": "scipy.optimize" in sys.modules}))
+        """)
+        src = str(Path(mhdbayes.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        result = json.loads(out.stdout.splitlines()[-1])
+        assert result["before"] == []
+        assert result["optimize"]
+        assert np.allclose(result["x"], [2.0, -1.0], atol=1e-6)
+        assert result["f"] < 1e-11
 
 
 class TestFiniteDiffGrad:

@@ -17,6 +17,7 @@ from mhdbayes.numerics import worker_rng
 from mhdbayes.posterior import (
     HistogramPrior,
     RandomHistogramPosterior,
+    _log_betas,
     bin_counts,
     fit_posterior,
     max_bin_count,
@@ -197,6 +198,17 @@ class TestFitPosterior:
     def test_empty_data(self):
         with pytest.raises(ValueError):
             fit_posterior([], HistogramPrior.fixed(2))
+
+    def test_batched_log_beta_equals_one_vector_log_beta(self):
+        # one gammaln pass over all vectors, summed per slice, gives each
+        # vector's own value bit for bit, at lengths that take numpy's
+        # pairwise sum through its unrolled and recursive branches
+        from scipy.special import gammaln
+        rng = np.random.default_rng(6)
+        vectors = [0.07 + rng.integers(0, 60, size=k) for k in (1, 3, 8, 9, 127, 129, 300)]
+        vectors.append(np.full(40, 0.07))
+        expected = [np.sum(gammaln(v)) - gammaln(np.sum(v)) for v in vectors]
+        assert _log_betas(vectors).tolist() == expected
 
 
 class TestSampling:
