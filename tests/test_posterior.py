@@ -18,6 +18,7 @@ from mhdbayes.posterior import (
     HistogramPrior,
     RandomHistogramPosterior,
     _log_betas,
+    _normalized,
     bin_counts,
     fit_posterior,
     max_bin_count,
@@ -198,6 +199,24 @@ class TestFitPosterior:
     def test_empty_data(self):
         with pytest.raises(ValueError):
             fit_posterior([], HistogramPrior.fixed(2))
+
+    def test_log_post_k_equals_the_per_k_loop(self):
+        # the batched posterior terms and the cached prior terms give the
+        # per-k loop's log marginals exactly, so log_post_k keeps every bit
+        from scipy.special import gammaln
+
+        def log_beta(v):
+            return float(np.sum(gammaln(v)) - gammaln(np.sum(v)))
+
+        y = newcomb_unit()
+        for prior in (HistogramPrior.poisson(lam=3.0),
+                      HistogramPrior.poisson(alpha=0.5, k_max=40)):
+            for _ in range(2):   # the second fit reads the cached prior terms
+                post = fit_posterior(y, prior)
+                log_marg = [len(y) * math.log(k) + log_beta(prior.alpha + bin_counts(y, k))
+                            - log_beta(np.full(k, prior.alpha)) for k in post.k_support]
+                expected = _normalized(prior.log_prior_k(post.k_support) + log_marg)
+                assert post.log_post_k.tolist() == expected.tolist()
 
     def test_batched_log_beta_equals_one_vector_log_beta(self):
         # one gammaln pass over all vectors, summed per slice, gives each
