@@ -5,19 +5,15 @@ from .numerics import (
     as_generator,
     composite_nodes,
     minimize,
-    resolve_workers,
     worker_rng,
 )
 from .densities import (
     DEFAULT_PADDING,
     GaussianFamily,
     HistogramDensity,
-    MixtureDensity,
     ParametricFamily,
     SupportTransform,
-    UniformDensity,
     hellinger,
-    project_to_histogram,
     transform_density,
 )
 from .posterior import (
@@ -58,12 +54,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticVariance", "BmhPosterior", "Dataset", "DEFAULT_ALPHA",
     "DEFAULT_PADDING", "GaussianFamily", "HistogramDensity", "HistogramPrior",
-    "InfluenceFunction", "MhbEstimate", "MhdResult", "MixtureDensity",
-    "ParametricFamily", "RandomHistogramPosterior", "StudyReport",
-    "SupportTransform", "UniformDensity", "as_generator", "asymptotic_variance",
-    "bin_counts", "bmh_fit", "bvm_diagnostic", "composite_nodes",
-    "efficiency_study", "fisher_information", "fit_posterior", "hellinger",
-    "influence_function", "l_norm_sq", "load_dataset", "max_bin_count",
-    "mhb_bootstrap_se", "mhb_fit", "mhd", "minimize", "project_to_histogram",
-    "resolve_workers", "robustness_sweep", "transform_density", "worker_rng",
+    "InfluenceFunction", "MhbEstimate", "MhdResult", "ParametricFamily",
+    "RandomHistogramPosterior", "StudyReport", "SupportTransform",
+    "as_generator", "asymptotic_variance", "bin_counts", "bmh_fit",
+    "bvm_diagnostic", "composite_nodes", "efficiency_study",
+    "fisher_information", "fit_posterior", "hellinger", "influence_function",
+    "l_norm_sq", "load_dataset", "max_bin_count", "mhb_bootstrap_se",
+    "mhb_fit", "mhd", "minimize", "robustness_sweep", "transform_density",
+    "worker_rng",
 ]

@@ -25,7 +25,6 @@ import numpy as np
 
 from .densities import DEFAULT_PADDING, GaussianFamily
 from .datasets import load_dataset
-from .numerics import resolve_workers
 from .estimators import bmh_fit, mhb_fit
 from .experiments import bvm_diagnostic, csv_text, efficiency_study, robustness_sweep
 from .posterior import DEFAULT_ALPHA, DEFAULT_FIXED_K, DEFAULT_POISSON_RATE, HistogramPrior
@@ -95,10 +94,6 @@ def build_parser():
                        help="support-transform padding fraction")
         p.add_argument("--out", default=None, help="report path (default stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the robustness sweep (default: "
-                            "MHDBAYES_WORKERS or 1; 0 = all cores); no effect on "
-                            "other subcommands")
 
     p = sub.add_parser("fit", help="MHB/BMH estimates on a dataset")
     add_common(p, with_data=True)
@@ -108,6 +103,8 @@ def build_parser():
     p.add_argument("--levels", type=_float_list, default=[0.5, 0.9, 0.95])
     p.add_argument("--mu-bounds", type=_bounds_pair, default=None)
     p.add_argument("--sigma-bounds", type=_bounds_pair, default=None)
+    p.add_argument("--workers", type=int, default=1,
+                   help="ignored; kept only for the benchmark harness in perfbench/")
 
     p = sub.add_parser("robustness", help="gross-error contamination sweep")
     add_common(p, with_data=False)
@@ -121,6 +118,8 @@ def build_parser():
                    help="comma list drawn from mhb,bmh,mle")
     p.add_argument("--n-samples", type=int, default=200,
                    help="BMH draws per replicate when bmh is swept")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for the replicates (0 = all cores)")
 
     p = sub.add_parser("efficiency", help="sampling-variance study vs the CRLB")
     add_common(p, with_data=False)
@@ -152,10 +151,11 @@ def resolve_config(args):
         "padding": args.padding,
         "out": args.out,
         "format": args.format,
-        "workers": resolve_workers(args.workers),
     }
     if args.command in ("fit", "bvm", "posterior-dump"):
         config["data"] = args.data
+    if args.command in ("fit", "robustness"):
+        config["workers"] = args.workers
     if args.command == "fit":
         config.update(estimator=args.estimator, n_samples=args.n_samples,
                       n_boot=args.n_boot, levels=args.levels,

@@ -156,57 +156,6 @@ class HistogramDensity:
         return self.edges
 
 
-class UniformDensity:
-    """Uniform density on [lo, hi]."""
-
-    def __init__(self, lo, hi):
-        if not (lo < hi):
-            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-        self.lo, self.hi = float(lo), float(hi)
-        self.support = (self.lo, self.hi)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-
-    def breakpoints(self):
-        return np.array([self.lo, self.hi])
-
-
-class MixtureDensity:
-    """Convex combination of component densities."""
-
-    def __init__(self, components):
-        if not components:
-            raise ValueError("mixture needs at least one component")
-        weights = np.asarray([w for w, _ in components], dtype=float)
-        if np.any(weights < 0):
-            raise ValueError("mixture weights must be non-negative")
-        if abs(weights.sum() - 1.0) > 1e-8:
-            raise ValueError(f"mixture weights must sum to 1, got {float(weights.sum())!r}")
-        self.weights = weights / weights.sum()
-        self.components = [c for _, c in components]
-        los = [c.support[0] for c in self.components]
-        his = [c.support[1] for c in self.components]
-        self.support = (min(los), max(his))
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x, dtype=float)
-        for w, comp in zip(self.weights, self.components):
-            if w > 0:
-                out += w * comp.pdf(x)
-        return out
-
-    def breakpoints(self):
-        pts = [breakpoints_of(c) for c in self.components]
-        pts = [p for p in pts if len(p)]
-        if not pts:
-            return np.array([])
-        return np.unique(np.concatenate(pts))
-
-
 class TransformedDensity:
     """Density on [a, b] obtained from a unit-interval density by change of
     variables through a :class:`SupportTransform` (Jacobian 1/(b-a))."""
@@ -534,25 +483,6 @@ def hellinger(f, g, support=None):
         if outside > 1e-12:
             h2 += outside
     return float(np.sqrt(min(max(h2, 0.0), 2.0)))
-
-
-def project_to_histogram(f, k):
-    """L2 projection of a density on [0, 1] onto the k-bin histogram grid.
-
-    Bin mass is the integral of ``f`` over the bin, evaluated with
-    breakpoint-aligned panels so piecewise-constant inputs project exactly.
-    """
-    if k < 1:
-        raise ValueError("bin count k must be a positive integer")
-    k = int(k)
-    grid = grid_edges(k)
-    edges = integration_edges((0.0, 1.0), (f,), min_panels=1)
-    edges = np.unique(np.concatenate([grid, edges]))
-    x, w = composite_nodes(edges)
-    vals = _checked_values("f", _pdf_of(f)(x), x)
-    masses = np.zeros(k)
-    np.add.at(masses, bin_index(grid, x), w * vals)
-    return HistogramDensity(masses)
 
 
 def transform_density(g, transform):

@@ -217,7 +217,8 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     dropped; more than 5% of them is an error.  Each draw's minimizer
     depends on that draw alone, so the samples are reproducible given the
     seed, and the first m rows of an n-draw fit equal an m-draw fit.
-    ``workers`` is accepted for compatibility and ignored.
+    ``workers`` is ignored; it is kept only because the benchmark harness
+    in ``perfbench/`` passes it.
     """
     if n_samples < 100:
         raise ValueError("posterior sampling needs n_samples >= 100")

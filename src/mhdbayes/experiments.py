@@ -4,15 +4,18 @@ robustness, asymptotic efficiency, and the Bernstein-von-Mises check.
 Replicates get independent RNG streams derived from the study seed and are
 merged in replicate order, so reports are reproducible bit for bit given
 {seed, config}.  The efficiency study fits all its replicates as rows of
-one batched Newton call; MHDBAYES_WORKERS (0 = all cores) or ``workers``
-fans only the robustness sweep's replicates out over processes.
+one batched Newton call.  The robustness sweep is the one study that runs
+over processes: its ``workers`` (default 1, 0 = all cores) fans the
+replicates out, and reports do not depend on it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,8 +25,8 @@ from scipy.special import ndtr
 
 from .densities import DEFAULT_PADDING, GaussianFamily
 from .estimators import _mhb_many, bmh_fit, mhb_fit
-from .functional import fisher_information, influence_function, l_norm_sq
-from .numerics import as_generator, resolve_workers, worker_rng
+from .functional import asymptotic_variance, fisher_information
+from .numerics import as_generator, worker_rng
 from .posterior import HistogramPrior
 
 # Pass bands of the study checks: the efficiency study's MHB variance over
@@ -152,9 +155,9 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
                                "ratio_band": list(RATIO_BAND)})
 
 
-def _robustness_rep(args):
-    (rep, rng, family, theta, alpha, z_grid, n, epsilon, prior, padding,
-     estimators, n_samples_bmh) = args
+def _robustness_rep(rep, seed, family, theta, alpha, z_grid, n, epsilon, prior,
+                    padding, estimators, n_samples_bmh):
+    rng = worker_rng(seed, rep)
     m = math.ceil(alpha * n)
     clean = family.sample(theta, n - m, rng)
     blip_unit = rng.uniform(-1.0, 1.0, m)
@@ -188,13 +191,14 @@ def _robustness_rep(args):
 def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
                      z_grid=(5.0, 20.0, 50.0), n=500, reps=50, rng=None,
                      prior=None, padding=DEFAULT_PADDING, epsilon=None,
-                     estimators=("mhb", "bmh", "mle"), n_samples_bmh=200, workers=None):
+                     estimators=("mhb", "bmh", "mle"), n_samples_bmh=200, workers=1):
     """Gross-error sweep over increasing outlier locations.
 
     Every replicate draws one clean sample and one set of blip positions
     and reuses them across the whole z grid, so differences along z are
     not confounded by sampling noise.  Exactly ceil(alpha * n) points are
-    gross errors.
+    gross errors.  ``workers`` processes (0 = all cores) fit the
+    replicates; the report does not depend on their number.
     """
     z_grid = [float(z) for z in z_grid]
     if any(b <= a for a, b in zip(z_grid, z_grid[1:])):
@@ -208,13 +212,16 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
         raise ValueError("contamination fraction alpha must lie in [0, 1)")
     if epsilon <= 0:
         raise ValueError("blip half-width epsilon must be positive")
+    if workers < 0:
+        raise ValueError(f"worker count must be >= 0, got {workers}")
     seed = _seed_of(rng)
     t0 = time.perf_counter()
-    tasks = [(r, worker_rng(seed, r), family, theta, float(alpha), z_grid, int(n),
-              float(epsilon), prior, padding, tuple(estimators),
-              int(n_samples_bmh))
-             for r in range(int(reps))]
-    rows = [row for chunk in _map_tasks(_robustness_rep, tasks, resolve_workers(workers))
+    fit_rep = functools.partial(
+        _robustness_rep, seed=seed, family=family, theta=theta, alpha=float(alpha),
+        z_grid=z_grid, n=int(n), epsilon=float(epsilon), prior=prior, padding=padding,
+        estimators=tuple(estimators), n_samples_bmh=int(n_samples_bmh))
+    rows = [row for chunk in _map_tasks(fit_rep, range(int(reps)),
+                                        workers or os.cpu_count() or 1)
             for row in chunk]
 
     summary = {"alpha": float(alpha), "n": int(n), "reps": int(reps),
@@ -283,9 +290,7 @@ def bvm_diagnostic(data, prior=None, family=None, n_samples=2000, rng=None,
     fit = bmh_fit(data, prior=prior, family=family, n_samples=n_samples,
                   rng=np.random.default_rng(seed), padding=padding)
     n = len(np.asarray(data))
-    g0 = family.density(fit.eap)
-    inf = influence_function(g0, family, fit.eap)
-    V = l_norm_sq(inf.value, g0)
+    V = asymptotic_variance(family, fit.eap).V
     if np.any(np.diag(V) <= 0):
         raise RuntimeError("influence-norm variance matrix is singular")
 

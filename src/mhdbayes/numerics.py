@@ -7,25 +7,13 @@ There is one quadrature rule, the 8-point Gauss-Legendre rule that
 that never falls back pays nothing for it and the first fallback pays a
 one-time import of about 0.5 s.  Everything here is deterministic given
 its inputs.  Study replication is driven by a caller-supplied seed or
-``numpy.random.Generator``; the search draws no random numbers.
+``numpy.random.Generator``, and ``worker_rng`` derives independent
+streams from one seed; the search draws no random numbers.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def resolve_workers(workers=None):
-    """Worker-process count: explicit argument, else MHDBAYES_WORKERS
-    (0 means all cores), else 1; a negative count is an error."""
-    if workers is None:
-        workers = os.environ.get("MHDBAYES_WORKERS", "1")
-    workers = int(workers)
-    if workers < 0:
-        raise ValueError(f"worker count must be >= 0, got {workers}")
-    return workers or os.cpu_count() or 1
 
 
 def as_generator(rng=None):

@@ -72,15 +72,6 @@ class TestConfig:
             validate_config({"command": "fit", "family": "gaussian",
                              "prior": {"mode": "fixed", "alpha": 0.07}, "seed": 0})
 
-    def test_workers_default_comes_from_environment(self, monkeypatch):
-        monkeypatch.setenv("MHDBAYES_WORKERS", "4")
-        args = build_parser().parse_args(["fit", "--data", "bundled:newcomb"])
-        assert resolve_config(args)["workers"] == 4
-        args = build_parser().parse_args(
-            ["fit", "--data", "bundled:newcomb", "--workers", "2"])
-        assert resolve_config(args)["workers"] == 2
-
-
     def test_robustness_n_samples_below_minimum_exit_1(self, capsys, monkeypatch):
         # rejected as fit --estimator bmh rejects it, not raised to 100
         monkeypatch.setattr(cli, "robustness_sweep", forbidden)
@@ -102,11 +93,39 @@ class TestConfig:
         monkeypatch.setattr(cli, "load_dataset", forbidden)
         argv, _ = fit_args(tmp_path, "--workers", "-3")
         assert main(argv) == 1
-        assert "worker count must be >= 0, got -3" in capsys.readouterr().err
-        monkeypatch.setenv("MHDBAYES_WORKERS", "-2")
-        argv, _ = fit_args(tmp_path)
-        assert main(argv) == 1
-        assert "got -2" in capsys.readouterr().err
+        assert ("invalid configuration: workers: -3 is less than the minimum of 0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["efficiency", "bvm", "posterior-dump"])
+    def test_workers_flag_only_where_it_has_an_owner(self, command, capsys, monkeypatch):
+        for name in ("load_dataset", "efficiency_study", "bvm_diagnostic", "bmh_fit"):
+            monkeypatch.setattr(cli, name, forbidden)
+        data = [] if command == "efficiency" else ["--data", "bundled:newcomb"]
+        assert main([command, *data, "--workers", "2"]) == 1
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        args = build_parser().parse_args([command, *data])
+        assert "workers" not in resolve_config(args)
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "bundled:newcomb", "--estimator", "mhb", "--n-boot", "50"],
+        ["robustness", "--estimators", "mhb,mle", "--z-grid", "5,50", "--n", "120",
+         "--reps", "2"],
+    ], ids=["fit", "robustness"])
+    def test_reports_ignore_the_environment(self, argv, tmp_path, monkeypatch):
+        # the worker count comes from the flag alone, never from the environment
+        monkeypatch.delenv("MHDBAYES_WORKERS", raising=False)
+        reports = []
+        for env in (None, "2"):
+            if env:
+                monkeypatch.setenv("MHDBAYES_WORKERS", env)
+            out = tmp_path / "report.json"
+            assert main(argv + ["--seed", "5", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            report.pop("timestamp")
+            report["results"].pop("wall_time_s", None)
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["config"]["workers"] == 1
 
 
 class TestRunFit:
@@ -273,6 +292,31 @@ class TestRunStudiesAndDump:
         assert main(argv) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2 * 1
+
+    def test_robustness_workers_0_uses_every_core(self, tmp_path, monkeypatch):
+        # 0 is recorded as given and means one process per core (two here)
+        from mhdbayes import experiments
+
+        pools, map_tasks = [], experiments._map_tasks
+
+        def recording(fn, tasks, workers):
+            pools.append(workers)
+            return map_tasks(fn, tasks, workers)
+
+        monkeypatch.setattr(experiments, "_map_tasks", recording)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        results = []
+        for workers in ("0", "1"):
+            out = tmp_path / "rob.json"
+            argv = ["robustness", "--reps", "2", "--n", "120", "--z-grid", "10,30",
+                    "--estimators", "mhb,mle", "--seed", "5", "--k", "30",
+                    "--workers", workers, "--out", str(out)]
+            assert main(argv) == 0
+            report = json.loads(out.read_text())
+            assert report["config"]["workers"] == int(workers)
+            results.append(report["results"]["rows"])
+        assert pools == [2, 1]
+        assert results[0] == results[1]
 
     def test_bvm_json_to_stdout(self, tmp_path, capsys):
         data = np.random.default_rng(0).normal(0, 1, 300)

@@ -7,15 +7,19 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _helpers import QuadratureGaussianFamily, finite_diff_grad, integrate_over_cells
+from _helpers import (
+    MixtureDensity,
+    QuadratureGaussianFamily,
+    UniformDensity,
+    finite_diff_grad,
+    integrate_over_cells,
+    project_to_histogram,
+)
 from mhdbayes.densities import (
     GaussianFamily,
     HistogramDensity,
-    MixtureDensity,
     SupportTransform,
-    UniformDensity,
     hellinger,
-    project_to_histogram,
     transform_density,
 )
 from mhdbayes.numerics import composite_nodes

@@ -13,7 +13,6 @@ from mhdbayes.experiments import (
     _ks_normal,
     bvm_diagnostic,
     efficiency_study,
-    resolve_workers,
     robustness_sweep,
 )
 from mhdbayes.numerics import composite_nodes, worker_rng
@@ -211,12 +210,16 @@ class TestEfficiencyStudy:
 
 
 class TestWorkers:
-    def test_resolve_workers_env(self, monkeypatch):
-        monkeypatch.setenv("MHDBAYES_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        monkeypatch.setenv("MHDBAYES_WORKERS", "0")
-        assert resolve_workers(None) >= 1
-        assert resolve_workers(2) == 2
+    def test_negative_workers_fail_before_any_fit(self, monkeypatch):
+        from mhdbayes import experiments
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replicate ran before the worker count was checked")
+
+        monkeypatch.setattr(experiments, "_map_tasks", forbidden)
+        monkeypatch.setattr(experiments, "_robustness_rep", forbidden)
+        with pytest.raises(ValueError, match="worker count must be >= 0, got -1"):
+            robustness_sweep(workers=-1, reps=1, rng=0)
 
     @pytest.mark.parametrize("study, kwargs", [
         (robustness_sweep, dict(theta=(0.0, 1.0), alpha=0.1, z_grid=(25.0,), n=120,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import QuadratureGaussianFamily
+from _helpers import QuadratureGaussianFamily, project_to_histogram
 from mhdbayes import functional, numerics
 from mhdbayes.densities import (
     _MIN_PANELS,
@@ -15,7 +15,6 @@ from mhdbayes.densities import (
     ParametricFamily,
     SupportTransform,
     grid_edges,
-    project_to_histogram,
 )
 from mhdbayes.functional import (
     asymptotic_variance,

@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import concentration_radius, fixed_root_n, root_n_bin_count
+from _helpers import (
+    MixtureDensity,
+    concentration_radius,
+    fixed_root_n,
+    project_to_histogram,
+    root_n_bin_count,
+)
 from mhdbayes.densities import (
     HistogramDensity,
-    MixtureDensity,
     SupportTransform,
     bin_index,
     grid_edges,
@@ -367,7 +372,7 @@ class TestConcentrationRadius:
         # draws rarely leave the M * sqrt(k log n / n) ball around the
         # grid projection of the truth (M = 5, well under a 5% miss rate)
         import scipy.stats
-        from mhdbayes.densities import hellinger, project_to_histogram
+        from mhdbayes.densities import hellinger
 
         class BetaTruth:
             support = (0.0, 1.0)
