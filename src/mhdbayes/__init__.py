@@ -2,7 +2,6 @@
 functional with exact random-histogram density posteriors."""
 
 from .numerics import (
-    as_generator,
     composite_nodes,
     minimize,
     worker_rng,
@@ -56,9 +55,9 @@ __all__ = [
     "DEFAULT_PADDING", "GaussianFamily", "HistogramDensity", "HistogramPrior",
     "InfluenceFunction", "MhbEstimate", "MhdResult", "ParametricFamily",
     "RandomHistogramPosterior", "StudyReport", "SupportTransform",
-    "as_generator", "asymptotic_variance", "bin_counts", "bmh_fit",
-    "bvm_diagnostic", "composite_nodes", "efficiency_study",
-    "fisher_information", "fit_posterior", "hellinger", "influence_function",
+    "asymptotic_variance", "bin_counts", "bmh_fit", "bvm_diagnostic",
+    "composite_nodes", "efficiency_study", "fisher_information",
+    "fit_posterior", "hellinger", "influence_function",
     "l_norm_sq", "load_dataset", "max_bin_count", "mhb_bootstrap_se",
     "mhb_fit", "mhd", "minimize", "robustness_sweep", "transform_density",
     "worker_rng",

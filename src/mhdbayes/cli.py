@@ -70,6 +70,10 @@ def _float_list(text):
     return [float(v) for v in text.split(",")]
 
 
+def _name_list(text):
+    return [v.strip() for v in text.split(",")]
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mhdbayes",
@@ -114,7 +118,7 @@ def build_parser():
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--estimators", default="mhb,bmh,mle",
+    p.add_argument("--estimators", type=_name_list, default=["mhb", "bmh", "mle"],
                    help="comma list drawn from mhb,bmh,mle")
     p.add_argument("--n-samples", type=int, default=200,
                    help="BMH draws per replicate when bmh is swept")
@@ -138,38 +142,16 @@ def build_parser():
 
 
 def resolve_config(args):
-    prior = {"mode": args.prior_mode, "alpha": args.alpha}
+    """Config dict of parsed ``args``: every flag under its destination name,
+    the four prior flags folded into one ``prior`` object."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("prior_mode", "k", "lam", "alpha")}
+    config["prior"] = {"mode": args.prior_mode, "alpha": args.alpha}
     if args.prior_mode == "fixed":
-        prior["k"] = args.k
+        config["prior"]["k"] = args.k
     else:
-        prior["lambda"] = args.lam
-    config = {
-        "command": args.command,
-        "family": args.family,
-        "prior": prior,
-        "seed": args.seed,
-        "padding": args.padding,
-        "out": args.out,
-        "format": args.format,
-    }
-    if args.command in ("fit", "bvm", "posterior-dump"):
-        config["data"] = args.data
-    if args.command in ("fit", "robustness"):
-        config["workers"] = args.workers
-    if args.command == "fit":
-        config.update(estimator=args.estimator, n_samples=args.n_samples,
-                      n_boot=args.n_boot, levels=args.levels,
-                      mu_bounds=args.mu_bounds, sigma_bounds=args.sigma_bounds)
-    elif args.command == "robustness":
-        config.update(theta0=args.theta0, contamination=args.contamination,
-                      z_grid=args.z_grid, epsilon=args.epsilon, n=args.n,
-                      reps=args.reps, n_samples=args.n_samples,
-                      estimators=[e.strip() for e in args.estimators.split(",")])
-    elif args.command == "efficiency":
-        config.update(theta0=args.theta0, n=args.n, reps=args.reps)
-    elif args.command in ("bvm", "posterior-dump"):
-        config.update(n_samples=args.n_samples)
-    return validate_config(config)
+        config["prior"]["lambda"] = args.lam
+    return config
 
 
 def _prior_from(config):
@@ -181,13 +163,8 @@ def _prior_from(config):
 
 
 def _family_from(config):
-    mu_b = config.get("mu_bounds")
-    sg_b = config.get("sigma_bounds")
-    if mu_b is None and sg_b is None:
-        return GaussianFamily()
-    mu_b = mu_b or [-1e6, 1e6]
-    sg_b = sg_b or [1e-9, 1e6]
-    return GaussianFamily(bounds=(tuple(mu_b), tuple(sg_b)))
+    # a parameter without a bound flag keeps the family's default box
+    return GaussianFamily(bounds=(config.get("mu_bounds"), config.get("sigma_bounds")))
 
 
 def _run_fit(config):
@@ -281,7 +258,7 @@ def _emit(config, results, study):
 
 
 def run(config):
-    """Execute a validated config; returns the process exit code."""
+    """Validate and execute a config; returns the process exit code."""
     try:
         validate_config(config)
         results, study = _RUNNERS[config["command"]](config)
@@ -303,12 +280,7 @@ def main(argv=None):
         # argparse uses exit code 2 for usage errors; those are validation
         # failures in this tool's exit-code contract
         return 0 if exc.code in (0, None) else 1
-    try:
-        config = resolve_config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run(config)
+    return run(resolve_config(args))
 
 
 if __name__ == "__main__":

@@ -209,9 +209,9 @@ class ParametricFamily:
     parameter value (the Newton solver of ``mhd`` and ``mhd_rows`` relies
     on this); ``pdf``/``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess`` then
     gain a leading row axis and return shapes (D, n), (D, n, p) and
-    (D, n, p, p).  ``bounds`` is the compact
-    parameter box searched by the optimizer; a family without one cannot
-    be fit directly (the estimators derive unit-scale bounds via
+    (D, n, p, p).  ``bounds`` is the compact parameter box searched by
+    the optimizer; a family without one, or with a parameter left open,
+    cannot be fit directly (the estimators derive unit-scale bounds via
     :meth:`unit_fit_family`).
 
     :meth:`cell_sqrt_masses` gives the integrals of sqrt(f_theta) over the
@@ -280,9 +280,9 @@ class ParametricFamily:
         raise NotImplementedError
 
     # Families fit on the unit scale need a parameter map to and from the
-    # data scale; location-scale families get it for free, others must
-    # override these hooks.  ``theta_from_unit`` also maps parameter
-    # columns, shape (p, rows), in one call.
+    # data scale; every family must override these hooks, which raise
+    # here.  ``theta_from_unit`` also maps parameter columns, shape
+    # (p, rows), in one call.
     def theta_to_unit(self, theta, transform):
         raise NotImplementedError(
             f"{type(self).__name__} does not declare a unit-scale parameter map")
@@ -308,14 +308,17 @@ class GaussianFamily(ParametricFamily):
     dim = 2
 
     def __init__(self, bounds=None):
+        # ``bounds`` is ((mu_lo, mu_hi), (sigma_lo, sigma_hi)); either pair
+        # may be None, leaving that parameter open
         if bounds is not None:
-            (mu_lo, mu_hi), (sg_lo, sg_hi) = bounds
-            if sg_lo <= 0:
+            bounds = tuple(None if b is None else (float(b[0]), float(b[1]))
+                           for b in bounds)
+            _, sg_b = bounds
+            if sg_b is not None and sg_b[0] <= 0:
                 raise ValueError("sigma lower bound must be positive")
-            if mu_lo >= mu_hi or sg_lo >= sg_hi:
+            if any(b is not None and b[0] >= b[1] for b in bounds):
                 raise ValueError("bounds must be well ordered")
-            bounds = ((float(mu_lo), float(mu_hi)), (float(sg_lo), float(sg_hi)))
-        self.bounds = bounds
+        self.bounds = None if bounds == (None, None) else bounds
 
     def pdf(self, theta, x):
         mu, sg = theta
@@ -412,12 +415,13 @@ class GaussianFamily(ParametricFamily):
         return np.array([transform.a + transform.width * mu, transform.width * sg])
 
     def unit_fit_family(self, transform):
-        if self.bounds is None:
-            return GaussianFamily(bounds=_UNIT_BOUNDS)
-        (mu_lo, mu_hi), (sg_lo, sg_hi) = self.bounds
+        """The unit-scale image of ``bounds``; an open parameter gets its
+        ``_UNIT_BOUNDS`` box."""
+        mu_b, sg_b = self.bounds or (None, None)
         w, a = transform.width, transform.a
-        return GaussianFamily(bounds=(((mu_lo - a) / w, (mu_hi - a) / w),
-                                      (max(sg_lo / w, 1e-12), sg_hi / w)))
+        return GaussianFamily(bounds=(
+            _UNIT_BOUNDS[0] if mu_b is None else ((mu_b[0] - a) / w, (mu_b[1] - a) / w),
+            _UNIT_BOUNDS[1] if sg_b is None else (max(sg_b[0] / w, 1e-12), sg_b[1] / w)))
 
 
 def integration_edges(support, densities=(), min_panels=_MIN_PANELS):

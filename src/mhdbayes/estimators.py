@@ -25,7 +25,6 @@ from .densities import (
     grid_edges,
 )
 from .functional import MhdResult, mhd, mhd_rows
-from .numerics import as_generator
 from .posterior import HistogramPrior, fit_posterior
 
 # Largest fractions of failed bootstrap refits and of failed BMH per-draw
@@ -197,7 +196,7 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     # rng.spawn, not numerics.worker_rng: a different stream, and switching
     # to it would move the bootstrap standard errors
     resamples = (data[child.integers(0, n, n)]
-                 for child in as_generator(rng).spawn(int(n_boot)))
+                 for child in np.random.default_rng(rng).spawn(int(n_boot)))
     estimates = [fit for fit in _mhb_many(resamples, prior, family, padding, start=warm_theta)
                  if not isinstance(fit, str)]
     budget = _BOOT_FAILURE_RATE * n_boot
@@ -227,7 +226,7 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
             raise ValueError(f"credible level {level!r} must be in (0, 1)")
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
 
     data = np.asarray(data, dtype=float)
     transform, post, fam_u = _setup(data, prior, family, padding)

@@ -16,7 +16,6 @@ import functools
 import io
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ from scipy.special import ndtr
 from .densities import DEFAULT_PADDING, GaussianFamily
 from .estimators import _mhb_many, bmh_fit, mhb_fit
 from .functional import asymptotic_variance, fisher_information
-from .numerics import as_generator, worker_rng
+from .numerics import worker_rng
 from .posterior import HistogramPrior
 
 # Pass bands of the study checks: the efficiency study's MHB variance over
@@ -49,7 +48,6 @@ class StudyReport:
     summary: dict
     checks: dict
     seed: int
-    wall_time_s: float
     config: dict = field(default_factory=dict)
 
     @property
@@ -64,7 +62,6 @@ class StudyReport:
             "checks": self.checks,
             "passed": self.passed,
             "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
             "config": self.config,
             "rows": self.rows,
         }
@@ -94,11 +91,9 @@ def _map_tasks(fn, tasks, workers):
 def _seed_of(rng):
     # studies key their reports on an integer seed; honor one if given,
     # otherwise draw a fresh one to embed in the report
-    if rng is None:
-        return int(np.random.default_rng().integers(2 ** 31))
     if isinstance(rng, (int, np.integer)):
         return int(rng)
-    return int(as_generator(rng).integers(2 ** 31))
+    return int(np.random.default_rng(rng).integers(2 ** 31))
 
 
 def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
@@ -117,7 +112,6 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     prior = prior or HistogramPrior.fixed()
     seed = _seed_of(rng)
     theta0 = np.asarray(theta0, dtype=float)
-    t0 = time.perf_counter()
     datasets = [family.sample(theta0, int(n), worker_rng(seed, r)) for r in range(int(reps))]
     rows = []
     for rep, (data, fit) in enumerate(zip(datasets, _mhb_many(datasets, prior, family,
@@ -136,6 +130,7 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     checks = {}
     for est in ("mhb", "mle"):
         thetas = np.asarray([row[est] for row in rows if est in row])
+        summary[f"{est}_failures"] = int(reps - len(thetas))
         if not len(thetas):
             continue
         zscores = math.sqrt(n) * (thetas - theta0)
@@ -143,13 +138,14 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
         summary[f"{est}_var"] = [float(v) for v in var]
         summary[f"{est}_var_ratio"] = [float(v) for v in var / target]
         summary[f"{est}_mean"] = [float(v) for v in thetas.mean(axis=0)]
-        summary[f"{est}_failures"] = int(reps - len(thetas))
-    for i, ratio in enumerate(summary.get("mhb_var_ratio", [])):
-        checks[f"mhb_var_ratio_{i}_in_band"] = RATIO_BAND[0] <= ratio <= RATIO_BAND[1]
+    # with no MHB fit at all every ratio check fails
+    ratios = summary.get("mhb_var_ratio")
+    for i in range(len(theta0)):
+        checks[f"mhb_var_ratio_{i}_in_band"] = (ratios is not None
+                                                and RATIO_BAND[0] <= ratios[i] <= RATIO_BAND[1])
     grid = [{"n": int(n)}]
     return StudyReport(name="efficiency", grid=grid, rows=rows, summary=summary,
                        checks=checks, seed=seed,
-                       wall_time_s=time.perf_counter() - t0,
                        config={"theta0": [float(v) for v in theta0],
                                "reps": int(reps), "n": int(n),
                                "ratio_band": list(RATIO_BAND)})
@@ -176,10 +172,8 @@ def _robustness_rep(rep, seed, family, theta, alpha, z_grid, n, epsilon, prior,
                                   n_samples=n_samples_bmh,
                                   rng=worker_rng(bmh_seed, zi), padding=padding)
                     theta_hat = fit.eap
-                elif est == "mle":
+                else:   # "mle"
                     theta_hat = family.mle(data)
-                else:
-                    raise ValueError(f"unknown estimator {est!r}")
                 row["theta_hat"] = [float(v) for v in theta_hat]
                 row["abs_location_error"] = float(abs(theta_hat[0] - theta[0]))
             except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
@@ -198,11 +192,17 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     and reuses them across the whole z grid, so differences along z are
     not confounded by sampling noise.  Exactly ceil(alpha * n) points are
     gross errors.  ``workers`` processes (0 = all cores) fit the
-    replicates; the report does not depend on their number.
+    replicates; the report does not depend on their number.  An empty
+    ``z_grid`` or ``estimators``, or a name other than mhb, bmh and mle,
+    raises ``ValueError`` before any replicate runs.
     """
     z_grid = [float(z) for z in z_grid]
-    if any(b <= a for a, b in zip(z_grid, z_grid[1:])):
-        raise ValueError("z_grid must be strictly ascending")
+    if not z_grid or any(b <= a for a, b in zip(z_grid, z_grid[1:])):
+        raise ValueError("z_grid must be non-empty and strictly ascending")
+    estimators = tuple(estimators)
+    if not estimators or not set(estimators) <= {"mhb", "bmh", "mle"}:
+        raise ValueError("estimators must be a non-empty list drawn from mhb, bmh, mle, "
+                         f"got {list(estimators)}")
     family = family or GaussianFamily()
     prior = prior or HistogramPrior.fixed()
     theta = np.asarray(theta, dtype=float)
@@ -215,11 +215,10 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     if workers < 0:
         raise ValueError(f"worker count must be >= 0, got {workers}")
     seed = _seed_of(rng)
-    t0 = time.perf_counter()
     fit_rep = functools.partial(
         _robustness_rep, seed=seed, family=family, theta=theta, alpha=float(alpha),
         z_grid=z_grid, n=int(n), epsilon=float(epsilon), prior=prior, padding=padding,
-        estimators=tuple(estimators), n_samples_bmh=int(n_samples_bmh))
+        estimators=estimators, n_samples_bmh=int(n_samples_bmh))
     rows = [row for chunk in _map_tasks(fit_rep, range(int(reps)),
                                         workers or os.cpu_count() or 1)
             for row in chunk]
@@ -256,7 +255,6 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     grid = [{"z": z} for z in z_grid]
     return StudyReport(name="robustness", grid=grid, rows=rows, summary=summary,
                        checks=checks, seed=seed,
-                       wall_time_s=time.perf_counter() - t0,
                        config={"theta": [float(v) for v in theta],
                                "alpha": float(alpha), "z_grid": z_grid,
                                "n": int(n), "reps": int(reps),
@@ -286,7 +284,6 @@ def bvm_diagnostic(data, prior=None, family=None, n_samples=2000, rng=None,
     """
     family = family or GaussianFamily()
     seed = _seed_of(rng)
-    t0 = time.perf_counter()
     fit = bmh_fit(data, prior=prior, family=family, n_samples=n_samples,
                   rng=np.random.default_rng(seed), padding=padding)
     n = len(np.asarray(data))
@@ -318,7 +315,6 @@ def bvm_diagnostic(data, prior=None, family=None, n_samples=2000, rng=None,
                "degenerate": degenerate}
     return StudyReport(name="bvm", grid=[{"coord": i} for i in range(len(fit.eap))],
                        rows=rows, summary=summary, checks=checks, seed=seed,
-                       wall_time_s=time.perf_counter() - t0,
                        config={"n_samples": int(n_samples),
                                "sd_ratio_band": list(SD_RATIO_BAND),
                                "ks_threshold": KS_THRESHOLD})

@@ -85,7 +85,7 @@ def _resolve_support(g, support):
 
 
 def _box(family):
-    if family.bounds is None:
+    if family.bounds is None or None in family.bounds:
         raise ValueError("family declares no parameter bounds")
     return np.asarray(family.bounds, dtype=float).T
 

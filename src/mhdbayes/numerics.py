@@ -5,7 +5,8 @@ There is one quadrature rule, the 8-point Gauss-Legendre rule that
 ``functional.mhd``, ``minimize``: a single bounded scipy Nelder-Mead run.
 ``minimize`` imports ``scipy.optimize`` on its first call, so a process
 that never falls back pays nothing for it and the first fallback pays a
-one-time import of about 0.5 s.  Everything here is deterministic given
+one-time import of about 0.25 s (0.21-0.29 s on a 2-core x86-64 host,
+after ``import mhdbayes.cli``).  Everything here is deterministic given
 its inputs.  Study replication is driven by a caller-supplied seed or
 ``numpy.random.Generator``, and ``worker_rng`` derives independent
 streams from one seed; the search draws no random numbers.
@@ -14,18 +15,6 @@ streams from one seed; the search draws no random numbers.
 from __future__ import annotations
 
 import numpy as np
-
-
-def as_generator(rng=None):
-    """Coerce ``rng`` (None, int seed, or Generator) to a Generator.
-
-    The same integer seed always yields the same stream.
-    """
-    if rng is None:
-        return np.random.default_rng()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def worker_rng(seed, worker_index):
@@ -91,7 +80,7 @@ def minimize(objective, x0, bounds):
     start = np.clip(x0, lo, hi)
     if not _initial_simplex_finite(objective, start, lo, hi):
         raise ValueError("objective is non-finite at every initial simplex vertex")
-    import scipy.optimize   # ~0.5 s, paid on the first call only
+    import scipy.optimize   # ~0.25 s, paid on the first call only
     res = scipy.optimize.minimize(
         objective, start, method="Nelder-Mead",
         bounds=scipy.optimize.Bounds(lo, hi),

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .densities import HistogramDensity, bin_index, grid_edges
-from .numerics import as_generator, worker_rng
+from .numerics import worker_rng
 
 # Constant per-bin Dirichlet concentration used when none is given.  With
 # the default fixed k=100 this keeps the total prior mass alpha*k at or
@@ -199,7 +199,7 @@ class RandomHistogramPosterior:
 
     def sample(self, rng=None):
         """One histogram draw, the first of :meth:`draws`, as a density."""
-        ((_, _, weights),) = self.draws(as_generator(rng), 1)
+        ((_, _, weights),) = self.draws(np.random.default_rng(rng), 1)
         return HistogramDensity(weights[0])
 
     def eap(self):

@@ -122,10 +122,61 @@ class TestConfig:
             assert main(argv + ["--seed", "5", "--out", str(out)]) == 0
             report = json.loads(out.read_text())
             report.pop("timestamp")
-            report["results"].pop("wall_time_s", None)
             reports.append(report)
         assert reports[0] == reports[1]
         assert reports[0]["config"]["workers"] == 1
+
+
+COMMON_KEYS = {"command", "family", "prior", "seed", "padding", "out", "format"}
+COMMAND_KEYS = {
+    "fit": {"data", "estimator", "n_samples", "n_boot", "levels", "mu_bounds",
+            "sigma_bounds", "workers"},
+    "robustness": {"theta0", "contamination", "z_grid", "epsilon", "n", "reps",
+                   "estimators", "n_samples", "workers"},
+    "efficiency": {"theta0", "n", "reps"},
+    "bvm": {"data", "n_samples"},
+    "posterior-dump": {"data", "n_samples"},
+}
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+    @pytest.mark.parametrize("prior_mode, prior_keys", [
+        ("fixed", {"mode", "alpha", "k"}), ("random", {"mode", "alpha", "lambda"})])
+    def test_exact_key_set(self, command, prior_mode, prior_keys):
+        data = ["--data", "bundled:newcomb"] if "data" in COMMAND_KEYS[command] else []
+        args = build_parser().parse_args([command, *data, "--prior-mode", prior_mode])
+        config = resolve_config(args)
+        assert set(config) == COMMON_KEYS | COMMAND_KEYS[command]
+        assert set(config["prior"]) == prior_keys
+        assert validate_config(config) is config
+
+    def test_estimators_flag_is_a_list(self):
+        args = build_parser().parse_args(["robustness", "--estimators", "mhb, mle"])
+        assert resolve_config(args)["estimators"] == ["mhb", "mle"]
+        args = build_parser().parse_args(["robustness"])
+        assert resolve_config(args)["estimators"] == ["mhb", "bmh", "mle"]
+
+    def test_run_is_the_one_validation(self, tmp_path, capsys, monkeypatch):
+        # main validates a config once, in run, before the runner starts
+        calls = []
+        validate = cli.validate_config
+
+        def counting(config):
+            calls.append(config["command"])
+            return validate(config)
+
+        monkeypatch.setattr(cli, "validate_config", counting)
+        monkeypatch.setitem(cli._RUNNERS, "fit", lambda config: ({}, None))
+        argv, out = fit_args(tmp_path)
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["results"] == {}
+        assert calls == ["fit"]
+        monkeypatch.setitem(cli._RUNNERS, "fit", forbidden)
+        argv, _ = fit_args(tmp_path, "--k", "0")
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: invalid configuration: prior.k")
+        assert calls == ["fit", "fit"]
 
 
 class TestRunFit:
@@ -162,6 +213,23 @@ class TestRunFit:
         argv, _ = fit_args(tmp_path, "--sigma-bounds", "0.001,0.01")
         assert main(argv) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, bounds", [("--sigma-bounds", "0.1,10"),
+                                              ("--mu-bounds", "9999990,10000010")])
+    def test_one_bound_flag_keeps_the_other_default_box(self, tmp_path, flag, bounds):
+        # data near 1e7: the parameter without a flag keeps its unit-scale
+        # default box, so the flag changes nothing for an interior estimate
+        data = tmp_path / "offset.csv"
+        values = np.random.default_rng(0).normal(1e7, 2.0, 200)
+        data.write_text("\n".join(repr(float(v)) for v in values) + "\n")
+        thetas = []
+        for extra in ([], [flag, bounds]):
+            argv, out = fit_args(tmp_path, *extra)
+            argv[argv.index("--data") + 1] = str(data)
+            assert main(argv) == 0
+            thetas.append(json.loads(out.read_text())["results"]["mhb"]["theta_hat"])
+        assert thetas[0] == thetas[1]
+        assert abs(thetas[0][0] - 1e7) < 1.0
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -373,6 +373,32 @@ class TestGaussianFamily:
         with pytest.raises(ValueError):
             GaussianFamily(bounds=((-1.0, 1.0), (-0.5, 2.0)))
 
+    @pytest.mark.parametrize("bounds, match", [
+        ((None, (0.0, 2.0)), "sigma lower bound must be positive"),
+        ((None, (-0.5, 2.0)), "sigma lower bound must be positive"),
+        ((None, (2.0, 0.5)), "well ordered"),
+        (((1.0, -1.0), None), "well ordered"),
+        (((1.0, 1.0), None), "well ordered"),
+    ])
+    def test_bad_bounds_beside_an_open_parameter(self, bounds, match):
+        with pytest.raises(ValueError, match=match):
+            GaussianFamily(bounds=bounds)
+
+    def test_unit_fit_family_opens_only_unbounded_parameters(self):
+        from mhdbayes.densities import _UNIT_BOUNDS
+
+        t = SupportTransform(-20.0, 20.0)
+        assert GaussianFamily(bounds=(None, None)).bounds is None
+        assert GaussianFamily().unit_fit_family(t).bounds == _UNIT_BOUNDS
+        (mu_lo, mu_hi), sg_b = GaussianFamily(
+            bounds=((-10.0, 10.0), None)).unit_fit_family(t).bounds
+        assert (mu_lo, mu_hi) == pytest.approx((0.25, 0.75))
+        assert sg_b == _UNIT_BOUNDS[1]
+        mu_b, (sg_lo, sg_hi) = GaussianFamily(
+            bounds=(None, (0.5, 8.0))).unit_fit_family(t).bounds
+        assert mu_b == _UNIT_BOUNDS[0]
+        assert (sg_lo, sg_hi) == pytest.approx((0.0125, 0.2))
+
 
 class TestCellSqrtMasses:
     """The Gaussian closed form against the quadrature default, finite

@@ -117,6 +117,22 @@ class TestRobustnessSweep:
         with pytest.raises(ValueError, match="ascending"):
             robustness_sweep(z_grid=(10.0, 5.0), reps=1, rng=0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(estimators=("mhb", "MLE")), r"got \['mhb', 'MLE'\]"),
+        (dict(estimators=()), r"got \[\]"),
+        (dict(z_grid=()), "z_grid must be non-empty"),
+    ], ids=["unknown-estimator", "no-estimator", "empty-z-grid"])
+    def test_bad_sweep_inputs_fail_before_any_fit(self, kwargs, match, monkeypatch):
+        from mhdbayes import experiments
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replicate ran before the inputs were checked")
+
+        monkeypatch.setattr(experiments, "_map_tasks", forbidden)
+        monkeypatch.setattr(experiments, "_robustness_rep", forbidden)
+        with pytest.raises(ValueError, match=match):
+            robustness_sweep(reps=1, rng=0, **kwargs)
+
     @pytest.mark.parametrize("alpha, epsilon, message", [
         (1.0, 0.01, r"alpha must lie in \[0, 1\)"),
         (-0.1, 0.01, r"alpha must lie in \[0, 1\)"),
@@ -202,6 +218,23 @@ class TestEfficiencyStudy:
         assert report.rows[7]["mle"] == clean.rows[7]["mle"]
         assert report.rows[:7] + report.rows[8:] == clean.rows[:7] + clean.rows[8:]
 
+    def test_no_converged_fit_fails_every_ratio_check(self, monkeypatch):
+        from mhdbayes import estimators
+
+        def none_converged(weights, *args):
+            theta, converged = mhd_rows(weights, *args)
+            return theta, np.zeros_like(converged)
+
+        monkeypatch.setattr(estimators, "mhd_rows", none_converged)
+        report = efficiency_study(n=400, reps=100, rng=1, prior=PRIOR_SMALL)
+        assert all("error" in row for row in report.rows)
+        assert report.summary["mhb_failures"] == 100
+        assert report.summary["mle_failures"] == 0
+        assert "mhb_var_ratio" not in report.summary
+        assert report.checks == {"mhb_var_ratio_0_in_band": False,
+                                 "mhb_var_ratio_1_in_band": False}
+        assert report.to_json()["passed"] is False
+
     def test_random_k_ratios_in_band(self):
         # the paper's random-histogram prior: MHB fits on union-grid EAPs
         report = efficiency_study(n=2000, reps=200, rng=1, prior=HistogramPrior.poisson())
@@ -226,12 +259,10 @@ class TestWorkers:
                                 reps=4, rng=11, prior=PRIOR_SMALL, estimators=("mhb",))),
     ], ids=["robustness"])
     def test_parallel_matches_serial(self, study, kwargs):
-        # the whole report is byte-identical across worker counts; only the
-        # wall time may differ
+        # the whole report is byte-identical across worker counts
         reports = []
         for workers in (1, 2):
             report = study(workers=workers, **kwargs).to_json()
-            del report["wall_time_s"]
             reports.append(json.dumps(report, sort_keys=True))
         assert reports[0] == reports[1]
 

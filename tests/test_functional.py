@@ -193,6 +193,13 @@ class TestMhd:
         with pytest.raises(ValueError, match="bounds"):
             mhd(fam.density((0.0, 1.0)), fam, x0=(0.0, 1.0))
 
+    @pytest.mark.parametrize("bounds", [((-1.0, 2.0), None), (None, (1e-3, 2.0))],
+                             ids=["sigma-open", "mu-open"])
+    def test_partly_open_family_is_not_fit_directly(self, bounds):
+        fam = GaussianFamily(bounds=bounds)
+        with pytest.raises(ValueError, match="family declares no parameter bounds"):
+            mhd(fam.density((0.5, 0.2)), fam, x0=(0.5, 0.2), support=(0.0, 1.0))
+
     def test_functional_continuity_under_shrinking_perturbations(self):
         # |T(g) - T(g')| shrinks as h(g, g') does
         rng = np.random.default_rng(8)
