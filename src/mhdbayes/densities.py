@@ -199,6 +199,19 @@ def _pdf_of(density):
     return density.pdf if hasattr(density, "pdf") else density
 
 
+def _cell_nodes(edges):
+    """Gauss-Legendre nodes on the uniform ``integration_edges`` panels
+    merged with ``edges``, and the nodes-by-cells matrix of their weights,
+    whose columns sum the nodes of each cell of ``edges``."""
+    edges = np.asarray(edges, dtype=float)
+    panels = np.union1d(integration_edges((edges[0], edges[-1])), edges)
+    x, w = composite_nodes(panels)
+    cell = bin_index(edges, np.repeat(panels[:-1], GL_ORDER))
+    by_cell = np.zeros((len(x), len(edges) - 1))
+    by_cell[np.arange(len(x)), cell] = w
+    return x, by_cell
+
+
 class ParametricFamily:
     """A parametric density family with sqrt-density derivatives.
 
@@ -214,13 +227,15 @@ class ParametricFamily:
     cannot be fit directly (the estimators derive unit-scale bounds via
     :meth:`unit_fit_family`).
 
-    :meth:`cell_sqrt_masses` gives the integrals of sqrt(f_theta) over the
-    cells of a histogram's edges, with which the Bhattacharyya coefficient
-    of f_theta and a histogram is the exact dot product
-    sum_j sqrt(height_j) * m_j(theta).  Its default integrates ``sqrt_pdf``,
-    ``sqrt_grad`` and ``sqrt_hess`` by Gauss-Legendre quadrature on the
-    uniform ``integration_edges`` panels merged with the edges; a family
-    with a closed form overrides it.
+    :meth:`cell_sqrt_masses` gives the integrals m_j of sqrt(f_theta) over
+    the cells of a histogram's edges, with which the Bhattacharyya
+    coefficient of f_theta and a histogram is the exact dot product
+    sum_j sqrt(height_j) * m_j(theta).  :meth:`histogram_bc` returns that
+    coefficient with its theta-gradient and Hessian, the one evaluation a
+    Newton trial of ``mhd_rows`` makes.  Their defaults integrate
+    ``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess`` by Gauss-Legendre
+    quadrature on the uniform ``integration_edges`` panels merged with the
+    edges; a family with a closed form overrides them.
     """
 
     dim = None
@@ -238,29 +253,36 @@ class ParametricFamily:
     def sqrt_hess(self, theta, x):
         raise NotImplementedError
 
-    def cell_sqrt_masses(self, theta, edges, derivatives=False):
+    def cell_sqrt_masses(self, theta, edges):
         """Integrals m_j of sqrt(f_theta) over the cells [edges[j], edges[j+1]].
 
-        Returns the masses, shape (k,) for k cells, or with ``derivatives``
-        the tuple (masses, d/dtheta, d2/dtheta2) of shapes (k,), (k, p) and
-        (k, p, p); (D, 1)-column thetas add a leading row axis.  This
-        default applies the 8-point Gauss-Legendre rule on the uniform
-        32-panel grid of ``integration_edges`` merged with ``edges`` and
-        sums the nodes of each cell, the quadrature ``mhd`` uses.
+        Returns the masses, shape (k,) for k cells; (D, 1)-column thetas add
+        a leading row axis.  This default applies the 8-point Gauss-Legendre
+        rule on the uniform 32-panel grid of ``integration_edges`` merged
+        with ``edges`` and sums the nodes of each cell, the quadrature
+        ``mhd`` uses.
         """
-        edges = np.asarray(edges, dtype=float)
-        panels = np.union1d(integration_edges((edges[0], edges[-1])), edges)
-        x, w = composite_nodes(panels)
-        # nodes-by-cells matrix of weights: the node sums of every cell
-        cell = bin_index(edges, np.repeat(panels[:-1], GL_ORDER))
-        by_cell = np.zeros((len(x), len(edges) - 1))
-        by_cell[np.arange(len(x)), cell] = w
+        x, by_cell = _cell_nodes(edges)
+        return self.sqrt_pdf(theta, x) @ by_cell
+
+    def histogram_bc(self, theta, edges, sqrt_heights):
+        """Bhattacharyya coefficient of f_theta with a histogram on ``edges``.
+
+        ``sqrt_heights`` holds the square roots of the k cell heights
+        (weight over width).  Returns the coefficient
+        sum_j sqrt_heights[j] * m_j(theta) and its theta-gradient and
+        Hessian, shapes (), (p,) and (p, p); (D, 1)-column thetas with one
+        row of ``sqrt_heights`` each add a leading row axis.  This default
+        contracts the quadrature cell masses of :meth:`cell_sqrt_masses`
+        and the same node sums of ``sqrt_grad`` and ``sqrt_hess``.
+        """
+        x, by_cell = _cell_nodes(edges)
         masses = self.sqrt_pdf(theta, x) @ by_cell
-        if not derivatives:
-            return masses
-        return (masses,
-                np.einsum("...np,nk->...kp", self.sqrt_grad(theta, x), by_cell),
-                np.einsum("...npq,nk->...kpq", self.sqrt_hess(theta, x), by_cell))
+        grad = np.einsum("...np,nk->...kp", self.sqrt_grad(theta, x), by_cell)
+        hess = np.einsum("...npq,nk->...kpq", self.sqrt_hess(theta, x), by_cell)
+        return (np.einsum("...k,...k->...", sqrt_heights, masses),
+                np.einsum("...k,...kp->...p", sqrt_heights, grad),
+                np.einsum("...k,...kpq->...pq", sqrt_heights, hess))
 
     def density(self, theta):
         return ParametricDensity(self, theta)
@@ -355,12 +377,11 @@ class GaussianFamily(ParametricFamily):
         out[..., 1, 1] = h_ss
         return out
 
-    def cell_sqrt_masses(self, theta, edges, derivatives=False):
+    def cell_sqrt_masses(self, theta, edges):
         """Closed-form cell integrals of sqrt(f_theta), exact at any sigma.
 
         m_j = sqrt(2) (2 pi)^(1/4) sigma^(1/2) [Phi(z_{j+1}) - Phi(z_j)] with
-        z = (edges - mu) / (sqrt(2) sigma); the derivatives are sums of
-        Phi, phi and powers of z at the edges.  Cells above mu take the
+        z = (edges - mu) / (sqrt(2) sigma).  Cells above mu take the
         difference as Phi(-z_j) - Phi(-z_{j+1}), so far upper-tail cells do
         not cancel.  Shapes as in :meth:`ParametricFamily.cell_sqrt_masses`.
         """
@@ -370,22 +391,56 @@ class GaussianFamily(ParametricFamily):
         cdf = np.where(z < 0.0, tail, 1.0 - tail)
         d_cdf = np.where(z[..., :-1] > 0.0, tail[..., :-1] - tail[..., 1:],
                          np.diff(cdf, axis=-1))
+        return _SQRT2 * np.sqrt(_SQRT2PI * sg) * d_cdf
+
+    def histogram_bc(self, theta, edges, sqrt_heights):
+        """Closed-form Bhattacharyya coefficient with a histogram, with its
+        gradient and Hessian, by summation by parts over the k + 1 edges.
+
+        With c_j the sqrt cell heights (c_{-1} = c_k = 0), d_i = c_{i-1} - c_i
+        and F(x) = A Phi(z(x)) the integral of sqrt(f_theta) below x,
+        BC = sum_i d_i F(e_i) = A P with A = sqrt(2) (2 pi)^(1/4) sigma^(1/2),
+        z = (e - mu) / (sqrt(2) sigma) and P = sum d Phi(z).  With the edge
+        moments M_m = sum d phi(z) z^m, m = 0..3, a = A / sigma and
+        b = A / sigma^2:
+
+            dBC/dmu = -a M0 / sqrt(2)     d2BC/dmu2 = -b M1 / 2
+            dBC/dsg = a (P / 2 - M1)      d2BC/dmu dsg = -b (M2 - M0 / 2) / sqrt(2)
+                                          d2BC/dsg2 = b (M1 - M3 - P / 4)
+
+        Above mu, Phi(z) = 1 - Phi(-z) and the sum of d over those edges
+        telescopes to the sqrt height of the cell that straddles mu, so P
+        sums Phi(z) below mu and -Phi(-z) above it and adds that height
+        back: far-tail histograms keep their relative precision.  Shapes as
+        in :meth:`ParametricFamily.histogram_bc`.
+        """
+        mu, sg = theta
+        c = np.asarray(sqrt_heights, dtype=float)
+        pad = np.zeros(c.shape[:-1] + (1,))
+        c = np.concatenate([pad, c, pad], axis=-1)
+        d = c[..., :-1] - c[..., 1:]
+        z = (np.asarray(edges, dtype=float) - mu) / (_SQRT2 * sg)
+        below = z < 0.0
+        tail = ndtr(-np.abs(z))  # the smaller of Phi(z) and Phi(-z)
+        # padded index of the straddling cell: the number of edges below mu
+        straddle = np.take_along_axis(c, below.sum(axis=-1, keepdims=True), axis=-1)[..., 0]
+        p = np.einsum("...i,...i->...", d, np.where(below, tail, -tail)) + straddle
+        dphi = d * np.exp(-0.5 * z * z)
+        moments = [dphi.sum(axis=-1)]
+        for _ in range(3):
+            dphi *= z
+            moments.append(dphi.sum(axis=-1))
+        m0, m1, m2, m3 = (m / _SQRT2PI for m in moments)
+        sg = np.asarray(sg, dtype=float)
+        sg = sg[..., 0] if sg.ndim else sg
         amp = _SQRT2 * np.sqrt(_SQRT2PI * sg)
-        masses = amp * d_cdf
-        if not derivatives:
-            return masses
-        phi = np.exp(-0.5 * z * z) / _SQRT2PI
-        zphi = z * phi
-        a1, a2 = amp / sg, amp / (sg * sg)
-        grad = np.stack([-a1 / _SQRT2 * np.diff(phi, axis=-1),
-                         a1 * (0.5 * d_cdf - np.diff(zphi, axis=-1))], axis=-1)
-        h_ms = -a2 / _SQRT2 * np.diff(phi * (z * z - 0.5), axis=-1)
-        hess = np.empty(masses.shape + (2, 2))
-        hess[..., 0, 0] = -0.5 * a2 * np.diff(zphi, axis=-1)
-        hess[..., 0, 1] = h_ms
-        hess[..., 1, 0] = h_ms
-        hess[..., 1, 1] = a2 * (np.diff(zphi * (1.0 - z * z), axis=-1) - 0.25 * d_cdf)
-        return masses, grad, hess
+        a1 = amp / sg
+        a2 = a1 / sg
+        h_ms = -a2 / _SQRT2 * (m2 - 0.5 * m0)
+        grad = np.stack([-a1 / _SQRT2 * m0, a1 * (0.5 * p - m1)], axis=-1)
+        hess = np.stack([np.stack([-0.5 * a2 * m1, h_ms], axis=-1),
+                         np.stack([h_ms, a2 * (m1 - m3 - 0.25 * p)], axis=-1)], axis=-2)
+        return amp * p, grad, hess
 
     def plausible_support(self, theta):
         mu, sg = theta

@@ -65,9 +65,12 @@ _SEED_SIGMA = np.geomspace(max(_UNIT_BOUNDS[1][0], 1e-4), _UNIT_BOUNDS[1][1], 31
 _SEED_CELLS = 100
 
 # Cap on rows x cells in one block of ``mhd_rows``; it bounds the
-# (rows, cells) temporaries of the cell masses and their derivatives, and
-# with them peak memory, to a few MB.
-ROW_BLOCK_ELEMENTS = 1 << 14
+# (rows, k + 1) edge temporaries of ``histogram_bc``, and with them peak
+# memory, to a few MB.  Larger blocks pay the per-call overhead of each
+# Newton iteration fewer times; beyond this size the temporaries outgrow
+# the cache.  BMH(2000) on Newcomb took 0.10 s at this size and 0.13 s at
+# half or twice it (2-core x86-64 host).
+ROW_BLOCK_ELEMENTS = 1 << 15
 
 
 def _prepared_nodes(g, support, panels):
@@ -96,7 +99,8 @@ def mhd(g, family, x0, support=None):
     The Bhattacharyya coefficient is integrated on Gauss-Legendre nodes
     over ``support`` (by default ``g.support``): 32 uniform panels refined
     at g's breakpoints.  The damped Newton that also solves ``mhd_rows``
-    minimizes it on those nodes and decides ``converged`` (see
+    maximizes it on those nodes, evaluating ``sqrt_pdf``, ``sqrt_grad`` and
+    ``sqrt_hess`` once per trial point, and decides ``converged`` (see
     ``_newton_rows``), so a bound-pinned minimizer or a fit with no overlap
     with ``g`` is flagged, never silently returned.  For a histogram ``g``
     and a Gaussian family, Newton starts at the best of ``x0`` and the seed
@@ -104,39 +108,39 @@ def mhd(g, family, x0, support=None):
     ``_grid_seeds``).  Otherwise, or when that Newton does not converge, it
     starts where one Nelder-Mead run from ``x0`` (``numerics.minimize``)
     over the family's ``bounds`` box stops.  ``n_evals`` counts the
-    Hellinger values (``_hellinger_rows`` on the nodes): the seed's,
-    Nelder-Mead's and Newton's trial steps.
+    Hellinger values computed on the nodes: Newton's, at each start and
+    trial step, and Nelder-Mead's.
     """
     support = _resolve_support(g, support)
     lo, hi = _box(family)
     x, w, sqrt_g = _prepared_nodes(g, support, _MIN_PANELS)
-    wg = w * sqrt_g
+    # one row of node coefficients; mhd fits a single row
+    wg = (w * sqrt_g)[None]
     n_evals = 0
-
-    def basis(theta, derivatives):
-        if not derivatives:
-            return family.sqrt_pdf(theta, x)
-        grad = family.sqrt_grad(theta, x)
-        return grad if derivatives == 1 else (grad, family.sqrt_hess(theta, x))
 
     def objective(theta):
         nonlocal n_evals
         n_evals += 1
-        return float(_hellinger_rows(basis, wg[None], np.asarray(theta, dtype=float)[None])[0])
+        cols = _columns(np.asarray(theta, dtype=float)[None])
+        return float(_hellinger(np.einsum("rk,rk->r", wg, family.sqrt_pdf(cols, x)))[0])
 
-    def newton(theta, h):
+    def evaluate(rows, theta):
         nonlocal n_evals
-        *fit, n_newton = _newton_rows(basis, wg[None], theta[None], lo, hi, np.array([h]))
-        n_evals += n_newton
-        return [v[0] for v in fit]
+        n_evals += len(rows)
+        cols = _columns(theta)
+        return (np.einsum("rk,rk->r", wg, family.sqrt_pdf(cols, x)),
+                np.einsum("rk,rkp->rp", wg, family.sqrt_grad(cols, x)),
+                np.einsum("rk,rkpq->rpq", wg, family.sqrt_hess(cols, x)))
+
+    def newton(theta):
+        return [v[0] for v in _newton_rows(evaluate, theta[None], lo, hi)]
 
     seeded = isinstance(g, HistogramDensity) and isinstance(family, GaussianFamily)
     if seeded:
-        seed = _grid_seeds(g.weights[None], g.edges, family,
-                           np.asarray(x0, dtype=float)[None], lo, hi)[0]
-        theta, h, foc, converged = newton(seed, objective(seed))
+        theta, h, foc, converged = newton(_grid_seeds(
+            g.weights[None], g.edges, family, np.asarray(x0, dtype=float)[None], lo, hi)[0])
     if not seeded or not converged:
-        theta, h, foc, converged = newton(*numerics.minimize(objective, x0, family.bounds))
+        theta, h, foc, converged = newton(numerics.minimize(objective, x0, family.bounds)[0])
     return MhdResult(theta_hat=theta, h_min=float(h), converged=bool(converged),
                      n_evals=n_evals, first_order_norm=float(foc))
 
@@ -186,16 +190,17 @@ def mhd_rows(weights, edges, family, theta0):
 
     ``weights`` holds one row of cell weights per histogram, all on the
     cells of ``edges``; ``theta0`` is one start for every row, shape (p,),
-    or one per row, shape (rows, p).  A
-    histogram's Bhattacharyya coefficient with f_theta is the dot product
-    of its sqrt cell heights with the cell masses ``family.cell_sqrt_masses``
-    returns, so each fit runs on k + 1 edge values, with no quadrature of
-    its own.  Rows are solved in blocks of at most ``ROW_BLOCK_ELEMENTS``
-    rows x cells by the damped Newton of ``mhd`` (see ``_newton_rows``),
-    which also decides each row's ``converged`` flag.  For a Gaussian
-    family, rows left unconverged are solved once more from the grid seed
-    of ``mhd`` (see ``_grid_seeds``).  Returns the minimizers, shape
-    (rows, p), and the flags; a row still unconverged is reported as such.
+    or one per row, shape (rows, p).  Each fit runs on the k + 1 edges,
+    with no quadrature of its own: ``family.histogram_bc`` gives a row's
+    Bhattacharyya coefficient with f_theta, the dot product of its sqrt
+    cell heights with the cell integrals of sqrt(f_theta), together with
+    its gradient and Hessian.  Rows are solved in blocks of at most
+    ``ROW_BLOCK_ELEMENTS`` rows x cells by the damped Newton of ``mhd``
+    (see ``_newton_rows``), which also decides each row's ``converged``
+    flag.  For a Gaussian family, rows left unconverged are solved once
+    more from the grid seed of ``mhd`` (see ``_grid_seeds``).  Returns the
+    minimizers, shape (rows, p), and the flags; a row still unconverged is
+    reported as such.
     """
     lo, hi = _box(family)
     edges = np.asarray(edges, dtype=float)
@@ -203,19 +208,13 @@ def mhd_rows(weights, edges, family, theta0):
     widths = np.diff(edges)
     size = max(1, ROW_BLOCK_ELEMENTS // len(widths))
 
-    def basis(theta, derivatives):
-        if not derivatives:
-            return family.cell_sqrt_masses(theta, edges)
-        _, grad, hess = family.cell_sqrt_masses(theta, edges, derivatives=True)
-        return grad if derivatives == 1 else (grad, hess)
-
     def solve(weights, theta):
         converged = np.empty(len(weights), dtype=bool)
         for b in range(0, len(weights), size):
             sh = np.sqrt(_checked_values("g", weights[b:b + size] / widths, edges[:-1]))
-            t = theta[b:b + size]
-            theta[b:b + size], _, _, converged[b:b + size], _ = _newton_rows(
-                basis, sh, t, lo, hi, _hellinger_rows(basis, sh, t))
+            theta[b:b + size], _, _, converged[b:b + size] = _newton_rows(
+                lambda rows, t, sh=sh: family.histogram_bc(_columns(t), edges, sh[rows]),
+                theta[b:b + size], lo, hi)
         return theta, converged
 
     start = np.clip(np.broadcast_to(theta0, (len(weights), len(lo))), lo, hi)
@@ -232,11 +231,10 @@ def _columns(theta):
     return theta.T[:, :, None]
 
 
-def _hellinger_rows(basis, coef, theta):
-    """Per-row Hellinger objective of ``mhd`` and ``mhd_rows``.  Cauchy-Schwarz
-    caps the Bhattacharyya coefficient at 1; a row beyond that no longer
-    resolves f_theta (e.g. a spike between quadrature nodes) and gets +inf."""
-    bc = np.einsum("rk,rk->r", coef, basis(_columns(theta), 0))
+def _hellinger(bc):
+    """Hellinger values of Bhattacharyya coefficients ``bc``.  Cauchy-Schwarz
+    caps a coefficient at 1; a row beyond that no longer resolves f_theta
+    (e.g. a spike between quadrature nodes) and gets +inf."""
     h = np.sqrt(np.clip(2.0 - 2.0 * bc, 0.0, None))
     return np.where(bc > 1.0 + 1e-9, np.inf, h)
 
@@ -252,69 +250,64 @@ def _solve_rows(jac, grad):
     return step
 
 
-def _newton_rows(basis, coef, theta, lo, hi, h):
+def _newton_rows(evaluate, theta, lo, hi):
     """Damped Newton on the first-order condition of every row, and the
     one convergence rule of ``mhd`` and ``mhd_rows``.
 
-    Row r's Bhattacharyya coefficient is ``coef[r] @ basis(theta_r, 0)``:
-    ``basis(columns, d)`` returns the basis values (d = 0), their
-    first derivatives (d = 1) or the first and second derivatives (d = 2)
-    at (rows, 1) parameter columns, with a leading row axis.  ``h`` holds
-    the rows' Hellinger values at ``theta``.  Each row takes the Newton
-    step and halves it until its own Hellinger value does not increase
-    (within 1e-10 roundoff slack); a row stops when its gradient vanishes,
-    its accepted move falls below 1e-14, no halving helps or its Jacobian
-    is singular.  Returns the rows' parameters, Hellinger values,
-    first-order norms, ``converged`` flags and the number of Hellinger
-    evaluations made.  A row is converged when its first-order norm is
-    below ``_FOC_TOL``, a Newton step could be formed for it (finite start
-    value, non-singular Jacobian; a vanishing gradient may otherwise only
-    mean f_theta underflows on its support) and its Hellinger value is
-    below ``_H_NO_OVERLAP``.
+    ``evaluate(rows, theta)`` returns, for the rows of index array ``rows``
+    at parameters ``theta`` (one row each), their Bhattacharyya
+    coefficients, gradients and Hessians.  Each trial point is evaluated
+    once: an accepted trial's gradient and Hessian give the next Newton
+    step.  A row whose clipped Newton direction d = clip(t - step) - t
+    cannot raise its coefficient (gradient . d <= 0) stops before any
+    trial.  Otherwise it takes the step and halves it until its own
+    Hellinger value does not increase (within 1e-10 roundoff slack); a row
+    also stops when its gradient vanishes, its accepted move falls below
+    1e-14, no halving helps or its Jacobian is singular.  ``theta`` is
+    updated in place.  Returns the rows' parameters, Hellinger values,
+    first-order norms and ``converged`` flags.  A row is converged when its
+    first-order norm is below ``_FOC_TOL``, a Newton step could be formed
+    for it (finite start value, non-singular Jacobian; a vanishing gradient
+    may otherwise only mean f_theta underflows on its support) and its
+    Hellinger value is below ``_H_NO_OVERLAP``.
     """
+    bc, grad, hess = evaluate(np.arange(len(theta)), theta)
+    h = _hellinger(bc)
+    # first-order norm at each row's current theta
+    foc = np.linalg.norm(grad, axis=1)
     stuck = ~np.isfinite(h)
     active = np.flatnonzero(~stuck)
-    # first-order norm at each row's current theta; NaN until computed there
-    foc = np.full(len(theta), np.nan)
-    n_evals = 0
     for _ in range(_NEWTON_ITERS):
         if not len(active):
             break
-        t, rows_c = theta[active], coef[active]
-        dm, d2m = basis(_columns(t), 2)
-        grad = np.einsum("rk,rkp->rp", rows_c, dm)
-        jac = np.einsum("rk,rkpq->rpq", rows_c, d2m)
-        foc[active] = np.linalg.norm(grad, axis=1)
-        step = _solve_rows(jac, grad)
-        formed = np.all(np.isfinite(step), axis=1)
+        t, g = theta[active], grad[active]
+        step = _solve_rows(hess[active], g)
+        formed = np.isfinite(step).all(axis=1)
         stuck[active[~formed]] = True
-        keep = (foc[active] >= 1e-13) & formed
-        active, t, step = active[keep], t[keep], step[keep]
-        moved = np.zeros(len(active))
+        cand = np.clip(t - step, lo, hi)
+        keep = formed & (foc[active] >= 1e-13) & ((g * (cand - t)).sum(axis=1) > 0.0)
+        active, t, step, cand = active[keep], t[keep], step[keep], cand[keep]
         pending = np.arange(len(active))
-        for _ in range(_NEWTON_HALVINGS):
+        for halving in range(_NEWTON_HALVINGS):
             if not len(pending):
                 break
+            if halving:
+                cand = np.clip(t[pending] - step[pending], lo, hi)
             rows = active[pending]
-            cand = np.clip(t[pending] - step[pending], lo, hi)
-            h_new = _hellinger_rows(basis, coef[rows], cand)
-            n_evals += len(rows)
+            bc_new, grad_new, hess_new = evaluate(rows, cand)
+            h_new = _hellinger(bc_new)
             ok = np.isfinite(h_new) & (h_new <= h[rows] + 1e-10)
-            done = pending[ok]
-            theta[rows[ok]] = cand[ok]
-            foc[rows[ok]] = np.nan
-            h[rows[ok]] = np.minimum(h[rows[ok]], h_new[ok])
-            moved[done] = np.linalg.norm(cand[ok] - t[done], axis=1)
+            taken = rows[ok]
+            theta[taken], grad[taken], hess[taken] = cand[ok], grad_new[ok], hess_new[ok]
+            h[taken] = np.minimum(h[taken], h_new[ok])
+            foc[taken] = np.linalg.norm(grad_new[ok], axis=1)
             pending = pending[~ok]
             step[pending] *= 0.5
-        # rows still pending found no non-increasing step; they stop as well
-        active = active[moved >= 1e-14]
-    stale = np.isnan(foc)
-    if np.any(stale):
-        grad = np.einsum("rk,rkp->rp", coef[stale], basis(_columns(theta[stale]), 1))
-        foc[stale] = np.linalg.norm(grad, axis=1)
+        # rows still pending found no non-increasing step and did not move;
+        # they stop as well
+        active = active[np.linalg.norm(theta[active] - t, axis=1) >= 1e-14]
     converged = (foc < _FOC_TOL) & ~stuck & (h < _H_NO_OVERLAP)
-    return theta, h, foc, converged, n_evals
+    return theta, h, foc, converged
 
 
 @dataclass

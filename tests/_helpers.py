@@ -91,9 +91,11 @@ def fixed_root_n(n, alpha=DEFAULT_ALPHA):
 
 
 class QuadratureGaussianFamily(GaussianFamily):
-    """Gaussian family left on the quadrature default of the cell-mass hook."""
+    """Gaussian family left on the quadrature defaults of the cell-mass and
+    histogram-coefficient hooks."""
 
     cell_sqrt_masses = ParametricFamily.cell_sqrt_masses
+    histogram_bc = ParametricFamily.histogram_bc
 
 
 class UniformDensity:

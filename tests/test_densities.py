@@ -400,9 +400,21 @@ class TestGaussianFamily:
         assert (sg_lo, sg_hi) == pytest.approx((0.0125, 0.2))
 
 
+def far_tail_edges(mu, sg, side):
+    """Edges at least 10 sigma from mu, all on one side of it: plain
+    1 - Phi differences would cancel to nothing there."""
+    return np.sort(mu + side * sg * np.array([10.0, 10.5, 11.5, 13.0, 16.0, 25.0]))
+
+
+def quad_cells(f, edges):
+    """Adaptive quadrature of ``f`` over every cell of ``edges``."""
+    return np.array([scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for a, b in zip(edges[:-1], edges[1:])])
+
+
 class TestCellSqrtMasses:
-    """The Gaussian closed form against the quadrature default, finite
-    differences and adaptive quadrature in the far tails."""
+    """The Gaussian closed form against the quadrature default and adaptive
+    quadrature in the far tails."""
 
     fam = GaussianFamily()
 
@@ -414,59 +426,26 @@ class TestCellSqrtMasses:
     def test_closed_form_matches_quadrature_default(self, cuts, mu, sg):
         # sigma spans at least 4 of the 32 uniform panels on [0, 1]
         edges = np.concatenate([[0.0], np.sort(cuts), [1.0]])
-        closed = self.fam.cell_sqrt_masses((mu, sg), edges, derivatives=True)
-        quad = QuadratureGaussianFamily().cell_sqrt_masses((mu, sg), edges, derivatives=True)
-        for c, q in zip(closed, quad):
-            assert c.shape == q.shape
-            assert np.max(np.abs(c - q)) <= 1e-12
+        closed = self.fam.cell_sqrt_masses((mu, sg), edges)
+        quad = QuadratureGaussianFamily().cell_sqrt_masses((mu, sg), edges)
+        assert closed.shape == quad.shape
+        assert np.max(np.abs(closed - quad)) <= 1e-12
 
     def test_masses_sum_to_the_integral_of_sqrt_f(self):
         # over +-40 sigma the cells hold all of integral sqrt(f) = sqrt(2 sigma) (2 pi)^(1/4)
         mu, sg = 0.3, 0.4
         edges = np.linspace(mu - 40 * sg, mu + 40 * sg, 81)
-        masses, _, _ = self.fam.cell_sqrt_masses((mu, sg), edges, derivatives=True)
-        assert np.array_equal(self.fam.cell_sqrt_masses((mu, sg), edges), masses)
+        masses = self.fam.cell_sqrt_masses((mu, sg), edges)
         assert masses.sum() == pytest.approx(math.sqrt(2 * sg) * (2 * math.pi) ** 0.25,
                                              rel=1e-14)
 
-    def test_derivatives_match_finite_differences(self):
-        edges = np.array([-2.0, -0.7, 0.1, 0.4, 1.3, 3.0])
-        theta = np.array([0.2, 0.8])
-        _, grad, hess = self.fam.cell_sqrt_masses(theta, edges, derivatives=True)
-        for j in range(len(edges) - 1):
-            fd = finite_diff_grad(lambda t: self.fam.cell_sqrt_masses(t, edges)[j], theta)
-            assert np.allclose(grad[j], fd, atol=1e-9)
-            for p in range(2):
-                fd = finite_diff_grad(
-                    lambda t: self.fam.cell_sqrt_masses(t, edges, derivatives=True)[1][j, p],
-                    theta, h=1e-5)
-                assert np.allclose(hess[j, p], fd, atol=1e-8)
-
     @pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
     def test_far_tail_cells_keep_relative_accuracy(self, side):
-        # every edge at least 10 sigma from mu: 1 - Phi differences would
-        # cancel to nothing here
         mu, sg = 0.3, 0.02
-        edges = mu + side * sg * np.array([10.0, 10.5, 11.5, 13.0, 16.0, 25.0])
-        edges = np.sort(edges)
-        masses, grad, hess = self.fam.cell_sqrt_masses((mu, sg), edges, derivatives=True)
-        theta = np.array([mu, sg])
-
-        def quad(f):
-            return np.array([scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13,
-                                                  limit=200)[0]
-                             for a, b in zip(edges[:-1], edges[1:])])
-
-        def one(fn, *index):
-            return lambda x: fn(theta, np.array([x]))[(0,) + index]
-
-        checks = [(masses, quad(one(self.fam.sqrt_pdf)))]
-        checks += [(grad[:, p], quad(one(self.fam.sqrt_grad, p))) for p in range(2)]
-        checks += [(hess[:, p, q], quad(one(self.fam.sqrt_hess, p, q)))
-                   for p in range(2) for q in range(2)]
-        for got, want in checks:
-            assert np.all(want != 0.0)
-            assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+        edges = far_tail_edges(mu, sg, side)
+        want = quad_cells(lambda x: self.fam.sqrt_pdf((mu, sg), x), edges)
+        assert np.all(want != 0.0)
+        assert np.max(np.abs(self.fam.cell_sqrt_masses((mu, sg), edges) / want - 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("family", [GaussianFamily, QuadratureGaussianFamily],
                              ids=["closed-form", "quadrature"])
@@ -475,9 +454,88 @@ class TestCellSqrtMasses:
         thetas = np.column_stack([rng.uniform(0.0, 1.0, 5), rng.uniform(0.2, 2.0, 5)])
         edges = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
         hook = family().cell_sqrt_masses
-        batched = hook(thetas.T[:, :, None], edges, derivatives=True)
-        rows = [hook(t, edges, derivatives=True) for t in thetas]
-        for i, shape in enumerate([(5, 5), (5, 5, 2), (5, 5, 2, 2)]):
+        batched = hook(thetas.T[:, :, None], edges)
+        assert batched.shape == (5, 5)
+        assert np.allclose(batched, np.stack([hook(t, edges) for t in thetas]),
+                           rtol=1e-14, atol=1e-15)
+
+
+class TestHistogramBc:
+    """The Bhattacharyya coefficient of f_theta with a histogram and its
+    derivatives: the Gaussian closed form against the quadrature default,
+    finite differences and adaptive quadrature in the far tails."""
+
+    fam = GaussianFamily()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         max_size=30, unique=True),
+           seed=st.integers(0, 2 ** 32 - 1),
+           mu=st.floats(-0.5, 1.5),
+           sg=st.floats(1.0 / 8.0, 2.0))
+    def test_closed_form_matches_quadrature_default(self, cuts, seed, mu, sg):
+        edges = np.concatenate([[0.0], np.sort(cuts), [1.0]])
+        sqrt_heights = np.random.default_rng(seed).uniform(0.0, 3.0, len(edges) - 1)
+        closed = self.fam.histogram_bc((mu, sg), edges, sqrt_heights)
+        quad = QuadratureGaussianFamily().histogram_bc((mu, sg), edges, sqrt_heights)
+        for c, q in zip(closed, quad):
+            assert c.shape == q.shape
+            assert np.max(np.abs(c - q)) <= 1e-12
+
+    def test_derivatives_match_finite_differences(self):
+        edges = np.array([-2.0, -0.7, 0.1, 0.4, 1.3, 3.0])
+        sqrt_heights = np.array([0.3, 1.2, 0.0, 0.8, 0.5])
+        theta = np.array([0.2, 0.8])
+        _, grad, hess = self.fam.histogram_bc(theta, edges, sqrt_heights)
+        fd = finite_diff_grad(lambda t: self.fam.histogram_bc(t, edges, sqrt_heights)[0], theta)
+        assert np.allclose(grad, fd, atol=1e-9)
+        for p in range(2):
+            fd = finite_diff_grad(lambda t: self.fam.histogram_bc(t, edges, sqrt_heights)[1][p],
+                                  theta, h=1e-5)
+            assert np.allclose(hess[p], fd, atol=1e-8)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
+    def test_far_tail_histograms_keep_relative_accuracy(self, side):
+        # summing Phi(z) over these edges would leave nothing of the upper
+        # tail; the closed form sums -Phi(-z) above mu instead
+        mu, sg = 0.3, 0.02
+        edges = far_tail_edges(mu, sg, side)
+        sqrt_heights = np.array([1.5, 0.4, 2.0, 0.7, 1.1])
+        theta = np.array([mu, sg])
+        bc, grad, hess = self.fam.histogram_bc(theta, edges, sqrt_heights)
+
+        def want(fn, *index):
+            return sqrt_heights @ quad_cells(lambda x: fn(theta, np.array([x]))[(0,) + index],
+                                             edges)
+
+        checks = [(bc, want(self.fam.sqrt_pdf))]
+        checks += [(grad[p], want(self.fam.sqrt_grad, p)) for p in range(2)]
+        checks += [(hess[p, q], want(self.fam.sqrt_hess, p, q))
+                   for p in range(2) for q in range(2)]
+        for got, expected in checks:
+            assert expected != 0.0
+            assert abs(got / expected - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("mu", [-0.9, 1.9], ids=["below", "above"])
+    def test_underflow_gives_zero_and_a_singular_jacobian(self, mu):
+        # f_theta underflows on all of [0, 1]: no overlap, no curvature
+        edges = np.linspace(0.0, 1.0, 11)
+        bc, grad, hess = self.fam.histogram_bc((mu, 1e-3), edges, np.ones(10))
+        assert bc == 0.0
+        assert np.all(grad == 0.0)
+        assert np.linalg.det(hess) == 0.0
+
+    @pytest.mark.parametrize("family", [GaussianFamily, QuadratureGaussianFamily],
+                             ids=["closed-form", "quadrature"])
+    def test_column_thetas_broadcast_row_by_row(self, family):
+        rng = np.random.default_rng(6)
+        thetas = np.column_stack([rng.uniform(0.0, 1.0, 5), rng.uniform(0.2, 2.0, 5)])
+        edges = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
+        sqrt_heights = rng.uniform(0.0, 2.0, (5, 5))
+        hook = family().histogram_bc
+        batched = hook(thetas.T[:, :, None], edges, sqrt_heights)
+        rows = [hook(t, edges, s) for t, s in zip(thetas, sqrt_heights)]
+        for i, shape in enumerate([(5,), (5, 2), (5, 2, 2)]):
             assert batched[i].shape == shape
             assert np.allclose(batched[i], np.stack([r[i] for r in rows]),
                                rtol=1e-14, atol=1e-15)

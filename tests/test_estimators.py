@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mhdbayes.estimators as estimators
+from mhdbayes.datasets import load_dataset
 from mhdbayes.densities import GaussianFamily, HistogramDensity, SupportTransform
 from mhdbayes.estimators import bmh_fit, mhb_bootstrap_se, mhb_fit
 from mhdbayes.functional import mhd, mhd_rows
@@ -257,6 +258,20 @@ class TestBmhRows:
         with pytest.raises(ValueError, match="credible level"):
             bmh_fit(gaussian_data(150, 6), prior=PRIOR_SMALL, n_samples=100,
                     rng=1, levels=(0.5, 1.5))
+
+    def test_newcomb_draws_take_at_most_7_evaluations(self, monkeypatch):
+        # one histogram_bc row per Newton start and trial step, each giving
+        # the coefficient, gradient and Hessian at once
+        rows, hook = [], GaussianFamily.histogram_bc
+
+        def counting(self, theta, edges, sqrt_heights):
+            rows.append(len(sqrt_heights))
+            return hook(self, theta, edges, sqrt_heights)
+
+        monkeypatch.setattr(GaussianFamily, "histogram_bc", counting)
+        fit = bmh_fit(load_dataset("bundled:newcomb").values, n_samples=2000, rng=1)
+        assert fit.n_failed == 0
+        assert sum(rows) <= 7 * 2000
 
     def test_rows_started_on_a_plateau_converge_inside_mhd_rows(self):
         # f_theta at the start underflows on all of [0, 1], so Newton cannot

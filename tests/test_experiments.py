@@ -235,6 +235,24 @@ class TestEfficiencyStudy:
                                  "mhb_var_ratio_1_in_band": False}
         assert report.to_json()["passed"] is False
 
+    def test_out_of_box_rows_stop_without_a_line_search(self, monkeypatch):
+        # the data's location lies below the box mu in [5, 6]: every row's
+        # clipped Newton direction lowers its coefficient, so each solve
+        # stops at its start instead of spending its step halvings
+        rows, hook = [], GaussianFamily.histogram_bc
+
+        def counting(self, theta, edges, sqrt_heights):
+            rows.append(len(sqrt_heights))
+            return hook(self, theta, edges, sqrt_heights)
+
+        monkeypatch.setattr(GaussianFamily, "histogram_bc", counting)
+        report = efficiency_study(family=GaussianFamily(bounds=((5, 6), (0.1, 2))),
+                                  n=400, reps=100, rng=1)
+        assert report.summary["mhb_failures"] == 100
+        assert all(row["error"].startswith("minimum-distance fit did not converge at "
+                                           "theta=[5.0, ") for row in report.rows)
+        assert sum(rows) < 30 * 100
+
     def test_random_k_ratios_in_band(self):
         # the paper's random-histogram prior: MHB fits on union-grid EAPs
         report = efficiency_study(n=2000, reps=200, rng=1, prior=HistogramPrior.poisson())

@@ -108,16 +108,11 @@ def newton_rows(weights, edges, family, theta0):
     lo, hi = functional._box(family)
     sqrt_heights = np.sqrt(weights / np.diff(edges))
 
-    def basis(theta, derivatives):
-        if not derivatives:
-            return family.cell_sqrt_masses(theta, edges)
-        _, grad, hess = family.cell_sqrt_masses(theta, edges, derivatives=True)
-        return grad if derivatives == 1 else (grad, hess)
+    def evaluate(rows, theta):
+        return family.histogram_bc(functional._columns(theta), edges, sqrt_heights[rows])
 
     theta = np.clip(np.broadcast_to(theta0, (len(weights), len(lo))), lo, hi)
-    theta, _, _, converged, _ = functional._newton_rows(
-        basis, sqrt_heights, theta, lo, hi,
-        functional._hellinger_rows(basis, sqrt_heights, theta))
+    theta, _, _, converged = functional._newton_rows(evaluate, theta, lo, hi)
     return theta, converged
 
 
