@@ -1,8 +1,9 @@
 """Numerical helpers that only the tests use: plain quadrature, central
 differences, the posterior-concentration radius, the root-n bin-count
-schedule, a Gaussian family on the quadrature cell masses, uniform and
-mixture densities, the projection of a density onto a histogram grid and
-the gross-error contamination model."""
+schedule, a Gaussian family on the quadrature cell masses, a counter of
+closed-form histogram evaluations, uniform and mixture densities, the
+projection of a density onto a histogram grid and the gross-error
+contamination model."""
 
 import math
 from dataclasses import dataclass
@@ -96,6 +97,19 @@ class QuadratureGaussianFamily(GaussianFamily):
 
     cell_sqrt_masses = ParametricFamily.cell_sqrt_masses
     histogram_bc = ParametricFamily.histogram_bc
+
+
+def count_histogram_bc_rows(monkeypatch):
+    """Make ``GaussianFamily.histogram_bc`` record how many rows each call
+    evaluates; returns the list it appends to."""
+    rows, hook = [], GaussianFamily.histogram_bc
+
+    def counting(self, theta, edges, sqrt_heights):
+        rows.append(len(sqrt_heights))
+        return hook(self, theta, edges, sqrt_heights)
+
+    monkeypatch.setattr(GaussianFamily, "histogram_bc", counting)
+    return rows
 
 
 class UniformDensity:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _helpers import count_histogram_bc_rows
 import mhdbayes.estimators as estimators
 from mhdbayes.datasets import load_dataset
 from mhdbayes.densities import GaussianFamily, HistogramDensity, SupportTransform
@@ -262,13 +263,7 @@ class TestBmhRows:
     def test_newcomb_draws_take_at_most_7_evaluations(self, monkeypatch):
         # one histogram_bc row per Newton start and trial step, each giving
         # the coefficient, gradient and Hessian at once
-        rows, hook = [], GaussianFamily.histogram_bc
-
-        def counting(self, theta, edges, sqrt_heights):
-            rows.append(len(sqrt_heights))
-            return hook(self, theta, edges, sqrt_heights)
-
-        monkeypatch.setattr(GaussianFamily, "histogram_bc", counting)
+        rows = count_histogram_bc_rows(monkeypatch)
         fit = bmh_fit(load_dataset("bundled:newcomb").values, n_samples=2000, rng=1)
         assert fit.n_failed == 0
         assert sum(rows) <= 7 * 2000

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from _helpers import ContaminationSpec, contaminated_density, sample_contaminated
+from _helpers import (
+    ContaminationSpec,
+    contaminated_density,
+    count_histogram_bc_rows,
+    sample_contaminated,
+)
 from mhdbayes.densities import GaussianFamily
 from mhdbayes.estimators import mhb_fit
 from mhdbayes.functional import mhd_rows
@@ -239,13 +244,7 @@ class TestEfficiencyStudy:
         # the data's location lies below the box mu in [5, 6]: every row's
         # clipped Newton direction lowers its coefficient, so each solve
         # stops at its start instead of spending its step halvings
-        rows, hook = [], GaussianFamily.histogram_bc
-
-        def counting(self, theta, edges, sqrt_heights):
-            rows.append(len(sqrt_heights))
-            return hook(self, theta, edges, sqrt_heights)
-
-        monkeypatch.setattr(GaussianFamily, "histogram_bc", counting)
+        rows = count_histogram_bc_rows(monkeypatch)
         report = efficiency_study(family=GaussianFamily(bounds=((5, 6), (0.1, 2))),
                                   n=400, reps=100, rng=1)
         assert report.summary["mhb_failures"] == 100
