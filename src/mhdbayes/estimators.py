@@ -24,7 +24,7 @@ from .densities import (
     SupportTransform,
     grid_edges,
 )
-from .functional import MhdResult, mhd, mhd_rows
+from .functional import MhdResult, _box, mhd, mhd_rows
 from .posterior import HistogramPrior, fit_posterior
 
 # Largest fractions of failed bootstrap refits and of failed BMH per-draw
@@ -103,39 +103,16 @@ def _setup(data, prior, family, padding):
     return transform, post, family.unit_fit_family(transform)
 
 
-def _fit_many(blocks, transforms, family):
-    """Minimum-Hellinger fits of many histograms, each from its own start.
-
-    ``blocks`` holds (rows, weights, edges, unit family, unit starts): the
-    positions r of some histograms, their cell weights on the shared
-    ``edges`` and their starts, one row each.  Blocks sharing edges and
-    parameter box are solved by one ``mhd_rows`` call, which also re-seeds
-    the rows Newton leaves unconverged.  Row r is mapped back to the data
-    scale by ``transforms[r]``, or, all at once, by the one transform
-    ``transforms``.  Returns every row's minimizer and ``converged`` flag.
-    """
-    groups = {}
-    for rows, weights, edges, fam_u, starts in blocks:
-        groups.setdefault((edges.tobytes(), fam_u.bounds),
-                          (edges, fam_u, []))[2].append((rows, weights, starts))
-    n_rows = sum(len(rows) for rows, *_ in blocks)
-    theta, ok = np.empty((n_rows, family.dim)), np.empty(n_rows, dtype=bool)
-    for edges, fam_u, members in groups.values():
-        rows, weights, starts = (np.concatenate(parts) for parts in zip(*members))
-        theta[rows], ok[rows] = mhd_rows(weights, edges, fam_u, starts)
-    if isinstance(transforms, SupportTransform):
-        return family.theta_from_unit(theta.T, transforms).T, ok
-    return np.reshape([family.theta_from_unit(t, transform)
-                       for t, transform in zip(theta, transforms)], theta.shape), ok
-
-
 def _mhb_many(datasets, prior, family, padding, start=None):
     """MHB of many datasets, each from its own data-scale start: ``start``,
     or the dataset's moment start when None.  Every dataset gets its own
-    transform, posterior and EAP; all are then fit by one ``_fit_many``
-    call.  Returns per dataset its estimate or why its fit failed (a str).
+    transform, posterior and EAP, and its start and parameter box on the
+    unit scale.  The EAPs sharing an edge grid (all of them for a fixed-k
+    prior) are fit as the rows of one ``mhd_rows`` call, each in its own
+    box, and each row is mapped back by its own transform.  Returns per
+    dataset its estimate or why its fit failed (a str).
     """
-    blocks, transforms, fits = [], [], []
+    grids, transforms, fits = {}, [], []
     for data in datasets:
         try:
             transform, post, fam_u = _setup(data, prior, family, padding)
@@ -144,11 +121,15 @@ def _mhb_many(datasets, prior, family, padding, start=None):
             continue
         g = post.eap()
         theta0 = family.initial_theta(data) if start is None else start
-        blocks.append(([len(transforms)], g.weights[None], g.edges, fam_u,
-                       family.theta_to_unit(theta0, transform)[None]))
+        grids.setdefault(g.edges.tobytes(), (g.edges, fam_u, []))[2].append(
+            (len(transforms), g.weights, family.theta_to_unit(theta0, transform), _box(fam_u)))
         fits.append(len(transforms))
         transforms.append(transform)
-    theta, ok = _fit_many(blocks, transforms, family)
+    theta, ok = np.empty((len(transforms), family.dim)), np.empty(len(transforms), dtype=bool)
+    for edges, fam_u, members in grids.values():
+        rows, weights, starts, boxes = (np.array(column) for column in zip(*members))
+        theta[rows], ok[rows] = mhd_rows(weights, edges, fam_u, starts, *boxes.swapaxes(0, 1))
+    theta = [family.theta_from_unit(t, transform) for t, transform in zip(theta, transforms)]
     return [fit if isinstance(fit, str) else theta[fit] if ok[fit] else
             f"minimum-distance fit did not converge at theta={np.round(theta[fit], 4).tolist()}"
             " (parameter bounds may exclude the minimizer)" for fit in fits]
@@ -179,10 +160,11 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
                      padding=DEFAULT_PADDING, warm_theta=None):
     """Nonparametric bootstrap standard errors for MHB.
 
-    Each resample gets its own transform, posterior and EAP.  Its fit
-    starts at ``warm_theta``, the full-data MHB estimate (fit first when
-    None), and all resamples are fit as rows of one batched Newton call
-    (``_mhb_many``), as the efficiency study fits its replicates.  Failed
+    Each resample gets its own transform, posterior, EAP and unit-scale
+    parameter box.  Its fit starts at ``warm_theta``, the full-data MHB
+    estimate (fit first when None).  As the efficiency study fits its
+    replicates, all resamples are rows of one ``mhd_rows`` call per EAP
+    edge grid (``_mhb_many``), one call in all for a fixed-k prior.  Failed
     resamples are dropped; more than 10% of them is an error.
     """
     if n_boot < 50:
@@ -211,8 +193,9 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
 
     All ``n_samples`` histograms are drawn first from ``rng``, one Gamma
     matrix per bin count (``RandomHistogramPosterior.draws``), then each
-    bin count's draws are fit on the bootstrap's batched Newton path
-    (``_fit_many``), started at the anchor T(EAP).  Failed draws are
+    bin count's draws are fit as the rows of one ``mhd_rows`` call, all
+    started at the anchor T(EAP) in the one unit-scale box, and mapped
+    back to the data scale together.  Failed draws are
     dropped; more than 5% of them is an error.  Each draw's minimizer
     depends on that draw alone, so the samples are reproducible given the
     seed, and the first m rows of an n-draw fit equal an m-draw fit.
@@ -232,10 +215,11 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     transform, post, fam_u = _setup(data, prior, family, padding)
     x0 = family.theta_to_unit(family.initial_theta(data), transform)
     anchor = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0))
-    blocks = [(rows, weights, grid_edges(int(post.k_support[i])), fam_u,
-               np.broadcast_to(anchor.theta_hat, (len(rows), family.dim)))
-              for i, rows, weights in post.draws(rng, int(n_samples))]
-    samples, ok = _fit_many(blocks, transform, family)
+    samples, ok = np.empty((int(n_samples), family.dim)), np.empty(int(n_samples), dtype=bool)
+    for i, rows, weights in post.draws(rng, int(n_samples)):
+        samples[rows], ok[rows] = mhd_rows(weights, grid_edges(int(post.k_support[i])), fam_u,
+                                           anchor.theta_hat, *_box(fam_u))
+    samples = family.theta_from_unit(samples.T, transform).T
     failures, budget = int(n_samples - ok.sum()), _BMH_FAILURE_RATE * n_samples
     if failures > budget:
         raise RuntimeError(f"more than {int(budget)} of {int(n_samples)} "

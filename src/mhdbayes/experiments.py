@@ -102,8 +102,9 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
 
     Simulates ``reps`` clean datasets from f_theta0, fits the MLE on each
     and MHB on all at once, as the bootstrap fits its resamples: each gets
-    its own EAP, fit from its moment start as a row of one batched Newton
-    call; a failed fit is an ``error`` row.  Compares the empirical
+    its own EAP and unit-scale box, and is fit from its moment start as a
+    row of one ``mhd_rows`` call per EAP edge grid (one call for a fixed-k
+    prior); a failed fit is an ``error`` row.  Compares the empirical
     variance of sqrt(n) (theta_hat - theta0) with the Cramer-Rao diagonal.
     """
     if reps < 100:

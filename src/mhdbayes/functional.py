@@ -88,6 +88,7 @@ def _resolve_support(g, support):
 
 
 def _box(family):
+    """The family's parameter box as (lower, upper) bounds, shape (2, p)."""
     if family.bounds is None or None in family.bounds:
         raise ValueError("family declares no parameter bounds")
     return np.asarray(family.bounds, dtype=float).T
@@ -112,7 +113,8 @@ def mhd(g, family, x0, support=None):
     trial step, and Nelder-Mead's.
     """
     support = _resolve_support(g, support)
-    lo, hi = _box(family)
+    # the one box, as one row
+    lo, hi = _box(family)[:, None]
     x, w, sqrt_g = _prepared_nodes(g, support, _MIN_PANELS)
     # one row of node coefficients; mhd fits a single row
     wg = (w * sqrt_g)[None]
@@ -163,8 +165,9 @@ def _seed_table(family_type):
 def _grid_seeds(weights, edges, family, starts, lo, hi):
     """Newton starts of grid-seeded fits of a Gaussian ``family``: for each
     row of cell ``weights`` on ``edges``, the candidate with the largest
-    Bhattacharyya coefficient among that row's start in ``starts`` (clipped
-    to the box) and the seeds of ``_seed_table`` inside the box.
+    Bhattacharyya coefficient among that row's start in ``starts`` and the
+    seeds of ``_seed_table``, all within the row's box: ``lo`` and ``hi``,
+    shape (rows, p), clip the start and exclude the seeds outside.
 
     Each row is re-binned onto the reference grid through its CDF, which is
     exact for a histogram and the identity on the 100-cell grid, and all
@@ -177,7 +180,7 @@ def _grid_seeds(weights, edges, family, starts, lo, hi):
     rebinned = np.diff([np.interp(ref, edges, c) for c in cdf], axis=1)
     sqrt_heights = np.sqrt(np.clip(rebinned, 0.0, None) * _SEED_CELLS)
     scores = sqrt_heights @ table.T
-    scores[:, ~np.all((seeds >= lo) & (seeds <= hi), axis=1)] = -np.inf
+    scores[~np.all((seeds >= lo[:, None]) & (seeds <= hi[:, None]), axis=2)] = -np.inf
     best = np.argmax(scores, axis=1)
     starts = np.clip(starts, lo, hi)
     own = np.einsum("rk,rk->r", family.cell_sqrt_masses(_columns(starts), ref), sqrt_heights)
@@ -185,13 +188,16 @@ def _grid_seeds(weights, edges, family, starts, lo, hi):
     return np.where(keep[:, None], starts, seeds[best])
 
 
-def mhd_rows(weights, edges, family, theta0):
-    """Minimum-Hellinger fits of many histograms at once, started at ``theta0``.
+def mhd_rows(weights, edges, family, theta0, lo, hi):
+    """Minimum-Hellinger fits of many histograms at once, started at ``theta0``
+    and kept in the parameter box [``lo``, ``hi``].
 
     ``weights`` holds one row of cell weights per histogram, all on the
-    cells of ``edges``; ``theta0`` is one start for every row, shape (p,),
-    or one per row, shape (rows, p).  Each fit runs on the k + 1 edges,
-    with no quadrature of its own: ``family.histogram_bc`` gives a row's
+    cells of ``edges``.  ``theta0`` and the box bounds ``lo`` and ``hi`` are
+    each one vector for every row, shape (p,), or one per row, shape
+    (rows, p); the ``bounds`` of ``family`` are not read, and a start
+    outside its row's box is clipped into it.  Each fit runs on the k + 1
+    edges, with no quadrature of its own: ``family.histogram_bc`` gives a row's
     Bhattacharyya coefficient with f_theta, the dot product of its sqrt
     cell heights with the cell integrals of sqrt(f_theta), together with
     its gradient and Hessian.  Rows are solved in blocks of at most
@@ -202,27 +208,30 @@ def mhd_rows(weights, edges, family, theta0):
     minimizers, shape (rows, p), and the flags; a row still unconverged is
     reported as such.
     """
-    lo, hi = _box(family)
     edges = np.asarray(edges, dtype=float)
     weights = np.asarray(weights, dtype=float)
     widths = np.diff(edges)
     size = max(1, ROW_BLOCK_ELEMENTS // len(widths))
+    shape = (len(weights), np.shape(lo)[-1])
+    lo, hi = np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
 
-    def solve(weights, theta):
+    def solve(weights, theta, lo, hi):
         converged = np.empty(len(weights), dtype=bool)
         for b in range(0, len(weights), size):
-            sh = np.sqrt(_checked_values("g", weights[b:b + size] / widths, edges[:-1]))
-            theta[b:b + size], _, _, converged[b:b + size] = _newton_rows(
+            block = slice(b, b + size)
+            sh = np.sqrt(_checked_values("g", weights[block] / widths, edges[:-1]))
+            theta[block], _, _, converged[block] = _newton_rows(
                 lambda rows, t, sh=sh: family.histogram_bc(_columns(t), edges, sh[rows]),
-                theta[b:b + size], lo, hi)
+                theta[block], lo[block], hi[block])
         return theta, converged
 
-    start = np.clip(np.broadcast_to(theta0, (len(weights), len(lo))), lo, hi)
-    theta, converged = solve(weights, start.copy())
+    start = np.clip(np.broadcast_to(theta0, shape), lo, hi)
+    theta, converged = solve(weights, start.copy(), lo, hi)
     retry = np.flatnonzero(~converged)
     if len(retry) and isinstance(family, GaussianFamily):
-        theta[retry], converged[retry] = solve(
-            weights[retry], _grid_seeds(weights[retry], edges, family, start[retry], lo, hi))
+        box = lo[retry], hi[retry]
+        seeds = _grid_seeds(weights[retry], edges, family, start[retry], *box)
+        theta[retry], converged[retry] = solve(weights[retry], seeds, *box)
     return theta, converged
 
 
@@ -256,14 +265,16 @@ def _newton_rows(evaluate, theta, lo, hi):
 
     ``evaluate(rows, theta)`` returns, for the rows of index array ``rows``
     at parameters ``theta`` (one row each), their Bhattacharyya
-    coefficients, gradients and Hessians.  Each trial point is evaluated
-    once: an accepted trial's gradient and Hessian give the next Newton
-    step.  A row whose clipped Newton direction d = clip(t - step) - t
-    cannot raise its coefficient (gradient . d <= 0) stops before any
-    trial.  Otherwise it takes the step and halves it until its own
-    Hellinger value does not increase (within 1e-10 roundoff slack); a row
-    also stops when its gradient vanishes, its accepted move falls below
-    1e-14, no halving helps or its Jacobian is singular.  ``theta`` is
+    coefficients, gradients and Hessians.  ``lo`` and ``hi``, shape
+    (rows, p), are each row's parameter box, which clips every trial point.
+    Each trial point is evaluated once: an accepted trial's gradient and
+    Hessian give the next Newton step.  A row whose clipped Newton
+    direction d = clip(t - step) - t cannot raise its coefficient
+    (gradient . d <= 0) stops before any trial.  Otherwise it takes the
+    step and halves it until its own Hellinger value does not increase
+    (within 1e-10 roundoff slack); a row also stops when its gradient
+    vanishes, its accepted move falls below 1e-14, no halving helps or its
+    Jacobian is singular.  ``theta`` is
     updated in place.  Returns the rows' parameters, Hellinger values,
     first-order norms and ``converged`` flags.  A row is converged when its
     first-order norm is below ``_FOC_TOL``, a Newton step could be formed
@@ -284,16 +295,16 @@ def _newton_rows(evaluate, theta, lo, hi):
         step = _solve_rows(hess[active], g)
         formed = np.isfinite(step).all(axis=1)
         stuck[active[~formed]] = True
-        cand = np.clip(t - step, lo, hi)
+        cand = np.clip(t - step, lo[active], hi[active])
         keep = formed & (foc[active] >= 1e-13) & ((g * (cand - t)).sum(axis=1) > 0.0)
         active, t, step, cand = active[keep], t[keep], step[keep], cand[keep]
         pending = np.arange(len(active))
         for halving in range(_NEWTON_HALVINGS):
             if not len(pending):
                 break
-            if halving:
-                cand = np.clip(t[pending] - step[pending], lo, hi)
             rows = active[pending]
+            if halving:
+                cand = np.clip(t[pending] - step[pending], lo[rows], hi[rows])
             bc_new, grad_new, hess_new = evaluate(rows, cand)
             h_new = _hellinger(bc_new)
             ok = np.isfinite(h_new) & (h_new <= h[rows] + 1e-10)

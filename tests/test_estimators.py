@@ -8,7 +8,7 @@ import mhdbayes.estimators as estimators
 from mhdbayes.datasets import load_dataset
 from mhdbayes.densities import GaussianFamily, HistogramDensity, SupportTransform
 from mhdbayes.estimators import bmh_fit, mhb_bootstrap_se, mhb_fit
-from mhdbayes.functional import mhd, mhd_rows
+from mhdbayes.functional import _box, mhd, mhd_rows
 from mhdbayes.posterior import HistogramPrior, fit_posterior
 
 PRIOR_SMALL = HistogramPrior.fixed(40, alpha=0.07)
@@ -279,7 +279,7 @@ class TestBmhRows:
         draws = [post.sample(rng) for _ in range(20)]
         plateau = (-0.9, 1e-3)
         theta, converged = mhd_rows(np.stack([g.weights for g in draws]), draws[0].edges,
-                                    fam_u, plateau)
+                                    fam_u, plateau, *_box(fam_u))
         assert np.all(converged)
         for t, g in zip(theta, draws):
             expected = mhd(g, fam_u, plateau, support=(0.0, 1.0))
@@ -302,8 +302,8 @@ class TestBootstrapRows:
     @staticmethod
     def oracle(data, prior, family, n_boot, seed, warm_theta):
         """Per-resample Nelder-Mead + Newton fits from the warm start on the
-        same ``rng.spawn`` stream, and the number of distinct (EAP edges,
-        unit-scale box) pairs."""
+        same ``rng.spawn`` stream, and the number of distinct EAP edge
+        grids."""
         fits, groups = [], set()
         for child in np.random.default_rng(seed).spawn(n_boot):
             resample = data[child.integers(0, len(data), len(data))]
@@ -314,24 +314,25 @@ class TestBootstrapRows:
                       support=(0.0, 1.0))
             assert fit.converged
             fits.append(family.theta_from_unit(fit.theta_hat, transform))
-            groups.add((g.edges.tobytes(), fam_u.bounds))
+            groups.add(g.edges.tobytes())
         return np.asarray(fits), len(groups)
 
     @staticmethod
     def batched(monkeypatch, data, prior, family, n_boot, seed, warm_theta):
-        """The bootstrap's per-resample estimates, its SE and its ``mhd_rows`` calls."""
-        fit_many, rows_calls, out = estimators._fit_many, [], {}
+        """The bootstrap's per-resample estimates, its SE and its ``mhd_rows``
+        calls, each as the lower bounds of its rows' boxes."""
+        mhb_many, rows_calls, out = estimators._mhb_many, [], {}
 
-        def recording_fit_many(*args):
-            theta, converged = fit_many(*args)
-            out["estimates"] = theta[converged]
-            return theta, converged
+        def recording_mhb_many(*args, **kwargs):
+            fits = mhb_many(*args, **kwargs)
+            out["estimates"] = np.array([fit for fit in fits if not isinstance(fit, str)])
+            return fits
 
-        def counting_rows(*args):
-            rows_calls.append(len(args[0]))
-            return mhd_rows(*args)
+        def counting_rows(weights, edges, family, theta0, lo, hi):
+            rows_calls.append(np.broadcast_to(lo, (len(weights), family.dim)))
+            return mhd_rows(weights, edges, family, theta0, lo, hi)
 
-        monkeypatch.setattr(estimators, "_fit_many", recording_fit_many)
+        monkeypatch.setattr(estimators, "_mhb_many", recording_mhb_many)
         monkeypatch.setattr(estimators, "mhd_rows", counting_rows)
         se = mhb_bootstrap_se(data, prior=prior, family=family, n_boot=n_boot, rng=seed,
                               warm_theta=warm_theta)
@@ -353,15 +354,15 @@ class TestBootstrapRows:
 
     def test_bounded_family_gives_one_box_per_transform(self, monkeypatch):
         # a data-scale box maps to a unit-scale box per resample transform;
-        # resamples holding both extremes of the data share one
+        # the rows of one mhd_rows call each keep their own
         data = self.data()
         family = GaussianFamily(bounds=((-5.0, 5.0), (0.2, 5.0)))
         warm = mhb_fit(data, prior=PRIOR_SMALL, family=family).theta_hat
         expected, n_groups = self.oracle(data, PRIOR_SMALL, family, 50, 13, warm)
         estimates, _, rows_calls = self.batched(monkeypatch, data, PRIOR_SMALL, family,
                                                 50, 13, warm)
-        assert len(rows_calls) == n_groups > 1
-        assert sum(rows_calls) == 50
+        assert n_groups == len(rows_calls) == 1 and len(rows_calls[0]) == 50
+        assert len(np.unique(rows_calls[0], axis=0)) > 1
         assert np.max(np.abs(estimates - expected)) < 1e-9
 
     @pytest.mark.parametrize("n_bad", [5, 6])

@@ -201,6 +201,28 @@ class TestEfficiencyStudy:
             assert np.all(np.abs(row["mhb"] - expected) <= 1e-12 * np.linalg.norm(expected))
             assert row["mle"] == [float(v) for v in family.mle(data)]
 
+    def test_bounded_rows_are_one_call(self, monkeypatch):
+        # a data-scale box gives each replicate its own unit-scale box; the
+        # replicates are still the rows of one mhd_rows call, and each
+        # matches its own quadrature mhb_fit
+        from mhdbayes import estimators
+
+        calls = []
+
+        def counting(weights, *args):
+            calls.append(len(weights))
+            return mhd_rows(weights, *args)
+
+        monkeypatch.setattr(estimators, "mhd_rows", counting)
+        family = GaussianFamily(bounds=((-5, 5), (0.1, 2)))
+        report = efficiency_study(family=family, n=400, reps=100, rng=1)
+        assert calls == [100]
+        for r, row in enumerate(report.rows):
+            data = family.sample(np.array([0.0, 1.0]), 400, worker_rng(1, r))
+            expected = mhb_fit(data, family=family).theta_hat
+            assert "error" not in row
+            assert np.all(np.abs(row["mhb"] - expected) <= 1e-12 * np.linalg.norm(expected))
+
     def test_unconverged_row_is_its_own_error_row(self, monkeypatch):
         from mhdbayes import estimators
 

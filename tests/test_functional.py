@@ -104,14 +104,14 @@ def hellinger_objective(g, family, support, min_panels=64):
 def newton_rows(weights, edges, family, theta0):
     """One ``_newton_rows`` run on histogram rows, the first solve of
     ``mhd_rows`` before its re-seeding: the rows' stopping points and
-    ``converged`` flags."""
-    lo, hi = functional._box(family)
+    ``converged`` flags, all in the family's box."""
+    lo, hi = np.broadcast_to(functional._box(family)[:, None], (2, len(weights), family.dim))
     sqrt_heights = np.sqrt(weights / np.diff(edges))
 
     def evaluate(rows, theta):
         return family.histogram_bc(functional._columns(theta), edges, sqrt_heights[rows])
 
-    theta = np.clip(np.broadcast_to(theta0, (len(weights), len(lo))), lo, hi)
+    theta = np.clip(np.broadcast_to(theta0, lo.shape), lo, hi)
     theta, _, _, converged = functional._newton_rows(evaluate, theta, lo, hi)
     return theta, converged
 
@@ -250,7 +250,7 @@ class TestNoOverlapPlateau:
         res = mhd(g, fam, start, support=(0, 1))
         assert res.converged
         assert res.h_min < math.sqrt(2.0)
-        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start)
+        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start, *functional._box(fam))
         assert converged[0]
         assert np.allclose(theta[0], res.theta_hat, atol=1e-9)
 
@@ -304,6 +304,22 @@ class TestGridSeed:
         assert res.h_min == oracle.h_min
         assert res.n_evals > oracle.n_evals
 
+    def test_each_row_takes_the_seeds_of_its_own_box(self):
+        # the same histogram in two boxes: the best seed of the first lies
+        # below the second's mu floor, which must pick a seed of its own
+        g = project_to_histogram(TruncatedUnitGaussian(0.45, 0.12), 20)
+        weights = np.stack([g.weights, g.weights])
+        lo, hi = np.stack([functional._box(self.fam), [[0.6, 1e-5], [2.0, 2.0]]], axis=1)
+        starts = np.stack([PLATEAU, PLATEAU])
+        seeds = functional._grid_seeds(weights, g.edges, self.fam, starts, lo, hi)
+        table_seeds = functional._seed_table(GaussianFamily)[1]
+        assert (table_seeds == seeds[0]).all(axis=1).any() and seeds[0, 0] < 0.6
+        assert np.all((lo[1] <= seeds[1]) & (seeds[1] <= hi[1]))
+        for r in range(2):
+            alone = functional._grid_seeds(weights[r:r + 1], g.edges, self.fam,
+                                           starts[r:r + 1], lo[r:r + 1], hi[r:r + 1])
+            assert np.array_equal(seeds[r], alone[0])
+
     @settings(max_examples=60, deadline=None)
     @given(g=histograms())
     def test_no_worse_than_nelder_mead(self, g):
@@ -314,7 +330,8 @@ class TestGridSeed:
         with mock.patch.object(functional, "_grid_seeds", return_value=PLATEAU[None]):
             oracle = mhd(g, self.fam, x0, support=(0.0, 1.0))
         # mhd_rows from the plateau, scored on mhd's nodes
-        theta, converged = mhd_rows(g.weights[None], g.edges, self.fam, PLATEAU)
+        theta, converged = mhd_rows(g.weights[None], g.edges, self.fam, PLATEAU,
+                                    *functional._box(self.fam))
         h_rows = hellinger_objective(g, self.fam, (0.0, 1.0), min_panels=_MIN_PANELS)(theta[0])
         # an unconverged oracle may sit on a spike between the quadrature
         # nodes, where its h_min is an artifact, not a fit
@@ -352,7 +369,7 @@ class TestMhdRows:
         stuck, converged = newton_rows(g.weights[None], g.edges, fam, start)
         assert np.allclose(stuck[0], start, atol=1e-6) and not converged[0]
         # the grid seed takes the row to mhd's fit
-        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start)
+        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start, *functional._box(fam))
         expected = mhd(g, fam, start, support=(0.0, 1.0))
         assert expected.converged and converged[0]
         assert np.allclose(theta[0], expected.theta_hat, atol=1e-9)
@@ -362,8 +379,9 @@ class TestMhdRows:
         # the seed table is a (mu, sigma) grid; a one-parameter row that
         # Newton leaves on the plateau is reported as it is
         g = HistogramDensity(np.eye(10)[9])
-        theta, converged = mhd_rows(g.weights[None], g.edges,
-                                    GaussianLocationFamily(sigma=0.01), (-4.0,))
+        fam = GaussianLocationFamily(sigma=0.01)
+        theta, converged = mhd_rows(g.weights[None], g.edges, fam, (-4.0,),
+                                    *functional._box(fam))
         assert np.array_equal(theta, [[-4.0]]) and not converged[0]
 
     @pytest.mark.parametrize("family", [GaussianFamily, QuadratureGaussianFamily],
@@ -374,11 +392,11 @@ class TestMhdRows:
         rng = np.random.default_rng(4)
         weights = base.weights * rng.uniform(0.5, 1.5, (7, 20))
         weights /= weights.sum(axis=1, keepdims=True)
-        start = (0.5, 0.1)
-        alone = [mhd_rows(w[None], base.edges, fam, start) for w in weights]
+        start, box = (0.5, 0.1), functional._box(fam)
+        alone = [mhd_rows(w[None], base.edges, fam, start, *box) for w in weights]
         # 3 rows x 20 cells per block: the 7 rows span three blocks
         monkeypatch.setattr(functional, "ROW_BLOCK_ELEMENTS", 60)
-        theta, converged = mhd_rows(weights, base.edges, fam, start)
+        theta, converged = mhd_rows(weights, base.edges, fam, start, *box)
         assert np.all(converged)
         assert np.array_equal(theta, np.concatenate([t for t, _ in alone]))
         oracle = mhd(HistogramDensity(weights[3]), fam, start, support=(0.0, 1.0))
@@ -393,13 +411,30 @@ class TestMhdRows:
         # one start per row; the last lies outside the box and is clipped
         starts = np.column_stack([rng.uniform(0.4, 0.55, 7), rng.uniform(0.08, 0.2, 7)])
         starts[-1] = (0.3, 0.12)
-        alone = [mhd_rows(w[None], base.edges, fam, t) for w, t in zip(weights, starts)]
+        box = functional._box(fam)
+        # one box per row: rows 1 and 4 get a sigma ceiling and row 2 a mu
+        # floor that exclude their minimizers, the others the family's box
+        row_lo, row_hi = np.broadcast_to(box[:, None], (2, 7, 2)).copy()
+        row_hi[[1, 4], 1] = 0.1
+        row_lo[2, 0] = 0.5
         monkeypatch.setattr(functional, "ROW_BLOCK_ELEMENTS", 60)
-        theta, converged = mhd_rows(weights, base.edges, fam, starts)
-        assert np.all(converged)
-        assert np.array_equal(theta, np.concatenate([t for t, _ in alone]))
-        clipped, _ = mhd_rows(weights[-1:], base.edges, fam, (0.4, 0.12))
-        assert np.array_equal(theta[-1], clipped[0])
+        flags = []
+        # the family's box, shape (p,), then the per-row boxes, (rows, p)
+        for lo, hi in [box, (row_lo, row_hi)]:
+            theta, converged = mhd_rows(weights, base.edges, fam, starts, lo, hi)
+            lo, hi = np.broadcast_to(lo, (7, 2)), np.broadcast_to(hi, (7, 2))
+            alone = [mhd_rows(w[None], base.edges, fam, t, *b)
+                     for w, t, *b in zip(weights, starts, lo, hi)]
+            assert np.array_equal(theta, np.concatenate([t for t, _ in alone]))
+            assert np.array_equal(converged, np.concatenate([c for _, c in alone]))
+            assert np.all((lo <= theta) & (theta <= hi))
+            clipped, _ = mhd_rows(weights[-1:], base.edges, fam, (0.4, 0.12), *box)
+            assert np.array_equal(theta[-1], clipped[0])
+            flags.append(converged)
+        # the family's box holds every minimizer; the narrow boxes pin theirs
+        # to the wall
+        assert np.all(flags[0]) and np.array_equal(flags[1], [1, 0, 0, 1, 0, 1, 1])
+        assert np.all(theta[[1, 4], 1] == 0.1) and theta[2, 0] == 0.5
         assert starts[-1, 0] == 0.3  # the caller's starts are not written to
 
 
