@@ -474,7 +474,7 @@ class GaussianFamily(ParametricFamily):
         ``_UNIT_BOUNDS`` box."""
         mu_b, sg_b = self.bounds or (None, None)
         w, a = transform.width, transform.a
-        return GaussianFamily(bounds=(
+        return type(self)(bounds=(
             _UNIT_BOUNDS[0] if mu_b is None else ((mu_b[0] - a) / w, (mu_b[1] - a) / w),
             _UNIT_BOUNDS[1] if sg_b is None else (max(sg_b[0] / w, 1e-12), sg_b[1] / w)))
 

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import count_histogram_bc_rows
+from _helpers import QuadratureGaussianFamily, count_histogram_bc_rows
 import mhdbayes.estimators as estimators
 from mhdbayes.datasets import load_dataset
-from mhdbayes.densities import GaussianFamily, HistogramDensity, SupportTransform
+from mhdbayes.densities import (GaussianFamily, HistogramDensity, ParametricFamily,
+                                SupportTransform)
 from mhdbayes.estimators import bmh_fit, mhb_bootstrap_se, mhb_fit
 from mhdbayes.functional import _box, mhd, mhd_rows
 from mhdbayes.posterior import HistogramPrior, fit_posterior
@@ -77,6 +78,20 @@ class TestBootstrap:
         est = mhb_fit(data, prior=PRIOR_SMALL, n_boot=60, rng=3)
         assert est.se is not None and est.n_boot == 60
         assert np.all(est.se > 0)
+
+    def test_family_subclass_keeps_its_hooks_on_the_unit_scale(self, monkeypatch):
+        # the unit-scale family must be the caller's class, or the fits run
+        # on GaussianFamily's closed form instead of the subclass's hooks
+        calls = []
+
+        def counting(self, *args):
+            calls.append(1)
+            return ParametricFamily.histogram_bc(self, *args)
+
+        monkeypatch.setattr(QuadratureGaussianFamily, "histogram_bc", counting)
+        mhb_bootstrap_se(load_dataset("bundled:newcomb").values, n_boot=50, rng=31,
+                         family=QuadratureGaussianFamily())
+        assert len(calls) >= 1
 
 
 class TestBmhFit:
