@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _helpers import QuadratureGaussianFamily
 from mhdbayes import (GaussianFamily, HistogramPrior, bmh_fit, bvm_diagnostic, load_dataset,
                       mhb_bootstrap_se, mhb_fit, robustness_sweep)
 
@@ -43,6 +44,9 @@ def compute():
     random_k_se = mhb_bootstrap_se(spread, prior=poisson, n_boot=50, rng=31)
     random_k_bmh = bmh_fit(np.random.default_rng(27).normal(0, 1, 150), prior=poisson,
                            n_samples=300, rng=7)
+    # the quadrature default of histogram_bc, which no closed-form pin reaches
+    quadrature_se = mhb_bootstrap_se(newcomb, n_boot=50, rng=31,
+                                     family=QuadratureGaussianFamily())
     return {
         "mhb_theta": mhb.theta_hat.tolist(),
         "mhb_h_min": mhb.mhd_meta.h_min,
@@ -53,6 +57,7 @@ def compute():
         "bounded_bootstrap_se": bounded_se.tolist(),
         "random_k_bootstrap_se": random_k_se.tolist(),
         "random_k_bmh_theta_samples": random_k_bmh.theta_samples.tolist(),
+        "quadrature_bootstrap_se": quadrature_se.tolist(),
     }
 
 
