@@ -199,17 +199,18 @@ def _pdf_of(density):
     return density.pdf if hasattr(density, "pdf") else density
 
 
-def _cell_nodes(edges):
-    """Gauss-Legendre nodes on the uniform ``integration_edges`` panels
-    merged with ``edges``, and the nodes-by-cells matrix of their weights,
-    whose columns sum the nodes of each cell of ``edges``."""
-    edges = np.asarray(edges, dtype=float)
-    panels = np.union1d(integration_edges((edges[0], edges[-1])), edges)
-    x, w = composite_nodes(panels)
-    cell = bin_index(edges, np.repeat(panels[:-1], GL_ORDER))
-    by_cell = np.zeros((len(x), len(edges) - 1))
-    by_cell[np.arange(len(x)), cell] = w
-    return x, by_cell
+def _node_bc(family, theta, x, wg):
+    """Node sums of ``wg`` against ``sqrt_pdf``, ``sqrt_grad`` and
+    ``sqrt_hess`` of ``family`` at ``theta`` on the nodes ``x``.
+
+    With ``wg`` the quadrature weights times the square root of a density
+    g, these are the Bhattacharyya coefficient of f_theta and g and its
+    theta-gradient and Hessian, shapes (), (p,) and (p, p).  A leading row
+    axis of ``wg`` pairs each row with one row of (D, 1)-column thetas.
+    """
+    return (np.einsum("...n,...n->...", wg, family.sqrt_pdf(theta, x)),
+            np.einsum("...n,...np->...p", wg, family.sqrt_grad(theta, x)),
+            np.einsum("...n,...npq->...pq", wg, family.sqrt_hess(theta, x)))
 
 
 class ParametricFamily:
@@ -227,15 +228,12 @@ class ParametricFamily:
     cannot be fit directly (the estimators derive unit-scale bounds via
     :meth:`unit_fit_family`).
 
-    :meth:`cell_sqrt_masses` gives the integrals m_j of sqrt(f_theta) over
-    the cells of a histogram's edges, with which the Bhattacharyya
-    coefficient of f_theta and a histogram is the exact dot product
-    sum_j sqrt(height_j) * m_j(theta).  :meth:`histogram_bc` returns that
-    coefficient with its theta-gradient and Hessian, the one evaluation a
-    Newton trial of ``mhd_rows`` makes.  Their defaults integrate
+    :meth:`histogram_bc` returns the Bhattacharyya coefficient of f_theta
+    and a histogram with its theta-gradient and Hessian, the one evaluation
+    a Newton trial of ``mhd_rows`` makes.  Its default integrates
     ``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess`` by Gauss-Legendre
     quadrature on the uniform ``integration_edges`` panels merged with the
-    edges; a family with a closed form overrides them.
+    edges; a family with a closed form overrides it.
     """
 
     dim = None
@@ -253,36 +251,24 @@ class ParametricFamily:
     def sqrt_hess(self, theta, x):
         raise NotImplementedError
 
-    def cell_sqrt_masses(self, theta, edges):
-        """Integrals m_j of sqrt(f_theta) over the cells [edges[j], edges[j+1]].
-
-        Returns the masses, shape (k,) for k cells; (D, 1)-column thetas add
-        a leading row axis.  This default applies the 8-point Gauss-Legendre
-        rule on the uniform 32-panel grid of ``integration_edges`` merged
-        with ``edges`` and sums the nodes of each cell, the quadrature
-        ``mhd`` uses.
-        """
-        x, by_cell = _cell_nodes(edges)
-        return self.sqrt_pdf(theta, x) @ by_cell
-
     def histogram_bc(self, theta, edges, sqrt_heights):
         """Bhattacharyya coefficient of f_theta with a histogram on ``edges``.
 
         ``sqrt_heights`` holds the square roots of the k cell heights
         (weight over width).  Returns the coefficient
-        sum_j sqrt_heights[j] * m_j(theta) and its theta-gradient and
-        Hessian, shapes (), (p,) and (p, p); (D, 1)-column thetas with one
-        row of ``sqrt_heights`` each add a leading row axis.  This default
-        contracts the quadrature cell masses of :meth:`cell_sqrt_masses`
-        and the same node sums of ``sqrt_grad`` and ``sqrt_hess``.
+        sum_j sqrt_heights[j] * m_j(theta), m_j the integral of
+        sqrt(f_theta) over cell j, and its theta-gradient and Hessian,
+        shapes (), (p,) and (p, p); (D, 1)-column thetas with one row of
+        ``sqrt_heights`` each add a leading row axis.  This default
+        applies the 8-point Gauss-Legendre rule on the uniform 32-panel grid
+        of ``integration_edges`` merged with ``edges``, the quadrature
+        ``mhd`` uses, and takes each node's sqrt height from its cell.
         """
-        x, by_cell = _cell_nodes(edges)
-        masses = self.sqrt_pdf(theta, x) @ by_cell
-        grad = np.einsum("...np,nk->...kp", self.sqrt_grad(theta, x), by_cell)
-        hess = np.einsum("...npq,nk->...kpq", self.sqrt_hess(theta, x), by_cell)
-        return (np.einsum("...k,...k->...", sqrt_heights, masses),
-                np.einsum("...k,...kp->...p", sqrt_heights, grad),
-                np.einsum("...k,...kpq->...pq", sqrt_heights, hess))
+        edges = np.asarray(edges, dtype=float)
+        panels = np.union1d(integration_edges((edges[0], edges[-1])), edges)
+        x, w = composite_nodes(panels)
+        cell = bin_index(edges, np.repeat(panels[:-1], GL_ORDER))
+        return _node_bc(self, theta, x, w * np.asarray(sqrt_heights, dtype=float)[..., cell])
 
     def density(self, theta):
         return ParametricDensity(self, theta)
@@ -383,7 +369,8 @@ class GaussianFamily(ParametricFamily):
         m_j = sqrt(2) (2 pi)^(1/4) sigma^(1/2) [Phi(z_{j+1}) - Phi(z_j)] with
         z = (edges - mu) / (sqrt(2) sigma).  Cells above mu take the
         difference as Phi(-z_j) - Phi(-z_{j+1}), so far upper-tail cells do
-        not cancel.  Shapes as in :meth:`ParametricFamily.cell_sqrt_masses`.
+        not cancel.  Returns the masses, shape (k,) for k cells; (D, 1)-column
+        thetas add a leading row axis.
         """
         mu, sg = theta
         z = (np.asarray(edges, dtype=float) - mu) / (_SQRT2 * sg)

@@ -25,6 +25,7 @@ from .densities import (
     GaussianFamily,
     HistogramDensity,
     _checked_values,
+    _node_bc,
     _pdf_of,
     grid_edges,
     integration_edges,
@@ -129,10 +130,7 @@ def mhd(g, family, x0, support=None):
     def evaluate(rows, theta):
         nonlocal n_evals
         n_evals += len(rows)
-        cols = _columns(theta)
-        return (np.einsum("rk,rk->r", wg, family.sqrt_pdf(cols, x)),
-                np.einsum("rk,rkp->rp", wg, family.sqrt_grad(cols, x)),
-                np.einsum("rk,rkpq->rpq", wg, family.sqrt_hess(cols, x)))
+        return _node_bc(family, _columns(theta), x, wg)
 
     def newton(theta):
         return [v[0] for v in _newton_rows(evaluate, theta[None], lo, hi)]
@@ -148,14 +146,13 @@ def mhd(g, family, x0, support=None):
 
 
 @cache
-def _seed_table(family_type):
-    """Cell masses of sqrt(f_theta) on the reference grid at every seed,
-    shape (seeds, ``_SEED_CELLS``), and the seeds, shape (seeds, 2); built
-    on first use for each family class and read-only.  One block per mu
-    value keeps the temporaries of the cell masses, and with them peak
-    memory, small."""
+def _seed_table():
+    """Gaussian cell masses of sqrt(f_theta) on the reference grid at every
+    seed, shape (seeds, ``_SEED_CELLS``), and the seeds, shape (seeds, 2);
+    built on first use and read-only.  One block per mu value keeps the
+    temporaries of the cell masses, and with them peak memory, small."""
     seeds = np.stack(np.meshgrid(_SEED_MU, _SEED_SIGMA, indexing="ij"), axis=-1).reshape(-1, 2)
-    family = family_type()
+    family = GaussianFamily()
     table = np.concatenate([family.cell_sqrt_masses(_columns(block), grid_edges(_SEED_CELLS))
                             for block in np.split(seeds, len(_SEED_MU))])
     table.flags.writeable = seeds.flags.writeable = False
@@ -174,7 +171,7 @@ def _grid_seeds(weights, edges, family, starts, lo, hi):
     rows are scored against every seed by one matrix product on the
     closed-form cell masses.
     """
-    table, seeds = _seed_table(type(family))
+    table, seeds = _seed_table()
     ref = grid_edges(_SEED_CELLS)
     cdf = np.column_stack([np.zeros(len(weights)), np.cumsum(weights, axis=1)])
     rebinned = np.diff([np.interp(ref, edges, c) for c in cdf], axis=1)
@@ -362,8 +359,7 @@ def influence_function(g0, family, theta0, support=None):
     theta0 = np.asarray(theta0, dtype=float)
     support = _resolve_support(g0, support)
     x, w, sqrt_g0 = _prepared_nodes(g0, support, _EFFICIENCY_PANELS)
-    wg = w * sqrt_g0
-    curvature = np.einsum("n,npq->pq", wg, family.sqrt_hess(theta0, x))
+    _, grad, curvature = _node_bc(family, theta0, x, w * sqrt_g0)
     svals = np.linalg.svd(curvature, compute_uv=False)
     if svals[-1] < 1e-12 * max(svals[0], 1.0):
         raise RuntimeError(
@@ -371,7 +367,7 @@ def influence_function(g0, family, theta0, support=None):
     normalizer = -np.linalg.inv(curvature)
     # center = integral of the raw influence against g0; the raw/g0 product
     # collapses to sdot * sqrt(g0) / 2, so no ratio is ever formed.
-    center = normalizer @ (np.einsum("n,np->p", wg, family.sqrt_grad(theta0, x)) / 2.0)
+    center = normalizer @ (grad / 2.0)
     return InfluenceFunction(base_density=g0, family=family, theta=theta0,
                              normalizer=normalizer, center=center)
 

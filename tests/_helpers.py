@@ -1,6 +1,6 @@
 """Numerical helpers that only the tests use: plain quadrature, central
 differences, the posterior-concentration radius, the root-n bin-count
-schedule, a Gaussian family on the quadrature cell masses, a counter of
+schedule, a Gaussian family on the quadrature histogram coefficient, a counter of
 closed-form histogram evaluations, uniform and mixture densities, the
 projection of a density onto a histogram grid and the gross-error
 contamination model."""
@@ -92,10 +92,9 @@ def fixed_root_n(n, alpha=DEFAULT_ALPHA):
 
 
 class QuadratureGaussianFamily(GaussianFamily):
-    """Gaussian family left on the quadrature defaults of the cell-mass and
-    histogram-coefficient hooks."""
+    """Gaussian family left on the quadrature default of the
+    histogram-coefficient hook."""
 
-    cell_sqrt_masses = ParametricFamily.cell_sqrt_masses
     histogram_bc = ParametricFamily.histogram_bc
 
 

@@ -312,7 +312,7 @@ class TestGridSeed:
         lo, hi = np.stack([functional._box(self.fam), [[0.6, 1e-5], [2.0, 2.0]]], axis=1)
         starts = np.stack([PLATEAU, PLATEAU])
         seeds = functional._grid_seeds(weights, g.edges, self.fam, starts, lo, hi)
-        table_seeds = functional._seed_table(GaussianFamily)[1]
+        table_seeds = functional._seed_table()[1]
         assert (table_seeds == seeds[0]).all(axis=1).any() and seeds[0, 0] < 0.6
         assert np.all((lo[1] <= seeds[1]) & (seeds[1] <= hi[1]))
         for r in range(2):
