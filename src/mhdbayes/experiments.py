@@ -3,10 +3,11 @@ robustness, asymptotic efficiency, and the Bernstein-von-Mises check.
 
 Replicates get independent RNG streams derived from the study seed and are
 merged in replicate order, so reports are reproducible bit for bit given
-{seed, config}.  The efficiency study fits all its replicates as rows of
-one batched Newton call.  The robustness sweep is the one study that runs
-over processes: its ``workers`` (default 1, 0 = all cores) fans the
-replicates out, and reports do not depend on it.
+{seed, config}.  The efficiency study fits its replicates as rows of one
+batched Newton call per EAP edge grid: one call for a fixed-k prior, one
+per distinct grid for a random-k prior.  The robustness sweep is the one
+study that runs over processes: its ``workers`` (default 1, 0 = all
+cores) fans the replicates out, and reports do not depend on it.
 """
 
 from __future__ import annotations
