@@ -1,9 +1,9 @@
 """Numerical helpers that only the tests use: plain quadrature, central
 differences, the posterior-concentration radius, the root-n bin-count
-schedule, a Gaussian family on the quadrature histogram coefficient, a counter of
-closed-form histogram evaluations, uniform and mixture densities, the
-projection of a density onto a histogram grid and the gross-error
-contamination model."""
+schedule, a Gaussian family on the quadrature histogram coefficient, a
+counter of closed-form histogram evaluations, uniform and mixture
+densities, the projection of a density onto a histogram grid and the
+gross-error contamination model."""
 
 import math
 from dataclasses import dataclass

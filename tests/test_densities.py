@@ -428,8 +428,8 @@ class TestCellSqrtMasses:
         edges = np.concatenate([[0.0], np.sort(cuts), [1.0]])
         closed = self.fam.cell_sqrt_masses((mu, sg), edges)
         # one unit sqrt height per cell: the quadrature default's cell masses
-        k = len(edges) - 1
-        quad = QuadratureGaussianFamily().histogram_bc((mu, sg), edges, np.eye(k))[0]
+        quad = QuadratureGaussianFamily().histogram_bc((mu, sg), edges,
+                                                       np.eye(len(edges) - 1))[0]
         assert closed.shape == quad.shape
         assert np.max(np.abs(closed - quad)) <= 1e-12
 
