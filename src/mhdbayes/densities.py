@@ -199,20 +199,6 @@ def _pdf_of(density):
     return density.pdf if hasattr(density, "pdf") else density
 
 
-def _node_bc(family, theta, x, wg):
-    """Node sums of ``wg`` against ``sqrt_pdf``, ``sqrt_grad`` and
-    ``sqrt_hess`` of ``family`` at ``theta`` on the nodes ``x``.
-
-    With ``wg`` the quadrature weights times the square root of a density
-    g, these are the Bhattacharyya coefficient of f_theta and g and its
-    theta-gradient and Hessian, shapes (), (p,) and (p, p).  A leading row
-    axis of ``wg`` pairs each row with one row of (D, 1)-column thetas.
-    """
-    return (np.einsum("...n,...n->...", wg, family.sqrt_pdf(theta, x)),
-            np.einsum("...n,...np->...p", wg, family.sqrt_grad(theta, x)),
-            np.einsum("...n,...npq->...pq", wg, family.sqrt_hess(theta, x)))
-
-
 class ParametricFamily:
     """A parametric density family with sqrt-density derivatives.
 
@@ -228,12 +214,15 @@ class ParametricFamily:
     cannot be fit directly (the estimators derive unit-scale bounds via
     :meth:`unit_fit_family`).
 
-    :meth:`histogram_bc` returns the Bhattacharyya coefficient of f_theta
-    and a histogram with its theta-gradient and Hessian, the one evaluation
-    a Newton trial of ``mhd_rows`` makes.  Its default integrates
-    ``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess`` by Gauss-Legendre
-    quadrature on the uniform ``integration_edges`` panels merged with the
-    edges; a family with a closed form overrides it.
+    :meth:`node_bc` returns the node sums of quadrature weights times sqrt
+    g against ``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess``: the
+    Bhattacharyya coefficient of f_theta and g with its theta-gradient and
+    Hessian, the one evaluation a Newton trial of ``mhd`` makes.
+    :meth:`histogram_bc` returns the same three for a histogram g, the one
+    evaluation a Newton trial of ``mhd_rows`` makes.  Its default calls
+    :meth:`node_bc` on the Gauss-Legendre nodes of the uniform
+    ``integration_edges`` panels merged with the edges.  A family with a
+    cheaper form of either overrides it.
     """
 
     dim = None
@@ -251,6 +240,19 @@ class ParametricFamily:
     def sqrt_hess(self, theta, x):
         raise NotImplementedError
 
+    def node_bc(self, theta, x, wg):
+        """Node sums of ``wg`` against ``sqrt_pdf``, ``sqrt_grad`` and
+        ``sqrt_hess`` at ``theta`` on the nodes ``x``.
+
+        With ``wg`` the quadrature weights times the square root of a density
+        g, these are the Bhattacharyya coefficient of f_theta and g and its
+        theta-gradient and Hessian, shapes (), (p,) and (p, p).  A leading row
+        axis of ``wg`` pairs each row with one row of (D, 1)-column thetas.
+        """
+        return (np.einsum("...n,...n->...", wg, self.sqrt_pdf(theta, x)),
+                np.einsum("...n,...np->...p", wg, self.sqrt_grad(theta, x)),
+                np.einsum("...n,...npq->...pq", wg, self.sqrt_hess(theta, x)))
+
     def histogram_bc(self, theta, edges, sqrt_heights):
         """Bhattacharyya coefficient of f_theta with a histogram on ``edges``.
 
@@ -262,13 +264,14 @@ class ParametricFamily:
         ``sqrt_heights`` each add a leading row axis.  This default
         applies the 8-point Gauss-Legendre rule on the uniform 32-panel grid
         of ``integration_edges`` merged with ``edges``, the quadrature
-        ``mhd`` uses, and takes each node's sqrt height from its cell.
+        ``mhd`` uses, takes each node's sqrt height from its cell and sums
+        the nodes with :meth:`node_bc`.
         """
         edges = np.asarray(edges, dtype=float)
         panels = np.union1d(integration_edges((edges[0], edges[-1])), edges)
         x, w = composite_nodes(panels)
         cell = bin_index(edges, np.repeat(panels[:-1], GL_ORDER))
-        return _node_bc(self, theta, x, w * np.asarray(sqrt_heights, dtype=float)[..., cell])
+        return self.node_bc(theta, x, w * np.asarray(sqrt_heights, dtype=float)[..., cell])
 
     def density(self, theta):
         return ParametricDensity(self, theta)
@@ -362,6 +365,44 @@ class GaussianFamily(ParametricFamily):
         out[..., 1, 0] = h_ms
         out[..., 1, 1] = h_ss
         return out
+
+    def node_bc(self, theta, x, wg):
+        """The node sums of :meth:`ParametricFamily.node_bc` from one
+        ``sqrt_pdf`` pass.
+
+        With u = (x - mu) / sigma and s = sqrt(f_theta(x)), the log-derivatives
+        of s are u / (2 sigma) in mu and (u^2 - 1) / (2 sigma) in sigma, so
+        every node sum is a combination of the power sums
+        S_m = sum wg s u^m, m = 0..4:
+
+            BC = S0
+            dBC/dmu = S1 / (2 sigma)
+            dBC/dsg = (S2 - S0) / (2 sigma)
+            d2BC/dmu2 = (S2 - 2 S0) / (4 sigma^2)
+            d2BC/dmu dsg = (S3 - 5 S1) / (4 sigma^2)
+            d2BC/dsg2 = (S4 - 8 S2 + 3 S0) / (4 sigma^2)
+
+        Shapes as in :meth:`ParametricFamily.node_bc`.
+        """
+        mu, sg = theta
+        u = (np.asarray(x, dtype=float) - mu) / sg
+        term = wg * self.sqrt_pdf(theta, x)
+        sums = [term.sum(axis=-1)]
+        for _ in range(4):
+            term *= u
+            sums.append(term.sum(axis=-1))
+        s0, s1, s2, s3, s4 = sums
+        sg = np.asarray(sg, dtype=float)
+        a1 = 0.5 / (sg[..., 0] if sg.ndim else sg)
+        a2 = a1 * a1
+        grad = np.empty(s0.shape + (2,))
+        grad[..., 0] = a1 * s1
+        grad[..., 1] = a1 * (s2 - s0)
+        hess = np.empty(s0.shape + (2, 2))
+        hess[..., 0, 0] = a2 * (s2 - 2.0 * s0)
+        hess[..., 0, 1] = hess[..., 1, 0] = a2 * (s3 - 5.0 * s1)
+        hess[..., 1, 1] = a2 * (s4 - 8.0 * s2 + 3.0 * s0)
+        return s0, grad, hess
 
     def cell_sqrt_masses(self, theta, edges):
         """Closed-form cell integrals of sqrt(f_theta), exact at any sigma.

@@ -25,7 +25,6 @@ from .densities import (
     GaussianFamily,
     HistogramDensity,
     _checked_values,
-    _node_bc,
     _pdf_of,
     grid_edges,
     integration_edges,
@@ -66,11 +65,13 @@ _SEED_SIGMA = np.geomspace(max(_UNIT_BOUNDS[1][0], 1e-4), _UNIT_BOUNDS[1][1], 31
 _SEED_CELLS = 100
 
 # Cap on rows x cells in one block of ``mhd_rows``; it bounds the
-# (rows, k + 1) edge temporaries of ``histogram_bc``, and with them peak
-# memory, to a few MB.  Larger blocks pay the per-call overhead of each
-# Newton iteration fewer times; beyond this size the temporaries outgrow
-# the cache.  BMH(2000) on Newcomb took 0.10 s at this size and 0.13 s at
-# half or twice it (2-core x86-64 host).
+# (rows, k + 1) edge temporaries of the closed-form ``histogram_bc``, and
+# with them peak memory, to a few MB.  The quadrature default's node
+# temporaries hold up to 8 (32 + k) nodes per row instead, about
+# 8 (32 + k) / (k + 1) times more (10.5 at k = 100).  Larger blocks pay the
+# per-call overhead of each Newton iteration fewer times; beyond this size
+# the temporaries outgrow the cache.  BMH(2000) on Newcomb took 0.10 s at
+# this size and 0.13 s at half or twice it (2-core x86-64 host).
 ROW_BLOCK_ELEMENTS = 1 << 15
 
 
@@ -101,17 +102,17 @@ def mhd(g, family, x0, support=None):
     The Bhattacharyya coefficient is integrated on Gauss-Legendre nodes
     over ``support`` (by default ``g.support``): 32 uniform panels refined
     at g's breakpoints.  The damped Newton that also solves ``mhd_rows``
-    maximizes it on those nodes, evaluating ``sqrt_pdf``, ``sqrt_grad`` and
-    ``sqrt_hess`` once per trial point, and decides ``converged`` (see
-    ``_newton_rows``), so a bound-pinned minimizer or a fit with no overlap
-    with ``g`` is flagged, never silently returned.  For a histogram ``g``
-    and a Gaussian family, Newton starts at the best of ``x0`` and the seed
-    grid, the rule ``mhd_rows`` re-seeds its rows with (see
-    ``_grid_seeds``).  Otherwise, or when that Newton does not converge, it
-    starts where one Nelder-Mead run from ``x0`` (``numerics.minimize``)
-    over the family's ``bounds`` box stops.  ``n_evals`` counts the
-    Hellinger values computed on the nodes: Newton's, at each start and
-    trial step, and Nelder-Mead's.
+    maximizes it on those nodes, with one ``family.node_bc`` call per trial
+    point (one ``sqrt_pdf`` pass for a Gaussian family), and decides
+    ``converged`` (see ``_newton_rows``), so a bound-pinned minimizer or a
+    fit with no overlap with ``g`` is flagged, never silently returned.
+    For a histogram ``g`` and a Gaussian family, Newton starts at the best
+    of ``x0`` and the seed grid, the rule ``mhd_rows`` re-seeds its rows
+    with (see ``_grid_seeds``).  Otherwise, or when that Newton does not
+    converge, it starts where one Nelder-Mead run from ``x0``
+    (``numerics.minimize``) over the family's ``bounds`` box stops.
+    ``n_evals`` counts the Hellinger values computed on the nodes: Newton's,
+    at each start and trial step, and Nelder-Mead's.
     """
     support = _resolve_support(g, support)
     # the one box, as one row
@@ -130,7 +131,7 @@ def mhd(g, family, x0, support=None):
     def evaluate(rows, theta):
         nonlocal n_evals
         n_evals += len(rows)
-        return _node_bc(family, _columns(theta), x, wg)
+        return family.node_bc(_columns(theta), x, wg)
 
     def newton(theta):
         return [v[0] for v in _newton_rows(evaluate, theta[None], lo, hi)]
@@ -359,7 +360,7 @@ def influence_function(g0, family, theta0, support=None):
     theta0 = np.asarray(theta0, dtype=float)
     support = _resolve_support(g0, support)
     x, w, sqrt_g0 = _prepared_nodes(g0, support, _EFFICIENCY_PANELS)
-    _, grad, curvature = _node_bc(family, theta0, x, w * sqrt_g0)
+    _, grad, curvature = family.node_bc(theta0, x, w * sqrt_g0)
     svals = np.linalg.svd(curvature, compute_uv=False)
     if svals[-1] < 1e-12 * max(svals[0], 1.0):
         raise RuntimeError(

@@ -18,8 +18,10 @@ from _helpers import (
 from mhdbayes.densities import (
     GaussianFamily,
     HistogramDensity,
+    ParametricFamily,
     SupportTransform,
     hellinger,
+    integration_edges,
     transform_density,
 )
 from mhdbayes.numerics import composite_nodes
@@ -398,6 +400,71 @@ class TestGaussianFamily:
             bounds=(None, (0.5, 8.0))).unit_fit_family(t).bounds
         assert mu_b == _UNIT_BOUNDS[0]
         assert (sg_lo, sg_hi) == pytest.approx((0.0125, 0.2))
+
+
+def mhd_nodes(g):
+    """The Gauss-Legendre nodes ``mhd`` integrates a histogram ``g`` on, and
+    the weights times sqrt(g)."""
+    x, w = composite_nodes(integration_edges((0.0, 1.0), (g,)))
+    return x, w * np.sqrt(g.pdf(x))
+
+
+class TestNodeBc:
+    """The Gaussian one-pass node sums against the default's sums of
+    ``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess``."""
+
+    fam = GaussianFamily()
+
+    def assert_matches_default(self, theta, x, wg):
+        # 1e-12 relative, with a floor of 1e-12 times the sum of the
+        # absolute node terms, the scale of the default's own rounding
+        one_pass = self.fam.node_bc(theta, x, wg)
+        default = ParametricFamily.node_bc(self.fam, theta, x, wg)
+        scales = (np.einsum("...n,...n->...", np.abs(wg), self.fam.sqrt_pdf(theta, x)),
+                  np.einsum("...n,...np->...p", np.abs(wg), np.abs(self.fam.sqrt_grad(theta, x))),
+                  np.einsum("...n,...npq->...pq", np.abs(wg),
+                            np.abs(self.fam.sqrt_hess(theta, x))))
+        for got, want, scale in zip(one_pass, default, scales):
+            assert got.shape == want.shape
+            assert np.all(np.isfinite(got))
+            assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(want) + scale))
+        return one_pass
+
+    @pytest.mark.parametrize("theta", [(0.3, 0.2), (0.5, 1.7), (-0.4, 0.05), (1.6, 2.0),
+                                       (0.41, 1e-3), (0.41, 1e-5), (0.7, 2e-4)])
+    def test_scalar_theta_on_mhd_nodes(self, theta):
+        # the last three sigmas lie below the node spacing of about 4e-3
+        x, wg = mhd_nodes(random_histogram(np.random.default_rng(3), 40))
+        self.assert_matches_default(theta, x, wg)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-wg-row", "row-stacked-wg"])
+    def test_column_thetas_on_mhd_nodes(self, shared):
+        rng = np.random.default_rng(8)
+        thetas = np.column_stack([rng.uniform(-1.0, 2.0, 6), rng.uniform(1e-3, 2.0, 6)])
+        # histograms on one grid share mhd's nodes; each row gets its own
+        x, wg = zip(*(mhd_nodes(random_histogram(rng, 25)) for _ in range(6)))
+        x, wg = x[0], np.stack(wg[:1] if shared else wg)
+        bc, grad, hess = self.assert_matches_default(thetas.T[:, :, None], x, wg)
+        assert (bc.shape, grad.shape, hess.shape) == ((6,), (6, 2), (6, 2, 2))
+        rows = [self.fam.node_bc(t, x, wg[0 if shared else i]) for i, t in enumerate(thetas)]
+        for got, row in zip((bc, grad, hess), zip(*rows)):
+            assert np.allclose(got, np.stack(row), rtol=1e-14, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 60),
+           mu=st.floats(-1.0, 2.0), sg=st.floats(1e-5, 2.0))
+    def test_matches_default_in_the_unit_box(self, seed, k, mu, sg):
+        x, wg = mhd_nodes(random_histogram(np.random.default_rng(seed), k))
+        self.assert_matches_default((mu, sg), x, wg)
+
+    @pytest.mark.parametrize("theta", [(-0.9, 1e-3), (1.9, 1e-3), (-1.0, 1e-5), (2.0, 1e-5)])
+    def test_underflow_gives_zeros_not_nan(self, theta):
+        # sqrt(f_theta) underflows on every node, and u^4 stays finite
+        x, wg = mhd_nodes(random_histogram(np.random.default_rng(4), 10))
+        bc, grad, hess = self.fam.node_bc(theta, x, wg)
+        assert bc == 0.0
+        assert np.all(grad == 0.0)
+        assert np.all(hess == 0.0)
 
 
 def far_tail_edges(mu, sg, side):

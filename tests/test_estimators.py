@@ -48,6 +48,20 @@ class TestMhbFit:
         b = mhb_fit(permuted, prior=PRIOR_SMALL).theta_hat
         assert np.array_equal(a, b)
 
+    def test_newcomb_fit_takes_one_sqrt_pdf_pass_per_evaluation(self, monkeypatch):
+        # GaussianFamily.node_bc gets the coefficient, gradient and Hessian
+        # from one sqrt_pdf pass; sqrt_grad and sqrt_hess are not called
+        calls = {name: 0 for name in ("sqrt_pdf", "sqrt_grad", "sqrt_hess")}
+        for name in calls:
+            def counting(self, *args, name=name, hook=getattr(GaussianFamily, name)):
+                calls[name] += 1
+                return hook(self, *args)
+
+            monkeypatch.setattr(GaussianFamily, name, counting)
+        est = mhb_fit(load_dataset("bundled:newcomb").values)
+        assert est.mhd_meta.n_evals == 5
+        assert calls == {"sqrt_pdf": 5, "sqrt_grad": 0, "sqrt_hess": 0}
+
     def test_report_shape(self):
         est = mhb_fit(gaussian_data(150, 4), prior=PRIOR_SMALL)
         report = est.to_report()
