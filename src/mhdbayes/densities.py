@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .numerics import GL_ORDER, composite_nodes
 
@@ -24,6 +23,27 @@ DEFAULT_PADDING = 0.09
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 _SQRT2 = np.sqrt(2.0)
+
+# The normal tail Phi(-a) = erfcx(x) exp(-x^2) / 2, x = a / sqrt(2), takes
+# q(x) = (x + 1/2) erfcx(x) / 2 as a degree-22 polynomial in
+# t = (x - 3.75) / (x + 3.75), highest power first, fitted by
+# tests/fit_normal_tail.py.  The 1/sqrt(2) is the correctly rounded one
+# (1 / np.sqrt(2) is an ulp low, which moves exp(-x^2) by 4.6e-13 relative
+# in the far tail), and past x^2 = log(DBL_MAX) the tail is exactly 0, as
+# in scipy.special.ndtr.
+_TAIL_COEFS = (
+    -6.436132174103169e-10, -4.820580727710513e-10, 7.928545785813854e-09,
+    4.665768075637068e-09, -6.198611444033136e-08, -1.264727079703918e-08,
+    4.35284327375779e-07, -2.448857886092528e-07, -2.859332565513313e-06,
+    5.596937667222335e-06, 1.2911531998279597e-05, -7.253885701220024e-05,
+    7.342863209585771e-05, 0.0004389065461099155, -0.0024366449301151407,
+    0.007090569342274643, -0.014673349642713551, 0.02307608029113984,
+    -0.027200982535737855, 0.020569184622495316, 0.0008963538713747041,
+    -0.03506014964638622, 0.30937815770945687,
+)
+_TAIL_SHIFT = 3.75
+_SQRT1_2 = 0.7071067811865476
+_MAXLOG = 709.782712893384
 
 # Uniform panels every quadrature grid starts from, and the width (relative
 # to the integration window) below which ``integration_edges`` drops a panel
@@ -65,6 +85,33 @@ class SupportTransform:
 
     def from_unit(self, y):
         return self.a + self.width * np.asarray(y, dtype=float)
+
+
+def _normal_tail(a):
+    """Phi(-|a|), the smaller normal tail, elementwise over the float array
+    ``a``: within 1.6e-15 relative of ``scipy.special.ndtr(-|a|)`` where that
+    is a normal double, and exactly 0 where it is 0 (|a| above 37.677).
+
+    The polynomial runs by in-place Horner, so the cost is 57 numpy calls
+    whatever the size of ``a``.
+    """
+    x = np.abs(a)
+    x *= _SQRT1_2
+    d = x + _TAIL_SHIFT
+    t = x - _TAIL_SHIFT
+    t /= d
+    q = t * _TAIL_COEFS[0]
+    q += _TAIL_COEFS[1]
+    for c in _TAIL_COEFS[2:]:
+        q *= t
+        q += c
+    np.add(x, 0.5, out=d)
+    q /= d
+    x *= x
+    np.copyto(q, 0.0, where=x > _MAXLOG)
+    np.negative(x, out=x)
+    q *= np.exp(x, out=x)
+    return q
 
 
 @lru_cache(maxsize=256)
@@ -415,7 +462,7 @@ class GaussianFamily(ParametricFamily):
         """
         mu, sg = theta
         z = (np.asarray(edges, dtype=float) - mu) / (_SQRT2 * sg)
-        tail = ndtr(-np.abs(z))  # the smaller of Phi(z) and Phi(-z)
+        tail = _normal_tail(z)  # the smaller of Phi(z) and Phi(-z)
         cdf = np.where(z < 0.0, tail, 1.0 - tail)
         d_cdf = np.where(z[..., :-1] > 0.0, tail[..., :-1] - tail[..., 1:],
                          np.diff(cdf, axis=-1))
@@ -449,7 +496,7 @@ class GaussianFamily(ParametricFamily):
         d = c[..., :-1] - c[..., 1:]
         z = (np.asarray(edges, dtype=float) - mu) / (_SQRT2 * sg)
         below = z < 0.0
-        tail = ndtr(-np.abs(z))  # the smaller of Phi(z) and Phi(-z)
+        tail = _normal_tail(z)  # the smaller of Phi(z) and Phi(-z)
         # padded index of the straddling cell: the number of edges below mu
         straddle = np.take_along_axis(c, below.sum(axis=-1, keepdims=True), axis=-1)[..., 0]
         p = np.einsum("...i,...i->...", d, np.where(below, tail, -tail)) + straddle

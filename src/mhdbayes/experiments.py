@@ -21,9 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
-from .densities import DEFAULT_PADDING, GaussianFamily
+from .densities import DEFAULT_PADDING, GaussianFamily, _normal_tail
 from .estimators import _mhb_many, bmh_fit, mhb_fit
 from .functional import asymptotic_variance, fisher_information
 from .numerics import worker_rng
@@ -267,9 +266,11 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
 def _ks_normal(x, sd):
     """One-sample Kolmogorov-Smirnov statistic of ``x`` against N(0, sd^2):
     the largest gap between the empirical CDF, on either side of each of
-    its steps, and the normal CDF; equal to
+    its steps, and the normal CDF; within 1e-15 of
     ``scipy.stats.kstest(x, "norm", args=(0, sd)).statistic``."""
-    cdf = ndtr(np.sort(x) / sd)
+    z = np.sort(x) / sd
+    tail = _normal_tail(z)
+    cdf = np.where(z > 0.0, 1.0 - tail, tail)
     m = len(cdf)
     return float(max((np.arange(1.0, m + 1) / m - cdf).max(),
                      (cdf - np.arange(0.0, m) / m).max()))

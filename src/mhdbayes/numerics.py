@@ -5,11 +5,13 @@ There is one quadrature rule, the 8-point Gauss-Legendre rule that
 ``functional.mhd``, ``minimize``: a single bounded scipy Nelder-Mead run.
 ``minimize`` imports ``scipy.optimize`` on its first call, so a process
 that never falls back pays nothing for it and the first fallback pays a
-one-time import of about 0.25 s (0.21-0.29 s on a 2-core x86-64 host,
-after ``import mhdbayes.cli``).  Everything here is deterministic given
-its inputs.  Study replication is driven by a caller-supplied seed or
-``numpy.random.Generator``, and ``worker_rng`` derives independent
-streams from one seed; the search draws no random numbers.
+one-time import of about 0.5 s (0.41-0.69 s on a 2-core x86-64 host,
+after ``import mhdbayes.cli``), ``scipy.special`` included, which the
+package itself loads only for random k.  Everything here is
+deterministic given its inputs.  Study replication is driven by a
+caller-supplied seed or ``numpy.random.Generator``, and ``worker_rng``
+derives independent streams from one seed; the search draws no random
+numbers.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def minimize(objective, x0, bounds):
     start = np.clip(x0, lo, hi)
     if not _initial_simplex_finite(objective, start, lo, hi):
         raise ValueError("objective is non-finite at every initial simplex vertex")
-    import scipy.optimize   # ~0.25 s, paid on the first call only
+    import scipy.optimize   # ~0.5 s with scipy.special, paid on the first call only
     res = scipy.optimize.minimize(
         objective, start, method="Nelder-Mead",
         bounds=scipy.optimize.Bounds(lo, hi),

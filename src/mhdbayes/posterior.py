@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .densities import HistogramDensity, bin_index, grid_edges
 from .numerics import worker_rng
@@ -79,6 +78,7 @@ class HistogramPrior:
         ks = np.asarray(ks, dtype=int)
         if self.mode == "fixed":
             return np.zeros(len(ks))
+        from scipy.special import gammaln   # random k only; see _log_betas
         return _normalized(ks * math.log(self.lam) - gammaln(ks + 1.0))
 
     def validate(self, n):
@@ -120,7 +120,11 @@ def _sorted_counts(ordered, k):
 def _log_betas(vectors):
     """log B(v) = sum(gammaln(v)) - gammaln(sum(v)) of every 1-d array in
     ``vectors``, from one ``gammaln`` pass over all of them; each sum is
-    taken over its own slice, so every value is the one-vector result."""
+    taken over its own slice, so every value is the one-vector result.
+
+    Only random k needs it, so ``scipy.special`` is imported on the first
+    call: a fixed-k process loads no scipy module."""
+    from scipy.special import gammaln
     g = gammaln(np.concatenate(vectors))
     bounds = np.cumsum([0] + [len(v) for v in vectors]).tolist()
     return (np.array([g[i:j].sum() for i, j in zip(bounds, bounds[1:])])

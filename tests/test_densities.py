@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from _helpers import (
     MixtureDensity,
@@ -15,11 +16,14 @@ from _helpers import (
     integrate_over_cells,
     project_to_histogram,
 )
+from fit_normal_tail import fit_coefficients
+from mhdbayes import densities
 from mhdbayes.densities import (
     GaussianFamily,
     HistogramDensity,
     ParametricFamily,
     SupportTransform,
+    _normal_tail,
     hellinger,
     integration_edges,
     transform_density,
@@ -417,17 +421,35 @@ class TestNodeBc:
 
     def assert_matches_default(self, theta, x, wg):
         # 1e-12 relative, with a floor of 1e-12 times the sum of the
-        # absolute node terms, the scale of the default's own rounding
+        # absolute node terms, the scale of the default's own rounding.
+        #
+        # Each scale also gets an absolute floor of 2^-1074 sum_n |P_n| over
+        # the nodes with s = sqrt_pdf > 0, P_n being the node's factor
+        # sqrt_grad / s (or sqrt_hess / s; 1 for the coefficient).  Below
+        # 2^-1022 doubles are spaced 2^-1074 apart, so a subnormal product
+        # rounds with an absolute error of up to 2^-1075 however small it
+        # is, and the two evaluations round different ones: wg s here,
+        # s u / (2 sigma) and the like in the default.  The one-pass sums
+        # carry the error of wg s through the power sums' factors, which
+        # match |P_n| up to a factor 1 + 16 / u^2, and wg s is subnormal
+        # only far out (|u| > 50 for the |wg| ~ 1e-3 of mhd's nodes).  The
+        # later subnormal roundings of either side are carried by at most
+        # about |P_n| / |u|.  So a node moves the gap by a little over
+        # 2^-1075 |P_n|, and the floor allows twice that.
         one_pass = self.fam.node_bc(theta, x, wg)
         default = ParametricFamily.node_bc(self.fam, theta, x, wg)
-        scales = (np.einsum("...n,...n->...", np.abs(wg), self.fam.sqrt_pdf(theta, x)),
-                  np.einsum("...n,...np->...p", np.abs(wg), np.abs(self.fam.sqrt_grad(theta, x))),
-                  np.einsum("...n,...npq->...pq", np.abs(wg),
-                            np.abs(self.fam.sqrt_hess(theta, x))))
-        for got, want, scale in zip(one_pass, default, scales):
+        s = self.fam.sqrt_pdf(theta, x)
+        grad, hess = self.fam.sqrt_grad(theta, x), self.fam.sqrt_hess(theta, x)
+        scales = (np.einsum("...n,...n->...", np.abs(wg), s),
+                  np.einsum("...n,...np->...p", np.abs(wg), np.abs(grad)),
+                  np.einsum("...n,...npq->...pq", np.abs(wg), np.abs(hess)))
+        for got, want, scale, d in zip(one_pass, default, scales, (s, grad, hess)):
+            s_n = s.reshape(s.shape + (1,) * (d.ndim - s.ndim))
+            p_n = np.divide(np.abs(d), s_n, out=np.zeros(d.shape), where=s_n > 0)
+            floor = 2.0 ** -1074 * p_n.sum(axis=s.ndim - 1)
             assert got.shape == want.shape
             assert np.all(np.isfinite(got))
-            assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(want) + scale))
+            assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(want) + scale) + floor)
         return one_pass
 
     @pytest.mark.parametrize("theta", [(0.3, 0.2), (0.5, 1.7), (-0.4, 0.05), (1.6, 2.0),
@@ -453,6 +475,9 @@ class TestNodeBc:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 60),
            mu=st.floats(-1.0, 2.0), sg=st.floats(1e-5, 2.0))
+    # one node's sqrt_pdf is subnormal (8e-317), and the gradients differ
+    # in their fifth digit at 2e-313: the absolute floor's case
+    @example(seed=0, k=36, mu=1e-5, sg=1e-5)
     def test_matches_default_in_the_unit_box(self, seed, k, mu, sg):
         x, wg = mhd_nodes(random_histogram(np.random.default_rng(seed), k))
         self.assert_matches_default((mu, sg), x, wg)
@@ -465,6 +490,39 @@ class TestNodeBc:
         assert bc == 0.0
         assert np.all(grad == 0.0)
         assert np.all(hess == 0.0)
+
+
+class TestNormalTail:
+    """The numpy tail Phi(-|a|) against scipy's ``ndtr``."""
+
+    grid = np.linspace(0.0, 37.67, 400_001)
+
+    def test_matches_ndtr(self):
+        # 1e-14 relative wherever ndtr(-a) is a normal double (a <= 37.5).
+        # Beyond, doubles are spaced a fixed 2^-1074 apart, and ndtr's last
+        # steps (its quotient and its halving) and the tail's product each
+        # round to that spacing, so a few units of it are rounding: allow 4.
+        got, want = _normal_tail(self.grid), ndtr(-self.grid)
+        assert np.all(np.abs(got - want) <= 1e-14 * want + 4 * 2.0 ** -1074)
+
+    def test_zero_exactly_where_ndtr_is(self):
+        a = np.concatenate([np.linspace(37.0, 40.0, 300_001), [1e3, 1e300, np.inf]])
+        with np.errstate(over="ignore", invalid="ignore"):   # x^2 and t at 1e300, inf
+            got = _normal_tail(a)
+        want = ndtr(-a)
+        assert np.any(want == 0.0) and np.any(want > 0.0)
+        assert np.array_equal(got == 0.0, want == 0.0)
+
+    def test_even_in_a(self):
+        a = np.concatenate([self.grid, [40.0, 1e3]])
+        assert np.array_equal(_normal_tail(-a), _normal_tail(a))
+
+    def test_committed_coefficients_match_a_refit(self, monkeypatch):
+        committed = _normal_tail(self.grid)
+        monkeypatch.setattr(densities, "_TAIL_COEFS", fit_coefficients())
+        refit = _normal_tail(self.grid)
+        normal = committed >= np.finfo(float).tiny
+        assert np.max(np.abs(refit[normal] / committed[normal] - 1.0)) <= 1e-15
 
 
 def far_tail_edges(mu, sg, side):

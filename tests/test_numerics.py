@@ -118,13 +118,24 @@ class TestMinimize:
             minimize(lambda t: t[0] ** 2, [0.0], [(1.0, -1.0)])
 
 
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that finds this package; return the
+    JSON object on its last line of output."""
+    src = str(Path(mhdbayes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 class TestImports:
     def test_fit_path_loads_neither_optimize_nor_stats(self):
         # a fresh process that imports the package and its CLI must not
         # load scipy.optimize or scipy.stats (about 1 s of start-up
         # between them); the Nelder-Mead fallback imports scipy.optimize
         # on its first call and must then still find the argmin
-        code = textwrap.dedent("""
+        result = run_fresh("""
             import json, sys
             import mhdbayes, mhdbayes.cli
             heavy = ("scipy.optimize", "scipy.stats")
@@ -134,16 +145,39 @@ class TestImports:
             print(json.dumps({"before": before, "x": x.tolist(), "f": f,
                               "optimize": "scipy.optimize" in sys.modules}))
         """)
-        src = str(Path(mhdbayes.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=120)
-        result = json.loads(out.stdout.splitlines()[-1])
         assert result["before"] == []
         assert result["optimize"]
         assert np.allclose(result["x"], [2.0, -1.0], atol=1e-6)
         assert result["f"] < 1e-11
+
+    def test_fixed_k_fits_load_no_scipy(self):
+        # the import, the CLI and every fixed-k fit run on numpy alone; the
+        # first random-k posterior imports scipy.special for gammaln and
+        # gives the same log posterior over k, bit for bit, as this process
+        result = run_fresh("""
+            import json, sys
+            import numpy as np
+            import mhdbayes as m, mhdbayes.cli
+
+            def scipy_modules():
+                return sorted(n for n in sys.modules if n.split(".")[0] == "scipy")
+
+            loaded = {"import": scipy_modules()}
+            newcomb = m.load_dataset("bundled:newcomb").values
+            m.mhb_fit(newcomb)
+            m.mhb_bootstrap_se(newcomb, n_boot=50, rng=1)
+            m.bmh_fit(newcomb, n_samples=200, rng=1)
+            m.bvm_diagnostic(newcomb, n_samples=200, rng=1)
+            loaded["fits"] = scipy_modules()
+            post = m.fit_posterior(np.linspace(0.0, 1.0, 400) ** 2, m.HistogramPrior.poisson())
+            print(json.dumps({"loaded": loaded, "special": "scipy.special" in sys.modules,
+                              "log_post_k": [v.hex() for v in post.log_post_k.tolist()]}))
+        """)
+        assert result["loaded"] == {"import": [], "fits": []}
+        assert result["special"]
+        here = mhdbayes.fit_posterior(np.linspace(0.0, 1.0, 400) ** 2,
+                                      mhdbayes.HistogramPrior.poisson()).log_post_k
+        assert result["log_post_k"] == [v.hex() for v in here.tolist()]
 
 
 class TestFiniteDiffGrad:
