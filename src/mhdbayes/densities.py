@@ -90,7 +90,14 @@ class SupportTransform:
 def _normal_tail(a):
     """Phi(-|a|), the smaller normal tail, elementwise over the float array
     ``a``: within 1.6e-15 relative of ``scipy.special.ndtr(-|a|)`` where that
-    is a normal double, and exactly 0 where it is 0 (|a| above 37.677).
+    is a normal double, and exactly 0 where it is 0 (|a| above 37.677)."""
+    return _normal_tail_exp(a)[0]
+
+
+def _normal_tail_exp(a):
+    """``_normal_tail(a)`` and the exp(-a^2 / 2) it is made from, formed as
+    exp(-x^2) with x = |a| / sqrt(2), so a caller that also needs the normal
+    density does not pay a second exponential.
 
     The polynomial runs by in-place Horner, so the cost is 57 numpy calls
     whatever the size of ``a``.
@@ -110,8 +117,9 @@ def _normal_tail(a):
     x *= x
     np.copyto(q, 0.0, where=x > _MAXLOG)
     np.negative(x, out=x)
-    q *= np.exp(x, out=x)
-    return q
+    gauss = np.exp(x, out=x)
+    q *= gauss
+    return q, gauss
 
 
 @lru_cache(maxsize=256)
@@ -163,9 +171,9 @@ class HistogramDensity:
     grid :func:`grid_edges`.
     Bin j covers [edges[j], edges[j+1]) (see :func:`bin_index`) and has
     density weights[j] / (edges[j+1] - edges[j]), exactly k * weights[j]
-    on the default grid.  Weights must be non-negative and sum to 1 within
-    1e-8; they are renormalized exactly on construction.  ``k`` is the bin
-    count.
+    on the default grid; ``heights`` holds these k densities.  Weights must
+    be non-negative and sum to 1 within 1e-8; they are renormalized exactly
+    on construction.  ``k`` is the bin count.
     """
 
     support = (0.0, 1.0)
@@ -186,17 +194,17 @@ class HistogramDensity:
             self.edges = grid_edges(self.k)
             # the float differences of this grid miss the exact 1/k widths
             # by a few ulp, so the density is taken from k directly
-            self._heights = self.k * self.weights
+            self.heights = self.k * self.weights
         else:
             self.edges = _checked_edges(edges, self.k)
-            self._heights = self.weights / np.diff(self.edges)
+            self.heights = self.weights / np.diff(self.edges)
 
     def bin_index(self, x):
         return bin_index(self.edges, x)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        vals = self._heights[self.bin_index(x)]
+        vals = self.heights[self.bin_index(x)]
         return np.where((x >= 0.0) & (x <= 1.0), vals, 0.0)
 
     def breakpoints(self):
@@ -496,11 +504,12 @@ class GaussianFamily(ParametricFamily):
         d = c[..., :-1] - c[..., 1:]
         z = (np.asarray(edges, dtype=float) - mu) / (_SQRT2 * sg)
         below = z < 0.0
-        tail = _normal_tail(z)  # the smaller of Phi(z) and Phi(-z)
+        # the smaller of Phi(z) and Phi(-z), and exp(-z^2 / 2)
+        tail, gauss = _normal_tail_exp(z)
         # padded index of the straddling cell: the number of edges below mu
         straddle = np.take_along_axis(c, below.sum(axis=-1, keepdims=True), axis=-1)[..., 0]
         p = np.einsum("...i,...i->...", d, np.where(below, tail, -tail)) + straddle
-        dphi = d * np.exp(-0.5 * z * z)
+        dphi = d * gauss
         moments = [dphi.sum(axis=-1)]
         for _ in range(3):
             dphi *= z
@@ -532,8 +541,8 @@ class GaussianFamily(ParametricFamily):
     def initial_theta(self, data):
         # exactly rounded sums, so the start does not depend on data order
         data = np.asarray(data, dtype=float)
-        mean = math.fsum(data) / len(data)
-        sd = math.sqrt(math.fsum((data - mean) ** 2) / len(data))
+        mean = math.fsum(data.tolist()) / len(data)
+        sd = math.sqrt(math.fsum(((data - mean) ** 2).tolist()) / len(data))
         return np.array([mean, sd if sd > 0 else 1.0])
 
     def theta_to_unit(self, theta, transform):
@@ -580,9 +589,9 @@ def _checked_values(name, vals, x):
     all at the same ``x``.
     """
     vals = np.asarray(vals, dtype=float)
-    xs = np.broadcast_to(x, vals.shape)
     for bad, what in ((~np.isfinite(vals), "non-finite"), (vals < -1e-12, "negative")):
-        if np.any(bad):
+        if bad.any():
+            xs = np.broadcast_to(x, vals.shape)
             raise ValueError(f"density {name!r} is {what} at x = {float(xs[bad][0])!r}")
     return np.clip(vals, 0.0, None)
 

@@ -13,8 +13,9 @@ equals the inverse Fisher information when g0 is in the model family.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .densities import (
     HistogramDensity,
     _checked_values,
     _pdf_of,
+    bin_index,
     grid_edges,
     integration_edges,
 )
@@ -76,8 +78,34 @@ ROW_BLOCK_ELEMENTS = 1 << 15
 
 
 def _prepared_nodes(g, support, panels):
-    x, w = composite_nodes(integration_edges(support, (g,), min_panels=panels))
-    return x, w, np.sqrt(_checked_values("g", _pdf_of(g)(x), x))
+    """Nodes and weights of the 8-point rule on ``panels`` uniform panels over
+    ``support`` refined at g's breakpoints, and sqrt(g) at the nodes.  A
+    histogram gathers its heights at node cells that depend on its edges
+    alone (``_histogram_nodes``)."""
+    if isinstance(g, HistogramDensity):
+        x, w, cell = _histogram_nodes(g.edges.tobytes(), float(support[0]),
+                                      float(support[1]), panels)
+        vals = np.append(g.heights, 0.0)[cell]
+    else:
+        x, w = composite_nodes(integration_edges(support, (g,), min_panels=panels))
+        vals = _pdf_of(g)(x)
+    return x, w, np.sqrt(_checked_values("g", vals, x))
+
+
+@lru_cache(maxsize=64)
+def _histogram_nodes(edges, a, b, panels):
+    """The nodes and weights of ``_prepared_nodes`` for a histogram on the
+    float64 ``edges`` bytes over [a, b], and each node's cell; a node outside
+    [0, 1], where the histogram vanishes, gets cell k, one past the last.
+    Built once per grid and read-only."""
+    edges = np.frombuffer(edges)
+    # the uniform histogram has the same breakpoints as every other on edges
+    x, w = composite_nodes(integration_edges(
+        (a, b), (HistogramDensity(np.diff(edges), edges),), min_panels=panels))
+    cell = np.where((x >= 0.0) & (x <= 1.0), bin_index(edges, x), len(edges) - 1)
+    for arr in (x, w, cell):
+        arr.flags.writeable = False
+    return x, w, cell
 
 
 def _resolve_support(g, support):
@@ -160,6 +188,16 @@ def _seed_table():
     return table, seeds
 
 
+def _seeds_inside(lo, hi):
+    """Which seeds of ``_seed_table`` lie in each row's box [``lo``, ``hi``],
+    shape (rows, seeds).  The seeds are the product of ``_SEED_MU`` and
+    ``_SEED_SIGMA``, so a row's mask is the outer product of its mu and
+    sigma tests."""
+    mu_in = (_SEED_MU >= lo[:, :1]) & (_SEED_MU <= hi[:, :1])
+    sigma_in = (_SEED_SIGMA >= lo[:, 1:]) & (_SEED_SIGMA <= hi[:, 1:])
+    return (mu_in[:, :, None] & sigma_in[:, None, :]).reshape(len(lo), -1)
+
+
 def _grid_seeds(weights, edges, family, starts, lo, hi):
     """Newton starts of grid-seeded fits of a Gaussian ``family``: for each
     row of cell ``weights`` on ``edges``, the candidate with the largest
@@ -174,15 +212,16 @@ def _grid_seeds(weights, edges, family, starts, lo, hi):
     """
     table, seeds = _seed_table()
     ref = grid_edges(_SEED_CELLS)
-    cdf = np.column_stack([np.zeros(len(weights)), np.cumsum(weights, axis=1)])
+    cdf = np.zeros((len(weights), weights.shape[1] + 1))
+    np.cumsum(weights, axis=1, out=cdf[:, 1:])
     rebinned = np.diff([np.interp(ref, edges, c) for c in cdf], axis=1)
-    sqrt_heights = np.sqrt(np.clip(rebinned, 0.0, None) * _SEED_CELLS)
+    sqrt_heights = np.sqrt(np.maximum(rebinned, 0.0) * _SEED_CELLS)
     scores = sqrt_heights @ table.T
-    scores[~np.all((seeds >= lo[:, None]) & (seeds <= hi[:, None]), axis=2)] = -np.inf
-    best = np.argmax(scores, axis=1)
-    starts = np.clip(starts, lo, hi)
+    scores[~_seeds_inside(lo, hi)] = -np.inf
+    best = scores.argmax(axis=1)
+    starts = np.minimum(np.maximum(starts, lo), hi)
     own = np.einsum("rk,rk->r", family.cell_sqrt_masses(_columns(starts), ref), sqrt_heights)
-    keep = own >= scores[np.arange(len(best)), best]
+    keep = own >= scores.max(axis=1)
     return np.where(keep[:, None], starts, seeds[best])
 
 
@@ -239,22 +278,36 @@ def _columns(theta):
 
 
 def _hellinger(bc):
-    """Hellinger values of Bhattacharyya coefficients ``bc``.  Cauchy-Schwarz
-    caps a coefficient at 1; a row beyond that no longer resolves f_theta
-    (e.g. a spike between quadrature nodes) and gets +inf."""
-    h = np.sqrt(np.clip(2.0 - 2.0 * bc, 0.0, None))
-    return np.where(bc > 1.0 + 1e-9, np.inf, h)
+    """Hellinger values of a row of Bhattacharyya coefficients ``bc``.
+    Cauchy-Schwarz caps a coefficient at 1; a row beyond that no longer
+    resolves f_theta (e.g. a spike between quadrature nodes) and gets +inf."""
+    h = 2.0 - 2.0 * bc
+    np.sqrt(np.maximum(h, 0.0, out=h), out=h)
+    h[bc > 1.0 + 1e-9] = np.inf
+    return h
+
+
+def _norms(v):
+    """Euclidean norms of the rows of ``v``."""
+    return np.sqrt((v * v).sum(axis=1))
 
 
 def _solve_rows(jac, grad):
-    """Row-wise solutions of jac @ step = grad; NaN rows where jac is singular
-    (e.g. f_theta underflowing on the whole support), so one such row does
-    not stop the others."""
-    singular = ~(np.abs(np.linalg.det(jac)) > 0.0)
-    jac[singular] = np.eye(jac.shape[-1])
-    step = np.linalg.solve(jac, grad[..., None])[..., 0]
-    step[singular] = np.nan
-    return step
+    """Row-wise solutions of jac @ step = grad, and which rows have one.  A
+    row whose jac LAPACK finds singular (an exactly zero pivot, e.g. f_theta
+    underflowing on the whole support) or whose step is not finite gets a
+    NaN step, so it does not stop the others; a stack that holds a singular
+    row is solved again row by row."""
+    try:
+        step = np.linalg.solve(jac, grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.full(grad.shape, np.nan)
+        for r, (a, b) in enumerate(zip(jac, grad)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                step[r] = np.linalg.solve(a, b)
+    formed = np.isfinite(step).all(axis=1)
+    step[~formed] = np.nan
+    return step, formed
 
 
 def _newton_rows(evaluate, theta, lo, hi):
@@ -266,14 +319,14 @@ def _newton_rows(evaluate, theta, lo, hi):
     coefficients, gradients and Hessians.  ``lo`` and ``hi``, shape
     (rows, p), are each row's parameter box, which clips every trial point.
     Each trial point is evaluated once: an accepted trial's gradient and
-    Hessian give the next Newton step.  A row whose clipped Newton
-    direction d = clip(t - step) - t cannot raise its coefficient
-    (gradient . d <= 0) stops before any trial.  Otherwise it takes the
+    Hessian give the next Newton step.  A row stops before any trial when
+    its gradient vanishes, its Jacobian is singular, or its clipped Newton
+    move d = clip(t - step) - t cannot raise its coefficient
+    (gradient . d <= 0) or is shorter than 1e-14.  Otherwise it takes the
     step and halves it until its own Hellinger value does not increase
-    (within 1e-10 roundoff slack); a row also stops when its gradient
-    vanishes, its accepted move falls below 1e-14, no halving helps or its
-    Jacobian is singular.  ``theta`` is
-    updated in place.  Returns the rows' parameters, Hellinger values,
+    (within 1e-10 roundoff slack); it also stops when its accepted move
+    falls below 1e-14 or no halving helps.  ``theta`` is updated in
+    place.  Returns the rows' parameters, Hellinger values,
     first-order norms and ``converged`` flags.  A row is converged when its
     first-order norm is below ``_FOC_TOL``, a Newton step could be formed
     for it (finite start value, non-singular Jacobian; a vanishing gradient
@@ -283,38 +336,45 @@ def _newton_rows(evaluate, theta, lo, hi):
     bc, grad, hess = evaluate(np.arange(len(theta)), theta)
     h = _hellinger(bc)
     # first-order norm at each row's current theta
-    foc = np.linalg.norm(grad, axis=1)
+    foc = _norms(grad)
     stuck = ~np.isfinite(h)
-    active = np.flatnonzero(~stuck)
+    active = (~stuck).nonzero()[0]
+    # ``take`` with integer indices selects rows of the (rows, p) arrays: on
+    # few rows it costs a third of fancy or boolean indexing
     for _ in range(_NEWTON_ITERS):
         if not len(active):
             break
-        t, g = theta[active], grad[active]
-        step = _solve_rows(hess[active], g)
-        formed = np.isfinite(step).all(axis=1)
+        t, g = theta.take(active, axis=0), grad.take(active, axis=0)
+        step, formed = _solve_rows(hess.take(active, axis=0), g)
         stuck[active[~formed]] = True
-        cand = np.clip(t - step, lo[active], hi[active])
-        keep = formed & (foc[active] >= 1e-13) & ((g * (cand - t)).sum(axis=1) > 0.0)
-        active, t, step, cand = active[keep], t[keep], step[keep], cand[keep]
+        cand = np.minimum(np.maximum(t - step, lo.take(active, axis=0)), hi.take(active, axis=0))
+        move = cand - t
+        keep = (formed & (foc[active] >= 1e-13) & ((g * move).sum(axis=1) > 0.0)
+                & (_norms(move) >= 1e-14)).nonzero()[0]
+        active, t, step, cand = (active[keep], t.take(keep, axis=0), step.take(keep, axis=0),
+                                 cand.take(keep, axis=0))
         pending = np.arange(len(active))
         for halving in range(_NEWTON_HALVINGS):
             if not len(pending):
                 break
             rows = active[pending]
             if halving:
-                cand = np.clip(t[pending] - step[pending], lo[rows], hi[rows])
+                cand = np.minimum(np.maximum(t.take(pending, axis=0) - step.take(pending, axis=0),
+                                             lo.take(rows, axis=0)), hi.take(rows, axis=0))
             bc_new, grad_new, hess_new = evaluate(rows, cand)
             h_new = _hellinger(bc_new)
             ok = np.isfinite(h_new) & (h_new <= h[rows] + 1e-10)
-            taken = rows[ok]
-            theta[taken], grad[taken], hess[taken] = cand[ok], grad_new[ok], hess_new[ok]
-            h[taken] = np.minimum(h[taken], h_new[ok])
-            foc[taken] = np.linalg.norm(grad_new[ok], axis=1)
+            acc = ok.nonzero()[0]
+            taken = rows[acc]
+            theta[taken], grad[taken], hess[taken] = (
+                cand.take(acc, axis=0), grad_new.take(acc, axis=0), hess_new.take(acc, axis=0))
+            h[taken] = np.minimum(h[taken], h_new[acc])
+            foc[taken] = _norms(grad_new)[acc]
             pending = pending[~ok]
             step[pending] *= 0.5
         # rows still pending found no non-increasing step and did not move;
         # they stop as well
-        active = active[np.linalg.norm(theta[active] - t, axis=1) >= 1e-14]
+        active = active[_norms(theta.take(active, axis=0) - t) >= 1e-14]
     converged = (foc < _FOC_TOL) & ~stuck & (h < _H_NO_OVERLAP)
     return theta, h, foc, converged
 

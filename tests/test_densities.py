@@ -405,6 +405,17 @@ class TestGaussianFamily:
         assert mu_b == _UNIT_BOUNDS[0]
         assert (sg_lo, sg_hi) == pytest.approx((0.0125, 0.2))
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 3000),
+           loc=st.floats(-1e6, 1e6), scale=st.floats(1e-6, 1e6))
+    def test_moment_start_equals_the_sum_over_numpy_scalars(self, seed, n, loc, scale):
+        # fsum over a list of Python floats gives the same bits as fsum over
+        # the array's numpy scalars
+        data = np.random.default_rng(seed).normal(loc, scale, n)
+        mean = math.fsum(data) / n
+        sd = math.sqrt(math.fsum((data - mean) ** 2) / n)
+        assert np.array_equal(self.fam.initial_theta(data), [mean, sd if sd > 0 else 1.0])
+
 
 def mhd_nodes(g):
     """The Gauss-Legendre nodes ``mhd`` integrates a histogram ``g`` on, and
@@ -512,6 +523,18 @@ class TestNormalTail:
         want = ndtr(-a)
         assert np.any(want == 0.0) and np.any(want > 0.0)
         assert np.array_equal(got == 0.0, want == 0.0)
+
+    def test_exponential_is_the_one_the_tail_is_made_from(self):
+        # exp(-a^2 / 2) formed as exp(-x^2), x = |a| / sqrt(2): it is the
+        # tail's own factor, and within rounding of the direct form
+        a = np.concatenate([-self.grid[::40], self.grid[::40]])
+        tail, gauss = densities._normal_tail_exp(a)
+        x = np.abs(a) * densities._SQRT1_2
+        assert np.array_equal(gauss, np.exp(-(x * x)))
+        assert np.array_equal(tail, _normal_tail(a))
+        direct = np.exp(-0.5 * a * a)
+        normal = direct >= np.finfo(float).tiny
+        assert np.allclose(gauss[normal], direct[normal], rtol=1e-12, atol=0.0)
 
     def test_even_in_a(self):
         a = np.concatenate([self.grid, [40.0, 1e3]])

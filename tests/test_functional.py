@@ -15,6 +15,7 @@ from mhdbayes.densities import (
     ParametricFamily,
     SupportTransform,
     grid_edges,
+    integration_edges,
 )
 from mhdbayes.functional import (
     asymptotic_variance,
@@ -88,7 +89,6 @@ def grid_search(objective, mu_grid, sg_grid):
 
 
 def hellinger_objective(g, family, support, min_panels=64):
-    from mhdbayes.densities import integration_edges
     edges = integration_edges(support, (g,), min_panels=min_panels)
     x, w = composite_nodes(edges)
     sqrt_g = np.sqrt(np.asarray(g.pdf(x)))
@@ -321,6 +321,30 @@ class TestGridSeed:
             assert np.array_equal(seeds[r], alone[0])
 
     @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6))
+    def test_seed_mask_is_the_product_of_the_mu_and_sigma_tests(self, seed, rows):
+        # box ends drawn from the seed values themselves (the tests are
+        # inclusive), from random values and from beyond every seed
+        rng = np.random.default_rng(seed)
+        ends = [np.concatenate([functional._SEED_MU, rng.uniform(-1.0, 2.0, 8), [-1.0, 1.5]]),
+                np.concatenate([functional._SEED_SIGMA, rng.uniform(1e-5, 2.0, 8), [5e-5, 2.0]])]
+        lo, hi = np.sort([np.column_stack([rng.choice(e, rows) for e in ends])
+                          for _ in range(2)], axis=0)
+        seeds = functional._seed_table()[1]
+        want = np.all((seeds >= lo[:, None]) & (seeds <= hi[:, None]), axis=2)
+        assert np.array_equal(functional._seeds_inside(lo, hi), want)
+
+    def test_box_without_seeds_keeps_the_start(self):
+        # mu above every seed, then sigma below the 1e-4 seed floor
+        g = project_to_histogram(TruncatedUnitGaussian(0.45, 0.12), 20)
+        lo, hi = np.array([[[1.5, 1e-5], [0.0, 1e-5]], [[2.0, 2.0], [1.0, 5e-5]]])
+        assert not functional._seeds_inside(lo, hi).any()
+        starts = np.array([[0.45, 0.12], [0.45, 0.12]])
+        seeds = functional._grid_seeds(np.stack([g.weights, g.weights]), g.edges, self.fam,
+                                       starts, lo, hi)
+        assert np.array_equal(seeds, np.clip(starts, lo, hi))
+
+    @settings(max_examples=60, deadline=None)
     @given(g=histograms())
     def test_no_worse_than_nelder_mead(self, g):
         mid = (g.edges[:-1] + g.edges[1:]) / 2.0
@@ -436,6 +460,76 @@ class TestMhdRows:
         assert np.all(flags[0]) and np.array_equal(flags[1], [1, 0, 0, 1, 0, 1, 1])
         assert np.all(theta[[1, 4], 1] == 0.1) and theta[2, 0] == 0.5
         assert starts[-1, 0] == 0.3  # the caller's starts are not written to
+
+
+class TestPreparedNodes:
+    @settings(max_examples=60, deadline=None)
+    @given(g=histograms(), a=st.floats(-0.5, 0.9), width=st.floats(0.05, 1.5),
+           panels=st.sampled_from([1, 7, _MIN_PANELS, 64]))
+    def test_histogram_nodes_equal_the_pdf_path(self, g, a, width, panels):
+        # the nodes, weights and sqrt heights gathered at the cached node
+        # cells are those of integration_edges -> composite_nodes -> pdf, and
+        # of the uncached path, on which g is seen through its pdf alone
+        support = (a, a + width)
+        got = functional._prepared_nodes(g, support, panels)
+        x, w = composite_nodes(integration_edges(support, (g,), min_panels=panels))
+        assert all(np.array_equal(u, v) for u, v in zip(got, (x, w, np.sqrt(g.pdf(x)))))
+        uncached = functional._prepared_nodes(Unseeded(g), support, panels)
+        assert all(np.array_equal(u, v) for u, v in zip(got, uncached))
+
+    def test_nodes_are_built_once_per_grid(self):
+        one, two = (HistogramDensity(np.random.default_rng(s).dirichlet(np.ones(30)))
+                    for s in (1, 2))
+        x1, w1, _ = functional._prepared_nodes(one, (0.0, 1.0), _MIN_PANELS)
+        x2, w2, _ = functional._prepared_nodes(two, (0.0, 1.0), _MIN_PANELS)
+        assert x1 is x2 and w1 is w2
+        assert not (x1.flags.writeable or w1.flags.writeable)
+
+    def test_gathered_heights_are_checked(self):
+        # NaN weights pass HistogramDensity's sum test; the node values are
+        # still checked
+        g = HistogramDensity([np.nan, 1.0])
+        fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
+        with pytest.raises(ValueError, match=r"'g' is non-finite at x = 0\.\d+$"):
+            mhd(g, fam, (0.5, 0.1), support=(0.0, 1.0))
+
+
+class TestNewtonRows:
+    def test_sub_roundoff_move_stops_before_any_trial(self):
+        # BC = 0.5 - 500 |theta - m|^2, so Newton lands on m in one step
+        # (exactly: the offsets are powers of 2).  Row 0 sits 2^-47 = 7.1e-15
+        # from m: its first-order norm, 7.1e-12, is above the 1e-13 floor,
+        # but its move is below 1e-14, so it stops without a trial; row 1
+        # takes one trial to m and stops on its gradient
+        m = np.array([0.5, 0.25])
+        evaluated = []
+
+        def evaluate(rows, theta):
+            evaluated.append(rows.tolist())
+            d = theta - m
+            hess = np.broadcast_to(-1000.0 * np.eye(2), (len(rows), 2, 2)).copy()
+            return 0.5 - 500.0 * (d * d).sum(axis=1), -1000.0 * d, hess
+
+        start = m + np.array([[2.0 ** -47, 0.0], [2.0 ** -20, 0.0]])
+        box = np.zeros((2, 2)), np.ones((2, 2))
+        theta, _, foc, converged = functional._newton_rows(evaluate, start.copy(), *box)
+        assert evaluated == [[0, 1], [1]]
+        assert np.array_equal(theta[0], start[0]) and foc[0] >= 1e-13
+        assert np.array_equal(theta[1], m) and np.all(converged)
+
+    def test_solve_rows_gives_nan_for_singular_and_nan_rows(self):
+        rng = np.random.default_rng(6)
+        regular = rng.normal(size=(3, 2, 2)) + 3.0 * np.eye(2)
+        singular = [[1.0, 2.0], [2.0, 4.0]]
+        jac = np.concatenate([[singular, [[np.nan, 0.0], [0.0, 1.0]]], regular])
+        grad = rng.normal(size=(5, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(jac, grad[..., None])
+        for stack in (jac, jac[1:]):
+            step, formed = functional._solve_rows(stack.copy(), grad[-len(stack):])
+            assert np.all(np.isnan(step[:-3])) and not formed[:-3].any()
+            assert np.array_equal(step[-3:], np.linalg.solve(regular, grad[-3:, :, None])[..., 0])
+            assert formed[-3:].all()
 
 
 class TestInfluenceFunction:

@@ -133,12 +133,13 @@ class TestImports:
     def test_fit_path_loads_neither_optimize_nor_stats(self):
         # a fresh process that imports the package and its CLI must not
         # load scipy.optimize or scipy.stats (about 1 s of start-up
-        # between them); the Nelder-Mead fallback imports scipy.optimize
-        # on its first call and must then still find the argmin
+        # between them), nor the process pool of the robustness sweep's
+        # workers; the Nelder-Mead fallback imports scipy.optimize on its
+        # first call and must then still find the argmin
         result = run_fresh("""
             import json, sys
             import mhdbayes, mhdbayes.cli
-            heavy = ("scipy.optimize", "scipy.stats")
+            heavy = ("scipy.optimize", "scipy.stats", "concurrent.futures", "multiprocessing")
             before = [m for m in heavy if m in sys.modules]
             x, f = mhdbayes.minimize(lambda t: (t[0] - 2.0) ** 2 + (t[1] + 1.0) ** 2,
                                      [0.0, 0.0], [(-10.0, 10.0), (-10.0, 10.0)])
