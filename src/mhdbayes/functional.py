@@ -353,10 +353,10 @@ def _newton_rows(evaluate, theta, lo, hi):
                 & (_norms(move) >= 1e-14)).nonzero()[0]
         active, t, step, cand = (active[keep], t.take(keep, axis=0), step.take(keep, axis=0),
                                  cand.take(keep, axis=0))
+        if not len(active):
+            break
         pending = np.arange(len(active))
         for halving in range(_NEWTON_HALVINGS):
-            if not len(pending):
-                break
             rows = active[pending]
             if halving:
                 cand = np.minimum(np.maximum(t.take(pending, axis=0) - step.take(pending, axis=0),
@@ -370,11 +370,15 @@ def _newton_rows(evaluate, theta, lo, hi):
                 cand.take(acc, axis=0), grad_new.take(acc, axis=0), hess_new.take(acc, axis=0))
             h[taken] = np.minimum(h[taken], h_new[acc])
             foc[taken] = _norms(grad_new)[acc]
+            if len(acc) == len(rows):
+                break
             pending = pending[~ok]
             step[pending] *= 0.5
-        # rows still pending found no non-increasing step and did not move;
-        # they stop as well
-        active = active[_norms(theta.take(active, axis=0) - t) >= 1e-14]
+        # a full step moves its row by at least 1e-14 (tested before the
+        # trial), so only after a halving can a row have moved less: such
+        # rows stop, and so do rows that found no non-increasing step
+        if halving:
+            active = active[_norms(theta.take(active, axis=0) - t) >= 1e-14]
     converged = (foc < _FOC_TOL) & ~stuck & (h < _H_NO_OVERLAP)
     return theta, h, foc, converged
 
