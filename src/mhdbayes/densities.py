@@ -185,7 +185,7 @@ class HistogramDensity:
         if np.any(weights < -1e-12):
             raise ValueError("weights must be non-negative")
         total = weights.sum()
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:   # a NaN total fails too
             raise ValueError(f"weights must sum to 1, got {float(total)!r}")
         self.k = len(weights)
         weights = np.clip(weights, 0.0, None)

@@ -19,7 +19,6 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from . import numerics
 from .densities import (
     _MIN_PANELS,
     _UNIT_BOUNDS,
@@ -41,6 +40,7 @@ class MhdResult:
     theta_hat: np.ndarray
     h_min: float
     converged: bool
+    # Hellinger values computed: Newton's start and each of its trial steps
     n_evals: int
     first_order_norm: float
 
@@ -134,13 +134,11 @@ def mhd(g, family, x0, support=None):
     point (one ``sqrt_pdf`` pass for a Gaussian family), and decides
     ``converged`` (see ``_newton_rows``), so a bound-pinned minimizer or a
     fit with no overlap with ``g`` is flagged, never silently returned.
-    For a histogram ``g`` and a Gaussian family, Newton starts at the best
-    of ``x0`` and the seed grid, the rule ``mhd_rows`` re-seeds its rows
-    with (see ``_grid_seeds``).  Otherwise, or when that Newton does not
-    converge, it starts where one Nelder-Mead run from ``x0``
-    (``numerics.minimize``) over the family's ``bounds`` box stops.
-    ``n_evals`` counts the Hellinger values computed on the nodes: Newton's,
-    at each start and trial step, and Nelder-Mead's.
+    Newton starts at ``x0`` clipped to the family's ``bounds`` box; for a
+    histogram ``g`` and a Gaussian family, at the best of that point and
+    the seed grid instead, the rule ``mhd_rows`` re-seeds its rows with
+    (see ``_grid_seeds``).  ``n_evals`` counts the Hellinger values Newton
+    computes on the nodes, at the start and at each trial step.
     """
     support = _resolve_support(g, support)
     # the one box, as one row
@@ -150,26 +148,15 @@ def mhd(g, family, x0, support=None):
     wg = (w * sqrt_g)[None]
     n_evals = 0
 
-    def objective(theta):
-        nonlocal n_evals
-        n_evals += 1
-        cols = _columns(np.asarray(theta, dtype=float)[None])
-        return float(_hellinger(np.einsum("rk,rk->r", wg, family.sqrt_pdf(cols, x)))[0])
-
     def evaluate(rows, theta):
         nonlocal n_evals
         n_evals += len(rows)
         return family.node_bc(_columns(theta), x, wg)
 
-    def newton(theta):
-        return [v[0] for v in _newton_rows(evaluate, theta[None], lo, hi)]
-
-    seeded = isinstance(g, HistogramDensity) and isinstance(family, GaussianFamily)
-    if seeded:
-        theta, h, foc, converged = newton(_grid_seeds(
-            g.weights[None], g.edges, family, np.asarray(x0, dtype=float)[None], lo, hi)[0])
-    if not seeded or not converged:
-        theta, h, foc, converged = newton(numerics.minimize(objective, x0, family.bounds)[0])
+    start = np.minimum(np.maximum(np.asarray(x0, dtype=float)[None], lo), hi)
+    if isinstance(g, HistogramDensity) and isinstance(family, GaussianFamily):
+        start = _grid_seeds(g.weights[None], g.edges, family, start, lo, hi)
+    theta, h, foc, converged = (v[0] for v in _newton_rows(evaluate, start, lo, hi))
     return MhdResult(theta_hat=theta, h_min=float(h), converged=bool(converged),
                      n_evals=n_evals, first_order_norm=float(foc))
 
@@ -314,24 +301,26 @@ def _newton_rows(evaluate, theta, lo, hi):
     """Damped Newton on the first-order condition of every row, and the
     one convergence rule of ``mhd`` and ``mhd_rows``.
 
-    ``evaluate(rows, theta)`` returns, for the rows of index array ``rows``
-    at parameters ``theta`` (one row each), their Bhattacharyya
-    coefficients, gradients and Hessians.  ``lo`` and ``hi``, shape
-    (rows, p), are each row's parameter box, which clips every trial point.
-    Each trial point is evaluated once: an accepted trial's gradient and
-    Hessian give the next Newton step.  A row stops before any trial when
-    its gradient vanishes, its Jacobian is singular, or its clipped Newton
-    move d = clip(t - step) - t cannot raise its coefficient
-    (gradient . d <= 0) or is shorter than 1e-14.  Otherwise it takes the
-    step and halves it until its own Hellinger value does not increase
-    (within 1e-10 roundoff slack); it also stops when its accepted move
-    falls below 1e-14 or no halving helps.  ``theta`` is updated in
-    place.  Returns the rows' parameters, Hellinger values,
-    first-order norms and ``converged`` flags.  A row is converged when its
-    first-order norm is below ``_FOC_TOL``, a Newton step could be formed
-    for it (finite start value, non-singular Jacobian; a vanishing gradient
-    may otherwise only mean f_theta underflows on its support) and its
-    Hellinger value is below ``_H_NO_OVERLAP``.
+    ``evaluate(rows, theta)`` returns, for the rows of index array ``rows`` at
+    parameters ``theta`` (one row each), their Bhattacharyya coefficients,
+    gradients and Hessians.  ``lo`` and ``hi``, shape (rows, p), are each row's
+    parameter box, which clips every trial point.  Each trial point is
+    evaluated once: an accepted trial's gradient and Hessian give the next
+    Newton step.  A row whose Newton move -step, or d = clip(t - step) - t in
+    its box, cannot raise its coefficient (gradient . d <= 0, e.g. where its
+    Jacobian is indefinite) moves along its gradient over the Frobenius norm of
+    its Jacobian instead.  A row stops before any trial when its gradient
+    vanishes, its Jacobian is singular, or its move still cannot raise its
+    coefficient (the box stops the gradient too) or is below 1e-14.  Otherwise
+    it takes the step and halves it until its own Hellinger value does not
+    increase (within 1e-10 roundoff slack); it also stops when its accepted
+    move falls below 1e-14 or no halving helps.  ``theta`` is updated in place.
+    Returns the rows' parameters, Hellinger values, first-order norms and
+    ``converged`` flags.  A row is converged when its first-order norm is below
+    ``_FOC_TOL``, a Newton step could be formed for it (finite start value,
+    non-singular Jacobian; a vanishing gradient may otherwise only mean f_theta
+    underflows on its support) and its Hellinger value is below
+    ``_H_NO_OVERLAP``.
     """
     bc, grad, hess = evaluate(np.arange(len(theta)), theta)
     h = _hellinger(bc)
@@ -345,11 +334,22 @@ def _newton_rows(evaluate, theta, lo, hi):
         if not len(active):
             break
         t, g = theta.take(active, axis=0), grad.take(active, axis=0)
-        step, formed = _solve_rows(hess.take(active, axis=0), g)
+        jac = hess.take(active, axis=0)
+        step, formed = _solve_rows(jac, g)
         stuck[active[~formed]] = True
-        cand = np.minimum(np.maximum(t - step, lo.take(active, axis=0)), hi.take(active, axis=0))
+        row_lo, row_hi = lo.take(active, axis=0), hi.take(active, axis=0)
+        cand = np.minimum(np.maximum(t - step, row_lo), row_hi)
         move = cand - t
-        keep = (formed & (foc[active] >= 1e-13) & ((g * move).sum(axis=1) > 0.0)
+        ascent = (g * move).sum(axis=1)
+        # a Newton move that cannot raise the coefficient (an indefinite
+        # Jacobian, or the box) gives way to a step along the gradient
+        downhill = (ascent <= 0.0) | ((g * step).sum(axis=1) >= 0.0)
+        if downhill.any():
+            step[downhill] = -g[downhill] / np.sqrt((jac[downhill] ** 2).sum(axis=(1, 2)))[:, None]
+            cand = np.minimum(np.maximum(t - step, row_lo), row_hi)
+            move = cand - t
+            ascent = (g * move).sum(axis=1)
+        keep = (formed & (foc[active] >= 1e-13) & (ascent > 0.0)
                 & (_norms(move) >= 1e-14)).nonzero()[0]
         active, t, step, cand = (active[keep], t.take(keep, axis=0), step.take(keep, axis=0),
                                  cand.take(keep, axis=0))

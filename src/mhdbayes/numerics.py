@@ -1,13 +1,13 @@
 """Quadrature, derivative-free minimization and RNG plumbing.
 
 There is one quadrature rule, the 8-point Gauss-Legendre rule that
-``composite_nodes`` lays on every panel, and the fallback search of
-``functional.mhd``, ``minimize``: a single bounded scipy Nelder-Mead run.
-``minimize`` imports ``scipy.optimize`` on its first call, so a process
-that never falls back pays nothing for it and the first fallback pays a
-one-time import of about 0.5 s (0.41-0.69 s on a 2-core x86-64 host,
-after ``import mhdbayes.cli``), ``scipy.special`` included, which the
-package itself loads only for random k.  Everything here is
+``composite_nodes`` lays on every panel.  ``minimize``, a single bounded
+scipy Nelder-Mead run, is on no fit path: every fit is the damped Newton
+of ``functional._newton_rows``.  It stays as a derivative-free reference
+search for checking those fits, and ``perfbench/spans.py`` traces it by
+name.  It imports ``scipy.optimize`` on its first call, about 0.5 s
+(0.41-0.69 s on a 2-core x86-64 host, ``scipy.special`` included); no
+fit loads that module.  Everything here is
 deterministic given its inputs.  Study replication is driven by a
 caller-supplied seed or ``numpy.random.Generator``, and ``worker_rng``
 derives independent streams from one seed; the search draws no random

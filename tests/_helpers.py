@@ -1,16 +1,18 @@
 """Numerical helpers that only the tests use: plain quadrature, central
 differences, the posterior-concentration radius, the root-n bin-count
 schedule, a Gaussian family on the quadrature histogram coefficient, a
-counter of closed-form histogram evaluations, uniform and mixture
-densities, the projection of a density onto a histogram grid and the
-gross-error contamination model."""
+counter of closed-form histogram evaluations, the Nelder-Mead oracle of
+``mhd``, uniform and mixture densities, the projection of a density onto
+a histogram grid and the gross-error contamination model."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from mhdbayes import functional
 from mhdbayes.densities import (
+    _MIN_PANELS,
     GaussianFamily,
     HistogramDensity,
     ParametricFamily,
@@ -21,7 +23,7 @@ from mhdbayes.densities import (
     grid_edges,
     integration_edges,
 )
-from mhdbayes.numerics import composite_nodes
+from mhdbayes.numerics import composite_nodes, minimize
 from mhdbayes.posterior import DEFAULT_ALPHA, HistogramPrior
 
 
@@ -109,6 +111,34 @@ def count_histogram_bc_rows(monkeypatch):
 
     monkeypatch.setattr(GaussianFamily, "histogram_bc", counting)
     return rows
+
+
+def nelder_mead_mhd(g, family, x0, support):
+    """``mhd``'s fit of ``g`` started where one bounded Nelder-Mead search
+    from ``x0`` (``numerics.minimize``) stops, on the Hellinger values of
+    ``mhd``'s own nodes, then finished by ``mhd``'s Newton on those nodes.
+    ``n_evals`` counts the search's evaluations and Newton's."""
+    lo, hi = functional._box(family)[:, None]
+    x, w, sqrt_g = functional._prepared_nodes(g, support, _MIN_PANELS)
+    wg = (w * sqrt_g)[None]
+    n_evals = 0
+
+    def objective(theta):
+        nonlocal n_evals
+        n_evals += 1
+        cols = functional._columns(np.asarray(theta, dtype=float)[None])
+        return float(functional._hellinger(np.einsum("rk,rk->r", wg,
+                                                     family.sqrt_pdf(cols, x)))[0])
+
+    def evaluate(rows, theta):
+        nonlocal n_evals
+        n_evals += len(rows)
+        return family.node_bc(functional._columns(theta), x, wg)
+
+    start = minimize(objective, x0, family.bounds)[0][None]
+    theta, h, foc, converged = (v[0] for v in functional._newton_rows(evaluate, start, lo, hi))
+    return functional.MhdResult(theta_hat=theta, h_min=float(h), converged=bool(converged),
+                                n_evals=n_evals, first_order_norm=float(foc))
 
 
 class UniformDensity:

@@ -7,6 +7,8 @@ import pytest
 import mhdbayes.cli as cli
 from mhdbayes.cli import build_parser, main, resolve_config, validate_config
 from mhdbayes.datasets import load_dataset
+from mhdbayes.experiments import efficiency_study
+from mhdbayes.posterior import HistogramPrior
 
 
 class TestDatasets:
@@ -385,6 +387,47 @@ class TestRunStudiesAndDump:
             results.append(report["results"]["rows"])
         assert pools == [2, 1]
         assert results[0] == results[1]
+
+    def test_efficiency_with_random_k_is_the_library_study(self, tmp_path):
+        # the efficiency subcommand, on the Poisson prior of --prior-mode random
+        out = tmp_path / "eff.json"
+        argv = ["efficiency", "--reps", "100", "--n", "200", "--seed", "4",
+                "--prior-mode", "random", "--lambda", "8", "--alpha", "0.5",
+                "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["prior"] == {"mode": "random", "lambda": 8.0, "alpha": 0.5}
+        study = efficiency_study(n=200, reps=100, rng=4,
+                                 prior=HistogramPrior.poisson(8.0, alpha=0.5))
+        assert report["results"] == json.loads(json.dumps(study.to_json()))
+        assert report["results"]["summary"]["mhb_failures"] == 0
+
+    def test_robustness_failed_fit_is_an_error_row(self, tmp_path, monkeypatch):
+        # an MHB fit that raises at the far z becomes that cell's error row;
+        # the study still runs to its report
+        from mhdbayes import experiments
+
+        mhb_fit = experiments.mhb_fit
+
+        def failing_far(data, **kwargs):
+            if data.max() > 20.0:
+                raise RuntimeError("minimum-distance fit did not converge")
+            return mhb_fit(data, **kwargs)
+
+        monkeypatch.setattr(experiments, "mhb_fit", failing_far)
+        out = tmp_path / "rob.json"
+        argv = ["robustness", "--reps", "2", "--n", "120", "--z-grid", "10,30",
+                "--estimators", "mhb,mle", "--seed", "5", "--k", "30", "--out", str(out)]
+        assert main(argv) == 0
+        results = json.loads(out.read_text())["results"]
+        far = [row for row in results["rows"] if row["z"] == 30.0 and row["estimator"] == "mhb"]
+        assert far == [{"rep": r, "z": 30.0, "estimator": "mhb",
+                        "error": "minimum-distance fit did not converge"} for r in range(2)]
+        assert all("error" not in row for row in results["rows"] if row not in far)
+        cell = results["summary"]["cells"]["mhb@z=30"]
+        assert cell["n_failed"] == 2 and cell["median_location_error"] is None
+        assert results["summary"]["cells"]["mhb@z=10"]["n_failed"] == 0
+        assert results["checks"]["mhb_location_at_far_z"] is False
 
     def test_bvm_json_to_stdout(self, tmp_path, capsys):
         data = np.random.default_rng(0).normal(0, 1, 300)

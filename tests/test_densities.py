@@ -90,6 +90,12 @@ class TestHistogramDensity:
         with pytest.raises(ValueError):
             HistogramDensity([])
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.nan, np.nan], [0.5, 0.5, np.nan]])
+    def test_nan_weights_are_rejected(self, weights):
+        # a NaN sum fails the sum test instead of slipping through it
+        with pytest.raises(ValueError, match="weights must sum to 1, got nan"):
+            HistogramDensity(weights)
+
     def test_default_edges_are_the_regular_grid(self):
         h = HistogramDensity(np.full(5, 0.2))
         assert np.array_equal(h.breakpoints(), np.arange(6) / 5)

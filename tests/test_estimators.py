@@ -235,8 +235,8 @@ class TestBmhRows:
 
     @staticmethod
     def oracle(data, prior, n_samples, seed):
-        """Per-draw Nelder-Mead + Newton fits from the anchor of the
-        histograms ``draws`` gives from the same seed, in draw order."""
+        """Per-draw ``mhd`` fits from the anchor of the histograms ``draws``
+        gives from the same seed, in draw order."""
         family = GaussianFamily()
         transform = SupportTransform.from_data(data)
         post = fit_posterior(transform.to_unit(data), prior)
@@ -330,9 +330,8 @@ class TestBootstrapRows:
 
     @staticmethod
     def oracle(data, prior, family, n_boot, seed, warm_theta):
-        """Per-resample Nelder-Mead + Newton fits from the warm start on the
-        same ``rng.spawn`` stream, and the number of distinct EAP edge
-        grids."""
+        """Per-resample ``mhd`` fits from the warm start on the same
+        ``rng.spawn`` stream, and the number of distinct EAP edge grids."""
         fits, groups = [], set()
         for child in np.random.default_rng(seed).spawn(n_boot):
             resample = data[child.integers(0, len(data), len(data))]
@@ -412,3 +411,17 @@ class TestBootstrapRows:
             with pytest.raises(RuntimeError, match="more than 5 of 50 bootstrap refits failed"):
                 mhb_bootstrap_se(data, prior=PRIOR_SMALL, n_boot=50, rng=31,
                                  warm_theta=self.WARM)
+
+    def test_dataset_that_fails_its_setup_is_its_own_error(self):
+        # a degenerate and a non-finite dataset among two good ones: each
+        # bad one is reported by its reason, and the good rows are fit as
+        # they are without them
+        good = [gaussian_data(120, s) for s in (1, 2)]
+        bad = [np.full(30, 7.0), np.array([1.0, np.nan, 2.0, 3.0])]
+        fits = estimators._mhb_many([good[0], bad[0], good[1], bad[1]], PRIOR_SMALL,
+                                    GaussianFamily(), estimators.DEFAULT_PADDING)
+        assert "degenerate" in fits[1]
+        assert fits[3] == "data contains non-finite values"
+        alone = estimators._mhb_many(good, PRIOR_SMALL, GaussianFamily(),
+                                     estimators.DEFAULT_PADDING)
+        assert np.array_equal(fits[0], alone[0]) and np.array_equal(fits[2], alone[1])

@@ -1,12 +1,11 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import QuadratureGaussianFamily, project_to_histogram
+from _helpers import QuadratureGaussianFamily, nelder_mead_mhd, project_to_histogram
 from mhdbayes import functional, numerics
 from mhdbayes.densities import (
     _MIN_PANELS,
@@ -146,7 +145,7 @@ class TestMhd:
 
     def test_minimize_recovers_histogramized_gaussian(self):
         # h^2 objective against a histogramized N(27.73, 5.00^2): lattice
-        # oracle and Nelder-Mead must both land on the generating values
+        # oracle and mhd must both land on the generating values
         t = SupportTransform(-51.0, 47.0)
         fam = GaussianFamily()
         unit_fam = fam.unit_fit_family(t)
@@ -164,6 +163,21 @@ class TestMhd:
             (mu_grid - t.a) / t.width, sg_grid / t.width)
         lattice_data = fam.theta_from_unit(lattice, t)
         assert np.allclose(theta_data, lattice_data, atol=0.1)
+
+    def test_far_start_whose_newton_step_goes_downhill_converges(self):
+        # here the Jacobian is indefinite and the Newton step lowers the
+        # coefficient, while its move clipped to the box raises it to first
+        # order; Newton steps along the gradient instead of halving that move
+        fam = GaussianFamily(bounds=((-5.0, 5.0), (0.05, 5.0)))
+        g, start, support = fam.density((-0.38, 0.64)), np.array([-4.09, 2.92]), (-12.0, 12.0)
+        x, w, sqrt_g = functional._prepared_nodes(g, support, _MIN_PANELS)
+        _, grad, jac = fam.node_bc(functional._columns(start[None]), x, (w * sqrt_g)[None])
+        step = np.linalg.solve(jac[0], grad[0])
+        assert grad[0] @ step > 0.0
+        assert grad[0] @ (np.clip(start - step, *functional._box(fam)) - start) > 0.0
+        res = mhd(g, fam, start, support=support)
+        assert res.converged
+        assert np.allclose(res.theta_hat, [-0.38, 0.64], atol=1e-6)
 
     def test_bound_pinned_fit_is_flagged(self):
         fam = GaussianFamily(bounds=((-5.0, 5.0), (2.0, 4.0)))
@@ -268,7 +282,7 @@ def histograms(draw):
 
 class Unseeded:
     """``g`` seen through its pdf and breakpoints only: ``mhd`` fits it on
-    the same nodes, by Nelder-Mead and Newton with no grid seed."""
+    the same nodes, by Newton from the clipped start with no grid seed."""
 
     def __init__(self, g):
         self.g, self.support = g, g.support
@@ -284,25 +298,53 @@ class Unseeded:
 PLATEAU = np.array([-0.9, 1e-3])
 
 
+def moment_start(g):
+    """The mean and standard deviation of the cell midpoints under ``g``,
+    the latter at least 1e-3."""
+    mid = (g.edges[:-1] + g.edges[1:]) / 2.0
+    mean = g.weights @ mid
+    return np.array([mean, max(math.sqrt(g.weights @ (mid - mean) ** 2), 1e-3)])
+
+
+def indefinite_start():
+    """A histogram of N(0.45, 0.12) on 20 cells, and a start at 2.5 times
+    its minimizer's sigma, where the Jacobian is indefinite."""
+    return project_to_histogram(TruncatedUnitGaussian(0.45, 0.12), 20), np.array([0.45, 0.3])
+
+
+def assert_newton_move_is_downhill(g, family, start):
+    """The Jacobian of ``g``'s coefficient is indefinite at ``start``, and
+    the Newton move, clipped to ``family``'s box, does not raise it."""
+    _, grad, jac = family.histogram_bc(functional._columns(start[None]), g.edges,
+                                       np.sqrt(g.weights / np.diff(g.edges))[None])
+    lo, hi = functional._box(family)
+    move = np.clip(start - np.linalg.solve(jac[0], grad[0]), lo, hi) - start
+    eigenvalues = np.linalg.eigvalsh(jac[0])
+    assert eigenvalues[0] < 0.0 < eigenvalues[-1]
+    assert grad[0] @ move <= 0.0
+
+
 class TestGridSeed:
     fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-5, 2.0)))
 
-    def test_unconverged_seed_falls_back_to_nelder_mead(self, monkeypatch):
-        g = HistogramDensity(np.eye(10)[9])
-        fam = GaussianFamily(bounds=((-1, 2), (1e-3, 2)))
-        x0 = (0.95, 0.05)
-        oracle = mhd(Unseeded(g), fam, x0, support=(0, 1))
+    def test_indefinite_jacobian_converges_without_nelder_mead(self, monkeypatch):
+        # the seed handed to Newton lies where its Newton move goes downhill;
+        # Newton steps along the gradient there and converges by itself
+        g, start = indefinite_start()
+        fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
+        assert_newton_move_is_downhill(g, fam, start)
+        oracle = nelder_mead_mhd(g, fam, start, (0.0, 1.0))
         searches = []
         minimize = numerics.minimize
         monkeypatch.setattr(numerics, "minimize",
                             lambda *args: searches.append(args) or minimize(*args))
-        monkeypatch.setattr(functional, "_grid_seeds", lambda *args: PLATEAU[None])
-        res = mhd(g, fam, x0, support=(0, 1))
-        assert len(searches) == 1
-        assert res.converged
-        assert np.array_equal(res.theta_hat, oracle.theta_hat)
-        assert res.h_min == oracle.h_min
-        assert res.n_evals > oracle.n_evals
+        monkeypatch.setattr(functional, "_grid_seeds", lambda *args: start[None])
+        res = mhd(g, fam, start, support=(0, 1))
+        assert searches == []
+        assert res.converged and oracle.converged
+        assert np.allclose(res.theta_hat, oracle.theta_hat, atol=1e-9)
+        assert res.h_min <= oracle.h_min + 1e-10
+        assert res.n_evals < oracle.n_evals
 
     def test_each_row_takes_the_seeds_of_its_own_box(self):
         # the same histogram in two boxes: the best seed of the first lies
@@ -344,15 +386,12 @@ class TestGridSeed:
                                        starts, lo, hi)
         assert np.array_equal(seeds, np.clip(starts, lo, hi))
 
-    @settings(max_examples=60, deadline=None)
-    @given(g=histograms())
-    def test_no_worse_than_nelder_mead(self, g):
-        mid = (g.edges[:-1] + g.edges[1:]) / 2.0
-        mean = g.weights @ mid
-        x0 = np.array([mean, max(math.sqrt(g.weights @ (mid - mean) ** 2), 1e-3)])
+    def no_worse_than_nelder_mead(self, g):
+        """``mhd`` from the moment start and ``mhd_rows`` from the plateau
+        against the Nelder-Mead oracle; returns both fits."""
+        x0 = moment_start(g)
         res = mhd(g, self.fam, x0, support=(0.0, 1.0))
-        with mock.patch.object(functional, "_grid_seeds", return_value=PLATEAU[None]):
-            oracle = mhd(g, self.fam, x0, support=(0.0, 1.0))
+        oracle = nelder_mead_mhd(g, self.fam, x0, (0.0, 1.0))
         # mhd_rows from the plateau, scored on mhd's nodes
         theta, converged = mhd_rows(g.weights[None], g.edges, self.fam, PLATEAU,
                                     *functional._box(self.fam))
@@ -364,6 +403,30 @@ class TestGridSeed:
             assert res.h_min <= oracle.h_min + 1e-10
             assert converged[0]
             assert h_rows <= oracle.h_min + 1e-10
+        return res, theta[0], converged[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=histograms())
+    def test_no_worse_than_nelder_mead(self, g):
+        self.no_worse_than_nelder_mead(g)
+
+    def test_plateau_row_converges_where_the_jacobian_is_indefinite(self):
+        # a histogram the property above drew: a Newton that stops at an
+        # indefinite Jacobian leaves the plateau's row unconverged at
+        # (0.9433, 0.0418), and a Nelder-Mead start gives the worse fit
+        # (0.6109, 0.2996), h 0.9591
+        weights = np.array([
+            .002062, .00025, .000464, .043512, .000473, .152656, .001817, .002385, .017097,
+            0, .038438, .042476, .003278, .001077, .007302, 2.2e-5, .006027, .00301, .070424,
+            6e-6, .004798, .005251, .005487, 0, 1e-5, .002562, .005247, 0, 2e-6, 0, .199833,
+            0, .003884, 4e-6, .16109, .219057])
+        edges = np.unique(np.concatenate([grid_edges(k) for k in (7, 8, 23)]))
+        g = HistogramDensity(weights / weights.sum(), edges=edges)
+        res, theta, converged = self.no_worse_than_nelder_mead(g)
+        assert res.converged and converged
+        assert np.allclose(theta, res.theta_hat, atol=1e-9)
+        assert np.allclose(res.theta_hat, [0.95891, 0.02234], atol=1e-5)
+        assert res.h_min < 0.9141
 
 
 class TestMhdRows:
@@ -384,20 +447,21 @@ class TestMhdRows:
         assert not converged[0]
 
     @pytest.mark.parametrize("sigma_hi", [0.3, 2.0])
-    def test_row_newton_cannot_move_is_reseeded(self, sigma_hi):
-        # at 2.5x the minimizer's sigma the Jacobian is indefinite and no
-        # halving of the Newton step lowers h: the row stays at its start
+    def test_row_at_an_indefinite_jacobian_converges_by_itself(self, sigma_hi):
+        # at 2.5x the minimizer's sigma the clipped Newton move lowers the
+        # coefficient; the row steps along its gradient instead and reaches
+        # mhd's fit with no re-seeding
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, sigma_hi)))
-        g = project_to_histogram(TruncatedUnitGaussian(0.45, 0.12), 20)
-        start = (0.45, 0.3)
-        stuck, converged = newton_rows(g.weights[None], g.edges, fam, start)
-        assert np.allclose(stuck[0], start, atol=1e-6) and not converged[0]
-        # the grid seed takes the row to mhd's fit
+        g, start = indefinite_start()
+        assert_newton_move_is_downhill(g, fam, start)
+        alone, converged = newton_rows(g.weights[None], g.edges, fam, start)
+        assert converged[0]
+        assert np.allclose(alone[0], [0.4500862, 0.1211231], atol=1e-7)
         theta, converged = mhd_rows(g.weights[None], g.edges, fam, start, *functional._box(fam))
+        assert converged[0] and np.array_equal(theta, alone)
         expected = mhd(g, fam, start, support=(0.0, 1.0))
-        assert expected.converged and converged[0]
+        assert expected.converged
         assert np.allclose(theta[0], expected.theta_hat, atol=1e-9)
-        assert np.allclose(theta[0], [0.4500862, 0.1211231], atol=1e-7)
 
     def test_other_families_are_not_reseeded(self):
         # the seed table is a (mu, sigma) grid; a one-parameter row that
@@ -486,9 +550,10 @@ class TestPreparedNodes:
         assert not (x1.flags.writeable or w1.flags.writeable)
 
     def test_gathered_heights_are_checked(self):
-        # NaN weights pass HistogramDensity's sum test; the node values are
-        # still checked
-        g = HistogramDensity([np.nan, 1.0])
+        # HistogramDensity rejects NaN weights, so the NaN height is set on a
+        # built histogram: the gathered node values are still checked
+        g = HistogramDensity([0.5, 0.5])
+        g.heights = np.array([np.nan, 1.0])
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
         with pytest.raises(ValueError, match=r"'g' is non-finite at x = 0\.\d+$"):
             mhd(g, fam, (0.5, 0.1), support=(0.0, 1.0))

@@ -134,8 +134,8 @@ class TestImports:
         # a fresh process that imports the package and its CLI must not
         # load scipy.optimize or scipy.stats (about 1 s of start-up
         # between them), nor the process pool of the robustness sweep's
-        # workers; the Nelder-Mead fallback imports scipy.optimize on its
-        # first call and must then still find the argmin
+        # workers; ``minimize``, the tests' Nelder-Mead reference, imports
+        # scipy.optimize on its first call and must then still find the argmin
         result = run_fresh("""
             import json, sys
             import mhdbayes, mhdbayes.cli
