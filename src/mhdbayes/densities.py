@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import GL_ORDER, composite_nodes
+from .numerics import composite_nodes
 
 # Fraction of the data range added on each side when mapping data to [0, 1].
 # Calibrated on the bundled light-speed data; see the package README.
@@ -170,8 +170,8 @@ class HistogramDensity:
     entries, every cell wider than 1e-14; by default they are the regular
     grid :func:`grid_edges`.
     Bin j covers [edges[j], edges[j+1]) (see :func:`bin_index`) and has
-    density weights[j] / (edges[j+1] - edges[j]), exactly k * weights[j]
-    on the default grid; ``heights`` holds these k densities.  Weights must
+    density weights[j] / (edges[j+1] - edges[j]) on every grid, the default
+    one included; ``heights`` holds these k densities.  Weights must
     be non-negative and sum to 1 within 1e-8; they are renormalized exactly
     on construction.  ``k`` is the bin count.
     """
@@ -190,14 +190,8 @@ class HistogramDensity:
         self.k = len(weights)
         weights = np.clip(weights, 0.0, None)
         self.weights = weights / weights.sum()
-        if edges is None:
-            self.edges = grid_edges(self.k)
-            # the float differences of this grid miss the exact 1/k widths
-            # by a few ulp, so the density is taken from k directly
-            self.heights = self.k * self.weights
-        else:
-            self.edges = _checked_edges(edges, self.k)
-            self.heights = self.weights / np.diff(self.edges)
+        self.edges = grid_edges(self.k) if edges is None else _checked_edges(edges, self.k)
+        self.heights = self.weights / np.diff(self.edges)
 
     def bin_index(self, x):
         return bin_index(self.edges, x)
@@ -246,6 +240,8 @@ class ParametricDensity:
 
 
 def breakpoints_of(density):
+    if isinstance(density, np.ndarray):
+        return density
     fn = getattr(density, "breakpoints", None)
     return np.asarray(fn(), dtype=float) if fn is not None else np.array([])
 
@@ -275,9 +271,9 @@ class ParametricFamily:
     Hessian, the one evaluation a Newton trial of ``mhd`` makes.
     :meth:`histogram_bc` returns the same three for a histogram g, the one
     evaluation a Newton trial of ``mhd_rows`` makes.  Its default calls
-    :meth:`node_bc` on the Gauss-Legendre nodes of the uniform
-    ``integration_edges`` panels merged with the edges.  A family with a
-    cheaper form of either overrides it.
+    :meth:`node_bc` on the nodes ``mhd`` takes for a histogram on the
+    edges (:func:`histogram_nodes`), so the two fits agree bit for bit.  A
+    family with a cheaper form of either overrides it.
     """
 
     dim = None
@@ -316,16 +312,13 @@ class ParametricFamily:
         sum_j sqrt_heights[j] * m_j(theta), m_j the integral of
         sqrt(f_theta) over cell j, and its theta-gradient and Hessian,
         shapes (), (p,) and (p, p); (D, 1)-column thetas with one row of
-        ``sqrt_heights`` each add a leading row axis.  This default
-        applies the 8-point Gauss-Legendre rule on the uniform 32-panel grid
-        of ``integration_edges`` merged with ``edges``, the quadrature
-        ``mhd`` uses, takes each node's sqrt height from its cell and sums
-        the nodes with :meth:`node_bc`.
+        ``sqrt_heights`` each add a leading row axis.  This default sums,
+        with :meth:`node_bc`, the nodes of :func:`histogram_nodes` over
+        [edges[0], edges[-1]], the quadrature ``mhd`` uses, each node
+        weighted by the sqrt height of its cell.
         """
         edges = np.asarray(edges, dtype=float)
-        panels = np.union1d(integration_edges((edges[0], edges[-1])), edges)
-        x, w = composite_nodes(panels)
-        cell = bin_index(edges, np.repeat(panels[:-1], GL_ORDER))
+        x, w, cell = histogram_nodes(edges.tobytes(), edges[0], edges[-1], _MIN_PANELS)
         return self.node_bc(theta, x, w * np.asarray(sqrt_heights, dtype=float)[..., cell])
 
     def density(self, theta):
@@ -565,7 +558,8 @@ class GaussianFamily(ParametricFamily):
 
 def integration_edges(support, densities=(), min_panels=_MIN_PANELS):
     """Panel edges over ``support``: a uniform grid refined with every
-    breakpoint of the given densities."""
+    breakpoint of the given densities (an array of points stands for
+    itself)."""
     a, b = float(support[0]), float(support[1])
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -579,6 +573,22 @@ def integration_edges(support, densities=(), min_panels=_MIN_PANELS):
     # drop panels narrower than float resolution
     keep = np.concatenate([[True], np.diff(merged) > _MIN_PANEL_WIDTH * (b - a)])
     return merged[keep]
+
+
+@lru_cache(maxsize=64)
+def histogram_nodes(edges, a, b, panels):
+    """Nodes and weights of the 8-point rule on ``panels`` uniform panels
+    over [a, b] refined at the float64 ``edges`` bytes of a histogram, and
+    each node's cell by :func:`bin_index` (k, one past the last, outside
+    the edges, where the histogram vanishes): the one builder of histogram
+    nodes, for ``mhd`` and :meth:`ParametricFamily.histogram_bc`.  Built
+    once per grid and read-only."""
+    edges = np.frombuffer(edges)
+    x, w = composite_nodes(integration_edges((a, b), (edges,), min_panels=panels))
+    cell = np.where((x >= edges[0]) & (x <= edges[-1]), bin_index(edges, x), len(edges) - 1)
+    for arr in (x, w, cell):
+        arr.flags.writeable = False
+    return x, w, cell
 
 
 def _checked_values(name, vals, x):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .densities import (
     HistogramDensity,
     _checked_values,
     _pdf_of,
-    bin_index,
     grid_edges,
+    histogram_nodes,
     integration_edges,
 )
 from .numerics import composite_nodes
@@ -71,41 +71,27 @@ _SEED_CELLS = 100
 # with them peak memory, to a few MB.  The quadrature default's node
 # temporaries hold up to 8 (32 + k) nodes per row instead, about
 # 8 (32 + k) / (k + 1) times more (10.5 at k = 100).  Larger blocks pay the
-# per-call overhead of each Newton iteration fewer times; beyond this size
-# the temporaries outgrow the cache.  BMH(2000) on Newcomb took 0.10 s at
-# this size and 0.13 s at half or twice it (2-core x86-64 host).
+# per-call overhead of each Newton iteration fewer times.  BMH(2000) on
+# Newcomb (fastest of 5 runs, 2-core x86-64 host) takes 57 ms at this size,
+# 66 ms at half of it and 53-54 ms at twice it, where its peak traced
+# allocation grows from 4.1 to 6.5 MiB (3.2 MiB at half).
 ROW_BLOCK_ELEMENTS = 1 << 15
 
 
 def _prepared_nodes(g, support, panels):
     """Nodes and weights of the 8-point rule on ``panels`` uniform panels over
     ``support`` refined at g's breakpoints, and sqrt(g) at the nodes.  A
-    histogram gathers its heights at node cells that depend on its edges
-    alone (``_histogram_nodes``)."""
+    histogram gathers its heights at the node cells of
+    :func:`~mhdbayes.densities.histogram_nodes`, which depend on its edges
+    alone and are the nodes of the ``histogram_bc`` quadrature default."""
     if isinstance(g, HistogramDensity):
-        x, w, cell = _histogram_nodes(g.edges.tobytes(), float(support[0]),
-                                      float(support[1]), panels)
+        x, w, cell = histogram_nodes(g.edges.tobytes(), float(support[0]),
+                                     float(support[1]), panels)
         vals = np.append(g.heights, 0.0)[cell]
     else:
         x, w = composite_nodes(integration_edges(support, (g,), min_panels=panels))
         vals = _pdf_of(g)(x)
     return x, w, np.sqrt(_checked_values("g", vals, x))
-
-
-@lru_cache(maxsize=64)
-def _histogram_nodes(edges, a, b, panels):
-    """The nodes and weights of ``_prepared_nodes`` for a histogram on the
-    float64 ``edges`` bytes over [a, b], and each node's cell; a node outside
-    [0, 1], where the histogram vanishes, gets cell k, one past the last.
-    Built once per grid and read-only."""
-    edges = np.frombuffer(edges)
-    # the uniform histogram has the same breakpoints as every other on edges
-    x, w = composite_nodes(integration_edges(
-        (a, b), (HistogramDensity(np.diff(edges), edges),), min_panels=panels))
-    cell = np.where((x >= 0.0) & (x <= 1.0), bin_index(edges, x), len(edges) - 1)
-    for arr in (x, w, cell):
-        arr.flags.writeable = False
-    return x, w, cell
 
 
 def _resolve_support(g, support):

@@ -41,7 +41,7 @@ def composite_nodes(edges):
     if edges.ndim != 1 or len(edges) < 2:
         raise ValueError("edges must be a 1-d array with at least two entries")
     widths = np.diff(edges)
-    if np.any(widths <= 0):
+    if not np.all(widths > 0):   # a NaN edge fails too
         raise ValueError("edges must be strictly increasing")
     x = (edges[:-1, None] + widths[:, None] * GL_NODES[None, :]).ravel()
     w = (widths[:, None] * GL_WEIGHTS[None, :]).ravel()

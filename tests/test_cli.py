@@ -6,7 +6,7 @@ import pytest
 
 import mhdbayes.cli as cli
 from mhdbayes.cli import build_parser, main, resolve_config, validate_config
-from mhdbayes.datasets import load_dataset
+from mhdbayes.datasets import Dataset, load_dataset
 from mhdbayes.experiments import efficiency_study
 from mhdbayes.posterior import HistogramPrior
 
@@ -43,6 +43,21 @@ class TestDatasets:
     def test_unknown_bundle(self):
         with pytest.raises(ValueError, match="unknown bundled"):
             load_dataset("bundled:nope")
+
+    @pytest.mark.parametrize("text", ["1.0\n\n2.0\n", "1.0\n  ,\n2.0\n"],
+                             ids=["blank", "empty-cell"])
+    def test_blank_lines_are_skipped(self, tmp_path, text):
+        p = tmp_path / "vals.csv"
+        p.write_text(text)
+        assert np.array_equal(load_dataset(str(p)).values, [1.0, 2.0])
+
+    @pytest.mark.parametrize("values, message", [([], "at least one value"),
+                                                 ([[1.0, 2.0]], "at least one value"),
+                                                 ([1.0, np.nan], "non-finite")],
+                             ids=["empty", "2-d", "nan"])
+    def test_dataset_checks_its_values(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(values=values, name="x", source="x")
 
 
 def fit_args(tmp_path, *extra):
@@ -248,6 +263,13 @@ class TestRunFit:
 
     def test_usage_error_maps_to_exit_1(self, capsys):
         assert main(["fit", "--data", "bundled:newcomb", "--estimator", "nope"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--mu-bounds", "--sigma-bounds"])
+    @pytest.mark.parametrize("text", ["1,2,3", "1"])
+    def test_bounds_flag_needs_two_values_exit_1(self, flag, text, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", forbidden)
+        assert main(["fit", "--data", "bundled:newcomb", flag, text]) == 1
+        assert "expected 'lo,hi'" in capsys.readouterr().err
 
     def test_fit_csv_rejected_before_fitting(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "load_dataset", forbidden)

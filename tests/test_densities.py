@@ -108,6 +108,15 @@ class TestHistogramDensity:
         assert np.array_equal(h.breakpoints(), [0.0, 0.1, 0.6, 1.0])
         assert h.k == 3
 
+    @pytest.mark.parametrize("k, edges", [(3, None), (100, None), (49, None),
+                                          (3, [0.0, 0.1, 0.6, 1.0])])
+    def test_heights_are_weight_over_width_on_every_grid(self, k, edges):
+        # one height rule, the one mhd_rows forms from the same weights and
+        # edges; on the regular grid k * weights would miss it by an ulp
+        w = np.random.default_rng(k).dirichlet(np.ones(k))
+        h = HistogramDensity(w, edges=edges)
+        assert np.array_equal(h.heights, h.weights / np.diff(h.edges))
+
     def test_unsorted_edges(self):
         with pytest.raises(ValueError, match="increasing"):
             HistogramDensity([0.5, 0.25, 0.25], edges=[0.0, 0.6, 0.1, 1.0])
@@ -150,6 +159,20 @@ class TestHistogramDensity:
         assert np.all(p.weights >= 0.0)
 
 
+class TestIntegrationEdges:
+    @pytest.mark.parametrize("support", [(1.0, 1.0), (1.0, 0.0), (0.0, np.nan)])
+    def test_window_must_be_ordered(self, support):
+        with pytest.raises(ValueError, match="need a < b"):
+            integration_edges(support)
+
+    @pytest.mark.parametrize("support", [(0.0, 1.0), (-0.3, 0.7), (0.2, 1.4)])
+    def test_an_edge_array_refines_like_the_histogram_on_it(self, support):
+        edges = np.union1d(np.arange(31) / 30, np.arange(38) / 37)
+        g = HistogramDensity(np.diff(edges), edges=edges)
+        assert np.array_equal(integration_edges(support, (edges,)),
+                              integration_edges(support, (g,)))
+
+
 class TestHellinger:
     def test_identity(self):
         g = random_histogram(np.random.default_rng(0), 16)
@@ -159,6 +182,10 @@ class TestHellinger:
         bad = lambda x: np.where(x > 0.5, np.inf, 1.0)
         with pytest.raises(ValueError, match=r"'f' is non-finite at x = 0\.5\d*$"):
             hellinger(bad, UniformDensity(0.0, 1.0), support=(0.0, 1.0))
+
+    def test_bare_callables_need_a_support(self):
+        with pytest.raises(ValueError, match="support must be given"):
+            hellinger(np.ones_like, np.ones_like)
 
     def test_disjoint_supports(self):
         f = UniformDensity(0.0, 1.0)

@@ -28,6 +28,14 @@ class TestMhbFit:
         with pytest.raises(ValueError, match="at least"):
             mhb_fit([1.0, 2.0])
 
+    @pytest.mark.parametrize("data, message", [(np.ones((10, 2)), "1-d"),
+                                               (np.ones((10, 1)), "1-d"),
+                                               ([1.0, 2.0, np.inf, 3.0], "non-finite")],
+                             ids=["2-d", "column", "inf"])
+    def test_data_checks(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            mhb_fit(data)
+
     def test_recovers_gaussian(self):
         data = gaussian_data(3000, 42)
         est = mhb_fit(data, prior=HistogramPrior.fixed(100, alpha=0.07))

@@ -281,6 +281,27 @@ class TestEfficiencyStudy:
             assert RATIO_BAND[0] <= ratio <= RATIO_BAND[1]
 
 
+# each study at a small size, run with the given rng
+STUDIES = {
+    "efficiency": lambda rng: efficiency_study(n=200, reps=100, rng=rng, prior=PRIOR_SMALL),
+    "robustness": lambda rng: robustness_sweep(estimators=("mle",), z_grid=(5.0, 50.0),
+                                               n=100, reps=4, rng=rng),
+}
+
+
+class TestGeneratorSeed:
+    @pytest.mark.parametrize("study", list(STUDIES))
+    def test_report_embeds_an_int_seed_that_reproduces_it(self, study):
+        # a Generator draws the study's seed; the report keys on that int,
+        # and running the study from it gives the same rows
+        run = STUDIES[study]
+        report = run(np.random.default_rng(11))
+        assert type(report.seed) is int
+        assert run(np.random.default_rng(11)).seed == report.seed
+        assert run(report.seed).rows == report.rows
+        assert run(np.random.default_rng(12)).seed != report.seed
+
+
 class TestWorkers:
     def test_negative_workers_fail_before_any_fit(self, monkeypatch):
         from mhdbayes import experiments

@@ -559,6 +559,49 @@ class TestPreparedNodes:
             mhd(g, fam, (0.5, 0.1), support=(0.0, 1.0))
 
 
+# grids of ``TestOneHistogramQuadrature``; the last has an edge 5e-15 above
+# the panel point 0.25, which the panel-drop rule of ``integration_edges``
+# merges with it
+ONE_QUADRATURE_EDGES = {
+    "regular-100": grid_edges(100),
+    "union-30-37": np.union1d(grid_edges(30), grid_edges(37)),
+    "near-panel-point": np.union1d(grid_edges(10), [0.25 + 5e-15]),
+}
+
+
+def one_quadrature_histogram(grid):
+    """A Dirichlet-weighted histogram on ``ONE_QUADRATURE_EDGES[grid]``, the
+    regular grid as the default edges."""
+    edges = ONE_QUADRATURE_EDGES[grid]
+    weights = np.random.default_rng(32).dirichlet(np.full(len(edges) - 1, 2.0))
+    return HistogramDensity(weights, edges=None if grid == "regular-100" else edges)
+
+
+class TestOneHistogramQuadrature:
+    """``mhd`` and ``mhd_rows`` integrate a histogram on the same nodes, with
+    the same cell heights, when the family has no closed form."""
+
+    @pytest.mark.parametrize("grid", list(ONE_QUADRATURE_EDGES))
+    def test_quadrature_default_is_node_bc_on_mhd_nodes(self, grid):
+        g = one_quadrature_histogram(grid)
+        fam = QuadratureGaussianFamily()
+        x, w, sqrt_g = functional._prepared_nodes(g, g.support, _MIN_PANELS)
+        for theta in [(0.4, 0.2), (0.7, 0.05)]:
+            hook = fam.histogram_bc(theta, g.edges, np.sqrt(g.heights))
+            nodes = fam.node_bc(theta, x, w * sqrt_g)
+            assert all(np.array_equal(u, v) for u, v in zip(hook, nodes))
+
+    @pytest.mark.parametrize("grid", list(ONE_QUADRATURE_EDGES))
+    def test_mhd_is_a_one_row_mhd_rows(self, grid):
+        g = one_quadrature_histogram(grid)
+        fam = GaussianLocationFamily(sigma=0.2)
+        fit = mhd(g, fam, (0.3,))
+        theta, converged = mhd_rows(g.weights[None], g.edges, fam, (0.3,),
+                                    *functional._box(fam))
+        assert fit.converged and converged[0]
+        assert np.array_equal(fit.theta_hat, theta[0])
+
+
 class TestNewtonRows:
     def test_sub_roundoff_move_stops_before_any_trial(self):
         # BC = 0.5 - 500 |theta - m|^2, so Newton lands on m in one step
@@ -631,6 +674,22 @@ class TestInfluenceFunction:
             influence_function(fam.density((0.0,)), Degenerate(), (0.0,))
 
 
+class TestSupportIsRequired:
+    """A bare callable g carries no support, so each quadrature over g needs
+    one given."""
+
+    fam = GaussianLocationFamily()
+
+    @pytest.mark.parametrize("call", [
+        lambda g, fam: mhd(g, fam, (0.0,)),
+        lambda g, fam: influence_function(g, fam, (0.0,)),
+        lambda g, fam: l_norm_sq(np.sin, g),
+    ], ids=["mhd", "influence_function", "l_norm_sq"])
+    def test_bare_callable_without_support(self, call):
+        with pytest.raises(ValueError, match="support must be given when g does not carry one"):
+            call(self.fam.density((0.0,)).pdf, self.fam)
+
+
 class TestLNormSq:
     def test_constant_is_zero(self):
         fam = GaussianFamily()
@@ -665,6 +724,11 @@ class TestFisherInformation:
         score = np.stack([(x - mu) / sg ** 2,
                           ((x - mu) ** 2 - sg ** 2) / sg ** 3], axis=-1)
         return np.einsum("n,np,nq->pq", w * f, score, score)
+
+    @pytest.mark.parametrize("theta", [(0.0, 0.0), (np.nan, 1.0)], ids=["zero-sigma", "nan-mu"])
+    def test_nonfinite_gradient_is_error(self, theta):
+        with pytest.raises(ValueError, match="gradient is non-finite"):
+            fisher_information(GaussianFamily(), theta, support=(-1.0, 1.0))
 
     def test_gaussian_information(self):
         eye = fisher_information(GaussianFamily(), (0.0, 1.0))

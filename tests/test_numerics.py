@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -36,6 +37,20 @@ class TestQuadratureRule:
             val = integrate(lambda x: sum(c * x**p for p, c in enumerate(coeffs)),
                             0.0, 1.0)
             assert abs(val - exact) < 1e-12
+
+
+class TestCompositeNodes:
+    @pytest.mark.parametrize("edges, message", [
+        ([1.0], "at least two entries"),
+        ([], "at least two entries"),
+        ([[0.0, 1.0]], "at least two entries"),
+        ([0.0, 0.5, 0.5, 1.0], "strictly increasing"),
+        ([1.0, 0.0], "strictly increasing"),
+        ([0.0, np.nan, 1.0], "strictly increasing"),
+    ])
+    def test_edges_are_checked(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            composite_nodes(edges)
 
 
 class TestIntegrate:
@@ -179,6 +194,47 @@ class TestImports:
         here = mhdbayes.fit_posterior(np.linspace(0.0, 1.0, 400) ** 2,
                                       mhdbayes.HistogramPrior.poisson()).log_post_k
         assert result["log_post_k"] == [v.hex() for v in here.tolist()]
+
+
+SRC_MODULES = sorted(Path(mhdbayes.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source):
+    """Names a module imports but neither uses nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+class TestUnusedImports:
+    @pytest.mark.parametrize("path", SRC_MODULES, ids=[p.name for p in SRC_MODULES])
+    def test_every_import_is_used_or_exported(self, path):
+        assert unused_imports(path.read_text()) == []
+
+    def test_guard_names_what_is_left_behind(self):
+        source = textwrap.dedent("""
+            from __future__ import annotations
+            import os.path
+            from functools import cache, lru_cache as memo
+            from .densities import GL_ORDER, bin_index
+            __all__ = ["GL_ORDER"]
+
+            @cache
+            def f():
+                return os.getcwd()
+        """)
+        assert unused_imports(source) == ["bin_index", "memo"]
 
 
 class TestFiniteDiffGrad:

@@ -45,6 +45,11 @@ class TestBinCounts:
     def test_two_points(self):
         assert np.array_equal(bin_counts([0.1, 0.6], 2), [1, 1])
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_bin_count_must_be_positive(self, k):
+        with pytest.raises(ValueError, match="bin count k must be a positive integer"):
+            bin_counts([0.1, 0.6], k)
+
     def test_boundary_closure(self):
         assert np.array_equal(bin_counts([1.0], 4), [0, 0, 0, 1])
 
@@ -132,6 +137,26 @@ class TestHistogramPrior:
         # warning must fire, but fitting still proceeds
         with pytest.warns(UserWarning, match="sqrt"):
             fit_posterior(newcomb_unit(), HistogramPrior.fixed(100, alpha=1.0))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: HistogramPrior.fixed(5, alpha=0.0), "alpha must be positive"),
+        (lambda: HistogramPrior.poisson(alpha=-1.0), "alpha must be positive"),
+        (lambda: HistogramPrior.fixed(0), "fixed bin count k must be positive"),
+        (lambda: HistogramPrior.poisson(lam=0.0), "poisson rate must be positive"),
+        (lambda: HistogramPrior.poisson(lam=-2.0), "poisson rate must be positive"),
+    ], ids=["fixed-alpha", "poisson-alpha", "fixed-k", "lam-zero", "lam-negative"])
+    def test_parameters_are_checked(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_empty_poisson_support(self):
+        with pytest.raises(ValueError, match="empty bin-count support"):
+            HistogramPrior.poisson(k_max=0).k_values(400)
+
+    @pytest.mark.parametrize("ks", [[7], [1, 2, 3]])
+    def test_fixed_prior_puts_log_mass_zero_on_every_k(self, ks):
+        logp = HistogramPrior.fixed(7).log_prior_k(ks)
+        assert np.array_equal(logp, np.zeros(len(ks)))
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
