@@ -1,11 +1,7 @@
 """Robust parameter estimation combining the minimum Hellinger distance
 functional with exact random-histogram density posteriors."""
 
-from .numerics import (
-    composite_nodes,
-    minimize,
-    worker_rng,
-)
+from .numerics import composite_nodes, worker_rng
 from .densities import (
     DEFAULT_PADDING,
     GaussianFamily,
@@ -59,6 +55,6 @@ __all__ = [
     "composite_nodes", "efficiency_study", "fisher_information",
     "fit_posterior", "hellinger", "influence_function",
     "l_norm_sq", "load_dataset", "max_bin_count", "mhb_bootstrap_se",
-    "mhb_fit", "mhd", "minimize", "robustness_sweep", "transform_density",
+    "mhb_fit", "mhd", "robustness_sweep", "transform_density",
     "worker_rng",
 ]

@@ -16,6 +16,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -45,14 +46,31 @@ def _config_validator():
     return cls(schema)
 
 
+def _key(path):
+    """A config key path as ``prior.k`` or ``mu_bounds[0]``."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+
+
+def _non_finite(value, path=()):
+    """Key paths and values of the NaN and infinite numbers in ``value``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _non_finite(item, path + (key,))
+
+
 def validate_config(config):
     # the error jsonschema.validate would raise
     error = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
     if error is not None:
-        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
-                        for p in error.absolute_path).lstrip(".")
+        where = _key(error.absolute_path)
         detail = f"{where}: {error.message}" if where else error.message
         raise ValueError(f"invalid configuration: {detail}") from error
+    # JSON Schema cannot require a number to be finite
+    for path, value in _non_finite(config):
+        raise ValueError(f"invalid configuration: {_key(path)}: {value!r} is not a finite number")
     out_dir = os.path.dirname(config.get("out") or "") or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"invalid configuration: out: directory {out_dir!r} does not exist")

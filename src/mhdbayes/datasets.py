@@ -19,7 +19,6 @@ BUNDLED_PREFIX = "bundled:"
 class Dataset:
     values: np.ndarray
     name: str
-    source: str
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -60,7 +59,7 @@ def load_dataset(path_or_bundle):
             text = (resources.files("mhdbayes") / "data" / f"{name}.csv").read_text()
         except FileNotFoundError:
             raise ValueError(f"unknown bundled dataset {name!r}") from None
-        return Dataset(values=_parse_csv(text, ref), name=name, source=ref)
+        return Dataset(values=_parse_csv(text, ref), name=name)
     with open(ref, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return Dataset(values=_parse_csv(text, ref), name=ref, source=ref)
+    return Dataset(values=_parse_csv(text, ref), name=ref)

@@ -65,6 +65,8 @@ class SupportTransform:
 
     @classmethod
     def from_data(cls, data, padding=DEFAULT_PADDING):
+        if not 0.0 <= padding < np.inf:   # a NaN fails too
+            raise ValueError(f"padding must be a finite fraction >= 0, got {padding!r}")
         data = np.asarray(data, dtype=float)
         lo, hi = float(data.min()), float(data.max())
         if hi <= lo:
@@ -153,7 +155,7 @@ def _checked_edges(edges, k):
     if edges[0] != 0.0 or edges[-1] != 1.0:
         raise ValueError(f"edges must run from 0 to 1, got [{edges[0]}, {edges[-1]}]")
     widths = np.diff(edges)
-    if np.any(widths <= 0):
+    if not np.all(widths > 0):   # a NaN edge fails too
         raise ValueError("edges must be strictly increasing")
     if np.any(widths <= _MIN_PANEL_WIDTH):
         j = int(np.argmin(widths))
@@ -253,17 +255,18 @@ def _pdf_of(density):
 class ParametricFamily:
     """A parametric density family with sqrt-density derivatives.
 
-    Subclasses supply ``pdf``, ``sqrt_grad`` (d/dtheta of sqrt(pdf), shape
-    (n, p)) and ``sqrt_hess`` (second derivative, shape (n, p, p)), plus the
-    sampling/initialization hooks used by the estimators and studies.
-    The components of ``theta`` may also be (D, 1) columns, one row per
-    parameter value (the Newton solver of ``mhd`` and ``mhd_rows`` relies
-    on this); ``pdf``/``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess`` then
-    gain a leading row axis and return shapes (D, n), (D, n, p) and
-    (D, n, p, p).  ``bounds`` is the compact parameter box searched by
-    the optimizer; a family without one, or with a parameter left open,
-    cannot be fit directly (the estimators derive unit-scale bounds via
-    :meth:`unit_fit_family`).
+    Subclasses supply ``pdf`` and ``sqrt_grad`` (d/dtheta of sqrt(pdf),
+    shape (n, p)), plus the sampling/initialization hooks used by the
+    estimators and studies, and ``sqrt_hess`` (second derivative, shape
+    (n, p, p)) only for the default :meth:`node_bc`, which
+    :class:`GaussianFamily` overrides.  The components of ``theta`` may
+    also be (D, 1) columns, one row per parameter value (the Newton solver
+    of ``mhd`` and ``mhd_rows`` relies on this); ``pdf``/``sqrt_pdf``,
+    ``sqrt_grad`` and ``sqrt_hess`` then gain a leading row axis and
+    return shapes (D, n), (D, n, p) and (D, n, p, p).  ``bounds`` is the
+    compact parameter box searched by the optimizer; a family without one,
+    or with a parameter left open, cannot be fit directly (the estimators
+    derive unit-scale bounds via :meth:`unit_fit_family`).
 
     :meth:`node_bc` returns the node sums of quadrature weights times sqrt
     g against ``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess``: the
@@ -272,8 +275,9 @@ class ParametricFamily:
     :meth:`histogram_bc` returns the same three for a histogram g, the one
     evaluation a Newton trial of ``mhd_rows`` makes.  Its default calls
     :meth:`node_bc` on the nodes ``mhd`` takes for a histogram on the
-    edges (:func:`histogram_nodes`), so the two fits agree bit for bit.  A
-    family with a cheaper form of either overrides it.
+    edges, which depend on the edges alone (:func:`histogram_nodes`), so
+    the two fits agree bit for bit.  A family with a cheaper form of either
+    overrides it.
     """
 
     dim = None
@@ -313,12 +317,11 @@ class ParametricFamily:
         sqrt(f_theta) over cell j, and its theta-gradient and Hessian,
         shapes (), (p,) and (p, p); (D, 1)-column thetas with one row of
         ``sqrt_heights`` each add a leading row axis.  This default sums,
-        with :meth:`node_bc`, the nodes of :func:`histogram_nodes` over
-        [edges[0], edges[-1]], the quadrature ``mhd`` uses, each node
-        weighted by the sqrt height of its cell.
+        with :meth:`node_bc`, the nodes of :func:`histogram_nodes` on
+        ``edges``, the quadrature ``mhd`` uses, each node weighted by the
+        sqrt height of its cell.
         """
-        edges = np.asarray(edges, dtype=float)
-        x, w, cell = histogram_nodes(edges.tobytes(), edges[0], edges[-1], _MIN_PANELS)
+        x, w, cell = histogram_nodes(np.asarray(edges, dtype=float).tobytes())
         return self.node_bc(theta, x, w * np.asarray(sqrt_heights, dtype=float)[..., cell])
 
     def density(self, theta):
@@ -373,9 +376,10 @@ class GaussianFamily(ParametricFamily):
             bounds = tuple(None if b is None else (float(b[0]), float(b[1]))
                            for b in bounds)
             _, sg_b = bounds
-            if sg_b is not None and sg_b[0] <= 0:
+            # written so that a NaN bound fails too
+            if sg_b is not None and not sg_b[0] > 0:
                 raise ValueError("sigma lower bound must be positive")
-            if any(b is not None and b[0] >= b[1] for b in bounds):
+            if any(b is not None and not b[0] < b[1] for b in bounds):
                 raise ValueError("bounds must be well ordered")
         self.bounds = None if bounds == (None, None) else bounds
 
@@ -395,24 +399,6 @@ class GaussianFamily(ParametricFamily):
         s = self.sqrt_pdf(theta, x)
         u = (x - mu) / sg
         return np.stack([s * u / (2.0 * sg), s * (u * u - 1.0) / (2.0 * sg)], axis=-1)
-
-    def sqrt_hess(self, theta, x):
-        mu, sg = theta
-        x = np.asarray(x, dtype=float)
-        s = self.sqrt_pdf(theta, x)
-        u = (x - mu) / sg
-        # d log s / dmu = u / (2 sg), d log s / dsg = (u^2 - 1) / (2 sg)
-        lmu = u / (2.0 * sg)
-        lsg = (u * u - 1.0) / (2.0 * sg)
-        h_mm = s * (lmu * lmu - 1.0 / (2.0 * sg * sg))
-        h_ms = s * (lmu * lsg - u / (sg * sg))
-        h_ss = s * (lsg * lsg + (1.0 - 3.0 * u * u) / (2.0 * sg * sg))
-        out = np.empty(s.shape + (2, 2))
-        out[..., 0, 0] = h_mm
-        out[..., 0, 1] = h_ms
-        out[..., 1, 0] = h_ms
-        out[..., 1, 1] = h_ss
-        return out
 
     def node_bc(self, theta, x, wg):
         """The node sums of :meth:`ParametricFamily.node_bc` from one
@@ -576,16 +562,16 @@ def integration_edges(support, densities=(), min_panels=_MIN_PANELS):
 
 
 @lru_cache(maxsize=64)
-def histogram_nodes(edges, a, b, panels):
-    """Nodes and weights of the 8-point rule on ``panels`` uniform panels
-    over [a, b] refined at the float64 ``edges`` bytes of a histogram, and
-    each node's cell by :func:`bin_index` (k, one past the last, outside
-    the edges, where the histogram vanishes): the one builder of histogram
-    nodes, for ``mhd`` and :meth:`ParametricFamily.histogram_bc`.  Built
-    once per grid and read-only."""
+def histogram_nodes(edges):
+    """Nodes and weights of the 8-point rule on ``_MIN_PANELS`` uniform panels
+    over the span of a histogram's float64 ``edges`` bytes, refined at the
+    edges, and each node's cell by :func:`bin_index`; every node lies inside
+    a cell.  The one quadrature of a histogram, for ``mhd``, the efficiency
+    quadratures and :meth:`ParametricFamily.histogram_bc`.  Built once per
+    grid and read-only."""
     edges = np.frombuffer(edges)
-    x, w = composite_nodes(integration_edges((a, b), (edges,), min_panels=panels))
-    cell = np.where((x >= edges[0]) & (x <= edges[-1]), bin_index(edges, x), len(edges) - 1)
+    x, w = composite_nodes(integration_edges((edges[0], edges[-1]), (edges,)))
+    cell = bin_index(edges, x)
     for arr in (x, w, cell):
         arr.flags.writeable = False
     return x, w, cell

@@ -213,7 +213,7 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
         epsilon = 0.01 * float(theta[1])
     if not (0.0 <= alpha < 1.0):
         raise ValueError("contamination fraction alpha must lie in [0, 1)")
-    if epsilon <= 0:
+    if not epsilon > 0:   # a NaN fails too
         raise ValueError("blip half-width epsilon must be positive")
     if workers < 0:
         raise ValueError(f"worker count must be >= 0, got {workers}")
@@ -293,7 +293,7 @@ def bvm_diagnostic(data, prior=None, family=None, n_samples=2000, rng=None,
                   rng=np.random.default_rng(seed), padding=padding)
     n = len(np.asarray(data))
     V = asymptotic_variance(family, fit.eap).V
-    if np.any(np.diag(V) <= 0):
+    if not np.all(np.diag(V) > 0):
         raise RuntimeError("influence-norm variance matrix is singular")
 
     rows = []

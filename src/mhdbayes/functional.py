@@ -79,28 +79,23 @@ ROW_BLOCK_ELEMENTS = 1 << 15
 
 
 def _prepared_nodes(g, support, panels):
-    """Nodes and weights of the 8-point rule on ``panels`` uniform panels over
-    ``support`` refined at g's breakpoints, and sqrt(g) at the nodes.  A
-    histogram gathers its heights at the node cells of
-    :func:`~mhdbayes.densities.histogram_nodes`, which depend on its edges
-    alone and are the nodes of the ``histogram_bc`` quadrature default."""
+    """Quadrature nodes and weights over g, and sqrt(g) at the nodes.  A
+    histogram is integrated over its own edges: its heights are gathered at
+    the node cells of :func:`~mhdbayes.densities.histogram_nodes`, the nodes
+    of the ``histogram_bc`` quadrature default.  Any other g gets the 8-point
+    rule on ``panels`` uniform panels over ``support`` (by default
+    ``g.support``) refined at its breakpoints."""
     if isinstance(g, HistogramDensity):
-        x, w, cell = histogram_nodes(g.edges.tobytes(), float(support[0]),
-                                     float(support[1]), panels)
-        vals = np.append(g.heights, 0.0)[cell]
+        x, w, cell = histogram_nodes(g.edges.tobytes())
+        vals = g.heights[cell]
     else:
+        if support is None:
+            support = getattr(g, "support", None)
+            if support is None:
+                raise ValueError("support must be given when g does not carry one")
         x, w = composite_nodes(integration_edges(support, (g,), min_panels=panels))
         vals = _pdf_of(g)(x)
     return x, w, np.sqrt(_checked_values("g", vals, x))
-
-
-def _resolve_support(g, support):
-    if support is not None:
-        return support
-    s = getattr(g, "support", None)
-    if s is None:
-        raise ValueError("support must be given when g does not carry one")
-    return s
 
 
 def _box(family):
@@ -113,9 +108,10 @@ def _box(family):
 def mhd(g, family, x0, support=None):
     """Minimize the Hellinger distance between f_theta and ``g`` over theta.
 
-    The Bhattacharyya coefficient is integrated on Gauss-Legendre nodes
-    over ``support`` (by default ``g.support``): 32 uniform panels refined
-    at g's breakpoints.  The damped Newton that also solves ``mhd_rows``
+    The Bhattacharyya coefficient is integrated on Gauss-Legendre nodes:
+    32 uniform panels refined at g's breakpoints, over the edges of a
+    histogram ``g`` and otherwise over ``support`` (by default
+    ``g.support``).  The damped Newton that also solves ``mhd_rows``
     maximizes it on those nodes, with one ``family.node_bc`` call per trial
     point (one ``sqrt_pdf`` pass for a Gaussian family), and decides
     ``converged`` (see ``_newton_rows``), so a bound-pinned minimizer or a
@@ -126,7 +122,6 @@ def mhd(g, family, x0, support=None):
     (see ``_grid_seeds``).  ``n_evals`` counts the Hellinger values Newton
     computes on the nodes, at the start and at each trial step.
     """
-    support = _resolve_support(g, support)
     # the one box, as one row
     lo, hi = _box(family)[:, None]
     x, w, sqrt_g = _prepared_nodes(g, support, _MIN_PANELS)
@@ -395,9 +390,6 @@ class InfluenceFunction:
         out[pos] = ratio @ self.normalizer.T - self.center
         return out
 
-    def __call__(self, x):
-        return self.value(x)
-
 
 def influence_function(g0, family, theta0, support=None):
     """Efficient influence function of T at ``g0`` with theta0 = T(g0).
@@ -405,10 +397,11 @@ def influence_function(g0, family, theta0, support=None):
     The (vanishing) remainder term of the defining expansion is dropped;
     for vector parameters the scalar reciprocal becomes the inverse of the
     curvature matrix integral(sddot * sqrt(g0)), which must be well
-    conditioned.
+    conditioned.  The integral runs over the nodes of ``mhd`` for a
+    histogram ``g0``, and otherwise over 64 uniform panels of ``support``
+    (by default ``g0.support``) refined at g0's breakpoints.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    support = _resolve_support(g0, support)
     x, w, sqrt_g0 = _prepared_nodes(g0, support, _EFFICIENCY_PANELS)
     _, grad, curvature = family.node_bc(theta0, x, w * sqrt_g0)
     svals = np.linalg.svd(curvature, compute_uv=False)
@@ -427,9 +420,9 @@ def l_norm_sq(q, g0, support=None):
     """Centered second moment of ``q`` under ``g0``.
 
     Returns a scalar for scalar-valued ``q`` and the full outer-product
-    matrix for vector-valued ``q``.
+    matrix for vector-valued ``q``.  The nodes are those of
+    :func:`influence_function`.
     """
-    support = _resolve_support(g0, support)
     x, w, sqrt_g0 = _prepared_nodes(g0, support, _EFFICIENCY_PANELS)
     g0v = sqrt_g0 ** 2
     vals = np.asarray(q(x), dtype=float)

@@ -51,11 +51,12 @@ class HistogramPrior:
     def __post_init__(self):
         if self.mode not in ("fixed", "poisson"):
             raise ValueError(f"unknown prior mode {self.mode!r}")
-        if self.alpha <= 0:
+        # written so that a NaN alpha or rate fails too
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.mode == "fixed" and self.k < 1:
             raise ValueError("fixed bin count k must be positive")
-        if self.mode == "poisson" and self.lam <= 0:
+        if self.mode == "poisson" and not self.lam > 0:
             raise ValueError("poisson rate must be positive")
 
     @classmethod

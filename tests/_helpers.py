@@ -1,9 +1,10 @@
 """Numerical helpers that only the tests use: plain quadrature, central
 differences, the posterior-concentration radius, the root-n bin-count
-schedule, a Gaussian family on the quadrature histogram coefficient, a
-counter of closed-form histogram evaluations, the Nelder-Mead oracle of
-``mhd``, uniform and mixture densities, the projection of a density onto
-a histogram grid and the gross-error contamination model."""
+schedule, a Gaussian family with its sqrt-density Hessian, one on the
+quadrature histogram coefficient, a counter of closed-form histogram
+evaluations, the Nelder-Mead oracle of ``mhd``, uniform and mixture
+densities, the projection of a density onto a histogram grid and the
+gross-error contamination model."""
 
 import math
 from dataclasses import dataclass
@@ -91,6 +92,30 @@ def root_n_bin_count(n):
 def fixed_root_n(n, alpha=DEFAULT_ALPHA):
     """Dirac prior at the ceil(sqrt(n)/(log n)^2) schedule."""
     return HistogramPrior.fixed(root_n_bin_count(n), alpha=alpha)
+
+
+class ReferenceGaussianFamily(GaussianFamily):
+    """Gaussian family with its sqrt-density Hessian, the last input of the
+    three-pass ``ParametricFamily.node_bc`` default that the one-pass
+    ``GaussianFamily.node_bc`` is checked against."""
+
+    def sqrt_hess(self, theta, x):
+        mu, sg = theta
+        x = np.asarray(x, dtype=float)
+        s = self.sqrt_pdf(theta, x)
+        u = (x - mu) / sg
+        # d log s / dmu = u / (2 sg), d log s / dsg = (u^2 - 1) / (2 sg)
+        lmu = u / (2.0 * sg)
+        lsg = (u * u - 1.0) / (2.0 * sg)
+        h_mm = s * (lmu * lmu - 1.0 / (2.0 * sg * sg))
+        h_ms = s * (lmu * lsg - u / (sg * sg))
+        h_ss = s * (lsg * lsg + (1.0 - 3.0 * u * u) / (2.0 * sg * sg))
+        out = np.empty(s.shape + (2, 2))
+        out[..., 0, 0] = h_mm
+        out[..., 0, 1] = h_ms
+        out[..., 1, 0] = h_ms
+        out[..., 1, 1] = h_ss
+        return out
 
 
 class QuadratureGaussianFamily(GaussianFamily):

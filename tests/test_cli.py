@@ -57,7 +57,7 @@ class TestDatasets:
                              ids=["empty", "2-d", "nan"])
     def test_dataset_checks_its_values(self, values, message):
         with pytest.raises(ValueError, match=message):
-            Dataset(values=values, name="x", source="x")
+            Dataset(values=values, name="x")
 
 
 def fit_args(tmp_path, *extra):
@@ -365,6 +365,23 @@ class TestRunStudiesAndDump:
         for scale in ("-1", "0"):
             assert main([command, "--theta0", f"0,{scale}"]) == 1
             assert "error: invalid configuration: theta0[1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["robustness", "--epsilon", "nan"], "epsilon: nan"),
+        (["fit", "--data", "bundled:newcomb", "--sigma-bounds", "1,inf"], "sigma_bounds[1]: inf"),
+        (["fit", "--data", "bundled:newcomb", "--prior-mode", "random", "--lambda", "nan"],
+         "prior.lambda: nan"),
+        (["fit", "--data", "bundled:newcomb", "--mu-bounds", "nan,30"], "mu_bounds[0]: nan"),
+    ], ids=["epsilon", "sigma-bounds", "lambda", "mu-bounds"])
+    def test_non_finite_numbers_exit_1_before_any_data_load(self, argv, key, capsys,
+                                                            monkeypatch):
+        # JSON Schema passes NaN through every bound, and json.dumps would
+        # write NaN or Infinity into a report that is then not JSON
+        for name in ("load_dataset", "robustness_sweep"):
+            monkeypatch.setattr(cli, name, forbidden)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error: invalid configuration: {key} "
+                                           "is not a finite number\n")
 
     def test_posterior_dump_csv(self, tmp_path):
         out = tmp_path / "samples.csv"

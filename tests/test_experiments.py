@@ -143,6 +143,7 @@ class TestRobustnessSweep:
         (-0.1, 0.01, r"alpha must lie in \[0, 1\)"),
         (float("nan"), 0.01, r"alpha must lie in \[0, 1\)"),
         (0.1, 0.0, "epsilon must be positive"),
+        (0.1, float("nan"), "epsilon must be positive"),
     ])
     def test_bad_contamination_fails_before_any_fit(self, alpha, epsilon, message,
                                                     monkeypatch):
@@ -414,6 +415,19 @@ class TestBvmDiagnostic:
         payload = report.to_json()
         assert payload["study"] == "bvm"
         assert "summary" in payload and "rows" in payload
+
+    @pytest.mark.parametrize("v_diag", [[1.0, 0.0], [-1.0, 1.0], [np.nan, 1.0]])
+    def test_singular_variance_is_a_numerical_failure(self, v_diag, monkeypatch):
+        # no fit reaches a V without a positive diagonal, so fake the
+        # influence-norm variance; a NaN diagonal fails the check too
+        from mhdbayes import experiments
+        from mhdbayes.functional import AsymptoticVariance
+
+        monkeypatch.setattr(experiments, "asymptotic_variance",
+                            lambda *a, **k: AsymptoticVariance(V=np.diag(v_diag)))
+        data = GaussianFamily().sample((0.0, 1.0), 200, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="influence-norm variance matrix is singular"):
+            bvm_diagnostic(data, prior=PRIOR_SMALL, n_samples=150, rng=1)
 
     def test_point_mass_posterior_reported_degenerate(self, monkeypatch):
         # exact-zero posterior sd cannot arise from real draws, so fake the

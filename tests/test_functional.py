@@ -14,6 +14,7 @@ from mhdbayes.densities import (
     ParametricFamily,
     SupportTransform,
     grid_edges,
+    histogram_nodes,
     integration_edges,
 )
 from mhdbayes.functional import (
@@ -59,6 +60,13 @@ class GaussianLocationFamily(ParametricFamily):
 
     def plausible_support(self, theta):
         return (theta[0] - 10.0 * self.sigma, theta[0] + 10.0 * self.sigma)
+
+
+class PdfOnlyLocationFamily(GaussianLocationFamily):
+    """``GaussianLocationFamily`` on the default sqrt_pdf, the square root of
+    its pdf."""
+
+    sqrt_pdf = ParametricFamily.sqrt_pdf
 
 
 class TruncatedUnitGaussian:
@@ -188,6 +196,17 @@ class TestMhd:
     def test_recovers_one_parameter_model(self):
         fam = GaussianLocationFamily()
         res = mhd(fam.density((0.3,)), fam, x0=(-1.0,))
+        assert res.converged
+        assert res.theta_hat == pytest.approx([0.3], abs=1e-6)
+
+    def test_family_with_only_a_pdf_takes_its_square_root(self):
+        # the ParametricFamily.sqrt_pdf default, for a family that does not
+        # give its own: within rounding of the closed form, and it fits
+        fam, pdf_only = GaussianLocationFamily(), PdfOnlyLocationFamily()
+        x = np.linspace(-3.0, 3.0, 13)
+        assert np.allclose(pdf_only.sqrt_pdf((0.3,), x), fam.sqrt_pdf((0.3,), x),
+                           rtol=1e-14, atol=0.0)
+        res = mhd(fam.density((0.3,)), pdf_only, x0=(-1.0,))
         assert res.converged
         assert res.theta_hat == pytest.approx([0.3], abs=1e-6)
 
@@ -531,14 +550,18 @@ class TestPreparedNodes:
     @given(g=histograms(), a=st.floats(-0.5, 0.9), width=st.floats(0.05, 1.5),
            panels=st.sampled_from([1, 7, _MIN_PANELS, 64]))
     def test_histogram_nodes_equal_the_pdf_path(self, g, a, width, panels):
-        # the nodes, weights and sqrt heights gathered at the cached node
-        # cells are those of integration_edges -> composite_nodes -> pdf, and
-        # of the uncached path, on which g is seen through its pdf alone
-        support = (a, a + width)
-        got = functional._prepared_nodes(g, support, panels)
-        x, w = composite_nodes(integration_edges(support, (g,), min_panels=panels))
+        # a histogram is integrated over its own edges, whatever support and
+        # panel count are asked for: the nodes, weights and sqrt heights
+        # gathered at the cached node cells are those of integration_edges
+        # -> composite_nodes -> pdf over g's support, and of the uncached
+        # path, on which g is seen through its pdf alone; every node lies
+        # inside a cell
+        got = functional._prepared_nodes(g, (a, a + width), panels)
+        x, w = composite_nodes(integration_edges(g.support, (g,)))
         assert all(np.array_equal(u, v) for u, v in zip(got, (x, w, np.sqrt(g.pdf(x)))))
-        uncached = functional._prepared_nodes(Unseeded(g), support, panels)
+        assert np.all((g.edges[0] < x) & (x < g.edges[-1]))
+        assert np.array_equal(histogram_nodes(g.edges.tobytes())[2], g.bin_index(x))
+        uncached = functional._prepared_nodes(Unseeded(g), None, _MIN_PANELS)
         assert all(np.array_equal(u, v) for u, v in zip(got, uncached))
 
     def test_nodes_are_built_once_per_grid(self):

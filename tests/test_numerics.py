@@ -156,8 +156,8 @@ class TestImports:
             import mhdbayes, mhdbayes.cli
             heavy = ("scipy.optimize", "scipy.stats", "concurrent.futures", "multiprocessing")
             before = [m for m in heavy if m in sys.modules]
-            x, f = mhdbayes.minimize(lambda t: (t[0] - 2.0) ** 2 + (t[1] + 1.0) ** 2,
-                                     [0.0, 0.0], [(-10.0, 10.0), (-10.0, 10.0)])
+            x, f = mhdbayes.numerics.minimize(lambda t: (t[0] - 2.0) ** 2 + (t[1] + 1.0) ** 2,
+                                              [0.0, 0.0], [(-10.0, 10.0), (-10.0, 10.0)])
             print(json.dumps({"before": before, "x": x.tolist(), "f": f,
                               "optimize": "scipy.optimize" in sys.modules}))
         """)
@@ -217,6 +217,31 @@ def unused_imports(source):
     return sorted(imported - used - exported)
 
 
+def unused_private_names(sources):
+    """Module-level private names defined in any of the module texts
+    ``sources`` that none of them references by name, as an attribute or in
+    an import."""
+    defined, used = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return sorted(name for name in defined - used
+                  if name.startswith("_") and not name.startswith("__"))
+
+
 class TestUnusedImports:
     @pytest.mark.parametrize("path", SRC_MODULES, ids=[p.name for p in SRC_MODULES])
     def test_every_import_is_used_or_exported(self, path):
@@ -235,6 +260,32 @@ class TestUnusedImports:
                 return os.getcwd()
         """)
         assert unused_imports(source) == ["bin_index", "memo"]
+
+    def test_every_private_name_is_referenced(self):
+        assert unused_private_names([p.read_text() for p in SRC_MODULES]) == []
+
+    def test_private_guard_names_what_is_left_behind(self):
+        defining = textwrap.dedent("""
+            __version__ = "1"
+            _CAP, _DEAD = 3, 4
+            _BOX: tuple = (0, 1)
+
+            def _used():
+                return _CAP
+
+            def _orphan():
+                return _BOX
+
+            class _Gone:
+                pass
+        """)
+        using = textwrap.dedent("""
+            from .defining import _used
+
+            def run(module):
+                return _used() + module._Attr
+        """)
+        assert unused_private_names([defining, using]) == ["_DEAD", "_Gone", "_orphan"]
 
 
 class TestFiniteDiffGrad:

@@ -144,7 +144,10 @@ class TestHistogramPrior:
         (lambda: HistogramPrior.fixed(0), "fixed bin count k must be positive"),
         (lambda: HistogramPrior.poisson(lam=0.0), "poisson rate must be positive"),
         (lambda: HistogramPrior.poisson(lam=-2.0), "poisson rate must be positive"),
-    ], ids=["fixed-alpha", "poisson-alpha", "fixed-k", "lam-zero", "lam-negative"])
+        (lambda: HistogramPrior.fixed(alpha=np.nan), "alpha must be positive"),
+        (lambda: HistogramPrior.poisson(lam=np.nan), "poisson rate must be positive"),
+    ], ids=["fixed-alpha", "poisson-alpha", "fixed-k", "lam-zero", "lam-negative",
+            "alpha-nan", "lam-nan"])
     def test_parameters_are_checked(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
