@@ -542,14 +542,14 @@ class GaussianFamily(ParametricFamily):
             _UNIT_BOUNDS[1] if sg_b is None else (max(sg_b[0] / w, 1e-12), sg_b[1] / w)))
 
 
-def integration_edges(support, densities=(), min_panels=_MIN_PANELS):
-    """Panel edges over ``support``: a uniform grid refined with every
-    breakpoint of the given densities (an array of points stands for
-    itself)."""
+def integration_edges(support, densities=()):
+    """Panel edges over ``support``: ``_MIN_PANELS`` uniform panels refined
+    with every breakpoint of the given densities (an array of points stands
+    for itself), the one panel layout of every quadrature in the package."""
     a, b = float(support[0]), float(support[1])
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    edges = [np.linspace(a, b, min_panels + 1)]
+    edges = [np.linspace(a, b, _MIN_PANELS + 1)]
     for d in densities:
         pts = breakpoints_of(d)
         if len(pts):

@@ -143,7 +143,7 @@ def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
     data = np.asarray(data, dtype=float)
     transform, post, fam_u = _setup(data, prior, family, padding)
     x0 = family.theta_to_unit(family.initial_theta(data), transform)
-    meta = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0))
+    meta = mhd(post.eap(), fam_u, x0)
     theta = family.theta_from_unit(meta.theta_hat, transform)
     if not meta.converged:
         raise RuntimeError(
@@ -214,7 +214,7 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     data = np.asarray(data, dtype=float)
     transform, post, fam_u = _setup(data, prior, family, padding)
     x0 = family.theta_to_unit(family.initial_theta(data), transform)
-    anchor = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0))
+    anchor = mhd(post.eap(), fam_u, x0)
     samples, ok = np.empty((int(n_samples), family.dim)), np.empty(int(n_samples), dtype=bool)
     for i, rows, weights in post.draws(rng, int(n_samples)):
         samples[rows], ok[rows] = mhd_rows(weights, grid_edges(int(post.k_support[i])), fam_u,

@@ -98,6 +98,16 @@ def _seed_of(rng):
     return int(np.random.default_rng(rng).integers(2 ** 31))
 
 
+def _true_theta(theta):
+    """A study's true (mu, sigma) as floats; a NaN or infinite entry or a
+    sigma that is not positive fails before any replicate runs."""
+    theta = np.asarray(theta, dtype=float)
+    if not (np.all(np.isfinite(theta)) and theta[1] > 0):
+        raise ValueError(f"true parameter needs a finite mu and a finite sigma > 0, "
+                         f"got {theta.tolist()}")
+    return theta
+
+
 def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
                      prior=None, padding=DEFAULT_PADDING):
     """Sampling-variance check of MHB against the inverse Fisher information.
@@ -108,13 +118,15 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     row of one ``mhd_rows`` call per EAP edge grid (one call for a fixed-k
     prior); a failed fit is an ``error`` row.  Compares the empirical
     variance of sqrt(n) (theta_hat - theta0) with the Cramer-Rao diagonal.
+    A ``theta0`` without a finite mu and a finite sigma > 0 raises
+    ``ValueError`` before any replicate runs.
     """
     if reps < 100:
         raise ValueError("efficiency study needs reps >= 100")
     family = family or GaussianFamily()
     prior = prior or HistogramPrior.fixed()
     seed = _seed_of(rng)
-    theta0 = np.asarray(theta0, dtype=float)
+    theta0 = _true_theta(theta0)
     datasets = [family.sample(theta0, int(n), worker_rng(seed, r)) for r in range(int(reps))]
     rows = []
     for rep, (data, fit) in enumerate(zip(datasets, _mhb_many(datasets, prior, family,
@@ -196,19 +208,21 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     not confounded by sampling noise.  Exactly ceil(alpha * n) points are
     gross errors.  ``workers`` processes (0 = all cores) fit the
     replicates; the report does not depend on their number.  An empty
-    ``z_grid`` or ``estimators``, or a name other than mhb, bmh and mle,
-    raises ``ValueError`` before any replicate runs.
+    ``z_grid`` or ``estimators``, a ``z_grid`` that is not finite and
+    strictly ascending, a name other than mhb, bmh and mle, or a ``theta``
+    without a finite mu and a finite sigma > 0 raises ``ValueError`` before
+    any replicate runs.
     """
     z_grid = [float(z) for z in z_grid]
-    if not z_grid or any(b <= a for a, b in zip(z_grid, z_grid[1:])):
-        raise ValueError("z_grid must be non-empty and strictly ascending")
+    if not (z_grid and np.all(np.isfinite(z_grid)) and np.all(np.diff(z_grid) > 0)):
+        raise ValueError("z_grid must be non-empty, finite and strictly ascending")
     estimators = tuple(estimators)
     if not estimators or not set(estimators) <= {"mhb", "bmh", "mle"}:
         raise ValueError("estimators must be a non-empty list drawn from mhb, bmh, mle, "
                          f"got {list(estimators)}")
     family = family or GaussianFamily()
     prior = prior or HistogramPrior.fixed()
-    theta = np.asarray(theta, dtype=float)
+    theta = _true_theta(theta)
     if epsilon is None:
         epsilon = 0.01 * float(theta[1])
     if not (0.0 <= alpha < 1.0):

@@ -20,12 +20,10 @@ from functools import cache
 import numpy as np
 
 from .densities import (
-    _MIN_PANELS,
     _UNIT_BOUNDS,
     GaussianFamily,
     HistogramDensity,
     _checked_values,
-    _pdf_of,
     grid_edges,
     histogram_nodes,
     integration_edges,
@@ -56,9 +54,6 @@ _NEWTON_HALVINGS = 40
 # this level is flagged converged.
 _H_NO_OVERLAP = np.sqrt(2.0) - 1e-6
 
-# Uniform panels of the influence-function, L-norm and Fisher quadratures.
-_EFFICIENCY_PANELS = 64
-
 # Seed grid of ``mhd``: 41 mu values over the unit window, 31 sigma values
 # geometric from the unit sigma floor (at least 1e-4) to its ceiling, scored
 # on a regular reference grid of 100 cells.
@@ -78,23 +73,22 @@ _SEED_CELLS = 100
 ROW_BLOCK_ELEMENTS = 1 << 15
 
 
-def _prepared_nodes(g, support, panels):
-    """Quadrature nodes and weights over g, and sqrt(g) at the nodes.  A
-    histogram is integrated over its own edges: its heights are gathered at
-    the node cells of :func:`~mhdbayes.densities.histogram_nodes`, the nodes
-    of the ``histogram_bc`` quadrature default.  Any other g gets the 8-point
-    rule on ``panels`` uniform panels over ``support`` (by default
-    ``g.support``) refined at its breakpoints."""
+def _prepared_nodes(g):
+    """Quadrature nodes and weights over g's own window, and sqrt(g) at the
+    nodes.  A histogram's heights are gathered at the node cells of
+    :func:`~mhdbayes.densities.histogram_nodes` over its edges, the nodes of
+    the ``histogram_bc`` quadrature default.  Any other g is integrated on
+    the panels of :func:`~mhdbayes.densities.integration_edges` over
+    ``g.support``; a g without one, such as a bare callable, is an error."""
     if isinstance(g, HistogramDensity):
         x, w, cell = histogram_nodes(g.edges.tobytes())
         vals = g.heights[cell]
     else:
+        support = getattr(g, "support", None)
         if support is None:
-            support = getattr(g, "support", None)
-            if support is None:
-                raise ValueError("support must be given when g does not carry one")
-        x, w = composite_nodes(integration_edges(support, (g,), min_panels=panels))
-        vals = _pdf_of(g)(x)
+            raise ValueError("g carries no support to integrate over (a bare callable has none)")
+        x, w = composite_nodes(integration_edges(support, (g,)))
+        vals = g.pdf(x)
     return x, w, np.sqrt(_checked_values("g", vals, x))
 
 
@@ -105,15 +99,15 @@ def _box(family):
     return np.asarray(family.bounds, dtype=float).T
 
 
-def mhd(g, family, x0, support=None):
+def mhd(g, family, x0):
     """Minimize the Hellinger distance between f_theta and ``g`` over theta.
 
-    The Bhattacharyya coefficient is integrated on Gauss-Legendre nodes:
-    32 uniform panels refined at g's breakpoints, over the edges of a
-    histogram ``g`` and otherwise over ``support`` (by default
-    ``g.support``).  The damped Newton that also solves ``mhd_rows``
-    maximizes it on those nodes, with one ``family.node_bc`` call per trial
-    point (one ``sqrt_pdf`` pass for a Gaussian family), and decides
+    The Bhattacharyya coefficient is integrated on the Gauss-Legendre nodes
+    of ``_prepared_nodes``: 32 uniform panels refined at g's breakpoints,
+    over the edges of a histogram ``g`` and otherwise over ``g.support``.
+    The damped Newton that also solves ``mhd_rows`` maximizes it on those
+    nodes, with one ``family.node_bc`` call per trial point (one
+    ``sqrt_pdf`` pass for a Gaussian family), and decides
     ``converged`` (see ``_newton_rows``), so a bound-pinned minimizer or a
     fit with no overlap with ``g`` is flagged, never silently returned.
     Newton starts at ``x0`` clipped to the family's ``bounds`` box; for a
@@ -124,7 +118,7 @@ def mhd(g, family, x0, support=None):
     """
     # the one box, as one row
     lo, hi = _box(family)[:, None]
-    x, w, sqrt_g = _prepared_nodes(g, support, _MIN_PANELS)
+    x, w, sqrt_g = _prepared_nodes(g)
     # one row of node coefficients; mhd fits a single row
     wg = (w * sqrt_g)[None]
     n_evals = 0
@@ -391,18 +385,17 @@ class InfluenceFunction:
         return out
 
 
-def influence_function(g0, family, theta0, support=None):
+def influence_function(g0, family, theta0):
     """Efficient influence function of T at ``g0`` with theta0 = T(g0).
 
     The (vanishing) remainder term of the defining expansion is dropped;
     for vector parameters the scalar reciprocal becomes the inverse of the
     curvature matrix integral(sddot * sqrt(g0)), which must be well
-    conditioned.  The integral runs over the nodes of ``mhd`` for a
-    histogram ``g0``, and otherwise over 64 uniform panels of ``support``
-    (by default ``g0.support``) refined at g0's breakpoints.
+    conditioned.  The integral runs over the nodes ``mhd`` takes for
+    ``g0``: the histogram's own edges, or ``g0.support``.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    x, w, sqrt_g0 = _prepared_nodes(g0, support, _EFFICIENCY_PANELS)
+    x, w, sqrt_g0 = _prepared_nodes(g0)
     _, grad, curvature = family.node_bc(theta0, x, w * sqrt_g0)
     svals = np.linalg.svd(curvature, compute_uv=False)
     if svals[-1] < 1e-12 * max(svals[0], 1.0):
@@ -416,14 +409,14 @@ def influence_function(g0, family, theta0, support=None):
                              normalizer=normalizer, center=center)
 
 
-def l_norm_sq(q, g0, support=None):
+def l_norm_sq(q, g0):
     """Centered second moment of ``q`` under ``g0``.
 
     Returns a scalar for scalar-valued ``q`` and the full outer-product
-    matrix for vector-valued ``q``.  The nodes are those of
-    :func:`influence_function`.
+    matrix for vector-valued ``q``.  The nodes are those ``mhd`` and
+    :func:`influence_function` take for ``g0``.
     """
-    x, w, sqrt_g0 = _prepared_nodes(g0, support, _EFFICIENCY_PANELS)
+    x, w, sqrt_g0 = _prepared_nodes(g0)
     g0v = sqrt_g0 ** 2
     vals = np.asarray(q(x), dtype=float)
     if not np.all(np.isfinite(vals)):
@@ -438,12 +431,11 @@ def l_norm_sq(q, g0, support=None):
     return float(mat[0, 0]) if scalar else mat
 
 
-def fisher_information(family, theta, support=None):
-    """Fisher information in sqrt-density form, 4 * integral(sdot sdot^T)."""
+def fisher_information(family, theta):
+    """Fisher information in sqrt-density form, 4 * integral(sdot sdot^T),
+    over ``family.plausible_support(theta)``."""
     theta = np.asarray(theta, dtype=float)
-    if support is None:
-        support = family.plausible_support(theta)
-    x, w = composite_nodes(integration_edges(support, (), min_panels=_EFFICIENCY_PANELS))
+    x, w = composite_nodes(integration_edges(family.plausible_support(theta)))
     grads = family.sqrt_grad(theta, x)
     if not np.all(np.isfinite(grads)):
         raise ValueError("sqrt-density gradient is non-finite on the support")
@@ -459,7 +451,7 @@ class AsymptoticVariance:
     fisher_inverse: np.ndarray | None = None
 
 
-def asymptotic_variance(family, theta, g0=None, support=None):
+def asymptotic_variance(family, theta, g0=None):
     """Asymptotic variance of T at ``g0`` via the influence-function norm.
 
     With ``g0`` omitted the base density is the model f_theta and the
@@ -468,9 +460,9 @@ def asymptotic_variance(family, theta, g0=None, support=None):
     at_model = g0 is None
     if at_model:
         g0 = family.density(theta)
-    inf = influence_function(g0, family, theta, support=support)
-    V = l_norm_sq(inf.value, g0, support=support)
+    inf = influence_function(g0, family, theta)
+    V = l_norm_sq(inf.value, g0)
     fisher_inv = None
     if at_model:
-        fisher_inv = np.linalg.inv(fisher_information(family, theta, support=support))
+        fisher_inv = np.linalg.inv(fisher_information(family, theta))
     return AsymptoticVariance(V=np.asarray(V), fisher_inverse=fisher_inv)

@@ -2,8 +2,8 @@
 differences, the posterior-concentration radius, the root-n bin-count
 schedule, a Gaussian family with its sqrt-density Hessian, one on the
 quadrature histogram coefficient, a counter of closed-form histogram
-evaluations, the Nelder-Mead oracle of ``mhd``, uniform and mixture
-densities, the projection of a density onto a histogram grid and the
+evaluations, the Nelder-Mead oracle of ``mhd``, uniform, mixture and
+windowed-callable densities, the projection of a density onto a histogram grid and the
 gross-error contamination model."""
 
 import math
@@ -13,7 +13,6 @@ import numpy as np
 
 from mhdbayes import functional
 from mhdbayes.densities import (
-    _MIN_PANELS,
     GaussianFamily,
     HistogramDensity,
     ParametricFamily,
@@ -22,7 +21,6 @@ from mhdbayes.densities import (
     bin_index,
     breakpoints_of,
     grid_edges,
-    integration_edges,
 )
 from mhdbayes.numerics import composite_nodes, minimize
 from mhdbayes.posterior import DEFAULT_ALPHA, HistogramPrior
@@ -138,13 +136,13 @@ def count_histogram_bc_rows(monkeypatch):
     return rows
 
 
-def nelder_mead_mhd(g, family, x0, support):
+def nelder_mead_mhd(g, family, x0):
     """``mhd``'s fit of ``g`` started where one bounded Nelder-Mead search
     from ``x0`` (``numerics.minimize``) stops, on the Hellinger values of
     ``mhd``'s own nodes, then finished by ``mhd``'s Newton on those nodes.
     ``n_evals`` counts the search's evaluations and Newton's."""
     lo, hi = functional._box(family)[:, None]
-    x, w, sqrt_g = functional._prepared_nodes(g, support, _MIN_PANELS)
+    x, w, sqrt_g = functional._prepared_nodes(g)
     wg = (w * sqrt_g)[None]
     n_evals = 0
 
@@ -182,6 +180,14 @@ class UniformDensity:
 
     def breakpoints(self):
         return np.array([self.lo, self.hi])
+
+
+@dataclass(frozen=True)
+class WindowedDensity:
+    """A bare pdf callable with the window ``support`` it is integrated over."""
+
+    pdf: object
+    support: tuple
 
 
 class MixtureDensity:
@@ -227,9 +233,8 @@ def project_to_histogram(f, k):
         raise ValueError("bin count k must be a positive integer")
     k = int(k)
     grid = grid_edges(k)
-    edges = integration_edges((0.0, 1.0), (f,), min_panels=1)
-    edges = np.unique(np.concatenate([grid, edges]))
-    x, w = composite_nodes(edges)
+    pts = breakpoints_of(f)
+    x, w = composite_nodes(np.unique(np.concatenate([grid, pts[(pts > 0.0) & (pts < 1.0)]])))
     vals = _checked_values("f", _pdf_of(f)(x), x)
     masses = np.zeros(k)
     np.add.at(masses, bin_index(grid, x), w * vals)

@@ -1,5 +1,8 @@
+import argparse
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +157,21 @@ COMMAND_KEYS = {
     "bvm": {"data", "n_samples"},
     "posterior-dump": {"data", "n_samples"},
 }
+
+
+class TestReadme:
+    def test_every_long_option_is_documented(self):
+        # each flag of each subcommand, argparse's own --help aside, is
+        # named in the README as a whole word
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        missing = [(name, option) for name, parser in commands.choices.items()
+                   for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for option in action.option_strings if option.startswith("--")
+                   and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme)]
+        assert missing == []
 
 
 class TestConfigKeys:

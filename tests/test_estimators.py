@@ -250,12 +250,12 @@ class TestBmhRows:
         post = fit_posterior(transform.to_unit(data), prior)
         fam_u = family.unit_fit_family(transform)
         x0 = family.theta_to_unit(family.initial_theta(data), transform)
-        anchor = mhd(post.eap(), fam_u, x0, support=(0.0, 1.0)).theta_hat
+        anchor = mhd(post.eap(), fam_u, x0).theta_hat
         draws = [None] * n_samples
         for _, rows, weights in post.draws(np.random.default_rng(seed), n_samples):
             for r, w in zip(rows, weights):
                 draws[r] = HistogramDensity(w)
-        fits = [mhd(g, fam_u, anchor, support=(0.0, 1.0)) for g in draws]
+        fits = [mhd(g, fam_u, anchor) for g in draws]
         assert all(f.converged for f in fits)
         return draws, np.asarray([family.theta_from_unit(f.theta_hat, transform)
                                   for f in fits])
@@ -319,7 +319,7 @@ class TestBmhRows:
                                     fam_u, plateau, *_box(fam_u))
         assert np.all(converged)
         for t, g in zip(theta, draws):
-            expected = mhd(g, fam_u, plateau, support=(0.0, 1.0))
+            expected = mhd(g, fam_u, plateau)
             assert expected.converged
             assert np.allclose(t, expected.theta_hat, atol=1e-9)
 
@@ -346,8 +346,7 @@ class TestBootstrapRows:
             transform = SupportTransform.from_data(resample)
             g = fit_posterior(transform.to_unit(resample), prior).eap()
             fam_u = family.unit_fit_family(transform)
-            fit = mhd(g, fam_u, family.theta_to_unit(warm_theta, transform),
-                      support=(0.0, 1.0))
+            fit = mhd(g, fam_u, family.theta_to_unit(warm_theta, transform))
             assert fit.converged
             fits.append(family.theta_from_unit(fit.theta_hat, transform))
             groups.add(g.edges.tobytes())

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,7 +127,15 @@ class TestRobustnessSweep:
         (dict(estimators=("mhb", "MLE")), r"got \['mhb', 'MLE'\]"),
         (dict(estimators=()), r"got \[\]"),
         (dict(z_grid=()), "z_grid must be non-empty"),
-    ], ids=["unknown-estimator", "no-estimator", "empty-z-grid"])
+        (dict(z_grid=(5.0, math.nan, 50.0)), "z_grid must be non-empty, finite and strictly"),
+        (dict(z_grid=(math.nan,)), "z_grid must be non-empty, finite and strictly"),
+        (dict(z_grid=(5.0, math.inf)), "z_grid must be non-empty, finite and strictly"),
+        (dict(theta=(math.nan, 1.0)), "finite mu and a finite sigma > 0"),
+        (dict(theta=(math.inf, 1.0)), "finite mu and a finite sigma > 0"),
+        (dict(theta=(0.0, -1.0)), "finite mu and a finite sigma > 0"),
+        (dict(theta=(0.0, math.nan)), "finite mu and a finite sigma > 0"),
+    ], ids=["unknown-estimator", "no-estimator", "empty-z-grid", "nan-inside-z-grid",
+            "nan-z-grid", "inf-z-grid", "nan-mu", "inf-mu", "negative-sigma", "nan-sigma"])
     def test_bad_sweep_inputs_fail_before_any_fit(self, kwargs, match, monkeypatch):
         from mhdbayes import experiments
 
@@ -178,6 +187,20 @@ class TestEfficiencyStudy:
     def test_requires_100_reps(self):
         with pytest.raises(ValueError, match="reps"):
             efficiency_study(reps=10, rng=0)
+
+    @pytest.mark.parametrize("theta0", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 0.0), (0.0, -1.0),
+                                        (0.0, math.nan), (0.0, math.inf)],
+                             ids=["nan-mu", "inf-mu", "zero-sigma", "negative-sigma",
+                                  "nan-sigma", "inf-sigma"])
+    def test_bad_truth_fails_before_any_fit(self, theta0, monkeypatch):
+        from mhdbayes import experiments
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replicate ran before the true parameter was checked")
+
+        monkeypatch.setattr(experiments, "_mhb_many", forbidden)
+        with pytest.raises(ValueError, match="finite mu and a finite sigma > 0"):
+            efficiency_study(theta0=theta0, n=50, reps=100, rng=0)
 
     def test_smoke_ratios_near_one(self):
         report = efficiency_study(theta0=(0.0, 1.0), n=400, reps=100, rng=1,
@@ -337,7 +360,7 @@ class TestFunctionalRobustnessOracle:
         fam = GaussianFamily(bounds=((-5.0, 60.0), (0.05, 30.0)))
         spec = ContaminationSpec(theta=(0.0, 1.0), alpha=0.1, z=50.0, epsilon=0.01)
         mix = contaminated_density(spec, fam)
-        res = mhd(mix, fam, x0=(0.3, 1.3), support=(-10.0, 51.0))
+        res = mhd(mix, fam, x0=(0.3, 1.3))
         assert res.converged
         assert abs(res.theta_hat[0]) < 0.01
         assert abs(res.theta_hat[1] - 1.0) < 0.02

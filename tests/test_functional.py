@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import QuadratureGaussianFamily, nelder_mead_mhd, project_to_histogram
+from _helpers import (
+    QuadratureGaussianFamily,
+    WindowedDensity,
+    nelder_mead_mhd,
+    project_to_histogram,
+)
 from mhdbayes import functional, numerics
 from mhdbayes.densities import (
     _MIN_PANELS,
@@ -95,9 +100,10 @@ def grid_search(objective, mu_grid, sg_grid):
     return np.asarray(best[1]), best[0]
 
 
-def hellinger_objective(g, family, support, min_panels=64):
-    edges = integration_edges(support, (g,), min_panels=min_panels)
-    x, w = composite_nodes(edges)
+def hellinger_objective(g, family, panels=64):
+    """Hellinger distance of f_theta to the histogram ``g`` on ``panels``
+    uniform panels, a multiple of 32, over [0, 1] refined at g's edges."""
+    x, w = composite_nodes(integration_edges((0.0, 1.0), (g, np.linspace(0.0, 1.0, panels + 1))))
     sqrt_g = np.sqrt(np.asarray(g.pdf(x)))
     wg = w * sqrt_g
 
@@ -141,11 +147,11 @@ class TestMhd:
         unit_theta = fam.theta_to_unit((0.0, 1.0), t)
         unit_fam = fam.unit_fit_family(t)
         g = project_to_histogram(unit_fam.density(tuple(unit_theta)), 200)
-        res = mhd(g, unit_fam, x0=(0.45, 0.08), support=(0.0, 1.0))
+        res = mhd(g, unit_fam, x0=(0.45, 0.08))
         theta_data = fam.theta_from_unit(res.theta_hat, t)
         assert np.allclose(theta_data, [0.0, 1.0], atol=0.02)
 
-        objective = hellinger_objective(g, unit_fam, (0.0, 1.0))
+        objective = hellinger_objective(g, unit_fam)
         lattice, _ = grid_search(objective,
                                  np.linspace(0.45, 0.55, 200),
                                  np.linspace(0.04, 0.09, 200))
@@ -159,11 +165,11 @@ class TestMhd:
         unit_fam = fam.unit_fit_family(t)
         unit_theta = fam.theta_to_unit((27.73, 5.00), t)
         g = project_to_histogram(TruncatedUnitGaussian(*unit_theta), 100)
-        res = mhd(g, unit_fam, x0=(0.5, 0.1), support=(0.0, 1.0))
+        res = mhd(g, unit_fam, x0=(0.5, 0.1))
         theta_data = fam.theta_from_unit(res.theta_hat, t)
         assert np.allclose(theta_data, [27.73, 5.00], atol=0.05)
 
-        objective = hellinger_objective(g, unit_fam, (0.0, 1.0))
+        objective = hellinger_objective(g, unit_fam)
         mu_grid = np.linspace(20.0, 35.0, 200)
         sg_grid = np.linspace(2.0, 9.0, 200)
         lattice, _ = grid_search(
@@ -177,19 +183,19 @@ class TestMhd:
         # coefficient, while its move clipped to the box raises it to first
         # order; Newton steps along the gradient instead of halving that move
         fam = GaussianFamily(bounds=((-5.0, 5.0), (0.05, 5.0)))
-        g, start, support = fam.density((-0.38, 0.64)), np.array([-4.09, 2.92]), (-12.0, 12.0)
-        x, w, sqrt_g = functional._prepared_nodes(g, support, _MIN_PANELS)
+        g, start = fam.density((-0.38, 0.64)), np.array([-4.09, 2.92])
+        x, w, sqrt_g = functional._prepared_nodes(g)
         _, grad, jac = fam.node_bc(functional._columns(start[None]), x, (w * sqrt_g)[None])
         step = np.linalg.solve(jac[0], grad[0])
         assert grad[0] @ step > 0.0
         assert grad[0] @ (np.clip(start - step, *functional._box(fam)) - start) > 0.0
-        res = mhd(g, fam, start, support=support)
+        res = mhd(g, fam, start)
         assert res.converged
         assert np.allclose(res.theta_hat, [-0.38, 0.64], atol=1e-6)
 
     def test_bound_pinned_fit_is_flagged(self):
         fam = GaussianFamily(bounds=((-5.0, 5.0), (2.0, 4.0)))
-        res = mhd(fam.density((0.0, 1.0)), fam, x0=(0.0, 3.0), support=(-10.0, 10.0))
+        res = mhd(fam.density((0.0, 1.0)), fam, x0=(0.0, 3.0))
         assert not res.converged
         assert res.theta_hat[1] == pytest.approx(2.0, abs=1e-6)
 
@@ -212,9 +218,9 @@ class TestMhd:
 
     def test_negative_density_names_a_plain_abscissa(self):
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
-        bad = lambda x: np.where(x > 0.5, -1.0, 1.0)
+        bad = WindowedDensity(lambda x: np.where(x > 0.5, -1.0, 1.0), (0.0, 1.0))
         with pytest.raises(ValueError, match=r"'g' is negative at x = 0\.5\d*$"):
-            mhd(bad, fam, (0.5, 0.1), support=(0.0, 1.0))
+            mhd(bad, fam, (0.5, 0.1))
 
     def test_requires_bounds(self):
         fam = GaussianFamily()
@@ -226,21 +232,21 @@ class TestMhd:
     def test_partly_open_family_is_not_fit_directly(self, bounds):
         fam = GaussianFamily(bounds=bounds)
         with pytest.raises(ValueError, match="family declares no parameter bounds"):
-            mhd(fam.density((0.5, 0.2)), fam, x0=(0.5, 0.2), support=(0.0, 1.0))
+            mhd(fam.density((0.5, 0.2)), fam, x0=(0.5, 0.2))
 
     def test_functional_continuity_under_shrinking_perturbations(self):
         # |T(g) - T(g')| shrinks as h(g, g') does
         rng = np.random.default_rng(8)
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-4, 2.0)))
         base = project_to_histogram(TruncatedUnitGaussian(0.5, 0.1), 100)
-        ref = mhd(base, fam, x0=(0.5, 0.1), support=(0.0, 1.0)).theta_hat
+        ref = mhd(base, fam, x0=(0.5, 0.1)).theta_hat
         bump = rng.uniform(-1.0, 1.0, 100)
         gaps = []
         for c in (0.4, 0.2, 0.05):
             w = base.weights * (1.0 + c * bump)
             from mhdbayes.densities import HistogramDensity
             g = HistogramDensity(w / w.sum())
-            theta = mhd(g, fam, x0=tuple(ref), support=(0.0, 1.0)).theta_hat
+            theta = mhd(g, fam, x0=tuple(ref)).theta_hat
             gaps.append(np.linalg.norm(theta - ref))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -248,8 +254,8 @@ class TestMhd:
         # T((1 + t q) g0) - T(g0) = t <T~, q>_{g0} + o(t)
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-4, 2.0)))
         g0 = fam.density((0.5, 0.1))
-        theta0 = mhd(g0, fam, x0=(0.5, 0.1), support=(0.0, 1.0)).theta_hat
-        inf = influence_function(g0, fam, theta0, support=(0.0, 1.0))
+        theta0 = mhd(g0, fam, x0=(0.5, 0.1)).theta_hat
+        inf = influence_function(g0, fam, theta0)
 
         q_raw = lambda x: np.sin(2 * np.pi * x)
         x, w = composite_nodes(np.linspace(0.0, 1.0, 129))
@@ -260,8 +266,8 @@ class TestMhd:
 
         ratios = []
         for t in (1e-2, 1e-3):
-            gt = lambda x_, t_=t: (1.0 + t_ * q(x_)) * g0.pdf(x_)
-            theta_t = mhd(gt, fam, x0=tuple(theta0), support=(0.0, 1.0)).theta_hat
+            gt = WindowedDensity(lambda x_, t_=t: (1.0 + t_ * q(x_)) * g0.pdf(x_), g0.support)
+            theta_t = mhd(gt, fam, x0=tuple(theta0)).theta_hat
             resid = np.linalg.norm(theta_t - theta0 - t * deriv)
             ratios.append(resid / t)
         assert ratios[1] < 0.5 * ratios[0]
@@ -280,7 +286,7 @@ class TestNoOverlapPlateau:
         assert not converged[0]
         # mhd and mhd_rows seed Newton off the plateau and reach the same
         # overlapping fit
-        res = mhd(g, fam, start, support=(0, 1))
+        res = mhd(g, fam, start)
         assert res.converged
         assert res.h_min < math.sqrt(2.0)
         theta, converged = mhd_rows(g.weights[None], g.edges, fam, start, *functional._box(fam))
@@ -352,13 +358,13 @@ class TestGridSeed:
         g, start = indefinite_start()
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
         assert_newton_move_is_downhill(g, fam, start)
-        oracle = nelder_mead_mhd(g, fam, start, (0.0, 1.0))
+        oracle = nelder_mead_mhd(g, fam, start)
         searches = []
         minimize = numerics.minimize
         monkeypatch.setattr(numerics, "minimize",
                             lambda *args: searches.append(args) or minimize(*args))
         monkeypatch.setattr(functional, "_grid_seeds", lambda *args: start[None])
-        res = mhd(g, fam, start, support=(0, 1))
+        res = mhd(g, fam, start)
         assert searches == []
         assert res.converged and oracle.converged
         assert np.allclose(res.theta_hat, oracle.theta_hat, atol=1e-9)
@@ -409,12 +415,12 @@ class TestGridSeed:
         """``mhd`` from the moment start and ``mhd_rows`` from the plateau
         against the Nelder-Mead oracle; returns both fits."""
         x0 = moment_start(g)
-        res = mhd(g, self.fam, x0, support=(0.0, 1.0))
-        oracle = nelder_mead_mhd(g, self.fam, x0, (0.0, 1.0))
+        res = mhd(g, self.fam, x0)
+        oracle = nelder_mead_mhd(g, self.fam, x0)
         # mhd_rows from the plateau, scored on mhd's nodes
         theta, converged = mhd_rows(g.weights[None], g.edges, self.fam, PLATEAU,
                                     *functional._box(self.fam))
-        h_rows = hellinger_objective(g, self.fam, (0.0, 1.0), min_panels=_MIN_PANELS)(theta[0])
+        h_rows = hellinger_objective(g, self.fam, panels=_MIN_PANELS)(theta[0])
         # an unconverged oracle may sit on a spike between the quadrature
         # nodes, where its h_min is an artifact, not a fit
         if oracle.converged:
@@ -458,7 +464,7 @@ class TestMhdRows:
         start = (0.05, 0.005)
         theta, converged = newton_rows(np.stack([far.weights, near.weights]), near.edges,
                                        fam, start)
-        expected = mhd(near, fam, start, support=(0.0, 1.0))
+        expected = mhd(near, fam, start)
         assert expected.converged and converged[1]
         assert np.allclose(theta[1], expected.theta_hat, atol=1e-9)
         assert np.array_equal(theta[0], start)
@@ -478,7 +484,7 @@ class TestMhdRows:
         assert np.allclose(alone[0], [0.4500862, 0.1211231], atol=1e-7)
         theta, converged = mhd_rows(g.weights[None], g.edges, fam, start, *functional._box(fam))
         assert converged[0] and np.array_equal(theta, alone)
-        expected = mhd(g, fam, start, support=(0.0, 1.0))
+        expected = mhd(g, fam, start)
         assert expected.converged
         assert np.allclose(theta[0], expected.theta_hat, atol=1e-9)
 
@@ -506,7 +512,7 @@ class TestMhdRows:
         theta, converged = mhd_rows(weights, base.edges, fam, start, *box)
         assert np.all(converged)
         assert np.array_equal(theta, np.concatenate([t for t, _ in alone]))
-        oracle = mhd(HistogramDensity(weights[3]), fam, start, support=(0.0, 1.0))
+        oracle = mhd(HistogramDensity(weights[3]), fam, start)
         assert np.allclose(theta[3], oracle.theta_hat, atol=1e-9)
 
     def test_per_row_starts_give_the_rows_solved_alone(self, monkeypatch):
@@ -547,28 +553,26 @@ class TestMhdRows:
 
 class TestPreparedNodes:
     @settings(max_examples=60, deadline=None)
-    @given(g=histograms(), a=st.floats(-0.5, 0.9), width=st.floats(0.05, 1.5),
-           panels=st.sampled_from([1, 7, _MIN_PANELS, 64]))
-    def test_histogram_nodes_equal_the_pdf_path(self, g, a, width, panels):
-        # a histogram is integrated over its own edges, whatever support and
-        # panel count are asked for: the nodes, weights and sqrt heights
-        # gathered at the cached node cells are those of integration_edges
-        # -> composite_nodes -> pdf over g's support, and of the uncached
-        # path, on which g is seen through its pdf alone; every node lies
-        # inside a cell
-        got = functional._prepared_nodes(g, (a, a + width), panels)
+    @given(g=histograms())
+    def test_histogram_nodes_equal_the_pdf_path(self, g):
+        # a histogram is integrated over its own edges: the nodes, weights
+        # and sqrt heights gathered at the cached node cells are those of
+        # integration_edges -> composite_nodes -> pdf over g's support, and
+        # of the uncached path, on which g is seen through its pdf alone;
+        # every node lies inside a cell
+        got = functional._prepared_nodes(g)
         x, w = composite_nodes(integration_edges(g.support, (g,)))
         assert all(np.array_equal(u, v) for u, v in zip(got, (x, w, np.sqrt(g.pdf(x)))))
         assert np.all((g.edges[0] < x) & (x < g.edges[-1]))
         assert np.array_equal(histogram_nodes(g.edges.tobytes())[2], g.bin_index(x))
-        uncached = functional._prepared_nodes(Unseeded(g), None, _MIN_PANELS)
+        uncached = functional._prepared_nodes(Unseeded(g))
         assert all(np.array_equal(u, v) for u, v in zip(got, uncached))
 
     def test_nodes_are_built_once_per_grid(self):
         one, two = (HistogramDensity(np.random.default_rng(s).dirichlet(np.ones(30)))
                     for s in (1, 2))
-        x1, w1, _ = functional._prepared_nodes(one, (0.0, 1.0), _MIN_PANELS)
-        x2, w2, _ = functional._prepared_nodes(two, (0.0, 1.0), _MIN_PANELS)
+        x1, w1, _ = functional._prepared_nodes(one)
+        x2, w2, _ = functional._prepared_nodes(two)
         assert x1 is x2 and w1 is w2
         assert not (x1.flags.writeable or w1.flags.writeable)
 
@@ -579,7 +583,7 @@ class TestPreparedNodes:
         g.heights = np.array([np.nan, 1.0])
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
         with pytest.raises(ValueError, match=r"'g' is non-finite at x = 0\.\d+$"):
-            mhd(g, fam, (0.5, 0.1), support=(0.0, 1.0))
+            mhd(g, fam, (0.5, 0.1))
 
 
 # grids of ``TestOneHistogramQuadrature``; the last has an edge 5e-15 above
@@ -608,7 +612,7 @@ class TestOneHistogramQuadrature:
     def test_quadrature_default_is_node_bc_on_mhd_nodes(self, grid):
         g = one_quadrature_histogram(grid)
         fam = QuadratureGaussianFamily()
-        x, w, sqrt_g = functional._prepared_nodes(g, g.support, _MIN_PANELS)
+        x, w, sqrt_g = functional._prepared_nodes(g)
         for theta in [(0.4, 0.2), (0.7, 0.05)]:
             hook = fam.histogram_bc(theta, g.edges, np.sqrt(g.heights))
             nodes = fam.node_bc(theta, x, w * sqrt_g)
@@ -698,8 +702,8 @@ class TestInfluenceFunction:
 
 
 class TestSupportIsRequired:
-    """A bare callable g carries no support, so each quadrature over g needs
-    one given."""
+    """A bare callable g carries no support, and each quadrature over g
+    integrates over g's own window, so it is refused."""
 
     fam = GaussianLocationFamily()
 
@@ -709,7 +713,8 @@ class TestSupportIsRequired:
         lambda g, fam: l_norm_sq(np.sin, g),
     ], ids=["mhd", "influence_function", "l_norm_sq"])
     def test_bare_callable_without_support(self, call):
-        with pytest.raises(ValueError, match="support must be given when g does not carry one"):
+        with pytest.raises(ValueError,
+                           match=r"g carries no support to integrate over \(a bare callable"):
             call(self.fam.density((0.0,)).pdf, self.fam)
 
 
@@ -736,6 +741,27 @@ class TestLNormSq:
             l_norm_sq(lambda x: np.where(x > 0, np.inf, x), g0)
 
 
+class FixedWindowGaussianFamily(GaussianFamily):
+    """Gaussian family whose plausible support is [-1, 1] at every theta."""
+
+    def plausible_support(self, theta):
+        return (-1.0, 1.0)
+
+
+def reference_efficiency(theta, panels=128):
+    """Fisher information of the Gaussian at ``theta`` and the variance of
+    its influence function at the model, on ``panels`` uniform panels of
+    the plausible support with no refinement."""
+    fam = GaussianFamily()
+    x, w = composite_nodes(np.linspace(*fam.plausible_support(theta), panels + 1))
+    s, sdot = fam.sqrt_pdf(theta, x), fam.sqrt_grad(theta, x)
+    _, _, curvature = fam.node_bc(theta, x, w * s)
+    influence = sdot / (2.0 * s)[:, None] @ -np.linalg.inv(curvature).T
+    centered = influence - (w * s * s) @ influence
+    variance = np.einsum("n,np,nq->pq", w * s * s, centered, centered)
+    return 4.0 * np.einsum("n,np,nq->pq", w, sdot, sdot), variance
+
+
 class TestFisherInformation:
     def score_outer_oracle(self, theta):
         # independent oracle: integral of score scoreT f via the classic
@@ -750,8 +776,12 @@ class TestFisherInformation:
 
     @pytest.mark.parametrize("theta", [(0.0, 0.0), (np.nan, 1.0)], ids=["zero-sigma", "nan-mu"])
     def test_nonfinite_gradient_is_error(self, theta):
+        # the Gaussian's own window is empty at these thetas; a family with
+        # a fixed window reaches the gradient check
+        with pytest.raises(ValueError, match="need a < b"):
+            fisher_information(GaussianFamily(), theta)
         with pytest.raises(ValueError, match="gradient is non-finite"):
-            fisher_information(GaussianFamily(), theta, support=(-1.0, 1.0))
+            fisher_information(FixedWindowGaussianFamily(), theta)
 
     def test_gaussian_information(self):
         eye = fisher_information(GaussianFamily(), (0.0, 1.0))
@@ -772,6 +802,16 @@ class TestFisherInformation:
             eye = fisher_information(fam, theta)
             assert np.allclose(eye, eye.T, atol=1e-12)
             assert np.all(np.linalg.eigvalsh(eye) > -1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mu=st.floats(-5.0, 5.0), sigma=st.floats(0.01, 5.0))
+    def test_one_panel_count_matches_128_panels(self, mu, sigma):
+        # 32 panels over the plausible support already give Fisher and V to
+        # within rounding of a 128-panel reference
+        fisher, variance = reference_efficiency((mu, sigma))
+        for got, want in [(fisher_information(GaussianFamily(), (mu, sigma)), fisher),
+                          (asymptotic_variance(GaussianFamily(), (mu, sigma)).V, variance)]:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_efficiency_identity_random_thetas(self):
         rng = np.random.default_rng(77)
