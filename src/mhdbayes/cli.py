@@ -17,11 +17,12 @@ import datetime
 import functools
 import json
 import math
+import numbers
+import operator
 import os
 import sys
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .densities import DEFAULT_PADDING, GaussianFamily
@@ -32,18 +33,122 @@ from .posterior import DEFAULT_ALPHA, DEFAULT_FIXED_K, DEFAULT_POISSON_RATE, His
 
 SCHEMA_VERSION = 1
 
+# the JSON Schema keywords of config_schema.json, the only ones read
+_KEYWORDS = frozenset({
+    "$schema", "title", "type", "enum", "const", "properties", "required",
+    "additionalProperties", "items", "prefixItems", "minItems", "maxItems",
+    "minimum", "exclusiveMinimum", "exclusiveMaximum", "if", "then", "allOf"})
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "null": type(None),
+               "number": numbers.Number}
+
 
 def config_schema():
     return json.loads((resources.files("mhdbayes") / "config_schema.json").read_text())
 
 
+def _check_schema(schema):
+    """Raise unless ``schema`` and each of its subschemas use only the
+    keywords that ``_schema_errors`` reads (``additionalProperties`` only as
+    false)."""
+    unknown = sorted(set(schema) - _KEYWORDS)
+    if schema.get("additionalProperties", False) is not False:
+        unknown.append("additionalProperties")
+    if unknown:
+        raise ValueError(f"config schema: keyword(s) {unknown} not supported")
+    for sub in (*schema.get("properties", {}).values(), *schema.get("prefixItems", ()),
+                *schema.get("allOf", ()), *(schema[k] for k in ("items", "if", "then")
+                                            if k in schema)):
+        _check_schema(sub)
+
+
 @functools.cache
-def _config_validator():
-    """Validator of the published schema, checked and built once per process."""
+def _schema():
+    """The published schema, read and checked once per process."""
     schema = config_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    _check_schema(schema)
+    return schema
+
+
+def _is_type(value, name):
+    # a bool is neither an integer nor a number; an integral float is an integer
+    if isinstance(value, bool) and name in ("integer", "number"):
+        return False
+    if name == "integer":
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _equal(a, b):
+    # JSON equality, in which true is not 1
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(value, schema, path=()):
+    """(path, message, type_mismatch) of each way ``value`` breaks ``schema``,
+    in the order of the schema's keywords, with jsonschema's messages.
+    ``type_mismatch`` is true unless ``value`` is of a type ``schema`` names."""
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    mismatch = not any(_is_type(value, t) for t in types)
+    is_dict, is_list = isinstance(value, dict), isinstance(value, list)
+    for keyword, arg in schema.items():
+        message = None
+        if keyword == "type" and mismatch:
+            message = f"{value!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword == "enum" and not any(_equal(v, value) for v in arg):
+            message = f"{value!r} is not one of {arg!r}"
+        elif keyword == "const" and not _equal(arg, value):
+            message = f"{arg!r} was expected"
+        elif keyword in _BOUNDS and _is_type(value, "number"):
+            fails, text = _BOUNDS[keyword]
+            if fails(value, arg):
+                message = f"{value!r} {text} {arg!r}"
+        elif keyword == "minItems" and is_list and len(value) < arg:
+            message = f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif keyword == "maxItems" and is_list and len(value) > arg:
+            message = f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif keyword == "required" and is_dict:
+            for key in arg:
+                if key not in value:
+                    yield path, f"{key!r} is a required property", mismatch
+        elif keyword == "additionalProperties" and is_dict:
+            extra = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+            if extra:
+                message = (f"Additional properties are not allowed ({', '.join(map(repr, extra))}"
+                           f" {'was' if len(extra) == 1 else 'were'} unexpected)")
+        elif keyword == "properties" and is_dict:
+            for key, sub in arg.items():
+                if key in value:
+                    yield from _schema_errors(value[key], sub, path + (key,))
+        elif keyword == "prefixItems" and is_list:
+            for index, (item, sub) in enumerate(zip(value, arg)):
+                yield from _schema_errors(item, sub, path + (index,))
+        elif keyword == "items" and is_list:
+            for index in range(len(schema.get("prefixItems", ())), len(value)):
+                yield from _schema_errors(value[index], arg, path + (index,))
+        elif keyword == "allOf":
+            for sub in arg:
+                yield from _schema_errors(value, sub, path)
+        elif keyword == "if" and "then" in schema and not any(_schema_errors(value, arg)):
+            # ``then`` applies where ``if`` stands
+            yield from _schema_errors(value, schema["then"], path)
+        if message is not None:
+            yield path, message, mismatch
+
+
+def _schema_error(config):
+    """(path, message) of the error that jsonschema's ``best_match`` picks
+    among those of ``config`` against the published schema, or None: the
+    shallowest, then the largest path, then one whose value is not of its
+    schema's type; the first of equals."""
+    error = max(_schema_errors(config, _schema()), default=None,
+                key=lambda e: (-len(e[0]), e[0], e[2]))
+    return None if error is None else error[:2]
 
 
 def _key(path):
@@ -62,16 +167,18 @@ def _non_finite(value, path=()):
 
 
 def validate_config(config):
-    # the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(config))
+    error = _schema_error(config)
     if error is not None:
-        where = _key(error.absolute_path)
-        detail = f"{where}: {error.message}" if where else error.message
-        raise ValueError(f"invalid configuration: {detail}") from error
+        path, message = error
+        detail = f"{_key(path)}: {message}" if path else message
+        raise ValueError(f"invalid configuration: {detail}")
     # JSON Schema cannot require a number to be finite
     for path, value in _non_finite(config):
         raise ValueError(f"invalid configuration: {_key(path)}: {value!r} is not a finite number")
-    out_dir = os.path.dirname(config.get("out") or "") or "."
+    out = config.get("out") or ""
+    if os.path.isdir(out):
+        raise ValueError(f"invalid configuration: out: {out!r} is a directory")
+    out_dir = os.path.dirname(out) or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"invalid configuration: out: directory {out_dir!r} does not exist")
     return config

@@ -60,6 +60,8 @@ def load_dataset(path_or_bundle):
         except FileNotFoundError:
             raise ValueError(f"unknown bundled dataset {name!r}") from None
         return Dataset(values=_parse_csv(text, ref), name=name)
-    with open(ref, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark, which would otherwise turn the
+    # first value into an unparsable header
+    with open(ref, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     return Dataset(values=_parse_csv(text, ref), name=ref)

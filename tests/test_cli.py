@@ -1,11 +1,15 @@
 import argparse
+import copy
 import json
 import re
 import warnings
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mhdbayes.cli as cli
 from mhdbayes.cli import build_parser, main, resolve_config, validate_config
@@ -30,6 +34,12 @@ class TestDatasets:
         p = tmp_path / "vals.csv"
         p.write_text("value\n3.5\n4.5\n")
         assert np.array_equal(load_dataset(str(p)).values, [3.5, 4.5])
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        # a UTF-8 file saved with a byte-order mark keeps its first value
+        p = tmp_path / "vals.csv"
+        p.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n4.0\n")
+        assert np.array_equal(load_dataset(str(p)).values, [1.5, 2.5, 3.5, 4.0])
 
     def test_malformed_line_cites_number(self, tmp_path):
         p = tmp_path / "vals.csv"
@@ -159,11 +169,89 @@ COMMAND_KEYS = {
 }
 
 
+def valid_config(command, prior_mode):
+    data = ["--data", "bundled:newcomb"] if "data" in COMMAND_KEYS[command] else []
+    return resolve_config(build_parser().parse_args([command, *data, "--prior-mode", prior_mode]))
+
+
+VALID_CONFIGS = [valid_config(command, mode) for command in sorted(COMMAND_KEYS)
+                 for mode in ("fixed", "random")]
+SCHEMA = cli.config_schema()
+ORACLE = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+PRIOR_KEYS = sorted(SCHEMA["properties"]["prior"]["properties"])
+
+# every JSON type: numbers on and next to the schema's bounds, integral
+# floats, bools, None, words of its enums, short lists and dicts
+SCALARS = (st.sampled_from([None, True, False, -1, 0, 1, 2, 3, 49, 50, 99, 100, -0.5, 0.0,
+                            0.5, 1.0, 2.0, 50.0, 100.0, "fit", "robustness", "bvm",
+                            "fixed", "random", "json", "csv", "mhb", "mle", "gaussian",
+                            "bundled:newcomb", ""])
+           | st.integers() | st.floats(allow_nan=False, allow_infinity=False))
+LISTS = st.lists(SCALARS, max_size=3)
+JSON_VALUES = (SCALARS | LISTS
+               | st.dictionaries(st.sampled_from([*PRIOR_KEYS, "x"]), SCALARS | LISTS,
+                                 max_size=4))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config of some subcommand and prior mode with up to three of
+    its keys, at the top level or under ``prior``, replaced, deleted or
+    added."""
+    config = copy.deepcopy(draw(st.sampled_from(VALID_CONFIGS)))
+    for _ in range(draw(st.integers(0, 3))):
+        nested = isinstance(config.get("prior"), dict) and draw(st.booleans())
+        target, known = ((config["prior"], PRIOR_KEYS) if nested
+                         else (config, sorted(SCHEMA["properties"])))
+        key = draw(st.sampled_from(sorted({*target, *known, "bogus"})))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(JSON_VALUES)
+    return config
+
+
+class TestSchemaReader:
+    @settings(max_examples=2000, deadline=None)
+    @given(mutated_configs())
+    def test_reports_the_error_jsonschema_best_match_picks(self, config):
+        best = jsonschema.exceptions.best_match(ORACLE.iter_errors(config))
+        expected = None if best is None else (tuple(best.absolute_path), best.message)
+        assert cli._schema_error(config) == expected
+
+    def test_shipped_schema_is_valid_and_fully_read(self):
+        ORACLE.check_schema(SCHEMA)
+        cli._check_schema(SCHEMA)
+
+    @pytest.mark.parametrize("schema, keyword", [
+        ({"type": "object", "properties": {"n": {"type": "integer", "maximum": 3}}},
+         "maximum"),
+        ({"allOf": [{"if": {"const": 1}, "then": {}, "else": {}}]}, "else"),
+        ({"items": {"pattern": "x"}}, "pattern"),
+        ({"additionalProperties": {"type": "string"}}, "additionalProperties"),
+    ], ids=["maximum", "else", "pattern", "schema-valued-additionalProperties"])
+    def test_unknown_keyword_raises(self, schema, keyword):
+        with pytest.raises(ValueError, match=rf"keyword\(s\) \['{keyword}'\] not supported"):
+            cli._check_schema(schema)
+
+    def test_run_refuses_a_schema_it_cannot_read(self, capsys, monkeypatch):
+        schema = copy.deepcopy(SCHEMA)
+        schema["properties"]["seed"]["maximum"] = 10
+        monkeypatch.setattr(cli, "config_schema", lambda: schema)
+        monkeypatch.setattr(cli, "_schema", cli._schema.__wrapped__)
+        monkeypatch.setattr(cli, "efficiency_study", forbidden)
+        assert main(["efficiency"]) == 1
+        assert "config schema: keyword(s) ['maximum'] not supported" in capsys.readouterr().err
+
+
 class TestReadme:
     def test_every_long_option_is_documented(self):
         # each flag of each subcommand, argparse's own --help aside, is
-        # named in the README as a whole word
+        # named in the README's "Flags:" paragraph as a whole word; the
+        # example commands do not count
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("\nFlags:")
+        readme = readme[start:readme.index("\n\n", start)]
         (commands,) = [a for a in build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction)]
         missing = [(name, option) for name, parser in commands.choices.items()
@@ -179,9 +267,7 @@ class TestConfigKeys:
     @pytest.mark.parametrize("prior_mode, prior_keys", [
         ("fixed", {"mode", "alpha", "k"}), ("random", {"mode", "alpha", "lambda"})])
     def test_exact_key_set(self, command, prior_mode, prior_keys):
-        data = ["--data", "bundled:newcomb"] if "data" in COMMAND_KEYS[command] else []
-        args = build_parser().parse_args([command, *data, "--prior-mode", prior_mode])
-        config = resolve_config(args)
+        config = valid_config(command, prior_mode)
         assert set(config) == COMMON_KEYS | COMMAND_KEYS[command]
         assert set(config["prior"]) == prior_keys
         assert validate_config(config) is config
@@ -302,6 +388,15 @@ class TestRunFit:
         argv[argv.index("--out") + 1] = str(tmp_path / "missing" / "r.json")
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_naming_a_directory_exit_1(self, tmp_path, capsys, monkeypatch):
+        # rejected before any data are loaded, not when the report is written
+        monkeypatch.setattr(cli, "load_dataset", forbidden)
+        argv, _ = fit_args(tmp_path)
+        argv[argv.index("--out") + 1] = str(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: invalid configuration: out: {str(tmp_path)!r} is a directory\n")
 
     def test_range_overflowing_float64_exit_1(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -196,7 +197,65 @@ class TestImports:
         assert result["log_post_k"] == [v.hex() for v in here.tolist()]
 
 
+    def test_cli_validation_loads_no_jsonschema(self):
+        # configs are checked by the package's own reader of the published
+        # schema; jsonschema and its dependencies serve only the tests
+        result = run_fresh("""
+            import json, sys
+            import mhdbayes, mhdbayes.cli
+            code = mhdbayes.cli.main(["fit", "--data", "bundled:newcomb", "--n-boot", "10"])
+            banned = {"jsonschema", "referencing", "rpds", "attr", "attrs"}
+            print(json.dumps({"code": code, "loaded": sorted(
+                m for m in sys.modules if m.split(".")[0] in banned)}))
+        """)
+        assert result == {"code": 1, "loaded": []}
+
+
 SRC_MODULES = sorted(Path(mhdbayes.__file__).parent.glob("*.py"))
+
+
+def third_party_imports(sources):
+    """Top-level names of the modules that ``sources`` import, at any depth,
+    other than the standard library and the package itself."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"mhdbayes"}
+
+
+class TestDependencies:
+    def test_imports_are_the_declared_dependencies(self):
+        # the runtime dependencies of pyproject.toml are exactly what src/
+        # imports; jsonschema, the oracle of the config reader, is a test extra
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((Path(__file__).resolve().parents[1]
+                                 / "pyproject.toml").read_text())["project"]
+
+        def names(specs):
+            return {re.match(r"[\w.-]+", spec).group().lower().replace("-", "_")
+                    for spec in specs}
+
+        declared = names(project["dependencies"])
+        assert third_party_imports(p.read_text() for p in SRC_MODULES) == declared
+        assert declared == {"numpy", "scipy"}
+        assert "jsonschema" in names(project["optional-dependencies"]["test"])
+
+    def test_guard_sees_imports_inside_functions(self):
+        source = textwrap.dedent("""
+            from __future__ import annotations
+            import os.path, numpy as np
+            from . import cli
+            from .densities import GL_ORDER
+
+            def f():
+                from scipy.special import gammaln
+                import yaml
+        """)
+        assert third_party_imports([source]) == {"numpy", "scipy", "yaml"}
 
 
 def unused_imports(source):
