@@ -65,18 +65,11 @@ class SupportTransform:
 
     @classmethod
     def from_data(cls, data, padding=DEFAULT_PADDING):
-        if not 0.0 <= padding < np.inf:   # a NaN fails too
-            raise ValueError(f"padding must be a finite fraction >= 0, got {padding!r}")
-        data = np.asarray(data, dtype=float)
-        lo, hi = float(data.min()), float(data.max())
-        if hi <= lo:
-            raise ValueError("data range is degenerate (all values equal)")
-        pad = padding * (hi - lo)
-        a, b = lo - pad, hi + pad
-        if not np.all(np.isfinite([a, b, b - a])):
-            raise ValueError(f"data range [{lo!r}, {hi!r}] padded by {padding!r} of its "
-                             "width on each side overflows float64")
-        return cls(a, b)
+        (a,), (b,), (reason,) = padded_ranges(np.asarray(data, dtype=float).reshape(1, -1),
+                                              padding)
+        if reason is not None:
+            raise ValueError(reason)
+        return cls(float(a), float(b))
 
     @property
     def width(self):
@@ -87,6 +80,28 @@ class SupportTransform:
 
     def from_unit(self, y):
         return self.a + self.width * np.asarray(y, dtype=float)
+
+
+def padded_ranges(data, padding=DEFAULT_PADDING):
+    """The ends a and b of :meth:`SupportTransform.from_data` for every row
+    of the float matrix ``data``: its range, padded by ``padding`` of its
+    width on each side.  Returns a, b and per row why it has no transform
+    (a str) or None."""
+    if not 0.0 <= padding < np.inf:   # a NaN fails too
+        nan = np.full(len(data), np.nan)
+        return nan, nan, [f"padding must be a finite fraction >= 0, got {padding!r}"] * len(data)
+    lo, hi = data.min(axis=1), data.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pad = padding * (hi - lo)
+        a, b = lo - pad, hi + pad
+        finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(b - a)
+    reasons = [None] * len(data)
+    for i in np.flatnonzero(~(hi > lo) | ~finite).tolist():
+        # a NaN range is not degenerate: it takes the overflow message
+        reasons[i] = ("data range is degenerate (all values equal)" if hi[i] <= lo[i] else
+                      f"data range [{float(lo[i])!r}, {float(hi[i])!r}] padded by {padding!r} "
+                      "of its width on each side overflows float64")
+    return a, b, reasons
 
 
 def _normal_tail(a):
@@ -131,6 +146,21 @@ def grid_edges(k):
     edges = np.arange(k + 1) / k
     edges.flags.writeable = False
     return edges
+
+
+@lru_cache(maxsize=256)
+def grid_widths(k):
+    """The cell widths of :func:`grid_edges` (k), read-only and shared."""
+    widths = np.diff(grid_edges(k))
+    widths.flags.writeable = False
+    return widths
+
+
+def normalized_weights(weights):
+    """Histogram cell weights clipped at 0 and divided by their sum, as
+    :class:`HistogramDensity` stores them; a leading axis holds rows."""
+    weights = np.clip(weights, 0.0, None)
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def bin_index(edges, x):
@@ -190,10 +220,13 @@ class HistogramDensity:
         if not abs(total - 1.0) <= 1e-8:   # a NaN total fails too
             raise ValueError(f"weights must sum to 1, got {float(total)!r}")
         self.k = len(weights)
-        weights = np.clip(weights, 0.0, None)
-        self.weights = weights / weights.sum()
-        self.edges = grid_edges(self.k) if edges is None else _checked_edges(edges, self.k)
-        self.heights = self.weights / np.diff(self.edges)
+        self.weights = normalized_weights(weights)
+        if edges is None:
+            self.edges, widths = grid_edges(self.k), grid_widths(self.k)
+        else:
+            self.edges = _checked_edges(edges, self.k)
+            widths = np.diff(self.edges)
+        self.heights = self.weights / widths
 
     def bin_index(self, x):
         return bin_index(self.edges, x)

@@ -23,6 +23,7 @@ from .densities import (
     GaussianFamily,
     SupportTransform,
     grid_edges,
+    padded_ranges,
 )
 from .functional import MhdResult, _box, mhd, mhd_rows
 from .posterior import HistogramPrior, fit_posterior
@@ -90,49 +91,80 @@ class BmhPosterior:
         }
 
 
+def _transforms(data, family, padding):
+    """Support transform of every row of the float matrix ``data``, and why
+    a row cannot be set up (a str) or None; a row with a reason has no
+    transform (None)."""
+    if data.shape[1] < family.dim + 1:
+        a = b = None
+        reasons = [f"need at least {family.dim + 1} observations"] * len(data)
+    else:
+        a, b, reasons = padded_ranges(data, padding)
+    for i in np.flatnonzero(~np.isfinite(data).all(axis=1)).tolist():
+        reasons[i] = "data contains non-finite values"
+    return ([None if reason else SupportTransform(float(a[i]), float(b[i]))
+             for i, reason in enumerate(reasons)], reasons)
+
+
 def _setup(data, prior, family, padding):
     """Support transform, posterior and unit family of the float array ``data``."""
     if data.ndim != 1:
         raise ValueError("data must be a 1-d array")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("data contains non-finite values")
-    if len(data) < family.dim + 1:
-        raise ValueError(f"need at least {family.dim + 1} observations")
-    transform = SupportTransform.from_data(data, padding=padding)
+    (transform,), (reason,) = _transforms(data[None], family, padding)
+    if reason:
+        raise ValueError(reason)
     post = fit_posterior(transform.to_unit(data), prior)
     return transform, post, family.unit_fit_family(transform)
 
 
-def _mhb_many(datasets, prior, family, padding, start=None):
-    """MHB of many datasets, each from its own data-scale start: ``start``,
-    or the dataset's moment start when None.  Every dataset gets its own
-    transform, posterior and EAP, and its start and parameter box on the
-    unit scale.  The EAPs sharing an edge grid (all of them for a fixed-k
-    prior) are fit as the rows of one ``mhd_rows`` call, each in its own
-    box, and each row is mapped back by its own transform.  Returns per
-    dataset its estimate or why its fit failed (a str).
+def _mhb_many(data, prior, family, padding, start=None):
+    """MHB of the datasets in the rows of the float matrix ``data``, each from
+    its own data-scale start: ``start``, or the dataset's moment start when
+    None.
+
+    The datasets are set up as one matrix: the input checks and support
+    transforms of all rows at once (``_transforms``), one row-wise
+    posterior update of the rows that pass, and for a fixed-k prior all
+    EAP weights from one array expression.  Each row gets its own
+    transform, and its start and parameter box on the unit scale.  The
+    EAPs sharing an edge grid (all of them for a fixed-k prior) are fit as
+    the rows of one ``mhd_rows`` call, each in its own box, and each row is
+    mapped back by its own transform.  Returns per dataset its estimate or
+    why its fit failed (a str).
     """
-    grids, transforms, fits = {}, [], []
-    for data in datasets:
-        try:
-            transform, post, fam_u = _setup(data, prior, family, padding)
-        except ValueError as exc:
-            fits.append(str(exc))
-            continue
-        g = post.eap()
-        theta0 = family.initial_theta(data) if start is None else start
-        grids.setdefault(g.edges.tobytes(), (g.edges, fam_u, []))[2].append(
-            (len(transforms), g.weights, family.theta_to_unit(theta0, transform), _box(fam_u)))
-        fits.append(len(transforms))
-        transforms.append(transform)
-    theta, ok = np.empty((len(transforms), family.dim)), np.empty(len(transforms), dtype=bool)
-    for edges, fam_u, members in grids.values():
-        rows, weights, starts, boxes = (np.array(column) for column in zip(*members))
-        theta[rows], ok[rows] = mhd_rows(weights, edges, fam_u, starts, *boxes.swapaxes(0, 1))
-    theta = [family.theta_from_unit(t, transform) for t, transform in zip(theta, transforms)]
-    return [fit if isinstance(fit, str) else theta[fit] if ok[fit] else
-            f"minimum-distance fit did not converge at theta={np.round(theta[fit], 4).tolist()}"
-            " (parameter bounds may exclude the minimizer)" for fit in fits]
+    transforms, fits = _transforms(data, family, padding)
+    rows = np.flatnonzero([t is not None for t in transforms])
+    transforms = [transforms[r] for r in rows]
+    if not transforms:
+        return fits
+    a = np.array([t.a for t in transforms])[:, None]
+    try:
+        post = fit_posterior((data[rows] - a) / np.array([t.width for t in transforms])[:, None],
+                             prior)
+    except ValueError as exc:   # a prior with no bin count for n points fails every row
+        return [str(exc) if fit is None else fit for fit in fits]
+    fams = [family.unit_fit_family(t) for t in transforms]
+    starts = np.array([family.theta_to_unit(family.initial_theta(data[r]) if start is None
+                                            else start, t) for r, t in zip(rows, transforms)])
+    boxes = np.array([_box(fam_u) for fam_u in fams])
+    if len(post.k_support) == 1:
+        groups = [(grid_edges(int(post.k_support[0])), post.eap_weights(), np.arange(len(rows)))]
+    else:
+        eaps, members = [post.row(i).eap() for i in range(len(rows))], {}
+        for i, g in enumerate(eaps):
+            members.setdefault(g.edges.tobytes(), []).append(i)
+        groups = [(eaps[m[0]].edges, np.array([eaps[i].weights for i in m]), np.array(m))
+                  for m in members.values()]
+    theta, ok = np.empty((len(rows), family.dim)), np.empty(len(rows), dtype=bool)
+    for edges, weights, members in groups:
+        theta[members], ok[members] = mhd_rows(weights, edges, fams[members[0]],
+                                               starts[members], *boxes[members].swapaxes(0, 1))
+    for i, (r, t) in enumerate(zip(rows, transforms)):
+        fit = family.theta_from_unit(theta[i], t)
+        fits[r] = fit if ok[i] else (
+            f"minimum-distance fit did not converge at theta={np.round(fit, 4).tolist()}"
+            " (parameter bounds may exclude the minimizer)")
+    return fits
 
 
 def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
@@ -160,12 +192,16 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
                      padding=DEFAULT_PADDING, warm_theta=None):
     """Nonparametric bootstrap standard errors for MHB.
 
-    Each resample gets its own transform, posterior, EAP and unit-scale
-    parameter box.  Its fit starts at ``warm_theta``, the full-data MHB
-    estimate (fit first when None).  As the efficiency study fits its
-    replicates, all resamples are rows of one ``mhd_rows`` call per EAP
-    edge grid (``_mhb_many``), one call in all for a fixed-k prior.  Failed
-    resamples are dropped; more than 10% of them is an error.
+    The resamples, drawn from one ``spawn`` child each, are stacked into
+    one (n_boot, n) matrix and set up as one, as the efficiency study sets
+    up its replicates (``_mhb_many``): one row-wise check, transform and
+    posterior update, and a fixed-k prior's EAP weights from one array
+    expression.  Each resample still gets its own transform and
+    unit-scale parameter box, and its fit starts at ``warm_theta``, the
+    full-data MHB estimate (fit first when None).  All resamples are rows
+    of one ``mhd_rows`` call per EAP edge grid, one call in all for a
+    fixed-k prior.  Failed resamples are dropped; more than 10% of them is
+    an error.
     """
     if n_boot < 50:
         raise ValueError("bootstrap needs n_boot >= 50")
@@ -177,8 +213,8 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     n = len(data)
     # rng.spawn, not numerics.worker_rng: a different stream, and switching
     # to it would move the bootstrap standard errors
-    resamples = (data[child.integers(0, n, n)]
-                 for child in np.random.default_rng(rng).spawn(int(n_boot)))
+    resamples = data[np.array([child.integers(0, n, n)
+                               for child in np.random.default_rng(rng).spawn(int(n_boot))])]
     estimates = [fit for fit in _mhb_many(resamples, prior, family, padding, start=warm_theta)
                  if not isinstance(fit, str)]
     budget = _BOOT_FAILURE_RATE * n_boot

@@ -113,10 +113,12 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     """Sampling-variance check of MHB against the inverse Fisher information.
 
     Simulates ``reps`` clean datasets from f_theta0, fits the MLE on each
-    and MHB on all at once, as the bootstrap fits its resamples: each gets
-    its own EAP and unit-scale box, and is fit from its moment start as a
-    row of one ``mhd_rows`` call per EAP edge grid (one call for a fixed-k
-    prior); a failed fit is an ``error`` row.  Compares the empirical
+    and MHB on all at once, as the bootstrap fits its resamples: the
+    datasets are stacked into one (reps, n) matrix and set up as one (one
+    row-wise check, transform and posterior update, see ``_mhb_many``);
+    each gets its own EAP and unit-scale box, and is fit from its moment
+    start as a row of one ``mhd_rows`` call per EAP edge grid (one call
+    for a fixed-k prior); a failed fit is an ``error`` row.  Compares the empirical
     variance of sqrt(n) (theta_hat - theta0) with the Cramer-Rao diagonal.
     A ``theta0`` without a finite mu and a finite sigma > 0 raises
     ``ValueError`` before any replicate runs.
@@ -127,7 +129,8 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     prior = prior or HistogramPrior.fixed()
     seed = _seed_of(rng)
     theta0 = _true_theta(theta0)
-    datasets = [family.sample(theta0, int(n), worker_rng(seed, r)) for r in range(int(reps))]
+    datasets = np.array([family.sample(theta0, int(n), worker_rng(seed, r))
+                         for r in range(int(reps))])
     rows = []
     for rep, (data, fit) in enumerate(zip(datasets, _mhb_many(datasets, prior, family,
                                                                padding))):

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .densities import HistogramDensity, bin_index, grid_edges
+from .densities import HistogramDensity, bin_index, grid_edges, normalized_weights
 from .numerics import worker_rng
 
 # Constant per-bin Dirichlet concentration used when none is given.  With
@@ -106,8 +106,9 @@ def _unit_data(data):
     data = np.asarray(data, dtype=float)
     bad = ~((data >= 0.0) & (data <= 1.0))   # NaN fails both comparisons
     if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"datum {float(data[idx])!r} at index {idx} is outside [0, 1]")
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = idx[0] if len(idx) == 1 else idx
+        raise ValueError(f"datum {float(data[idx])!r} at index {where} is outside [0, 1]")
     return data
 
 
@@ -118,18 +119,21 @@ def _sorted_counts(ordered, k):
     return np.diff(below)
 
 
-def _log_betas(vectors):
-    """log B(v) = sum(gammaln(v)) - gammaln(sum(v)) of every 1-d array in
-    ``vectors``, from one ``gammaln`` pass over all of them; each sum is
-    taken over its own slice, so every value is the one-vector result.
+def _log_betas(arrays):
+    """log B(v) = sum(gammaln(v)) - gammaln(sum(v)) over the last axis of
+    every array in ``arrays``, all with the same leading shape, from one
+    ``gammaln`` pass over all of them; each sum is taken over its own row,
+    so every value is the one-vector result.  Shape (len(arrays),) plus
+    that leading shape.
 
     Only random k needs it, so ``scipy.special`` is imported on the first
     call: a fixed-k process loads no scipy module."""
     from scipy.special import gammaln
-    g = gammaln(np.concatenate(vectors))
-    bounds = np.cumsum([0] + [len(v) for v in vectors]).tolist()
-    return (np.array([g[i:j].sum() for i, j in zip(bounds, bounds[1:])])
-            - gammaln(np.array([v.sum() for v in vectors])))
+    g = gammaln(np.concatenate([np.ravel(v) for v in arrays]))
+    bounds = np.cumsum([0] + [np.size(v) for v in arrays]).tolist()
+    return (np.array([g[i:j].reshape(np.shape(v)).sum(axis=-1)
+                      for i, j, v in zip(bounds, bounds[1:], arrays)])
+            - gammaln(np.array([v.sum(axis=-1) for v in arrays])))
 
 
 @lru_cache(maxsize=16)
@@ -142,13 +146,19 @@ def _prior_log_betas(alpha, ks):
 
 
 def _normalized(logp):
-    """``logp`` minus its log-sum-exp.  As in ``scipy.special.logsumexp``,
-    the largest term is split out of the sum (log1p of the rest), so a
-    single term normalizes to exactly 0.0."""
-    top = int(np.argmax(logp))
-    rest = np.exp(logp - logp[top])
-    rest[top] = 0.0
-    return logp - (np.log1p(rest.sum()) + logp[top])
+    """``logp`` minus its log-sum-exp along the last axis.  As in
+    ``scipy.special.logsumexp``, the largest term is split out of the sum
+    (log1p of the rest), so a single term normalizes to exactly 0.0."""
+    top = np.argmax(logp, axis=-1)[..., None]
+    peak = np.take_along_axis(logp, top, axis=-1)
+    rest = np.exp(logp - peak)
+    np.put_along_axis(rest, top, 0.0, axis=-1)
+    return logp - (np.log1p(rest.sum(axis=-1, keepdims=True)) + peak)
+
+
+def _dirichlet_mean(params):
+    """Mean weights of Dirichlet(``params``), one row per leading index."""
+    return params / params.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -159,6 +169,11 @@ class RandomHistogramPosterior:
     ``dirichlet_params[i]`` the matching posterior Dirichlet parameters
     (prior alpha plus bin counts).  :meth:`draws` samples many histograms
     at once, grouped by bin count; :meth:`sample` is its one-draw case.
+
+    The update of D datasets at once (:func:`fit_posterior` of a (D, n)
+    matrix) puts a leading row axis on ``log_post_k`` and on every
+    ``dirichlet_params`` entry; :meth:`row` is the posterior of one dataset
+    and :meth:`eap_weights` serves every row, the other methods one.
     """
 
     k_support: np.ndarray
@@ -167,6 +182,19 @@ class RandomHistogramPosterior:
 
     def post_k(self):
         return np.exp(self.log_post_k)
+
+    def row(self, d):
+        """The posterior of dataset ``d`` of a row-wise update."""
+        return RandomHistogramPosterior(k_support=self.k_support,
+                                        log_post_k=self.log_post_k[d],
+                                        dirichlet_params=[p[d] for p in self.dirichlet_params])
+
+    def eap_weights(self):
+        """Cell weights on ``grid_edges(k)`` of the EAP density of a single-k
+        posterior, one row per dataset of a row-wise update: the weights
+        :meth:`eap` gives its histogram, as the histogram stores them."""
+        (params,) = self.dirichlet_params
+        return normalized_weights(_dirichlet_mean(params))
 
     @cached_property
     def _k_cdf(self):
@@ -220,8 +248,7 @@ class RandomHistogramPosterior:
         masses = self.post_k()
         active = np.flatnonzero(masses > 1e-12)
         if len(active) == 1:
-            p = self.dirichlet_params[active[0]]
-            return HistogramDensity(p / p.sum())
+            return HistogramDensity(_dirichlet_mean(self.dirichlet_params[active[0]]))
         w = masses[active] / masses[active].sum()
         grids = [grid_edges(int(k)) for k in self.k_support[active]]
         edges = np.unique(np.concatenate(grids))
@@ -242,20 +269,28 @@ def fit_posterior(data, prior=None):
     the posterior over k combines it with the prior k-masses (a single
     candidate takes all the mass), and the per-k weight posterior is
     Dirichlet(alpha + counts).
+
+    A (D, n) matrix ``data`` updates D datasets of n points each in one
+    pass: one sort, one ``gammaln`` pass over all rows and one row-wise
+    normalization, with a leading row axis on the result (see
+    :class:`RandomHistogramPosterior`).  A 1-d ``data`` is the one-row case.
     """
     prior = prior or HistogramPrior.fixed()
-    data = np.asarray(data, dtype=float)
-    n = len(data)
+    rows = _unit_data(data)
+    if rows.ndim == 1:
+        return fit_posterior(rows[None], prior).row(0)
+    n = rows.shape[1]
     if n < 1:
         raise ValueError("need at least one observation")
     prior.validate(n)
     ks = prior.k_values(n)
-    ordered = np.sort(_unit_data(data))
-    params = [prior.alpha + _sorted_counts(ordered, int(k)) for k in ks]
+    ordered = np.sort(rows, axis=1)
+    params = [prior.alpha + np.array([_sorted_counts(row, int(k)) for row in ordered])
+              for k in ks]
     if len(ks) == 1:
-        return RandomHistogramPosterior(k_support=ks, log_post_k=np.zeros(1),
+        return RandomHistogramPosterior(k_support=ks, log_post_k=np.zeros((len(rows), 1)),
                                         dirichlet_params=params)
-    log_marg = (np.array([n * math.log(k) for k in ks]) + _log_betas(params)
+    log_marg = ((np.array([n * math.log(k) for k in ks]) + _log_betas(params).T)
                 - _prior_log_betas(prior.alpha, tuple(ks.tolist())))
     return RandomHistogramPosterior(k_support=ks,
                                     log_post_k=_normalized(prior.log_prior_k(ks) + log_marg),

@@ -1,8 +1,9 @@
 """Numerical helpers that only the tests use: plain quadrature, central
 differences, the posterior-concentration radius, the root-n bin-count
 schedule, a Gaussian family with its sqrt-density Hessian, one on the
-quadrature histogram coefficient, a counter of closed-form histogram
-evaluations, the Nelder-Mead oracle of ``mhd``, uniform, mixture and
+quadrature histogram coefficient, the one-dataset-at-a-time oracle of
+``estimators._mhb_many``, a counter of closed-form histogram evaluations,
+the Nelder-Mead oracle of ``mhd``, uniform, mixture and
 windowed-callable densities, the projection of a density onto a histogram grid and the
 gross-error contamination model."""
 
@@ -16,6 +17,7 @@ from mhdbayes.densities import (
     GaussianFamily,
     HistogramDensity,
     ParametricFamily,
+    SupportTransform,
     _checked_values,
     _pdf_of,
     bin_index,
@@ -23,7 +25,7 @@ from mhdbayes.densities import (
     grid_edges,
 )
 from mhdbayes.numerics import composite_nodes, minimize
-from mhdbayes.posterior import DEFAULT_ALPHA, HistogramPrior
+from mhdbayes.posterior import DEFAULT_ALPHA, HistogramPrior, fit_posterior
 
 
 def _eval_checked(f, x):
@@ -121,6 +123,58 @@ class QuadratureGaussianFamily(GaussianFamily):
     histogram-coefficient hook."""
 
     histogram_bc = ParametricFamily.histogram_bc
+
+
+def _oracle_setup(data, prior, family, padding):
+    """The transform, posterior and unit family of one dataset, by the
+    checks and scalar range arithmetic of ``SupportTransform.from_data``."""
+    if not np.all(np.isfinite(data)):
+        raise ValueError("data contains non-finite values")
+    if len(data) < family.dim + 1:
+        raise ValueError(f"need at least {family.dim + 1} observations")
+    if not 0.0 <= padding < np.inf:
+        raise ValueError(f"padding must be a finite fraction >= 0, got {padding!r}")
+    lo, hi = float(data.min()), float(data.max())
+    if hi <= lo:
+        raise ValueError("data range is degenerate (all values equal)")
+    pad = padding * (hi - lo)
+    a, b = lo - pad, hi + pad
+    if not np.all(np.isfinite([a, b, b - a])):
+        raise ValueError(f"data range [{lo!r}, {hi!r}] padded by {padding!r} of its "
+                         "width on each side overflows float64")
+    transform = SupportTransform(a, b)
+    post = fit_posterior(transform.to_unit(data), prior)
+    return transform, post, family.unit_fit_family(transform)
+
+
+def mhb_many_oracle(datasets, prior, family, padding, start=None):
+    """``estimators._mhb_many`` one dataset at a time: each dataset gets its
+    own checks, transform, posterior update and EAP, and the EAPs sharing an
+    edge grid are fit as the rows of one ``mhd_rows`` call, in dataset
+    order.  Returns per dataset its estimate or why its fit failed."""
+    grids, transforms, fits = {}, [], []
+    for data in datasets:
+        try:
+            transform, post, fam_u = _oracle_setup(data, prior, family, padding)
+        except ValueError as exc:
+            fits.append(str(exc))
+            continue
+        g = post.eap()
+        theta0 = family.initial_theta(data) if start is None else start
+        grids.setdefault(g.edges.tobytes(), (g.edges, fam_u, []))[2].append(
+            (len(transforms), g.weights, family.theta_to_unit(theta0, transform),
+             functional._box(fam_u)))
+        fits.append(len(transforms))
+        transforms.append(transform)
+    theta, ok = np.empty((len(transforms), family.dim)), np.empty(len(transforms), dtype=bool)
+    for edges, fam_u, members in grids.values():
+        rows, weights, starts, boxes = (np.array(column) for column in zip(*members))
+        theta[rows], ok[rows] = functional.mhd_rows(weights, edges, fam_u, starts,
+                                                    *boxes.swapaxes(0, 1))
+    theta = [family.theta_from_unit(t, transform) for t, transform in zip(theta, transforms)]
+    return [fit if isinstance(fit, str) else theta[fit] if ok[fit] else
+            f"minimum-distance fit did not converge at theta={np.round(theta[fit], 4).tolist()}"
+            " (parameter bounds may exclude the minimizer)" for fit in fits]
 
 
 def count_histogram_bc_rows(monkeypatch):

@@ -27,8 +27,11 @@ from mhdbayes.densities import (
     ParametricFamily,
     SupportTransform,
     _normal_tail,
+    grid_edges,
+    grid_widths,
     hellinger,
     integration_edges,
+    padded_ranges,
     transform_density,
 )
 from mhdbayes.numerics import composite_nodes
@@ -70,6 +73,25 @@ class TestSupportTransform:
         with pytest.raises(ValueError, match=r"data range \[-1e\+308, 1e\+308\]"):
             SupportTransform.from_data([-1e308, 0.0, 1e308])
 
+    @pytest.mark.parametrize("padding", [0.0, 0.09, 0.3])
+    def test_row_ranges_are_each_rows_transform(self, padding):
+        # every row gets from_data's ends or its error message
+        rng = np.random.default_rng(4)
+        rows = rng.normal(3.0, 2.0, (6, 5))
+        rows[1] = 2.0
+        rows[2, :2] = -1e308, 1e308
+        rows[3, 4] = np.nan
+        rows[4, 0] = np.inf
+        a, b, reasons = padded_ranges(rows, padding)
+        for row, lo, hi, reason in zip(rows, a, b, reasons):
+            try:
+                t = SupportTransform.from_data(row, padding=padding)
+            except ValueError as exc:
+                assert reason == str(exc)
+            else:
+                assert reason is None and (t.a, t.b) == (lo, hi)
+        assert reasons[0] is None and reasons[5] is None and "degenerate" in reasons[1]
+
 
 class TestHistogramDensity:
     def test_uniform_weights(self):
@@ -86,6 +108,13 @@ class TestHistogramDensity:
         h = HistogramDensity([0.25, 0.75])
         assert h.pdf(np.array([0.5]))[0] == pytest.approx(1.5)  # second bin
         assert h.pdf(np.array([1.0]))[0] == pytest.approx(1.5)  # closure
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 40, 100])
+    def test_default_grid_heights_divide_by_the_cached_widths(self, k):
+        w = np.random.default_rng(k).gamma(1.0, size=k)
+        h = HistogramDensity(w / w.sum())
+        assert h.heights.tolist() == (h.weights / np.diff(grid_edges(k))).tolist()
+        assert grid_widths(k) is grid_widths(k) and not grid_widths(k).flags.writeable
 
     def test_zero_outside_unit_interval(self):
         h = HistogramDensity([1.0])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import QuadratureGaussianFamily, count_histogram_bc_rows
+from _helpers import QuadratureGaussianFamily, count_histogram_bc_rows, mhb_many_oracle
 import mhdbayes.estimators as estimators
 from mhdbayes.datasets import load_dataset
 from mhdbayes.densities import (GaussianFamily, HistogramDensity, ParametricFamily,
@@ -424,11 +424,54 @@ class TestBootstrapRows:
         # bad one is reported by its reason, and the good rows are fit as
         # they are without them
         good = [gaussian_data(120, s) for s in (1, 2)]
-        bad = [np.full(30, 7.0), np.array([1.0, np.nan, 2.0, 3.0])]
-        fits = estimators._mhb_many([good[0], bad[0], good[1], bad[1]], PRIOR_SMALL,
+        bad = [np.full(120, 7.0), gaussian_data(120, 3)]
+        bad[1][5] = np.nan
+        fits = estimators._mhb_many(np.array([good[0], bad[0], good[1], bad[1]]), PRIOR_SMALL,
                                     GaussianFamily(), estimators.DEFAULT_PADDING)
         assert "degenerate" in fits[1]
         assert fits[3] == "data contains non-finite values"
-        alone = estimators._mhb_many(good, PRIOR_SMALL, GaussianFamily(),
+        alone = estimators._mhb_many(np.array(good), PRIOR_SMALL, GaussianFamily(),
                                      estimators.DEFAULT_PADDING)
         assert np.array_equal(fits[0], alone[0]) and np.array_equal(fits[2], alone[1])
+
+    def test_prior_with_no_bin_count_fails_every_row(self):
+        # the row-wise update raises once; each row keeps the reason its own
+        # update gave
+        data = np.array([gaussian_data(60, s) for s in (1, 2)])
+        prior = HistogramPrior.poisson(k_max=0)
+        fits = estimators._mhb_many(data, prior, GaussianFamily(), estimators.DEFAULT_PADDING)
+        assert fits == mhb_many_oracle(data, prior, GaussianFamily(),
+                                       estimators.DEFAULT_PADDING)
+        assert fits == ["empty bin-count support"] * 2
+
+    @pytest.mark.filterwarnings("ignore:total prior mass")
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 6), n=st.integers(3, 90), seed=st.integers(0, 2 ** 32 - 1),
+           prior=st.sampled_from([PRIOR_SMALL, HistogramPrior.poisson(lam=5.0)]),
+           family=st.sampled_from([GaussianFamily(),
+                                   GaussianFamily(bounds=((-3.0, 3.0), (0.3, 4.0))),
+                                   QuadratureGaussianFamily()]),
+           warm=st.booleans(), bad=st.lists(st.sampled_from(["constant", "nan"]), max_size=2))
+    @example(d=3, n=3, seed=1, prior=PRIOR_SMALL, family=GaussianFamily(), warm=False,
+             bad=["constant", "nan"])
+    def test_matrix_setup_equals_the_per_dataset_oracle(self, d, n, seed, prior, family,
+                                                        warm, bad):
+        # heavy tails vary the random-k EAP edges from row to row; a bad
+        # row replaces a good one at a drawn position
+        rng = np.random.default_rng(seed)
+        data = rng.standard_t(3.0, (d, n)) * rng.uniform(0.5, 3.0, (d, 1))
+        for kind in bad:
+            r = int(rng.integers(d))
+            if kind == "constant":
+                data[r] = data[r, 0]
+            else:
+                data[r, rng.integers(n)] = np.nan
+        start = np.array([0.1, 1.2]) if warm else None
+        fits = estimators._mhb_many(data, prior, family, estimators.DEFAULT_PADDING, start)
+        expected = mhb_many_oracle(data, prior, family, estimators.DEFAULT_PADDING, start)
+        assert len(fits) == len(expected) == d
+        for fit, want in zip(fits, expected):
+            if isinstance(want, str):
+                assert fit == want
+            else:
+                assert not isinstance(fit, str) and np.array_equal(fit, want)

@@ -251,6 +251,26 @@ class TestFitPosterior:
                 expected = _normalized(prior.log_prior_k(post.k_support) + log_marg)
                 assert post.log_post_k.tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("prior", [HistogramPrior.fixed(30), HistogramPrior.poisson(lam=4.0)],
+                             ids=["fixed-k", "random-k"])
+    def test_one_dataset_is_its_row_of_a_two_row_update(self, prior):
+        rows = np.random.default_rng(5).beta(2.0, 5.0, (2, 200))
+        both = fit_posterior(rows, prior)
+        assert both.log_post_k.shape == (2, len(both.k_support))
+        for d, x in enumerate(rows):
+            one, row = fit_posterior(x, prior), both.row(d)
+            assert np.array_equal(one.k_support, row.k_support)
+            assert one.log_post_k.tolist() == row.log_post_k.tolist()
+            assert len(one.dirichlet_params) == len(row.dirichlet_params)
+            for p, q in zip(one.dirichlet_params, row.dirichlet_params):
+                assert p.tolist() == q.tolist()
+
+    def test_rows_name_the_datum_outside_the_unit_interval(self):
+        rows = np.full((2, 3), 0.5)
+        rows[1, 2] = 1.5
+        with pytest.raises(ValueError, match=r"^datum 1\.5 at index \(1, 2\) is outside"):
+            fit_posterior(rows, HistogramPrior.fixed(3))
+
     def test_batched_log_beta_equals_one_vector_log_beta(self):
         # one gammaln pass over all vectors, summed per slice, gives each
         # vector's own value bit for bit, at lengths that take numpy's
@@ -337,6 +357,18 @@ class TestSampling:
 
 
 class TestEapDensity:
+    def test_row_eap_weights_are_the_stored_eap_weights(self):
+        # the row-wise weights equal what each row's eap() histogram stores:
+        # the Dirichlet mean, renormalized on construction
+        rows = np.random.default_rng(8).beta(2.0, 5.0, (3, 150))
+        post = fit_posterior(rows, HistogramPrior.fixed(40))
+        weights = post.eap_weights()
+        assert weights.shape == (3, 40)
+        for d in range(3):
+            (p,) = post.row(d).dirichlet_params
+            assert weights[d].tolist() == HistogramDensity(p / p.sum()).weights.tolist()
+            assert weights[d].tolist() == post.row(d).eap().weights.tolist()
+
     def test_prior_mean_without_data_counts(self):
         post = RandomHistogramPosterior(
             k_support=np.array([2]), log_post_k=np.array([0.0]),
