@@ -277,8 +277,9 @@ def fit_posterior(data, prior=None):
     """
     prior = prior or HistogramPrior.fixed()
     rows = _unit_data(data)
-    if rows.ndim == 1:
-        return fit_posterior(rows[None], prior).row(0)
+    one = rows.ndim == 1
+    if one:
+        rows = rows[None]
     n = rows.shape[1]
     if n < 1:
         raise ValueError("need at least one observation")
@@ -288,10 +289,10 @@ def fit_posterior(data, prior=None):
     params = [prior.alpha + np.array([_sorted_counts(row, int(k)) for row in ordered])
               for k in ks]
     if len(ks) == 1:
-        return RandomHistogramPosterior(k_support=ks, log_post_k=np.zeros((len(rows), 1)),
-                                        dirichlet_params=params)
-    log_marg = ((np.array([n * math.log(k) for k in ks]) + _log_betas(params).T)
-                - _prior_log_betas(prior.alpha, tuple(ks.tolist())))
-    return RandomHistogramPosterior(k_support=ks,
-                                    log_post_k=_normalized(prior.log_prior_k(ks) + log_marg),
-                                    dirichlet_params=params)
+        log_post_k = np.zeros((len(rows), 1))
+    else:
+        log_marg = ((np.array([n * math.log(k) for k in ks]) + _log_betas(params).T)
+                    - _prior_log_betas(prior.alpha, tuple(ks.tolist())))
+        log_post_k = _normalized(prior.log_prior_k(ks) + log_marg)
+    post = RandomHistogramPosterior(k_support=ks, log_post_k=log_post_k, dirichlet_params=params)
+    return post.row(0) if one else post
