@@ -75,7 +75,8 @@ class TestSupportTransform:
 
     @pytest.mark.parametrize("padding", [0.0, 0.09, 0.3])
     def test_row_ranges_are_each_rows_transform(self, padding):
-        # every row gets from_data's ends or its error message
+        # each row of the matrix gets what it gets alone: from_data's ends or its
+        # error message
         rng = np.random.default_rng(4)
         rows = rng.normal(3.0, 2.0, (6, 5))
         rows[1] = 2.0
