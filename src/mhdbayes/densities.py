@@ -286,60 +286,49 @@ def _pdf_of(density):
 
 
 class ParametricFamily:
-    """A parametric density family with sqrt-density derivatives.
+    """A parametric density family: the hooks the fits call, declared here,
+    where they raise.
 
-    Subclasses supply ``pdf`` and ``sqrt_grad`` (d/dtheta of sqrt(pdf),
-    shape (n, p)), plus the sampling/initialization hooks used by the
-    estimators and studies, and ``sqrt_hess`` (second derivative, shape
-    (n, p, p)) only for the default :meth:`node_bc`, which
-    :class:`GaussianFamily` overrides.  The components of ``theta`` may
-    also be (D, 1) columns, one row per parameter value (the Newton solver
-    of ``mhd`` and ``mhd_rows`` relies on this); ``pdf``/``sqrt_pdf``,
-    ``sqrt_grad`` and ``sqrt_hess`` then gain a leading row axis and
-    return shapes (D, n), (D, n, p) and (D, n, p, p).  ``bounds`` is the
-    compact parameter box searched by the optimizer; a family without one,
-    or with a parameter left open, cannot be fit directly (the estimators
-    derive unit-scale bounds via :meth:`unit_fit_family`).
-
-    :meth:`node_bc` returns the node sums of quadrature weights times sqrt
-    g against ``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess``: the
-    Bhattacharyya coefficient of f_theta and g with its theta-gradient and
-    Hessian, the one evaluation a Newton trial of ``mhd`` makes.
-    :meth:`histogram_bc` returns the same three for a histogram g, the one
-    evaluation a Newton trial of ``mhd_rows`` makes.  Its default calls
-    :meth:`node_bc` on the nodes ``mhd`` takes for a histogram on the
-    edges, which depend on the edges alone (:func:`histogram_nodes`), so
-    the two fits agree bit for bit.  A family with a cheaper form of either
-    overrides it.
+    ``mhd`` calls :meth:`node_bc` and ``mhd_rows`` calls
+    :meth:`histogram_bc`, each at every Newton trial; the efficiency
+    quadratures call ``sqrt_grad`` (d/dtheta of sqrt(pdf), shape (n, p)),
+    and ``influence_function`` also :meth:`node_bc`.  The estimators and
+    studies call the sampling, starting-point and unit-scale hooks.  The
+    components of ``theta`` may also be (D, 1) columns, one row per
+    parameter value, as the Newton solver passes them; the evaluators then
+    gain a leading row axis.  ``bounds`` is the compact parameter box
+    searched by the optimizer; a family without one, or with a parameter
+    left open, cannot be fit directly (the estimators derive unit-scale
+    bounds via :meth:`unit_fit_family`).
     """
 
     dim = None
     bounds = None
 
     def pdf(self, theta, x):
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} does not declare pdf")
 
     def sqrt_pdf(self, theta, x):
-        return np.sqrt(self.pdf(theta, x))
+        raise NotImplementedError(f"{type(self).__name__} does not declare sqrt_pdf")
 
     def sqrt_grad(self, theta, x):
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} does not declare sqrt_grad")
 
+    # no fit calls it; it stays so that the benchmark's tracer, which wraps
+    # GaussianFamily.sqrt_hess by name, finds it through this class
     def sqrt_hess(self, theta, x):
         raise NotImplementedError
 
     def node_bc(self, theta, x, wg):
-        """Node sums of ``wg`` against ``sqrt_pdf``, ``sqrt_grad`` and
-        ``sqrt_hess`` at ``theta`` on the nodes ``x``.
+        """Node sums of ``wg`` against sqrt(f_theta) and its theta-gradient
+        and Hessian on the nodes ``x``.
 
         With ``wg`` the quadrature weights times the square root of a density
         g, these are the Bhattacharyya coefficient of f_theta and g and its
         theta-gradient and Hessian, shapes (), (p,) and (p, p).  A leading row
         axis of ``wg`` pairs each row with one row of (D, 1)-column thetas.
         """
-        return (np.einsum("...n,...n->...", wg, self.sqrt_pdf(theta, x)),
-                np.einsum("...n,...np->...p", wg, self.sqrt_grad(theta, x)),
-                np.einsum("...n,...npq->...pq", wg, self.sqrt_hess(theta, x)))
+        raise NotImplementedError(f"{type(self).__name__} does not declare node_bc")
 
     def histogram_bc(self, theta, edges, sqrt_heights):
         """Bhattacharyya coefficient of f_theta with a histogram on ``edges``.
@@ -349,13 +338,9 @@ class ParametricFamily:
         sum_j sqrt_heights[j] * m_j(theta), m_j the integral of
         sqrt(f_theta) over cell j, and its theta-gradient and Hessian,
         shapes (), (p,) and (p, p); (D, 1)-column thetas with one row of
-        ``sqrt_heights`` each add a leading row axis.  This default sums,
-        with :meth:`node_bc`, the nodes of :func:`histogram_nodes` on
-        ``edges``, the quadrature ``mhd`` uses, each node weighted by the
-        sqrt height of its cell.
+        ``sqrt_heights`` each add a leading row axis.
         """
-        x, w, cell = histogram_nodes(np.asarray(edges, dtype=float).tobytes())
-        return self.node_bc(theta, x, w * np.asarray(sqrt_heights, dtype=float)[..., cell])
+        raise NotImplementedError(f"{type(self).__name__} does not declare histogram_bc")
 
     def density(self, theta):
         return ParametricDensity(self, theta)
@@ -599,9 +584,8 @@ def histogram_nodes(edges):
     """Nodes and weights of the 8-point rule on ``_MIN_PANELS`` uniform panels
     over the span of a histogram's float64 ``edges`` bytes, refined at the
     edges, and each node's cell by :func:`bin_index`; every node lies inside
-    a cell.  The one quadrature of a histogram, for ``mhd``, the efficiency
-    quadratures and :meth:`ParametricFamily.histogram_bc`.  Built once per
-    grid and read-only."""
+    a cell.  The one quadrature of a histogram, for ``mhd`` and the
+    efficiency quadratures.  Built once per grid and read-only."""
     edges = np.frombuffer(edges)
     x, w = composite_nodes(integration_edges((edges[0], edges[-1]), (edges,)))
     cell = bin_index(edges, x)

@@ -212,9 +212,10 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     gross errors.  ``workers`` processes (0 = all cores) fit the
     replicates; the report does not depend on their number.  An empty
     ``z_grid`` or ``estimators``, a ``z_grid`` that is not finite and
-    strictly ascending, a name other than mhb, bmh and mle, or a ``theta``
-    without a finite mu and a finite sigma > 0 raises ``ValueError`` before
-    any replicate runs.
+    strictly ascending, a name other than mhb, bmh and mle, a ``theta``
+    without a finite mu and a finite sigma > 0, ``reps`` below 1, ``n``
+    below the family's dimension + 1, or ``n_samples_bmh`` below 100 with
+    bmh swept raises ``ValueError`` before any replicate runs.
     """
     z_grid = [float(z) for z in z_grid]
     if not (z_grid and np.all(np.isfinite(z_grid)) and np.all(np.diff(z_grid) > 0)):
@@ -234,6 +235,12 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
         raise ValueError("blip half-width epsilon must be positive")
     if workers < 0:
         raise ValueError(f"worker count must be >= 0, got {workers}")
+    if reps < 1:
+        raise ValueError(f"need at least 1 replicate, got reps={reps!r}")
+    if n < family.dim + 1:
+        raise ValueError(f"need at least {family.dim + 1} observations per replicate, got n={n!r}")
+    if "bmh" in estimators and n_samples_bmh < 100:
+        raise ValueError(f"posterior sampling needs n_samples_bmh >= 100, got {n_samples_bmh!r}")
     seed = _seed_of(rng)
     fit_rep = functools.partial(
         _robustness_rep, seed=seed, family=family, theta=theta, alpha=float(alpha),

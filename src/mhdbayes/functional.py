@@ -63,10 +63,8 @@ _SEED_CELLS = 100
 
 # Cap on rows x cells in one block of ``mhd_rows``; it bounds the
 # (rows, k + 1) edge temporaries of the closed-form ``histogram_bc``, and
-# with them peak memory, to a few MB.  The quadrature default's node
-# temporaries hold up to 8 (32 + k) nodes per row instead, about
-# 8 (32 + k) / (k + 1) times more (10.5 at k = 100).  Larger blocks pay the
-# per-call overhead of each Newton iteration fewer times.  BMH(2000) on
+# with them peak memory, to a few MB.  Larger blocks pay the per-call
+# overhead of each Newton iteration fewer times.  BMH(2000) on
 # Newcomb (fastest of 5 runs, 2-core x86-64 host) takes 57 ms at this size,
 # 66 ms at half of it and 53-54 ms at twice it, where its peak traced
 # allocation grows from 4.1 to 6.5 MiB (3.2 MiB at half).
@@ -76,10 +74,10 @@ ROW_BLOCK_ELEMENTS = 1 << 15
 def _prepared_nodes(g):
     """Quadrature nodes and weights over g's own window, and sqrt(g) at the
     nodes.  A histogram's heights are gathered at the node cells of
-    :func:`~mhdbayes.densities.histogram_nodes` over its edges, the nodes of
-    the ``histogram_bc`` quadrature default.  Any other g is integrated on
-    the panels of :func:`~mhdbayes.densities.integration_edges` over
-    ``g.support``; a g without one, such as a bare callable, is an error."""
+    :func:`~mhdbayes.densities.histogram_nodes` over its edges.  Any other g
+    is integrated on the panels of
+    :func:`~mhdbayes.densities.integration_edges` over ``g.support``; a g
+    without one, such as a bare callable, is an error."""
     if isinstance(g, HistogramDensity):
         x, w, cell = histogram_nodes(g.edges.tobytes())
         vals = g.heights[cell]

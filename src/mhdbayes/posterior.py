@@ -52,12 +52,12 @@ class HistogramPrior:
         if self.mode not in ("fixed", "poisson"):
             raise ValueError(f"unknown prior mode {self.mode!r}")
         # written so that a NaN alpha or rate fails too
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if self.mode == "fixed" and self.k < 1:
             raise ValueError("fixed bin count k must be positive")
-        if self.mode == "poisson" and not self.lam > 0:
-            raise ValueError("poisson rate must be positive")
+        if self.mode == "poisson" and not 0 < self.lam < math.inf:
+            raise ValueError(f"poisson rate must be positive and finite, got {self.lam!r}")
 
     @classmethod
     def fixed(cls, k=DEFAULT_FIXED_K, alpha=DEFAULT_ALPHA):

@@ -1,6 +1,7 @@
 """Numerical helpers that only the tests use: plain quadrature, central
 differences, the posterior-concentration radius, the root-n bin-count
-schedule, a Gaussian family with its sqrt-density Hessian, one on the
+schedule, the quadrature oracles of the ``node_bc`` and ``histogram_bc``
+family hooks, a Gaussian family with its sqrt-density Hessian, one on the
 quadrature histogram coefficient, the one-dataset-at-a-time oracle of
 ``estimators._mhb_many``, a counter of closed-form histogram evaluations,
 the Nelder-Mead oracle of ``mhd``, uniform, mixture and
@@ -16,13 +17,13 @@ from mhdbayes import functional
 from mhdbayes.densities import (
     GaussianFamily,
     HistogramDensity,
-    ParametricFamily,
     SupportTransform,
     _checked_values,
     _pdf_of,
     bin_index,
     breakpoints_of,
     grid_edges,
+    histogram_nodes,
 )
 from mhdbayes.numerics import composite_nodes, minimize
 from mhdbayes.posterior import DEFAULT_ALPHA, HistogramPrior, fit_posterior
@@ -94,9 +95,30 @@ def fixed_root_n(n, alpha=DEFAULT_ALPHA):
     return HistogramPrior.fixed(root_n_bin_count(n), alpha=alpha)
 
 
+def einsum_node_bc(family, theta, x, wg):
+    """The node sums of ``ParametricFamily.node_bc`` as three einsums of
+    ``wg`` against ``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess``: the oracle
+    of the one-pass ``GaussianFamily.node_bc``, and the ``node_bc`` of a test
+    family with no power sums of its own."""
+    return (np.einsum("...n,...n->...", wg, family.sqrt_pdf(theta, x)),
+            np.einsum("...n,...np->...p", wg, family.sqrt_grad(theta, x)),
+            np.einsum("...n,...npq->...pq", wg, family.sqrt_hess(theta, x)))
+
+
+def quadrature_histogram_bc(family, theta, edges, sqrt_heights):
+    """``ParametricFamily.histogram_bc`` by quadrature: the family's
+    ``node_bc`` summed over the nodes of ``histogram_nodes`` on ``edges``,
+    the nodes ``mhd`` takes for a histogram on them, each node weighted by
+    the sqrt height of its cell.  The oracle of the closed-form
+    ``GaussianFamily.histogram_bc``; a family with it fits a histogram by
+    ``mhd`` and by a one-row ``mhd_rows`` bit for bit alike."""
+    x, w, cell = histogram_nodes(np.asarray(edges, dtype=float).tobytes())
+    return family.node_bc(theta, x, w * np.asarray(sqrt_heights, dtype=float)[..., cell])
+
+
 class ReferenceGaussianFamily(GaussianFamily):
     """Gaussian family with its sqrt-density Hessian, the last input of the
-    three-pass ``ParametricFamily.node_bc`` default that the one-pass
+    three-einsum ``einsum_node_bc`` that the one-pass
     ``GaussianFamily.node_bc`` is checked against."""
 
     def sqrt_hess(self, theta, x):
@@ -119,10 +141,10 @@ class ReferenceGaussianFamily(GaussianFamily):
 
 
 class QuadratureGaussianFamily(GaussianFamily):
-    """Gaussian family left on the quadrature default of the
-    histogram-coefficient hook."""
+    """Gaussian family whose histogram coefficient is the quadrature
+    ``quadrature_histogram_bc``."""
 
-    histogram_bc = ParametricFamily.histogram_bc
+    histogram_bc = quadrature_histogram_bc
 
 
 def _oracle_setup(data, prior, family, padding):

@@ -83,6 +83,16 @@ def forbidden(*args, **kwargs):
     raise AssertionError("computation started before the config was checked")
 
 
+def _no_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+def strict_json(text):
+    """A report parsed as strict JSON: NaN and Infinity, which
+    ``json.dumps`` writes by default, are refused."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 class TestConfig:
     def test_round_trip_is_idempotent(self):
         args = build_parser().parse_args(
@@ -304,7 +314,7 @@ class TestRunFit:
     def test_mhb_fit_writes_report(self, tmp_path, capsys):
         argv, out = fit_args(tmp_path)
         assert main(argv) == 0
-        report = json.loads(out.read_text())
+        report = strict_json(out.read_text())
         assert report["schema_version"] == 1
         assert report["config"]["seed"] == 7
         theta = report["results"]["mhb"]["theta_hat"]
@@ -505,6 +515,11 @@ class TestRunStudiesAndDump:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "index,mu,sigma"
         assert len(lines) == 101
+        # the JSON report of the same run holds the same draws
+        json_out = tmp_path / "samples.json"
+        assert main(argv[:-4] + ["--out", str(json_out)]) == 0
+        rows = strict_json(json_out.read_text())["results"]["theta_samples"]
+        assert [f"{r['index']},{r['mu']!r},{r['sigma']!r}" for r in rows] == lines[1:]
 
     def test_robustness_study_csv(self, tmp_path):
         out = tmp_path / "rob.csv"
@@ -547,7 +562,7 @@ class TestRunStudiesAndDump:
                 "--prior-mode", "random", "--lambda", "8", "--alpha", "0.5",
                 "--out", str(out)]
         assert main(argv) == 0
-        report = json.loads(out.read_text())
+        report = strict_json(out.read_text())
         assert report["config"]["prior"] == {"mode": "random", "lambda": 8.0, "alpha": 0.5}
         study = efficiency_study(n=200, reps=100, rng=4,
                                  prior=HistogramPrior.poisson(8.0, alpha=0.5))
@@ -571,7 +586,8 @@ class TestRunStudiesAndDump:
         argv = ["robustness", "--reps", "2", "--n", "120", "--z-grid", "10,30",
                 "--estimators", "mhb,mle", "--seed", "5", "--k", "30", "--out", str(out)]
         assert main(argv) == 0
-        results = json.loads(out.read_text())["results"]
+        # cells with no estimate are null, not NaN
+        results = strict_json(out.read_text())["results"]
         far = [row for row in results["rows"] if row["z"] == 30.0 and row["estimator"] == "mhb"]
         assert far == [{"rep": r, "z": 30.0, "estimator": "mhb",
                         "error": "minimum-distance fit did not converge"} for r in range(2)]
@@ -588,6 +604,6 @@ class TestRunStudiesAndDump:
         argv = ["bvm", "--data", str(p), "--n-samples", "150", "--seed", "2",
                 "--k", "40"]
         assert main(argv) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert report["results"]["study"] == "bvm"
         assert len(report["results"]["rows"]) == 2

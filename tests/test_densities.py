@@ -15,6 +15,7 @@ from _helpers import (
     QuadratureGaussianFamily,
     ReferenceGaussianFamily,
     UniformDensity,
+    einsum_node_bc,
     finite_diff_grad,
     integrate_over_cells,
     project_to_histogram,
@@ -517,14 +518,14 @@ def mhd_nodes(g):
 
 
 class TestNodeBc:
-    """The Gaussian one-pass node sums against the default's sums of
+    """The Gaussian one-pass node sums against ``einsum_node_bc``'s sums of
     ``sqrt_pdf``, ``sqrt_grad`` and ``sqrt_hess``."""
 
     fam = ReferenceGaussianFamily()
 
     def assert_matches_default(self, theta, x, wg):
         # 1e-12 relative, with a floor of 1e-12 times the sum of the
-        # absolute node terms, the scale of the default's own rounding.
+        # absolute node terms, the scale of the oracle's own rounding.
         #
         # Each scale also gets an absolute floor of 2^-1074 sum_n |P_n| over
         # the nodes with s = sqrt_pdf > 0, P_n being the node's factor
@@ -532,7 +533,7 @@ class TestNodeBc:
         # 2^-1022 doubles are spaced 2^-1074 apart, so a subnormal product
         # rounds with an absolute error of up to 2^-1075 however small it
         # is, and the two evaluations round different ones: wg s here,
-        # s u / (2 sigma) and the like in the default.  The one-pass sums
+        # s u / (2 sigma) and the like in the oracle.  The one-pass sums
         # carry the error of wg s through the power sums' factors, which
         # match |P_n| up to a factor 1 + 16 / u^2, and wg s is subnormal
         # only far out (|u| > 50 for the |wg| ~ 1e-3 of mhd's nodes).  The
@@ -540,7 +541,7 @@ class TestNodeBc:
         # about |P_n| / |u|.  So a node moves the gap by a little over
         # 2^-1075 |P_n|, and the floor allows twice that.
         one_pass = self.fam.node_bc(theta, x, wg)
-        default = ParametricFamily.node_bc(self.fam, theta, x, wg)
+        default = einsum_node_bc(self.fam, theta, x, wg)
         s = self.fam.sqrt_pdf(theta, x)
         grad, hess = self.fam.sqrt_grad(theta, x), self.fam.sqrt_hess(theta, x)
         scales = (np.einsum("...n,...n->...", np.abs(wg), s),
@@ -653,7 +654,7 @@ def quad_cells(f, edges):
 
 
 class TestCellSqrtMasses:
-    """The Gaussian closed form against the quadrature default and adaptive
+    """The Gaussian closed form against the quadrature oracle and adaptive
     quadrature in the far tails."""
 
     fam = GaussianFamily()
@@ -667,7 +668,7 @@ class TestCellSqrtMasses:
         # sigma spans at least 4 of the 32 uniform panels on [0, 1]
         edges = np.concatenate([[0.0], np.sort(cuts), [1.0]])
         closed = self.fam.cell_sqrt_masses((mu, sg), edges)
-        # one unit sqrt height per cell: the quadrature default's cell masses
+        # one unit sqrt height per cell: the quadrature oracle's cell masses
         quad = QuadratureGaussianFamily().histogram_bc((mu, sg), edges,
                                                        np.eye(len(edges) - 1))[0]
         assert closed.shape == quad.shape
@@ -702,7 +703,7 @@ class TestCellSqrtMasses:
 
 class TestHistogramBc:
     """The Bhattacharyya coefficient of f_theta with a histogram and its
-    derivatives: the Gaussian closed form against the quadrature default,
+    derivatives: the Gaussian closed form against the quadrature oracle,
     finite differences and adaptive quadrature in the far tails."""
 
     fam = GaussianFamily()

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import QuadratureGaussianFamily, count_histogram_bc_rows, mhb_many_oracle
+from _helpers import (
+    QuadratureGaussianFamily,
+    count_histogram_bc_rows,
+    mhb_many_oracle,
+    quadrature_histogram_bc,
+)
 import mhdbayes.estimators as estimators
 from mhdbayes.datasets import load_dataset
-from mhdbayes.densities import (GaussianFamily, HistogramDensity, ParametricFamily,
-                                SupportTransform)
+from mhdbayes.densities import GaussianFamily, HistogramDensity, SupportTransform
 from mhdbayes.estimators import bmh_fit, mhb_bootstrap_se, mhb_fit
 from mhdbayes.functional import _box, mhd, mhd_rows
 from mhdbayes.posterior import HistogramPrior, fit_posterior
@@ -108,7 +112,7 @@ class TestBootstrap:
 
         def counting(self, *args):
             calls.append(1)
-            return ParametricFamily.histogram_bc(self, *args)
+            return quadrature_histogram_bc(self, *args)
 
         monkeypatch.setattr(QuadratureGaussianFamily, "histogram_bc", counting)
         mhb_bootstrap_se(load_dataset("bundled:newcomb").values, n_boot=50, rng=31,

@@ -165,6 +165,27 @@ class TestRobustnessSweep:
         with pytest.raises(ValueError, match=message):
             robustness_sweep(alpha=alpha, epsilon=epsilon, reps=1, rng=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(reps=0), r"need at least 1 replicate, got reps=0"),
+        (dict(n=0, estimators=("mle",)), r"observations per replicate, got n=0"),
+        (dict(n=1, estimators=("mle",)), r"need at least 3 observations per replicate, got n=1"),
+        (dict(n_samples_bmh=99), r"needs n_samples_bmh >= 100, got 99"),
+    ], ids=["no-replicate", "empty-sample", "one-point-sample", "few-bmh-draws"])
+    def test_sizes_the_schema_rejects_fail_before_any_fit(self, kwargs, message,
+                                                          monkeypatch):
+        # reps=0 gave a report of None cells, n=0 NaN medians, n=1 a passing
+        # study whose lone point is the blip, and 99 draws a BMH error row
+        # in every cell
+        from mhdbayes import experiments
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replicate ran before the sizes were checked")
+
+        monkeypatch.setattr(experiments, "_map_tasks", forbidden)
+        monkeypatch.setattr(experiments, "_robustness_rep", forbidden)
+        with pytest.raises(ValueError, match=message):
+            robustness_sweep(**{"reps": 1, "rng": 0, **kwargs})
+
     def test_includes_bmh_when_requested(self):
         report = robustness_sweep(theta=(0.0, 1.0), alpha=0.1, z_grid=(20.0,),
                                   n=120, reps=1, rng=3, prior=PRIOR_SMALL,

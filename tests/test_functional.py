@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from _helpers import (
     QuadratureGaussianFamily,
     WindowedDensity,
+    einsum_node_bc,
     nelder_mead_mhd,
     project_to_histogram,
+    quadrature_histogram_bc,
 )
 from mhdbayes import functional, numerics
 from mhdbayes.densities import (
@@ -36,9 +38,12 @@ _SQRT2PI = math.sqrt(2 * math.pi)
 
 
 class GaussianLocationFamily(ParametricFamily):
-    """Location-only normal with known scale; exercises the p=1 machinery."""
+    """Location-only normal with known scale; exercises the p=1 machinery
+    on the quadrature oracles of the coefficient hooks."""
 
     dim = 1
+    node_bc = einsum_node_bc
+    histogram_bc = quadrature_histogram_bc
 
     def __init__(self, sigma=1.0, bounds=((-5.0, 5.0),)):
         self.sigma = sigma
@@ -67,11 +72,11 @@ class GaussianLocationFamily(ParametricFamily):
         return (theta[0] - 10.0 * self.sigma, theta[0] + 10.0 * self.sigma)
 
 
-class PdfOnlyLocationFamily(GaussianLocationFamily):
-    """``GaussianLocationFamily`` on the default sqrt_pdf, the square root of
-    its pdf."""
+class BoxOnlyFamily(ParametricFamily):
+    """A one-parameter family that declares its box and no evaluator."""
 
-    sqrt_pdf = ParametricFamily.sqrt_pdf
+    dim = 1
+    bounds = ((0.0, 1.0),)
 
 
 class TruncatedUnitGaussian:
@@ -205,16 +210,17 @@ class TestMhd:
         assert res.converged
         assert res.theta_hat == pytest.approx([0.3], abs=1e-6)
 
-    def test_family_with_only_a_pdf_takes_its_square_root(self):
-        # the ParametricFamily.sqrt_pdf default, for a family that does not
-        # give its own: within rounding of the closed form, and it fits
-        fam, pdf_only = GaussianLocationFamily(), PdfOnlyLocationFamily()
-        x = np.linspace(-3.0, 3.0, 13)
-        assert np.allclose(pdf_only.sqrt_pdf((0.3,), x), fam.sqrt_pdf((0.3,), x),
-                           rtol=1e-14, atol=0.0)
-        res = mhd(fam.density((0.3,)), pdf_only, x0=(-1.0,))
-        assert res.converged
-        assert res.theta_hat == pytest.approx([0.3], abs=1e-6)
+    @pytest.mark.parametrize("fit, hook", [
+        (lambda g, fam: mhd(g, fam, (0.5,)), "node_bc"),
+        (lambda g, fam: mhd_rows(g.weights[None], g.edges, fam, (0.5,),
+                                 *functional._box(fam)), "histogram_bc"),
+    ], ids=["mhd", "mhd_rows"])
+    def test_family_without_the_hook_is_refused_by_name(self, fit, hook):
+        # ParametricFamily declares the coefficient hooks and evaluates none
+        g = HistogramDensity(np.full(10, 0.1))
+        with pytest.raises(NotImplementedError,
+                           match=rf"^BoxOnlyFamily does not declare {hook}$"):
+            fit(g, BoxOnlyFamily())
 
     def test_negative_density_names_a_plain_abscissa(self):
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
@@ -606,7 +612,7 @@ def one_quadrature_histogram(grid):
 
 class TestOneHistogramQuadrature:
     """``mhd`` and ``mhd_rows`` integrate a histogram on the same nodes, with
-    the same cell heights, when the family has no closed form."""
+    the same cell heights, for a family on ``quadrature_histogram_bc``."""
 
     @pytest.mark.parametrize("grid", list(ONE_QUADRATURE_EDGES))
     def test_quadrature_default_is_node_bc_on_mhd_nodes(self, grid):

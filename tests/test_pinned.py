@@ -44,7 +44,7 @@ def compute():
     random_k_se = mhb_bootstrap_se(spread, prior=poisson, n_boot=50, rng=31)
     random_k_bmh = bmh_fit(np.random.default_rng(27).normal(0, 1, 150), prior=poisson,
                            n_samples=300, rng=7)
-    # the quadrature default of histogram_bc, which no closed-form pin reaches
+    # the quadrature oracle of histogram_bc, which no closed-form pin reaches
     quadrature_se = mhb_bootstrap_se(newcomb, n_boot=50, rng=31,
                                      family=QuadratureGaussianFamily())
     return {

@@ -146,8 +146,21 @@ class TestHistogramPrior:
         (lambda: HistogramPrior.poisson(lam=-2.0), "poisson rate must be positive"),
         (lambda: HistogramPrior.fixed(alpha=np.nan), "alpha must be positive"),
         (lambda: HistogramPrior.poisson(lam=np.nan), "poisson rate must be positive"),
+        # an infinite alpha or rate would fail only later, in the fit
+        (lambda: HistogramPrior.fixed(alpha=np.inf), "alpha must be positive and finite, got inf"),
+        (lambda: HistogramPrior.poisson(alpha=np.inf),
+         "alpha must be positive and finite, got inf"),
+        (lambda: HistogramPrior(alpha=np.inf), "alpha must be positive and finite, got inf"),
+        (lambda: HistogramPrior(mode="poisson", alpha=np.inf),
+         "alpha must be positive and finite, got inf"),
+        (lambda: HistogramPrior.poisson(lam=np.inf),
+         "poisson rate must be positive and finite, got inf"),
+        (lambda: HistogramPrior(mode="poisson", lam=np.inf),
+         "poisson rate must be positive and finite, got inf"),
     ], ids=["fixed-alpha", "poisson-alpha", "fixed-k", "lam-zero", "lam-negative",
-            "alpha-nan", "lam-nan"])
+            "alpha-nan", "lam-nan", "fixed-alpha-inf", "poisson-alpha-inf",
+            "constructor-fixed-alpha-inf", "constructor-poisson-alpha-inf", "lam-inf",
+            "constructor-lam-inf"])
     def test_parameters_are_checked(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
