@@ -374,7 +374,10 @@ def _emit(config, results, study):
             "config": config,
             "results": results,
         }
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        try:
+            payload = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:   # strict JSON has no NaN or infinite number
+            raise FloatingPointError("the report holds a NaN or infinite number") from None
     if config["out"]:
         with open(config["out"], "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
@@ -391,7 +394,7 @@ def run(config):
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import composite_nodes
+from .numerics import composite_nodes, overflow_safe
 
 # Fraction of the data range added on each side when mapping data to [0, 1].
 # Calibrated on the bundled light-speed data; see the package README.
@@ -296,10 +296,10 @@ class ParametricFamily:
     studies call the sampling, starting-point and unit-scale hooks.  The
     components of ``theta`` may also be (D, 1) columns, one row per
     parameter value, as the Newton solver passes them; the evaluators then
-    gain a leading row axis.  ``bounds`` is the compact parameter box
-    searched by the optimizer; a family without one, or with a parameter
-    left open, cannot be fit directly (the estimators derive unit-scale
-    bounds via :meth:`unit_fit_family`).
+    gain a leading row axis.  ``bounds`` is the data-scale parameter box,
+    one (lo, hi) pair or None (an open parameter) per component, or None
+    when every component is open.  The fits read no family's bounds: they
+    take the unit-scale box of :meth:`unit_box` as an argument.
     """
 
     dim = None
@@ -371,10 +371,17 @@ class ParametricFamily:
         raise NotImplementedError(
             f"{type(self).__name__} does not declare a unit-scale parameter map")
 
-    def unit_fit_family(self, transform):
-        """Family instance whose parameter box is suited to unit-scale fits."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not declare a unit-scale parameter map")
+    def unit_box(self, transform):
+        """The parameter box of a unit-scale fit as (lower, upper) bounds,
+        shape (2, p): ``bounds`` mapped through ``transform``."""
+        raise NotImplementedError(f"{type(self).__name__} does not declare unit_box")
+
+
+def _moments(data):
+    """Mean and standard deviation of the float array ``data`` from exactly
+    rounded sums, so they do not depend on data order."""
+    mean = math.fsum(data.tolist()) / len(data)
+    return mean, math.sqrt(math.fsum(((data - mean) ** 2).tolist()) / len(data))
 
 
 # Unit-scale search box used when the family leaves bounds open: location
@@ -536,10 +543,7 @@ class GaussianFamily(ParametricFamily):
         return np.array([data.mean(), data.std()])
 
     def initial_theta(self, data):
-        # exactly rounded sums, so the start does not depend on data order
-        data = np.asarray(data, dtype=float)
-        mean = math.fsum(data.tolist()) / len(data)
-        sd = math.sqrt(math.fsum(((data - mean) ** 2).tolist()) / len(data))
+        mean, sd = overflow_safe(_moments, np.asarray(data, dtype=float))
         return np.array([mean, sd if sd > 0 else 1.0])
 
     def theta_to_unit(self, theta, transform):
@@ -550,14 +554,14 @@ class GaussianFamily(ParametricFamily):
         mu, sg = theta
         return np.array([transform.a + transform.width * mu, transform.width * sg])
 
-    def unit_fit_family(self, transform):
-        """The unit-scale image of ``bounds``; an open parameter gets its
-        ``_UNIT_BOUNDS`` box."""
+    def unit_box(self, transform):
+        """The unit-scale image of ``bounds``, sigma floored at 1e-12; an
+        open parameter gets its ``_UNIT_BOUNDS`` pair."""
         mu_b, sg_b = self.bounds or (None, None)
         w, a = transform.width, transform.a
-        return type(self)(bounds=(
+        return np.array([
             _UNIT_BOUNDS[0] if mu_b is None else ((mu_b[0] - a) / w, (mu_b[1] - a) / w),
-            _UNIT_BOUNDS[1] if sg_b is None else (max(sg_b[0] / w, 1e-12), sg_b[1] / w)))
+            _UNIT_BOUNDS[1] if sg_b is None else (max(sg_b[0] / w, 1e-12), sg_b[1] / w)]).T
 
 
 def integration_edges(support, densities=()):

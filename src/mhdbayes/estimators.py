@@ -25,7 +25,8 @@ from .densities import (
     grid_edges,
     padded_ranges,
 )
-from .functional import MhdResult, _box, mhd, mhd_rows
+from .functional import MhdResult, mhd, mhd_rows
+from .numerics import overflow_safe
 from .posterior import HistogramPrior, fit_posterior
 
 # Largest fractions of failed bootstrap refits and of failed BMH per-draw
@@ -107,14 +108,17 @@ def _transforms(data, family, padding):
 
 
 def _setup(data, prior, family, padding):
-    """Support transform, posterior and unit family of the float array ``data``."""
+    """Support transform, posterior, unit-scale box and T(EAP) fit of the
+    float array ``data``, the fit from the moment start."""
     if data.ndim != 1:
         raise ValueError("data must be a 1-d array")
     (transform,), (reason,) = _transforms(data[None], family, padding)
     if reason:
         raise ValueError(reason)
     post = fit_posterior(transform.to_unit(data), prior)
-    return transform, post, family.unit_fit_family(transform)
+    box = family.unit_box(transform)
+    x0 = family.theta_to_unit(family.initial_theta(data), transform)
+    return transform, post, box, mhd(post.eap(), family, x0, *box)
 
 
 def _mhb_many(data, prior, family, padding, start=None):
@@ -143,10 +147,9 @@ def _mhb_many(data, prior, family, padding, start=None):
                              prior)
     except ValueError as exc:   # a prior with no bin count for n points fails every row
         return [str(exc) if fit is None else fit for fit in fits]
-    fams = [family.unit_fit_family(t) for t in transforms]
     starts = np.array([family.theta_to_unit(family.initial_theta(data[r]) if start is None
                                             else start, t) for r, t in zip(rows, transforms)])
-    boxes = np.array([_box(fam_u) for fam_u in fams])
+    boxes = np.array([family.unit_box(t) for t in transforms])
     if len(post.k_support) == 1:
         groups = [(grid_edges(int(post.k_support[0])), post.eap_weights(), np.arange(len(rows)))]
     else:
@@ -157,8 +160,8 @@ def _mhb_many(data, prior, family, padding, start=None):
                   for m in members.values()]
     theta, ok = np.empty((len(rows), family.dim)), np.empty(len(rows), dtype=bool)
     for edges, weights, members in groups:
-        theta[members], ok[members] = mhd_rows(weights, edges, fams[members[0]],
-                                               starts[members], *boxes[members].swapaxes(0, 1))
+        theta[members], ok[members] = mhd_rows(weights, edges, family, starts[members],
+                                               *boxes[members].swapaxes(0, 1))
     for i, (r, t) in enumerate(zip(rows, transforms)):
         fit = family.theta_from_unit(theta[i], t)
         fits[r] = fit if ok[i] else (
@@ -173,9 +176,7 @@ def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
     data = np.asarray(data, dtype=float)
-    transform, post, fam_u = _setup(data, prior, family, padding)
-    x0 = family.theta_to_unit(family.initial_theta(data), transform)
-    meta = mhd(post.eap(), fam_u, x0)
+    transform, _, _, meta = _setup(data, prior, family, padding)
     theta = family.theta_from_unit(meta.theta_hat, transform)
     if not meta.converged:
         raise RuntimeError(
@@ -220,7 +221,7 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     budget = _BOOT_FAILURE_RATE * n_boot
     if n_boot - len(estimates) > budget:
         raise RuntimeError(f"more than {int(budget)} of {int(n_boot)} bootstrap refits failed")
-    return np.std(estimates, axis=0, ddof=1)
+    return overflow_safe(lambda s: s.std(axis=0, ddof=1), np.array(estimates))
 
 
 def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
@@ -248,23 +249,22 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     rng = np.random.default_rng(rng)
 
     data = np.asarray(data, dtype=float)
-    transform, post, fam_u = _setup(data, prior, family, padding)
-    x0 = family.theta_to_unit(family.initial_theta(data), transform)
-    anchor = mhd(post.eap(), fam_u, x0)
+    transform, post, box, anchor = _setup(data, prior, family, padding)
     samples, ok = np.empty((int(n_samples), family.dim)), np.empty(int(n_samples), dtype=bool)
     for i, rows, weights in post.draws(rng, int(n_samples)):
-        samples[rows], ok[rows] = mhd_rows(weights, grid_edges(int(post.k_support[i])), fam_u,
-                                           anchor.theta_hat, *_box(fam_u))
+        samples[rows], ok[rows] = mhd_rows(weights, grid_edges(int(post.k_support[i])), family,
+                                           anchor.theta_hat, *box)
     samples = family.theta_from_unit(samples.T, transform).T
     failures, budget = int(n_samples - ok.sum()), _BMH_FAILURE_RATE * n_samples
     if failures > budget:
         raise RuntimeError(f"more than {int(budget)} of {int(n_samples)} "
                            "per-sample minimizations failed to converge")
     samples = samples[ok]
+    eap = overflow_safe(lambda s: s.mean(axis=0), samples)
+    post_sd = overflow_safe(lambda s: s.std(axis=0, ddof=1), samples)
     intervals = {}
     for level in levels:
         tail = (1.0 - level) / 2.0
         intervals[level] = np.quantile(samples, [tail, 1.0 - tail], axis=0).T
-    return BmhPosterior(theta_samples=samples, eap=samples.mean(axis=0),
-                        post_sd=samples.std(axis=0, ddof=1), intervals=intervals,
+    return BmhPosterior(theta_samples=samples, eap=eap, post_sd=post_sd, intervals=intervals,
                         n_failed=failures, mhd_meta=anchor, transform=transform)

@@ -24,7 +24,7 @@ import numpy as np
 from .densities import DEFAULT_PADDING, GaussianFamily, _normal_tail
 from .estimators import _mhb_many, bmh_fit, mhb_fit
 from .functional import asymptotic_variance, fisher_information
-from .numerics import worker_rng
+from .numerics import overflow_safe, worker_rng
 from .posterior import HistogramPrior
 
 # Pass bands of the study checks: the efficiency study's MHB variance over
@@ -108,6 +108,14 @@ def _true_theta(theta):
     return theta
 
 
+def _non_finite(name, theta):
+    """Why the estimate ``theta`` of estimator ``name`` cannot be reported,
+    or None: a NaN or infinite entry."""
+    if not np.all(np.isfinite(theta)):
+        return f"{name} estimate {[float(v) for v in theta]} is not finite"
+    return None
+
+
 def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
                      prior=None, padding=DEFAULT_PADDING):
     """Sampling-variance check of MHB against the inverse Fisher information.
@@ -118,14 +126,18 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     row-wise check, transform and posterior update, see ``_mhb_many``);
     each gets its own EAP and unit-scale box, and is fit from its moment
     start as a row of one ``mhd_rows`` call per EAP edge grid (one call
-    for a fixed-k prior); a failed fit is an ``error`` row.  Compares the empirical
-    variance of sqrt(n) (theta_hat - theta0) with the Cramer-Rao diagonal.
-    A ``theta0`` without a finite mu and a finite sigma > 0 raises
+    for a fixed-k prior).  A failed MHB fit, or else a NaN or infinite
+    estimate, is the row's ``error`` and leaves that estimate out of the
+    row.  Compares the empirical variance of sqrt(n) (theta_hat - theta0)
+    with the Cramer-Rao diagonal.  A ``theta0`` without a finite mu and a
+    finite sigma > 0, or ``n`` below the family's dimension + 1, raises
     ``ValueError`` before any replicate runs.
     """
     if reps < 100:
         raise ValueError("efficiency study needs reps >= 100")
     family = family or GaussianFamily()
+    if n < family.dim + 1:
+        raise ValueError(f"need at least {family.dim + 1} observations per replicate, got n={n!r}")
     prior = prior or HistogramPrior.fixed()
     seed = _seed_of(rng)
     theta0 = _true_theta(theta0)
@@ -135,11 +147,12 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     for rep, (data, fit) in enumerate(zip(datasets, _mhb_many(datasets, prior, family,
                                                                padding))):
         row = {"rep": rep, "n": int(n)}
-        if isinstance(fit, str):
-            row["error"] = fit
-        else:
-            row["mhb"] = [float(v) for v in fit]
-        row["mle"] = [float(v) for v in family.mle(data)]
+        for est, theta in (("mhb", fit), ("mle", family.mle(data))):
+            error = theta if isinstance(theta, str) else _non_finite(est, theta)
+            if error is None:
+                row[est] = [float(v) for v in theta]
+            else:
+                row.setdefault("error", error)
         rows.append(row)
 
     target = np.diag(np.linalg.inv(fisher_information(family, theta0)))
@@ -149,14 +162,14 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     for est in ("mhb", "mle"):
         thetas = np.asarray([row[est] for row in rows if est in row])
         summary[f"{est}_failures"] = int(reps - len(thetas))
-        if not len(thetas):
+        if len(thetas) < 2:   # no sample variance
             continue
         zscores = math.sqrt(n) * (thetas - theta0)
         var = zscores.var(axis=0, ddof=1)
         summary[f"{est}_var"] = [float(v) for v in var]
         summary[f"{est}_var_ratio"] = [float(v) for v in var / target]
         summary[f"{est}_mean"] = [float(v) for v in thetas.mean(axis=0)]
-    # with no MHB fit at all every ratio check fails
+    # with fewer than two MHB fits every ratio check fails
     ratios = summary.get("mhb_var_ratio")
     for i in range(len(theta0)):
         checks[f"mhb_var_ratio_{i}_in_band"] = (ratios is not None
@@ -192,8 +205,12 @@ def _robustness_rep(rep, seed, family, theta, alpha, z_grid, n, epsilon, prior,
                     theta_hat = fit.eap
                 else:   # "mle"
                     theta_hat = family.mle(data)
+                error = abs(float(theta_hat[0]) - float(theta[0]))
+                reason = _non_finite(est, theta_hat)
+                if reason or not math.isfinite(error):
+                    raise ValueError(reason or f"{est} location error {error!r} is not finite")
                 row["theta_hat"] = [float(v) for v in theta_hat]
-                row["abs_location_error"] = float(abs(theta_hat[0] - theta[0]))
+                row["abs_location_error"] = error
             except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
                 row["error"] = str(exc)
             rows.append(row)
@@ -213,9 +230,11 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     replicates; the report does not depend on their number.  An empty
     ``z_grid`` or ``estimators``, a ``z_grid`` that is not finite and
     strictly ascending, a name other than mhb, bmh and mle, a ``theta``
-    without a finite mu and a finite sigma > 0, ``reps`` below 1, ``n``
-    below the family's dimension + 1, or ``n_samples_bmh`` below 100 with
-    bmh swept raises ``ValueError`` before any replicate runs.
+    without a finite mu and a finite sigma > 0, an ``epsilon`` that is not
+    positive and finite, ``reps`` below 1, ``n`` below the family's
+    dimension + 1, or ``n_samples_bmh`` below 100 with bmh swept raises
+    ``ValueError`` before any replicate runs.  A fit that fails, or a NaN
+    or infinite estimate or location error, is its row's ``error``.
     """
     z_grid = [float(z) for z in z_grid]
     if not (z_grid and np.all(np.isfinite(z_grid)) and np.all(np.diff(z_grid) > 0)):
@@ -231,8 +250,8 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
         epsilon = 0.01 * float(theta[1])
     if not (0.0 <= alpha < 1.0):
         raise ValueError("contamination fraction alpha must lie in [0, 1)")
-    if not epsilon > 0:   # a NaN fails too
-        raise ValueError("blip half-width epsilon must be positive")
+    if not 0 < epsilon < np.inf:   # a NaN fails too
+        raise ValueError(f"blip half-width epsilon must be positive and finite, got {epsilon!r}")
     if workers < 0:
         raise ValueError(f"worker count must be >= 0, got {workers}")
     if reps < 1:
@@ -260,8 +279,9 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
                     and "abs_location_error" in row]
             failed = sum(1 for row in rows
                          if row["estimator"] == est and row["z"] == z and "error" in row)
-            cell = {"median_location_error": float(np.median(errs)) if errs else None,
-                    "mean_location_error": float(np.mean(errs)) if errs else None,
+            median, mean = (float(overflow_safe(stat, errs)) if errs else None
+                            for stat in (np.median, np.mean))
+            cell = {"median_location_error": median, "mean_location_error": mean,
                     "n_failed": failed}
             summary["cells"][f"{est}@z={z:g}"] = cell
             medians[(est, z)] = cell["median_location_error"]

@@ -90,15 +90,9 @@ def _prepared_nodes(g):
     return x, w, np.sqrt(_checked_values("g", vals, x))
 
 
-def _box(family):
-    """The family's parameter box as (lower, upper) bounds, shape (2, p)."""
-    if family.bounds is None or None in family.bounds:
-        raise ValueError("family declares no parameter bounds")
-    return np.asarray(family.bounds, dtype=float).T
-
-
-def mhd(g, family, x0):
-    """Minimize the Hellinger distance between f_theta and ``g`` over theta.
+def mhd(g, family, x0, lo, hi):
+    """Minimize the Hellinger distance between f_theta and ``g`` over theta
+    in the box [``lo``, ``hi``], shape (p,) each, as ``mhd_rows`` takes it.
 
     The Bhattacharyya coefficient is integrated on the Gauss-Legendre nodes
     of ``_prepared_nodes``: 32 uniform panels refined at g's breakpoints,
@@ -108,14 +102,19 @@ def mhd(g, family, x0):
     ``sqrt_pdf`` pass for a Gaussian family), and decides
     ``converged`` (see ``_newton_rows``), so a bound-pinned minimizer or a
     fit with no overlap with ``g`` is flagged, never silently returned.
-    Newton starts at ``x0`` clipped to the family's ``bounds`` box; for a
-    histogram ``g`` and a Gaussian family, at the best of that point and
-    the seed grid instead, the rule ``mhd_rows`` re-seeds its rows with
-    (see ``_grid_seeds``).  ``n_evals`` counts the Hellinger values Newton
-    computes on the nodes, at the start and at each trial step.
+    A box not finite with lo < hi is refused.  Newton starts at ``x0``
+    clipped to the box; for a histogram ``g`` and a Gaussian family, at the
+    best of that point and the seed grid instead, the rule ``mhd_rows``
+    re-seeds its rows with (see ``_grid_seeds``).  ``n_evals`` counts the
+    Hellinger values Newton computes on the nodes, at the start and at each
+    trial step.
     """
     # the one box, as one row
-    lo, hi = _box(family)[:, None]
+    lo, hi = np.array([lo, hi], dtype=float)[:, None]
+    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))[0])   # NaN too
+    if len(bad):
+        raise ValueError(f"parameter box coordinate {bad[0]} needs finite lo < hi, "
+                         f"got [{float(lo[0, bad[0]])!r}, {float(hi[0, bad[0]])!r}]")
     x, w, sqrt_g = _prepared_nodes(g)
     # one row of node coefficients; mhd fits a single row
     wg = (w * sqrt_g)[None]

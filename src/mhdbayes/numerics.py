@@ -1,4 +1,5 @@
-"""Quadrature, derivative-free minimization and RNG plumbing.
+"""Quadrature, derivative-free minimization, RNG plumbing and
+overflow-safe statistics.
 
 There is one quadrature rule, the 8-point Gauss-Legendre rule that
 ``composite_nodes`` lays on every panel.  ``minimize``, a single bounded
@@ -16,12 +17,30 @@ numbers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def worker_rng(seed, worker_index):
     """Independent stream for worker ``worker_index`` derived from ``seed``."""
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(worker_index))))
+
+
+def overflow_safe(stat, x):
+    """``stat(x)``, a statistic of the float array ``x`` that scales with it,
+    as a mean, a median or a standard deviation does.  Where its value is
+    not finite (or ``math.fsum`` overflows), it is ``stat`` of x scaled by
+    a power of two into [-1, 1], scaled back, which is exact."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = stat(x)
+            if np.isfinite(out).all():
+                return out
+        except OverflowError:
+            pass
+        e = math.frexp(float(np.abs(x).max()))[1]
+        return np.ldexp(stat(np.ldexp(x, -e)), e)
 
 
 # The one quadrature rule: 8-point Gauss-Legendre mapped to [0, 1], exact

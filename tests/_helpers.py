@@ -4,7 +4,8 @@ schedule, the quadrature oracles of the ``node_bc`` and ``histogram_bc``
 family hooks, a Gaussian family with its sqrt-density Hessian, one on the
 quadrature histogram coefficient, the one-dataset-at-a-time oracle of
 ``estimators._mhb_many``, a counter of closed-form histogram evaluations,
-the Nelder-Mead oracle of ``mhd``, uniform, mixture and
+the Nelder-Mead oracle of ``mhd``, the parameter box of a bounded
+family, uniform, mixture and
 windowed-callable densities, the projection of a density onto a histogram grid and the
 gross-error contamination model."""
 
@@ -147,8 +148,16 @@ class QuadratureGaussianFamily(GaussianFamily):
     histogram_bc = quadrature_histogram_bc
 
 
+def box_of(family):
+    """The data-scale ``bounds`` of a family that bounds every parameter as
+    the (lower, upper) box that ``mhd`` and ``mhd_rows`` take, shape (2, p)."""
+    if family.bounds is None or None in family.bounds:
+        raise ValueError("family declares no parameter bounds")
+    return np.asarray(family.bounds, dtype=float).T
+
+
 def _oracle_setup(data, prior, family, padding):
-    """The transform, posterior and unit family of one dataset, by the
+    """The transform, posterior and unit-scale box of one dataset, by the
     checks and scalar range arithmetic of ``SupportTransform.from_data``."""
     if not np.all(np.isfinite(data)):
         raise ValueError("data contains non-finite values")
@@ -166,7 +175,7 @@ def _oracle_setup(data, prior, family, padding):
                          "width on each side overflows float64")
     transform = SupportTransform(a, b)
     post = fit_posterior(transform.to_unit(data), prior)
-    return transform, post, family.unit_fit_family(transform)
+    return transform, post, family.unit_box(transform)
 
 
 def mhb_many_oracle(datasets, prior, family, padding, start=None):
@@ -177,21 +186,20 @@ def mhb_many_oracle(datasets, prior, family, padding, start=None):
     grids, transforms, fits = {}, [], []
     for data in datasets:
         try:
-            transform, post, fam_u = _oracle_setup(data, prior, family, padding)
+            transform, post, box = _oracle_setup(data, prior, family, padding)
         except ValueError as exc:
             fits.append(str(exc))
             continue
         g = post.eap()
         theta0 = family.initial_theta(data) if start is None else start
-        grids.setdefault(g.edges.tobytes(), (g.edges, fam_u, []))[2].append(
-            (len(transforms), g.weights, family.theta_to_unit(theta0, transform),
-             functional._box(fam_u)))
+        grids.setdefault(g.edges.tobytes(), (g.edges, []))[1].append(
+            (len(transforms), g.weights, family.theta_to_unit(theta0, transform), box))
         fits.append(len(transforms))
         transforms.append(transform)
     theta, ok = np.empty((len(transforms), family.dim)), np.empty(len(transforms), dtype=bool)
-    for edges, fam_u, members in grids.values():
+    for edges, members in grids.values():
         rows, weights, starts, boxes = (np.array(column) for column in zip(*members))
-        theta[rows], ok[rows] = functional.mhd_rows(weights, edges, fam_u, starts,
+        theta[rows], ok[rows] = functional.mhd_rows(weights, edges, family, starts,
                                                     *boxes.swapaxes(0, 1))
     theta = [family.theta_from_unit(t, transform) for t, transform in zip(theta, transforms)]
     return [fit if isinstance(fit, str) else theta[fit] if ok[fit] else
@@ -212,12 +220,13 @@ def count_histogram_bc_rows(monkeypatch):
     return rows
 
 
-def nelder_mead_mhd(g, family, x0):
-    """``mhd``'s fit of ``g`` started where one bounded Nelder-Mead search
-    from ``x0`` (``numerics.minimize``) stops, on the Hellinger values of
-    ``mhd``'s own nodes, then finished by ``mhd``'s Newton on those nodes.
-    ``n_evals`` counts the search's evaluations and Newton's."""
-    lo, hi = functional._box(family)[:, None]
+def nelder_mead_mhd(g, family, x0, lo, hi):
+    """``mhd``'s fit of ``g`` in the box [``lo``, ``hi``] started where one
+    bounded Nelder-Mead search from ``x0`` (``numerics.minimize``) stops, on
+    the Hellinger values of ``mhd``'s own nodes, then finished by ``mhd``'s
+    Newton on those nodes.  ``n_evals`` counts the search's evaluations and
+    Newton's."""
+    lo, hi = np.asarray(lo, dtype=float)[None], np.asarray(hi, dtype=float)[None]
     x, w, sqrt_g = functional._prepared_nodes(g)
     wg = (w * sqrt_g)[None]
     n_evals = 0
@@ -234,7 +243,7 @@ def nelder_mead_mhd(g, family, x0):
         n_evals += len(rows)
         return family.node_bc(functional._columns(theta), x, wg)
 
-    start = minimize(objective, x0, family.bounds)[0][None]
+    start = minimize(objective, x0, list(zip(lo[0], hi[0])))[0][None]
     theta, h, foc, converged = (v[0] for v in functional._newton_rows(evaluate, start, lo, hi))
     return functional.MhdResult(theta_hat=theta, h_min=float(h), converged=bool(converged),
                                 n_evals=n_evals, first_order_norm=float(foc))

@@ -480,6 +480,67 @@ class TestEdgeInputs:
             assert abs(shifted[estimator][1] - sigma) < 0.01 * sigma
 
 
+# 40 values whose sum, and the squares of whose deviations, overflow float64
+# while their padded range does not
+NEAR_MAX = 1.5e308 + np.random.default_rng(0).uniform(0.0, 1e307, 40)
+
+
+def overflowing(config):
+    raise OverflowError("math range error")
+
+
+class TestFloat64Extremes:
+    """Finite inputs whose moments overflow: no traceback, and every report
+    is strict JSON."""
+
+    @pytest.mark.parametrize("extra", [
+        ["--estimator", "mhb", "--n-boot", "0"],
+        ["--estimator", "bmh", "--n-samples", "200"],
+        ["--estimator", "both", "--n-boot", "50", "--n-samples", "100"],
+    ], ids=["mhb", "bmh", "both"])
+    def test_fit_near_the_largest_double(self, tmp_path, extra):
+        data, out = tmp_path / "huge.csv", tmp_path / "huge.json"
+        data.write_text("\n".join(repr(float(v)) for v in NEAR_MAX) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # the prior-mass warning
+            assert main(["fit", "--data", str(data), "--seed", "3", "--out", str(out),
+                         *extra]) == 0
+        for result in strict_json(out.read_text())["results"].values():
+            if "estimator" in result:
+                mu, sigma = result["theta_hat" if result["estimator"] == "mhb" else "eap"]
+                assert NEAR_MAX.min() <= mu <= NEAR_MAX.max() and 0 < sigma < np.inf
+
+    @pytest.mark.parametrize("extra, far", [
+        (["--estimators", "mhb,mle", "--z-grid", "5,1e308"], 1e308),
+        (["--estimators", "mle", "--z-grid", "5,1e308"], 1e308),
+        (["--estimators", "mhb,mle", "--epsilon", "1e308"], None),
+    ], ids=["mhb-mle-far-z", "mle-far-z", "huge-epsilon"])
+    def test_robustness_non_finite_mle_is_an_error_row(self, tmp_path, extra, far):
+        out = tmp_path / "rob.json"
+        argv = ["robustness", "--n", "50", "--reps", "2", "--seed", "0", "--out", str(out),
+                *extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # the MLE's overflowing sums
+            assert main(argv) == 0
+        rows = strict_json(out.read_text())["results"]["rows"]
+        mle = [row for row in rows
+               if row["estimator"] == "mle" and (far is None or row["z"] == far)]
+        assert mle and all(re.fullmatch(r"mle estimate \[.*\] is not finite", row["error"])
+                           and "theta_hat" not in row for row in mle)
+
+    @pytest.mark.parametrize("failure", [
+        overflowing,
+        lambda config: ({"estimate": [float("nan"), 1.0]}, None),
+    ], ids=["overflow", "nan-in-report"])
+    def test_numerical_failures_exit_2(self, failure, capsys, monkeypatch):
+        # any ArithmeticError is a numerical failure, and a report is never
+        # written with a NaN or an infinite number
+        monkeypatch.setitem(cli._RUNNERS, "fit", failure)
+        assert main(["fit", "--data", "bundled:newcomb"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("numerical failure: ")
+
+
 class TestRunStudiesAndDump:
     @pytest.mark.parametrize("command, runner", [("robustness", "robustness_sweep"),
                                                  ("efficiency", "efficiency_study")])

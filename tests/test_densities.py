@@ -444,11 +444,10 @@ class TestGaussianFamily:
             assert batched.shape == rows.shape
             assert np.array_equal(batched, rows)
 
-    def test_unit_fit_family_maps_bounds(self):
+    def test_unit_box_maps_bounds(self):
         fam = GaussianFamily(bounds=((-10.0, 10.0), (0.5, 8.0)))
         t = SupportTransform(-20.0, 20.0)
-        unit = fam.unit_fit_family(t)
-        (mu_lo, mu_hi), (sg_lo, sg_hi) = unit.bounds
+        (mu_lo, sg_lo), (mu_hi, sg_hi) = fam.unit_box(t)
         assert (mu_lo, mu_hi) == pytest.approx((0.25, 0.75))
         assert (sg_lo, sg_hi) == pytest.approx((0.0125, 0.2))
 
@@ -483,19 +482,17 @@ class TestGaussianFamily:
         with pytest.raises(ValueError, match=match):
             GaussianFamily(bounds=bounds)
 
-    def test_unit_fit_family_opens_only_unbounded_parameters(self):
+    def test_unit_box_opens_only_unbounded_parameters(self):
         from mhdbayes.densities import _UNIT_BOUNDS
 
         t = SupportTransform(-20.0, 20.0)
         assert GaussianFamily(bounds=(None, None)).bounds is None
-        assert GaussianFamily().unit_fit_family(t).bounds == _UNIT_BOUNDS
-        (mu_lo, mu_hi), sg_b = GaussianFamily(
-            bounds=((-10.0, 10.0), None)).unit_fit_family(t).bounds
+        assert np.array_equal(GaussianFamily().unit_box(t).T, _UNIT_BOUNDS)
+        (mu_lo, mu_hi), sg_b = GaussianFamily(bounds=((-10.0, 10.0), None)).unit_box(t).T
         assert (mu_lo, mu_hi) == pytest.approx((0.25, 0.75))
-        assert sg_b == _UNIT_BOUNDS[1]
-        mu_b, (sg_lo, sg_hi) = GaussianFamily(
-            bounds=(None, (0.5, 8.0))).unit_fit_family(t).bounds
-        assert mu_b == _UNIT_BOUNDS[0]
+        assert tuple(sg_b) == _UNIT_BOUNDS[1]
+        mu_b, (sg_lo, sg_hi) = GaussianFamily(bounds=(None, (0.5, 8.0))).unit_box(t).T
+        assert tuple(mu_b) == _UNIT_BOUNDS[0]
         assert (sg_lo, sg_hi) == pytest.approx((0.0125, 0.2))
 
     @settings(max_examples=50, deadline=None)
@@ -508,6 +505,60 @@ class TestGaussianFamily:
         mean = math.fsum(data) / n
         sd = math.sqrt(math.fsum((data - mean) ** 2) / n)
         assert np.array_equal(self.fam.initial_theta(data), [mean, sd if sd > 0 else 1.0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 3000),
+           loc=st.floats(-1e6, 1e6), scale=st.floats(1e-6, 1e6), shift=st.integers(450, 1000))
+    def test_moment_start_scales_exactly_by_powers_of_two(self, seed, n, loc, scale, shift):
+        # past about 1e154 the squares overflow and near 1e308 the sums do;
+        # the start is then that of the data scaled into [-1, 1], scaled
+        # back, and a power of two still scales it exactly
+        data = np.random.default_rng(seed).normal(loc, scale, n)
+        big = np.ldexp(data, shift)
+        assume(np.all(np.isfinite(big)))
+        assert np.array_equal(self.fam.initial_theta(big),
+                              np.ldexp(self.fam.initial_theta(data), shift))
+
+    @pytest.mark.parametrize("data", [
+        1.5e308 + np.random.default_rng(0).uniform(0.0, 1e307, 40),
+        np.array([1.7976931348623157e308] * 3 + [1.7e308]),
+        np.array([-1.7976931348623157e308, 1.7976931348623157e308]),
+    ], ids=["shifted-uniform", "at-the-largest-double", "both-ends"])
+    def test_moment_start_does_not_overflow(self, data):
+        # the sum or the squares of the deviations overflow float64 on each
+        mean, sd = self.fam.initial_theta(data)
+        assert data.min() <= mean <= data.max()
+        scaled = data / 2.0 ** 520
+        assert mean == pytest.approx(math.fsum(scaled.tolist()) / len(data) * 2.0 ** 520,
+                                     rel=1e-15)
+        assert sd == pytest.approx(scaled.std() * 2.0 ** 520, rel=1e-12)
+
+    def test_unit_box_is_a_declared_hook(self):
+        with pytest.raises(NotImplementedError, match=r"^ParametricFamily does not declare unit_box$"):
+            ParametricFamily().unit_box(SupportTransform(0.0, 1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(-1e6, 1e6), width=st.floats(1e-3, 1e9),
+           mu=st.one_of(st.none(), st.tuples(st.floats(-1e6, 1e6), st.floats(1e-3, 1e6))),
+           sigma=st.one_of(st.none(), st.tuples(st.floats(1e-9, 1e3), st.floats(1e-3, 1e6))))
+    def test_unit_box_is_the_unit_image_of_the_box_corners(self, a, width, mu, sigma):
+        # bounds open on both parameters, on one only, or on neither: each
+        # bounded parameter's unit-scale box is theta_to_unit of the lower
+        # and the upper corner, bit for bit, the sigma floor of 1e-12 apart;
+        # an open one gets its _UNIT_BOUNDS pair
+        from mhdbayes.densities import _UNIT_BOUNDS
+
+        bounds = tuple(None if b is None else (b[0], b[0] + b[1]) for b in (mu, sigma))
+        assume(all(b is None or b[0] < b[1] for b in bounds))
+        t = SupportTransform(a, a + width)
+        fam = GaussianFamily(bounds=bounds)
+        lo, hi = (fam.theta_to_unit([0.0 if b is None else b[i] for b in bounds], t)
+                  for i in (0, 1))
+        lo[1] = max(lo[1], 1e-12)
+        for j, b in enumerate(bounds):
+            if b is None:
+                lo[j], hi[j] = _UNIT_BOUNDS[j]
+        assert np.array_equal(fam.unit_box(t), [lo, hi])
 
 
 def mhd_nodes(g):

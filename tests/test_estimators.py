@@ -13,7 +13,7 @@ import mhdbayes.estimators as estimators
 from mhdbayes.datasets import load_dataset
 from mhdbayes.densities import GaussianFamily, HistogramDensity, SupportTransform
 from mhdbayes.estimators import bmh_fit, mhb_bootstrap_se, mhb_fit
-from mhdbayes.functional import _box, mhd, mhd_rows
+from mhdbayes.functional import mhd, mhd_rows
 from mhdbayes.posterior import HistogramPrior, fit_posterior
 
 PRIOR_SMALL = HistogramPrior.fixed(40, alpha=0.07)
@@ -252,14 +252,14 @@ class TestBmhRows:
         family = GaussianFamily()
         transform = SupportTransform.from_data(data)
         post = fit_posterior(transform.to_unit(data), prior)
-        fam_u = family.unit_fit_family(transform)
+        box = family.unit_box(transform)
         x0 = family.theta_to_unit(family.initial_theta(data), transform)
-        anchor = mhd(post.eap(), fam_u, x0).theta_hat
+        anchor = mhd(post.eap(), family, x0, *box).theta_hat
         draws = [None] * n_samples
         for _, rows, weights in post.draws(np.random.default_rng(seed), n_samples):
             for r, w in zip(rows, weights):
                 draws[r] = HistogramDensity(w)
-        fits = [mhd(g, fam_u, anchor) for g in draws]
+        fits = [mhd(g, family, anchor, *box) for g in draws]
         assert all(f.converged for f in fits)
         return draws, np.asarray([family.theta_from_unit(f.theta_hat, transform)
                                   for f in fits])
@@ -315,15 +315,16 @@ class TestBmhRows:
         data = gaussian_data(150, 21)
         transform = SupportTransform.from_data(data)
         post = fit_posterior(transform.to_unit(data), PRIOR_SMALL)
-        fam_u = GaussianFamily().unit_fit_family(transform)
+        family = GaussianFamily()
+        box = family.unit_box(transform)
         rng = np.random.default_rng(31)
         draws = [post.sample(rng) for _ in range(20)]
         plateau = (-0.9, 1e-3)
         theta, converged = mhd_rows(np.stack([g.weights for g in draws]), draws[0].edges,
-                                    fam_u, plateau, *_box(fam_u))
+                                    family, plateau, *box)
         assert np.all(converged)
         for t, g in zip(theta, draws):
-            expected = mhd(g, fam_u, plateau)
+            expected = mhd(g, family, plateau, *box)
             assert expected.converged
             assert np.allclose(t, expected.theta_hat, atol=1e-9)
 
@@ -349,8 +350,8 @@ class TestBootstrapRows:
             resample = data[child.integers(0, len(data), len(data))]
             transform = SupportTransform.from_data(resample)
             g = fit_posterior(transform.to_unit(resample), prior).eap()
-            fam_u = family.unit_fit_family(transform)
-            fit = mhd(g, fam_u, family.theta_to_unit(warm_theta, transform))
+            fit = mhd(g, family, family.theta_to_unit(warm_theta, transform),
+                      *family.unit_box(transform))
             assert fit.converged
             fits.append(family.theta_from_unit(fit.theta_hat, transform))
             groups.add(g.edges.tobytes())

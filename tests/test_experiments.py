@@ -7,6 +7,7 @@ import scipy.stats
 
 from _helpers import (
     ContaminationSpec,
+    box_of,
     contaminated_density,
     count_histogram_bc_rows,
     sample_contaminated,
@@ -153,6 +154,7 @@ class TestRobustnessSweep:
         (float("nan"), 0.01, r"alpha must lie in \[0, 1\)"),
         (0.1, 0.0, "epsilon must be positive"),
         (0.1, float("nan"), "epsilon must be positive"),
+        (0.1, float("inf"), "epsilon must be positive and finite"),
     ])
     def test_bad_contamination_fails_before_any_fit(self, alpha, epsilon, message,
                                                     monkeypatch):
@@ -222,6 +224,33 @@ class TestEfficiencyStudy:
         monkeypatch.setattr(experiments, "_mhb_many", forbidden)
         with pytest.raises(ValueError, match="finite mu and a finite sigma > 0"):
             efficiency_study(theta0=theta0, n=50, reps=100, rng=0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_too_few_observations_fail_before_any_replicate(self, n, monkeypatch):
+        # below the family's dimension + 1 every MHB fit would fail
+        from mhdbayes import experiments
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replicate ran before n was checked")
+
+        monkeypatch.setattr(experiments, "worker_rng", forbidden)
+        monkeypatch.setattr(experiments, "_mhb_many", forbidden)
+        with pytest.raises(ValueError, match=rf"need at least 3 observations per replicate, "
+                                             rf"got n={n}$"):
+            efficiency_study(n=n, reps=100, rng=0)
+
+    def test_non_finite_estimate_is_the_row_error(self, monkeypatch):
+        # an MLE whose sum overflows leaves that estimate out of its row
+        family = GaussianFamily()
+        mle = family.mle
+        monkeypatch.setattr(family, "mle", lambda data: (
+            np.array([np.inf, np.nan]) if data[0] > 0 else mle(data)))
+        report = efficiency_study(family=family, n=100, reps=100, rng=2, prior=PRIOR_SMALL)
+        bad = [row for row in report.rows if "mle" not in row]
+        assert bad and all(row["error"] == "mle estimate [inf, nan] is not finite"
+                           and "mhb" in row for row in bad)
+        assert report.summary["mle_failures"] == len(bad)
+        json.dumps(report.to_json(), allow_nan=False)
 
     def test_smoke_ratios_near_one(self):
         report = efficiency_study(theta0=(0.0, 1.0), n=400, reps=100, rng=1,
@@ -381,7 +410,7 @@ class TestFunctionalRobustnessOracle:
         fam = GaussianFamily(bounds=((-5.0, 60.0), (0.05, 30.0)))
         spec = ContaminationSpec(theta=(0.0, 1.0), alpha=0.1, z=50.0, epsilon=0.01)
         mix = contaminated_density(spec, fam)
-        res = mhd(mix, fam, x0=(0.3, 1.3))
+        res = mhd(mix, fam, (0.3, 1.3), *box_of(fam))
         assert res.converged
         assert abs(res.theta_hat[0]) < 0.01
         assert abs(res.theta_hat[1] - 1.0) < 0.02

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from _helpers import (
     QuadratureGaussianFamily,
     WindowedDensity,
+    box_of,
     einsum_node_bc,
     nelder_mead_mhd,
     project_to_histogram,
@@ -123,7 +124,7 @@ def newton_rows(weights, edges, family, theta0):
     """One ``_newton_rows`` run on histogram rows, the first solve of
     ``mhd_rows`` before its re-seeding: the rows' stopping points and
     ``converged`` flags, all in the family's box."""
-    lo, hi = np.broadcast_to(functional._box(family)[:, None], (2, len(weights), family.dim))
+    lo, hi = np.broadcast_to(box_of(family)[:, None], (2, len(weights), family.dim))
     sqrt_heights = np.sqrt(weights / np.diff(edges))
 
     def evaluate(rows, theta):
@@ -137,7 +138,7 @@ def newton_rows(weights, edges, family, theta0):
 class TestMhd:
     def test_recovers_exact_model(self):
         fam = GaussianFamily(bounds=((-5.0, 5.0), (0.1, 5.0)))
-        res = mhd(fam.density((0.0, 1.0)), fam, x0=(0.5, 1.5))
+        res = mhd(fam.density((0.0, 1.0)), fam, (0.5, 1.5), *box_of(fam))
         assert res.converged
         assert np.allclose(res.theta_hat, [0.0, 1.0], atol=1e-4)
         assert res.h_min < 1e-6
@@ -150,13 +151,12 @@ class TestMhd:
         t = SupportTransform(-8.0, 8.0)
         fam = GaussianFamily()
         unit_theta = fam.theta_to_unit((0.0, 1.0), t)
-        unit_fam = fam.unit_fit_family(t)
-        g = project_to_histogram(unit_fam.density(tuple(unit_theta)), 200)
-        res = mhd(g, unit_fam, x0=(0.45, 0.08))
+        g = project_to_histogram(fam.density(tuple(unit_theta)), 200)
+        res = mhd(g, fam, (0.45, 0.08), *fam.unit_box(t))
         theta_data = fam.theta_from_unit(res.theta_hat, t)
         assert np.allclose(theta_data, [0.0, 1.0], atol=0.02)
 
-        objective = hellinger_objective(g, unit_fam)
+        objective = hellinger_objective(g, fam)
         lattice, _ = grid_search(objective,
                                  np.linspace(0.45, 0.55, 200),
                                  np.linspace(0.04, 0.09, 200))
@@ -167,14 +167,13 @@ class TestMhd:
         # oracle and mhd must both land on the generating values
         t = SupportTransform(-51.0, 47.0)
         fam = GaussianFamily()
-        unit_fam = fam.unit_fit_family(t)
         unit_theta = fam.theta_to_unit((27.73, 5.00), t)
         g = project_to_histogram(TruncatedUnitGaussian(*unit_theta), 100)
-        res = mhd(g, unit_fam, x0=(0.5, 0.1))
+        res = mhd(g, fam, (0.5, 0.1), *fam.unit_box(t))
         theta_data = fam.theta_from_unit(res.theta_hat, t)
         assert np.allclose(theta_data, [27.73, 5.00], atol=0.05)
 
-        objective = hellinger_objective(g, unit_fam)
+        objective = hellinger_objective(g, fam)
         mu_grid = np.linspace(20.0, 35.0, 200)
         sg_grid = np.linspace(2.0, 9.0, 200)
         lattice, _ = grid_search(
@@ -193,27 +192,27 @@ class TestMhd:
         _, grad, jac = fam.node_bc(functional._columns(start[None]), x, (w * sqrt_g)[None])
         step = np.linalg.solve(jac[0], grad[0])
         assert grad[0] @ step > 0.0
-        assert grad[0] @ (np.clip(start - step, *functional._box(fam)) - start) > 0.0
-        res = mhd(g, fam, start)
+        assert grad[0] @ (np.clip(start - step, *box_of(fam)) - start) > 0.0
+        res = mhd(g, fam, start, *box_of(fam))
         assert res.converged
         assert np.allclose(res.theta_hat, [-0.38, 0.64], atol=1e-6)
 
     def test_bound_pinned_fit_is_flagged(self):
         fam = GaussianFamily(bounds=((-5.0, 5.0), (2.0, 4.0)))
-        res = mhd(fam.density((0.0, 1.0)), fam, x0=(0.0, 3.0))
+        res = mhd(fam.density((0.0, 1.0)), fam, (0.0, 3.0), *box_of(fam))
         assert not res.converged
         assert res.theta_hat[1] == pytest.approx(2.0, abs=1e-6)
 
     def test_recovers_one_parameter_model(self):
         fam = GaussianLocationFamily()
-        res = mhd(fam.density((0.3,)), fam, x0=(-1.0,))
+        res = mhd(fam.density((0.3,)), fam, (-1.0,), *box_of(fam))
         assert res.converged
         assert res.theta_hat == pytest.approx([0.3], abs=1e-6)
 
     @pytest.mark.parametrize("fit, hook", [
-        (lambda g, fam: mhd(g, fam, (0.5,)), "node_bc"),
+        (lambda g, fam: mhd(g, fam, (0.5,), *box_of(fam)), "node_bc"),
         (lambda g, fam: mhd_rows(g.weights[None], g.edges, fam, (0.5,),
-                                 *functional._box(fam)), "histogram_bc"),
+                                 *box_of(fam)), "histogram_bc"),
     ], ids=["mhd", "mhd_rows"])
     def test_family_without_the_hook_is_refused_by_name(self, fit, hook):
         # ParametricFamily declares the coefficient hooks and evaluates none
@@ -226,33 +225,50 @@ class TestMhd:
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
         bad = WindowedDensity(lambda x: np.where(x > 0.5, -1.0, 1.0), (0.0, 1.0))
         with pytest.raises(ValueError, match=r"'g' is negative at x = 0\.5\d*$"):
-            mhd(bad, fam, (0.5, 0.1))
+            mhd(bad, fam, (0.5, 0.1), *box_of(fam))
 
     def test_requires_bounds(self):
+        # mhd reads no family's bounds; an open box is refused
         fam = GaussianFamily()
-        with pytest.raises(ValueError, match="bounds"):
-            mhd(fam.density((0.0, 1.0)), fam, x0=(0.0, 1.0))
+        with pytest.raises(ValueError, match=r"^parameter box coordinate 0 needs finite lo < hi"):
+            mhd(fam.density((0.0, 1.0)), fam, (0.0, 1.0), (-np.inf, 1e-3), (np.inf, np.inf))
 
-    @pytest.mark.parametrize("bounds", [((-1.0, 2.0), None), (None, (1e-3, 2.0))],
+    @pytest.mark.parametrize("bounds, j", [(((-1.0, 2.0), None), 1), ((None, (1e-3, 2.0)), 0)],
                              ids=["sigma-open", "mu-open"])
-    def test_partly_open_family_is_not_fit_directly(self, bounds):
+    def test_partly_open_family_is_not_fit_directly(self, bounds, j):
+        # the open parameter, as an infinite box coordinate, is refused by name
         fam = GaussianFamily(bounds=bounds)
-        with pytest.raises(ValueError, match="family declares no parameter bounds"):
-            mhd(fam.density((0.5, 0.2)), fam, x0=(0.5, 0.2))
+        lo, hi = np.array([(-np.inf, np.inf) if b is None else b for b in bounds]).T
+        with pytest.raises(ValueError, match=rf"^parameter box coordinate {j} needs finite"):
+            mhd(fam.density((0.5, 0.2)), fam, (0.5, 0.2), lo, hi)
+
+    @pytest.mark.parametrize("lo, hi, j", [
+        ((0.5, 1e-3), (0.4, 2.0), 0),
+        ((-1.0, 0.5), (2.0, 0.5), 1),
+        ((np.nan, 1e-3), (2.0, 2.0), 0),
+        ((-1.0, 1e-3), (2.0, np.nan), 1),
+        ((-np.inf, 1e-3), (2.0, 2.0), 0),
+        ((-1.0, 1e-3), (2.0, np.inf), 1),
+    ], ids=["inverted", "empty", "nan-lo", "nan-hi", "infinite-lo", "infinite-hi"])
+    def test_box_not_finite_with_lo_below_hi_is_refused(self, lo, hi, j):
+        g = HistogramDensity(np.full(10, 0.1))
+        with pytest.raises(ValueError, match=rf"^parameter box coordinate {j} needs finite "
+                                             rf"lo < hi, got \[{lo[j]!r}, {hi[j]!r}\]$"):
+            mhd(g, GaussianFamily(), (0.5, 0.1), lo, hi)
 
     def test_functional_continuity_under_shrinking_perturbations(self):
         # |T(g) - T(g')| shrinks as h(g, g') does
         rng = np.random.default_rng(8)
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-4, 2.0)))
         base = project_to_histogram(TruncatedUnitGaussian(0.5, 0.1), 100)
-        ref = mhd(base, fam, x0=(0.5, 0.1)).theta_hat
+        ref = mhd(base, fam, (0.5, 0.1), *box_of(fam)).theta_hat
         bump = rng.uniform(-1.0, 1.0, 100)
         gaps = []
         for c in (0.4, 0.2, 0.05):
             w = base.weights * (1.0 + c * bump)
             from mhdbayes.densities import HistogramDensity
             g = HistogramDensity(w / w.sum())
-            theta = mhd(g, fam, x0=tuple(ref)).theta_hat
+            theta = mhd(g, fam, tuple(ref), *box_of(fam)).theta_hat
             gaps.append(np.linalg.norm(theta - ref))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -260,7 +276,7 @@ class TestMhd:
         # T((1 + t q) g0) - T(g0) = t <T~, q>_{g0} + o(t)
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-4, 2.0)))
         g0 = fam.density((0.5, 0.1))
-        theta0 = mhd(g0, fam, x0=(0.5, 0.1)).theta_hat
+        theta0 = mhd(g0, fam, (0.5, 0.1), *box_of(fam)).theta_hat
         inf = influence_function(g0, fam, theta0)
 
         q_raw = lambda x: np.sin(2 * np.pi * x)
@@ -273,7 +289,7 @@ class TestMhd:
         ratios = []
         for t in (1e-2, 1e-3):
             gt = WindowedDensity(lambda x_, t_=t: (1.0 + t_ * q(x_)) * g0.pdf(x_), g0.support)
-            theta_t = mhd(gt, fam, x0=tuple(theta0)).theta_hat
+            theta_t = mhd(gt, fam, tuple(theta0), *box_of(fam)).theta_hat
             resid = np.linalg.norm(theta_t - theta0 - t * deriv)
             ratios.append(resid / t)
         assert ratios[1] < 0.5 * ratios[0]
@@ -292,10 +308,10 @@ class TestNoOverlapPlateau:
         assert not converged[0]
         # mhd and mhd_rows seed Newton off the plateau and reach the same
         # overlapping fit
-        res = mhd(g, fam, start)
+        res = mhd(g, fam, start, *box_of(fam))
         assert res.converged
         assert res.h_min < math.sqrt(2.0)
-        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start, *functional._box(fam))
+        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start, *box_of(fam))
         assert converged[0]
         assert np.allclose(theta[0], res.theta_hat, atol=1e-9)
 
@@ -348,7 +364,7 @@ def assert_newton_move_is_downhill(g, family, start):
     the Newton move, clipped to ``family``'s box, does not raise it."""
     _, grad, jac = family.histogram_bc(functional._columns(start[None]), g.edges,
                                        np.sqrt(g.weights / np.diff(g.edges))[None])
-    lo, hi = functional._box(family)
+    lo, hi = box_of(family)
     move = np.clip(start - np.linalg.solve(jac[0], grad[0]), lo, hi) - start
     eigenvalues = np.linalg.eigvalsh(jac[0])
     assert eigenvalues[0] < 0.0 < eigenvalues[-1]
@@ -364,13 +380,13 @@ class TestGridSeed:
         g, start = indefinite_start()
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
         assert_newton_move_is_downhill(g, fam, start)
-        oracle = nelder_mead_mhd(g, fam, start)
+        oracle = nelder_mead_mhd(g, fam, start, *box_of(fam))
         searches = []
         minimize = numerics.minimize
         monkeypatch.setattr(numerics, "minimize",
                             lambda *args: searches.append(args) or minimize(*args))
         monkeypatch.setattr(functional, "_grid_seeds", lambda *args: start[None])
-        res = mhd(g, fam, start)
+        res = mhd(g, fam, start, *box_of(fam))
         assert searches == []
         assert res.converged and oracle.converged
         assert np.allclose(res.theta_hat, oracle.theta_hat, atol=1e-9)
@@ -382,7 +398,7 @@ class TestGridSeed:
         # below the second's mu floor, which must pick a seed of its own
         g = project_to_histogram(TruncatedUnitGaussian(0.45, 0.12), 20)
         weights = np.stack([g.weights, g.weights])
-        lo, hi = np.stack([functional._box(self.fam), [[0.6, 1e-5], [2.0, 2.0]]], axis=1)
+        lo, hi = np.stack([box_of(self.fam), [[0.6, 1e-5], [2.0, 2.0]]], axis=1)
         starts = np.stack([PLATEAU, PLATEAU])
         seeds = functional._grid_seeds(weights, g.edges, self.fam, starts, lo, hi)
         table_seeds = functional._seed_table()[1]
@@ -421,11 +437,11 @@ class TestGridSeed:
         """``mhd`` from the moment start and ``mhd_rows`` from the plateau
         against the Nelder-Mead oracle; returns both fits."""
         x0 = moment_start(g)
-        res = mhd(g, self.fam, x0)
-        oracle = nelder_mead_mhd(g, self.fam, x0)
+        res = mhd(g, self.fam, x0, *box_of(self.fam))
+        oracle = nelder_mead_mhd(g, self.fam, x0, *box_of(self.fam))
         # mhd_rows from the plateau, scored on mhd's nodes
         theta, converged = mhd_rows(g.weights[None], g.edges, self.fam, PLATEAU,
-                                    *functional._box(self.fam))
+                                    *box_of(self.fam))
         h_rows = hellinger_objective(g, self.fam, panels=_MIN_PANELS)(theta[0])
         # an unconverged oracle may sit on a spike between the quadrature
         # nodes, where its h_min is an artifact, not a fit
@@ -470,7 +486,7 @@ class TestMhdRows:
         start = (0.05, 0.005)
         theta, converged = newton_rows(np.stack([far.weights, near.weights]), near.edges,
                                        fam, start)
-        expected = mhd(near, fam, start)
+        expected = mhd(near, fam, start, *box_of(fam))
         assert expected.converged and converged[1]
         assert np.allclose(theta[1], expected.theta_hat, atol=1e-9)
         assert np.array_equal(theta[0], start)
@@ -488,9 +504,9 @@ class TestMhdRows:
         alone, converged = newton_rows(g.weights[None], g.edges, fam, start)
         assert converged[0]
         assert np.allclose(alone[0], [0.4500862, 0.1211231], atol=1e-7)
-        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start, *functional._box(fam))
+        theta, converged = mhd_rows(g.weights[None], g.edges, fam, start, *box_of(fam))
         assert converged[0] and np.array_equal(theta, alone)
-        expected = mhd(g, fam, start)
+        expected = mhd(g, fam, start, *box_of(fam))
         assert expected.converged
         assert np.allclose(theta[0], expected.theta_hat, atol=1e-9)
 
@@ -500,7 +516,7 @@ class TestMhdRows:
         g = HistogramDensity(np.eye(10)[9])
         fam = GaussianLocationFamily(sigma=0.01)
         theta, converged = mhd_rows(g.weights[None], g.edges, fam, (-4.0,),
-                                    *functional._box(fam))
+                                    *box_of(fam))
         assert np.array_equal(theta, [[-4.0]]) and not converged[0]
 
     @pytest.mark.parametrize("family", [GaussianFamily, QuadratureGaussianFamily],
@@ -511,14 +527,14 @@ class TestMhdRows:
         rng = np.random.default_rng(4)
         weights = base.weights * rng.uniform(0.5, 1.5, (7, 20))
         weights /= weights.sum(axis=1, keepdims=True)
-        start, box = (0.5, 0.1), functional._box(fam)
+        start, box = (0.5, 0.1), box_of(fam)
         alone = [mhd_rows(w[None], base.edges, fam, start, *box) for w in weights]
         # 3 rows x 20 cells per block: the 7 rows span three blocks
         monkeypatch.setattr(functional, "ROW_BLOCK_ELEMENTS", 60)
         theta, converged = mhd_rows(weights, base.edges, fam, start, *box)
         assert np.all(converged)
         assert np.array_equal(theta, np.concatenate([t for t, _ in alone]))
-        oracle = mhd(HistogramDensity(weights[3]), fam, start)
+        oracle = mhd(HistogramDensity(weights[3]), fam, start, *box_of(fam))
         assert np.allclose(theta[3], oracle.theta_hat, atol=1e-9)
 
     def test_per_row_starts_give_the_rows_solved_alone(self, monkeypatch):
@@ -530,7 +546,7 @@ class TestMhdRows:
         # one start per row; the last lies outside the box and is clipped
         starts = np.column_stack([rng.uniform(0.4, 0.55, 7), rng.uniform(0.08, 0.2, 7)])
         starts[-1] = (0.3, 0.12)
-        box = functional._box(fam)
+        box = box_of(fam)
         # one box per row: rows 1 and 4 get a sigma ceiling and row 2 a mu
         # floor that exclude their minimizers, the others the family's box
         row_lo, row_hi = np.broadcast_to(box[:, None], (2, 7, 2)).copy()
@@ -589,7 +605,7 @@ class TestPreparedNodes:
         g.heights = np.array([np.nan, 1.0])
         fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
         with pytest.raises(ValueError, match=r"'g' is non-finite at x = 0\.\d+$"):
-            mhd(g, fam, (0.5, 0.1))
+            mhd(g, fam, (0.5, 0.1), *box_of(fam))
 
 
 # grids of ``TestOneHistogramQuadrature``; the last has an edge 5e-15 above
@@ -628,9 +644,9 @@ class TestOneHistogramQuadrature:
     def test_mhd_is_a_one_row_mhd_rows(self, grid):
         g = one_quadrature_histogram(grid)
         fam = GaussianLocationFamily(sigma=0.2)
-        fit = mhd(g, fam, (0.3,))
+        fit = mhd(g, fam, (0.3,), *box_of(fam))
         theta, converged = mhd_rows(g.weights[None], g.edges, fam, (0.3,),
-                                    *functional._box(fam))
+                                    *box_of(fam))
         assert fit.converged and converged[0]
         assert np.array_equal(fit.theta_hat, theta[0])
 
@@ -714,7 +730,7 @@ class TestSupportIsRequired:
     fam = GaussianLocationFamily()
 
     @pytest.mark.parametrize("call", [
-        lambda g, fam: mhd(g, fam, (0.0,)),
+        lambda g, fam: mhd(g, fam, (0.0,), *box_of(fam)),
         lambda g, fam: influence_function(g, fam, (0.0,)),
         lambda g, fam: l_norm_sq(np.sin, g),
     ], ids=["mhd", "influence_function", "l_norm_sq"])
