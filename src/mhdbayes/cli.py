@@ -391,12 +391,13 @@ def run(config):
         validate_config(config)
         results, study = _RUNNERS[config["command"]](config)
         _emit(config, results, study)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # first: numpy's LinAlgError is a ValueError
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

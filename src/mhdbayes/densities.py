@@ -156,6 +156,21 @@ def grid_widths(k):
     return widths
 
 
+def padded_edges(grids, members, rows):
+    """The edges of ``rows`` histograms on different grids as one array, for
+    fits that take them as rows: grid ``grids[i]`` belongs to the rows
+    ``members[i]``.  One grid stays one shared vector.  Otherwise each grid is
+    padded to the widest by repeating its last edge (1.0), shape
+    (rows, m + 1) for the m cells of the widest grid; the pad cells have
+    width 0 and take weight 0, so a fit gives them sqrt height 0."""
+    if len(grids) == 1:
+        return np.asarray(grids[0], dtype=float)
+    edges = np.empty((rows, max(len(grid) for grid in grids)))
+    for grid, own in zip(grids, members):
+        edges[own] = np.pad(grid, (0, edges.shape[1] - len(grid)), mode="edge")
+    return edges
+
+
 def normalized_weights(weights):
     """Histogram cell weights clipped at 0 and divided by their sum, as
     :class:`HistogramDensity` stores them; a leading axis holds rows."""
@@ -200,7 +215,7 @@ class HistogramDensity:
 
     ``edges`` are strictly increasing from 0 to 1 with ``len(weights) + 1``
     entries, every cell wider than 1e-14; by default they are the regular
-    grid :func:`grid_edges`.
+    grid :func:`grid_edges`, whose shared array needs no check.
     Bin j covers [edges[j], edges[j+1]) (see :func:`bin_index`) and has
     density weights[j] / (edges[j+1] - edges[j]) on every grid, the default
     one included; ``heights`` holds these k densities.  Weights must
@@ -221,7 +236,7 @@ class HistogramDensity:
             raise ValueError(f"weights must sum to 1, got {float(total)!r}")
         self.k = len(weights)
         self.weights = normalized_weights(weights)
-        if edges is None:
+        if edges is None or edges is grid_edges(self.k):
             self.edges, widths = grid_edges(self.k), grid_widths(self.k)
         else:
             self.edges = _checked_edges(edges, self.k)

@@ -23,6 +23,8 @@ from .densities import (
     GaussianFamily,
     SupportTransform,
     grid_edges,
+    normalized_weights,
+    padded_edges,
     padded_ranges,
 )
 from .functional import MhdResult, mhd, mhd_rows
@@ -128,13 +130,13 @@ def _mhb_many(data, prior, family, padding, start=None):
 
     The datasets are set up as one matrix: the input checks and support
     transforms of all rows at once (``_transforms``), one row-wise
-    posterior update of the rows that pass, and for a fixed-k prior all
-    EAP weights from one array expression.  Each row gets its own
-    transform, and its start and parameter box on the unit scale.  The
-    EAPs sharing an edge grid (all of them for a fixed-k prior) are fit as
-    the rows of one ``mhd_rows`` call, each in its own box, and each row is
-    mapped back by its own transform.  Returns per dataset its estimate or
-    why its fit failed (a str).
+    posterior update of the rows that pass and one row-wise EAP
+    (``RandomHistogramPosterior.eap_rows``: a fixed-k prior's shared grid,
+    or a random-k prior's union grids padded to the widest).  Each row gets
+    its own transform, and its start and parameter box on the unit scale.
+    All EAPs are fit as the rows of one ``mhd_rows`` call, each in its own
+    box, and each row is mapped back by its own transform.  Returns per
+    dataset its estimate or why its fit failed (a str).
     """
     transforms, fits = _transforms(data, family, padding)
     rows = np.flatnonzero([t is not None for t in transforms])
@@ -150,18 +152,9 @@ def _mhb_many(data, prior, family, padding, start=None):
     starts = np.array([family.theta_to_unit(family.initial_theta(data[r]) if start is None
                                             else start, t) for r, t in zip(rows, transforms)])
     boxes = np.array([family.unit_box(t) for t in transforms])
-    if len(post.k_support) == 1:
-        groups = [(grid_edges(int(post.k_support[0])), post.eap_weights(), np.arange(len(rows)))]
-    else:
-        eaps, members = [post.row(i).eap() for i in range(len(rows))], {}
-        for i, g in enumerate(eaps):
-            members.setdefault(g.edges.tobytes(), []).append(i)
-        groups = [(eaps[m[0]].edges, np.array([eaps[i].weights for i in m]), np.array(m))
-                  for m in members.values()]
-    theta, ok = np.empty((len(rows), family.dim)), np.empty(len(rows), dtype=bool)
-    for edges, weights, members in groups:
-        theta[members], ok[members] = mhd_rows(weights, edges, family, starts[members],
-                                               *boxes[members].swapaxes(0, 1))
+    edges, weights = post.eap_rows()
+    weights = normalized_weights(weights)   # as each row's eap() histogram stores them
+    theta, ok = mhd_rows(weights, edges, family, starts, *boxes.swapaxes(0, 1))
     for i, (r, t) in enumerate(zip(rows, transforms)):
         fit = family.theta_from_unit(theta[i], t)
         fits[r] = fit if ok[i] else (
@@ -195,14 +188,12 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
 
     The resamples, drawn from one ``spawn`` child each, are stacked into
     one (n_boot, n) matrix and set up as one, as the efficiency study sets
-    up its replicates (``_mhb_many``): one row-wise check, transform and
-    posterior update, and a fixed-k prior's EAP weights from one array
-    expression.  Each resample still gets its own transform and
-    unit-scale parameter box, and its fit starts at ``warm_theta``, the
+    up its replicates (``_mhb_many``): one row-wise check, transform,
+    posterior update and EAP.  Each resample still gets its own transform
+    and unit-scale parameter box, and its fit starts at ``warm_theta``, the
     full-data MHB estimate (fit first when None).  All resamples are rows
-    of one ``mhd_rows`` call per EAP edge grid, one call in all for a
-    fixed-k prior.  Failed resamples are dropped; more than 10% of them is
-    an error.
+    of one ``mhd_rows`` call, under any prior.  Failed resamples are
+    dropped; more than 10% of them is an error.
     """
     if n_boot < 50:
         raise ValueError("bootstrap needs n_boot >= 50")
@@ -229,13 +220,15 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     """BMH posterior: map posterior density draws through the minimizer.
 
     All ``n_samples`` histograms are drawn first from ``rng``, one Gamma
-    matrix per bin count (``RandomHistogramPosterior.draws``), then each
-    bin count's draws are fit as the rows of one ``mhd_rows`` call, all
-    started at the anchor T(EAP) in the one unit-scale box, and mapped
-    back to the data scale together.  Failed draws are
-    dropped; more than 5% of them is an error.  Each draw's minimizer
-    depends on that draw alone, so the samples are reproducible given the
-    seed, and the first m rows of an n-draw fit equal an m-draw fit.
+    matrix per bin count (``RandomHistogramPosterior.draws``), then all
+    draws are fit as the rows of one ``mhd_rows`` call, each on its bin
+    count's grid (padded to the widest drawn, ``densities.padded_edges``),
+    all started at the anchor T(EAP) in the one unit-scale box, and mapped
+    back to the data scale together.  Failed draws are dropped; more than
+    5% of them is an error.  Each draw's minimizer depends on that draw
+    alone, so the samples are reproducible given the seed, and the first m
+    rows of an n-draw fit equal an m-draw fit; under random k only to
+    rounding, when later draws widen the padded grid.
     ``workers`` is ignored; it is kept only because the benchmark harness
     in ``perfbench/`` passes it.
     """
@@ -250,10 +243,16 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
 
     data = np.asarray(data, dtype=float)
     transform, post, box, anchor = _setup(data, prior, family, padding)
-    samples, ok = np.empty((int(n_samples), family.dim)), np.empty(int(n_samples), dtype=bool)
-    for i, rows, weights in post.draws(rng, int(n_samples)):
-        samples[rows], ok[rows] = mhd_rows(weights, grid_edges(int(post.k_support[i])), family,
-                                           anchor.theta_hat, *box)
+    draws = post.draws(rng, int(n_samples))
+    edges = padded_edges([grid_edges(w.shape[1]) for _, _, w in draws],
+                         [rows for _, rows, _ in draws], int(n_samples))
+    if len(draws) == 1:   # one bin count: its draws are the rows, in order
+        weights = draws[0][2]
+    else:
+        weights = np.zeros((int(n_samples), edges.shape[-1] - 1))
+        for _, rows, w in draws:
+            weights[rows, :w.shape[1]] = w
+    samples, ok = mhd_rows(weights, edges, family, anchor.theta_hat, *box)
     samples = family.theta_from_unit(samples.T, transform).T
     failures, budget = int(n_samples - ok.sum()), _BMH_FAILURE_RATE * n_samples
     if failures > budget:

@@ -3,11 +3,11 @@ robustness, asymptotic efficiency, and the Bernstein-von-Mises check.
 
 Replicates get independent RNG streams derived from the study seed and are
 merged in replicate order, so reports are reproducible bit for bit given
-{seed, config}.  The efficiency study fits its replicates as rows of one
-batched Newton call per EAP edge grid: one call for a fixed-k prior, one
-per distinct grid for a random-k prior.  The robustness sweep is the one
-study that runs over processes: its ``workers`` (default 1, 0 = all
-cores) fans the replicates out, and reports do not depend on it.
+{seed, config}.  The efficiency study fits its replicates as the rows of
+one batched Newton call, under a fixed-k or a random-k prior alike (the
+random-k EAP grids are padded to the widest).  The robustness sweep is
+the one study that runs over processes: its ``workers`` (default 1, 0 =
+all cores) fans the replicates out, and reports do not depend on it.
 """
 
 from __future__ import annotations
@@ -123,15 +123,17 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     Simulates ``reps`` clean datasets from f_theta0, fits the MLE on each
     and MHB on all at once, as the bootstrap fits its resamples: the
     datasets are stacked into one (reps, n) matrix and set up as one (one
-    row-wise check, transform and posterior update, see ``_mhb_many``);
-    each gets its own EAP and unit-scale box, and is fit from its moment
-    start as a row of one ``mhd_rows`` call per EAP edge grid (one call
-    for a fixed-k prior).  A failed MHB fit, or else a NaN or infinite
-    estimate, is the row's ``error`` and leaves that estimate out of the
-    row.  Compares the empirical variance of sqrt(n) (theta_hat - theta0)
-    with the Cramer-Rao diagonal.  A ``theta0`` without a finite mu and a
-    finite sigma > 0, or ``n`` below the family's dimension + 1, raises
-    ``ValueError`` before any replicate runs.
+    row-wise check, transform, posterior update and EAP, see
+    ``_mhb_many``); each gets its own unit-scale box, and is fit from its
+    moment start as a row of one ``mhd_rows`` call, whatever the prior.  A
+    failed MHB fit, or else a NaN or infinite estimate, is the row's
+    ``error`` and leaves that estimate out of the row.  Compares the
+    empirical variance of sqrt(n) (theta_hat - theta0) with the Cramer-Rao
+    diagonal, computed before any replicate is drawn.  A ``theta0``
+    without a finite mu and a finite sigma > 0, or whose
+    ``plausible_support`` is not a finite interval, or ``n`` below the
+    family's dimension + 1, raises ``ValueError`` before any replicate
+    runs, and a singular Fisher information ``LinAlgError``.
     """
     if reps < 100:
         raise ValueError("efficiency study needs reps >= 100")
@@ -141,6 +143,12 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     prior = prior or HistogramPrior.fixed()
     seed = _seed_of(rng)
     theta0 = _true_theta(theta0)
+    with np.errstate(over="ignore"):   # an overflow is refused just below
+        support = np.asarray(family.plausible_support(theta0), dtype=float)
+    if not (np.all(np.isfinite(support)) and support[0] < support[1]):
+        raise ValueError(f"theta0 {theta0.tolist()} has no finite plausible support "
+                         f"(got {support.tolist()}) to integrate its Fisher information over")
+    target = np.diag(np.linalg.inv(fisher_information(family, theta0)))
     datasets = np.array([family.sample(theta0, int(n), worker_rng(seed, r))
                          for r in range(int(reps))])
     rows = []
@@ -155,7 +163,6 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
                 row.setdefault("error", error)
         rows.append(row)
 
-    target = np.diag(np.linalg.inv(fisher_information(family, theta0)))
     summary = {"n": int(n), "reps": int(reps),
                "crlb_diag": [float(v) for v in target]}
     checks = {}

@@ -61,10 +61,10 @@ _SEED_MU = np.linspace(0.0, 1.0, 41)
 _SEED_SIGMA = np.geomspace(max(_UNIT_BOUNDS[1][0], 1e-4), _UNIT_BOUNDS[1][1], 31)
 _SEED_CELLS = 100
 
-# Cap on rows x cells in one block of ``mhd_rows``; it bounds the
-# (rows, k + 1) edge temporaries of the closed-form ``histogram_bc``, and
-# with them peak memory, to a few MB.  Larger blocks pay the per-call
-# overhead of each Newton iteration fewer times.  BMH(2000) on
+# Cap on rows x cells, pad cells included, in one block of ``mhd_rows``; it
+# bounds the (rows, k + 1) edge temporaries of the closed-form
+# ``histogram_bc``, and with them peak memory, to a few MB.  Larger blocks
+# pay the per-call overhead of each Newton iteration fewer times.  BMH(2000) on
 # Newcomb (fastest of 5 runs, 2-core x86-64 host) takes 57 ms at this size,
 # 66 ms at half of it and 53-54 ms at twice it, where its peak traced
 # allocation grows from 4.1 to 6.5 MiB (3.2 MiB at half).
@@ -163,17 +163,20 @@ def _grid_seeds(weights, edges, family, starts, lo, hi):
     Bhattacharyya coefficient among that row's start in ``starts`` and the
     seeds of ``_seed_table``, all within the row's box: ``lo`` and ``hi``,
     shape (rows, p), clip the start and exclude the seeds outside.
+    ``edges`` is one grid for every row, shape (k + 1,) or (1, k + 1), or
+    one grid per row, shape (rows, k + 1), padded as ``mhd_rows`` takes it.
 
-    Each row is re-binned onto the reference grid through its CDF, which is
-    exact for a histogram and the identity on the 100-cell grid, and all
-    rows are scored against every seed by one matrix product on the
-    closed-form cell masses.
+    Each row is re-binned onto the reference grid through its CDF on its
+    own edges, which is exact for a histogram and the identity on the
+    100-cell grid, and all rows are scored against every seed by one
+    matrix product on the closed-form cell masses.
     """
     table, seeds = _seed_table()
     ref = grid_edges(_SEED_CELLS)
     cdf = np.zeros((len(weights), weights.shape[1] + 1))
     np.cumsum(weights, axis=1, out=cdf[:, 1:])
-    rebinned = np.diff([np.interp(ref, edges, c) for c in cdf], axis=1)
+    edges = np.broadcast_to(edges, cdf.shape)
+    rebinned = np.diff([np.interp(ref, e, c) for e, c in zip(edges, cdf)], axis=1)
     sqrt_heights = np.sqrt(np.maximum(rebinned, 0.0) * _SEED_CELLS)
     scores = sqrt_heights @ table.T
     scores[~_seeds_inside(lo, hi)] = -np.inf
@@ -184,50 +187,64 @@ def _grid_seeds(weights, edges, family, starts, lo, hi):
     return np.where(keep[:, None], starts, seeds[best])
 
 
+def _rows_of(a, rows):
+    """Rows ``rows`` of the per-row array ``a``, or ``a`` itself when its one
+    row serves every row."""
+    return a if len(a) == 1 else a[rows]
+
+
 def mhd_rows(weights, edges, family, theta0, lo, hi):
     """Minimum-Hellinger fits of many histograms at once, started at ``theta0``
     and kept in the parameter box [``lo``, ``hi``].
 
-    ``weights`` holds one row of cell weights per histogram, all on the
-    cells of ``edges``.  ``theta0`` and the box bounds ``lo`` and ``hi`` are
-    each one vector for every row, shape (p,), or one per row, shape
-    (rows, p); the ``bounds`` of ``family`` are not read, and a start
-    outside its row's box is clipped into it.  Each fit runs on the k + 1
-    edges, with no quadrature of its own: ``family.histogram_bc`` gives a row's
-    Bhattacharyya coefficient with f_theta, the dot product of its sqrt
-    cell heights with the cell integrals of sqrt(f_theta), together with
-    its gradient and Hessian.  Rows are solved in blocks of at most
-    ``ROW_BLOCK_ELEMENTS`` rows x cells by the damped Newton of ``mhd``
-    (see ``_newton_rows``), which also decides each row's ``converged``
-    flag.  For a Gaussian family, rows left unconverged are solved once
-    more from the grid seed of ``mhd`` (see ``_grid_seeds``).  Returns the
+    ``weights`` holds one row of cell weights per histogram.  ``edges`` is
+    one grid for every row, shape (k + 1,), or one grid per row, shape
+    (rows, m + 1): histograms on different grids come padded to the widest,
+    as ``densities.padded_edges`` pads them, and a zero-width pad cell gets
+    sqrt height 0, so it adds nothing to a row's coefficient.  ``theta0``
+    and the box bounds ``lo`` and ``hi`` are each one vector for every row,
+    shape (p,), or one per row, shape (rows, p); the ``bounds`` of
+    ``family`` are not read, and a start outside its row's box is clipped
+    into it.  Each fit runs on its row's edges, with no quadrature of its
+    own: ``family.histogram_bc`` gives a row's Bhattacharyya coefficient
+    with f_theta, the dot product of its sqrt cell heights with the cell
+    integrals of sqrt(f_theta), together with its gradient and Hessian.
+    Rows are solved in blocks of at most ``ROW_BLOCK_ELEMENTS`` rows x
+    cells, pad cells included, by the damped Newton of ``mhd`` (see
+    ``_newton_rows``), which also decides each row's ``converged`` flag.
+    For a Gaussian family, rows left unconverged are solved once more from
+    the grid seed of ``mhd`` (see ``_grid_seeds``).  Returns the
     minimizers, shape (rows, p), and the flags; a row still unconverged is
     reported as such.
     """
-    edges = np.asarray(edges, dtype=float)
+    edges = np.atleast_2d(np.asarray(edges, dtype=float))
     weights = np.asarray(weights, dtype=float)
-    widths = np.diff(edges)
-    size = max(1, ROW_BLOCK_ELEMENTS // len(widths))
+    size = max(1, ROW_BLOCK_ELEMENTS // (edges.shape[1] - 1))
     shape = (len(weights), np.shape(lo)[-1])
     lo, hi = np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
 
-    def solve(weights, theta, lo, hi):
+    def solve(weights, edges, theta, lo, hi):
+        widths = np.diff(edges, axis=1)
         converged = np.empty(len(weights), dtype=bool)
         for b in range(0, len(weights), size):
             block = slice(b, b + size)
-            sh = np.sqrt(_checked_values("g", weights[block] / widths, edges[:-1]))
+            e, w = _rows_of(edges, block), _rows_of(widths, block)
+            # cell heights, 0 on a zero-width pad cell, then their checked roots
+            sh = np.divide(weights[block], w, out=np.zeros(weights[block].shape), where=w > 0.0)
+            sh = np.sqrt(_checked_values("g", sh, e[:, :-1]))
             theta[block], _, _, converged[block] = _newton_rows(
-                lambda rows, t, sh=sh: family.histogram_bc(_columns(t), edges, sh[rows]),
+                lambda rows, t, e=e, sh=sh: family.histogram_bc(_columns(t), _rows_of(e, rows),
+                                                                sh[rows]),
                 theta[block], lo[block], hi[block])
         return theta, converged
 
     start = np.clip(np.broadcast_to(theta0, shape), lo, hi)
-    theta, converged = solve(weights, start.copy(), lo, hi)
+    theta, converged = solve(weights, edges, start.copy(), lo, hi)
     retry = np.flatnonzero(~converged)
     if len(retry) and isinstance(family, GaussianFamily):
-        box = lo[retry], hi[retry]
-        seeds = _grid_seeds(weights[retry], edges, family, start[retry], *box)
-        theta[retry], converged[retry] = solve(weights[retry], seeds, *box)
+        own, box = _rows_of(edges, retry), (lo[retry], hi[retry])
+        seeds = _grid_seeds(weights[retry], own, family, start[retry], *box)
+        theta[retry], converged[retry] = solve(weights[retry], own, seeds, *box)
     return theta, converged
 
 

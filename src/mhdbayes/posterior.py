@@ -14,7 +14,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .densities import HistogramDensity, bin_index, grid_edges, normalized_weights
+from .densities import (
+    HistogramDensity,
+    bin_index,
+    grid_edges,
+    padded_edges,
+)
 from .numerics import worker_rng
 
 # Constant per-bin Dirichlet concentration used when none is given.  With
@@ -99,7 +104,7 @@ def bin_counts(data, k):
     last bin), taken from the sorted data as the points below each edge."""
     if k < 1:
         raise ValueError("bin count k must be a positive integer")
-    return _sorted_counts(np.sort(_unit_data(data)), int(k))
+    return _grid_counts(_row_keys(np.sort(_unit_data(data))[None]), 1, int(k))[0]
 
 
 def _unit_data(data):
@@ -112,11 +117,28 @@ def _unit_data(data):
     return data
 
 
-def _sorted_counts(ordered, k):
-    """k-bin counts of the sorted unit-interval data ``ordered``."""
-    below = ordered.searchsorted(grid_edges(k), side="left")
-    below[-1] = len(ordered)
-    return np.diff(below)
+def _row_keys(values):
+    """The matrix ``values`` as flat complex keys, row index + 1j * value.
+    numpy orders complex numbers lexicographically, so the keys of a matrix
+    with sorted rows are sorted, and one ``searchsorted`` finds a value
+    within its own row by exact comparisons."""
+    keys = np.empty(values.shape, dtype=complex)
+    keys.real = np.arange(len(values))[:, None]
+    keys.imag = values
+    return keys.ravel()
+
+
+def _grid_counts(keys, rows, k):
+    """k-bin counts of every row of a (rows, n) unit-interval matrix with
+    sorted rows, from its :func:`_row_keys` ``keys``: the differences of
+    the points of each row below each edge, from one ``searchsorted`` over
+    all rows.  The closing edge is searched as +inf, above every point of
+    its row, 1.0 included.  Shape (rows, k)."""
+    edges = np.empty((rows, k + 1), dtype=complex)
+    edges.real = np.arange(rows)[:, None]
+    edges.imag[:, :-1] = grid_edges(k)[:-1]
+    edges.imag[:, -1] = np.inf
+    return np.diff(keys.searchsorted(edges.ravel()).reshape(rows, k + 1), axis=1)
 
 
 def _log_betas(arrays):
@@ -173,7 +195,7 @@ class RandomHistogramPosterior:
     The update of D datasets at once (:func:`fit_posterior` of a (D, n)
     matrix) puts a leading row axis on ``log_post_k`` and on every
     ``dirichlet_params`` entry; :meth:`row` is the posterior of one dataset
-    and :meth:`eap_weights` serves every row, the other methods one.
+    and :meth:`eap_rows` serves every row, the other methods one.
     """
 
     k_support: np.ndarray
@@ -189,12 +211,44 @@ class RandomHistogramPosterior:
                                         log_post_k=self.log_post_k[d],
                                         dirichlet_params=[p[d] for p in self.dirichlet_params])
 
-    def eap_weights(self):
-        """Cell weights on ``grid_edges(k)`` of the EAP density of a single-k
-        posterior, one row per dataset of a row-wise update: the weights
-        :meth:`eap` gives its histogram, as the histogram stores them."""
-        (params,) = self.dirichlet_params
-        return normalized_weights(_dirichlet_mean(params))
+    def eap_rows(self):
+        """Edges and cell weights of the EAP density of every row of a
+        row-wise update; :meth:`eap` is its one-row case.  The weights sum
+        to 1 to rounding, and ``HistogramDensity`` renormalizes them.
+
+        For a single k these are ``grid_edges(k)``, shared by every row, and
+        the Dirichlet means.  For random k, a row's edges are the union of
+        the regular grids of the k with posterior mass above 1e-12 in that
+        row, and a union cell has density sum_k w_k * k * mean_k[bin], w the
+        row's k-masses renormalized over its active k and mean_k its
+        Dirichlet mean.  Rows with the same active k share one union grid,
+        and the grids are padded to the widest (``densities.padded_edges``),
+        shape (rows, m + 1).  The heights of each k are gathered for all
+        rows where it is active at once, by
+        :func:`~mhdbayes.densities.bin_index` of the cells' left edges; a
+        pad cell has width 0, and so weight 0.
+        """
+        params = [np.atleast_2d(p) for p in self.dirichlet_params]
+        if len(self.k_support) == 1:
+            return grid_edges(int(self.k_support[0])), _dirichlet_mean(params[0])
+        masses = np.atleast_2d(self.post_k())
+        active = masses > 1e-12
+        sets, which = np.unique(active, axis=0, return_inverse=True)
+        edges = padded_edges(
+            [np.unique(np.concatenate([grid_edges(int(k)) for k in self.k_support[s]]))
+             for s in sets],
+            [np.flatnonzero(which == j) for j in range(len(sets))], len(masses))
+        edges_of = np.broadcast_to(edges, (len(masses), edges.shape[-1]))
+        w = np.where(active, masses, 0.0)
+        w /= w.sum(axis=1, keepdims=True)
+        heights = np.zeros((len(masses), edges.shape[-1] - 1))
+        for i in np.flatnonzero(active.any(axis=0)):
+            rows = np.flatnonzero(active[:, i])
+            mean = _dirichlet_mean(params[i][rows])
+            k = mean.shape[1]
+            cell = bin_index(grid_edges(k), edges_of[rows, :-1])
+            heights[rows] += w[rows, i, None] * k * np.take_along_axis(mean, cell, axis=1)
+        return edges, heights * np.diff(edges_of, axis=1)
 
     @cached_property
     def _k_cdf(self):
@@ -236,39 +290,28 @@ class RandomHistogramPosterior:
         return HistogramDensity(weights[0])
 
     def eap(self):
-        """Expected a-posteriori density, exact for every prior.
+        """Expected a-posteriori density of a one-dataset posterior, exact
+        for every prior: the one row of :meth:`eap_rows`, as a histogram.
 
         For a single k this is the histogram with weights proportional to
         alpha + counts.  For random k it is the posterior-weighted mixture
-        of the per-k EAP histograms, which is itself a histogram: its edges
-        are the union of the regular grids of the k with posterior mass
-        above 1e-12, and on each union cell its density is
-        sum_k w_k * k * weight_k[bin].
+        of the per-k EAP histograms, which is itself a histogram on the
+        union of the regular grids of the k with posterior mass above 1e-12.
         """
-        masses = self.post_k()
-        active = np.flatnonzero(masses > 1e-12)
-        if len(active) == 1:
-            return HistogramDensity(_dirichlet_mean(self.dirichlet_params[active[0]]))
-        w = masses[active] / masses[active].sum()
-        grids = [grid_edges(int(k)) for k in self.k_support[active]]
-        edges = np.unique(np.concatenate(grids))
-        heights = np.zeros(len(edges) - 1)
-        for wk, i, grid in zip(w, active, grids):
-            p = self.dirichlet_params[i]
-            heights += wk * len(p) * (p / p.sum())[bin_index(grid, edges[:-1])]
-        return HistogramDensity(heights * np.diff(edges), edges=edges)
+        edges, (weights,) = self.eap_rows()
+        return HistogramDensity(weights, edges=edges)
 
 
 def fit_posterior(data, prior=None):
     """Exact posterior update from data on [0, 1].
 
-    The data are sorted once, and every candidate k is counted from that
-    sort (see :func:`bin_counts`).  For each k the log marginal likelihood is
-    n*log(k) + log B(alpha + counts) - log B(alpha), the posterior terms of
-    all k from one ``gammaln`` pass and the prior terms cached per support;
-    the posterior over k combines it with the prior k-masses (a single
-    candidate takes all the mass), and the per-k weight posterior is
-    Dirichlet(alpha + counts).
+    The data are sorted once, and all rows of every candidate k are counted
+    from that sort by one ``searchsorted`` (see :func:`bin_counts`).  For
+    each k the log marginal likelihood is n*log(k) + log B(alpha + counts)
+    - log B(alpha), the posterior terms of all k from one ``gammaln`` pass
+    and the prior terms cached per support; the posterior over k combines
+    it with the prior k-masses (a single candidate takes all the mass), and
+    the per-k weight posterior is Dirichlet(alpha + counts).
 
     A (D, n) matrix ``data`` updates D datasets of n points each in one
     pass: one sort, one ``gammaln`` pass over all rows and one row-wise
@@ -286,8 +329,8 @@ def fit_posterior(data, prior=None):
     prior.validate(n)
     ks = prior.k_values(n)
     ordered = np.sort(rows, axis=1)
-    params = [prior.alpha + np.array([_sorted_counts(row, int(k)) for row in ordered])
-              for k in ks]
+    keys = _row_keys(ordered)
+    params = [prior.alpha + _grid_counts(keys, len(rows), int(k)) for k in ks]
     if len(ks) == 1:
         log_post_k = np.zeros((len(rows), 1))
     else:

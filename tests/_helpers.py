@@ -112,8 +112,16 @@ def quadrature_histogram_bc(family, theta, edges, sqrt_heights):
     the nodes ``mhd`` takes for a histogram on them, each node weighted by
     the sqrt height of its cell.  The oracle of the closed-form
     ``GaussianFamily.histogram_bc``; a family with it fits a histogram by
-    ``mhd`` and by a one-row ``mhd_rows`` bit for bit alike."""
-    x, w, cell = histogram_nodes(np.asarray(edges, dtype=float).tobytes())
+    ``mhd`` and by a one-row ``mhd_rows`` bit for bit alike.  Edges with one
+    row per (D, 1)-column theta, as ``mhd_rows`` passes padded grids, are
+    integrated row by row, each on the nodes of its own edges."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim == 2 and len(edges) > 1:
+        parts = [quadrature_histogram_bc(family, [c[r:r + 1] for c in theta], row,
+                                         sqrt_heights[r:r + 1])
+                 for r, row in enumerate(edges)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    x, w, cell = histogram_nodes(edges.tobytes())
     return family.node_bc(theta, x, w * np.asarray(sqrt_heights, dtype=float)[..., cell])
 
 

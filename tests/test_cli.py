@@ -540,6 +540,13 @@ class TestFloat64Extremes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("numerical failure: ")
 
+    def test_singular_matrix_exits_2(self, capsys):
+        # numpy's LinAlgError is a ValueError, yet a numerical failure; the
+        # Fisher information at sigma 1e300 underflows to a zero matrix
+        assert main(["efficiency", "--theta0", "0,1e300", "--n", "50", "--reps", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "numerical failure: Singular matrix\n"
+
 
 class TestRunStudiesAndDump:
     @pytest.mark.parametrize("command, runner", [("robustness", "robustness_sweep"),

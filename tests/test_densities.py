@@ -23,6 +23,7 @@ from _helpers import (
 from fit_normal_tail import fit_coefficients
 from mhdbayes import densities
 from mhdbayes.densities import (
+    _MIN_PANEL_WIDTH,
     GaussianFamily,
     HistogramDensity,
     ParametricFamily,
@@ -698,6 +699,23 @@ def far_tail_edges(mu, sg, side):
     return np.sort(mu + side * sg * np.array([10.0, 10.5, 11.5, 13.0, 16.0, 25.0]))
 
 
+def accepted_edges(cuts):
+    """Edges 0, the sorted ``cuts`` and 1, less every cut that would leave a
+    cell no wider than ``_MIN_PANEL_WIDTH``: cells of the widths
+    ``HistogramDensity`` accepts, the only ones a fit integrates (the
+    quadrature oracle drops narrower panels, and with them their mass)."""
+    edges = [0.0]
+    for cut in sorted(cuts):
+        if cut - edges[-1] > _MIN_PANEL_WIDTH and 1.0 - cut > _MIN_PANEL_WIDTH:
+            edges.append(cut)
+    return np.array(edges + [1.0])
+
+
+# up to 30 interior cuts of [0, 1], as cells HistogramDensity accepts
+UNIT_EDGES = st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      max_size=30, unique=True).map(accepted_edges)
+
+
 def quad_cells(f, edges):
     """Adaptive quadrature of ``f`` over every cell of ``edges``."""
     return np.array([scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -711,13 +729,12 @@ class TestCellSqrtMasses:
     fam = GaussianFamily()
 
     @settings(max_examples=60, deadline=None)
-    @given(cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                         max_size=30, unique=True),
+    @given(edges=UNIT_EDGES,
            mu=st.floats(-0.5, 1.5),
            sg=st.floats(4.0 / 32.0, 2.0))
-    def test_closed_form_matches_quadrature_default(self, cuts, mu, sg):
+    def test_closed_form_matches_quadrature_default(self, edges, mu, sg):
         # sigma spans at least 4 of the 32 uniform panels on [0, 1]
-        edges = np.concatenate([[0.0], np.sort(cuts), [1.0]])
+        HistogramDensity(np.diff(edges), edges=edges)
         closed = self.fam.cell_sqrt_masses((mu, sg), edges)
         # one unit sqrt height per cell: the quadrature oracle's cell masses
         quad = QuadratureGaussianFamily().histogram_bc((mu, sg), edges,
@@ -760,19 +777,42 @@ class TestHistogramBc:
     fam = GaussianFamily()
 
     @settings(max_examples=60, deadline=None)
-    @given(cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                         max_size=30, unique=True),
+    @given(edges=UNIT_EDGES,
            seed=st.integers(0, 2 ** 32 - 1),
            mu=st.floats(-0.5, 1.5),
            sg=st.floats(1.0 / 8.0, 2.0))
-    def test_closed_form_matches_quadrature_default(self, cuts, seed, mu, sg):
-        edges = np.concatenate([[0.0], np.sort(cuts), [1.0]])
+    def test_closed_form_matches_quadrature_default(self, edges, seed, mu, sg):
+        HistogramDensity(np.diff(edges), edges=edges)
         sqrt_heights = np.random.default_rng(seed).uniform(0.0, 3.0, len(edges) - 1)
         closed = self.fam.histogram_bc((mu, sg), edges, sqrt_heights)
         quad = QuadratureGaussianFamily().histogram_bc((mu, sg), edges, sqrt_heights)
         for c, q in zip(closed, quad):
             assert c.shape == q.shape
             assert np.max(np.abs(c - q)) <= 1e-12
+
+    # quad warns of roundoff on the Hessian entry near 0, which the
+    # absolute bound covers
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_sub_resolution_cells_match_adaptive_quadrature(self):
+        # cells far narrower than 1e-14, which HistogramDensity refuses: the
+        # quadrature oracle drops their panels and misses the Hessian by
+        # 2.0e-12 here, while the closed form keeps every cell
+        edges = np.array([0.0, 5e-324, 7.964472581418271e-274, 4.1650891756000376e-92,
+                          1e-14, 1.0])
+        sqrt_heights = np.random.default_rng(0).uniform(0.0, 3.0, 5)
+        theta = np.array([0.0, 0.125])
+        bc, grad, hess = self.fam.histogram_bc(theta, edges, sqrt_heights)
+
+        def want(fn, *index):
+            return sqrt_heights @ quad_cells(lambda x: fn(theta, np.array([x]))[(0,) + index],
+                                             edges)
+
+        checks = [(bc, want(self.fam.sqrt_pdf))]
+        checks += [(grad[p], want(self.fam.sqrt_grad, p)) for p in range(2)]
+        checks += [(hess[p, q], want(ReferenceGaussianFamily().sqrt_hess, p, q))
+                   for p in range(2) for q in range(2)]
+        for got, expected in checks:
+            assert abs(got - expected) <= 1e-12
 
     def test_derivatives_match_finite_differences(self):
         edges = np.array([-2.0, -0.7, 0.1, 0.4, 1.3, 3.0])

@@ -11,7 +11,7 @@ from _helpers import (
 )
 import mhdbayes.estimators as estimators
 from mhdbayes.datasets import load_dataset
-from mhdbayes.densities import GaussianFamily, HistogramDensity, SupportTransform
+from mhdbayes.densities import GaussianFamily, HistogramDensity, SupportTransform, grid_edges
 from mhdbayes.estimators import bmh_fit, mhb_bootstrap_se, mhb_fit
 from mhdbayes.functional import mhd, mhd_rows
 from mhdbayes.posterior import HistogramPrior, fit_posterior
@@ -275,6 +275,29 @@ class TestBmhRows:
         assert fit.n_failed == 0
         assert np.max(np.abs(fit.theta_samples - expected)) < 1e-9
 
+    def test_random_k_draws_are_one_padded_call(self, monkeypatch):
+        # draws of several bin counts are the padded rows of one mhd_rows
+        # call; the oracle fits each bin count's draws alone on its own grid
+        data, prior = gaussian_data(150, 27), HistogramPrior.poisson(lam=5.0)
+        calls = []
+
+        def counting(weights, edges, *args):
+            calls.append(np.shape(edges))
+            return mhd_rows(weights, edges, *args)
+
+        monkeypatch.setattr(estimators, "mhd_rows", counting)
+        fit = bmh_fit(data, prior=prior, n_samples=300, rng=13)
+        assert calls == [(300, calls[0][1])] and fit.n_failed == 0
+        family, transform = GaussianFamily(), SupportTransform.from_data(data)
+        post = fit_posterior(transform.to_unit(data), prior)
+        expected, groups = np.empty((300, 2)), post.draws(np.random.default_rng(13), 300)
+        assert len(groups) > 1 and calls[0][1] == 1 + max(w.shape[1] for _, _, w in groups)
+        for _, rows, weights in groups:
+            expected[rows] = mhd_rows(weights, grid_edges(weights.shape[1]), family,
+                                      fit.mhd_meta.theta_hat, *family.unit_box(transform))[0]
+        expected = family.theta_from_unit(expected.T, transform).T
+        assert np.max(np.abs(fit.theta_samples - expected)) <= 1e-12 * transform.width
+
     def test_rows_do_not_depend_on_later_draws(self):
         data = gaussian_data(200, 12)
         short = bmh_fit(data, prior=PRIOR_SMALL, n_samples=100, rng=3)
@@ -386,9 +409,9 @@ class TestBootstrapRows:
         expected, n_groups = self.oracle(data, prior, GaussianFamily(), 50, 13, warm)
         estimates, se, rows_calls = self.batched(monkeypatch, data, prior, GaussianFamily(),
                                                  50, 13, warm)
-        assert len(rows_calls) == n_groups
-        if prior.mode == "poisson":
-            assert n_groups > 1
+        # one mhd_rows call, whatever the number of distinct EAP grids
+        assert len(rows_calls) == 1 and len(rows_calls[0]) == 50
+        assert n_groups > 1 if prior.mode == "poisson" else n_groups == 1
         assert np.max(np.abs(estimates - expected)) < 1e-9
         np.testing.assert_allclose(se, np.std(expected, axis=0, ddof=1), rtol=1e-9)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,29 @@ class TestEfficiencyStudy:
                                              rf"got n={n}$"):
             efficiency_study(n=n, reps=100, rng=0)
 
+    @pytest.mark.parametrize("theta0, support", [((0.0, 1e308), "[-inf, inf]"),
+                                                 ((1e308, 1.0), "[1e+308, 1e+308]")],
+                             ids=["overflowing-sigma", "vanishing-width"])
+    def test_theta0_without_finite_support_fails_before_any_sample(self, theta0, support,
+                                                                   monkeypatch):
+        # the Cramer-Rao target is formed first, so no replicate is drawn
+        family = GaussianFamily()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replicate was sampled before theta0's support was checked")
+
+        monkeypatch.setattr(family, "sample", forbidden)
+        message = f"theta0 {list(theta0)} has no finite plausible support (got {support})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            efficiency_study(family=family, theta0=theta0, n=50, reps=100, rng=0)
+
+    def test_singular_fisher_information_fails_before_any_sample(self, monkeypatch):
+        # sigma = 1e300 underflows every sqrt-density gradient to 0
+        family = GaussianFamily()
+        monkeypatch.setattr(family, "sample", lambda *args: pytest.fail("sampled a replicate"))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            efficiency_study(family=family, theta0=(0.0, 1e300), n=50, reps=100, rng=0)
+
     def test_non_finite_estimate_is_the_row_error(self, monkeypatch):
         # an MLE whose sum overflows leaves that estimate out of its row
         family = GaussianFamily()
@@ -296,6 +320,22 @@ class TestEfficiencyStudy:
             expected = mhb_fit(data, family=family).theta_hat
             assert "error" not in row
             assert np.all(np.abs(row["mhb"] - expected) <= 1e-12 * np.linalg.norm(expected))
+
+    def test_random_k_rows_are_one_call(self, monkeypatch):
+        # replicates whose random-k EAPs lie on different grids are the
+        # padded rows of one mhd_rows call
+        from mhdbayes import estimators
+
+        calls = []
+
+        def counting(weights, edges, *args):
+            calls.append(np.shape(edges))
+            return mhd_rows(weights, edges, *args)
+
+        monkeypatch.setattr(estimators, "mhd_rows", counting)
+        report = efficiency_study(n=400, reps=100, rng=3, prior=HistogramPrior.poisson())
+        assert len(calls) == 1 and calls[0][0] == 100
+        assert report.summary["mhb_failures"] == 0
 
     def test_unconverged_row_is_its_own_error_row(self, monkeypatch):
         from mhdbayes import estimators

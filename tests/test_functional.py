@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (
@@ -24,6 +24,7 @@ from mhdbayes.densities import (
     grid_edges,
     histogram_nodes,
     integration_edges,
+    padded_edges,
 )
 from mhdbayes.functional import (
     asymptotic_variance,
@@ -571,6 +572,106 @@ class TestMhdRows:
         assert np.all(flags[0]) and np.array_equal(flags[1], [1, 0, 0, 1, 0, 1, 1])
         assert np.all(theta[[1, 4], 1] == 0.1) and theta[2, 0] == 0.5
         assert starts[-1, 0] == 0.3  # the caller's starts are not written to
+
+
+def normal_cell_weights(edges, mu, sg):
+    """Cell masses of N(mu, sg) on ``edges``, renormalized over them."""
+    cdf = np.array([0.5 * math.erfc((mu - e) / (sg * math.sqrt(2))) for e in edges])
+    mass = np.diff(cdf)
+    return mass / mass.sum()
+
+
+def padded_rows(grids, weights):
+    """One row per histogram: the edges of ``padded_edges`` and the weights
+    with zeros on the pad cells."""
+    edges = padded_edges(grids, [[r] for r in range(len(grids))], len(grids))
+    padded = np.zeros((len(grids), edges.shape[-1] - 1))
+    for r, w in enumerate(weights):
+        padded[r, :len(w)] = w
+    return edges, padded
+
+
+@st.composite
+def ragged_rows(draw):
+    """Three to six histograms on grids of at least two sizes, each grid the
+    regular k-grid or the union of two, ordered from the narrowest to the
+    widest grid: the cell masses of a random normal inside [0, 1], times
+    noise, over a density floor of 1e-3."""
+    grids = sorted((np.unique(np.concatenate([grid_edges(k) for k in ks]))
+                    for ks in draw(st.lists(st.lists(st.integers(2, 60), min_size=1, max_size=2,
+                                                     unique=True), min_size=3, max_size=6))),
+                   key=len)
+    assume(len(grids[0]) < len(grids[-1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = []
+    for edges in grids:
+        w = (normal_cell_weights(edges, rng.uniform(0.1, 0.9), rng.uniform(0.05, 0.4))
+             * rng.uniform(0.5, 1.5, len(edges) - 1) + 1e-3 * np.diff(edges))
+        weights.append(w / w.sum())
+    return grids, weights
+
+
+class TestRaggedRows:
+    """Histograms on different grids as the padded rows of one ``mhd_rows``
+    call, against each row fit alone on its own grid."""
+
+    fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-5, 2.0)))
+
+    @staticmethod
+    def boxes(family, n):
+        """The family's box for every row but row 0, whose mu stays in
+        [1.2, 2], beyond the last edge: its straddling cell is a pad."""
+        lo, hi = np.broadcast_to(box_of(family)[:, None], (2, n, 2)).copy()
+        lo[0, 0] = 1.2
+        return lo, hi
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=ragged_rows())
+    def test_one_padded_call_matches_the_per_grid_calls(self, rows):
+        grids, weights = rows
+        n = len(grids)
+        edges, padded = padded_rows(grids, weights)
+        # the narrowest row is padded and the widest is not
+        assert edges[0, -2] == 1.0 and edges[-1, -2] < 1.0
+        # row 1 starts on the plateau, where Newton leaves it unconverged
+        starts = np.array([moment_start(HistogramDensity(w, edges=g))
+                           for g, w in zip(grids, weights)])
+        starts[0], starts[1] = (1.5, 0.3), PLATEAU
+        assert not newton_rows(weights[1][None], grids[1], self.fam, PLATEAU)[1][0]
+        lo, hi = self.boxes(self.fam, n)
+        theta, converged = mhd_rows(padded, edges, self.fam, starts, lo, hi)
+        alone = [mhd_rows(w[None], g, self.fam, t, a[None], b[None])
+                 for g, w, t, a, b in zip(grids, weights, starts, lo, hi)]
+        assert np.max(np.abs(theta - np.concatenate([t for t, _ in alone]))) <= 1e-12
+        assert np.array_equal(converged, np.concatenate([c for _, c in alone]))
+        assert theta[0, 0] >= 1.2 and converged[1]
+        # pad cells add nothing to a coefficient, mu > 1 included
+        sqrt_heights = np.sqrt(np.divide(padded, np.diff(edges), out=np.zeros_like(padded),
+                                         where=np.diff(edges) > 0))
+        rows_bc = self.fam.histogram_bc(functional._columns(starts), edges, sqrt_heights)
+        for r, (g, w) in enumerate(zip(grids, weights)):
+            own = self.fam.histogram_bc(starts[r], g, np.sqrt(w / np.diff(g)))
+            for got, want in zip(rows_bc, own):
+                assert np.max(np.abs(got[r] - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+        # the plateau row is re-seeded on its own edges, pads and all
+        seeds = functional._grid_seeds(padded, edges, self.fam, starts, lo, hi)
+        for r in range(n):
+            seed = functional._grid_seeds(weights[r][None], grids[r], self.fam,
+                                          starts[r:r + 1], lo[r:r + 1], hi[r:r + 1])
+            assert np.array_equal(seeds[r], seed[0])
+
+    def test_quadrature_oracle_integrates_each_row_on_its_own_edges(self):
+        fam = QuadratureGaussianFamily(bounds=((-1.0, 2.0), (1e-5, 2.0)))
+        grids = [grid_edges(12), np.union1d(grid_edges(10), grid_edges(25))]
+        weights = [normal_cell_weights(g, mu, sg) for g, mu, sg in zip(grids, (1.3, 0.4),
+                                                                        (0.3, 0.1))]
+        edges, padded = padded_rows(grids, weights)
+        starts, (lo, hi) = np.array([[1.5, 0.3], [0.5, 0.2]]), self.boxes(fam, 2)
+        theta, converged = mhd_rows(padded, edges, fam, starts, lo, hi)
+        assert theta[0, 0] >= 1.2 and converged[1]
+        for r, (g, w) in enumerate(zip(grids, weights)):
+            alone, flag = mhd_rows(w[None], g, fam, starts[r], lo[r:r + 1], hi[r:r + 1])
+            assert np.max(np.abs(theta[r] - alone[0])) <= 1e-12 and flag[0] == converged[r]
 
 
 class TestPreparedNodes:

@@ -17,6 +17,7 @@ from mhdbayes.densities import (
     SupportTransform,
     bin_index,
     grid_edges,
+    normalized_weights,
 )
 from mhdbayes.numerics import worker_rng
 from mhdbayes.posterior import (
@@ -278,6 +279,23 @@ class TestFitPosterior:
             for p, q in zip(one.dirichlet_params, row.dirichlet_params):
                 assert p.tolist() == q.tolist()
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 5),
+           on_edges=st.lists(st.tuples(st.integers(0, 25), st.integers(1, 25)), max_size=20))
+    def test_rows_are_counted_by_the_binning_rule(self, seed, n_rows, on_edges):
+        # all rows of each k from one count, against bin_index row by row,
+        # with points exactly on grid edges j/k and at 0.0 and 1.0
+        rng = np.random.default_rng(seed)
+        ties = [float(grid_edges(k)[min(j, k)]) for j, k in on_edges] + [0.0, 1.0]
+        rows = np.stack([rng.permutation(np.concatenate([rng.uniform(size=30),
+                                                         rng.choice(ties, 10)]))
+                         for _ in range(n_rows)])
+        post = fit_posterior(rows, HistogramPrior.poisson(k_max=25, alpha=0.1))
+        for k, params in zip(post.k_support, post.dirichlet_params):
+            oracle = [np.bincount(bin_index(grid_edges(int(k)), x), minlength=int(k))
+                      for x in rows]
+            assert np.array_equal(params, 0.1 + np.array(oracle))
+
     def test_rows_name_the_datum_outside_the_unit_interval(self):
         rows = np.full((2, 3), 0.5)
         rows[1, 2] = 1.5
@@ -370,17 +388,37 @@ class TestSampling:
 
 
 class TestEapDensity:
-    def test_row_eap_weights_are_the_stored_eap_weights(self):
-        # the row-wise weights equal what each row's eap() histogram stores:
-        # the Dirichlet mean, renormalized on construction
+    def test_fixed_k_eap_rows_are_each_rows_eap(self):
+        # one shared grid, and per row the Dirichlet mean, which each row's
+        # eap() histogram stores renormalized
         rows = np.random.default_rng(8).beta(2.0, 5.0, (3, 150))
         post = fit_posterior(rows, HistogramPrior.fixed(40))
-        weights = post.eap_weights()
+        edges, weights = post.eap_rows()
+        assert edges is grid_edges(40)
         assert weights.shape == (3, 40)
         for d in range(3):
             (p,) = post.row(d).dirichlet_params
-            assert weights[d].tolist() == HistogramDensity(p / p.sum()).weights.tolist()
-            assert weights[d].tolist() == post.row(d).eap().weights.tolist()
+            assert weights[d].tolist() == (p / p.sum()).tolist()
+            stored = post.row(d).eap().weights
+            assert normalized_weights(weights[d]).tolist() == stored.tolist()
+            assert stored.tolist() == HistogramDensity(p / p.sum()).weights.tolist()
+
+    def test_random_k_eap_rows_are_each_rows_eap_padded(self):
+        # rows of different spread put their k-mass on different bin counts,
+        # so their union grids differ; each row is its own eap() followed by
+        # pad cells that repeat the edge 1.0 and carry weight 0
+        rng = np.random.default_rng(9)
+        rows = np.stack([rng.beta(a, a, 120) for a in (0.6, 2.0, 8.0, 30.0)])
+        post = fit_posterior(rows, HistogramPrior.poisson(lam=6.0, k_max=30))
+        edges, weights = post.eap_rows()
+        assert edges.shape == (4, weights.shape[1] + 1)
+        grids = [post.row(d).eap() for d in range(4)]
+        assert len({g.k for g in grids}) > 1
+        assert max(g.k for g in grids) == weights.shape[1]
+        for d, g in enumerate(grids):
+            assert edges[d, :g.k + 1].tolist() == g.edges.tolist()
+            assert np.all(edges[d, g.k + 1:] == 1.0) and np.all(weights[d, g.k:] == 0.0)
+            np.testing.assert_allclose(weights[d, :g.k], g.weights, rtol=1e-14, atol=0.0)
 
     def test_prior_mean_without_data_counts(self):
         post = RandomHistogramPosterior(
