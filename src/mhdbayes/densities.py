@@ -156,19 +156,33 @@ def grid_widths(k):
     return widths
 
 
-def padded_edges(grids, members, rows):
-    """The edges of ``rows`` histograms on different grids as one array, for
-    fits that take them as rows: grid ``grids[i]`` belongs to the rows
-    ``members[i]``.  One grid stays one shared vector.  Otherwise each grid is
-    padded to the widest by repeating its last edge (1.0), shape
-    (rows, m + 1) for the m cells of the widest grid; the pad cells have
-    width 0 and take weight 0, so a fit gives them sqrt height 0."""
-    if len(grids) == 1:
-        return np.asarray(grids[0], dtype=float)
-    edges = np.empty((rows, max(len(grid) for grid in grids)))
-    for grid, own in zip(grids, members):
-        edges[own] = np.pad(grid, (0, edges.shape[1] - len(grid)), mode="edge")
-    return edges
+def padded_rows(groups, cells=None):
+    """Histograms on different grids laid out as the rows of one fit.
+
+    Group ``(grid, members, weights)`` puts the rows ``members`` on
+    ``grid``, with ``weights`` one row of cell weights per member, or None
+    for the edges alone; the members of all groups are the rows 0, 1, ...
+    Every grid is padded to ``cells`` cells (default: as many as the widest
+    grid has) by repeating its last edge (1.0), and its weights by zeros,
+    so a pad cell has width 0 and weight 0 and a fit gives it sqrt height
+    0.  A single group, whose members are then every row in order, on a
+    grid of ``cells`` cells stays one shared vector, its weights as given.
+    Returns the edges, shape (cells + 1,) or (rows, cells + 1), and the
+    weights, shape (rows, cells), or None for the edges alone.
+    """
+    if cells is None:
+        cells = max(len(grid) for grid, _, _ in groups) - 1
+    if len(groups) == 1 and len(groups[0][0]) == cells + 1:
+        grid, _, weights = groups[0]
+        return np.asarray(grid, dtype=float), weights
+    rows = sum(len(members) for _, members, _ in groups)
+    edges = np.empty((rows, cells + 1))
+    weights = None if groups[0][2] is None else np.zeros((rows, cells))
+    for grid, members, w in groups:
+        edges[members] = np.pad(grid, (0, cells + 1 - len(grid)), mode="edge")
+        if weights is not None:
+            weights[members, :len(grid) - 1] = w
+    return edges, weights
 
 
 def normalized_weights(weights):

@@ -24,8 +24,8 @@ from .densities import (
     SupportTransform,
     grid_edges,
     normalized_weights,
-    padded_edges,
     padded_ranges,
+    padded_rows,
 )
 from .functional import MhdResult, mhd, mhd_rows
 from .numerics import overflow_safe
@@ -222,13 +222,15 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     All ``n_samples`` histograms are drawn first from ``rng``, one Gamma
     matrix per bin count (``RandomHistogramPosterior.draws``), then all
     draws are fit as the rows of one ``mhd_rows`` call, each on its bin
-    count's grid (padded to the widest drawn, ``densities.padded_edges``),
-    all started at the anchor T(EAP) in the one unit-scale box, and mapped
-    back to the data scale together.  Failed draws are dropped; more than
-    5% of them is an error.  Each draw's minimizer depends on that draw
-    alone, so the samples are reproducible given the seed, and the first m
-    rows of an n-draw fit equal an m-draw fit; under random k only to
-    rounding, when later draws widen the padded grid.
+    count's grid, padded (``densities.padded_rows``) to the grid of the
+    largest bin count the posterior can draw
+    (``RandomHistogramPosterior.widest_draw``), all started at the anchor
+    T(EAP) in the one unit-scale box, and mapped back to the data scale
+    together.  Failed draws are dropped; more than 5% of them is an error.
+    The padded width depends on the posterior alone, so each draw's
+    minimizer depends on that draw alone: the samples are reproducible
+    given the seed, and the first m rows of an n-draw fit equal an m-draw
+    fit.
     ``workers`` is ignored; it is kept only because the benchmark harness
     in ``perfbench/`` passes it.
     """
@@ -243,15 +245,9 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
 
     data = np.asarray(data, dtype=float)
     transform, post, box, anchor = _setup(data, prior, family, padding)
-    draws = post.draws(rng, int(n_samples))
-    edges = padded_edges([grid_edges(w.shape[1]) for _, _, w in draws],
-                         [rows for _, rows, _ in draws], int(n_samples))
-    if len(draws) == 1:   # one bin count: its draws are the rows, in order
-        weights = draws[0][2]
-    else:
-        weights = np.zeros((int(n_samples), edges.shape[-1] - 1))
-        for _, rows, w in draws:
-            weights[rows, :w.shape[1]] = w
+    edges, weights = padded_rows([(grid_edges(w.shape[1]), rows, w)
+                                  for _, rows, w in post.draws(rng, int(n_samples))],
+                                 post.widest_draw())
     samples, ok = mhd_rows(weights, edges, family, anchor.theta_hat, *box)
     samples = family.theta_from_unit(samples.T, transform).T
     failures, budget = int(n_samples - ok.sum()), _BMH_FAILURE_RATE * n_samples

@@ -199,8 +199,8 @@ def mhd_rows(weights, edges, family, theta0, lo, hi):
 
     ``weights`` holds one row of cell weights per histogram.  ``edges`` is
     one grid for every row, shape (k + 1,), or one grid per row, shape
-    (rows, m + 1): histograms on different grids come padded to the widest,
-    as ``densities.padded_edges`` pads them, and a zero-width pad cell gets
+    (rows, m + 1): histograms on different grids come padded to one width,
+    as ``densities.padded_rows`` pads them, and a zero-width pad cell gets
     sqrt height 0, so it adds nothing to a row's coefficient.  ``theta0``
     and the box bounds ``lo`` and ``hi`` are each one vector for every row,
     shape (p,), or one per row, shape (rows, p); the ``bounds`` of

@@ -18,7 +18,7 @@ from .densities import (
     HistogramDensity,
     bin_index,
     grid_edges,
-    padded_edges,
+    padded_rows,
 )
 from .numerics import worker_rng
 
@@ -222,7 +222,7 @@ class RandomHistogramPosterior:
         row, and a union cell has density sum_k w_k * k * mean_k[bin], w the
         row's k-masses renormalized over its active k and mean_k its
         Dirichlet mean.  Rows with the same active k share one union grid,
-        and the grids are padded to the widest (``densities.padded_edges``),
+        and the grids are padded to the widest (``densities.padded_rows``),
         shape (rows, m + 1).  The heights of each k are gathered for all
         rows where it is active at once, by
         :func:`~mhdbayes.densities.bin_index` of the cells' left edges; a
@@ -234,10 +234,9 @@ class RandomHistogramPosterior:
         masses = np.atleast_2d(self.post_k())
         active = masses > 1e-12
         sets, which = np.unique(active, axis=0, return_inverse=True)
-        edges = padded_edges(
-            [np.unique(np.concatenate([grid_edges(int(k)) for k in self.k_support[s]]))
-             for s in sets],
-            [np.flatnonzero(which == j) for j in range(len(sets))], len(masses))
+        edges, _ = padded_rows(
+            [(np.unique(np.concatenate([grid_edges(int(k)) for k in self.k_support[s]])),
+              np.flatnonzero(which == j), None) for j, s in enumerate(sets)])
         edges_of = np.broadcast_to(edges, (len(masses), edges.shape[-1]))
         w = np.where(active, masses, 0.0)
         w /= w.sum(axis=1, keepdims=True)
@@ -254,6 +253,12 @@ class RandomHistogramPosterior:
     def _k_cdf(self):
         cdf = self.post_k().cumsum()
         return cdf / cdf[-1]
+
+    def widest_draw(self):
+        """The largest bin count :meth:`draws` can pick, whatever the stream:
+        a draw's uniform is below 1, so it never passes the first k whose
+        posterior CDF reaches 1."""
+        return int(self.k_support[self._k_cdf.searchsorted(1.0)])
 
     def draws(self, rng, n):
         """``n`` posterior draws as ``(i, rows, weights)`` groups, one per

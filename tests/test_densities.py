@@ -34,6 +34,7 @@ from mhdbayes.densities import (
     hellinger,
     integration_edges,
     padded_ranges,
+    padded_rows,
     transform_density,
 )
 from mhdbayes.numerics import composite_nodes
@@ -94,6 +95,30 @@ class TestSupportTransform:
             else:
                 assert reason is None and (t.a, t.b) == (lo, hi)
         assert reasons[0] is None and reasons[5] is None and "degenerate" in reasons[1]
+
+
+class TestPaddedRows:
+    def test_grids_are_padded_with_their_last_edge_and_zero_weights(self):
+        # rows 0 and 2 on the 3-cell grid, row 1 on the 5-cell grid, all
+        # padded to 6 cells
+        w3, w5 = np.full((2, 3), 1 / 3), np.full((1, 5), 0.2)
+        edges, weights = padded_rows([(grid_edges(3), [0, 2], w3),
+                                      (grid_edges(5), [1], w5)], cells=6)
+        for r, (grid, w) in enumerate([(grid_edges(3), w3[0]), (grid_edges(5), w5[0]),
+                                       (grid_edges(3), w3[1])]):
+            k = len(grid) - 1
+            assert np.array_equal(edges[r, :k + 1], grid) and np.all(edges[r, k:] == 1.0)
+            assert np.array_equal(weights[r, :k], w) and np.all(weights[r, k:] == 0.0)
+        # by default the widest grid sets the width; edges alone take no weights
+        edges, weights = padded_rows([(grid_edges(3), [0], None), (grid_edges(5), [1], None)])
+        assert edges.shape == (2, 6) and weights is None
+
+    def test_one_grid_of_full_width_stays_one_shared_vector(self):
+        w = np.full((4, 5), 0.2)
+        edges, weights = padded_rows([(grid_edges(5), np.arange(4), w)])
+        assert edges is grid_edges(5) and weights is w
+        edges, weights = padded_rows([(grid_edges(5), np.arange(4), w)], cells=7)
+        assert edges.shape == (4, 8) and weights.shape == (4, 7)
 
 
 class TestHistogramDensity:
@@ -729,12 +754,13 @@ class TestCellSqrtMasses:
     fam = GaussianFamily()
 
     @settings(max_examples=60, deadline=None)
-    @given(edges=UNIT_EDGES,
+    @given(cuts=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                         max_size=30, unique=True),
            mu=st.floats(-0.5, 1.5),
            sg=st.floats(4.0 / 32.0, 2.0))
-    def test_closed_form_matches_quadrature_default(self, edges, mu, sg):
+    def test_closed_form_matches_quadrature_default(self, cuts, mu, sg):
         # sigma spans at least 4 of the 32 uniform panels on [0, 1]
-        HistogramDensity(np.diff(edges), edges=edges)
+        edges = np.concatenate([[0.0], np.sort(cuts), [1.0]])
         closed = self.fam.cell_sqrt_masses((mu, sg), edges)
         # one unit sqrt height per cell: the quadrature oracle's cell masses
         quad = QuadratureGaussianFamily().histogram_bc((mu, sg), edges,

@@ -291,7 +291,7 @@ class TestBmhRows:
         family, transform = GaussianFamily(), SupportTransform.from_data(data)
         post = fit_posterior(transform.to_unit(data), prior)
         expected, groups = np.empty((300, 2)), post.draws(np.random.default_rng(13), 300)
-        assert len(groups) > 1 and calls[0][1] == 1 + max(w.shape[1] for _, _, w in groups)
+        assert len(groups) > 1 and calls[0][1] == 1 + post.widest_draw()
         for _, rows, weights in groups:
             expected[rows] = mhd_rows(weights, grid_edges(weights.shape[1]), family,
                                       fit.mhd_meta.theta_hat, *family.unit_box(transform))[0]
@@ -304,13 +304,29 @@ class TestBmhRows:
         long = bmh_fit(data, prior=PRIOR_SMALL, n_samples=300, rng=3)
         assert np.array_equal(long.theta_samples[:100], short.theta_samples)
 
-    def test_random_k_rows_do_not_depend_on_later_draws(self):
+    def test_random_k_rows_do_not_depend_on_later_draws(self, monkeypatch):
         # the Gammas of each bin count come from that bin count's own stream,
-        # so later draws of other bin counts do not shift them
-        data = gaussian_data(200, 12)
-        prior = HistogramPrior.poisson(lam=5.0)
-        short = bmh_fit(data, prior=prior, n_samples=100, rng=3)
-        long = bmh_fit(data, prior=prior, n_samples=300, rng=3)
+        # so later draws of other bin counts do not shift them; the later
+        # draws here reach a wider grid than the first 100, and the rows
+        # are padded to the widest grid the posterior can draw either way
+        data = gaussian_data(500, 12)
+        prior = HistogramPrior.poisson(lam=8.0)
+        post = fit_posterior(SupportTransform.from_data(data).to_unit(data), prior)
+        widest = [max(w.shape[1] for _, _, w in post.draws(np.random.default_rng(1), m))
+                  for m in (100, 300)]
+        assert widest[0] < widest[1] <= post.widest_draw()
+        calls = []
+
+        def recording(weights, edges, *args):
+            calls.append((weights, edges))
+            return mhd_rows(weights, edges, *args)
+
+        monkeypatch.setattr(estimators, "mhd_rows", recording)
+        short = bmh_fit(data, prior=prior, n_samples=100, rng=1)
+        long = bmh_fit(data, prior=prior, n_samples=300, rng=1)
+        (w_short, e_short), (w_long, e_long) = calls
+        assert e_short.shape[1] == e_long.shape[1] == post.widest_draw() + 1
+        assert np.array_equal(w_long[:100], w_short) and np.array_equal(e_long[:100], e_short)
         assert np.array_equal(long.theta_samples[:100], short.theta_samples)
 
     def test_bad_level_fails_before_any_minimization(self, monkeypatch):

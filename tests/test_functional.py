@@ -24,7 +24,7 @@ from mhdbayes.densities import (
     grid_edges,
     histogram_nodes,
     integration_edges,
-    padded_edges,
+    padded_rows,
 )
 from mhdbayes.functional import (
     asymptotic_variance,
@@ -581,14 +581,9 @@ def normal_cell_weights(edges, mu, sg):
     return mass / mass.sum()
 
 
-def padded_rows(grids, weights):
-    """One row per histogram: the edges of ``padded_edges`` and the weights
-    with zeros on the pad cells."""
-    edges = padded_edges(grids, [[r] for r in range(len(grids))], len(grids))
-    padded = np.zeros((len(grids), edges.shape[-1] - 1))
-    for r, w in enumerate(weights):
-        padded[r, :len(w)] = w
-    return edges, padded
+def one_row_each(grids, weights):
+    """One row per histogram, laid out by ``padded_rows``."""
+    return padded_rows([(g, [r], w[None]) for r, (g, w) in enumerate(zip(grids, weights))])
 
 
 @st.composite
@@ -630,7 +625,7 @@ class TestRaggedRows:
     def test_one_padded_call_matches_the_per_grid_calls(self, rows):
         grids, weights = rows
         n = len(grids)
-        edges, padded = padded_rows(grids, weights)
+        edges, padded = one_row_each(grids, weights)
         # the narrowest row is padded and the widest is not
         assert edges[0, -2] == 1.0 and edges[-1, -2] < 1.0
         # row 1 starts on the plateau, where Newton leaves it unconverged
@@ -665,7 +660,7 @@ class TestRaggedRows:
         grids = [grid_edges(12), np.union1d(grid_edges(10), grid_edges(25))]
         weights = [normal_cell_weights(g, mu, sg) for g, mu, sg in zip(grids, (1.3, 0.4),
                                                                         (0.3, 0.1))]
-        edges, padded = padded_rows(grids, weights)
+        edges, padded = one_row_each(grids, weights)
         starts, (lo, hi) = np.array([[1.5, 0.3], [0.5, 0.2]]), self.boxes(fam, 2)
         theta, converged = mhd_rows(padded, edges, fam, starts, lo, hi)
         assert theta[0, 0] >= 1.2 and converged[1]

@@ -350,6 +350,25 @@ class TestSampling:
                 g = stream.gamma(post.dirichlet_params[i])
                 assert np.array_equal(w, g / g.sum())
 
+    def test_widest_draw_is_the_bin_count_of_the_largest_uniform(self):
+        # draws pick bin counts monotonically in their uniform, and the
+        # largest uniform below 1 picks the widest draw; a fixed k is its own
+        class TopUniform:
+            def integers(self, high):
+                return 0
+
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        data = np.random.default_rng(1).normal(0.0, 1.0, 80)
+        unit = SupportTransform.from_data(data).to_unit(data)
+        post = fit_posterior(unit, HistogramPrior.poisson(lam=8.0, k_max=40))
+        ((i, _, _),) = post.draws(TopUniform(), 3)
+        assert post.k_support[i] == post.widest_draw()
+        # the tail beyond every k of EAP mass can still be drawn, up to k_max
+        assert post.k_support[post.post_k() > 1e-12].max() < post.widest_draw() < 40
+        assert fit_posterior(unit, HistogramPrior.fixed(30)).widest_draw() == 30
+
     def test_sample_is_the_first_of_draws(self):
         for prior in (HistogramPrior.fixed(10, alpha=0.5), HistogramPrior.poisson(lam=3.0)):
             post = fit_posterior(newcomb_unit(), prior)
