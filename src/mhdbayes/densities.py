@@ -156,33 +156,23 @@ def grid_widths(k):
     return widths
 
 
-def padded_rows(groups, cells=None):
-    """Histograms on different grids laid out as the rows of one fit.
+def padded_rows(groups):
+    """Grids laid out as the edges of the rows of one fit.
 
-    Group ``(grid, members, weights)`` puts the rows ``members`` on
-    ``grid``, with ``weights`` one row of cell weights per member, or None
-    for the edges alone; the members of all groups are the rows 0, 1, ...
-    Every grid is padded to ``cells`` cells (default: as many as the widest
-    grid has) by repeating its last edge (1.0), and its weights by zeros,
-    so a pad cell has width 0 and weight 0 and a fit gives it sqrt height
-    0.  A single group, whose members are then every row in order, on a
-    grid of ``cells`` cells stays one shared vector, its weights as given.
-    Returns the edges, shape (cells + 1,) or (rows, cells + 1), and the
-    weights, shape (rows, cells), or None for the edges alone.
+    Group ``(grid, members)`` puts the rows ``members`` on ``grid``; the
+    members of all groups are the rows 0, 1, ...  Every grid is padded to
+    the widest by repeating its last edge (1.0), so a pad cell has width 0
+    and a fit gives it sqrt height 0 when its weight is 0.  A single group,
+    whose members are then every row in order, stays one shared vector.
+    Returns the edges, shape (cells + 1,) or (rows, cells + 1).
     """
-    if cells is None:
-        cells = max(len(grid) for grid, _, _ in groups) - 1
-    if len(groups) == 1 and len(groups[0][0]) == cells + 1:
-        grid, _, weights = groups[0]
-        return np.asarray(grid, dtype=float), weights
-    rows = sum(len(members) for _, members, _ in groups)
-    edges = np.empty((rows, cells + 1))
-    weights = None if groups[0][2] is None else np.zeros((rows, cells))
-    for grid, members, w in groups:
+    if len(groups) == 1:
+        return np.asarray(groups[0][0], dtype=float)
+    cells = max(len(grid) for grid, _ in groups) - 1
+    edges = np.empty((sum(len(members) for _, members in groups), cells + 1))
+    for grid, members in groups:
         edges[members] = np.pad(grid, (0, cells + 1 - len(grid)), mode="edge")
-        if weights is not None:
-            weights[members, :len(grid) - 1] = w
-    return edges, weights
+    return edges
 
 
 def normalized_weights(weights):

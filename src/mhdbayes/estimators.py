@@ -25,7 +25,6 @@ from .densities import (
     grid_edges,
     normalized_weights,
     padded_ranges,
-    padded_rows,
 )
 from .functional import MhdResult, mhd, mhd_rows
 from .numerics import overflow_safe
@@ -220,17 +219,14 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     """BMH posterior: map posterior density draws through the minimizer.
 
     All ``n_samples`` histograms are drawn first from ``rng``, one Gamma
-    matrix per bin count (``RandomHistogramPosterior.draws``), then all
-    draws are fit as the rows of one ``mhd_rows`` call, each on its bin
-    count's grid, padded (``densities.padded_rows``) to the grid of the
-    largest bin count the posterior can draw
-    (``RandomHistogramPosterior.widest_draw``), all started at the anchor
-    T(EAP) in the one unit-scale box, and mapped back to the data scale
-    together.  Failed draws are dropped; more than 5% of them is an error.
-    The padded width depends on the posterior alone, so each draw's
-    minimizer depends on that draw alone: the samples are reproducible
-    given the seed, and the first m rows of an n-draw fit equal an m-draw
-    fit.
+    matrix per bin count (``RandomHistogramPosterior.draws``).  The draws
+    of each bin count are then fit as the rows of one ``mhd_rows`` call on
+    that bin count's own grid, all started at the anchor T(EAP) in the one
+    unit-scale box, and mapped back to the data scale together; a fixed-k
+    prior makes one call.  Failed draws are dropped; more than 5% of them
+    is an error.  No draw carries a pad cell, so each draw's minimizer
+    depends on that draw alone: the samples are reproducible given the
+    seed, and the first m rows of an n-draw fit equal an m-draw fit.
     ``workers`` is ignored; it is kept only because the benchmark harness
     in ``perfbench/`` passes it.
     """
@@ -245,10 +241,11 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
 
     data = np.asarray(data, dtype=float)
     transform, post, box, anchor = _setup(data, prior, family, padding)
-    edges, weights = padded_rows([(grid_edges(w.shape[1]), rows, w)
-                                  for _, rows, w in post.draws(rng, int(n_samples))],
-                                 post.widest_draw())
-    samples, ok = mhd_rows(weights, edges, family, anchor.theta_hat, *box)
+    n = int(n_samples)
+    samples, ok = np.empty((n, family.dim)), np.empty(n, dtype=bool)
+    for _, rows, weights in post.draws(rng, n):
+        samples[rows], ok[rows] = mhd_rows(weights, grid_edges(weights.shape[1]), family,
+                                           anchor.theta_hat, *box)
     samples = family.theta_from_unit(samples.T, transform).T
     failures, budget = int(n_samples - ok.sum()), _BMH_FAILURE_RATE * n_samples
     if failures > budget:

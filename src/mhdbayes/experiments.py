@@ -116,6 +116,18 @@ def _non_finite(name, theta):
     return None
 
 
+def _plausible_support(family, theta, what, quantity):
+    """``family.plausible_support(theta)`` as a float array; a support that
+    is not a finite interval raises ``ValueError`` naming ``what``, whose
+    ``quantity`` is integrated over it."""
+    with np.errstate(over="ignore"):   # an overflow is refused just below
+        support = np.asarray(family.plausible_support(theta), dtype=float)
+    if not (np.all(np.isfinite(support)) and support[0] < support[1]):
+        raise ValueError(f"{what} has no finite plausible support "
+                         f"(got {support.tolist()}) to integrate its {quantity} over")
+    return support
+
+
 def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
                      prior=None, padding=DEFAULT_PADDING):
     """Sampling-variance check of MHB against the inverse Fisher information.
@@ -143,11 +155,7 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     prior = prior or HistogramPrior.fixed()
     seed = _seed_of(rng)
     theta0 = _true_theta(theta0)
-    with np.errstate(over="ignore"):   # an overflow is refused just below
-        support = np.asarray(family.plausible_support(theta0), dtype=float)
-    if not (np.all(np.isfinite(support)) and support[0] < support[1]):
-        raise ValueError(f"theta0 {theta0.tolist()} has no finite plausible support "
-                         f"(got {support.tolist()}) to integrate its Fisher information over")
+    _plausible_support(family, theta0, f"theta0 {theta0.tolist()}", "Fisher information")
     target = np.diag(np.linalg.inv(fisher_information(family, theta0)))
     datasets = np.array([family.sample(theta0, int(n), worker_rng(seed, r))
                          for r in range(int(reps))])
@@ -336,13 +344,22 @@ def bvm_diagnostic(data, prior=None, family=None, n_samples=2000, rng=None,
     Standardizes the parameter draws as sqrt(n) (theta - EAP) and compares
     them coordinatewise with N(0, V), V being the influence-function norm
     at the fitted model density: reports the posterior-sd over sqrt(V/n)
-    ratio and the Kolmogorov-Smirnov statistic.
+    ratio and the Kolmogorov-Smirnov statistic.  A fitted model whose
+    plausible support is not a finite interval, or whose squared width
+    overflows, raises ``ValueError`` naming the data range, after the draws
+    and before V.
     """
     family = family or GaussianFamily()
     seed = _seed_of(rng)
     fit = bmh_fit(data, prior=prior, family=family, n_samples=n_samples,
                   rng=np.random.default_rng(seed), padding=padding)
-    n = len(np.asarray(data))
+    data = np.asarray(data, dtype=float)
+    n = len(data)
+    what = f"the model fit to data in [{float(data.min())!r}, {float(data.max())!r}]"
+    support = _plausible_support(family, fit.eap, what, "asymptotic variance")
+    if np.diff(support)[0] > math.sqrt(np.finfo(float).max):
+        raise ValueError(f"{what} has a plausible support {support.tolist()} whose squared "
+                         "width, the scale of its asymptotic variance, overflows")
     V = asymptotic_variance(family, fit.eap).V
     if not np.all(np.diag(V) > 0):
         raise RuntimeError("influence-norm variance matrix is singular")

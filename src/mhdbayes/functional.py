@@ -200,10 +200,11 @@ def mhd_rows(weights, edges, family, theta0, lo, hi):
     ``weights`` holds one row of cell weights per histogram.  ``edges`` is
     one grid for every row, shape (k + 1,), or one grid per row, shape
     (rows, m + 1): histograms on different grids come padded to one width,
-    as ``densities.padded_rows`` pads them, and a zero-width pad cell gets
-    sqrt height 0, so it adds nothing to a row's coefficient.  ``theta0``
-    and the box bounds ``lo`` and ``hi`` are each one vector for every row,
-    shape (p,), or one per row, shape (rows, p); the ``bounds`` of
+    their edges as ``densities.padded_rows`` pads them and their weights
+    with zeros, and a zero-width pad cell gets sqrt height 0, so it adds
+    nothing to a row's coefficient.  ``theta0`` and the box bounds ``lo``
+    and ``hi`` are each one vector for every row, shape (p,), or one per
+    row, shape (rows, p); the ``bounds`` of
     ``family`` are not read, and a start outside its row's box is clipped
     into it.  Each fit runs on its row's edges, with no quadrature of its
     own: ``family.histogram_bc`` gives a row's Bhattacharyya coefficient

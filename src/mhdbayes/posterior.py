@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,7 +190,8 @@ class RandomHistogramPosterior:
     ``log_post_k[i]`` is the log posterior mass of ``k_support[i]`` and
     ``dirichlet_params[i]`` the matching posterior Dirichlet parameters
     (prior alpha plus bin counts).  :meth:`draws` samples many histograms
-    at once, grouped by bin count; :meth:`sample` is its one-draw case.
+    at once, grouped by bin count, each group on its own regular grid;
+    :meth:`sample` is its one-draw case.
 
     The update of D datasets at once (:func:`fit_posterior` of a (D, n)
     matrix) puts a leading row axis on ``log_post_k`` and on every
@@ -222,9 +223,9 @@ class RandomHistogramPosterior:
         row, and a union cell has density sum_k w_k * k * mean_k[bin], w the
         row's k-masses renormalized over its active k and mean_k its
         Dirichlet mean.  Rows with the same active k share one union grid,
-        and the grids are padded to the widest (``densities.padded_rows``),
-        shape (rows, m + 1).  The heights of each k are gathered for all
-        rows where it is active at once, by
+        and ``densities.padded_rows`` pads the grids to the widest, shape
+        (rows, m + 1), unless every row shares one.  The heights of each k
+        are gathered for all rows where it is active at once, by
         :func:`~mhdbayes.densities.bin_index` of the cells' left edges; a
         pad cell has width 0, and so weight 0.
         """
@@ -234,9 +235,9 @@ class RandomHistogramPosterior:
         masses = np.atleast_2d(self.post_k())
         active = masses > 1e-12
         sets, which = np.unique(active, axis=0, return_inverse=True)
-        edges, _ = padded_rows(
+        edges = padded_rows(
             [(np.unique(np.concatenate([grid_edges(int(k)) for k in self.k_support[s]])),
-              np.flatnonzero(which == j), None) for j, s in enumerate(sets)])
+              np.flatnonzero(which == j)) for j, s in enumerate(sets)])
         edges_of = np.broadcast_to(edges, (len(masses), edges.shape[-1]))
         w = np.where(active, masses, 0.0)
         w /= w.sum(axis=1, keepdims=True)
@@ -249,34 +250,25 @@ class RandomHistogramPosterior:
             heights[rows] += w[rows, i, None] * k * np.take_along_axis(mean, cell, axis=1)
         return edges, heights * np.diff(edges_of, axis=1)
 
-    @cached_property
-    def _k_cdf(self):
-        cdf = self.post_k().cumsum()
-        return cdf / cdf[-1]
-
-    def widest_draw(self):
-        """The largest bin count :meth:`draws` can pick, whatever the stream:
-        a draw's uniform is below 1, so it never passes the first k whose
-        posterior CDF reaches 1."""
-        return int(self.k_support[self._k_cdf.searchsorted(1.0)])
-
     def draws(self, rng, n):
         """``n`` posterior draws as ``(i, rows, weights)`` groups, one per
         bin count drawn: index ``i`` into ``k_support``, the increasing draw
         positions ``rows`` with that bin count, and their Dirichlet(alpha +
-        counts) weights, normalized Gammas from one ``gamma`` call per group.
+        counts) weights on ``grid_edges(k_support[i])``, normalized Gammas
+        from one ``gamma`` call per group.
 
         A single bin count takes its Gammas from ``rng``.  Otherwise ``rng``
-        gives a seed, then one uniform per draw that picks its bin count as
-        ``rng.choice(p=post_k())`` would, and group ``i`` draws from
-        ``worker_rng(seed, i)``.  The first m of ``n`` draws equal ``m``
-        draws from the same stream.
+        gives a seed, then one uniform per draw that picks its bin count
+        from the posterior k-CDF as ``rng.choice(p=post_k())`` would, and
+        group ``i`` draws from ``worker_rng(seed, i)``.  The first m of
+        ``n`` draws equal ``m`` draws from the same stream.
         """
         if len(self.k_support) == 1:
             groups = [(0, np.arange(n), rng)]
         else:
             seed = int(rng.integers(2 ** 63))
-            pick = self._k_cdf.searchsorted(rng.random(n), side="right")
+            cdf = self.post_k().cumsum()
+            pick = (cdf / cdf[-1]).searchsorted(rng.random(n), side="right")
             groups = [(int(i), np.flatnonzero(pick == i), worker_rng(seed, i))
                       for i in np.unique(pick)]
         out = []

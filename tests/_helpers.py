@@ -4,8 +4,8 @@ schedule, the quadrature oracles of the ``node_bc`` and ``histogram_bc``
 family hooks, a Gaussian family with its sqrt-density Hessian, one on the
 quadrature histogram coefficient, the one-dataset-at-a-time oracle of
 ``estimators._mhb_many``, a counter of closed-form histogram evaluations,
-the Nelder-Mead oracle of ``mhd``, the parameter box of a bounded
-family, uniform, mixture and
+the Nelder-Mead oracle of ``mhd``, its grid-and-polish global oracle,
+the parameter box of a bounded family, zero-padded weight rows, uniform, mixture and
 windowed-callable densities, the projection of a density onto a histogram grid and the
 gross-error contamination model."""
 
@@ -162,6 +162,37 @@ def box_of(family):
     if family.bounds is None or None in family.bounds:
         raise ValueError("family declares no parameter bounds")
     return np.asarray(family.bounds, dtype=float).T
+
+
+def global_mhd_oracle(g, family, box):
+    """The global minimum of the Hellinger distance between f_theta and the
+    histogram ``g`` over the unit box ``box`` (lower, upper): the best
+    point of a 121 x 80 grid over mu (linear) and sigma (geometric)
+    spanning the box, scored by the closed-form ``histogram_bc`` of ``g``,
+    then polished by ``mhd`` from that point.  Returns the lower h of the
+    two where ``mhd`` converges, else the grid's, and the point it is at."""
+    lo, hi = np.asarray(box, dtype=float)
+    grid = np.stack(np.meshgrid(np.linspace(lo[0], hi[0], 121),
+                                np.geomspace(lo[1], hi[1], 80), indexing="ij"),
+                    axis=-1).reshape(-1, 2)
+    bc = family.histogram_bc(functional._columns(grid), g.edges,
+                             np.sqrt(g.weights / np.diff(g.edges))[None])[0]
+    best = int(np.argmax(bc))
+    h, theta = math.sqrt(max(2.0 - 2.0 * float(bc[best]), 0.0)), grid[best]
+    fit = functional.mhd(g, family, theta, lo, hi)
+    if fit.converged and fit.h_min < h:
+        return fit.h_min, fit.theta_hat
+    return h, theta
+
+
+def padded_weights(weights):
+    """The cell-weight vectors ``weights`` as the rows of one matrix, each
+    padded with zeros to the widest, as ``mhd_rows`` takes the weights of
+    histograms whose edges ``densities.padded_rows`` lays out."""
+    out = np.zeros((len(weights), max(len(w) for w in weights)))
+    for row, w in zip(out, weights):
+        row[:len(w)] = w
+    return out
 
 
 def _oracle_setup(data, prior, family, padding):

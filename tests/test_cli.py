@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mhdbayes.cli as cli
+import mhdbayes.experiments as experiments
 from mhdbayes.cli import build_parser, main, resolve_config, validate_config
 from mhdbayes.datasets import Dataset, load_dataset
 from mhdbayes.experiments import efficiency_study
@@ -510,6 +511,29 @@ class TestFloat64Extremes:
                 mu, sigma = result["theta_hat" if result["estimator"] == "mhb" else "eap"]
                 assert NEAR_MAX.min() <= mu <= NEAR_MAX.max() and 0 < sigma < np.inf
 
+    @pytest.mark.parametrize("values, reason", [
+        (NEAR_MAX, "has no finite plausible support"),
+        (1.5e308 * (1.0 + np.random.default_rng(0).uniform(0.0, 1e-3, 40)),
+         "whose squared width, the scale of its asymptotic variance, overflows"),
+    ], ids=["overflowing-support", "underflowing-curvature"])
+    def test_bvm_near_the_largest_double_names_the_data_range(self, tmp_path, values, reason,
+                                                              capsys, monkeypatch):
+        # refused after all the draws and before the variance: the fitted
+        # model's support overflows, or its sigma (about 1e305) would
+        # underflow the influence-function quadrature
+        monkeypatch.setattr(experiments, "asymptotic_variance",
+                            lambda *args: pytest.fail("the variance was computed"))
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(repr(float(v)) for v in values) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # the prior-mass warning
+            assert main(["bvm", "--data", str(data), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        span = f"[{float(values.min())!r}, {float(values.max())!r}]"
+        assert captured.out == "" and captured.err.startswith(
+            f"error: the model fit to data in {span} ")
+        assert reason in captured.err
+
     @pytest.mark.parametrize("extra, far", [
         (["--estimators", "mhb,mle", "--z-grid", "5,1e308"], 1e308),
         (["--estimators", "mle", "--z-grid", "5,1e308"], 1e308),
@@ -600,8 +624,6 @@ class TestRunStudiesAndDump:
 
     def test_robustness_workers_0_uses_every_core(self, tmp_path, monkeypatch):
         # 0 is recorded as given and means one process per core (two here)
-        from mhdbayes import experiments
-
         pools, map_tasks = [], experiments._map_tasks
 
         def recording(fn, tasks, workers):

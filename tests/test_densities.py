@@ -98,27 +98,17 @@ class TestSupportTransform:
 
 
 class TestPaddedRows:
-    def test_grids_are_padded_with_their_last_edge_and_zero_weights(self):
+    def test_grids_are_padded_with_their_last_edge(self):
         # rows 0 and 2 on the 3-cell grid, row 1 on the 5-cell grid, all
-        # padded to 6 cells
-        w3, w5 = np.full((2, 3), 1 / 3), np.full((1, 5), 0.2)
-        edges, weights = padded_rows([(grid_edges(3), [0, 2], w3),
-                                      (grid_edges(5), [1], w5)], cells=6)
-        for r, (grid, w) in enumerate([(grid_edges(3), w3[0]), (grid_edges(5), w5[0]),
-                                       (grid_edges(3), w3[1])]):
+        # padded to the widest
+        edges = padded_rows([(grid_edges(3), [0, 2]), (grid_edges(5), [1])])
+        assert edges.shape == (3, 6)
+        for r, grid in enumerate([grid_edges(3), grid_edges(5), grid_edges(3)]):
             k = len(grid) - 1
             assert np.array_equal(edges[r, :k + 1], grid) and np.all(edges[r, k:] == 1.0)
-            assert np.array_equal(weights[r, :k], w) and np.all(weights[r, k:] == 0.0)
-        # by default the widest grid sets the width; edges alone take no weights
-        edges, weights = padded_rows([(grid_edges(3), [0], None), (grid_edges(5), [1], None)])
-        assert edges.shape == (2, 6) and weights is None
 
     def test_one_grid_of_full_width_stays_one_shared_vector(self):
-        w = np.full((4, 5), 0.2)
-        edges, weights = padded_rows([(grid_edges(5), np.arange(4), w)])
-        assert edges is grid_edges(5) and weights is w
-        edges, weights = padded_rows([(grid_edges(5), np.arange(4), w)], cells=7)
-        assert edges.shape == (4, 8) and weights.shape == (4, 7)
+        assert padded_rows([(grid_edges(5), np.arange(4))]) is grid_edges(5)
 
 
 class TestHistogramDensity:

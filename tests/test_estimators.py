@@ -275,28 +275,30 @@ class TestBmhRows:
         assert fit.n_failed == 0
         assert np.max(np.abs(fit.theta_samples - expected)) < 1e-9
 
-    def test_random_k_draws_are_one_padded_call(self, monkeypatch):
-        # draws of several bin counts are the padded rows of one mhd_rows
-        # call; the oracle fits each bin count's draws alone on its own grid
+    def test_random_k_draws_are_one_call_per_bin_count(self, monkeypatch):
+        # the draws of each bin count are the rows of one mhd_rows call on
+        # that bin count's own grid, no pad cell anywhere; the oracle fits
+        # each bin count's draws alone
         data, prior = gaussian_data(150, 27), HistogramPrior.poisson(lam=5.0)
         calls = []
 
         def counting(weights, edges, *args):
-            calls.append(np.shape(edges))
+            calls.append((len(weights), edges))
             return mhd_rows(weights, edges, *args)
 
         monkeypatch.setattr(estimators, "mhd_rows", counting)
         fit = bmh_fit(data, prior=prior, n_samples=300, rng=13)
-        assert calls == [(300, calls[0][1])] and fit.n_failed == 0
+        assert fit.n_failed == 0
         family, transform = GaussianFamily(), SupportTransform.from_data(data)
         post = fit_posterior(transform.to_unit(data), prior)
         expected, groups = np.empty((300, 2)), post.draws(np.random.default_rng(13), 300)
-        assert len(groups) > 1 and calls[0][1] == 1 + post.widest_draw()
-        for _, rows, weights in groups:
-            expected[rows] = mhd_rows(weights, grid_edges(weights.shape[1]), family,
-                                      fit.mhd_meta.theta_hat, *family.unit_box(transform))[0]
+        assert len(groups) > 1 and len(calls) == len(groups)
+        for (rows, edges), (i, group, weights) in zip(calls, groups):
+            assert rows == len(group) and edges is grid_edges(int(post.k_support[i]))
+            expected[group] = mhd_rows(weights, grid_edges(weights.shape[1]), family,
+                                       fit.mhd_meta.theta_hat, *family.unit_box(transform))[0]
         expected = family.theta_from_unit(expected.T, transform).T
-        assert np.max(np.abs(fit.theta_samples - expected)) <= 1e-12 * transform.width
+        assert np.array_equal(fit.theta_samples, expected)
 
     def test_rows_do_not_depend_on_later_draws(self):
         data = gaussian_data(200, 12)
@@ -307,26 +309,28 @@ class TestBmhRows:
     def test_random_k_rows_do_not_depend_on_later_draws(self, monkeypatch):
         # the Gammas of each bin count come from that bin count's own stream,
         # so later draws of other bin counts do not shift them; the later
-        # draws here reach a wider grid than the first 100, and the rows
-        # are padded to the widest grid the posterior can draw either way
+        # draws here reach a wider grid than the first 100
         data = gaussian_data(500, 12)
         prior = HistogramPrior.poisson(lam=8.0)
         post = fit_posterior(SupportTransform.from_data(data).to_unit(data), prior)
         widest = [max(w.shape[1] for _, _, w in post.draws(np.random.default_rng(1), m))
                   for m in (100, 300)]
-        assert widest[0] < widest[1] <= post.widest_draw()
+        assert widest[0] < widest[1]
         calls = []
 
         def recording(weights, edges, *args):
-            calls.append((weights, edges))
+            calls[-1][len(edges) - 1] = weights
             return mhd_rows(weights, edges, *args)
 
         monkeypatch.setattr(estimators, "mhd_rows", recording)
-        short = bmh_fit(data, prior=prior, n_samples=100, rng=1)
-        long = bmh_fit(data, prior=prior, n_samples=300, rng=1)
-        (w_short, e_short), (w_long, e_long) = calls
-        assert e_short.shape[1] == e_long.shape[1] == post.widest_draw() + 1
-        assert np.array_equal(w_long[:100], w_short) and np.array_equal(e_long[:100], e_short)
+        fits = []
+        for m in (100, 300):
+            calls.append({})
+            fits.append(bmh_fit(data, prior=prior, n_samples=m, rng=1))
+        (short, long), (w_short, w_long) = fits, calls
+        assert max(w_short) == widest[0] and max(w_long) == widest[1]
+        for k, w in w_short.items():
+            assert np.array_equal(w_long[k][:len(w)], w)
         assert np.array_equal(long.theta_samples[:100], short.theta_samples)
 
     def test_bad_level_fails_before_any_minimization(self, monkeypatch):

@@ -11,6 +11,7 @@ from _helpers import (
     box_of,
     einsum_node_bc,
     nelder_mead_mhd,
+    padded_weights,
     project_to_histogram,
     quadrature_histogram_bc,
 )
@@ -582,8 +583,10 @@ def normal_cell_weights(edges, mu, sg):
 
 
 def one_row_each(grids, weights):
-    """One row per histogram, laid out by ``padded_rows``."""
-    return padded_rows([(g, [r], w[None]) for r, (g, w) in enumerate(zip(grids, weights))])
+    """One row per histogram: its edges laid out by ``padded_rows``, its
+    weights padded with zeros."""
+    return (padded_rows([(g, [r]) for r, g in enumerate(grids)]),
+            padded_weights(weights))
 
 
 @st.composite
