@@ -156,25 +156,6 @@ def grid_widths(k):
     return widths
 
 
-def padded_rows(groups):
-    """Grids laid out as the edges of the rows of one fit.
-
-    Group ``(grid, members)`` puts the rows ``members`` on ``grid``; the
-    members of all groups are the rows 0, 1, ...  Every grid is padded to
-    the widest by repeating its last edge (1.0), so a pad cell has width 0
-    and a fit gives it sqrt height 0 when its weight is 0.  A single group,
-    whose members are then every row in order, stays one shared vector.
-    Returns the edges, shape (cells + 1,) or (rows, cells + 1).
-    """
-    if len(groups) == 1:
-        return np.asarray(groups[0][0], dtype=float)
-    cells = max(len(grid) for grid, _ in groups) - 1
-    edges = np.empty((sum(len(members) for _, members in groups), cells + 1))
-    for grid, members in groups:
-        edges[members] = np.pad(grid, (0, cells + 1 - len(grid)), mode="edge")
-    return edges
-
-
 def normalized_weights(weights):
     """Histogram cell weights clipped at 0 and divided by their sum, as
     :class:`HistogramDensity` stores them; a leading axis holds rows."""

@@ -129,11 +129,10 @@ def _mhb_many(data, prior, family, padding, start=None):
 
     The datasets are set up as one matrix: the input checks and support
     transforms of all rows at once (``_transforms``), one row-wise
-    posterior update of the rows that pass and one row-wise EAP
-    (``RandomHistogramPosterior.eap_rows``: a fixed-k prior's shared grid,
-    or a random-k prior's union grids padded to the widest).  Each row gets
-    its own transform, and its start and parameter box on the unit scale.
-    All EAPs are fit as the rows of one ``mhd_rows`` call, each in its own
+    posterior update of the rows that pass and one row-wise EAP on one
+    grid (``RandomHistogramPosterior.eap_rows``).  Each row gets its own
+    transform, and its start and parameter box on the unit scale.  All
+    EAPs are fit as the rows of one ``mhd_rows`` call, each in its own
     box, and each row is mapped back by its own transform.  Returns per
     dataset its estimate or why its fit failed (a str).
     """
@@ -224,9 +223,9 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     that bin count's own grid, all started at the anchor T(EAP) in the one
     unit-scale box, and mapped back to the data scale together; a fixed-k
     prior makes one call.  Failed draws are dropped; more than 5% of them
-    is an error.  No draw carries a pad cell, so each draw's minimizer
-    depends on that draw alone: the samples are reproducible given the
-    seed, and the first m rows of an n-draw fit equal an m-draw fit.
+    is an error.  Each draw's minimizer depends on that draw alone: the
+    samples are reproducible given the seed, and the first m rows of an
+    n-draw fit equal an m-draw fit.
     ``workers`` is ignored; it is kept only because the benchmark harness
     in ``perfbench/`` passes it.
     """

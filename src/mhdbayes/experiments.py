@@ -4,10 +4,11 @@ robustness, asymptotic efficiency, and the Bernstein-von-Mises check.
 Replicates get independent RNG streams derived from the study seed and are
 merged in replicate order, so reports are reproducible bit for bit given
 {seed, config}.  The efficiency study fits its replicates as the rows of
-one batched Newton call, under a fixed-k or a random-k prior alike (the
-random-k EAP grids are padded to the widest).  The robustness sweep is
-the one study that runs over processes: its ``workers`` (default 1, 0 =
-all cores) fans the replicates out, and reports do not depend on it.
+one batched Newton call on one grid, under a fixed-k or a random-k prior
+alike (a random-k batch shares the union of its EAP grids).  The
+robustness sweep is the one study that runs over processes: its
+``workers`` (default 1, 0 = all cores) fans the replicates out, and
+reports do not depend on it.
 """
 
 from __future__ import annotations
@@ -137,9 +138,11 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     datasets are stacked into one (reps, n) matrix and set up as one (one
     row-wise check, transform, posterior update and EAP, see
     ``_mhb_many``); each gets its own unit-scale box, and is fit from its
-    moment start as a row of one ``mhd_rows`` call, whatever the prior.  A
-    failed MHB fit, or else a NaN or infinite estimate, is the row's
-    ``error`` and leaves that estimate out of the row.  Compares the
+    moment start as a row of one ``mhd_rows`` call on one grid, whatever
+    the prior.  A failed MHB fit, or else a NaN or infinite estimate, is
+    the row's ``error`` and leaves that estimate out of the row; a
+    unit-scale box that is empty, such as a sigma ceiling below the
+    ``unit_box`` floor of 1e-12, raises ``ValueError`` naming it.  Compares the
     empirical variance of sqrt(n) (theta_hat - theta0) with the Cramer-Rao
     diagonal, computed before any replicate is drawn.  A ``theta0``
     without a finite mu and a finite sigma > 0, or whose

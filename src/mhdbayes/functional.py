@@ -61,8 +61,8 @@ _SEED_MU = np.linspace(0.0, 1.0, 41)
 _SEED_SIGMA = np.geomspace(max(_UNIT_BOUNDS[1][0], 1e-4), _UNIT_BOUNDS[1][1], 31)
 _SEED_CELLS = 100
 
-# Cap on rows x cells, pad cells included, in one block of ``mhd_rows``; it
-# bounds the (rows, k + 1) edge temporaries of the closed-form
+# Cap on rows x cells in one block of ``mhd_rows``; it bounds the
+# (rows, k + 1) edge temporaries of the closed-form
 # ``histogram_bc``, and with them peak memory, to a few MB.  Larger blocks
 # pay the per-call overhead of each Newton iteration fewer times.  BMH(2000) on
 # Newcomb (fastest of 5 runs, 2-core x86-64 host) takes 57 ms at this size,
@@ -90,6 +90,18 @@ def _prepared_nodes(g):
     return x, w, np.sqrt(_checked_values("g", vals, x))
 
 
+def _check_box(lo, hi, rows):
+    """The box rule of ``mhd`` and ``mhd_rows``: refuse a box [``lo``, ``hi``],
+    shape (rows, p), with a coordinate not finite with lo < hi (NaN too),
+    naming it, and its row when ``rows`` is true."""
+    ok = np.isfinite(lo) & np.isfinite(hi) & (lo < hi)
+    if not ok.all():
+        r, j = np.argwhere(~ok)[0]
+        row = f" of row {r}" if rows else ""
+        raise ValueError(f"parameter box coordinate {j}{row} needs finite lo < hi, "
+                         f"got [{float(lo[r, j])!r}, {float(hi[r, j])!r}]")
+
+
 def mhd(g, family, x0, lo, hi):
     """Minimize the Hellinger distance between f_theta and ``g`` over theta
     in the box [``lo``, ``hi``], shape (p,) each, as ``mhd_rows`` takes it.
@@ -111,10 +123,7 @@ def mhd(g, family, x0, lo, hi):
     """
     # the one box, as one row
     lo, hi = np.array([lo, hi], dtype=float)[:, None]
-    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))[0])   # NaN too
-    if len(bad):
-        raise ValueError(f"parameter box coordinate {bad[0]} needs finite lo < hi, "
-                         f"got [{float(lo[0, bad[0]])!r}, {float(hi[0, bad[0]])!r}]")
+    _check_box(lo, hi, rows=False)
     x, w, sqrt_g = _prepared_nodes(g)
     # one row of node coefficients; mhd fits a single row
     wg = (w * sqrt_g)[None]
@@ -159,24 +168,22 @@ def _seeds_inside(lo, hi):
 
 def _grid_seeds(weights, edges, family, starts, lo, hi):
     """Newton starts of grid-seeded fits of a Gaussian ``family``: for each
-    row of cell ``weights`` on ``edges``, the candidate with the largest
-    Bhattacharyya coefficient among that row's start in ``starts`` and the
-    seeds of ``_seed_table``, all within the row's box: ``lo`` and ``hi``,
-    shape (rows, p), clip the start and exclude the seeds outside.
-    ``edges`` is one grid for every row, shape (k + 1,) or (1, k + 1), or
-    one grid per row, shape (rows, k + 1), padded as ``mhd_rows`` takes it.
+    row of cell ``weights`` on the one grid ``edges``, shape (k + 1,), the
+    candidate with the largest Bhattacharyya coefficient among that row's
+    start in ``starts`` and the seeds of ``_seed_table``, all within the
+    row's box: ``lo`` and ``hi``, shape (rows, p), clip the start and
+    exclude the seeds outside.
 
-    Each row is re-binned onto the reference grid through its CDF on its
-    own edges, which is exact for a histogram and the identity on the
-    100-cell grid, and all rows are scored against every seed by one
-    matrix product on the closed-form cell masses.
+    Each row is re-binned onto the reference grid through its CDF on the
+    edges, which is exact for a histogram and the identity on the 100-cell
+    grid, and all rows are scored against every seed by one matrix product
+    on the closed-form cell masses.
     """
     table, seeds = _seed_table()
     ref = grid_edges(_SEED_CELLS)
     cdf = np.zeros((len(weights), weights.shape[1] + 1))
     np.cumsum(weights, axis=1, out=cdf[:, 1:])
-    edges = np.broadcast_to(edges, cdf.shape)
-    rebinned = np.diff([np.interp(ref, e, c) for e, c in zip(edges, cdf)], axis=1)
+    rebinned = np.diff([np.interp(ref, edges, c) for c in cdf], axis=1)
     sqrt_heights = np.sqrt(np.maximum(rebinned, 0.0) * _SEED_CELLS)
     scores = sqrt_heights @ table.T
     scores[~_seeds_inside(lo, hi)] = -np.inf
@@ -187,65 +194,57 @@ def _grid_seeds(weights, edges, family, starts, lo, hi):
     return np.where(keep[:, None], starts, seeds[best])
 
 
-def _rows_of(a, rows):
-    """Rows ``rows`` of the per-row array ``a``, or ``a`` itself when its one
-    row serves every row."""
-    return a if len(a) == 1 else a[rows]
-
-
 def mhd_rows(weights, edges, family, theta0, lo, hi):
     """Minimum-Hellinger fits of many histograms at once, started at ``theta0``
     and kept in the parameter box [``lo``, ``hi``].
 
-    ``weights`` holds one row of cell weights per histogram.  ``edges`` is
-    one grid for every row, shape (k + 1,), or one grid per row, shape
-    (rows, m + 1): histograms on different grids come padded to one width,
-    their edges as ``densities.padded_rows`` pads them and their weights
-    with zeros, and a zero-width pad cell gets sqrt height 0, so it adds
-    nothing to a row's coefficient.  ``theta0`` and the box bounds ``lo``
-    and ``hi`` are each one vector for every row, shape (p,), or one per
-    row, shape (rows, p); the ``bounds`` of
-    ``family`` are not read, and a start outside its row's box is clipped
-    into it.  Each fit runs on its row's edges, with no quadrature of its
-    own: ``family.histogram_bc`` gives a row's Bhattacharyya coefficient
-    with f_theta, the dot product of its sqrt cell heights with the cell
-    integrals of sqrt(f_theta), together with its gradient and Hessian.
-    Rows are solved in blocks of at most ``ROW_BLOCK_ELEMENTS`` rows x
-    cells, pad cells included, by the damped Newton of ``mhd`` (see
-    ``_newton_rows``), which also decides each row's ``converged`` flag.
-    For a Gaussian family, rows left unconverged are solved once more from
-    the grid seed of ``mhd`` (see ``_grid_seeds``).  Returns the
+    ``weights`` holds one row of cell weights per histogram, all on the one
+    finite, strictly increasing grid ``edges``, shape (k + 1,); histograms
+    on different grids are fit on a common refinement of them, on which
+    each is the same density.  ``theta0`` and the box bounds ``lo`` and ``hi``
+    are each one vector for every row, shape (p,), or one per row, shape
+    (rows, p); a box not finite with lo < hi is refused, naming its row and
+    coordinate.  The ``bounds`` of ``family`` are not read, and a start
+    outside its row's box is clipped into it.  The fits run on the edges,
+    with no quadrature of their own: ``family.histogram_bc`` gives a row's
+    Bhattacharyya coefficient with f_theta, the dot product of its sqrt
+    cell heights with the cell integrals of sqrt(f_theta), together with
+    its gradient and Hessian.  Rows are solved in blocks of at most
+    ``ROW_BLOCK_ELEMENTS`` rows x cells by the damped Newton of ``mhd``
+    (see ``_newton_rows``), which also decides each row's ``converged``
+    flag.  For a Gaussian family, rows left unconverged are solved once
+    more from the grid seed of ``mhd`` (see ``_grid_seeds``).  Returns the
     minimizers, shape (rows, p), and the flags; a row still unconverged is
     reported as such.
     """
-    edges = np.atleast_2d(np.asarray(edges, dtype=float))
-    weights = np.asarray(weights, dtype=float)
-    size = max(1, ROW_BLOCK_ELEMENTS // (edges.shape[1] - 1))
+    weights, edges = np.asarray(weights, dtype=float), np.asarray(edges, dtype=float)
+    if (weights.ndim != 2 or edges.shape != (weights.shape[1] + 1,)
+            or not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0))):
+        raise ValueError("need (rows, k) weights on one finite, strictly increasing grid of "
+                         f"k + 1 edges, got shapes {weights.shape} and {edges.shape}")
+    widths = np.diff(edges)
+    size = max(1, ROW_BLOCK_ELEMENTS // len(widths))
     shape = (len(weights), np.shape(lo)[-1])
     lo, hi = np.broadcast_to(lo, shape), np.broadcast_to(hi, shape)
+    _check_box(lo, hi, rows=True)
 
-    def solve(weights, edges, theta, lo, hi):
-        widths = np.diff(edges, axis=1)
+    def solve(weights, theta, lo, hi):
         converged = np.empty(len(weights), dtype=bool)
         for b in range(0, len(weights), size):
             block = slice(b, b + size)
-            e, w = _rows_of(edges, block), _rows_of(widths, block)
-            # cell heights, 0 on a zero-width pad cell, then their checked roots
-            sh = np.divide(weights[block], w, out=np.zeros(weights[block].shape), where=w > 0.0)
-            sh = np.sqrt(_checked_values("g", sh, e[:, :-1]))
+            sh = np.sqrt(_checked_values("g", weights[block] / widths, edges[:-1]))
             theta[block], _, _, converged[block] = _newton_rows(
-                lambda rows, t, e=e, sh=sh: family.histogram_bc(_columns(t), _rows_of(e, rows),
-                                                                sh[rows]),
+                lambda rows, t, sh=sh: family.histogram_bc(_columns(t), edges, sh[rows]),
                 theta[block], lo[block], hi[block])
         return theta, converged
 
     start = np.clip(np.broadcast_to(theta0, shape), lo, hi)
-    theta, converged = solve(weights, edges, start.copy(), lo, hi)
+    theta, converged = solve(weights, start.copy(), lo, hi)
     retry = np.flatnonzero(~converged)
     if len(retry) and isinstance(family, GaussianFamily):
-        own, box = _rows_of(edges, retry), (lo[retry], hi[retry])
-        seeds = _grid_seeds(weights[retry], own, family, start[retry], *box)
-        theta[retry], converged[retry] = solve(weights[retry], own, seeds, *box)
+        box = lo[retry], hi[retry]
+        seeds = _grid_seeds(weights[retry], edges, family, start[retry], *box)
+        theta[retry], converged[retry] = solve(weights[retry], seeds, *box)
     return theta, converged
 
 
@@ -413,7 +412,9 @@ def influence_function(g0, family, theta0):
     x, w, sqrt_g0 = _prepared_nodes(g0)
     _, grad, curvature = family.node_bc(theta0, x, w * sqrt_g0)
     svals = np.linalg.svd(curvature, compute_uv=False)
-    if svals[-1] < 1e-12 * max(svals[0], 1.0):
+    # relative to the largest, so the test does not depend on the scale;
+    # written so that a zero curvature fails too
+    if not svals[-1] > 1e-12 * svals[0]:
         raise RuntimeError(
             f"curvature matrix is singular (smallest singular value {svals[-1]:.3e})")
     normalizer = -np.linalg.inv(curvature)

@@ -18,7 +18,6 @@ from .densities import (
     HistogramDensity,
     bin_index,
     grid_edges,
-    padded_rows,
 )
 from .numerics import worker_rng
 
@@ -214,41 +213,36 @@ class RandomHistogramPosterior:
 
     def eap_rows(self):
         """Edges and cell weights of the EAP density of every row of a
-        row-wise update; :meth:`eap` is its one-row case.  The weights sum
-        to 1 to rounding, and ``HistogramDensity`` renormalizes them.
+        row-wise update, all rows on one grid; :meth:`eap` is its one-row
+        case.  The weights sum to 1 to rounding, and ``HistogramDensity``
+        renormalizes them.
 
-        For a single k these are ``grid_edges(k)``, shared by every row, and
-        the Dirichlet means.  For random k, a row's edges are the union of
-        the regular grids of the k with posterior mass above 1e-12 in that
-        row, and a union cell has density sum_k w_k * k * mean_k[bin], w the
-        row's k-masses renormalized over its active k and mean_k its
-        Dirichlet mean.  Rows with the same active k share one union grid,
-        and ``densities.padded_rows`` pads the grids to the widest, shape
-        (rows, m + 1), unless every row shares one.  The heights of each k
-        are gathered for all rows where it is active at once, by
-        :func:`~mhdbayes.densities.bin_index` of the cells' left edges; a
-        pad cell has width 0, and so weight 0.
+        For a single k these are ``grid_edges(k)`` and the Dirichlet means.
+        For random k, the edges are the union of the regular grids of the k
+        with posterior mass above 1e-12 in any row, and a row's height on a
+        union cell is sum_k w_k * k * mean_k[bin], w the row's k-masses
+        renormalized over its own active k and mean_k its Dirichlet mean:
+        the row's :meth:`eap` height on the cell that holds it, as refining
+        a histogram's grid does not change its density.  The heights of
+        each k are gathered for all rows where it is active at once, by
+        :func:`~mhdbayes.densities.bin_index` of the cells' left edges.
         """
         params = [np.atleast_2d(p) for p in self.dirichlet_params]
         if len(self.k_support) == 1:
             return grid_edges(int(self.k_support[0])), _dirichlet_mean(params[0])
         masses = np.atleast_2d(self.post_k())
         active = masses > 1e-12
-        sets, which = np.unique(active, axis=0, return_inverse=True)
-        edges = padded_rows(
-            [(np.unique(np.concatenate([grid_edges(int(k)) for k in self.k_support[s]])),
-              np.flatnonzero(which == j)) for j, s in enumerate(sets)])
-        edges_of = np.broadcast_to(edges, (len(masses), edges.shape[-1]))
+        used = np.flatnonzero(active.any(axis=0))
+        edges = np.unique(np.concatenate([grid_edges(int(self.k_support[i])) for i in used]))
         w = np.where(active, masses, 0.0)
         w /= w.sum(axis=1, keepdims=True)
-        heights = np.zeros((len(masses), edges.shape[-1] - 1))
-        for i in np.flatnonzero(active.any(axis=0)):
+        heights = np.zeros((len(masses), len(edges) - 1))
+        for i in used:
             rows = np.flatnonzero(active[:, i])
             mean = _dirichlet_mean(params[i][rows])
             k = mean.shape[1]
-            cell = bin_index(grid_edges(k), edges_of[rows, :-1])
-            heights[rows] += w[rows, i, None] * k * np.take_along_axis(mean, cell, axis=1)
-        return edges, heights * np.diff(edges_of, axis=1)
+            heights[rows] += w[rows, i, None] * k * mean[:, bin_index(grid_edges(k), edges[:-1])]
+        return edges, heights * np.diff(edges)
 
     def draws(self, rng, n):
         """``n`` posterior draws as ``(i, rows, weights)`` groups, one per

@@ -5,9 +5,9 @@ family hooks, a Gaussian family with its sqrt-density Hessian, one on the
 quadrature histogram coefficient, the one-dataset-at-a-time oracle of
 ``estimators._mhb_many``, a counter of closed-form histogram evaluations,
 the Nelder-Mead oracle of ``mhd``, its grid-and-polish global oracle,
-the parameter box of a bounded family, zero-padded weight rows, uniform, mixture and
-windowed-callable densities, the projection of a density onto a histogram grid and the
-gross-error contamination model."""
+the parameter box of a bounded family, uniform, mixture and windowed-callable
+densities, the projection of a density onto a histogram grid and the gross-error
+contamination model."""
 
 import math
 from dataclasses import dataclass
@@ -112,16 +112,8 @@ def quadrature_histogram_bc(family, theta, edges, sqrt_heights):
     the nodes ``mhd`` takes for a histogram on them, each node weighted by
     the sqrt height of its cell.  The oracle of the closed-form
     ``GaussianFamily.histogram_bc``; a family with it fits a histogram by
-    ``mhd`` and by a one-row ``mhd_rows`` bit for bit alike.  Edges with one
-    row per (D, 1)-column theta, as ``mhd_rows`` passes padded grids, are
-    integrated row by row, each on the nodes of its own edges."""
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim == 2 and len(edges) > 1:
-        parts = [quadrature_histogram_bc(family, [c[r:r + 1] for c in theta], row,
-                                         sqrt_heights[r:r + 1])
-                 for r, row in enumerate(edges)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-    x, w, cell = histogram_nodes(edges.tobytes())
+    ``mhd`` and by a one-row ``mhd_rows`` bit for bit alike."""
+    x, w, cell = histogram_nodes(np.asarray(edges, dtype=float).tobytes())
     return family.node_bc(theta, x, w * np.asarray(sqrt_heights, dtype=float)[..., cell])
 
 
@@ -183,16 +175,6 @@ def global_mhd_oracle(g, family, box):
     if fit.converged and fit.h_min < h:
         return fit.h_min, fit.theta_hat
     return h, theta
-
-
-def padded_weights(weights):
-    """The cell-weight vectors ``weights`` as the rows of one matrix, each
-    padded with zeros to the widest, as ``mhd_rows`` takes the weights of
-    histograms whose edges ``densities.padded_rows`` lays out."""
-    out = np.zeros((len(weights), max(len(w) for w in weights)))
-    for row, w in zip(out, weights):
-        row[:len(w)] = w
-    return out
 
 
 def _oracle_setup(data, prior, family, padding):

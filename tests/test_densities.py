@@ -34,7 +34,6 @@ from mhdbayes.densities import (
     hellinger,
     integration_edges,
     padded_ranges,
-    padded_rows,
     transform_density,
 )
 from mhdbayes.numerics import composite_nodes
@@ -95,20 +94,6 @@ class TestSupportTransform:
             else:
                 assert reason is None and (t.a, t.b) == (lo, hi)
         assert reasons[0] is None and reasons[5] is None and "degenerate" in reasons[1]
-
-
-class TestPaddedRows:
-    def test_grids_are_padded_with_their_last_edge(self):
-        # rows 0 and 2 on the 3-cell grid, row 1 on the 5-cell grid, all
-        # padded to the widest
-        edges = padded_rows([(grid_edges(3), [0, 2]), (grid_edges(5), [1])])
-        assert edges.shape == (3, 6)
-        for r, grid in enumerate([grid_edges(3), grid_edges(5), grid_edges(3)]):
-            k = len(grid) - 1
-            assert np.array_equal(edges[r, :k + 1], grid) and np.all(edges[r, k:] == 1.0)
-
-    def test_one_grid_of_full_width_stays_one_shared_vector(self):
-        assert padded_rows([(grid_edges(5), np.arange(4))]) is grid_edges(5)
 
 
 class TestHistogramDensity:

@@ -277,8 +277,8 @@ class TestBmhRows:
 
     def test_random_k_draws_are_one_call_per_bin_count(self, monkeypatch):
         # the draws of each bin count are the rows of one mhd_rows call on
-        # that bin count's own grid, no pad cell anywhere; the oracle fits
-        # each bin count's draws alone
+        # that bin count's own grid; the oracle fits each bin count's draws
+        # alone
         data, prior = gaussian_data(150, 27), HistogramPrior.poisson(lam=5.0)
         calls = []
 
@@ -467,6 +467,15 @@ class TestBootstrapRows:
                 mhb_bootstrap_se(data, prior=PRIOR_SMALL, n_boot=50, rng=31,
                                  warm_theta=self.WARM)
 
+    def test_empty_unit_box_is_refused_by_name(self):
+        # a sigma ceiling below the unit_box floor of 1e-12 leaves every
+        # resample's unit box empty
+        family = GaussianFamily(bounds=(None, (1e-20, 1e-15)))
+        with pytest.raises(ValueError, match=r"^parameter box coordinate 1 of row 0 needs "
+                                             r"finite lo < hi, got \[1e-12, "):
+            mhb_bootstrap_se(load_dataset("bundled:newcomb").values, family=family, n_boot=50,
+                             warm_theta=[27.0, 5.0])
+
     def test_dataset_that_fails_its_setup_is_its_own_error(self):
         # a degenerate and a non-finite dataset among two good ones: each
         # bad one is reported by its reason, and the good rows are fit as
@@ -505,7 +514,12 @@ class TestBootstrapRows:
     def test_matrix_setup_equals_the_per_dataset_oracle(self, d, n, seed, prior, family,
                                                         warm, bad):
         # heavy tails vary the random-k EAP edges from row to row; a bad
-        # row replaces a good one at a drawn position
+        # row replaces a good one at a drawn position.  Fixed k matches the
+        # oracle bit for bit.  Random k fits every row on the union
+        # of the rows' grids, the oracle each row on its own, so they agree
+        # to rounding; a batch on per-row grids padded to one width did not
+        # match bit for bit either once n is large (35 of 60 N(0, 1) rows at
+        # n=2000 differed from their own-grid fits, by up to 8.9e-16)
         rng = np.random.default_rng(seed)
         data = rng.standard_t(3.0, (d, n)) * rng.uniform(0.5, 3.0, (d, 1))
         for kind in bad:
@@ -521,5 +535,8 @@ class TestBootstrapRows:
         for fit, want in zip(fits, expected):
             if isinstance(want, str):
                 assert fit == want
-            else:
+            elif prior.mode == "fixed":
                 assert not isinstance(fit, str) and np.array_equal(fit, want)
+            else:
+                assert not isinstance(fit, str)
+                assert np.max(np.abs(fit - want)) <= 1e-12 * max(1.0, np.linalg.norm(want))

@@ -321,20 +321,28 @@ class TestEfficiencyStudy:
             assert "error" not in row
             assert np.all(np.abs(row["mhb"] - expected) <= 1e-12 * np.linalg.norm(expected))
 
+    def test_empty_unit_box_is_refused_by_name(self):
+        # a sigma ceiling below the unit_box floor of 1e-12 leaves every
+        # replicate's unit box empty
+        family = GaussianFamily(bounds=(None, (1e-20, 1e-15)))
+        with pytest.raises(ValueError, match=r"^parameter box coordinate 1 of row 0 needs "
+                                             r"finite lo < hi, got \[1e-12, "):
+            efficiency_study(family=family, n=200, reps=100, rng=1)
+
     def test_random_k_rows_are_one_call(self, monkeypatch):
-        # replicates whose random-k EAPs lie on different grids are the
-        # padded rows of one mhd_rows call
+        # replicates whose random-k EAPs lie on different grids are the rows
+        # of one mhd_rows call on the union of those grids
         from mhdbayes import estimators
 
         calls = []
 
         def counting(weights, edges, *args):
-            calls.append(np.shape(edges))
+            calls.append((len(weights), np.shape(edges)))
             return mhd_rows(weights, edges, *args)
 
         monkeypatch.setattr(estimators, "mhd_rows", counting)
         report = efficiency_study(n=400, reps=100, rng=3, prior=HistogramPrior.poisson())
-        assert len(calls) == 1 and calls[0][0] == 100
+        assert len(calls) == 1 and calls[0][0] == 100 and len(calls[0][1]) == 1
         assert report.summary["mhb_failures"] == 0
 
     def test_unconverged_row_is_its_own_error_row(self, monkeypatch):
@@ -528,6 +536,19 @@ class TestBvmDiagnostic:
         payload = report.to_json()
         assert payload["study"] == "bvm"
         assert "summary" in payload and "rows" in payload
+
+    def test_sd_ratios_do_not_depend_on_the_data_scale(self):
+        # the singular-curvature test is relative to the largest singular
+        # value, so a wide data scale is not mistaken for a singular one
+        z = np.random.default_rng(1).standard_normal(200)
+        ratios = {s: [row["sd_ratio"] for row in bvm_diagnostic(s * z, n_samples=100,
+                                                                 rng=1).rows]
+                  for s in (1.0, 1e6, 1e50, 1e150)}
+        for s in (1e6, 1e50, 1e150):
+            np.testing.assert_allclose(ratios[s], ratios[1.0], rtol=1e-9, atol=0.0)
+        # the squared support width of the fit overflows only beyond
+        with pytest.raises(ValueError, match="squared width"):
+            bvm_diagnostic(1e153 * z, n_samples=100, rng=1)
 
     @pytest.mark.parametrize("v_diag", [[1.0, 0.0], [-1.0, 1.0], [np.nan, 1.0]])
     def test_singular_variance_is_a_numerical_failure(self, v_diag, monkeypatch):

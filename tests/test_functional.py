@@ -11,7 +11,6 @@ from _helpers import (
     box_of,
     einsum_node_bc,
     nelder_mead_mhd,
-    padded_weights,
     project_to_histogram,
     quadrature_histogram_bc,
 )
@@ -22,10 +21,10 @@ from mhdbayes.densities import (
     HistogramDensity,
     ParametricFamily,
     SupportTransform,
+    bin_index,
     grid_edges,
     histogram_nodes,
     integration_edges,
-    padded_rows,
 )
 from mhdbayes.functional import (
     asymptotic_variance,
@@ -479,6 +478,33 @@ class TestGridSeed:
 
 
 class TestMhdRows:
+    @pytest.mark.parametrize("lo, hi, r, j", [
+        ([(-1.0, 1e-3), (-1.0, 0.5)], [(2.0, 2.0), (2.0, 0.4)], 1, 1),
+        ((-1.0, 0.5), (2.0, 0.5), 0, 1),
+        ((-1.0, 1e-3), (2.0, np.nan), 0, 1),
+        ((np.nan, 1e-3), (2.0, 2.0), 0, 0),
+        ((-1.0, 1e-3), (np.inf, 2.0), 0, 0),
+    ], ids=["inverted", "empty", "nan-hi", "nan-lo", "infinite-hi"])
+    def test_box_not_finite_with_lo_below_hi_is_refused_by_row(self, lo, hi, r, j):
+        # the rule of mhd, naming the row: no row is pinned at hi or fit in
+        # a NaN or open box
+        lo_rj, hi_rj = (float(np.broadcast_to(b, (2, 2))[r, j]) for b in (lo, hi))
+        with pytest.raises(ValueError, match=rf"^parameter box coordinate {j} of row {r} needs "
+                                             rf"finite lo < hi, got \[{lo_rj!r}, {hi_rj!r}\]$"):
+            mhd_rows(np.full((2, 10), 0.1), grid_edges(10), GaussianFamily(), (0.5, 0.1),
+                     lo, hi)
+
+    @pytest.mark.parametrize("edges", [
+        grid_edges(10)[None], np.stack([grid_edges(10)] * 2), grid_edges(9),
+        grid_edges(10)[::-1], np.append(grid_edges(10)[:-1], np.inf),
+        np.append(grid_edges(10)[:-1], np.nan)],
+        ids=["one-row-matrix", "per-row", "short", "decreasing", "infinite", "nan"])
+    def test_edges_not_one_increasing_grid_are_refused(self, edges):
+        fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-3, 2.0)))
+        with pytest.raises(ValueError, match=r"^need \(rows, k\) weights on one finite, "
+                                             r"strictly increasing grid of k \+ 1 edges"):
+            mhd_rows(np.full((2, 10), 0.1), edges, fam, (0.5, 0.1), *box_of(fam))
+
     def test_singular_row_does_not_stop_the_others(self):
         # f_theta at the start underflows to zero on [0.9, 1], the only bin
         # with mass under the first histogram, so that row's Jacobian is 0
@@ -582,11 +608,14 @@ def normal_cell_weights(edges, mu, sg):
     return mass / mass.sum()
 
 
-def one_row_each(grids, weights):
-    """One row per histogram: its edges laid out by ``padded_rows``, its
-    weights padded with zeros."""
-    return (padded_rows([(g, [r]) for r, g in enumerate(grids)]),
-            padded_weights(weights))
+def refined(grids, weights):
+    """Histograms on different grids as rows on one grid, the union of
+    their grids: each cell of the union takes the height of the cell of
+    its own grid that holds it, so each row is the same density.  Returns
+    the union edges and the rows' weights on them."""
+    shared = np.unique(np.concatenate(grids))
+    rows = [(w / np.diff(g))[bin_index(g, shared[:-1])] for g, w in zip(grids, weights)]
+    return shared, np.array(rows) * np.diff(shared)
 
 
 @st.composite
@@ -610,62 +639,63 @@ def ragged_rows(draw):
 
 
 class TestRaggedRows:
-    """Histograms on different grids as the padded rows of one ``mhd_rows``
-    call, against each row fit alone on its own grid."""
+    """Histograms on different grids refined onto the union of their grids,
+    as the rows of one ``mhd_rows`` call, against each row fit alone on its
+    own grid."""
 
     fam = GaussianFamily(bounds=((-1.0, 2.0), (1e-5, 2.0)))
 
     @staticmethod
     def boxes(family, n):
         """The family's box for every row but row 0, whose mu stays in
-        [1.2, 2], beyond the last edge: its straddling cell is a pad."""
+        [1.2, 2], beyond the last edge."""
         lo, hi = np.broadcast_to(box_of(family)[:, None], (2, n, 2)).copy()
         lo[0, 0] = 1.2
         return lo, hi
 
     @settings(max_examples=60, deadline=None)
     @given(rows=ragged_rows())
-    def test_one_padded_call_matches_the_per_grid_calls(self, rows):
+    def test_refined_rows_in_one_call_match_the_per_grid_calls(self, rows):
         grids, weights = rows
         n = len(grids)
-        edges, padded = one_row_each(grids, weights)
-        # the narrowest row is padded and the widest is not
-        assert edges[0, -2] == 1.0 and edges[-1, -2] < 1.0
+        edges, shared = refined(grids, weights)
+        # the widest grid is refined too unless it holds every other
+        assert len(edges) >= len(grids[-1])
         # row 1 starts on the plateau, where Newton leaves it unconverged
         starts = np.array([moment_start(HistogramDensity(w, edges=g))
                            for g, w in zip(grids, weights)])
         starts[0], starts[1] = (1.5, 0.3), PLATEAU
         assert not newton_rows(weights[1][None], grids[1], self.fam, PLATEAU)[1][0]
+        assert not newton_rows(shared[1:2], edges, self.fam, PLATEAU)[1][0]
         lo, hi = self.boxes(self.fam, n)
-        theta, converged = mhd_rows(padded, edges, self.fam, starts, lo, hi)
+        theta, converged = mhd_rows(shared, edges, self.fam, starts, lo, hi)
         alone = [mhd_rows(w[None], g, self.fam, t, a[None], b[None])
                  for g, w, t, a, b in zip(grids, weights, starts, lo, hi)]
         assert np.max(np.abs(theta - np.concatenate([t for t, _ in alone]))) <= 1e-12
         assert np.array_equal(converged, np.concatenate([c for _, c in alone]))
         assert theta[0, 0] >= 1.2 and converged[1]
-        # pad cells add nothing to a coefficient, mu > 1 included
-        sqrt_heights = np.sqrt(np.divide(padded, np.diff(edges), out=np.zeros_like(padded),
-                                         where=np.diff(edges) > 0))
-        rows_bc = self.fam.histogram_bc(functional._columns(starts), edges, sqrt_heights)
+        # a refined row has its own grid's coefficient, mu > 1 included
+        rows_bc = self.fam.histogram_bc(functional._columns(starts), edges,
+                                        np.sqrt(shared / np.diff(edges)))
         for r, (g, w) in enumerate(zip(grids, weights)):
             own = self.fam.histogram_bc(starts[r], g, np.sqrt(w / np.diff(g)))
             for got, want in zip(rows_bc, own):
                 assert np.max(np.abs(got[r] - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
-        # the plateau row is re-seeded on its own edges, pads and all
-        seeds = functional._grid_seeds(padded, edges, self.fam, starts, lo, hi)
+        # the plateau row is re-seeded from the seed its own grid gives
+        seeds = functional._grid_seeds(shared, edges, self.fam, starts, lo, hi)
         for r in range(n):
             seed = functional._grid_seeds(weights[r][None], grids[r], self.fam,
                                           starts[r:r + 1], lo[r:r + 1], hi[r:r + 1])
             assert np.array_equal(seeds[r], seed[0])
 
-    def test_quadrature_oracle_integrates_each_row_on_its_own_edges(self):
+    def test_quadrature_family_on_the_shared_grid(self):
         fam = QuadratureGaussianFamily(bounds=((-1.0, 2.0), (1e-5, 2.0)))
         grids = [grid_edges(12), np.union1d(grid_edges(10), grid_edges(25))]
         weights = [normal_cell_weights(g, mu, sg) for g, mu, sg in zip(grids, (1.3, 0.4),
                                                                         (0.3, 0.1))]
-        edges, padded = one_row_each(grids, weights)
+        edges, shared = refined(grids, weights)
         starts, (lo, hi) = np.array([[1.5, 0.3], [0.5, 0.2]]), self.boxes(fam, 2)
-        theta, converged = mhd_rows(padded, edges, fam, starts, lo, hi)
+        theta, converged = mhd_rows(shared, edges, fam, starts, lo, hi)
         assert theta[0, 0] >= 1.2 and converged[1]
         for r, (g, w) in enumerate(zip(grids, weights)):
             alone, flag = mhd_rows(w[None], g, fam, starts[r], lo[r:r + 1], hi[r:r + 1])

@@ -420,22 +420,23 @@ class TestEapDensity:
             assert normalized_weights(weights[d]).tolist() == stored.tolist()
             assert stored.tolist() == HistogramDensity(p / p.sum()).weights.tolist()
 
-    def test_random_k_eap_rows_are_each_rows_eap_padded(self):
-        # rows of different spread put their k-mass on different bin counts,
-        # so their union grids differ; each row is its own eap() followed by
-        # pad cells that repeat the edge 1.0 and carry weight 0
+    def test_random_k_eap_rows_share_the_union_grid(self):
+        # rows of different spread put their k-mass on different bin counts;
+        # all share the union of the grids of every k active in any row,
+        # and each row has its own eap() height on every cell of it
         rng = np.random.default_rng(9)
         rows = np.stack([rng.beta(a, a, 120) for a in (0.6, 2.0, 8.0, 30.0)])
         post = fit_posterior(rows, HistogramPrior.poisson(lam=6.0, k_max=30))
         edges, weights = post.eap_rows()
-        assert edges.shape == (4, weights.shape[1] + 1)
+        active = post.k_support[(post.post_k() > 1e-12).any(axis=0)]
+        assert edges.tolist() == np.unique(np.concatenate(
+            [grid_edges(int(k)) for k in active])).tolist()
+        assert weights.shape == (4, len(edges) - 1) and np.all(weights > 0.0)
         grids = [post.row(d).eap() for d in range(4)]
-        assert len({g.k for g in grids}) > 1
-        assert max(g.k for g in grids) == weights.shape[1]
+        assert len({g.k for g in grids}) > 1 and min(g.k for g in grids) < weights.shape[1]
         for d, g in enumerate(grids):
-            assert edges[d, :g.k + 1].tolist() == g.edges.tolist()
-            assert np.all(edges[d, g.k + 1:] == 1.0) and np.all(weights[d, g.k:] == 0.0)
-            np.testing.assert_allclose(weights[d, :g.k], g.weights, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(weights[d] / np.diff(edges),
+                                       g.heights[g.bin_index(edges[:-1])], rtol=1e-14, atol=0.0)
 
     def test_prior_mean_without_data_counts(self):
         post = RandomHistogramPosterior(
