@@ -167,7 +167,13 @@ def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
     data = np.asarray(data, dtype=float)
-    transform, _, _, meta = _setup(data, prior, family, padding)
+    return _mhb_finish(_setup(data, prior, family, padding), data, prior, family, padding,
+                       n_boot, rng)
+
+
+def _mhb_finish(setup, data, prior, family, padding, n_boot=0, rng=None):
+    """MHB estimate of ``data`` from its ``_setup``; ``n_boot`` as in ``mhb_fit``."""
+    transform, _, _, meta = setup
     theta = family.theta_from_unit(meta.theta_hat, transform)
     if not meta.converged:
         raise RuntimeError(
@@ -237,9 +243,13 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
     rng = np.random.default_rng(rng)
+    return _bmh_finish(_setup(np.asarray(data, dtype=float), prior, family, padding),
+                       family, n_samples, rng, levels)
 
-    data = np.asarray(data, dtype=float)
-    transform, post, box, anchor = _setup(data, prior, family, padding)
+
+def _bmh_finish(setup, family, n_samples, rng, levels=(0.5, 0.9, 0.95)):
+    """BMH posterior of a dataset from its ``_setup`` and a Generator ``rng``."""
+    transform, post, box, anchor = setup
     n = int(n_samples)
     samples, ok = np.empty((n, family.dim)), np.empty(n, dtype=bool)
     for _, rows, weights in post.draws(rng, n):
@@ -253,9 +263,7 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     samples = samples[ok]
     eap = overflow_safe(lambda s: s.mean(axis=0), samples)
     post_sd = overflow_safe(lambda s: s.std(axis=0, ddof=1), samples)
-    intervals = {}
-    for level in levels:
-        tail = (1.0 - level) / 2.0
-        intervals[level] = np.quantile(samples, [tail, 1.0 - tail], axis=0).T
+    intervals = {level: np.quantile(samples, [(1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0],
+                                    axis=0).T for level in levels}
     return BmhPosterior(theta_samples=samples, eap=eap, post_sd=post_sd, intervals=intervals,
                         n_failed=failures, mhd_meta=anchor, transform=transform)

@@ -6,9 +6,9 @@ merged in replicate order, so reports are reproducible bit for bit given
 {seed, config}.  The efficiency study fits its replicates as the rows of
 one batched Newton call on one grid, under a fixed-k or a random-k prior
 alike (a random-k batch shares the union of its EAP grids).  The
-robustness sweep is the one study that runs over processes: its
-``workers`` (default 1, 0 = all cores) fans the replicates out, and
-reports do not depend on it.
+robustness sweep sets each dataset up once for MHB and BMH, and is the
+one study that runs over processes: its ``workers`` (default 1, 0 = all
+cores) fans the replicates out, and reports do not depend on it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import DEFAULT_PADDING, GaussianFamily, _normal_tail
-from .estimators import _mhb_many, bmh_fit, mhb_fit
+from .estimators import _bmh_finish, _mhb_finish, _mhb_many, _setup, bmh_fit
 from .functional import asymptotic_variance, fisher_information
 from .numerics import overflow_safe, worker_rng
 from .posterior import HistogramPrior
@@ -202,6 +202,9 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
 
 def _robustness_rep(rep, seed, family, theta, alpha, z_grid, n, epsilon, prior,
                     padding, estimators, n_samples_bmh):
+    """Rows of replicate ``rep``, one per estimator and z.  MHB and BMH finish
+    from one ``_setup`` of each dataset, made on its first mhb or bmh row; a
+    setup error recurs on the other row, an unconverged anchor fails mhb alone."""
     rng = worker_rng(seed, rep)
     m = math.ceil(alpha * n)
     clean = family.sample(theta, n - m, rng)
@@ -210,19 +213,17 @@ def _robustness_rep(rep, seed, family, theta, alpha, z_grid, n, epsilon, prior,
     rows = []
     for zi, z in enumerate(z_grid):
         data = np.concatenate([clean, z + epsilon * blip_unit]) if m else clean
+        setup = None
         for est in estimators:
             row = {"rep": rep, "z": float(z), "estimator": est}
             try:
-                if est == "mhb":
-                    fit = mhb_fit(data, prior=prior, family=family, padding=padding)
-                    theta_hat = fit.theta_hat
-                elif est == "bmh":
-                    fit = bmh_fit(data, prior=prior, family=family,
-                                  n_samples=n_samples_bmh,
-                                  rng=worker_rng(bmh_seed, zi), padding=padding)
-                    theta_hat = fit.eap
-                else:   # "mle"
+                if est == "mle":
                     theta_hat = family.mle(data)
+                else:
+                    setup = setup or _setup(data, prior, family, padding)
+                    theta_hat = (_mhb_finish(setup, data, prior, family, padding).theta_hat
+                                 if est == "mhb" else _bmh_finish(
+                                     setup, family, n_samples_bmh, worker_rng(bmh_seed, zi)).eap)
                 error = abs(float(theta_hat[0]) - float(theta[0]))
                 reason = _non_finite(est, theta_hat)
                 if reason or not math.isfinite(error):
@@ -292,11 +293,9 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     medians = {}
     for est in estimators:
         for z in z_grid:
-            errs = [row["abs_location_error"] for row in rows
-                    if row["estimator"] == est and row["z"] == z
-                    and "abs_location_error" in row]
-            failed = sum(1 for row in rows
-                         if row["estimator"] == est and row["z"] == z and "error" in row)
+            cell_rows = [row for row in rows if row["estimator"] == est and row["z"] == z]
+            errs = [row["abs_location_error"] for row in cell_rows if "abs_location_error" in row]
+            failed = sum("error" in row for row in cell_rows)
             median, mean = (float(overflow_safe(stat, errs)) if errs else None
                             for stat in (np.median, np.mean))
             cell = {"median_location_error": median, "mean_location_error": mean,
@@ -307,12 +306,10 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     checks = {}
     z_near, z_far = z_grid[0], z_grid[-1]
     if "mhb" in estimators:
-        far = medians.get(("mhb", z_far))
-        near = medians.get(("mhb", z_near))
+        far, near = medians.get(("mhb", z_far)), medians.get(("mhb", z_near))
         checks["mhb_location_at_far_z"] = far is not None and far < FAR_Z_LOCATION_TOL
         if len(z_grid) > 1:
-            checks["mhb_far_below_near"] = (far is not None and near is not None
-                                            and far < near)
+            checks["mhb_far_below_near"] = None not in (far, near) and far < near
     if "mle" in estimators:
         mle_far = medians.get(("mle", z_far))
         # mixture-mean bias of the MLE is about alpha * z at the far point
@@ -363,7 +360,7 @@ def bvm_diagnostic(data, prior=None, family=None, n_samples=2000, rng=None,
     if np.diff(support)[0] > math.sqrt(np.finfo(float).max):
         raise ValueError(f"{what} has a plausible support {support.tolist()} whose squared "
                          "width, the scale of its asymptotic variance, overflows")
-    V = asymptotic_variance(family, fit.eap).V
+    V = asymptotic_variance(family, fit.eap, g0=family.density(fit.eap)).V
     if not np.all(np.diag(V) > 0):
         raise RuntimeError("influence-norm variance matrix is singular")
 

@@ -664,14 +664,14 @@ class TestRunStudiesAndDump:
         # the study still runs to its report
         from mhdbayes import experiments
 
-        mhb_fit = experiments.mhb_fit
+        mhb_finish = experiments._mhb_finish
 
-        def failing_far(data, **kwargs):
+        def failing_far(setup, data, *args, **kwargs):
             if data.max() > 20.0:
                 raise RuntimeError("minimum-distance fit did not converge")
-            return mhb_fit(data, **kwargs)
+            return mhb_finish(setup, data, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "mhb_fit", failing_far)
+        monkeypatch.setattr(experiments, "_mhb_finish", failing_far)
         out = tmp_path / "rob.json"
         argv = ["robustness", "--reps", "2", "--n", "120", "--z-grid", "10,30",
                 "--estimators", "mhb,mle", "--seed", "5", "--k", "30", "--out", str(out)]

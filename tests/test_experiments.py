@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -14,7 +15,7 @@ from _helpers import (
     sample_contaminated,
 )
 from mhdbayes.densities import GaussianFamily
-from mhdbayes.estimators import mhb_fit
+from mhdbayes.estimators import bmh_fit, mhb_fit
 from mhdbayes.functional import mhd_rows
 from mhdbayes.experiments import (
     RATIO_BAND,
@@ -205,6 +206,88 @@ class TestRobustnessSweep:
         lines = text.strip().split("\r\n")
         assert len(lines) == 1 + 2
         assert "estimator" in lines[0]
+
+
+class TestSharedSetup:
+    """A robustness replicate sets each dataset up once and finishes MHB and
+    BMH from that one ``_setup``."""
+
+    SWEEP = dict(z_grid=(5.0, 50.0), n=120, reps=2, rng=3, prior=PRIOR_SMALL,
+                 n_samples_bmh=100)
+
+    @pytest.fixture
+    def setup_calls(self, monkeypatch):
+        # the replicate reaches _setup through experiments, mhb_fit and
+        # bmh_fit through estimators; count both
+        from mhdbayes import estimators, experiments
+
+        setup, calls = estimators._setup, []
+
+        def counting(*args):
+            calls.append(args)
+            return setup(*args)
+
+        monkeypatch.setattr(estimators, "_setup", counting)
+        monkeypatch.setattr(experiments, "_setup", counting)
+        return calls
+
+    @pytest.mark.parametrize("swept", [("mhb", "bmh", "mle"), ("mle", "bmh", "mhb"),
+                                       ("mhb",), ("bmh",)])
+    def test_one_setup_per_dataset(self, swept, setup_calls):
+        robustness_sweep(estimators=swept, **self.SWEEP)
+        assert len(setup_calls) == self.SWEEP["reps"] * len(self.SWEEP["z_grid"])
+
+    def test_mle_rows_set_nothing_up(self, setup_calls):
+        robustness_sweep(estimators=("mle",), **self.SWEEP)
+        assert setup_calls == []
+
+    def test_rows_equal_the_public_fits(self):
+        # the replicate's data and BMH stream, rebuilt as _robustness_rep draws them
+        family, theta, n = GaussianFamily(), np.array([0.0, 1.0]), self.SWEEP["n"]
+        m = math.ceil(0.1 * n)
+        report = robustness_sweep(estimators=("mhb", "bmh"), **{**self.SWEEP, "reps": 1})
+        rng = worker_rng(report.seed, 0)
+        clean = family.sample(theta, n - m, rng)
+        blip_unit = rng.uniform(-1.0, 1.0, m)
+        bmh_seed = rng.integers(2 ** 31)
+        for zi, z in enumerate(self.SWEEP["z_grid"]):
+            data = np.concatenate([clean, z + 0.01 * blip_unit])
+            mhb = mhb_fit(data, prior=PRIOR_SMALL, family=family).theta_hat
+            bmh = bmh_fit(data, prior=PRIOR_SMALL, family=family, n_samples=100,
+                          rng=worker_rng(bmh_seed, zi)).eap
+            assert [row["theta_hat"] for row in report.rows if row["z"] == z] == [
+                [float(v) for v in mhb], [float(v) for v in bmh]]
+
+    def test_setup_error_is_the_error_of_both_rows(self):
+        # z = 1.7e308 makes the padded data range overflow
+        rows = robustness_sweep(estimators=("mhb", "bmh", "mle"),
+                                **{**self.SWEEP, "z_grid": (5.0, 1.7e308)}).rows
+        for rep in range(self.SWEEP["reps"]):
+            far = {row["estimator"]: row for row in rows
+                   if row["rep"] == rep and row["z"] == 1.7e308}
+            assert far["mhb"]["error"] == far["bmh"]["error"]
+            assert far["mhb"]["error"].endswith("overflows float64")
+        assert all("error" not in row for row in rows if row["z"] == 5.0)
+
+    def test_unconverged_anchor_fails_only_the_mhb_row(self, monkeypatch):
+        from mhdbayes import experiments
+
+        sweep = dict(estimators=("mhb", "bmh"), **self.SWEEP)
+        converged = robustness_sweep(**sweep).rows
+        setup = experiments._setup
+
+        def unconverged(*args):
+            transform, post, box, anchor = setup(*args)
+            return transform, post, box, dataclasses.replace(anchor, converged=False)
+
+        monkeypatch.setattr(experiments, "_setup", unconverged)
+        rows = robustness_sweep(**sweep).rows
+        assert len(rows) == len(converged)
+        for before, after in zip(converged, rows):
+            if after["estimator"] == "mhb":
+                assert after["error"].startswith("minimum-distance fit did not converge")
+            else:   # BMH runs from the unconverged anchor as from a converged one
+                assert after == before
 
 
 class TestEfficiencyStudy:
@@ -549,6 +632,17 @@ class TestBvmDiagnostic:
         # the squared support width of the fit overflows only beyond
         with pytest.raises(ValueError, match="squared width"):
             bvm_diagnostic(1e153 * z, n_samples=100, rng=1)
+
+    def test_variance_skips_the_fisher_inverse(self, monkeypatch):
+        # V is the influence-function norm at the fitted model; the inverse
+        # Fisher information that asymptotic_variance attaches by default
+        # is not read
+        from mhdbayes import functional
+
+        monkeypatch.setattr(functional, "fisher_information",
+                            lambda *a: pytest.fail("the Fisher information was computed"))
+        data = GaussianFamily().sample((0.0, 1.0), 200, np.random.default_rng(0))
+        assert bvm_diagnostic(data, prior=PRIOR_SMALL, n_samples=150, rng=1).rows
 
     @pytest.mark.parametrize("v_diag", [[1.0, 0.0], [-1.0, 1.0], [np.nan, 1.0]])
     def test_singular_variance_is_a_numerical_failure(self, v_diag, monkeypatch):

@@ -836,6 +836,13 @@ class TestInfluenceFunction:
             centered = np.einsum("n,np->p", w * g0.pdf(x), inf.value(x))
             assert np.all(np.abs(centered) < 1e-6)
 
+    def test_model_density_as_base_gives_the_same_variance(self):
+        # bvm passes the fitted model as g0 to skip the Fisher inverse
+        fam, theta = GaussianFamily(), (27.7, 4.3)
+        av = asymptotic_variance(fam, theta, g0=fam.density(theta))
+        assert av.fisher_inverse is None
+        assert np.array_equal(av.V, asymptotic_variance(fam, theta).V)
+
     def test_model_variance_is_fisher_inverse(self):
         av = asymptotic_variance(GaussianFamily(), (0.0, 1.0))
         assert np.allclose(av.V, np.diag([1.0, 0.5]), atol=1e-6)

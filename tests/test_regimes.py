@@ -1,6 +1,7 @@
 """Every converged MHB point fit is the global minimizer of its EAP's
 Hellinger distance, across seven input regimes, judged against the grid
-and polish oracle of ``_helpers.global_mhd_oracle``."""
+and polish oracle of ``_helpers.global_mhd_oracle``, and its scale spans
+at least two cells of the EAP's grid."""
 
 import numpy as np
 import pytest
@@ -58,3 +59,39 @@ def test_converged_point_fit_is_global(regime, seed):
         f"{regime} seed {seed}: converged at unit {np.round(fit.theta_hat, 3).tolist()} "
         f"with h {fit.h_min:.5f}, the oracle reaches {h:.5f} at "
         f"{np.round(theta, 3).tolist()}")
+
+
+# converged fits whose scale the k=100 range grid does not resolve: per
+# regime, the measured width of unit sigma-hat in bins at seeds 0-6 (README,
+# "Breakdown at very far outliers")
+UNRESOLVED = {
+    "lognormal-500": (1.23, 1.01, 1.13, 0.97, 1.65, 1.68, 1.13),
+    "cauchy-300": (0.46, 0.28, 1.01, 1.15, 0.60, 0.26, 0.62),
+    "blip-1e3-500": (0.47, 0.28, 0.29, 0.33, 0.33, 0.29, 0.29),
+}
+# 40 ties at 7.0 and one 8.0: the fit converges on the ties, inside one cell
+TIES = np.concatenate([np.full(40, 7.0), [8.0]])
+
+
+def resolution_cases():
+    for name in REGIMES:
+        for seed in range(7):
+            marks = ([pytest.mark.xfail(strict=True, reason=f"sigma-hat spans "
+                                        f"{UNRESOLVED[name][seed]:.2f} bins")]
+                     if name in UNRESOLVED else [])
+            yield pytest.param(name, seed, id=f"{name}-seed{seed}", marks=marks)
+    yield pytest.param("ties", None, id="ties-40x7-one-8", marks=[
+        pytest.mark.filterwarnings("ignore:total prior mass"),
+        pytest.mark.xfail(strict=True,
+                          reason="converges at data-scale sigma-hat 0.0031, 0.26 bins")])
+
+
+@pytest.mark.parametrize("regime, seed", list(resolution_cases()))
+def test_converged_point_fit_spans_two_cells(regime, seed):
+    data = TIES if regime == "ties" else REGIMES[regime](np.random.default_rng(seed))
+    _, post, _, fit = _setup(data, HistogramPrior.fixed(), GaussianFamily(), DEFAULT_PADDING)
+    if not fit.converged:
+        pytest.skip(f"{regime} seed {seed}: the point fit did not converge")
+    bins = fit.theta_hat[1] * (len(post.eap().edges) - 1)
+    assert bins >= 2, (f"{regime} seed {seed}: converged with unit sigma-hat "
+                       f"{fit.theta_hat[1]:.5f}, {bins:.2f} cells of its EAP grid")
