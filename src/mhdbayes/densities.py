@@ -326,7 +326,8 @@ class ParametricFamily:
         With ``wg`` the quadrature weights times the square root of a density
         g, these are the Bhattacharyya coefficient of f_theta and g and its
         theta-gradient and Hessian, shapes (), (p,) and (p, p).  A leading row
-        axis of ``wg`` pairs each row with one row of (D, 1)-column thetas.
+        axis of ``wg`` pairs each row with one row of (D, 1)-column thetas or
+        shares one theta row; each row's sums are its one-row call's, bit for bit.
         """
         raise NotImplementedError(f"{type(self).__name__} does not declare node_bc")
 
@@ -338,7 +339,8 @@ class ParametricFamily:
         sum_j sqrt_heights[j] * m_j(theta), m_j the integral of
         sqrt(f_theta) over cell j, and its theta-gradient and Hessian,
         shapes (), (p,) and (p, p); (D, 1)-column thetas with one row of
-        ``sqrt_heights`` each add a leading row axis.
+        ``sqrt_heights`` each, or one theta row shared by all, add a leading
+        row axis; each row's results must be its one-row call's, bit for bit.
         """
         raise NotImplementedError(f"{type(self).__name__} does not declare histogram_bc")
 
@@ -445,7 +447,7 @@ class GaussianFamily(ParametricFamily):
         """
         mu, sg = theta
         u = (np.asarray(x, dtype=float) - mu) / sg
-        term = wg * self.sqrt_pdf(theta, x)
+        term = np.multiply(wg, self.sqrt_pdf(theta, x), order="C")  # rows sum as alone
         sums = [term.sum(axis=-1)]
         for _ in range(4):
             term *= u
@@ -499,7 +501,8 @@ class GaussianFamily(ParametricFamily):
         telescopes to the sqrt height of the cell that straddles mu, so P
         sums Phi(z) below mu and -Phi(-z) above it and adds that height
         back: far-tail histograms keep their relative precision.  Shapes as
-        in :meth:`ParametricFamily.histogram_bc`.
+        in :meth:`ParametricFamily.histogram_bc`; a shared theta row's tails
+        and Gaussian factors broadcast against every row.
         """
         mu, sg = theta
         c = np.asarray(sqrt_heights, dtype=float)
@@ -512,7 +515,8 @@ class GaussianFamily(ParametricFamily):
         tail, gauss = _normal_tail_exp(z)
         # padded index of the straddling cell: the number of edges below mu
         straddle = np.take_along_axis(c, below.sum(axis=-1, keepdims=True), axis=-1)[..., 0]
-        p = np.einsum("...i,...i->...", d, np.where(below, tail, -tail)) + straddle
+        np.negative(tail, out=tail, where=~below)
+        p = np.einsum("...i,...i->...", d, tail) + straddle
         dphi = d * gauss
         moments = [dphi.sum(axis=-1)]
         for _ in range(3):
@@ -524,10 +528,11 @@ class GaussianFamily(ParametricFamily):
         amp = _SQRT2 * np.sqrt(_SQRT2PI * sg)
         a1 = amp / sg
         a2 = a1 / sg
-        h_ms = -a2 / _SQRT2 * (m2 - 0.5 * m0)
-        grad = np.stack([-a1 / _SQRT2 * m0, a1 * (0.5 * p - m1)], axis=-1)
-        hess = np.stack([np.stack([-0.5 * a2 * m1, h_ms], axis=-1),
-                         np.stack([h_ms, a2 * (m1 - m3 - 0.25 * p)], axis=-1)], axis=-2)
+        grad = np.empty(p.shape + (2,))
+        grad[..., 0], grad[..., 1] = -a1 / _SQRT2 * m0, a1 * (0.5 * p - m1)
+        hess = np.empty(p.shape + (2, 2))
+        hess[..., 0, 0], hess[..., 1, 1] = -0.5 * a2 * m1, a2 * (m1 - m3 - 0.25 * p)
+        hess[..., 0, 1] = hess[..., 1, 0] = -a2 / _SQRT2 * (m2 - 0.5 * m0)
         return amp * p, grad, hess
 
     def plausible_support(self, theta):

@@ -14,6 +14,7 @@ hooks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,13 @@ class BmhPosterior:
         }
 
 
+def _count(name, value):
+    """The count ``value`` as an int; one not an integer is refused."""
+    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _transforms(data, family, padding):
     """Support transform of every row of the float matrix ``data``, and why
     a row cannot be set up (a str) or None; a row with a reason has no
@@ -164,6 +172,7 @@ def _mhb_many(data, prior, family, padding, start=None):
 def mhb_fit(data, prior=None, family=None, n_boot=0, rng=None,
             padding=DEFAULT_PADDING):
     """MHB estimate; set ``n_boot`` > 0 to attach bootstrap standard errors."""
+    n_boot = _count("n_boot", n_boot)
     prior = prior or HistogramPrior.fixed()
     family = family or GaussianFamily()
     data = np.asarray(data, dtype=float)
@@ -182,7 +191,7 @@ def _mhb_finish(setup, data, prior, family, padding, n_boot=0, rng=None):
             "(parameter bounds may exclude the minimizer)")
     se = mhb_bootstrap_se(data, prior=prior, family=family, n_boot=n_boot, rng=rng,
                           padding=padding, warm_theta=theta) if n_boot else None
-    return MhbEstimate(theta_hat=theta, se=se, n_boot=int(n_boot),
+    return MhbEstimate(theta_hat=theta, se=se, n_boot=n_boot,
                        mhd_meta=meta, transform=transform)
 
 
@@ -199,6 +208,7 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     of one ``mhd_rows`` call, under any prior.  Failed resamples are
     dropped; more than 10% of them is an error.
     """
+    n_boot = _count("n_boot", n_boot)
     if n_boot < 50:
         raise ValueError("bootstrap needs n_boot >= 50")
     prior = prior or HistogramPrior.fixed()
@@ -210,12 +220,12 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     # rng.spawn, not numerics.worker_rng: a different stream, and switching
     # to it would move the bootstrap standard errors
     resamples = data[np.array([child.integers(0, n, n)
-                               for child in np.random.default_rng(rng).spawn(int(n_boot))])]
+                               for child in np.random.default_rng(rng).spawn(n_boot)])]
     estimates = [fit for fit in _mhb_many(resamples, prior, family, padding, start=warm_theta)
                  if not isinstance(fit, str)]
     budget = _BOOT_FAILURE_RATE * n_boot
     if n_boot - len(estimates) > budget:
-        raise RuntimeError(f"more than {int(budget)} of {int(n_boot)} bootstrap refits failed")
+        raise RuntimeError(f"more than {int(budget)} of {n_boot} bootstrap refits failed")
     return overflow_safe(lambda s: s.std(axis=0, ddof=1), np.array(estimates))
 
 
@@ -227,14 +237,16 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
     matrix per bin count (``RandomHistogramPosterior.draws``).  The draws
     of each bin count are then fit as the rows of one ``mhd_rows`` call on
     that bin count's own grid, all started at the anchor T(EAP) in the one
-    unit-scale box, and mapped back to the data scale together; a fixed-k
-    prior makes one call.  Failed draws are dropped; more than 5% of them
-    is an error.  Each draw's minimizer depends on that draw alone: the
-    samples are reproducible given the seed, and the first m rows of an
-    n-draw fit equal an m-draw fit.
+    unit-scale box (each block of rows evaluates it once), and mapped back
+    to the data scale together; a fixed-k prior makes one call.  The
+    diagnostics are the anchor's (see ``functional.MhdResult``).  Failed
+    draws are dropped; more than 5% of them is an error.  Each draw's
+    minimizer depends on that draw alone: the samples are reproducible given
+    the seed, and the first m rows of an n-draw fit equal an m-draw fit.
     ``workers`` is ignored; it is kept only because the benchmark harness
     in ``perfbench/`` passes it.
     """
+    n_samples = _count("n_samples", n_samples)
     if n_samples < 100:
         raise ValueError("posterior sampling needs n_samples >= 100")
     for level in levels:
@@ -248,17 +260,16 @@ def bmh_fit(data, prior=None, family=None, n_samples=2000, rng=None,
 
 
 def _bmh_finish(setup, family, n_samples, rng, levels=(0.5, 0.9, 0.95)):
-    """BMH posterior of a dataset from its ``_setup`` and a Generator ``rng``."""
+    """BMH posterior of a dataset from its ``_setup``, an int count and a Generator ``rng``."""
     transform, post, box, anchor = setup
-    n = int(n_samples)
-    samples, ok = np.empty((n, family.dim)), np.empty(n, dtype=bool)
-    for _, rows, weights in post.draws(rng, n):
+    samples, ok = np.empty((n_samples, family.dim)), np.empty(n_samples, dtype=bool)
+    for _, rows, weights in post.draws(rng, n_samples):
         samples[rows], ok[rows] = mhd_rows(weights, grid_edges(weights.shape[1]), family,
                                            anchor.theta_hat, *box)
     samples = family.theta_from_unit(samples.T, transform).T
-    failures, budget = int(n_samples - ok.sum()), _BMH_FAILURE_RATE * n_samples
+    failures, budget = n_samples - int(ok.sum()), _BMH_FAILURE_RATE * n_samples
     if failures > budget:
-        raise RuntimeError(f"more than {int(budget)} of {int(n_samples)} "
+        raise RuntimeError(f"more than {int(budget)} of {n_samples} "
                            "per-sample minimizations failed to converge")
     samples = samples[ok]
     eap = overflow_safe(lambda s: s.mean(axis=0), samples)

@@ -33,7 +33,8 @@ from .numerics import composite_nodes
 
 @dataclass
 class MhdResult:
-    """Outcome of one minimum-Hellinger-distance fit."""
+    """Outcome of one minimum-Hellinger-distance fit; ``h_min`` and ``first_order_norm``
+    are those of the last point evaluated, at most 1e-9 from ``theta_hat``."""
 
     theta_hat: np.ndarray
     h_min: float
@@ -61,13 +62,13 @@ _SEED_MU = np.linspace(0.0, 1.0, 41)
 _SEED_SIGMA = np.geomspace(max(_UNIT_BOUNDS[1][0], 1e-4), _UNIT_BOUNDS[1][1], 31)
 _SEED_CELLS = 100
 
-# Cap on rows x cells in one block of ``mhd_rows``; it bounds the
-# (rows, k + 1) edge temporaries of the closed-form
-# ``histogram_bc``, and with them peak memory, to a few MB.  Larger blocks
-# pay the per-call overhead of each Newton iteration fewer times.  BMH(2000) on
-# Newcomb (fastest of 5 runs, 2-core x86-64 host) takes 57 ms at this size,
-# 66 ms at half of it and 53-54 ms at twice it, where its peak traced
-# allocation grows from 4.1 to 6.5 MiB (3.2 MiB at half).
+# Cap on rows x cells in one block of ``mhd_rows``; it bounds the (rows, k + 1)
+# edge temporaries of the closed-form ``histogram_bc``, and with them peak
+# memory, to a few MB, while larger blocks pay the per-call overhead of each
+# Newton iteration fewer times.  BMH(2000) on Newcomb (best of 15 runs in each of
+# 4 alternating processes, 2-core x86-64 host) takes 38-45 ms at this size,
+# 43-49 ms at half of it and 40-47 ms at twice it; its peak traced allocation is
+# 4.1 MiB, 3.2 MiB at half and 6.5 MiB at twice.
 ROW_BLOCK_ELEMENTS = 1 << 15
 
 
@@ -119,7 +120,7 @@ def mhd(g, family, x0, lo, hi):
     best of that point and the seed grid instead, the rule ``mhd_rows``
     re-seeds its rows with (see ``_grid_seeds``).  ``n_evals`` counts the
     Hellinger values Newton computes on the nodes, at the start and at each
-    trial step.
+    trial step, but not at a final move below 1e-9 (see ``MhdResult``).
     """
     # the one box, as one row
     lo, hi = np.array([lo, hi], dtype=float)[:, None]
@@ -212,7 +213,8 @@ def mhd_rows(weights, edges, family, theta0, lo, hi):
     its gradient and Hessian.  Rows are solved in blocks of at most
     ``ROW_BLOCK_ELEMENTS`` rows x cells by the damped Newton of ``mhd``
     (see ``_newton_rows``), which also decides each row's ``converged``
-    flag.  For a Gaussian family, rows left unconverged are solved once
+    flag; a start shared by a whole block is evaluated once, as one theta
+    row.  For a Gaussian family, rows left unconverged are solved once
     more from the grid seed of ``mhd`` (see ``_grid_seeds``).  Returns the
     minimizers, shape (rows, p), and the flags; a row still unconverged is
     reported as such.
@@ -291,31 +293,36 @@ def _newton_rows(evaluate, theta, lo, hi):
     one convergence rule of ``mhd`` and ``mhd_rows``.
 
     ``evaluate(rows, theta)`` returns, for the rows of index array ``rows`` at
-    parameters ``theta`` (one row each), their Bhattacharyya coefficients,
-    gradients and Hessians.  ``lo`` and ``hi``, shape (rows, p), are each row's
-    parameter box, which clips every trial point.  Each trial point is
-    evaluated once: an accepted trial's gradient and Hessian give the next
-    Newton step.  A row whose Newton move -step, or d = clip(t - step) - t in
-    its box, cannot raise its coefficient (gradient . d <= 0, e.g. where its
-    Jacobian is indefinite) moves along its gradient over the Frobenius norm of
-    its Jacobian instead.  A row stops before any trial when its gradient
-    vanishes, its Jacobian is singular, or its move still cannot raise its
-    coefficient (the box stops the gradient too) or is below 1e-14.  Otherwise
-    it takes the step and halves it until its own Hellinger value does not
-    increase (within 1e-10 roundoff slack); it also stops when its accepted
-    move falls below 1e-14 or no halving helps.  ``theta`` is updated in place.
-    Returns the rows' parameters, Hellinger values, first-order norms and
-    ``converged`` flags.  A row is converged when its first-order norm is below
-    ``_FOC_TOL``, a Newton step could be formed for it (finite start value,
-    non-singular Jacobian; a vanishing gradient may otherwise only mean f_theta
-    underflows on its support) and its Hellinger value is below
+    parameters ``theta`` (one row each, or one row for all: a start shared by
+    every row is evaluated so), their Bhattacharyya coefficients, gradients and
+    Hessians.  ``lo`` and ``hi``, shape (rows, p), are each row's parameter
+    box, which clips every trial point.  Each trial point is evaluated once: an
+    accepted trial's gradient and Hessian give the next Newton step.  A row
+    whose Newton move -step, or d = clip(t - step) - t in its box, cannot raise
+    its coefficient (gradient . d <= 0, e.g. where its Jacobian is indefinite)
+    moves along its gradient over the Frobenius norm of its Jacobian instead.  A
+    row stops before any trial when its gradient vanishes, its Jacobian is
+    singular, or its move still cannot raise its coefficient (the box stops the
+    gradient too) or is below 1e-14.  Otherwise it takes the step and halves it
+    until its own Hellinger value does not increase (within 1e-10 roundoff
+    slack); it also stops when its accepted move falls below 1e-14 or no
+    halving helps.  A row below ``_FOC_TOL`` whose last trial was a full step
+    takes a Newton move below 1e-9 unevaluated and stops: the next would be
+    at roundoff.  ``theta`` is updated in place.  Returns the rows' parameters,
+    the Hellinger values and first-order norms at their last evaluated points,
+    and ``converged`` flags.  A row is converged when its first-order norm is
+    below ``_FOC_TOL``, a Newton step could be formed for it (finite start
+    value, non-singular Jacobian; a vanishing gradient may otherwise only mean
+    f_theta underflows on its support) and its Hellinger value is below
     ``_H_NO_OVERLAP``.
     """
-    bc, grad, hess = evaluate(np.arange(len(theta)), theta)
+    shared = (theta == theta[:1]).all()
+    bc, grad, hess = evaluate(np.arange(len(theta)), theta[:1] if shared else theta)
     h = _hellinger(bc)
     # first-order norm at each row's current theta
     foc = _norms(grad)
     stuck = ~np.isfinite(h)
+    full = np.zeros(len(theta), dtype=bool)  # last trial accepted as a full step
     active = (~stuck).nonzero()[0]
     # ``take`` with integer indices selects rows of the (rows, p) arrays: on
     # few rows it costs a third of fancy or boolean indexing
@@ -338,8 +345,12 @@ def _newton_rows(evaluate, theta, lo, hi):
             cand = np.minimum(np.maximum(t - step, row_lo), row_hi)
             move = cand - t
             ascent = (g * move).sum(axis=1)
-        keep = (formed & (foc[active] >= 1e-13) & (ascent > 0.0)
-                & (_norms(move) >= 1e-14)).nonzero()[0]
+        length = _norms(move)
+        moving = formed & (foc[active] >= 1e-13) & (ascent > 0.0) & (length >= 1e-14)
+        # a converged row's sub-resolution Newton move after a full step
+        last = moving & full[active] & ~downhill & (foc[active] < _FOC_TOL) & (length < 1e-9)
+        theta[active[last]] = cand[last]
+        keep = (moving & ~last).nonzero()[0]
         active, t, step, cand = (active[keep], t.take(keep, axis=0), step.take(keep, axis=0),
                                  cand.take(keep, axis=0))
         if not len(active):
@@ -359,6 +370,7 @@ def _newton_rows(evaluate, theta, lo, hi):
                 cand.take(acc, axis=0), grad_new.take(acc, axis=0), hess_new.take(acc, axis=0))
             h[taken] = np.minimum(h[taken], h_new[acc])
             foc[taken] = _norms(grad_new)[acc]
+            full[taken] = not halving
             if len(acc) == len(rows):
                 break
             pending = pending[~ok]

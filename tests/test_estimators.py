@@ -71,8 +71,8 @@ class TestMhbFit:
 
             monkeypatch.setattr(GaussianFamily, name, counting)
         est = mhb_fit(load_dataset("bundled:newcomb").values)
-        assert est.mhd_meta.n_evals == 5
-        assert calls == {"sqrt_pdf": 5, "sqrt_grad": 0, "sqrt_hess": 0}
+        assert est.mhd_meta.n_evals == 4
+        assert calls == {"sqrt_pdf": 4, "sqrt_grad": 0, "sqrt_hess": 0}
 
     def test_report_shape(self):
         est = mhb_fit(gaussian_data(150, 4), prior=PRIOR_SMALL)
@@ -86,6 +86,20 @@ class TestBootstrap:
     def test_requires_50_resamples(self):
         with pytest.raises(ValueError, match="n_boot"):
             mhb_bootstrap_se(gaussian_data(100, 0), n_boot=10)
+
+    @pytest.mark.parametrize("fit", [mhb_fit, mhb_bootstrap_se])
+    def test_count_that_is_not_an_integer_is_refused(self, fit):
+        # 60.7 once drew 60 resamples and counted 0.7 phantom failures
+        with pytest.raises(ValueError, match=r"^n_boot must be an integer, got 60\.7$"):
+            fit(load_dataset("bundled:newcomb").values, n_boot=60.7, rng=1)
+
+    def test_numpy_and_integral_float_counts_are_accepted(self):
+        data = gaussian_data(150, 13)
+        want = mhb_fit(data, prior=PRIOR_SMALL, n_boot=60, rng=3)
+        for n_boot in (np.int32(60), 60.0):
+            est = mhb_fit(data, prior=PRIOR_SMALL, n_boot=n_boot, rng=3)
+            assert type(est.n_boot) is int and est.n_boot == 60
+            assert np.array_equal(est.se, want.se)
 
     def test_deterministic_given_seed(self):
         data = gaussian_data(120, 5)
@@ -124,6 +138,17 @@ class TestBmhFit:
     def test_requires_100_samples(self):
         with pytest.raises(ValueError, match="n_samples"):
             bmh_fit(gaussian_data(100, 0), n_samples=50)
+
+    def test_count_that_is_not_an_integer_is_refused(self):
+        # 150.5 once returned 150 draws
+        with pytest.raises(ValueError, match=r"^n_samples must be an integer, got 150\.5$"):
+            bmh_fit(load_dataset("bundled:newcomb").values, n_samples=150.5)
+
+    def test_numpy_integer_count_is_accepted(self):
+        data = gaussian_data(150, 21)
+        fit = bmh_fit(data, prior=PRIOR_SMALL, n_samples=np.int64(120), rng=31)
+        want = bmh_fit(data, prior=PRIOR_SMALL, n_samples=120, rng=31)
+        assert np.array_equal(fit.theta_samples, want.theta_samples)
 
     def test_deterministic_given_seed(self):
         data = gaussian_data(150, 21)
