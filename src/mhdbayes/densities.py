@@ -86,21 +86,25 @@ def padded_ranges(data, padding=DEFAULT_PADDING):
     """The ends a and b of :meth:`SupportTransform.from_data` for every row
     of the float matrix ``data``: its range, padded by ``padding`` of its
     width on each side.  Returns a, b and per row why it has no transform
-    (a str) or None."""
-    if not 0.0 <= padding < np.inf:   # a NaN fails too
-        nan = np.full(len(data), np.nan)
-        return nan, nan, [f"padding must be a finite fraction >= 0, got {padding!r}"] * len(data)
-    lo, hi = data.min(axis=1), data.max(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pad = padding * (hi - lo)
-        a, b = lo - pad, hi + pad
-        finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(b - a)
-    reasons = [None] * len(data)
-    for i in np.flatnonzero(~(hi > lo) | ~finite).tolist():
-        # a NaN range is not degenerate: it takes the overflow message
-        reasons[i] = ("data range is degenerate (all values equal)" if hi[i] <= lo[i] else
-                      f"data range [{float(lo[i])!r}, {float(hi[i])!r}] padded by {padding!r} "
-                      "of its width on each side overflows float64")
+    (a str) or None: non-finite data, else no data, else a bad padding, a
+    degenerate range or an overflowing padded range."""
+    if data.shape[1] and 0.0 <= padding < np.inf:   # a NaN padding fails too
+        lo, hi = data.min(axis=1), data.max(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pad = padding * (hi - lo)
+            a, b = lo - pad, hi + pad
+            finite = np.isfinite(a) & np.isfinite(b) & np.isfinite(b - a)
+        reasons = [None] * len(data)
+        for i in np.flatnonzero(~(hi > lo) | ~finite).tolist():
+            reasons[i] = ("data range is degenerate (all values equal)" if hi[i] <= lo[i] else
+                          f"data range [{float(lo[i])!r}, {float(hi[i])!r}] padded by "
+                          f"{padding!r} of its width on each side overflows float64")
+    else:
+        a = b = np.full(len(data), np.nan)
+        reasons = [f"padding must be a finite fraction >= 0, got {padding!r}"
+                   if data.shape[1] else "data is empty"] * len(data)
+    for i in np.flatnonzero(~np.isfinite(data).all(axis=1)).tolist():
+        reasons[i] = "data contains non-finite values"
     return a, b, reasons
 
 
@@ -563,9 +567,9 @@ class GaussianFamily(ParametricFamily):
         """The unit-scale image of ``bounds``, sigma floored at 1e-12; an
         open parameter gets its ``_UNIT_BOUNDS`` pair."""
         mu_b, sg_b = self.bounds or (None, None)
-        w, a = transform.width, transform.a
+        w = transform.width
         return np.array([
-            _UNIT_BOUNDS[0] if mu_b is None else ((mu_b[0] - a) / w, (mu_b[1] - a) / w),
+            _UNIT_BOUNDS[0] if mu_b is None else transform.to_unit(mu_b),
             _UNIT_BOUNDS[1] if sg_b is None else (max(sg_b[0] / w, 1e-12), sg_b[1] / w)]).T
 
 

@@ -101,69 +101,63 @@ def _count(name, value):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _transforms(data, family, padding):
-    """Support transform of every row of the float matrix ``data``, and why
-    a row cannot be set up (a str) or None; a row with a reason has no
-    transform (None)."""
-    if data.shape[1] < family.dim + 1:
-        a = b = None
-        reasons = [f"need at least {family.dim + 1} observations"] * len(data)
-    else:
-        a, b, reasons = padded_ranges(data, padding)
-    for i in np.flatnonzero(~np.isfinite(data).all(axis=1)).tolist():
-        reasons[i] = "data contains non-finite values"
-    return ([None if reason else SupportTransform(float(a[i]), float(b[i]))
-             for i, reason in enumerate(reasons)], reasons)
+def _setup_rows(data, prior, family, padding, start=None):
+    """The setup of both estimators for the datasets in the rows of the float
+    matrix ``data``: per row why it cannot be set up (a str) or None, and
+    for the rows that pass, in order, their transforms, one row-wise
+    posterior update, and unit-scale starts (``start``, or the row's moment
+    start when None) and boxes.  Non-finite data come first, then too few
+    observations, then ``padded_ranges``; a prior with no bin count for n
+    fails every row that passes these, with its own message.
+    """
+    a, b, reasons = padded_ranges(data, padding)
+    if data.shape[1] < family.dim + 1:   # a non-finite row keeps its own reason
+        reasons = [reason if not np.isfinite(row).all() else
+                   f"need at least {family.dim + 1} observations"
+                   for row, reason in zip(data, reasons)]
+    rows = [r for r, reason in enumerate(reasons) if reason is None]
+    data, a, b = data[rows], a[rows], b[rows]
+    transforms = [SupportTransform(float(lo), float(hi)) for lo, hi in zip(a, b)]
+    try:
+        post = fit_posterior((data - a[:, None]) / (b - a)[:, None], prior) if rows else None
+    except ValueError as exc:   # a prior with no bin count for n points fails every row
+        return [reason or str(exc) for reason in reasons], [], None, None, None
+    starts = np.array([family.theta_to_unit(family.initial_theta(row) if start is None
+                                            else start, t) for row, t in zip(data, transforms)])
+    boxes = np.array([family.unit_box(t) for t in transforms])
+    return reasons, transforms, post, starts, boxes
 
 
 def _setup(data, prior, family, padding):
     """Support transform, posterior, unit-scale box and T(EAP) fit of the
-    float array ``data``, the fit from the moment start."""
+    float array ``data``, the fit from the moment start: the one-row case of
+    ``_setup_rows``, whose refusal it raises as a ``ValueError``."""
     if data.ndim != 1:
         raise ValueError("data must be a 1-d array")
-    (transform,), (reason,) = _transforms(data[None], family, padding)
+    (reason,), transforms, post, starts, boxes = _setup_rows(data[None], prior, family, padding)
     if reason:
         raise ValueError(reason)
-    post = fit_posterior(transform.to_unit(data), prior)
-    box = family.unit_box(transform)
-    x0 = family.theta_to_unit(family.initial_theta(data), transform)
-    return transform, post, box, mhd(post.eap(), family, x0, *box)
+    post = post.row(0)
+    return transforms[0], post, boxes[0], mhd(post.eap(), family, starts[0], *boxes[0])
 
 
 def _mhb_many(data, prior, family, padding, start=None):
     """MHB of the datasets in the rows of the float matrix ``data``, each from
-    its own data-scale start: ``start``, or the dataset's moment start when
-    None.
-
-    The datasets are set up as one matrix: the input checks and support
-    transforms of all rows at once (``_transforms``), one row-wise
-    posterior update of the rows that pass and one row-wise EAP on one
-    grid (``RandomHistogramPosterior.eap_rows``).  Each row gets its own
-    transform, and its start and parameter box on the unit scale.  All
-    EAPs are fit as the rows of one ``mhd_rows`` call, each in its own
-    box, and each row is mapped back by its own transform.  Returns per
-    dataset its estimate or why its fit failed (a str).
+    ``start`` (data scale) or, when None, its moment start: the matrix case
+    of ``_setup_rows``, then one ``eap_rows`` call on one grid and one
+    ``mhd_rows`` call, each row in its own box and mapped back by its own
+    transform.  Returns per dataset its estimate or why its fit failed (a str).
     """
-    transforms, fits = _transforms(data, family, padding)
-    rows = np.flatnonzero([t is not None for t in transforms])
-    transforms = [transforms[r] for r in rows]
-    if not transforms:
+    fits, transforms, post, starts, boxes = _setup_rows(data, prior, family, padding, start)
+    if post is None:
         return fits
-    a = np.array([t.a for t in transforms])[:, None]
-    try:
-        post = fit_posterior((data[rows] - a) / np.array([t.width for t in transforms])[:, None],
-                             prior)
-    except ValueError as exc:   # a prior with no bin count for n points fails every row
-        return [str(exc) if fit is None else fit for fit in fits]
-    starts = np.array([family.theta_to_unit(family.initial_theta(data[r]) if start is None
-                                            else start, t) for r, t in zip(rows, transforms)])
-    boxes = np.array([family.unit_box(t) for t in transforms])
     edges, weights = post.eap_rows()
     weights = normalized_weights(weights)   # as each row's eap() histogram stores them
     theta, ok = mhd_rows(weights, edges, family, starts, *boxes.swapaxes(0, 1))
-    for i, (r, t) in enumerate(zip(rows, transforms)):
-        fit = family.theta_from_unit(theta[i], t)
-        fits[r] = fit if ok[i] else (
+    rows = [r for r, reason in enumerate(fits) if reason is None]
+    for r, t, fit, converged in zip(rows, transforms, theta, ok):
+        fit = family.theta_from_unit(fit, t)
+        fits[r] = fit if converged else (
             f"minimum-distance fit did not converge at theta={np.round(fit, 4).tolist()}"
             " (parameter bounds may exclude the minimizer)")
     return fits
@@ -200,13 +194,12 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     """Nonparametric bootstrap standard errors for MHB.
 
     The resamples, drawn from one ``spawn`` child each, are stacked into
-    one (n_boot, n) matrix and set up as one, as the efficiency study sets
-    up its replicates (``_mhb_many``): one row-wise check, transform,
-    posterior update and EAP.  Each resample still gets its own transform
-    and unit-scale parameter box, and its fit starts at ``warm_theta``, the
-    full-data MHB estimate (fit first when None).  All resamples are rows
-    of one ``mhd_rows`` call, under any prior.  Failed resamples are
-    dropped; more than 10% of them is an error.
+    one (n_boot, n) matrix and fit by ``_mhb_many``, as the efficiency
+    study fits its replicates: the matrix case of the setup of a single
+    fit, each resample with its own transform and unit-scale box, then the
+    rows of one ``mhd_rows`` call under any prior, each started at
+    ``warm_theta``, the full-data MHB estimate (fit first when None).
+    Failed resamples are dropped; more than 10% of them is an error.
     """
     n_boot = _count("n_boot", n_boot)
     if n_boot < 50:

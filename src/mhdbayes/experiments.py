@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import DEFAULT_PADDING, GaussianFamily, _normal_tail
-from .estimators import _bmh_finish, _mhb_finish, _mhb_many, _setup, bmh_fit
+from .estimators import _bmh_finish, _count, _mhb_finish, _mhb_many, _setup, bmh_fit
 from .functional import asymptotic_variance, fisher_information
 from .numerics import overflow_safe, worker_rng
 from .posterior import HistogramPrior
@@ -135,21 +135,23 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
 
     Simulates ``reps`` clean datasets from f_theta0, fits the MLE on each
     and MHB on all at once, as the bootstrap fits its resamples: the
-    datasets are stacked into one (reps, n) matrix and set up as one (one
-    row-wise check, transform, posterior update and EAP, see
-    ``_mhb_many``); each gets its own unit-scale box, and is fit from its
-    moment start as a row of one ``mhd_rows`` call on one grid, whatever
-    the prior.  A failed MHB fit, or else a NaN or infinite estimate, is
-    the row's ``error`` and leaves that estimate out of the row; a
-    unit-scale box that is empty, such as a sigma ceiling below the
-    ``unit_box`` floor of 1e-12, raises ``ValueError`` naming it.  Compares the
-    empirical variance of sqrt(n) (theta_hat - theta0) with the Cramer-Rao
-    diagonal, computed before any replicate is drawn.  A ``theta0``
-    without a finite mu and a finite sigma > 0, or whose
-    ``plausible_support`` is not a finite interval, or ``n`` below the
-    family's dimension + 1, raises ``ValueError`` before any replicate
-    runs, and a singular Fisher information ``LinAlgError``.
+    datasets are stacked into one (reps, n) matrix, set up as the rows of
+    the setup of a single fit (see ``_mhb_many``), and fit from their
+    moment starts as the rows of one ``mhd_rows`` call on one grid, each in
+    its own unit-scale box, whatever the prior.  A failed MHB fit, or else
+    a NaN or infinite estimate, is the row's ``error`` and leaves that
+    estimate out of the row; a unit-scale box that is empty, such as a
+    sigma ceiling below the ``unit_box`` floor of 1e-12, raises
+    ``ValueError`` naming it.  Compares the empirical variance of sqrt(n)
+    (theta_hat - theta0) with the Cramer-Rao diagonal, computed before any
+    replicate is drawn.  A count ``n`` or ``reps`` that is not an integer
+    (see ``estimators._count``), a ``theta0`` without a finite mu and a
+    finite sigma > 0, or whose ``plausible_support`` is not a finite
+    interval, or ``n`` below the family's dimension + 1, raises
+    ``ValueError`` before any replicate runs, and a singular Fisher
+    information ``LinAlgError``.
     """
+    n, reps = _count("n", n), _count("reps", reps)
     if reps < 100:
         raise ValueError("efficiency study needs reps >= 100")
     family = family or GaussianFamily()
@@ -160,12 +162,11 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     theta0 = _true_theta(theta0)
     _plausible_support(family, theta0, f"theta0 {theta0.tolist()}", "Fisher information")
     target = np.diag(np.linalg.inv(fisher_information(family, theta0)))
-    datasets = np.array([family.sample(theta0, int(n), worker_rng(seed, r))
-                         for r in range(int(reps))])
+    datasets = np.array([family.sample(theta0, n, worker_rng(seed, r)) for r in range(reps)])
     rows = []
     for rep, (data, fit) in enumerate(zip(datasets, _mhb_many(datasets, prior, family,
                                                                padding))):
-        row = {"rep": rep, "n": int(n)}
+        row = {"rep": rep, "n": n}
         for est, theta in (("mhb", fit), ("mle", family.mle(data))):
             error = theta if isinstance(theta, str) else _non_finite(est, theta)
             if error is None:
@@ -174,12 +175,12 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
                 row.setdefault("error", error)
         rows.append(row)
 
-    summary = {"n": int(n), "reps": int(reps),
+    summary = {"n": n, "reps": reps,
                "crlb_diag": [float(v) for v in target]}
     checks = {}
     for est in ("mhb", "mle"):
         thetas = np.asarray([row[est] for row in rows if est in row])
-        summary[f"{est}_failures"] = int(reps - len(thetas))
+        summary[f"{est}_failures"] = reps - len(thetas)
         if len(thetas) < 2:   # no sample variance
             continue
         zscores = math.sqrt(n) * (thetas - theta0)
@@ -192,11 +193,11 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     for i in range(len(theta0)):
         checks[f"mhb_var_ratio_{i}_in_band"] = (ratios is not None
                                                 and RATIO_BAND[0] <= ratios[i] <= RATIO_BAND[1])
-    grid = [{"n": int(n)}]
+    grid = [{"n": n}]
     return StudyReport(name="efficiency", grid=grid, rows=rows, summary=summary,
                        checks=checks, seed=seed,
                        config={"theta0": [float(v) for v in theta0],
-                               "reps": int(reps), "n": int(n),
+                               "reps": reps, "n": n,
                                "ratio_band": list(RATIO_BAND)})
 
 
@@ -250,11 +251,15 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     ``z_grid`` or ``estimators``, a ``z_grid`` that is not finite and
     strictly ascending, a name other than mhb, bmh and mle, a ``theta``
     without a finite mu and a finite sigma > 0, an ``epsilon`` that is not
-    positive and finite, ``reps`` below 1, ``n`` below the family's
-    dimension + 1, or ``n_samples_bmh`` below 100 with bmh swept raises
-    ``ValueError`` before any replicate runs.  A fit that fails, or a NaN
-    or infinite estimate or location error, is its row's ``error``.
+    positive and finite, a count ``n``, ``reps`` or ``n_samples_bmh`` that
+    is not an integer (see ``estimators._count``), ``reps`` below 1, ``n``
+    below the family's dimension + 1, or ``n_samples_bmh`` below 100 with
+    bmh swept raises ``ValueError`` before any replicate runs.  A fit that
+    fails, or a NaN or infinite estimate or location error, is its row's
+    ``error``.
     """
+    n, reps = _count("n", n), _count("reps", reps)
+    n_samples_bmh = _count("n_samples_bmh", n_samples_bmh)
     z_grid = [float(z) for z in z_grid]
     if not (z_grid and np.all(np.isfinite(z_grid)) and np.all(np.diff(z_grid) > 0)):
         raise ValueError("z_grid must be non-empty, finite and strictly ascending")
@@ -282,13 +287,13 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     seed = _seed_of(rng)
     fit_rep = functools.partial(
         _robustness_rep, seed=seed, family=family, theta=theta, alpha=float(alpha),
-        z_grid=z_grid, n=int(n), epsilon=float(epsilon), prior=prior, padding=padding,
-        estimators=estimators, n_samples_bmh=int(n_samples_bmh))
-    rows = [row for chunk in _map_tasks(fit_rep, range(int(reps)),
+        z_grid=z_grid, n=n, epsilon=float(epsilon), prior=prior, padding=padding,
+        estimators=estimators, n_samples_bmh=n_samples_bmh)
+    rows = [row for chunk in _map_tasks(fit_rep, range(reps),
                                         workers or os.cpu_count() or 1)
             for row in chunk]
 
-    summary = {"alpha": float(alpha), "n": int(n), "reps": int(reps),
+    summary = {"alpha": float(alpha), "n": n, "reps": reps,
                "epsilon": float(epsilon), "cells": {}}
     medians = {}
     for est in estimators:
@@ -319,7 +324,7 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
                        checks=checks, seed=seed,
                        config={"theta": [float(v) for v in theta],
                                "alpha": float(alpha), "z_grid": z_grid,
-                               "n": int(n), "reps": int(reps),
+                               "n": n, "reps": reps,
                                "epsilon": float(epsilon),
                                "estimators": list(estimators)})
 

@@ -313,8 +313,9 @@ def _newton_rows(evaluate, theta, lo, hi):
     and ``converged`` flags.  A row is converged when its first-order norm is
     below ``_FOC_TOL``, a Newton step could be formed for it (finite start
     value, non-singular Jacobian; a vanishing gradient may otherwise only mean
-    f_theta underflows on its support) and its Hellinger value is below
-    ``_H_NO_OVERLAP``.
+    f_theta underflows on its support), its Hellinger value is below
+    ``_H_NO_OVERLAP`` and the Hessian at its last evaluated point is negative
+    definite (a saddle or a minimum of the coefficient is not converged).
     """
     shared = (theta == theta[:1]).all()
     bc, grad, hess = evaluate(np.arange(len(theta)), theta[:1] if shared else theta)
@@ -381,6 +382,9 @@ def _newton_rows(evaluate, theta, lo, hi):
         if halving:
             active = active[_norms(theta.take(active, axis=0) - t) >= 1e-14]
     converged = (foc < _FOC_TOL) & ~stuck & (h < _H_NO_OVERLAP)
+    # only a negative definite Hessian makes a stationary point a maximum
+    rows = converged.nonzero()[0]
+    converged[rows] = np.linalg.eigvalsh(hess.take(rows, axis=0)).max(axis=-1) < 0.0
     return theta, h, foc, converged
 
 

@@ -71,6 +71,21 @@ class TestSupportTransform:
                                              f"got {padding!r}"):
             SupportTransform.from_data([0.0, 10.0], padding=padding)
 
+    @pytest.mark.parametrize("data, padding, message", [
+        ([1.0, np.nan, 3.0], 0.09, "data contains non-finite values"),
+        ([1.0, np.inf, 3.0], 0.09, "data contains non-finite values"),
+        ([-np.inf, np.inf], 0.09, "data contains non-finite values"),
+        ([1.0, np.nan, 3.0], -0.1, "data contains non-finite values"),
+        ([], 0.09, "data is empty"),
+        ([], np.nan, "data is empty")],
+        ids=["nan", "inf", "infinite-range", "nan-before-padding", "empty",
+             "empty-before-padding"])
+    def test_bad_data_is_named_as_the_estimators_name_it(self, data, padding, message):
+        # non-finite data and no data are named before the padding is read,
+        # and no range or numpy reduction message stands in for them
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SupportTransform.from_data(data, padding=padding)
+
     def test_padded_range_overflowing_float64(self):
         with pytest.raises(ValueError, match=r"data range \[-1e\+308, 1e\+308\]"):
             SupportTransform.from_data([-1e308, 0.0, 1e308])

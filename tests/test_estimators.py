@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from _helpers import (
     QuadratureGaussianFamily,
+    _oracle_setup,
     count_histogram_bc_rows,
     mhb_many_oracle,
     quadrature_histogram_bc,
@@ -39,6 +42,23 @@ class TestMhbFit:
     def test_data_checks(self, data, message):
         with pytest.raises(ValueError, match=message):
             mhb_fit(data)
+
+    @pytest.mark.parametrize("data, padding, prior, message", [
+        ([[np.nan, 1.0]], np.nan, None, "data must be a 1-d array"),
+        ([np.nan, 1.0], np.nan, None, "data contains non-finite values"),
+        ([], 0.09, None, "need at least 3 observations"),
+        ([1.0, 2.0], np.nan, None, "need at least 3 observations"),
+        ([1.0, 1.0, 1.0], np.nan, None, "padding must be a finite fraction >= 0, got nan"),
+        ([1.0, np.inf, 2.0], 0.09, HistogramPrior.poisson(k_max=0),
+         "data contains non-finite values"),
+        ([1.0, 2.0, 3.0], 0.09, HistogramPrior.poisson(k_max=0), "empty bin-count support")],
+        ids=["shape", "non-finite", "empty", "too-few", "padding", "non-finite-before-prior",
+             "prior"])
+    def test_refusals_keep_their_precedence(self, data, padding, prior, message):
+        # the shape first, then non-finite data, too few observations, the
+        # padded range and last the prior's bin counts
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            mhb_fit(data, prior=prior, padding=padding)
 
     def test_recovers_gaussian(self):
         data = gaussian_data(3000, 42)
@@ -518,13 +538,48 @@ class TestBootstrapRows:
 
     def test_prior_with_no_bin_count_fails_every_row(self):
         # the row-wise update raises once; each row keeps the reason its own
-        # update gave
-        data = np.array([gaussian_data(60, s) for s in (1, 2)])
+        # update gave, and a non-finite row between good rows keeps its own
+        data = np.array([gaussian_data(60, s) for s in (1, 2, 3)])
+        data[1, 7] = np.inf
         prior = HistogramPrior.poisson(k_max=0)
         fits = estimators._mhb_many(data, prior, GaussianFamily(), estimators.DEFAULT_PADDING)
         assert fits == mhb_many_oracle(data, prior, GaussianFamily(),
                                        estimators.DEFAULT_PADDING)
-        assert fits == ["empty bin-count support"] * 2
+        assert fits == ["empty bin-count support", "data contains non-finite values",
+                        "empty bin-count support"]
+
+    @pytest.mark.filterwarnings("ignore:total prior mass")
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 5), n=st.integers(3, 90), seed=st.integers(0, 2 ** 32 - 1),
+           prior=st.sampled_from([PRIOR_SMALL, HistogramPrior.poisson()]),
+           family=st.sampled_from([GaussianFamily(),
+                                   GaussianFamily(bounds=((-3.0, 3.0), (0.3, 4.0)))]))
+    def test_one_dataset_setup_is_the_one_row_case(self, d, n, seed, prior, family):
+        # _setup of row r and row r of the matrix setup agree bit for bit:
+        # transform, posterior, box and the start its T(EAP) fit is given
+        rng = np.random.default_rng(seed)
+        data = rng.standard_t(3.0, (d, n)) * rng.uniform(0.5, 3.0, (d, 1))
+        padding = estimators.DEFAULT_PADDING
+        reasons, transforms, post, starts, boxes = estimators._setup_rows(data, prior, family,
+                                                                          padding)
+        assert reasons == [None] * d
+        for r in range(d):
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimators, "mhd", lambda *args: calls.append(args))
+                transform, one, box, _ = estimators._setup(data[r], prior, family, padding)
+            ((g, _, x0, lo, hi),) = calls
+            row = post.row(r)
+            assert transform == transforms[r] == _oracle_setup(data[r], prior, family,
+                                                               padding)[0]
+            assert np.array_equal(one.k_support, row.k_support)
+            assert np.array_equal(one.log_post_k, row.log_post_k)
+            assert len(one.dirichlet_params) == len(row.dirichlet_params)
+            assert all(np.array_equal(p, q)
+                       for p, q in zip(one.dirichlet_params, row.dirichlet_params))
+            assert np.array_equal(box, boxes[r]) and np.array_equal([lo, hi], boxes[r])
+            assert np.array_equal(x0, starts[r])
+            assert np.array_equal(g.weights, row.eap().weights)
 
     @pytest.mark.filterwarnings("ignore:total prior mass")
     @settings(max_examples=40, deadline=None)

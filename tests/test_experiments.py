@@ -92,6 +92,24 @@ class TestSampleContaminated:
 
 
 class TestRobustnessSweep:
+    @pytest.mark.parametrize("name, value", [("n", 120.5), ("reps", 2.5),
+                                             ("n_samples_bmh", 100.5)])
+    def test_count_that_is_not_an_integer_is_refused(self, name, value, monkeypatch):
+        from mhdbayes import experiments
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replicate ran before the counts were checked")
+
+        monkeypatch.setattr(experiments, "_map_tasks", forbidden)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            robustness_sweep(**{"n": 120, "reps": 2, "rng": 1, "n_samples_bmh": 100,
+                                name: value})
+
+    def test_numpy_and_integral_float_counts_are_accepted(self):
+        sweep = dict(z_grid=(5.0,), rng=3, prior=PRIOR_SMALL, estimators=("mhb", "mle"))
+        want = robustness_sweep(n=120, reps=2, **sweep).to_json()
+        assert robustness_sweep(n=np.int64(120), reps=2.0, **sweep).to_json() == want
+
     def test_smoke_and_determinism(self):
         kwargs = dict(theta=(0.0, 1.0), alpha=0.1, z_grid=(8.0, 30.0), n=150,
                       reps=3, rng=5, prior=PRIOR_SMALL,
@@ -294,6 +312,22 @@ class TestEfficiencyStudy:
     def test_requires_100_reps(self):
         with pytest.raises(ValueError, match="reps"):
             efficiency_study(reps=10, rng=0)
+
+    @pytest.mark.parametrize("name, value", [("n", 200.7), ("reps", 100.5)])
+    def test_count_that_is_not_an_integer_is_refused(self, name, value, monkeypatch):
+        # n=200.7, reps=100.5 once fit 100 datasets of 200 points
+        from mhdbayes import experiments
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a replicate ran before the counts were checked")
+
+        monkeypatch.setattr(experiments, "worker_rng", forbidden)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            efficiency_study(**{"n": 200, "reps": 100, "rng": 1, name: value})
+
+    def test_numpy_and_integral_float_counts_are_accepted(self):
+        want = efficiency_study(n=200, reps=100, rng=1).to_json()
+        assert efficiency_study(n=np.int64(200), reps=100.0, rng=1).to_json() == want
 
     @pytest.mark.parametrize("theta0", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 0.0), (0.0, -1.0),
                                         (0.0, math.nan), (0.0, math.inf)],

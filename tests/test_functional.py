@@ -912,6 +912,25 @@ class TestNewtonRows:
         bc = 0.5 - scale / 2.0 * (last * last).sum(keepdims=True)
         assert h[0] == functional._hellinger(bc)[0]
 
+    def test_saddle_point_is_not_converged(self):
+        # row 0: BC = 0.5 + theta_0^2 - theta_1^2, a saddle at the origin
+        # (gradient 0, Hessian diag(2, -2)); row 1: BC = 0.5 - |theta|^2, a
+        # maximum there.  Both start at the origin and stop on their vanishing
+        # gradient, with h = 1 and a Newton step that can be formed, yet only
+        # the maximum is converged
+        sign = np.array([1.0, -1.0])
+
+        def evaluate(rows, theta):
+            curv = np.stack([sign[rows], -np.ones(len(rows))], axis=1)
+            hess = 2.0 * curv[:, :, None] * np.eye(2)
+            return 0.5 + (curv * theta * theta).sum(axis=1), 2.0 * curv * theta, hess
+
+        box = -np.ones((2, 2)), np.ones((2, 2))
+        theta, h, foc, converged = functional._newton_rows(evaluate, np.zeros((2, 2)), *box)
+        assert np.array_equal(theta, np.zeros((2, 2))) and np.array_equal(foc, [0.0, 0.0])
+        assert np.array_equal(h, [1.0, 1.0])
+        assert converged.tolist() == [False, True]
+
     def test_solve_rows_gives_nan_for_singular_and_nan_rows(self):
         rng = np.random.default_rng(6)
         regular = rng.normal(size=(3, 2, 2)) + 3.0 * np.eye(2)
