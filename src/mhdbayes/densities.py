@@ -65,8 +65,10 @@ class SupportTransform:
 
     @classmethod
     def from_data(cls, data, padding=DEFAULT_PADDING):
-        (a,), (b,), (reason,) = padded_ranges(np.asarray(data, dtype=float).reshape(1, -1),
-                                              padding)
+        data = np.asarray(data, dtype=float)
+        if data.ndim != 1:
+            raise ValueError("data must be a 1-d array")
+        (a,), (b,), (reason,) = padded_ranges(data[None], padding)
         if reason is not None:
             raise ValueError(reason)
         return cls(float(a), float(b))
@@ -549,7 +551,8 @@ class GaussianFamily(ParametricFamily):
 
     def mle(self, data):
         data = np.asarray(data, dtype=float)
-        return np.array([data.mean(), data.std()])
+        with np.errstate(over="ignore", invalid="ignore"):   # finite data near 1e308
+            return np.array([data.mean(), data.std()])
 
     def initial_theta(self, data):
         mean, sd = overflow_safe(_moments, np.asarray(data, dtype=float))

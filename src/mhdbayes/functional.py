@@ -468,7 +468,8 @@ def fisher_information(family, theta):
     over ``family.plausible_support(theta)``."""
     theta = np.asarray(theta, dtype=float)
     x, w = composite_nodes(integration_edges(family.plausible_support(theta)))
-    grads = family.sqrt_grad(theta, x)
+    with np.errstate(divide="ignore", invalid="ignore"):   # checked just below
+        grads = family.sqrt_grad(theta, x)
     if not np.all(np.isfinite(grads)):
         raise ValueError("sqrt-density gradient is non-finite on the support")
     return 4.0 * np.einsum("n,np,nq->pq", w, grads, grads)

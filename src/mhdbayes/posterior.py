@@ -14,11 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .densities import (
-    HistogramDensity,
-    bin_index,
-    grid_edges,
-)
+from .densities import HistogramDensity, grid_edges
 from .numerics import worker_rng
 
 # Constant per-bin Dirichlet concentration used when none is given.  With
@@ -83,7 +79,7 @@ class HistogramPrior:
         ks = np.asarray(ks, dtype=int)
         if self.mode == "fixed":
             return np.zeros(len(ks))
-        from scipy.special import gammaln   # random k only; see _log_betas
+        from scipy.special import gammaln   # random k only; see _log_beta
         return _normalized(ks * math.log(self.lam) - gammaln(ks + 1.0))
 
     def validate(self, n):
@@ -100,10 +96,10 @@ class HistogramPrior:
 def bin_counts(data, k):
     """Counts of ``data`` (values in [0, 1]) over the regular k-bin grid by
     :func:`~mhdbayes.densities.bin_index`'s rule (1.0 is closed into the
-    last bin), taken from the sorted data as the points below each edge."""
+    last bin): the points below each edge, one ``searchsorted`` of the sort."""
     if k < 1:
         raise ValueError("bin count k must be a positive integer")
-    return _grid_counts(_row_keys(np.sort(_unit_data(data))[None]), 1, int(k))[0]
+    return next(_grid_counts(np.sort(_unit_data(data))[None], (int(k),)))[0]
 
 
 def _unit_data(data):
@@ -116,52 +112,48 @@ def _unit_data(data):
     return data
 
 
-def _row_keys(values):
-    """The matrix ``values`` as flat complex keys, row index + 1j * value.
-    numpy orders complex numbers lexicographically, so the keys of a matrix
-    with sorted rows are sorted, and one ``searchsorted`` finds a value
-    within its own row by exact comparisons."""
-    keys = np.empty(values.shape, dtype=complex)
-    keys.real = np.arange(len(values))[:, None]
-    keys.imag = values
-    return keys.ravel()
+@lru_cache(maxsize=16)
+def _union_grid(ks):
+    """The union of ``grid_edges(k)`` over the tuple ``ks``, and for each k
+    the positions of its edges in the union; read-only, as they are shared
+    between calls.  Edges that coincide across k (1/3 = 2/6) are the same
+    float, so they appear once and each k finds its own edges exactly."""
+    edges = np.unique(np.concatenate([grid_edges(k) for k in ks]))
+    positions = [edges.searchsorted(grid_edges(k)) for k in ks]
+    for a in (edges, *positions):
+        a.flags.writeable = False
+    return edges, positions
 
 
-def _grid_counts(keys, rows, k):
+def _grid_counts(ordered, ks):
     """k-bin counts of every row of a (rows, n) unit-interval matrix with
-    sorted rows, from its :func:`_row_keys` ``keys``: the differences of
-    the points of each row below each edge, from one ``searchsorted`` over
-    all rows.  The closing edge is searched as +inf, above every point of
-    its row, 1.0 included.  Shape (rows, k)."""
-    edges = np.empty((rows, k + 1), dtype=complex)
-    edges.real = np.arange(rows)[:, None]
-    edges.imag[:, :-1] = grid_edges(k)[:-1]
-    edges.imag[:, -1] = np.inf
-    return np.diff(keys.searchsorted(edges.ravel()).reshape(rows, k + 1), axis=1)
+    sorted rows, yielded for each k of the tuple ``ks`` in turn, shape
+    (rows, k): the points of each row below each edge, from one
+    ``searchsorted`` per row over the union of the grids, differenced.
+    The closing edge counts all n points, 1.0 included."""
+    edges, positions = _union_grid(ks)
+    below = np.empty((len(ordered), len(edges)), dtype=np.intp)
+    for row, out in zip(ordered, below):
+        out[:-1] = row.searchsorted(edges[:-1])
+    below[:, -1] = ordered.shape[1]
+    # take, unlike below[:, pos], keeps C order: each row sums as a lone row
+    return (np.diff(below.take(pos, axis=1), axis=1) for pos in positions)
 
 
-def _log_betas(arrays):
-    """log B(v) = sum(gammaln(v)) - gammaln(sum(v)) over the last axis of
-    every array in ``arrays``, all with the same leading shape, from one
-    ``gammaln`` pass over all of them; each sum is taken over its own row,
-    so every value is the one-vector result.  Shape (len(arrays),) plus
-    that leading shape.
+def _log_beta(v):
+    """log B(v) = sum(gammaln(v)) - gammaln(sum(v)) over the last axis.
 
     Only random k needs it, so ``scipy.special`` is imported on the first
     call: a fixed-k process loads no scipy module."""
     from scipy.special import gammaln
-    g = gammaln(np.concatenate([np.ravel(v) for v in arrays]))
-    bounds = np.cumsum([0] + [np.size(v) for v in arrays]).tolist()
-    return (np.array([g[i:j].reshape(np.shape(v)).sum(axis=-1)
-                      for i, j, v in zip(bounds, bounds[1:], arrays)])
-            - gammaln(np.array([v.sum(axis=-1) for v in arrays])))
+    return gammaln(v).sum(axis=-1) - gammaln(v.sum(axis=-1))
 
 
 @lru_cache(maxsize=16)
 def _prior_log_betas(alpha, ks):
     """log B(alpha, ..., alpha) of k entries, for every k in the tuple ``ks``;
     read-only, as it is shared between calls."""
-    out = _log_betas([np.full(k, alpha) for k in ks])
+    out = np.array([_log_beta(np.full(k, alpha)) for k in ks])
     out.flags.writeable = False
     return out
 
@@ -224,8 +216,8 @@ class RandomHistogramPosterior:
         renormalized over its own active k and mean_k its Dirichlet mean:
         the row's :meth:`eap` height on the cell that holds it, as refining
         a histogram's grid does not change its density.  The heights of
-        each k are gathered for all rows where it is active at once, by
-        :func:`~mhdbayes.densities.bin_index` of the cells' left edges.
+        each k are gathered for all rows where it is active at once: bin j of
+        k spans the union cells between its edges' places in :func:`_union_grid`.
         """
         params = [np.atleast_2d(p) for p in self.dirichlet_params]
         if len(self.k_support) == 1:
@@ -233,15 +225,16 @@ class RandomHistogramPosterior:
         masses = np.atleast_2d(self.post_k())
         active = masses > 1e-12
         used = np.flatnonzero(active.any(axis=0))
-        edges = np.unique(np.concatenate([grid_edges(int(self.k_support[i])) for i in used]))
+        # the active k change from dataset to dataset: build, do not cache
+        edges, positions = _union_grid.__wrapped__(tuple(self.k_support[used].tolist()))
         w = np.where(active, masses, 0.0)
         w /= w.sum(axis=1, keepdims=True)
         heights = np.zeros((len(masses), len(edges) - 1))
-        for i in used:
+        for i, pos in zip(used, positions):
             rows = np.flatnonzero(active[:, i])
             mean = _dirichlet_mean(params[i][rows])
             k = mean.shape[1]
-            heights[rows] += w[rows, i, None] * k * mean[:, bin_index(grid_edges(k), edges[:-1])]
+            heights[rows] += w[rows, i, None] * k * mean[:, np.repeat(np.arange(k), np.diff(pos))]
         return edges, heights * np.diff(edges)
 
     def draws(self, rng, n):
@@ -296,16 +289,16 @@ class RandomHistogramPosterior:
 def fit_posterior(data, prior=None):
     """Exact posterior update from data on [0, 1].
 
-    The data are sorted once, and all rows of every candidate k are counted
-    from that sort by one ``searchsorted`` (see :func:`bin_counts`).  For
+    The data are sorted once, and every candidate k is counted from that
+    sort by one ``searchsorted`` per row over the union of the grids.  For
     each k the log marginal likelihood is n*log(k) + log B(alpha + counts)
-    - log B(alpha), the posterior terms of all k from one ``gammaln`` pass
-    and the prior terms cached per support; the posterior over k combines
-    it with the prior k-masses (a single candidate takes all the mass), and
-    the per-k weight posterior is Dirichlet(alpha + counts).
+    - log B(alpha), the posterior term from one ``gammaln`` per k over all
+    rows and the prior terms cached per support; the posterior over k
+    combines it with the prior k-masses (a single candidate takes all the
+    mass), and the per-k weight posterior is Dirichlet(alpha + counts).
 
     A (D, n) matrix ``data`` updates D datasets of n points each in one
-    pass: one sort, one ``gammaln`` pass over all rows and one row-wise
+    pass: one sort, one ``gammaln`` per k over all rows and one row-wise
     normalization, with a leading row axis on the result (see
     :class:`RandomHistogramPosterior`).  A 1-d ``data`` is the one-row case.
     """
@@ -319,14 +312,14 @@ def fit_posterior(data, prior=None):
         raise ValueError("need at least one observation")
     prior.validate(n)
     ks = prior.k_values(n)
-    ordered = np.sort(rows, axis=1)
-    keys = _row_keys(ordered)
-    params = [prior.alpha + _grid_counts(keys, len(rows), int(k)) for k in ks]
+    support = tuple(ks.tolist())
+    params = [prior.alpha + c for c in _grid_counts(np.sort(rows, axis=1), support)]
     if len(ks) == 1:
         log_post_k = np.zeros((len(rows), 1))
     else:
-        log_marg = ((np.array([n * math.log(k) for k in ks]) + _log_betas(params).T)
-                    - _prior_log_betas(prior.alpha, tuple(ks.tolist())))
+        log_marg = ((np.array([n * math.log(k) for k in ks])
+                     + np.array([_log_beta(p) for p in params]).T)
+                    - _prior_log_betas(prior.alpha, support))
         log_post_k = _normalized(prior.log_prior_k(ks) + log_marg)
     post = RandomHistogramPosterior(k_support=ks, log_post_k=log_post_k, dirichlet_params=params)
     return post.row(0) if one else post

@@ -77,12 +77,15 @@ class TestSupportTransform:
         ([-np.inf, np.inf], 0.09, "data contains non-finite values"),
         ([1.0, np.nan, 3.0], -0.1, "data contains non-finite values"),
         ([], 0.09, "data is empty"),
-        ([], np.nan, "data is empty")],
+        ([], np.nan, "data is empty"),
+        ([[1.0, 2.0], [3.0, 4.0]], 0.09, "data must be a 1-d array"),
+        (2.0, 0.09, "data must be a 1-d array")],
         ids=["nan", "inf", "infinite-range", "nan-before-padding", "empty",
-             "empty-before-padding"])
+             "empty-before-padding", "2-d", "scalar"])
     def test_bad_data_is_named_as_the_estimators_name_it(self, data, padding, message):
         # non-finite data and no data are named before the padding is read,
-        # and no range or numpy reduction message stands in for them
+        # no range or numpy reduction message stands in for them, and data
+        # that are not one row get no transform over all their values
         with pytest.raises(ValueError, match=f"^{message}$"):
             SupportTransform.from_data(data, padding=padding)
 

@@ -23,8 +23,10 @@ from mhdbayes.numerics import worker_rng
 from mhdbayes.posterior import (
     HistogramPrior,
     RandomHistogramPosterior,
-    _log_betas,
+    _log_beta,
     _normalized,
+    _prior_log_betas,
+    _union_grid,
     bin_counts,
     fit_posterior,
     max_bin_count,
@@ -281,20 +283,45 @@ class TestFitPosterior:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 5),
-           on_edges=st.lists(st.tuples(st.integers(0, 25), st.integers(1, 25)), max_size=20))
-    def test_rows_are_counted_by_the_binning_rule(self, seed, n_rows, on_edges):
-        # all rows of each k from one count, against bin_index row by row,
-        # with points exactly on grid edges j/k and at 0.0 and 1.0
+           k_max=st.integers(1, 40), fixed=st.booleans(),
+           on_edges=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 40)), max_size=20))
+    def test_rows_are_counted_by_the_binning_rule(self, seed, n_rows, k_max, fixed, on_edges):
+        # all rows of each k from one count over the union of the grids,
+        # against bin_index row by row: a single grid (k=1 has no interior
+        # edge) or the union of the grids of 1..k_max, whose edges coincide
+        # across k (1/3 = 2/6), with points exactly on grid edges j/k, on
+        # the shared edge 2/6 and at 0.0 and 1.0
         rng = np.random.default_rng(seed)
-        ties = [float(grid_edges(k)[min(j, k)]) for j, k in on_edges] + [0.0, 1.0]
+        ties = [float(grid_edges(k)[min(j, k)]) for j, k in on_edges]
+        ties += [float(grid_edges(6)[2]), 0.0, 1.0]
         rows = np.stack([rng.permutation(np.concatenate([rng.uniform(size=30),
                                                          rng.choice(ties, 10)]))
                          for _ in range(n_rows)])
-        post = fit_posterior(rows, HistogramPrior.poisson(k_max=25, alpha=0.1))
+        prior = (HistogramPrior.fixed(k_max, alpha=0.1) if fixed
+                 else HistogramPrior.poisson(k_max=k_max, alpha=0.1))
+        post = fit_posterior(rows, prior)
+        assert list(post.k_support) == ([k_max] if fixed else list(range(1, k_max + 1)))
         for k, params in zip(post.k_support, post.dirichlet_params):
             oracle = [np.bincount(bin_index(grid_edges(int(k)), x), minlength=int(k))
                       for x in rows]
             assert np.array_equal(params, 0.1 + np.array(oracle))
+
+    @pytest.mark.parametrize("prior, bound_mib", [(HistogramPrior.fixed(100), 46),
+                                                  (HistogramPrior.poisson(), 110)],
+                             ids=["fixed-k", "random-k"])
+    def test_large_update_peak_memory_is_bounded(self, prior, bound_mib):
+        # a (200, 20,000) update holds the sorted copy, the counts below
+        # each union edge and the posterior, and no per-datum key: the
+        # fixed-k bound is 1.5x the data's 30.5 MiB
+        import tracemalloc
+        rows = np.random.default_rng(8).beta(2.0, 5.0, (200, 20_000))
+        tracemalloc.start()
+        try:
+            fit_posterior(rows, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2 ** 20
 
     def test_rows_name_the_datum_outside_the_unit_interval(self):
         rows = np.full((2, 3), 0.5)
@@ -303,15 +330,29 @@ class TestFitPosterior:
             fit_posterior(rows, HistogramPrior.fixed(3))
 
     def test_batched_log_beta_equals_one_vector_log_beta(self):
-        # one gammaln pass over all vectors, summed per slice, gives each
-        # vector's own value bit for bit, at lengths that take numpy's
-        # pairwise sum through its unrolled and recursive branches
+        # one gammaln over all rows, summed per row, gives each row's own
+        # value bit for bit, at lengths that take numpy's pairwise sum
+        # through its unrolled and recursive branches
         from scipy.special import gammaln
         rng = np.random.default_rng(6)
-        vectors = [0.07 + rng.integers(0, 60, size=k) for k in (1, 3, 8, 9, 127, 129, 300)]
-        vectors.append(np.full(40, 0.07))
-        expected = [np.sum(gammaln(v)) - gammaln(np.sum(v)) for v in vectors]
-        assert _log_betas(vectors).tolist() == expected
+        matrices = [0.07 + rng.integers(0, 60, size=(3, k)) for k in (1, 3, 8, 9, 127, 129, 300)]
+        matrices.append(np.full((2, 40), 0.07))
+        for rows in matrices:
+            expected = [np.sum(gammaln(v)) - gammaln(np.sum(v)) for v in rows]
+            assert _log_beta(rows).tolist() == expected
+            assert [_log_beta(v) for v in rows] == expected
+
+    def test_union_grid_is_shared_and_read_only(self):
+        ks = (3, 6, 7)
+        edges, positions = _union_grid(ks)
+        assert _union_grid(ks)[0] is edges
+        # 1/3 = 2/6 and 2/3 = 4/6 appear once
+        assert np.array_equal(edges, np.union1d(grid_edges(6), grid_edges(7)))
+        assert len(edges) == 13
+        for k, pos in zip(ks, positions):
+            assert np.array_equal(edges[pos], grid_edges(k))
+        assert not any(a.flags.writeable for a in (edges, *positions))
+        assert not _prior_log_betas(0.07, ks).flags.writeable
 
 
 class TestSampling:
@@ -427,7 +468,10 @@ class TestEapDensity:
         rng = np.random.default_rng(9)
         rows = np.stack([rng.beta(a, a, 120) for a in (0.6, 2.0, 8.0, 30.0)])
         post = fit_posterior(rows, HistogramPrior.poisson(lam=6.0, k_max=30))
+        cached = _union_grid.cache_info().currsize
         edges, weights = post.eap_rows()
+        # the union of the active k is data-dependent, so it is not cached
+        assert _union_grid.cache_info().currsize == cached
         active = post.k_support[(post.post_k() > 1e-12).any(axis=0)]
         assert edges.tolist() == np.unique(np.concatenate(
             [grid_edges(int(k)) for k in active])).tolist()
