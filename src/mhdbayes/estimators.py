@@ -14,7 +14,6 @@ hooks.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ from .densities import (
     padded_ranges,
 )
 from .functional import MhdResult, mhd, mhd_rows
-from .numerics import overflow_safe
+from .numerics import _count, overflow_safe
 from .posterior import HistogramPrior, fit_posterior
 
 # Largest fractions of failed bootstrap refits and of failed BMH per-draw
@@ -92,13 +91,6 @@ class BmhPosterior:
             },
             "transform": {"a": self.transform.a, "b": self.transform.b},
         }
-
-
-def _count(name, value):
-    """The count ``value`` as an int; one not an integer is refused."""
-    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _setup_rows(data, prior, family, padding, start=None):
@@ -193,7 +185,8 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
                      padding=DEFAULT_PADDING, warm_theta=None):
     """Nonparametric bootstrap standard errors for MHB.
 
-    The resamples, drawn from one ``spawn`` child each, are stacked into
+    The resamples, drawn from one ``rng.spawn`` child each (resample b from
+    ``worker_rng(seed, b)`` when ``rng`` is an integer seed), are stacked into
     one (n_boot, n) matrix and fit by ``_mhb_many``, as the efficiency
     study fits its replicates: the matrix case of the setup of a single
     fit, each resample with its own transform and unit-scale box, then the
@@ -210,8 +203,6 @@ def mhb_bootstrap_se(data, prior=None, family=None, n_boot=200, rng=None,
     if warm_theta is None:
         warm_theta = mhb_fit(data, prior=prior, family=family, padding=padding).theta_hat
     n = len(data)
-    # rng.spawn, not numerics.worker_rng: a different stream, and switching
-    # to it would move the bootstrap standard errors
     resamples = data[np.array([child.integers(0, n, n)
                                for child in np.random.default_rng(rng).spawn(n_boot)])]
     estimates = [fit for fit in _mhb_many(resamples, prior, family, padding, start=warm_theta)

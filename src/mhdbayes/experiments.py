@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import DEFAULT_PADDING, GaussianFamily, _normal_tail
-from .estimators import _bmh_finish, _count, _mhb_finish, _mhb_many, _setup, bmh_fit
+from .estimators import _bmh_finish, _mhb_finish, _mhb_many, _setup, bmh_fit
 from .functional import asymptotic_variance, fisher_information
-from .numerics import overflow_safe, worker_rng
+from .numerics import _count, overflow_safe, worker_rng
 from .posterior import HistogramPrior
 
 # Pass bands of the study checks: the efficiency study's MHB variance over
@@ -145,7 +145,7 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
     ``ValueError`` naming it.  Compares the empirical variance of sqrt(n)
     (theta_hat - theta0) with the Cramer-Rao diagonal, computed before any
     replicate is drawn.  A count ``n`` or ``reps`` that is not an integer
-    (see ``estimators._count``), a ``theta0`` without a finite mu and a
+    (see ``numerics._count``), a ``theta0`` without a finite mu and a
     finite sigma > 0, or whose ``plausible_support`` is not a finite
     interval, or ``n`` below the family's dimension + 1, raises
     ``ValueError`` before any replicate runs, and a singular Fisher
@@ -203,14 +203,16 @@ def efficiency_study(family=None, theta0=(0.0, 1.0), n=2000, reps=200, rng=None,
 
 def _robustness_rep(rep, seed, family, theta, alpha, z_grid, n, epsilon, prior,
                     padding, estimators, n_samples_bmh):
-    """Rows of replicate ``rep``, one per estimator and z.  MHB and BMH finish
-    from one ``_setup`` of each dataset, made on its first mhb or bmh row; a
-    setup error recurs on the other row, an unconverged anchor fails mhb alone."""
+    """Rows of replicate ``rep``, one per estimator and z, drawn from
+    ``worker_rng(seed, rep)``; BMH at z index ``zi`` samples its spawn child
+    ``zi``.  MHB and BMH finish from one ``_setup`` of each dataset, made on
+    its first mhb or bmh row; a setup error recurs on the other row, an
+    unconverged anchor fails mhb alone."""
     rng = worker_rng(seed, rep)
     m = math.ceil(alpha * n)
     clean = family.sample(theta, n - m, rng)
     blip_unit = rng.uniform(-1.0, 1.0, m)
-    bmh_seed = rng.integers(2 ** 31)
+    bmh_rngs = rng.spawn(len(z_grid)) if "bmh" in estimators else None
     rows = []
     for zi, z in enumerate(z_grid):
         data = np.concatenate([clean, z + epsilon * blip_unit]) if m else clean
@@ -224,7 +226,7 @@ def _robustness_rep(rep, seed, family, theta, alpha, z_grid, n, epsilon, prior,
                     setup = setup or _setup(data, prior, family, padding)
                     theta_hat = (_mhb_finish(setup, data, prior, family, padding).theta_hat
                                  if est == "mhb" else _bmh_finish(
-                                     setup, family, n_samples_bmh, worker_rng(bmh_seed, zi)).eap)
+                                     setup, family, n_samples_bmh, bmh_rngs[zi]).eap)
                 error = abs(float(theta_hat[0]) - float(theta[0]))
                 reason = _non_finite(est, theta_hat)
                 if reason or not math.isfinite(error):
@@ -251,15 +253,15 @@ def robustness_sweep(family=None, theta=(0.0, 1.0), alpha=0.1,
     ``z_grid`` or ``estimators``, a ``z_grid`` that is not finite and
     strictly ascending, a name other than mhb, bmh and mle, a ``theta``
     without a finite mu and a finite sigma > 0, an ``epsilon`` that is not
-    positive and finite, a count ``n``, ``reps`` or ``n_samples_bmh`` that
-    is not an integer (see ``estimators._count``), ``reps`` below 1, ``n``
-    below the family's dimension + 1, or ``n_samples_bmh`` below 100 with
-    bmh swept raises ``ValueError`` before any replicate runs.  A fit that
-    fails, or a NaN or infinite estimate or location error, is its row's
-    ``error``.
+    positive and finite, a count ``n``, ``reps``, ``n_samples_bmh`` or
+    ``workers`` that is not an integer (see ``numerics._count``), ``workers``
+    below 0, ``reps`` below 1, ``n`` below the family's dimension + 1, or
+    ``n_samples_bmh`` below 100 with bmh swept raises ``ValueError`` before
+    any replicate runs.  A fit that fails, or a NaN or infinite estimate or
+    location error, is its row's ``error``.
     """
     n, reps = _count("n", n), _count("reps", reps)
-    n_samples_bmh = _count("n_samples_bmh", n_samples_bmh)
+    n_samples_bmh, workers = _count("n_samples_bmh", n_samples_bmh), _count("workers", workers)
     z_grid = [float(z) for z in z_grid]
     if not (z_grid and np.all(np.isfinite(z_grid)) and np.all(np.diff(z_grid) > 0)):
         raise ValueError("z_grid must be non-empty, finite and strictly ascending")

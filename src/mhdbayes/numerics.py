@@ -1,5 +1,5 @@
-"""Quadrature, derivative-free minimization, RNG plumbing and
-overflow-safe statistics.
+"""Quadrature, derivative-free minimization, RNG plumbing, count checks
+and overflow-safe statistics.
 
 There is one quadrature rule, the 8-point Gauss-Legendre rule that
 ``composite_nodes`` lays on every panel.  ``minimize``, a single bounded
@@ -8,23 +8,28 @@ of ``functional._newton_rows``.  It stays as a derivative-free reference
 search for checking those fits, and ``perfbench/spans.py`` traces it by
 name.  It imports ``scipy.optimize`` on its first call, about 0.5 s
 (0.41-0.69 s on a 2-core x86-64 host, ``scipy.special`` included); no
-fit loads that module.  Everything here is
-deterministic given its inputs.  Study replication is driven by a
-caller-supplied seed or ``numpy.random.Generator``, and ``worker_rng``
-derives independent streams from one seed; the search draws no random
-numbers.
+fit loads that module.  Everything here is deterministic given its
+inputs, and every child stream is a spawn key (see ``worker_rng``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 
 def worker_rng(seed, worker_index):
-    """Independent stream for worker ``worker_index`` derived from ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(worker_index))))
+    """Spawn child ``worker_index`` of the integer ``seed``, from its spawn key alone."""
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(worker_index),)))
+
+
+def _count(name, value):
+    """The count ``value`` as an int; one not an integer is refused."""
+    if isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def overflow_safe(stat, x):

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .densities import HistogramDensity, grid_edges
-from .numerics import worker_rng
+from .numerics import _count
 
 # Constant per-bin Dirichlet concentration used when none is given.  With
 # the default fixed k=100 this keeps the total prior mass alpha*k at or
@@ -39,7 +39,7 @@ class HistogramPrior:
 
     ``mode`` is "fixed" (Dirac mass at ``k``) or "poisson" (rate ``lam``
     truncated to {1, ..., k_max}, with k_max defaulting to
-    floor(n / (log n)^2) at fit time).
+    floor(n / (log n)^2) at fit time); both counts are ints (``_count``).
     """
 
     mode: str = "fixed"
@@ -51,6 +51,9 @@ class HistogramPrior:
     def __post_init__(self):
         if self.mode not in ("fixed", "poisson"):
             raise ValueError(f"unknown prior mode {self.mode!r}")
+        object.__setattr__(self, "k", _count("k", self.k))
+        if self.k_max is not None:
+            object.__setattr__(self, "k_max", _count("k_max", self.k_max))
         # written so that a NaN alpha or rate fails too
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
@@ -61,7 +64,7 @@ class HistogramPrior:
 
     @classmethod
     def fixed(cls, k=DEFAULT_FIXED_K, alpha=DEFAULT_ALPHA):
-        return cls(mode="fixed", k=int(k), alpha=alpha)
+        return cls(mode="fixed", k=k, alpha=alpha)
 
     @classmethod
     def poisson(cls, lam=DEFAULT_POISSON_RATE, alpha=DEFAULT_ALPHA, k_max=None):
@@ -245,19 +248,18 @@ class RandomHistogramPosterior:
         from one ``gamma`` call per group.
 
         A single bin count takes its Gammas from ``rng``.  Otherwise ``rng``
-        gives a seed, then one uniform per draw that picks its bin count
-        from the posterior k-CDF as ``rng.choice(p=post_k())`` would, and
-        group ``i`` draws from ``worker_rng(seed, i)``.  The first m of
+        gives one uniform per draw that picks its bin count from the
+        posterior k-CDF as ``rng.choice(p=post_k())`` would, and group ``i``
+        draws from child ``i`` of one ``rng.spawn`` call.  The first m of
         ``n`` draws equal ``m`` draws from the same stream.
         """
         if len(self.k_support) == 1:
             groups = [(0, np.arange(n), rng)]
         else:
-            seed = int(rng.integers(2 ** 63))
             cdf = self.post_k().cumsum()
             pick = (cdf / cdf[-1]).searchsorted(rng.random(n), side="right")
-            groups = [(int(i), np.flatnonzero(pick == i), worker_rng(seed, i))
-                      for i in np.unique(pick)]
+            children = rng.spawn(int(pick.max()) + 1)
+            groups = [(int(i), np.flatnonzero(pick == i), children[i]) for i in np.unique(pick)]
         out = []
         for i, rows, stream in groups:
             params = self.dirichlet_params[i]

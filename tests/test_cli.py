@@ -645,6 +645,23 @@ class TestRunStudiesAndDump:
         assert pools == [2, 1]
         assert results[0] == results[1]
 
+    def test_robustness_integral_float_workers_reach_the_pool_as_int(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        # the schema's integer takes 2.0, and a pool of 2.0 workers raises
+        # TypeError; the replicates run serially here, so no pool starts
+        pools = []
+
+        def serial(fn, tasks, workers):
+            pools.append(workers)
+            return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(experiments, "_map_tasks", serial)
+        config = resolve_config(build_parser().parse_args(
+            ["robustness", "--reps", "2", "--n", "120", "--z-grid", "10,30",
+             "--estimators", "mle", "--seed", "5", "--out", str(tmp_path / "rob.json")]))
+        assert cli.run({**config, "workers": 2.0}) == 0, capsys.readouterr().err
+        assert pools == [2] and type(pools[0]) is int
+
     def test_efficiency_with_random_k_is_the_library_study(self, tmp_path):
         # the efficiency subcommand, on the Poisson prior of --prior-mode random
         out = tmp_path / "eff.json"

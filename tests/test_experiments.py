@@ -93,7 +93,7 @@ class TestSampleContaminated:
 
 class TestRobustnessSweep:
     @pytest.mark.parametrize("name, value", [("n", 120.5), ("reps", 2.5),
-                                             ("n_samples_bmh", 100.5)])
+                                             ("n_samples_bmh", 100.5), ("workers", 1.5)])
     def test_count_that_is_not_an_integer_is_refused(self, name, value, monkeypatch):
         from mhdbayes import experiments
 
@@ -108,7 +108,8 @@ class TestRobustnessSweep:
     def test_numpy_and_integral_float_counts_are_accepted(self):
         sweep = dict(z_grid=(5.0,), rng=3, prior=PRIOR_SMALL, estimators=("mhb", "mle"))
         want = robustness_sweep(n=120, reps=2, **sweep).to_json()
-        assert robustness_sweep(n=np.int64(120), reps=2.0, **sweep).to_json() == want
+        assert robustness_sweep(n=np.int64(120), reps=2.0, workers=1.0,
+                                **sweep).to_json() == want
 
     def test_smoke_and_determinism(self):
         kwargs = dict(theta=(0.0, 1.0), alpha=0.1, z_grid=(8.0, 30.0), n=150,
@@ -267,12 +268,13 @@ class TestSharedSetup:
         rng = worker_rng(report.seed, 0)
         clean = family.sample(theta, n - m, rng)
         blip_unit = rng.uniform(-1.0, 1.0, m)
-        bmh_seed = rng.integers(2 ** 31)
         for zi, z in enumerate(self.SWEEP["z_grid"]):
             data = np.concatenate([clean, z + 0.01 * blip_unit])
             mhb = mhb_fit(data, prior=PRIOR_SMALL, family=family).theta_hat
+            # BMH at z index zi: the replicate stream's spawn child zi
+            bmh_rng = np.random.default_rng(np.random.SeedSequence(report.seed, spawn_key=(0, zi)))
             bmh = bmh_fit(data, prior=PRIOR_SMALL, family=family, n_samples=100,
-                          rng=worker_rng(bmh_seed, zi)).eap
+                          rng=bmh_rng).eap
             assert [row["theta_hat"] for row in report.rows if row["z"] == z] == [
                 [float(v) for v in mhb], [float(v) for v in bmh]]
 

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mhdbayes
 from _helpers import finite_diff_grad, integrate, integrate_over_cells
-from mhdbayes.numerics import composite_nodes, minimize
+from mhdbayes.numerics import composite_nodes, minimize, worker_rng
 
 
 class TestQuadratureRule:
@@ -38,6 +40,16 @@ class TestQuadratureRule:
             val = integrate(lambda x: sum(c * x**p for p, c in enumerate(coeffs)),
                             0.0, 1.0)
             assert abs(val - exact) < 1e-12
+
+
+class TestWorkerRng:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), i=st.integers(0, 40))
+    def test_is_the_seed_streams_spawn_child(self, seed, i):
+        # the one derivation of child streams: worker_rng(seed, i) is what
+        # Generator.spawn hands out as child i, as the bootstrap takes it
+        want = np.random.default_rng(seed).spawn(i + 1)[i].random(8)
+        assert np.array_equal(worker_rng(seed, i).random(8), want)
 
 
 class TestCompositeNodes:

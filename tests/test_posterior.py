@@ -160,13 +160,32 @@ class TestHistogramPrior:
          "poisson rate must be positive and finite, got inf"),
         (lambda: HistogramPrior(mode="poisson", lam=np.inf),
          "poisson rate must be positive and finite, got inf"),
+        # 2.5 bins once fit k=2, and a k_max of 2.5 the support {1, 2, 3}
+        (lambda: HistogramPrior.fixed(k=2.5), "^k must be an integer, got 2.5$"),
+        (lambda: HistogramPrior(mode="fixed", k=2.5), "^k must be an integer, got 2.5$"),
+        (lambda: HistogramPrior.poisson(k_max=2.5), "^k_max must be an integer, got 2.5$"),
+        (lambda: HistogramPrior(mode="poisson", k_max=2.5),
+         "^k_max must be an integer, got 2.5$"),
     ], ids=["fixed-alpha", "poisson-alpha", "fixed-k", "lam-zero", "lam-negative",
             "alpha-nan", "lam-nan", "fixed-alpha-inf", "poisson-alpha-inf",
             "constructor-fixed-alpha-inf", "constructor-poisson-alpha-inf", "lam-inf",
-            "constructor-lam-inf"])
+            "constructor-lam-inf", "fractional-k", "constructor-fractional-k",
+            "fractional-k-max", "constructor-fractional-k-max"])
     def test_parameters_are_checked(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda: HistogramPrior(mode="fixed", k=5.0), HistogramPrior.fixed(5)),
+        (lambda: HistogramPrior(mode="fixed", k=np.int64(5)), HistogramPrior.fixed(5)),
+        (lambda: HistogramPrior.poisson(k_max=7.0), HistogramPrior.poisson(k_max=7)),
+        (lambda: HistogramPrior.poisson(k_max=np.int32(7)), HistogramPrior.poisson(k_max=7)),
+    ], ids=["float-k", "numpy-k", "float-k-max", "numpy-k-max"])
+    def test_integral_counts_are_stored_as_int(self, make, want):
+        prior = make()
+        assert prior == want
+        assert type(prior.k) is int and type(prior.k_max) in (int, type(None))
+        assert prior.k_values(400).tolist() == want.k_values(400).tolist()
 
     def test_empty_poisson_support(self):
         with pytest.raises(ValueError, match="empty bin-count support"):
@@ -364,8 +383,8 @@ class TestSampling:
 
     def test_draws_follow_the_choice_and_gamma_stream(self):
         # replayed one draw at a time: a single bin count takes its Gammas
-        # straight from the stream; several take a seed, one choice variate
-        # per draw, then each bin count's Gammas from its own worker stream
+        # straight from the stream; several take one choice variate
+        # per draw, then each bin count's Gammas from its own spawn child
         data = np.random.default_rng(5).normal(3.0, 2.0, 400)
         unit = SupportTransform.from_data(data).to_unit(data)
         n = 5000
@@ -380,13 +399,13 @@ class TestSampling:
         post = fit_posterior(unit, HistogramPrior.poisson(lam=5.0))
         groups = post.draws(np.random.default_rng(17), n)
         ref = np.random.default_rng(17)
-        seed = int(ref.integers(2 ** 63))
         picks = ref.choice(len(post.k_support), size=n, p=post.post_k())
         assert [i for i, _, _ in groups] == sorted(set(picks.tolist()))
         assert len(groups) > 1
         for i, rows, weights in groups:
             assert np.array_equal(rows, np.flatnonzero(picks == i))
-            stream = worker_rng(seed, i)
+            # spawn child i of the seed-17 stream, whatever it drew before
+            stream = worker_rng(17, i)
             for w in weights:
                 g = stream.gamma(post.dirichlet_params[i])
                 assert np.array_equal(w, g / g.sum())
@@ -396,8 +415,8 @@ class TestSampling:
         # largest uniform below 1 picks the widest bin count a draw can have:
         # the tail beyond every k of EAP mass can still be drawn, up to k_max
         class TopUniform:
-            def integers(self, high):
-                return 0
+            def spawn(self, n):
+                return np.random.default_rng(0).spawn(n)
 
             def random(self, n):
                 return np.full(n, np.nextafter(1.0, 0.0))
